@@ -255,7 +255,10 @@ def cmd_sweep(cfg: dict, axis: str, out_override: str | None = None) -> int:
     values = cfg["sweep"].get(axis)
     if not values:
         raise ConfigError(f"sweep axis {axis!r} has no values in the config")
-    max_workers = int(os.environ.get("GLPERIOD_THREADS", "0")) or min(4, len(values))
+    threads = os.environ.get("GLPERIOD_THREADS", "0")
+    if not threads.strip().isdecimal():
+        raise ConfigError(f"GLPERIOD_THREADS must be a non-negative integer; got {threads!r}")
+    max_workers = int(threads) or min(4, len(values))
     with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
         rows = list(pool.map(lambda v: _sweep_row(cfg, axis, v), values))
 

@@ -103,19 +103,26 @@ def build_grid(cfg: dict) -> Grid:
         return make_grid(GridConfig(dim=int(g["dim"]), n_per_axis=int(g["n_per_axis"]),
                                     box_length=float(g["box_length"]),
                                     dealias_fraction=float(g["dealias_fraction"])))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid grid config: {exc}")
 
 
-def build_operator(grid: Grid, cfg: dict) -> LinearOperatorSpec:
-    period = float(cfg["period"])
+def _period(cfg: dict) -> float:
+    try:
+        period = float(cfg["period"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid period: {exc}")
     if not period > 0:
         raise ConfigError(f"period must be positive; got {period}")
-    return make_operator(grid, period)
+    return period
+
+
+def build_operator(grid: Grid, cfg: dict) -> LinearOperatorSpec:
+    return make_operator(grid, _period(cfg))
 
 
 def build_cutoffs(grid: Grid, cfg: dict) -> CutoffSpec:
-    period = float(cfg["period"])
+    period = _period(cfg)
     spec = cfg["cutoffs"]
     try:
         if spec == "auto":
@@ -125,7 +132,7 @@ def build_cutoffs(grid: Grid, cfg: dict) -> CutoffSpec:
         else:
             raise ConfigError(f"cutoffs must be 'auto' or an object; got {spec!r}")
         cutoffs.validate(grid, period)
-    except (ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid cutoffs: {exc}")
     return cutoffs
 
@@ -139,7 +146,7 @@ def build_forcing_spec(cfg: dict) -> ForcingSpec:
                            spatial_profile=f["spatial_profile"],
                            sigma=None if f["sigma"] is None else float(f["sigma"]),
                            axis=int(f["axis"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid forcing config: {exc}")
 
 
@@ -150,7 +157,7 @@ def build_solve_options(cfg: dict) -> SolveOptions:
                             z_tolerance=float(s["z_tolerance"]), m_t=int(s["m_t"]),
                             zero_mode_tol=float(s["zero_mode_tol"]),
                             nonlinearity_enabled=bool(s["nonlinearity_enabled"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solve config: {exc}")
 
 
@@ -160,5 +167,5 @@ def build_perturbation_spec(cfg: dict) -> PerturbationSpec:
         return PerturbationSpec(amplitude=float(s["amplitude"]), profile=s["profile"],
                                 sigma=None if s["sigma"] is None else float(s["sigma"]),
                                 axis=int(s["axis"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid stability config: {exc}")

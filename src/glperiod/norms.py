@@ -17,18 +17,24 @@ The two space-time norms are
 
 for the low and high frequency parts respectively, and the forcing size
 functional is [g] = ||g||_{L2(t;L1_w)} + ||g||_{L2(t;H1_w)}.
+
+Series norms stream over chunks of time nodes, each gathered with one
+periodic halo node either side and projected on its own, so their memory
+does not grow with the number of nodes. In a chunk every d^alpha u comes
+from a per-axis tree of one-axis inverse transforms (one pass on the first
+axis per power a_0, on the second per (a_0, a_1), on the last per alpha);
+time derivatives are centered differences of those physical fields.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .operators import CutoffSpec
-from .spectral import FieldSeries, Grid, SpectralField, time_derivative
+from .spectral import FieldSeries, Grid, SpectralField
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -50,6 +56,15 @@ class NormSuite:
         self.weight = 1.0 + grid.x_abs
         self.weight_sq = self.weight * self.weight
         self.x_abs_sq = grid.x_abs * grid.x_abs
+        # Node-sum weights over the real view of a flattened complex field,
+        # quadrature weight included: |f|^2 sums as f.view(float)**2 @ w.
+        self.weight_sq_flat, self.x_abs_sq_flat = (
+            np.repeat(w.ravel(), 2) * grid.quad_weight for w in (self.weight_sq, self.x_abs_sq))
+        # axis_symbols[axis][a]: (i xi_axis)^a, shaped to broadcast along axis
+        # `axis` of time-stacked data.
+        self.axis_symbols = [
+            [((1j * grid.xi1d) ** a).reshape((-1,) + (1,) * (grid.dim - 1 - axis))
+             for a in range(4)] for axis in range(grid.dim)]
         self._alpha_symbols: dict[tuple[int, ...], np.ndarray] = {}
         self._sobolev_symbols: dict[int, np.ndarray] = {}
 
@@ -141,94 +156,106 @@ def x_weighted_gradient_norm(f: SpectralField) -> float:
 # Space-time norms on series (frequency-stacked internally)
 # ---------------------------------------------------------------------------
 
-
-def _series_freq(series: FieldSeries) -> np.ndarray:
-    return series.to_frequency().data
-
-
-def _spatial_axes(grid: Grid) -> tuple[int, ...]:
-    return tuple(range(1, grid.dim + 1))
+_CHUNK_NODES = 16  # time nodes per chunk; sets the working set, not the result
 
 
 def _node_l2(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Per-node L2 norms of frequency-stacked data (Parseval)."""
-    abs_sq = data.real ** 2 + data.imag ** 2
-    return np.sqrt(abs_sq.sum(axis=_spatial_axes(grid)) * grid.parseval_factor)
+    flat = data.reshape(data.shape[0], -1)
+    return np.sqrt((flat.real ** 2 + flat.imag ** 2).sum(axis=1) * grid.parseval_factor)
 
 
-def _node_weighted_l2(phys: np.ndarray, grid: Grid, weight_sq: np.ndarray) -> np.ndarray:
-    mag = (phys.real ** 2 + phys.imag ** 2) * weight_sq
-    return np.sqrt(mag.sum(axis=_spatial_axes(grid)) * grid.quad_weight)
+def _sq(phys: np.ndarray) -> np.ndarray:
+    """Squared real view, one row per node: |f|^2 sums as _sq(f) @ w."""
+    flat = phys.reshape(phys.shape[0], -1).view(float)
+    return flat * flat
 
 
-def _project_series(series: FieldSeries, chi: np.ndarray) -> FieldSeries:
-    data = _series_freq(series) * (chi * series.grid.keep_nyquist_free)
-    return FieldSeries(series.grid, "frequency", data, series.period)
+def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool):
+    """Yield (alpha, d^alpha block in physical space) for every |alpha| <= k.
+
+    `block` is frequency data stacked along axis 0. Nyquist modes are zeroed
+    for |alpha| >= 1 and kept for alpha = 0 (the rule of alpha_symbol); a
+    block that is not known to be Nyquist-free takes its alpha = 0 field
+    from an unmasked transform and the rest from the masked tree.
+    """
+    dim = grid.dim
+    symbols = NormSuite.for_grid(grid).axis_symbols
+    if not nyquist_free:
+        yield (0,) * dim, np.fft.ifftn(block, axes=tuple(range(1, dim + 1)))
+        block = block * grid.keep_nyquist_free
+
+    def walk(field, alpha):
+        axis = len(alpha)
+        skip_zero = axis == dim - 1 and not nyquist_free and not any(alpha)
+        for a in range(int(skip_zero), k - sum(alpha) + 1):
+            phys = np.fft.ifftn(field * symbols[axis][a] if a else field, axes=(axis + 1,))
+            if axis == dim - 1:
+                yield alpha + (a,), phys
+            else:
+                yield from walk(phys, alpha + (a,))
+
+    yield from walk(block, ())
 
 
-def _centered_dt(series: FieldSeries) -> np.ndarray:
-    return _series_freq(time_derivative(series.to_frequency(), periodic=True))
+def _chunked_derivatives(data: np.ndarray, grid: Grid, k: int,
+                         chi: np.ndarray | None = None):
+    """Yield (rows, alpha, phys) over chunks of the m_t + 1 time nodes.
+
+    phys holds d^alpha of chi * data (Nyquist rule of _derivative_tree) at the
+    nodes `rows` plus one periodic halo node either side, so phys[1:-1] is the
+    chunk and phys[2:] - phys[:-2] its centered difference. The halo wraps
+    over the m_t periodic nodes. Node m_t is a chunk of its own: it keeps
+    its own values, and its halo (nodes m_t - 1 and 1) makes its difference
+    that of node 0. With chi None the data are used as given.
+    """
+    m_t = data.shape[0] - 1
+    mask = None if chi is None else chi * grid.keep_nyquist_free
+    bounds = [*range(0, m_t, _CHUNK_NODES), m_t, m_t + 1]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        block = data[np.r_[(start - 1) % m_t, start:stop, stop % m_t]]
+        if mask is not None:
+            block *= mask
+        for alpha, phys in _derivative_tree(block, grid, k, mask is not None):
+            yield slice(start, stop), alpha, phys
 
 
-def _weighted_hk_node_norms(data: np.ndarray, grid: Grid, k_max: int) -> dict[int, np.ndarray]:
-    """Per-node weighted H^k norms for every k <= k_max, sharing the
-    per-multi-index inverse transforms."""
+def weighted_hk_node_sq(data: np.ndarray, grid: Grid, k: int,
+                        chi: np.ndarray) -> np.ndarray:
+    """Squared per-node weighted H^j norms, j = 0..k (row j), of the
+    projection by chi of frequency-stacked data."""
+    w2 = NormSuite.for_grid(grid).weight_sq_flat
+    by_order = np.zeros((k + 1, data.shape[0]))
+    for rows, alpha, phys in _chunked_derivatives(data, grid, k, chi):
+        by_order[sum(alpha), rows] += _sq(phys[1:-1]) @ w2
+    return np.cumsum(by_order, axis=0)
+
+
+def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
     suite = NormSuite.for_grid(grid)
-    axes = _spatial_axes(grid)
-    cums = {k: np.zeros(data.shape[0]) for k in range(k_max + 1)}
-    for alpha in _multi_indices(grid.dim, k_max):
-        phys = np.fft.ifftn(data * suite.alpha_symbol(alpha), axes=axes)
-        contrib = ((phys.real ** 2 + phys.imag ** 2) * suite.weight_sq).sum(axis=axes) \
-            * grid.quad_weight
-        for k in range(sum(alpha), k_max + 1):
-            cums[k] += contrib
-    return {k: np.sqrt(v) for k, v in cums.items()}
+    l2, xg, l2w_dt = (np.zeros(data.shape[0]) for _ in range(3))
+    for rows, alpha, phys in _chunked_derivatives(data, grid, 1, chi):
+        sq, sq_dt = _sq(phys[1:-1]), _sq(phys[2:] - phys[:-2])
+        if any(alpha):
+            xg[rows] += sq @ suite.x_abs_sq_flat + sq_dt @ suite.x_abs_sq_flat / (4 * h * h)
+        else:
+            l2[rows] = (sq.sum(axis=1) + sq_dt.sum(axis=1) / (4 * h * h)) * grid.quad_weight
+            l2w_dt[rows] = sq_dt @ suite.weight_sq_flat / (4 * h * h)
+    return float(sum(np.sqrt(_trapz(v, dx=h)) for v in (l2, xg, l2w_dt)))
 
 
-def _node_x_grad(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Per-node || |x| grad u ||_{L2} of frequency-stacked data."""
-    suite = NormSuite.for_grid(grid)
-    axes = _spatial_axes(grid)
-    grad_sq = np.zeros(data.shape[0:1] + grid.shape)
-    for axis in range(grid.dim):
-        alpha = tuple(1 if a == axis else 0 for a in range(grid.dim))
-        phys = np.fft.ifftn(data * suite.alpha_symbol(alpha), axes=axes)
-        grad_sq += phys.real ** 2 + phys.imag ** 2
-    return np.sqrt((grad_sq * suite.x_abs_sq).sum(axis=axes) * grid.quad_weight)
-
-
-def _x_norm(series: FieldSeries) -> float:
-    grid = series.grid
-    suite = NormSuite.for_grid(grid)
-    axes = _spatial_axes(grid)
-    data = _series_freq(series)
-    dt_data = _centered_dt(series)
-    h = series.dt
-
-    l2 = _node_l2(data, grid)
-    l2_dt = _node_l2(dt_data, grid)
-    xg = _node_x_grad(data, grid)
-    xg_dt = _node_x_grad(dt_data, grid)
-    dt_phys = np.fft.ifftn(dt_data, axes=axes)
-    l2w_dt = _node_weighted_l2(dt_phys, grid, suite.weight_sq)
-
-    return float(np.sqrt(_trapz(l2 ** 2 + l2_dt ** 2, dx=h))
-                 + np.sqrt(_trapz(xg ** 2 + xg_dt ** 2, dx=h))
-                 + np.sqrt(_trapz(l2w_dt ** 2, dx=h)))
-
-
-def _y_norm(series: FieldSeries) -> float:
-    grid = series.grid
-    data = _series_freq(series)
-    dt_data = _centered_dt(series)
-    h = series.dt
-
-    hk = _weighted_hk_node_norms(data, grid, 3)
-    h1_dt = _weighted_hk_node_norms(dt_data, grid, 1)[1]
-
-    return float(hk[2].max()
-                 + np.sqrt(_trapz(hk[3] ** 2, dx=h))
-                 + np.sqrt(_trapz(hk[1] ** 2 + h1_dt ** 2, dx=h)))
+def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
+    w2 = NormSuite.for_grid(grid).weight_sq_flat
+    by_order = np.zeros((4, data.shape[0]))
+    h1_dt = np.zeros(data.shape[0])
+    for rows, alpha, phys in _chunked_derivatives(data, grid, 3, chi):
+        by_order[sum(alpha), rows] += _sq(phys[1:-1]) @ w2
+        if sum(alpha) <= 1:
+            h1_dt[rows] += _sq(phys[2:] - phys[:-2]) @ w2 / (4 * h * h)
+    hk = np.cumsum(by_order, axis=0)
+    return float(np.sqrt(hk[2].max())
+                 + np.sqrt(_trapz(hk[3], dx=h))
+                 + np.sqrt(_trapz(hk[1] + h1_dt, dx=h)))
 
 
 def spacetime_norm(series: FieldSeries, kind: str,
@@ -242,12 +269,9 @@ def spacetime_norm(series: FieldSeries, kind: str,
         raise ValueError("space-time norms need at least 3 time nodes")
     if kind not in ("X", "Y"):
         raise ValueError(f"kind must be 'X' or 'Y'; got {kind!r}")
-    if cutoffs is not None:
-        chi = cutoffs.chi1 if kind == "X" else cutoffs.chi_inf
-        series = _project_series(series, chi)
-    else:
-        series = series.to_frequency()
-    return _x_norm(series) if kind == "X" else _y_norm(series)
+    chi = None if cutoffs is None else (cutoffs.chi1 if kind == "X" else cutoffs.chi_inf)
+    norm = _x_norm if kind == "X" else _y_norm
+    return norm(series.to_frequency().data, series.grid, chi, series.dt)
 
 
 def z_norm(series: FieldSeries, cutoffs: CutoffSpec) -> float:
@@ -262,38 +286,10 @@ def forcing_bracket(g: FieldSeries) -> float:
         raise ValueError("the forcing functional needs at least 3 time nodes")
     grid = g.grid
     suite = NormSuite.for_grid(grid)
-    axes = _spatial_axes(grid)
-    data = _series_freq(g)
-    h = g.dt
-
-    phys = np.fft.ifftn(data, axes=axes)
-    l1w = (np.abs(phys) * suite.weight).sum(axis=axes) * grid.quad_weight
-    h1w = _weighted_hk_node_norms(data, grid, 1)[1]
-    return float(np.sqrt(_trapz(l1w ** 2, dx=h)) + np.sqrt(_trapz(h1w ** 2, dx=h)))
-
-
-@dataclass
-class SpaceTimeNorms:
-    """Bundle of the space-time norms of a low/high split solution."""
-
-    x_norm: float
-    y_norm: float
-    g_bracket: float = 0.0
-    components: dict = field(default_factory=dict)
-
-    @property
-    def z_norm(self) -> float:
-        return self.x_norm + self.y_norm
-
-    def as_dict(self) -> dict:
-        return {"x_norm": self.x_norm, "y_norm": self.y_norm,
-                "z_norm": self.z_norm, "g_bracket": self.g_bracket,
-                **{f"component_{k}": v for k, v in self.components.items()}}
-
-
-def split_norms(series: FieldSeries, cutoffs: CutoffSpec,
-                g: FieldSeries | None = None) -> SpaceTimeNorms:
-    x = spacetime_norm(series, "X", cutoffs)
-    y = spacetime_norm(series, "Y", cutoffs)
-    bracket = forcing_bracket(g) if g is not None else 0.0
-    return SpaceTimeNorms(x_norm=x, y_norm=y, g_bracket=bracket)
+    axes = tuple(range(1, grid.dim + 1))
+    l1w, h1w_sq = np.zeros(len(g)), np.zeros(len(g))
+    for rows, alpha, phys in _chunked_derivatives(g.to_frequency().data, grid, 1):
+        if not any(alpha):
+            l1w[rows] = (np.abs(phys[1:-1]) * suite.weight).sum(axis=axes) * grid.quad_weight
+        h1w_sq[rows] += _sq(phys[1:-1]) @ suite.weight_sq_flat
+    return float(np.sqrt(_trapz(l1w ** 2, dx=g.dt)) + np.sqrt(_trapz(h1w_sq, dx=g.dt)))

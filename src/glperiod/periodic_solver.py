@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteField, ZeroModeViolation
-from .norms import forcing_bracket, z_norm
+from .norms import _node_l2, forcing_bracket, z_norm
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
 from .phi import phi1, phi2
 from .spectral import FREQUENCY, FieldSeries, SpectralField
@@ -186,11 +186,6 @@ def picard_step(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
             "iteration produced non-finite modes; the forcing is too large "
             "for the contraction regime")
     return FieldSeries(u.grid, FREQUENCY, out, u.period)
-
-
-def _node_l2(data: np.ndarray, grid) -> np.ndarray:
-    flat = data.reshape(data.shape[0], -1)
-    return np.sqrt((flat.real ** 2 + flat.imag ** 2).sum(axis=1) * grid.parseval_factor)
 
 
 def _cubic_difference_data(v: np.ndarray, w: np.ndarray, grid) -> np.ndarray:

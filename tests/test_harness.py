@@ -188,6 +188,28 @@ class TestVerifyCommand:
                    for x, y in zip(a, b))
 
 
+class TestMalformedInput:
+    """Bad inputs end in exit 2 with a one-line message, not a traceback."""
+
+    @pytest.mark.parametrize("command, overrides, threads", [
+        (["solve-periodic"], {"grid": {"dim": None}}, None),
+        (["verify"], {"verify": {"grid": {"dim": None}}}, None),
+        (["solve-periodic"], {"period": None}, None),
+        (["solve-periodic"], {"solve": {"m_t": None}}, None),
+        (["sweep", "--axis", "epsilon"], {}, "abc"),
+        (["sweep", "--axis", "epsilon"], {}, "-1"),
+    ], ids=["grid-dim-null", "verify-grid-dim-null", "period-null", "m_t-null",
+            "threads-abc", "threads-negative"])
+    def test_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                  command, overrides, threads):
+        if threads is not None:
+            monkeypatch.setenv("GLPERIOD_THREADS", threads)
+        cfg_path = _small_config(tmp_path, **overrides)
+        assert main(command + ["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 class TestSweepCommand:
     def test_epsilon_axis(self, tmp_path):
         cfg_path = _small_config(tmp_path)

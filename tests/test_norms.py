@@ -2,13 +2,16 @@
 quadrature and assembly oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from glperiod import (FieldSeries, GridConfig, SpectralField, forcing_bracket,
-                      lp_norm, make_grid, sobolev_norm, spacetime_norm,
+from glperiod import (FieldSeries, GridConfig, NormSuite, SpectralField,
+                      auto_cutoffs, forcing_bracket, lp_norm, make_grid,
+                      sobolev_norm, spacetime_norm, time_derivative,
                       x_weighted_gradient_norm, z_norm)
+from glperiod.norms import _multi_indices, _trapz
 
 from conftest import random_physical_field
 
@@ -229,3 +232,134 @@ class TestForcingBracket:
         expected = a_l2 * (lp_norm(G, 1, weighted=True)
                            + sobolev_norm(G, 1, weighted=True))
         assert forcing_bracket(s) == pytest.approx(expected, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Per-multi-index reference: one full inverse transform of the whole series
+# per alpha, time derivatives by transforming the centered difference.
+# ---------------------------------------------------------------------------
+
+
+def _ref_axes(grid):
+    return tuple(range(1, grid.dim + 1))
+
+
+def _ref_node_l2(data, grid):
+    abs_sq = data.real ** 2 + data.imag ** 2
+    return np.sqrt(abs_sq.sum(axis=_ref_axes(grid)) * grid.parseval_factor)
+
+
+def _ref_hk(data, grid, k_max):
+    suite = NormSuite.for_grid(grid)
+    axes = _ref_axes(grid)
+    cums = {k: np.zeros(data.shape[0]) for k in range(k_max + 1)}
+    for alpha in _multi_indices(grid.dim, k_max):
+        phys = np.fft.ifftn(data * suite.alpha_symbol(alpha), axes=axes)
+        contrib = ((phys.real ** 2 + phys.imag ** 2) * suite.weight_sq).sum(axis=axes) \
+            * grid.quad_weight
+        for k in range(sum(alpha), k_max + 1):
+            cums[k] += contrib
+    return {k: np.sqrt(v) for k, v in cums.items()}
+
+
+def _ref_x_grad(data, grid):
+    suite = NormSuite.for_grid(grid)
+    axes = _ref_axes(grid)
+    grad_sq = np.zeros(data.shape[0:1] + grid.shape)
+    for axis in range(grid.dim):
+        alpha = tuple(1 if a == axis else 0 for a in range(grid.dim))
+        phys = np.fft.ifftn(data * suite.alpha_symbol(alpha), axes=axes)
+        grad_sq += phys.real ** 2 + phys.imag ** 2
+    return np.sqrt((grad_sq * suite.x_abs_sq).sum(axis=axes) * grid.quad_weight)
+
+
+def _ref_x_norm(series):
+    grid, h = series.grid, series.dt
+    axes = _ref_axes(grid)
+    data = series.data
+    dt_data = time_derivative(series, periodic=True).data
+    l2, l2_dt = _ref_node_l2(data, grid), _ref_node_l2(dt_data, grid)
+    xg, xg_dt = _ref_x_grad(data, grid), _ref_x_grad(dt_data, grid)
+    dt_phys = np.fft.ifftn(dt_data, axes=axes)
+    l2w_dt = np.sqrt(((dt_phys.real ** 2 + dt_phys.imag ** 2)
+                      * NormSuite.for_grid(grid).weight_sq).sum(axis=axes)
+                     * grid.quad_weight)
+    return float(np.sqrt(_trapz(l2 ** 2 + l2_dt ** 2, dx=h))
+                 + np.sqrt(_trapz(xg ** 2 + xg_dt ** 2, dx=h))
+                 + np.sqrt(_trapz(l2w_dt ** 2, dx=h)))
+
+
+def _ref_y_norm(series):
+    grid, h = series.grid, series.dt
+    hk = _ref_hk(series.data, grid, 3)
+    h1_dt = _ref_hk(time_derivative(series, periodic=True).data, grid, 1)[1]
+    return float(hk[2].max()
+                 + np.sqrt(_trapz(hk[3] ** 2, dx=h))
+                 + np.sqrt(_trapz(hk[1] ** 2 + h1_dt ** 2, dx=h)))
+
+
+def _ref_spacetime_norm(series, kind, cutoffs=None):
+    series = series.to_frequency()
+    if cutoffs is not None:
+        chi = cutoffs.chi1 if kind == "X" else cutoffs.chi_inf
+        series = FieldSeries(series.grid, "frequency",
+                             series.data * (chi * series.grid.keep_nyquist_free),
+                             series.period)
+    return _ref_x_norm(series) if kind == "X" else _ref_y_norm(series)
+
+
+def _ref_forcing_bracket(g):
+    grid, h = g.grid, g.dt
+    axes = _ref_axes(grid)
+    data = g.to_frequency().data
+    phys = np.fft.ifftn(data, axes=axes)
+    l1w = (np.abs(phys) * NormSuite.for_grid(grid).weight).sum(axis=axes) * grid.quad_weight
+    h1w = _ref_hk(data, grid, 1)[1]
+    return float(np.sqrt(_trapz(l1w ** 2, dx=h)) + np.sqrt(_trapz(h1w ** 2, dx=h)))
+
+
+_ORACLE_GRIDS = {1: 32, 2: 16, 3: 16}
+
+
+class TestPerMultiIndexOracle:
+    """The chunked derivative tree against the per-multi-index reference on
+    raw random series (Nyquist modes present, node m_t unrelated to node 0)."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("m_t", [8, 21, 64])
+    def test_norms_match_reference(self, dim, m_t):
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
+                                    box_length=32.0))
+        cutoffs = auto_cutoffs(grid, 1.3)
+        rng = np.random.default_rng(1000 * dim + m_t)
+        shape = (m_t + 1,) + grid.shape
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = FieldSeries(grid, "physical", data, 1.3)
+        ref = {kind: _ref_spacetime_norm(s, kind, cutoffs) for kind in "XY"}
+        assert z_norm(s, cutoffs) == pytest.approx(ref["X"] + ref["Y"], rel=1e-13)
+        for kind in "XY":
+            assert spacetime_norm(s, kind, cutoffs) == pytest.approx(ref[kind], rel=1e-13)
+            assert spacetime_norm(s, kind) == pytest.approx(
+                _ref_spacetime_norm(s, kind), rel=1e-13)
+        assert forcing_bracket(s) == pytest.approx(_ref_forcing_bracket(s), rel=1e-13)
+
+
+def _z_norm_peak_bytes(grid, cutoffs, m_t, rng):
+    shape = (m_t + 1,) + grid.shape
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s = FieldSeries(grid, "frequency", data, 1.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        z_norm(s, cutoffs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_z_norm_memory_does_not_grow_with_series_length(grid3d, cutoffs3d, rng):
+    # a frequency series is streamed as given; warm the per-grid caches first
+    _z_norm_peak_bytes(grid3d, cutoffs3d, 8, rng)
+    short = _z_norm_peak_bytes(grid3d, cutoffs3d, 32, rng)
+    long = _z_norm_peak_bytes(grid3d, cutoffs3d, 128, rng)
+    assert long <= 1.25 * short
