@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .errors import ConfigError, GLPeriodError, NonFiniteField
+from .errors import ConfigError, GLPeriodError, NonFiniteField, SeamDecayViolation
 from .forcing import realize_forcing, realize_perturbation
-from .manifest import RunManifest, atomic_write_text, load_manifest
+from .manifest import RunManifest, atomic_write_text, load_manifest, verify_manifest
 from .periodic_solver import equation_residual, solve_periodic
-from .spectral import FieldSeries, read_snapshot, write_snapshot
+from .spectral import FieldSeries, Grid, read_snapshot, write_snapshot
 from .stability import StabilityRunConfig, run_stability
 from .verification import reports_to_json, run_all_checks
 
@@ -106,13 +106,29 @@ def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
     return status
 
 
-def _load_base_series(manifest_path: str, cfg: dict) -> FieldSeries:
+def _load_base_series(manifest_path: str, grid: Grid, period: float) -> FieldSeries:
+    """The saved periodic solution of a solve-periodic run, read onto the
+    config's grid. The manifest's hashes, grid and period are checked first;
+    any mismatch is a config error."""
     base = Path(manifest_path)
     if not base.exists():
         raise ConfigError(f"base manifest not found: {manifest_path}")
-    man = load_manifest(base)
-    headline = man.get("headline", {})
-    if not headline.get("converged", False):
+    try:
+        problems = verify_manifest(base)
+        man = load_manifest(base)
+        base_grid = cfgmod.grid_config(man["config"])
+        base_period = float(man["config"]["period"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"base manifest {manifest_path} is unreadable: {exc}")
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise ConfigError(f"base manifest failed verification: {problems[0]}{more}")
+    if base_grid != grid.config:
+        raise ConfigError(f"base grid {base_grid} differs from the config grid {grid.config}")
+    if base_period != period:
+        raise ConfigError(f"base period {base_period:g} differs from the config "
+                          f"period {period:g}")
+    if not man.get("headline", {}).get("converged", False):
         raise GLPeriodError("base run did not converge; refusing to run stability about it")
     snaps = sorted(e["path"] for e in man.get("artifacts", [])
                    if e["path"].endswith(".glpf"))
@@ -120,22 +136,31 @@ def _load_base_series(manifest_path: str, cfg: dict) -> FieldSeries:
         raise GLPeriodError(
             "base manifest indexes no field snapshots (run solve-periodic with "
             "output.save_fields = true)")
-    fields = [read_snapshot(base.parent / p) for p in snaps]
-    grid = fields[0].grid
-    data = np.stack([f.data for f in fields])
-    period = float(man["config"]["period"])
-    return FieldSeries(grid, fields[0].representation, data, period)
+    data = np.empty((len(snaps),) + grid.shape, dtype=complex)
+    try:
+        for m, name in enumerate(snaps):
+            field = read_snapshot(base.parent / name, grid)
+            data[m] = field.data
+    except ValueError as exc:
+        raise ConfigError(f"base snapshot rejected: {exc}")
+    return FieldSeries(grid, field.representation, data, period)
 
 
 def cmd_stability(cfg: dict, base: str | None = None,
                   out_override: str | None = None) -> int:
+    # the whole stability block is checked before a base is solved or loaded
+    settings = cfgmod.build_stability_settings(cfg)
+    grid = cfgmod.build_grid(cfg)
+    try:
+        w0 = realize_perturbation(cfgmod.build_perturbation_spec(cfg), grid)
+    except (ValueError, SeamDecayViolation) as exc:
+        raise ConfigError(f"invalid stability perturbation: {exc}")
     out = _out_dir(cfg, out_override)
     manifest = RunManifest(config=cfg)
     if base is not None:
-        v_per = _load_base_series(base, cfg)
-        grid = v_per.grid
         op = cfgmod.build_operator(grid, cfg)
         cutoffs = cfgmod.build_cutoffs(grid, cfg)
+        v_per = _load_base_series(base, grid, op.period)
     else:
         try:
             grid, op, cutoffs, _g, v_per, report = _run_solve(cfg)
@@ -146,13 +171,7 @@ def cmd_stability(cfg: dict, base: str | None = None,
             print("inline base solve did not converge", file=sys.stderr)
             return EXIT_DIVERGED
 
-    s = cfg["stability"]
-    w0 = realize_perturbation(cfgmod.build_perturbation_spec(cfg), grid)
-    run_cfg = StabilityRunConfig(t_max=float(s["t_max"]), v_per=v_per, w0=w0,
-                                 record_stride=int(s["record_stride"]),
-                                 order=int(s["order"]),
-                                 linear_only=bool(s["linear_only"]))
-    decay = run_stability(run_cfg, op, cutoffs)
+    decay = run_stability(StabilityRunConfig(v_per=v_per, w0=w0, **settings), op, cutoffs)
 
     csv_path = out / "decay.csv"
     decay.write_csv(csv_path)
@@ -185,18 +204,19 @@ def cmd_verify(cfg: dict, seed: int | None = None,
 
     # Reduced-size config for the battery grid and the trajectory checks.
     small = copy.deepcopy(cfg)
-    small["grid"].update(v.get("grid", {}))
-    small["solve"]["m_t"] = int(v.get("m_t", small["solve"]["m_t"]))
-    small["forcing"]["amplitude"] = float(v.get("solve_amplitude",
-                                                small["forcing"]["amplitude"]))
+    small["grid"].update(v["grid"])
     try:
-        grid = cfgmod.build_grid(small)
-        op = cfgmod.build_operator(grid, small)
-        cutoffs = cfgmod.build_cutoffs(grid, small)
-        opts = cfgmod.build_solve_options(small)
+        small["solve"]["m_t"] = int(v["m_t"])
+        small["forcing"]["amplitude"] = float(v["solve_amplitude"])
+        samples = int(v["samples"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid verify config: {exc}")
+    grid = cfgmod.build_grid(small)
+    op = cfgmod.build_operator(grid, small)
+    cutoffs = cfgmod.build_cutoffs(grid, small)
+    opts = cfgmod.build_solve_options(small)
+    try:
         g = realize_forcing(cfgmod.build_forcing_spec(small), grid, opts.m_t)
-    except ConfigError:
-        raise
     except GLPeriodError as exc:
         raise ConfigError(f"verification battery construction failed: {exc}")
 
@@ -205,7 +225,7 @@ def cmd_verify(cfg: dict, seed: int | None = None,
         print("verification base solve did not converge", file=sys.stderr)
         return EXIT_DIVERGED
 
-    reports = run_all_checks(grid, op, cutoffs, samples=int(v["samples"]),
+    reports = run_all_checks(grid, op, cutoffs, samples=samples,
                              seed=root_seed, u_series=u, g_series=g)
     checks_path = out / "checks.json"
     atomic_write_text(checks_path, reports_to_json(reports))
@@ -232,12 +252,12 @@ def _sweep_value_config(cfg: dict, axis: str, value) -> dict:
     return row
 
 
-def _sweep_row(cfg: dict, axis: str, value) -> dict:
+def _sweep_row(row_cfg: dict, value) -> dict:
     started = time.perf_counter()
     row = {"value": value, "c_estimate": "", "contraction_factor": "",
            "periodicity_residual": "", "runtime_s": "", "error": ""}
     try:
-        _grid, op, _cutoffs, g, u, report = _run_solve(_sweep_value_config(cfg, axis, value))
+        _grid, op, _cutoffs, g, u, report = _run_solve(row_cfg)
         row["c_estimate"] = report.c_estimate if report.c_estimate is not None else ""
         row["contraction_factor"] = (report.contraction_factor
                                      if report.contraction_factor is not None else "")
@@ -251,16 +271,21 @@ def _sweep_row(cfg: dict, axis: str, value) -> dict:
 
 
 def cmd_sweep(cfg: dict, axis: str, out_override: str | None = None) -> int:
-    out = _out_dir(cfg, out_override)
     values = cfg["sweep"].get(axis)
-    if not values:
-        raise ConfigError(f"sweep axis {axis!r} has no values in the config")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep axis {axis!r} needs a non-empty list of values "
+                          f"in the config; got {values!r}")
+    try:
+        row_cfgs = [_sweep_value_config(cfg, axis, v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid sweep.{axis} value: {exc}")
     threads = os.environ.get("GLPERIOD_THREADS", "0")
     if not threads.strip().isdecimal():
         raise ConfigError(f"GLPERIOD_THREADS must be a non-negative integer; got {threads!r}")
+    out = _out_dir(cfg, out_override)
     max_workers = int(threads) or min(4, len(values))
     with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(lambda v: _sweep_row(cfg, axis, v), values))
+        rows = list(pool.map(_sweep_row, row_cfgs, values))
 
     csv_path = out / f"sweep_{axis}.csv"
     tmp = csv_path.with_suffix(".tmp")

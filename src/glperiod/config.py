@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -77,7 +78,10 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {path + key!r} must be an object; "
+                                  f"got {value!r}")
             out[key] = _merge(base[key], value, path + key + ".")
         else:
             out[key] = value
@@ -97,14 +101,18 @@ def load_config(path) -> dict:
     return _merge(reference_config(), raw)
 
 
-def build_grid(cfg: dict) -> Grid:
+def grid_config(cfg: dict) -> GridConfig:
     g = cfg["grid"]
     try:
-        return make_grid(GridConfig(dim=int(g["dim"]), n_per_axis=int(g["n_per_axis"]),
-                                    box_length=float(g["box_length"]),
-                                    dealias_fraction=float(g["dealias_fraction"])))
+        return GridConfig(dim=int(g["dim"]), n_per_axis=int(g["n_per_axis"]),
+                          box_length=float(g["box_length"]),
+                          dealias_fraction=float(g["dealias_fraction"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid grid config: {exc}")
+
+
+def build_grid(cfg: dict) -> Grid:
+    return make_grid(grid_config(cfg))
 
 
 def _period(cfg: dict) -> float:
@@ -139,6 +147,10 @@ def build_cutoffs(grid: Grid, cfg: dict) -> CutoffSpec:
 
 def build_forcing_spec(cfg: dict) -> ForcingSpec:
     f = cfg["forcing"]
+    if f["spatial_profile"] == "custom":
+        raise ConfigError("forcing.spatial_profile 'custom' needs a profile field, "
+                          "which only the Python API (ForcingSpec.custom_profile) "
+                          "can supply")
     try:
         return ForcingSpec(amplitude=float(f["amplitude"]), period=float(cfg["period"]),
                            temporal_profile=f["temporal_profile"],
@@ -169,3 +181,24 @@ def build_perturbation_spec(cfg: dict) -> PerturbationSpec:
                                 axis=int(s["axis"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid stability config: {exc}")
+
+
+def build_stability_settings(cfg: dict) -> dict:
+    """t_max, record_stride, order and linear_only of the stability block,
+    checked against the config period before any base is solved or loaded."""
+    s = cfg["stability"]
+    try:
+        settings = {"t_max": float(s["t_max"]), "record_stride": int(s["record_stride"]),
+                    "order": int(s["order"]), "linear_only": bool(s["linear_only"])}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid stability config: {exc}")
+    min_t = 10.0 * _period(cfg)
+    if not min_t <= settings["t_max"] < math.inf:
+        raise ConfigError(f"stability.t_max must be finite and cover at least 10 "
+                          f"periods ({min_t:g}); got {settings['t_max']:g}")
+    if settings["record_stride"] < 1:
+        raise ConfigError(f"stability.record_stride must be >= 1; "
+                          f"got {settings['record_stride']}")
+    if settings["order"] not in (1, 2):
+        raise ConfigError(f"stability.order must be 1 or 2; got {settings['order']}")
+    return settings

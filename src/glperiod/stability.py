@@ -14,7 +14,15 @@ the linear part. The run records the algebraically weighted running suprema
 
 and fits decay slopes of log ||grad^l w|| against log(1+t) on the window
 where box truncation has not yet contaminated the algebraic decay,
-t in [1, 0.25 (L/(2 pi))^2].
+t in [1, 0.25 (L/(2 pi))^2]; when that window holds too few samples the
+slopes are null and fit_reason says why.
+
+A perturbation step allocates no full-size array. The right-hand side is
+grouped as v (p + 2|w|^2) + w (2|v|^2 + conj(p) + |w|^2) with p = v conj(w)
+and written into caller buffers; the stepper owns its work buffers and
+transforms into them with numpy.fft's out= (numpy >= 2.0); the dealias mask
+is folded into h phi1 and h phi2 once; and the step advances the frequency
+data in place (exp_step steps a copy, so a caller's field never changes).
 """
 
 from __future__ import annotations
@@ -44,69 +52,96 @@ def perturbation_rhs(w: SpectralField, v: SpectralField,
         raise ValueError("perturbation_rhs expects physical-representation fields")
     if w.grid.shape != v.grid.shape or w.grid.config != v.grid.config:
         raise ValueError("perturbation and base fields live on different grids")
-    rhs = _rhs_data(w.data, v.data)
+    rhs = _rhs_data(w.data, v.data, np.empty_like(w.data), _rhs_work(w.grid.shape))
     out = np.fft.fftn(rhs)
     if dealias_output:
         out = out * w.grid.dealias_mask(w.grid.config.dealias_fraction)
     return SpectralField(w.grid, FREQUENCY, out)
 
 
-def _rhs_data(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    v_sq = v.real * v.real + v.imag * v.imag
-    w_sq = w.real * w.real + w.imag * w.imag
-    return (2.0 * v_sq * w + v * v * np.conj(w)
-            + 2.0 * w_sq * v + w * w * np.conj(v) + w_sq * w)
+def _rhs_work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Scratch buffers of _rhs_data: one complex and three real fields."""
+    return (np.empty(shape, complex), np.empty(shape), np.empty(shape),
+            np.empty(shape))
+
+
+def _rhs_data(w: np.ndarray, v: np.ndarray, out: np.ndarray,
+              work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Write v (p + 2|w|^2) + w (2|v|^2 + conj(p) + |w|^2), p = v conj(w),
+    into out and return it: the expanded right-hand side, term for term.
+    work comes from _rhs_work; every product lands in out or in work."""
+    p, s, w_sq, tmp = work
+    np.multiply(v.real, v.real, out=s)
+    np.multiply(v.imag, v.imag, out=tmp)
+    s += tmp
+    s *= 2.0
+    np.multiply(w.real, w.real, out=w_sq)
+    np.multiply(w.imag, w.imag, out=tmp)
+    w_sq += tmp
+    s += w_sq                    # 2|v|^2 + |w|^2
+    np.conjugate(w, out=p)
+    p *= v                       # p = v conj(w)
+    np.conjugate(p, out=out)
+    out.real += s                # real views: no casting buffers
+    out *= w
+    w_sq *= 2.0
+    p.real += w_sq
+    p *= v
+    out += p
+    return out
+
+
+def _etd_coefficients(grid: Grid, op: LinearOperatorSpec,
+                      h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^{-hA}, h phi1(-hA) and h phi2(-hA) per mode. Nyquist rows are zeroed,
+    matching the period-map convention, so stepped and mapped series agree."""
+    z = -h * op.symbol
+    keep = grid.keep_nyquist_free
+    return np.exp(z) * keep, h * phi1(z) * keep, h * phi2(z) * keep
 
 
 class _Stepper:
-    """Precomputed per-mode coefficients for the exponential integrators."""
+    """ETD coefficients and work buffers of the perturbation step.
+
+    The dealias mask is folded into h phi1 and h phi2, which is bitwise the
+    same as masking the nonlinear term first; all buffers are allocated here,
+    so a step allocates no full-size array.
+    """
 
     def __init__(self, grid: Grid, op: LinearOperatorSpec, h: float):
-        z = -h * op.symbol
-        self.grid = grid
-        self.h = h
-        # Nyquist rows are zeroed after every multiplier application, matching
-        # the period-map convention, so stepped and mapped series agree.
-        keep = grid.keep_nyquist_free
-        self.decay = np.exp(z) * keep
-        self.h_phi1 = h * phi1(z) * keep
-        self.h_phi2 = h * phi2(z) * keep
-        self.mask = grid.dealias_mask(grid.config.dealias_fraction)
+        self.decay, h_phi1, h_phi2 = _etd_coefficients(grid, op, h)
+        mask = grid.dealias_mask(grid.config.dealias_fraction)
+        self.h_phi1 = h_phi1 * mask
+        self.h_phi2 = h_phi2 * mask
         self.axes = tuple(range(grid.dim))
+        self.w_phys, self.rhs, self.f_now, self.f_pred = (
+            np.empty(grid.shape, complex) for _ in range(4))
+        self.work = _rhs_work(grid.shape)
 
-    def _nonlinear_hat(self, w_hat: np.ndarray, v_phys: np.ndarray) -> np.ndarray:
-        w_phys = np.fft.ifftn(w_hat, axes=self.axes)
-        return np.fft.fftn(_rhs_data(w_phys, v_phys), axes=self.axes) * self.mask
+    def _nonlinear_hat(self, w_hat: np.ndarray, v_phys: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+        np.fft.ifftn(w_hat, axes=self.axes, out=self.w_phys)
+        _rhs_data(self.w_phys, v_phys, self.rhs, self.work)
+        return np.fft.fftn(self.rhs, axes=self.axes, out=out)
 
     def step(self, w_hat: np.ndarray, v_now: np.ndarray, v_next: np.ndarray,
              order: int, include_rhs: bool = True) -> np.ndarray:
+        """Advance the frequency data w_hat by one step in place; returns it."""
         if not include_rhs:
-            return self.decay * w_hat
-        # overflow here is the escape signal, resolved by the isfinite check
+            w_hat *= self.decay
+            return w_hat
+        # overflow here is the escape signal, resolved by the caller's check
         with np.errstate(over="ignore", invalid="ignore"):
-            f_now = self._nonlinear_hat(w_hat, v_now)
-            pred = self.decay * w_hat + self.h_phi1 * f_now
+            f_now = self._nonlinear_hat(w_hat, v_now, self.f_now)
+            w_hat *= self.decay
+            w_hat += np.multiply(self.h_phi1, f_now, out=self.rhs)
             if order == 1:
-                return pred
-            f_pred = self._nonlinear_hat(pred, v_next)
-            return pred + self.h_phi2 * (f_pred - f_now)
-
-    def _direct_hat(self, u_hat: np.ndarray, g_hat: np.ndarray,
-                    nonlinearity: bool) -> np.ndarray:
-        if not nonlinearity:
-            return g_hat
-        u_phys = np.fft.ifftn(u_hat, axes=self.axes)
-        cubic = u_phys * (u_phys.real ** 2 + u_phys.imag ** 2)
-        return np.fft.fftn(cubic, axes=self.axes) * self.mask + g_hat
-
-    def direct_step(self, u_hat: np.ndarray, g_now: np.ndarray, g_next: np.ndarray,
-                    order: int, nonlinearity: bool = True) -> np.ndarray:
-        f_now = self._direct_hat(u_hat, g_now, nonlinearity)
-        pred = self.decay * u_hat + self.h_phi1 * f_now
-        if order == 1:
-            return pred
-        f_pred = self._direct_hat(pred, g_next, nonlinearity)
-        return pred + self.h_phi2 * (f_pred - f_now)
+                return w_hat
+            f_pred = self._nonlinear_hat(w_hat, v_next, self.f_pred)
+            f_pred -= f_now
+            f_pred *= self.h_phi2
+            w_hat += f_pred
+        return w_hat
 
 
 def exp_step(w: SpectralField, v_at_t: SpectralField, h: float,
@@ -125,7 +160,7 @@ def exp_step(w: SpectralField, v_at_t: SpectralField, h: float,
         raise ValueError("order must be 1 or 2")
     grid = w.grid
     stepper = _Stepper(grid, op, h)
-    w_hat = w.to_frequency().data
+    w_hat = w.to_frequency().data.copy()  # the step works in place
     v_now = v_at_t.to_physical().data
     v_nxt = (v_next.to_physical().data if v_next is not None else v_now)
     out = stepper.step(w_hat, v_now, v_nxt, order, include_rhs)
@@ -142,10 +177,23 @@ def direct_step(u: SpectralField, g_at_t: SpectralField, g_next: SpectralField,
     if not h > 0:
         raise ValueError("step size must be positive")
     grid = u.grid
-    stepper = _Stepper(grid, op, h)
-    out = stepper.direct_step(u.to_frequency().data,
-                              g_at_t.to_frequency().data,
-                              g_next.to_frequency().data, order, nonlinearity)
+    decay, h_phi1, h_phi2 = _etd_coefficients(grid, op, h)
+    mask = grid.dealias_mask(grid.config.dealias_fraction)
+    axes = tuple(range(grid.dim))
+
+    def forcing_hat(u_hat: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
+        if not nonlinearity:
+            return g_hat
+        u_phys = np.fft.ifftn(u_hat, axes=axes)
+        cubic = u_phys * (u_phys.real ** 2 + u_phys.imag ** 2)
+        return np.fft.fftn(cubic, axes=axes) * mask + g_hat
+
+    u_hat = u.to_frequency().data
+    f_now = forcing_hat(u_hat, g_at_t.to_frequency().data)
+    out = decay * u_hat + h_phi1 * f_now
+    if order != 1:
+        f_pred = forcing_hat(out, g_next.to_frequency().data)
+        out = out + h_phi2 * (f_pred - f_now)
     if not np.all(np.isfinite(out.view(float))):
         raise NonFiniteField("direct integration produced non-finite modes")
     return SpectralField(grid, FREQUENCY, out)
@@ -188,15 +236,16 @@ class DecayReport:
     escaped: bool = False
     escape_time: float | None = None
     interpolated_vper: bool = False
+    fit_reason: str | None = None  # why the fitted values are NaN
 
     def summary_dict(self) -> dict:
+        """Strict-JSON summary: NaN fit values become null beside fit_reason."""
+        fits = {key: getattr(self, key) for key in (
+            "fitted_slope_l0", "fitted_slope_l1", "fit_intercept_l0",
+            "fit_intercept_l1", "fit_r2_l0", "fit_r2_l1")}
         return {
-            "fitted_slope_l0": self.fitted_slope_l0,
-            "fitted_slope_l1": self.fitted_slope_l1,
-            "fit_intercept_l0": self.fit_intercept_l0,
-            "fit_intercept_l1": self.fit_intercept_l1,
-            "fit_r2_l0": self.fit_r2_l0,
-            "fit_r2_l1": self.fit_r2_l1,
+            **{k: v if math.isfinite(v) else None for k, v in fits.items()},
+            "fit_reason": self.fit_reason,
             "fit_window": list(self.fit_window),
             "escaped": self.escaped,
             "escape_time": self.escape_time,
@@ -206,7 +255,8 @@ class DecayReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.summary_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.summary_dict(), indent=2, sort_keys=True,
+                          allow_nan=False)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -280,18 +330,21 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
 
     pf = grid.parseval_factor
     xi_sq = grid.xi_sq
-    chi1 = cutoffs.chi1 * grid.keep_nyquist_free
-    chi_inf = cutoffs.chi_inf * grid.keep_nyquist_free
+    chi1_sq = (cutoffs.chi1 * grid.keep_nyquist_free) ** 2
+    chi_inf_sq = (cutoffs.chi_inf * grid.keep_nyquist_free) ** 2
+    # rows give ||w||^2, ||grad w||^2, ||P_low w||^2, ||grad P_low w||^2 and
+    # ||P_high w||_{H1}^2 as sums against |w_hat|^2
+    weights = np.stack([np.ones(grid.shape), xi_sq, chi1_sq, chi1_sq * xi_sq,
+                        chi_inf_sq * (1.0 + xi_sq)]).reshape(5, -1)
+    abs_sq = np.empty(grid.shape)
+    imag_sq = np.empty(grid.shape)
 
     def record(w_hat: np.ndarray, t: float, state: dict) -> None:
-        abs_sq = w_hat.real ** 2 + w_hat.imag ** 2
-        l2 = math.sqrt(float(abs_sq.sum()) * pf)
-        grad = math.sqrt(float((xi_sq * abs_sq).sum()) * pf)
-        low_sq = (chi1 ** 2) * abs_sq
-        l2_low = math.sqrt(float(low_sq.sum()) * pf)
-        grad_low = math.sqrt(float((xi_sq * low_sq).sum()) * pf)
-        high_sq = (chi_inf ** 2) * abs_sq
-        h1_high = math.sqrt(float(((1.0 + xi_sq) * high_sq).sum()) * pf)
+        np.multiply(w_hat.real, w_hat.real, out=abs_sq)
+        np.multiply(w_hat.imag, w_hat.imag, out=imag_sq)
+        np.add(abs_sq, imag_sq, out=abs_sq)
+        l2, grad, l2_low, grad_low, h1_high = np.sqrt(
+            (weights @ abs_sq.reshape(-1)) * pf).tolist()
         wgt = 1.0 + t
         state["n1"] = max(state["n1"], wgt ** 0.75 * l2_low + wgt ** 1.25 * grad_low)
         state["n2"] = max(state["n2"], wgt ** 1.25 * h1_high)
@@ -304,6 +357,7 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
 
     stepper = _Stepper(grid, op, h)
     w_hat = cfg.w0.to_frequency().data.copy()
+    magnitude = np.empty(w_hat.view(float).shape)
     n_steps = int(math.ceil(cfg.t_max / h - 1e-12))
     state = {"n1": 0.0, "n2": 0.0, "times": [], "l2": [], "grad": [],
              "n1s": [], "n2s": [], "ns": []}
@@ -311,15 +365,15 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     escaped = False
     escape_time = None
     for step in range(n_steps):
-        v_now = v_at(step) if not cfg.linear_only else None
-        v_nxt = v_at(step + 1) if (not cfg.linear_only and cfg.order == 2) else v_now
         if cfg.linear_only:
             w_hat = stepper.step(w_hat, None, None, cfg.order, include_rhs=False)
         else:
-            w_hat = stepper.step(w_hat, v_now, v_nxt, cfg.order, include_rhs=True)
+            v_now = v_at(step)
+            v_nxt = v_at(step + 1) if cfg.order == 2 else v_now
+            w_hat = stepper.step(w_hat, v_now, v_nxt, cfg.order)
         t = (step + 1) * h
-        flat = w_hat.view(float)
-        if not np.all(np.isfinite(flat)) or np.abs(flat).max() > 1e100:
+        # NaN and inf fail the comparison, so they count as escape too
+        if not np.abs(w_hat.view(float), out=magnitude).max() <= 1e100:
             escaped = True
             escape_time = t
             break
@@ -331,11 +385,12 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     grad_w = np.asarray(state["grad"])
     window = default_fit_window(grid)
     slope0 = slope1 = icpt0 = icpt1 = r20 = r21 = float("nan")
+    fit_reason = None
     try:
         slope0, icpt0, r20 = fit_decay_rate(times, l2_w, window)
         slope1, icpt1, r21 = fit_decay_rate(times, grad_w, window)
-    except ValueError:
-        pass  # too few/degenerate samples; slopes stay NaN
+    except ValueError as exc:
+        fit_reason = str(exc)  # too few or degenerate samples; slopes stay NaN
 
     return DecayReport(
         times=times, l2_w=l2_w, h1_grad_w=grad_w,
@@ -345,4 +400,4 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         fit_intercept_l0=icpt0, fit_intercept_l1=icpt1,
         fit_r2_l0=r20, fit_r2_l1=r21, fit_window=window,
         escaped=escaped, escape_time=escape_time,
-        interpolated_vper=interpolated)
+        interpolated_vper=interpolated, fit_reason=fit_reason)

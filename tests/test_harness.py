@@ -137,12 +137,15 @@ class TestStabilityCommand:
         csv_text = (tmp_path / "out" / "decay.csv").read_text()
         assert csv_text.startswith("t,l2_w,h1_grad_w,n1,n2,n")
 
-    def test_saved_base(self, tmp_path):
+    def _saved_base(self, tmp_path, **overrides):
         cfg_path = _small_config(tmp_path, output={"dir": str(tmp_path / "base"),
-                                                   "save_fields": True})
+                                                   "save_fields": True}, **overrides)
         assert main(["solve-periodic", "--config", str(cfg_path)]) == 0
-        assert main(["stability", "--config", str(cfg_path),
-                     "--base", str(tmp_path / "base" / "manifest.json"),
+        return cfg_path, tmp_path / "base" / "manifest.json"
+
+    def test_saved_base(self, tmp_path):
+        cfg_path, manifest = self._saved_base(tmp_path)
+        assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
                      "--out", str(tmp_path / "stab")]) == 0
         assert (tmp_path / "stab" / "decay.csv").exists()
 
@@ -158,6 +161,71 @@ class TestStabilityCommand:
         code = main(["stability", "--config", str(cfg_path),
                      "--base", str(tmp_path / "out" / "manifest.json")])
         assert code == 3
+
+    def test_tampered_snapshot_rejected(self, tmp_path, capsys):
+        cfg_path, manifest = self._saved_base(tmp_path)
+        snap = tmp_path / "base" / "field_0003.glpf"
+        raw = bytearray(snap.read_bytes())
+        raw[-1] ^= 0xFF
+        snap.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
+                     "--out", str(tmp_path / "stab")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "hash mismatch: field_0003.glpf" in err
+
+    @pytest.mark.parametrize("grid", [{"box_length": 16.0}, {"dealias_fraction": 0.5}],
+                             ids=["box_length", "dealias_fraction"])
+    def test_grid_mismatch_rejected(self, tmp_path, capsys, grid):
+        _, manifest = self._saved_base(tmp_path)
+        (tmp_path / "other").mkdir()
+        other = _small_config(tmp_path / "other", grid=grid)
+        capsys.readouterr()
+        assert main(["stability", "--config", str(other), "--base", str(manifest),
+                     "--out", str(tmp_path / "stab")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: base grid") and err.count("\n") == 1
+
+    def test_period_mismatch_rejected(self, tmp_path, capsys):
+        _, manifest = self._saved_base(tmp_path)
+        (tmp_path / "other").mkdir()
+        other = _small_config(tmp_path / "other", period=2.0,
+                              stability={"t_max": 20.0, "record_stride": 2})
+        capsys.readouterr()
+        assert main(["stability", "--config", str(other), "--base", str(manifest),
+                     "--out", str(tmp_path / "stab")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: base period") and err.count("\n") == 1
+
+    def test_base_honours_dealias_fraction(self, tmp_path):
+        # a saved base run must step exactly like the inline one, on the
+        # config's own (non-default) dealias fraction
+        cfg_path, manifest = self._saved_base(tmp_path, grid={"dealias_fraction": 0.5})
+        assert main(["stability", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "inline")]) == 0
+        assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
+                     "--out", str(tmp_path / "saved")]) == 0
+        assert ((tmp_path / "saved" / "decay.csv").read_text()
+                == (tmp_path / "inline" / "decay.csv").read_text())
+
+    def test_short_fit_window_is_strict_json(self, tmp_path):
+        # samples every 2.0 put only t = 2, 4, 6 in the window [1, 6.48]
+        cfg_path = _small_config(tmp_path, stability={"t_max": 10.0,
+                                                      "record_stride": 32})
+        assert main(["stability", "--config", str(cfg_path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        out = tmp_path / "out"
+        decay = json.loads((out / "decay.json").read_text(), parse_constant=reject)
+        headline = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=reject)["headline"]
+        for summary in (decay, headline):
+            assert summary["fitted_slope_l0"] is None
+            assert summary["fit_r2_l1"] is None
+            assert "8 samples" in summary["fit_reason"]
 
     def test_escape_is_finding_not_failure(self, tmp_path):
         cfg_path = _small_config(tmp_path, stability={"t_max": 10.0,
@@ -198,8 +266,20 @@ class TestMalformedInput:
         (["solve-periodic"], {"solve": {"m_t": None}}, None),
         (["sweep", "--axis", "epsilon"], {}, "abc"),
         (["sweep", "--axis", "epsilon"], {}, "-1"),
+        (["stability"], {"stability": {"t_max": 5.0}}, None),
+        (["stability"], {"stability": {"t_max": None}}, None),
+        (["stability"], {"stability": {"record_stride": 0}}, None),
+        (["stability"], {"stability": {"order": 3}}, None),
+        (["stability"], {"stability": {"axis": 5}}, None),
+        (["stability"], {"stability": {"sigma": -1.0}}, None),
+        (["verify"], {"verify": {"grid": None}}, None),
+        (["sweep", "--axis", "epsilon"], {"sweep": {"epsilon": [None]}}, None),
+        (["solve-periodic"], {"forcing": {"spatial_profile": "custom"}}, None),
     ], ids=["grid-dim-null", "verify-grid-dim-null", "period-null", "m_t-null",
-            "threads-abc", "threads-negative"])
+            "threads-abc", "threads-negative", "t_max-below-10-periods",
+            "t_max-null", "record_stride-0", "order-3", "perturbation-axis-5",
+            "perturbation-sigma-negative", "verify-grid-null",
+            "sweep-epsilon-null", "forcing-custom-profile"])
     def test_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys,
                                   command, overrides, threads):
         if threads is not None:

@@ -1,6 +1,9 @@
 """Perturbation dynamics: the expanded right-hand side, the exponential
 steppers, the decay recorder and the slope fit."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,87 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig,
                       fit_decay_rate, make_grid, make_operator,
                       perturbation_rhs, realize_forcing, realize_perturbation,
                       run_stability, semigroup_apply, solve_periodic)
+from glperiod.phi import phi1, phi2
+from glperiod.stability import _rhs_data, _rhs_work, _Stepper
 
 from conftest import random_physical_field
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the allocating right-hand side and ETD step that
+# the in-place stepper replaced, kept as oracles.
+# ---------------------------------------------------------------------------
+
+
+def _reference_rhs(w, v):
+    v_sq = v.real * v.real + v.imag * v.imag
+    w_sq = w.real * w.real + w.imag * w.imag
+    return (2.0 * v_sq * w + v * v * np.conj(w)
+            + 2.0 * w_sq * v + w * w * np.conj(v) + w_sq * w)
+
+
+class _ReferenceStepper:
+    """Masks the nonlinear term after each transform; returns new arrays."""
+
+    def __init__(self, grid, op, h):
+        z = -h * op.symbol
+        keep = grid.keep_nyquist_free
+        self.decay = np.exp(z) * keep
+        self.h_phi1 = h * phi1(z) * keep
+        self.h_phi2 = h * phi2(z) * keep
+        self.mask = grid.dealias_mask(grid.config.dealias_fraction)
+        self.axes = tuple(range(grid.dim))
+
+    def _nonlinear_hat(self, w_hat, v_phys):
+        w_phys = np.fft.ifftn(w_hat, axes=self.axes)
+        return np.fft.fftn(_reference_rhs(w_phys, v_phys), axes=self.axes) * self.mask
+
+    def step(self, w_hat, v_now, v_next, order):
+        f_now = self._nonlinear_hat(w_hat, v_now)
+        pred = self.decay * w_hat + self.h_phi1 * f_now
+        if order == 1:
+            return pred
+        f_pred = self._nonlinear_hat(pred, v_next)
+        return pred + self.h_phi2 * (f_pred - f_now)
+
+
+def _reference_run(cfg, op, cutoffs):
+    """Node-locked reference integration with the per-norm recorder:
+    (times, l2, grad, n1, n2)."""
+    v_hat = cfg.v_per.to_frequency().data
+    grid = cfg.v_per.grid
+    m_t = cfg.v_per.n_steps
+    h = cfg.v_per.dt
+    v_phys = np.fft.ifftn(v_hat[:m_t], axes=tuple(range(1, grid.dim + 1)))
+    pf, xi_sq = grid.parseval_factor, grid.xi_sq
+    chi1 = cutoffs.chi1 * grid.keep_nyquist_free
+    chi_inf = cutoffs.chi_inf * grid.keep_nyquist_free
+    rows = []
+    n1 = n2 = 0.0
+
+    def record(w_hat, t):
+        nonlocal n1, n2
+        abs_sq = w_hat.real ** 2 + w_hat.imag ** 2
+        low_sq = chi1 ** 2 * abs_sq
+        high_sq = chi_inf ** 2 * abs_sq
+        l2, grad, l2_low, grad_low, h1_high = (
+            math.sqrt(float(x.sum()) * pf)
+            for x in (abs_sq, xi_sq * abs_sq, low_sq, xi_sq * low_sq,
+                      (1.0 + xi_sq) * high_sq))
+        n1 = max(n1, (1 + t) ** 0.75 * l2_low + (1 + t) ** 1.25 * grad_low)
+        n2 = max(n2, (1 + t) ** 1.25 * h1_high)
+        rows.append((t, l2, grad, n1, n2))
+
+    stepper = _ReferenceStepper(grid, op, h)
+    w_hat = cfg.w0.to_frequency().data
+    n_steps = int(math.ceil(cfg.t_max / h - 1e-12))
+    record(w_hat, 0.0)
+    for step in range(n_steps):
+        w_hat = stepper.step(w_hat, v_phys[step % m_t], v_phys[(step + 1) % m_t],
+                             cfg.order)
+        if (step + 1) % cfg.record_stride == 0 or step + 1 == n_steps:
+            record(w_hat, (step + 1) * h)
+    return np.array(rows).T
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +131,17 @@ class TestPerturbationRhs:
             direct = vw * np.abs(vw) ** 2 - v.data * np.abs(v.data) ** 2
             worst = max(worst, np.abs(out - direct).max() / np.abs(direct).max())
         assert worst <= 1e-12
+
+    def test_in_place_rhs_matches_reference(self, grid3d, rng):
+        out = np.empty(grid3d.shape, complex)
+        work = _rhs_work(grid3d.shape)
+        for _ in range(10):
+            # raw random fields: every mode, Nyquist included, is populated
+            w = random_physical_field(grid3d, rng, dealiased=False).data
+            v = random_physical_field(grid3d, rng, dealiased=False).data
+            ref = _reference_rhs(w, v)
+            np.testing.assert_allclose(_rhs_data(w, v, out, work), ref, rtol=1e-14,
+                                       atol=1e-14 * np.abs(ref).max())
 
     def test_grid_mismatch_rejected(self, grid3d, grid1d):
         w = SpectralField(grid3d, "physical", np.zeros(grid3d.shape, complex))
@@ -114,6 +207,33 @@ class TestExpStep:
         assert 1.5 <= r1 <= 3.0   # first order
         assert 3.0 <= r2 <= 6.0   # second order
 
+    @pytest.mark.parametrize("order, include_rhs", [(1, True), (2, True), (2, False)])
+    def test_input_field_untouched(self, small_setup, order, include_rhs):
+        grid, op, cut, g, v_per = small_setup
+        w = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid).to_frequency()
+        before = w.data.copy()
+        v_now, v_next = v_per.field(0).to_physical(), v_per.field(1).to_physical()
+        stepped = exp_step(w, v_now, v_per.dt, op, order=order, v_next=v_next,
+                           include_rhs=include_rhs)
+        assert np.array_equal(w.data, before)
+        assert not np.array_equal(stepped.data, before)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_step_allocates_no_field(self, small_setup, order):
+        grid, op, cut, g, v_per = small_setup
+        stepper = _Stepper(grid, op, v_per.dt)
+        v_phys = v_per.to_physical().data
+        w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
+                                     grid).to_frequency().data.copy()
+        stepper.step(w_hat, v_phys[0], v_phys[1], order)  # warm the FFT caches
+        tracemalloc.start()
+        try:
+            stepper.step(w_hat, v_phys[1], v_phys[2], order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < w_hat.nbytes
+
     def test_rejects_bad_step(self, grid3d, op3d, rng):
         w = random_physical_field(grid3d, rng)
         with pytest.raises(ValueError):
@@ -130,6 +250,21 @@ class TestRunStability:
         decay = run_stability(cfg, op, cut)
         assert np.all(decay.l2_w == 0.0)
         assert np.all(decay.n_series == 0.0)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_reference_stepper(self, small_setup, order):
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+        cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=4,
+                                 order=order)
+        decay = run_stability(cfg, op, cut)
+        times, l2, grad, n1, n2 = _reference_run(cfg, op, cut)
+        assert not decay.escaped
+        np.testing.assert_array_equal(decay.times, times)
+        for got, want in ((decay.l2_w, l2), (decay.h1_grad_w, grad),
+                          (decay.n1_series, n1), (decay.n2_series, n2),
+                          (decay.n_series, n1 + n2)):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_linear_single_mode_heat_decay(self, grid1d):
         # base solution zero and rhs off: each mode decays exactly like
