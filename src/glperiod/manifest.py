@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .spectral import WORKERS
+
 
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
@@ -45,7 +47,8 @@ class RunManifest:
         if not self.versions:
             from . import __version__
             self.versions = {"glperiod": __version__, "numpy": np.__version__,
-                             "python": platform.python_version()}
+                             "python": platform.python_version(),
+                             "fft_backend": "numpy.fft", "workers": WORKERS}
 
     def add_artifact(self, path, base_dir) -> None:
         path = Path(path)

@@ -23,7 +23,11 @@ periodic halo node either side and projected on its own, so their memory
 does not grow with the number of nodes. In a chunk every d^alpha u comes
 from a per-axis tree of one-axis inverse transforms (one pass on the first
 axis per power a_0, on the second per (a_0, a_1), on the last per alpha);
-time derivatives are centered differences of those physical fields.
+time derivatives are centered differences of those physical fields. Each
+chunk is one task on the shared thread pool (spectral.map_chunks) and
+returns per-node sums only; the reductions over nodes and orders (cumsum,
+trapezoid, max) run after the map, so no result depends on the number of
+workers.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 import numpy as np
 
 from .operators import CutoffSpec
-from .spectral import FieldSeries, Grid, SpectralField
+from .spectral import PHYSICAL, FieldSeries, Grid, SpectralField, map_chunks, node_chunks
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -156,9 +160,6 @@ def x_weighted_gradient_norm(f: SpectralField) -> float:
 # Space-time norms on series (frequency-stacked internally)
 # ---------------------------------------------------------------------------
 
-_CHUNK_NODES = 16  # time nodes per chunk; sets the working set, not the result
-
-
 def _node_l2(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Per-node L2 norms of frequency-stacked data (Parseval)."""
     flat = data.reshape(data.shape[0], -1)
@@ -171,18 +172,21 @@ def _sq(phys: np.ndarray) -> np.ndarray:
     return flat * flat
 
 
-def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool):
+def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
+                     phys0: np.ndarray | None = None):
     """Yield (alpha, d^alpha block in physical space) for every |alpha| <= k.
 
     `block` is frequency data stacked along axis 0. Nyquist modes are zeroed
     for |alpha| >= 1 and kept for alpha = 0 (the rule of alpha_symbol); a
     block that is not known to be Nyquist-free takes its alpha = 0 field
-    from an unmasked transform and the rest from the masked tree.
+    from an unmasked transform, or from `phys0` (the same block in physical
+    space) when given, and the rest from the masked tree.
     """
     dim = grid.dim
     symbols = NormSuite.for_grid(grid).axis_symbols
     if not nyquist_free:
-        yield (0,) * dim, np.fft.ifftn(block, axes=tuple(range(1, dim + 1)))
+        yield (0,) * dim, (np.fft.ifftn(block, axes=tuple(range(1, dim + 1)))
+                           if phys0 is None else phys0)
         block = block * grid.keep_nyquist_free
 
     def walk(field, alpha):
@@ -198,26 +202,41 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool):
     yield from walk(block, ())
 
 
-def _chunked_derivatives(data: np.ndarray, grid: Grid, k: int,
-                         chi: np.ndarray | None = None):
-    """Yield (rows, alpha, phys) over chunks of the m_t + 1 time nodes.
+def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None,
+               n_sums: int, add, halo: bool = True,
+               phys: np.ndarray | None = None) -> np.ndarray:
+    """Per-node sums over the d^alpha fields, |alpha| <= k, of chi * data,
+    as an (n_sums, m_t + 1) array.
 
-    phys holds d^alpha of chi * data (Nyquist rule of _derivative_tree) at the
-    nodes `rows` plus one periodic halo node either side, so phys[1:-1] is the
-    chunk and phys[2:] - phys[:-2] its centered difference. The halo wraps
-    over the m_t periodic nodes. Node m_t is a chunk of its own: it keeps
-    its own values, and its halo (nodes m_t - 1 and 1) makes its difference
-    that of node 0. With chi None the data are used as given.
+    One task per chunk of time nodes runs on the shared pool; node m_t is a
+    chunk of its own. For every d^alpha block of its chunk (Nyquist rule of
+    _derivative_tree) a task calls add(out, alpha, block), where out is the
+    chunk's zeroed (n_sums, nodes) slice. With `halo` the block carries one
+    periodic node either side, so block[1:-1] is the chunk and
+    block[2:] - block[:-2] its centered difference. The halo wraps over the
+    m_t periodic nodes: node m_t gets nodes m_t - 1 and 1, so its difference
+    is that of node 0. With chi None the data are used as given, and `phys`
+    (the data in physical space; no halo) is the alpha = 0 block.
     """
+    NormSuite.for_grid(grid)  # fill the per-grid cache before workers read it
     m_t = data.shape[0] - 1
     mask = None if chi is None else chi * grid.keep_nyquist_free
-    bounds = [*range(0, m_t, _CHUNK_NODES), m_t, m_t + 1]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        block = data[np.r_[(start - 1) % m_t, start:stop, stop % m_t]]
-        if mask is not None:
-            block *= mask
-        for alpha, phys in _derivative_tree(block, grid, k, mask is not None):
-            yield slice(start, stop), alpha, phys
+
+    def task(rows):
+        if halo:
+            block = data[np.r_[(rows.start - 1) % m_t, rows, rows.stop % m_t]]
+            if mask is not None:
+                block *= mask
+        else:
+            block = data[rows] if mask is None else data[rows] * mask
+        phys0 = None if phys is None else phys[rows]
+        out = np.zeros((n_sums, rows.stop - rows.start))
+        for alpha, d_alpha in _derivative_tree(block, grid, k, mask is not None, phys0):
+            add(out, alpha, d_alpha)
+        return out
+
+    chunks = [*node_chunks(m_t), slice(m_t, m_t + 1)]
+    return np.concatenate(map_chunks(task, chunks), axis=1)
 
 
 def weighted_hk_node_sq(data: np.ndarray, grid: Grid, k: int,
@@ -225,34 +244,38 @@ def weighted_hk_node_sq(data: np.ndarray, grid: Grid, k: int,
     """Squared per-node weighted H^j norms, j = 0..k (row j), of the
     projection by chi of frequency-stacked data."""
     w2 = NormSuite.for_grid(grid).weight_sq_flat
-    by_order = np.zeros((k + 1, data.shape[0]))
-    for rows, alpha, phys in _chunked_derivatives(data, grid, k, chi):
-        by_order[sum(alpha), rows] += _sq(phys[1:-1]) @ w2
-    return np.cumsum(by_order, axis=0)
+
+    def add(out, alpha, phys):
+        out[sum(alpha)] += _sq(phys) @ w2
+
+    return np.cumsum(_node_sums(data, grid, k, chi, k + 1, add, halo=False), axis=0)
 
 
 def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
     suite = NormSuite.for_grid(grid)
-    l2, xg, l2w_dt = (np.zeros(data.shape[0]) for _ in range(3))
-    for rows, alpha, phys in _chunked_derivatives(data, grid, 1, chi):
+
+    def add(out, alpha, phys):
         sq, sq_dt = _sq(phys[1:-1]), _sq(phys[2:] - phys[:-2])
         if any(alpha):
-            xg[rows] += sq @ suite.x_abs_sq_flat + sq_dt @ suite.x_abs_sq_flat / (4 * h * h)
+            out[1] += sq @ suite.x_abs_sq_flat + sq_dt @ suite.x_abs_sq_flat / (4 * h * h)
         else:
-            l2[rows] = (sq.sum(axis=1) + sq_dt.sum(axis=1) / (4 * h * h)) * grid.quad_weight
-            l2w_dt[rows] = sq_dt @ suite.weight_sq_flat / (4 * h * h)
+            out[0] = (sq.sum(axis=1) + sq_dt.sum(axis=1) / (4 * h * h)) * grid.quad_weight
+            out[2] = sq_dt @ suite.weight_sq_flat / (4 * h * h)
+
+    l2, xg, l2w_dt = _node_sums(data, grid, 1, chi, 3, add)
     return float(sum(np.sqrt(_trapz(v, dx=h)) for v in (l2, xg, l2w_dt)))
 
 
 def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
     w2 = NormSuite.for_grid(grid).weight_sq_flat
-    by_order = np.zeros((4, data.shape[0]))
-    h1_dt = np.zeros(data.shape[0])
-    for rows, alpha, phys in _chunked_derivatives(data, grid, 3, chi):
-        by_order[sum(alpha), rows] += _sq(phys[1:-1]) @ w2
+
+    def add(out, alpha, phys):
+        out[sum(alpha)] += _sq(phys[1:-1]) @ w2
         if sum(alpha) <= 1:
-            h1_dt[rows] += _sq(phys[2:] - phys[:-2]) @ w2 / (4 * h * h)
-    hk = np.cumsum(by_order, axis=0)
+            out[4] += _sq(phys[2:] - phys[:-2]) @ w2 / (4 * h * h)
+
+    sums = _node_sums(data, grid, 3, chi, 5, add)
+    hk, h1_dt = np.cumsum(sums[:4], axis=0), sums[4]
     return float(np.sqrt(hk[2].max())
                  + np.sqrt(_trapz(hk[3], dx=h))
                  + np.sqrt(_trapz(hk[1] + h1_dt, dx=h)))
@@ -280,16 +303,25 @@ def z_norm(series: FieldSeries, cutoffs: CutoffSpec) -> float:
             + spacetime_norm(series, "Y", cutoffs))
 
 
-def forcing_bracket(g: FieldSeries) -> float:
-    """[g] = ||g||_{L2(0,T;L1_w)} + ||g||_{L2(0,T;H1_w)}."""
+def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
+    """[g] = ||g||_{L2(0,T;L1_w)} + ||g||_{L2(0,T;H1_w)}.
+
+    `g_freq` is g in frequency representation, for a caller that already
+    has it. A physical g is its own alpha = 0 field; only the first
+    derivatives are transformed.
+    """
     if len(g) < 3:
         raise ValueError("the forcing functional needs at least 3 time nodes")
     grid = g.grid
     suite = NormSuite.for_grid(grid)
     axes = tuple(range(1, grid.dim + 1))
-    l1w, h1w_sq = np.zeros(len(g)), np.zeros(len(g))
-    for rows, alpha, phys in _chunked_derivatives(g.to_frequency().data, grid, 1):
+
+    def add(out, alpha, phys):
         if not any(alpha):
-            l1w[rows] = (np.abs(phys[1:-1]) * suite.weight).sum(axis=axes) * grid.quad_weight
-        h1w_sq[rows] += _sq(phys[1:-1]) @ suite.weight_sq_flat
+            out[0] = (np.abs(phys) * suite.weight).sum(axis=axes) * grid.quad_weight
+        out[1] += _sq(phys) @ suite.weight_sq_flat
+
+    freq = (g.to_frequency() if g_freq is None else g_freq).data
+    phys = g.data if g.representation == PHYSICAL else None
+    l1w, h1w_sq = _node_sums(freq, grid, 1, None, 2, add, halo=False, phys=phys)
     return float(np.sqrt(_trapz(l1w ** 2, dx=g.dt)) + np.sqrt(_trapz(h1w_sq, dx=g.dt)))

@@ -16,13 +16,20 @@ phi-functions: over one step of size h,
 which is stiffly accurate (exact for per-mode constant F). The nonlinear
 iteration maps u to the periodic response of dealias(|u|^2 u) + g and stops
 when the Z-norm of successive iterates is below tolerance.
+
+The series kernels run on the shared thread pool of spectral.map_chunks:
+the cubic terms with one task per chunk of time nodes, the period map with
+one task per slab of the first spatial axis (modes are independent; only
+the recurrence over time nodes is sequential). Each task writes its own
+rows or slab of a preallocated output, so results do not depend on the
+number of workers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +37,7 @@ from .errors import NonFiniteField, ZeroModeViolation
 from .norms import _node_l2, forcing_bracket, z_norm
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
 from .phi import phi1, phi2
-from .spectral import FREQUENCY, FieldSeries, SpectralField
+from .spectral import FREQUENCY, FieldSeries, SpectralField, map_chunks, node_chunks
 
 
 @dataclass
@@ -90,15 +97,20 @@ def _step_coefficients(op: LinearOperatorSpec, h: float):
     return decay, h * (p1 - p2), h * p2
 
 
+def _integrate_into(out: np.ndarray, F: np.ndarray, decay, a, b) -> np.ndarray:
+    """out[m] = I(t_m), m = 0..len(out) - 1, via the stiff-exact recurrence."""
+    out[0] = 0.0
+    for m in range(out.shape[0] - 1):
+        out[m + 1] = decay * out[m] + a * F[m] + b * F[m + 1]
+    return out
+
+
 def _prefix_integrals(F: np.ndarray, op: LinearOperatorSpec, h: float,
                       upto: int | None = None) -> np.ndarray:
     """I(t_m) for m = 0..upto via the stiff-exact recurrence."""
     m_max = F.shape[0] - 1 if upto is None else upto
-    decay, a, b = _step_coefficients(op, h)
-    out = np.zeros((m_max + 1,) + F.shape[1:], dtype=complex)
-    for m in range(m_max):
-        out[m + 1] = decay * out[m] + a * F[m] + b * F[m + 1]
-    return out
+    out = np.empty((m_max + 1,) + F.shape[1:], dtype=complex)
+    return _integrate_into(out, F, *_step_coefficients(op, h))
 
 
 def duhamel_integral(F: FieldSeries, t_index: int, op: LinearOperatorSpec) -> SpectralField:
@@ -131,16 +143,29 @@ def periodic_initial_data(F: FieldSeries, op: LinearOperatorSpec,
     return SpectralField(F.grid, FREQUENCY, u0)
 
 
+_SLAB_PLANES = 8  # first-axis planes per period-map task
+
+
 def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
                             zero_mode_tol: float) -> np.ndarray:
+    """Periodic response of frequency-stacked F. Modes are independent, so
+    one task per slab of the first spatial axis runs the recurrence over
+    the time nodes in place in the output."""
     _series_zero_mode_check(F, zero_mode_tol)
     m_t = F.shape[0] - 1
-    I = _prefix_integrals(F, op, h)
-    u0 = period_inverse_symbol(op) * I[m_t]
+    coefficients = _step_coefficients(op, h)
+    inverse = period_inverse_symbol(op)
     keep = op.grid.keep_nyquist_free
     out = np.empty_like(F)
-    for m in range(m_t + 1):
-        out[m] = (np.exp(-(m * h) * op.symbol) * u0 + I[m]) * keep
+
+    def task(slab):
+        I = _integrate_into(out[:, slab], F[:, slab], *(c[slab] for c in coefficients))
+        u0 = inverse[slab] * I[m_t]
+        symbol = op.symbol[slab]
+        for m in range(m_t + 1):
+            I[m] = (np.exp(-(m * h) * symbol) * u0 + I[m]) * keep[slab]
+
+    map_chunks(task, [slice(i, i + _SLAB_PLANES) for i in range(0, F.shape[1], _SLAB_PLANES)])
     return out
 
 
@@ -161,15 +186,22 @@ def linear_period_map(F: FieldSeries, op: LinearOperatorSpec,
 
 def _rhs_series_data(u: np.ndarray, g: np.ndarray, grid,
                      nonlinearity: bool = True) -> np.ndarray:
-    """F = dealias(|u|^2 u) + g on every node, frequency representation."""
+    """F = dealias(|u|^2 u) + g on every node, frequency representation;
+    one task per chunk of time nodes."""
     if not nonlinearity:
         return g
     axes = tuple(range(1, grid.dim + 1))
-    phys = np.fft.ifftn(u, axes=axes)
-    cubic = phys * (phys.real ** 2 + phys.imag ** 2)
-    C = np.fft.fftn(cubic, axes=axes)
-    C *= grid.dealias_mask(grid.config.dealias_fraction)
-    return C + g
+    mask = grid.dealias_mask(grid.config.dealias_fraction)
+    out = np.empty_like(u)
+
+    def task(rows):
+        phys = np.fft.ifftn(u[rows], axes=axes)
+        C = np.fft.fftn(phys * (phys.real ** 2 + phys.imag ** 2), axes=axes)
+        C *= mask
+        out[rows] = C + g[rows]
+
+    map_chunks(task, node_chunks(u.shape[0]))
+    return out
 
 
 def picard_step(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
@@ -195,17 +227,24 @@ def _cubic_difference_data(v: np.ndarray, w: np.ndarray, grid) -> np.ndarray:
     The expansion is an exact pointwise identity; evaluating it directly keeps
     every term accurate relative to its own size, so successive-iterate
     residuals stay meaningful far below the cancellation floor of the naive
-    subtraction.
+    subtraction. One task per chunk of time nodes.
     """
     axes = tuple(range(1, grid.dim + 1))
-    vp = np.fft.ifftn(v, axes=axes)
-    wp = np.fft.ifftn(w, axes=axes)
-    v_sq = vp.real * vp.real + vp.imag * vp.imag
-    w_sq = wp.real * wp.real + wp.imag * wp.imag
-    diff = (2.0 * v_sq * wp + vp * vp * np.conj(wp)
-            + 2.0 * w_sq * vp + wp * wp * np.conj(vp) + w_sq * wp)
-    out = np.fft.fftn(diff, axes=axes)
-    out *= grid.dealias_mask(grid.config.dealias_fraction)
+    mask = grid.dealias_mask(grid.config.dealias_fraction)
+    out = np.empty_like(v)
+
+    def task(rows):
+        vp = np.fft.ifftn(v[rows], axes=axes)
+        wp = np.fft.ifftn(w[rows], axes=axes)
+        v_sq = vp.real * vp.real + vp.imag * vp.imag
+        w_sq = wp.real * wp.real + wp.imag * wp.imag
+        diff = (2.0 * v_sq * wp + vp * vp * np.conj(wp)
+                + 2.0 * w_sq * vp + wp * wp * np.conj(vp) + w_sq * wp)
+        chunk = np.fft.fftn(diff, axes=axes)
+        chunk *= mask
+        out[rows] = chunk
+
+    map_chunks(task, node_chunks(v.shape[0]))
     return out
 
 
@@ -223,12 +262,9 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     grid = g.grid
     if g.n_steps != opts.m_t:
         # The forcing series defines the time grid; keep them consistent.
-        opts = SolveOptions(max_iterations=opts.max_iterations,
-                            z_tolerance=opts.z_tolerance, m_t=g.n_steps,
-                            zero_mode_tol=opts.zero_mode_tol,
-                            nonlinearity_enabled=opts.nonlinearity_enabled)
+        opts = replace(opts, m_t=g.n_steps)
     g_freq = g.to_frequency()
-    bracket = forcing_bracket(g)
+    bracket = forcing_bracket(g, g_freq)
 
     # Difference-form iteration: carry the current iterate u^(l) and the
     # correction delta^(l) = u^(l+1) - u^(l). Both the update of u and the
@@ -280,16 +316,10 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     z_final = z_norm(u, cutoffs)
     c_est = (z_final / bracket) if bracket > 0 else None
 
-    contraction = None
-    if len(history) >= 3 and all(r > 0 for r in history):
-        ratios = [history[i + 1] / history[i] for i in range(len(history) - 1)]
-        tail = ratios[1:]
-        contraction = float(np.exp(np.mean(np.log(tail))))
-
     report = PeriodicSolveReport(
         converged=converged, iterations=iterations, residual_history=history,
         periodicity_residual=periodicity, z_norm=z_final, g_bracket=bracket,
-        c_estimate=c_est, contraction_factor=contraction,
+        c_estimate=c_est, contraction_factor=_contraction_factor(history),
         diverged=diverged, divergence_reason=reason)
     return u, report
 
@@ -316,6 +346,15 @@ def equation_residual(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
     return res / scale
 
 
+def _contraction_factor(history: list[float]) -> float | None:
+    """Geometric mean of successive residual ratios, excluding the first;
+    None for fewer than 3 residuals or a non-positive one."""
+    if len(history) < 3 or any(r <= 0 for r in history):
+        return None
+    tail = [history[i + 1] / history[i] for i in range(1, len(history) - 1)]
+    return float(np.exp(np.mean(np.log(tail))))
+
+
 def contraction_estimate(report: PeriodicSolveReport) -> float:
     """Geometric mean of successive residual ratios, excluding the first."""
     history = report.residual_history
@@ -323,9 +362,7 @@ def contraction_estimate(report: PeriodicSolveReport) -> float:
         raise ValueError("contraction estimate needs at least 3 residuals")
     if any(r <= 0 for r in history):
         raise ValueError("contraction estimate needs positive residuals")
-    ratios = [history[i + 1] / history[i] for i in range(len(history) - 1)]
-    tail = ratios[1:]
-    return float(np.exp(np.mean(np.log(tail))))
+    return _contraction_factor(history)
 
 
 def split_series(u: FieldSeries, cutoffs: CutoffSpec) -> tuple[FieldSeries, FieldSeries]:

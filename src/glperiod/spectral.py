@@ -16,12 +16,17 @@ Conventions (fixed, for bit-exact file interchange):
   entry k.
 * The Nyquist mode k = -n/2 has no conjugate partner; every frequency
   multiplier in this package zeroes it after application.
+
+Series kernels split their work into independent tasks (chunks of time
+nodes, or slabs of the first spatial axis) and run them through
+:func:`map_chunks` on one shared thread pool with a worker per usable CPU.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +36,37 @@ FREQUENCY = "frequency"
 
 SNAPSHOT_MAGIC = b"GLPF"
 SNAPSHOT_VERSION = 1
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+WORKERS = _usable_cpus()
+CHUNK_NODES = 8  # time nodes per task: with 2 workers, 16 nodes in flight
+# Threads start on the first map, not at import.
+_POOL = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="glperiod")
+
+
+def map_chunks(task, items) -> list:
+    """[task(item) for item in items], run on the shared thread pool.
+
+    Tasks must be leaves: a task never calls map_chunks itself, so callers on
+    other pools (the sweep's row threads) cannot deadlock it. Each task must
+    write only its own rows or slab; reductions across items belong to the
+    caller, after the map, so results do not depend on the worker count. An
+    exception raised in a task is re-raised here.
+    """
+    return list(_POOL.map(task, items))
+
+
+def node_chunks(n_nodes: int) -> list[slice]:
+    """Consecutive slices of at most CHUNK_NODES time nodes covering 0..n_nodes-1."""
+    return [slice(start, min(start + CHUNK_NODES, n_nodes))
+            for start in range(0, n_nodes, CHUNK_NODES)]
 
 
 @dataclass(frozen=True)

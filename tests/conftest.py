@@ -1,8 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from glperiod import (GridConfig, auto_cutoffs, make_grid, make_operator,
-                      SpectralField)
+                      SpectralField, spectral)
 
 PERIOD = 1.0
 
@@ -50,3 +52,21 @@ def random_odd_field(grid, rng):
     fhat = 0.5 * (fhat - grid.reflect(fhat))
     fhat.flat[0] = 0.0
     return SpectralField(grid, "frequency", fhat)
+
+
+def on_workers(monkeypatch, workers, fn, *args):
+    """fn(*args) with the shared series pool replaced by one of `workers`
+    threads."""
+    pool = ThreadPoolExecutor(max_workers=workers)
+    monkeypatch.setattr(spectral, "_POOL", pool)
+    try:
+        return fn(*args)
+    finally:
+        pool.shutdown()
+
+
+def raw_random_series(grid, m_t, rng):
+    """Unprojected random complex data on m_t + 1 nodes (Nyquist modes and
+    the mean mode populated)."""
+    shape = (m_t + 1,) + grid.shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

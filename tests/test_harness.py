@@ -88,6 +88,8 @@ class TestManifest:
         assert man["headline"]["converged"] is True
         assert man["headline"]["periodicity_residual"] <= 1e-8
         assert "glperiod" in man["versions"]
+        assert man["versions"]["fft_backend"] == "numpy.fft"
+        assert man["versions"]["workers"] >= 1
 
 
 class TestSolveCommand:

@@ -11,9 +11,9 @@ from glperiod import (FieldSeries, GridConfig, NormSuite, SpectralField,
                       auto_cutoffs, forcing_bracket, lp_norm, make_grid,
                       sobolev_norm, spacetime_norm, time_derivative,
                       x_weighted_gradient_norm, z_norm)
-from glperiod.norms import _multi_indices, _trapz
+from glperiod.norms import _multi_indices, _trapz, weighted_hk_node_sq
 
-from conftest import random_physical_field
+from conftest import on_workers, random_physical_field, raw_random_series
 
 
 def _field(grid, values):
@@ -342,6 +342,34 @@ class TestPerMultiIndexOracle:
             assert spacetime_norm(s, kind) == pytest.approx(
                 _ref_spacetime_norm(s, kind), rel=1e-13)
         assert forcing_bracket(s) == pytest.approx(_ref_forcing_bracket(s), rel=1e-13)
+
+
+class TestWorkerCount:
+    """Every series norm is the same, bit for bit, on one or two workers
+    (chunk counts uneven: m_t 8 and 21 with 8-node chunks)."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("m_t", [8, 21])
+    def test_one_and_two_workers_agree(self, monkeypatch, dim, m_t):
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
+                                    box_length=32.0))
+        cutoffs = auto_cutoffs(grid, 1.3)
+        data = raw_random_series(grid, m_t, np.random.default_rng(7 * dim + m_t))
+        s = FieldSeries(grid, "physical", data, 1.3)
+        s_freq = s.to_frequency()
+
+        def norms():
+            return ([z_norm(s, cutoffs),
+                     *(spacetime_norm(s, kind, cutoffs) for kind in "XY"),
+                     *(spacetime_norm(s, kind) for kind in "XY"),
+                     forcing_bracket(s), forcing_bracket(s, s_freq),
+                     forcing_bracket(s_freq)],
+                    weighted_hk_node_sq(s_freq.data, grid, 3, cutoffs.chi_inf))
+
+        one = on_workers(monkeypatch, 1, norms)
+        two = on_workers(monkeypatch, 2, norms)
+        assert one[0] == two[0]
+        assert np.array_equal(one[1], two[1])
 
 
 def _z_norm_peak_bytes(grid, cutoffs, m_t, rng):

@@ -1,6 +1,8 @@
 """Duhamel quadrature, the periodic linear response, the fixed-point
 iteration, and the equation-residual certificate."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from glperiod import (FieldSeries, GridConfig, NonFiniteField, PeriodicSolveRepo
                       equation_residual, linear_period_map, make_grid,
                       make_operator, periodic_initial_data,
                       picard_step, realize_forcing, solve_periodic,
-                      split_equation_residual, split_series)
+                      spectral, split_equation_residual, split_series)
+from glperiod.periodic_solver import (_cubic_difference_data, _linear_period_map_data,
+                                      _rhs_series_data)
 
-from conftest import random_odd_field
+from conftest import on_workers, random_odd_field, raw_random_series
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -323,3 +327,69 @@ class TestContractionEstimate:
         ratios = np.array([hist[i + 1] / hist[i] for i in range(1, len(hist) - 1)])
         gm = np.exp(np.mean(np.log(ratios)))
         assert np.all(np.abs(ratios / gm - 1.0) < 0.5)
+
+
+_POOL_GRIDS = {1: 32, 2: 16, 3: 16}
+
+
+class TestSeriesKernelsOnThePool:
+    """The pooled series kernels give the same bits on one or two workers
+    (uneven chunk counts: m_t 8 and 21 with 8-node chunks)."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("m_t", [8, 21])
+    def test_one_and_two_workers_agree(self, monkeypatch, dim, m_t):
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=_POOL_GRIDS[dim], box_length=32.0))
+        op = make_operator(grid, 1.3)
+        rng = np.random.default_rng(11 * dim + m_t)
+        v, w, g = (raw_random_series(grid, m_t, rng) for _ in range(3))
+        F = raw_random_series(grid, m_t, rng)
+        F.reshape(m_t + 1, -1)[:, 0] = 0.0  # the period map needs a mean-free forcing
+
+        def kernels():
+            return (_cubic_difference_data(v, w, grid), _rhs_series_data(v, g, grid),
+                    _linear_period_map_data(F, op, 1.3 / m_t, 1e-10))
+
+        one = on_workers(monkeypatch, 1, kernels)
+        two = on_workers(monkeypatch, 2, kernels)
+        for a, b in zip(one, two):
+            assert np.array_equal(a, b)
+
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch, grid3d, op3d):
+        # tasks share only the output array, each writing its own rows or slab
+        rng = np.random.default_rng(5)
+        v, w, F = (raw_random_series(grid3d, 64, rng) for _ in range(3))
+        F.reshape(65, -1)[:, 0] = 0.0
+
+        def kernels():
+            return (_cubic_difference_data(v, w, grid3d),
+                    _linear_period_map_data(F, op3d, 1 / 64, 1e-10))
+
+        one = on_workers(monkeypatch, 1, kernels)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = on_workers(monkeypatch, 8, kernels)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(one, many):
+            assert np.array_equal(a, b)
+
+    def test_task_exception_keeps_its_type(self, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        def task(i):
+            if i == 3:
+                raise Boom(i)
+            return i
+
+        with pytest.raises(Boom):
+            on_workers(monkeypatch, 2, spectral.map_chunks, task, range(6))
+
+    def test_kernel_error_inside_a_slab_reaches_the_caller(self, monkeypatch, grid3d, op3d):
+        # a series whose spatial shape does not match the operator fails to
+        # broadcast inside the period map's slab tasks
+        F = np.zeros((9,) + grid3d.shape[:-1] + (grid3d.n // 2,), dtype=complex)
+        with pytest.raises(ValueError, match="broadcast"):
+            on_workers(monkeypatch, 2, _linear_period_map_data, F, op3d, 1 / 8, 1e-10)
