@@ -26,8 +26,10 @@ axis per power a_0, on the second per (a_0, a_1), on the last per alpha);
 time derivatives are centered differences of those physical fields. Each
 chunk is one task on the shared thread pool (spectral.map_chunks) and
 returns per-node sums only; the reductions over nodes and orders (cumsum,
-trapezoid, max) run after the map, so no result depends on the number of
-workers.
+trapezoid, max) run after the map. Node sums are row-by-row einsum
+reductions, not BLAS products, so no result depends on the number of
+workers, the chunk size or the BLAS thread count, and tasks start no BLAS
+threads of their own.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 import numpy as np
 
 from .operators import CutoffSpec
-from .spectral import PHYSICAL, FieldSeries, Grid, SpectralField, map_chunks, node_chunks
+from .spectral import FieldSeries, Grid, SpectralField, map_chunks, node_chunks
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -61,9 +63,11 @@ class NormSuite:
         self.weight_sq = self.weight * self.weight
         self.x_abs_sq = grid.x_abs * grid.x_abs
         # Node-sum weights over the real view of a flattened complex field,
-        # quadrature weight included: |f|^2 sums as f.view(float)**2 @ w.
-        self.weight_sq_flat, self.x_abs_sq_flat = (
-            np.repeat(w.ravel(), 2) * grid.quad_weight for w in (self.weight_sq, self.x_abs_sq))
+        # quadrature weight included: the weighted |f|^2 of a node is
+        # _weighted_sq(f, w).
+        self.weight_sq_flat, self.x_abs_sq_flat, self.quad_flat = (
+            np.repeat(w.ravel(), 2) * grid.quad_weight
+            for w in (self.weight_sq, self.x_abs_sq, np.ones(grid.shape)))
         # axis_symbols[axis][a]: (i xi_axis)^a, shaped to broadcast along axis
         # `axis` of time-stacked data.
         self.axis_symbols = [
@@ -166,33 +170,38 @@ def _node_l2(data: np.ndarray, grid: Grid) -> np.ndarray:
     return np.sqrt((flat.real ** 2 + flat.imag ** 2).sum(axis=1) * grid.parseval_factor)
 
 
-def _sq(phys: np.ndarray) -> np.ndarray:
-    """Squared real view, one row per node: |f|^2 sums as _sq(f) @ w."""
+def _weighted_sq(phys: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-node sums of w * |f|^2 over the real view, one row per node.
+
+    A three-operand einsum reduces each row on its own without BLAS, so a
+    node's sum does not depend on the rows around it.
+    """
     flat = phys.reshape(phys.shape[0], -1).view(float)
-    return flat * flat
+    return np.einsum("ij,ij,j->i", flat, flat, w)
 
 
 def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
-                     phys0: np.ndarray | None = None):
-    """Yield (alpha, d^alpha block in physical space) for every |alpha| <= k.
+                     skip_zero: bool = False):
+    """Yield (alpha, d^alpha block in physical space) for every |alpha| <= k,
+    or every 1 <= |alpha| <= k with `skip_zero`.
 
     `block` is frequency data stacked along axis 0. Nyquist modes are zeroed
     for |alpha| >= 1 and kept for alpha = 0 (the rule of alpha_symbol); a
     block that is not known to be Nyquist-free takes its alpha = 0 field
-    from an unmasked transform, or from `phys0` (the same block in physical
-    space) when given, and the rest from the masked tree.
+    from an unmasked transform and the rest from the masked tree.
     """
     dim = grid.dim
     symbols = NormSuite.for_grid(grid).axis_symbols
     if not nyquist_free:
-        yield (0,) * dim, (np.fft.ifftn(block, axes=tuple(range(1, dim + 1)))
-                           if phys0 is None else phys0)
+        if not skip_zero:
+            yield (0,) * dim, np.fft.ifftn(block, axes=tuple(range(1, dim + 1)))
         block = block * grid.keep_nyquist_free
+        skip_zero = True
 
     def walk(field, alpha):
         axis = len(alpha)
-        skip_zero = axis == dim - 1 and not nyquist_free and not any(alpha)
-        for a in range(int(skip_zero), k - sum(alpha) + 1):
+        first = int(skip_zero and axis == dim - 1 and not any(alpha))
+        for a in range(first, k - sum(alpha) + 1):
             phys = np.fft.ifftn(field * symbols[axis][a] if a else field, axes=(axis + 1,))
             if axis == dim - 1:
                 yield alpha + (a,), phys
@@ -203,8 +212,7 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
 
 
 def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None,
-               n_sums: int, add, halo: bool = True,
-               phys: np.ndarray | None = None) -> np.ndarray:
+               n_sums: int, add, halo: bool = True, skip_zero: bool = False) -> np.ndarray:
     """Per-node sums over the d^alpha fields, |alpha| <= k, of chi * data,
     as an (n_sums, m_t + 1) array.
 
@@ -215,8 +223,8 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None,
     periodic node either side, so block[1:-1] is the chunk and
     block[2:] - block[:-2] its centered difference. The halo wraps over the
     m_t periodic nodes: node m_t gets nodes m_t - 1 and 1, so its difference
-    is that of node 0. With chi None the data are used as given, and `phys`
-    (the data in physical space; no halo) is the alpha = 0 block.
+    is that of node 0. With chi None the data are used as given; with
+    `skip_zero` the alpha = 0 block is not built.
     """
     NormSuite.for_grid(grid)  # fill the per-grid cache before workers read it
     m_t = data.shape[0] - 1
@@ -229,9 +237,8 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None,
                 block *= mask
         else:
             block = data[rows] if mask is None else data[rows] * mask
-        phys0 = None if phys is None else phys[rows]
         out = np.zeros((n_sums, rows.stop - rows.start))
-        for alpha, d_alpha in _derivative_tree(block, grid, k, mask is not None, phys0):
+        for alpha, d_alpha in _derivative_tree(block, grid, k, mask is not None, skip_zero):
             add(out, alpha, d_alpha)
         return out
 
@@ -246,7 +253,7 @@ def weighted_hk_node_sq(data: np.ndarray, grid: Grid, k: int,
     w2 = NormSuite.for_grid(grid).weight_sq_flat
 
     def add(out, alpha, phys):
-        out[sum(alpha)] += _sq(phys) @ w2
+        out[sum(alpha)] += _weighted_sq(phys, w2)
 
     return np.cumsum(_node_sums(data, grid, k, chi, k + 1, add, halo=False), axis=0)
 
@@ -255,12 +262,14 @@ def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> f
     suite = NormSuite.for_grid(grid)
 
     def add(out, alpha, phys):
-        sq, sq_dt = _sq(phys[1:-1]), _sq(phys[2:] - phys[:-2])
+        node, diff = phys[1:-1], phys[2:] - phys[:-2]
         if any(alpha):
-            out[1] += sq @ suite.x_abs_sq_flat + sq_dt @ suite.x_abs_sq_flat / (4 * h * h)
+            out[1] += (_weighted_sq(node, suite.x_abs_sq_flat)
+                       + _weighted_sq(diff, suite.x_abs_sq_flat) / (4 * h * h))
         else:
-            out[0] = (sq.sum(axis=1) + sq_dt.sum(axis=1) / (4 * h * h)) * grid.quad_weight
-            out[2] = sq_dt @ suite.weight_sq_flat / (4 * h * h)
+            out[0] = (_weighted_sq(node, suite.quad_flat)
+                      + _weighted_sq(diff, suite.quad_flat) / (4 * h * h))
+            out[2] = _weighted_sq(diff, suite.weight_sq_flat) / (4 * h * h)
 
     l2, xg, l2w_dt = _node_sums(data, grid, 1, chi, 3, add)
     return float(sum(np.sqrt(_trapz(v, dx=h)) for v in (l2, xg, l2w_dt)))
@@ -270,9 +279,9 @@ def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> f
     w2 = NormSuite.for_grid(grid).weight_sq_flat
 
     def add(out, alpha, phys):
-        out[sum(alpha)] += _sq(phys[1:-1]) @ w2
+        out[sum(alpha)] += _weighted_sq(phys[1:-1], w2)
         if sum(alpha) <= 1:
-            out[4] += _sq(phys[2:] - phys[:-2]) @ w2 / (4 * h * h)
+            out[4] += _weighted_sq(phys[2:] - phys[:-2], w2) / (4 * h * h)
 
     sums = _node_sums(data, grid, 3, chi, 5, add)
     hk, h1_dt = np.cumsum(sums[:4], axis=0), sums[4]
@@ -306,22 +315,28 @@ def z_norm(series: FieldSeries, cutoffs: CutoffSpec) -> float:
 def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
     """[g] = ||g||_{L2(0,T;L1_w)} + ||g||_{L2(0,T;H1_w)}.
 
-    `g_freq` is g in frequency representation, for a caller that already
-    has it. A physical g is its own alpha = 0 field; only the first
-    derivatives are transformed.
+    The alpha = 0 sums are read from g in physical space (a physical g is
+    its own alpha = 0 field); the derivative tree builds only the first
+    derivatives, from `g_freq` (g in frequency representation) when the
+    caller already has it.
     """
     if len(g) < 3:
         raise ValueError("the forcing functional needs at least 3 time nodes")
     grid = g.grid
     suite = NormSuite.for_grid(grid)
+    phys = g.to_physical().data
     axes = tuple(range(1, grid.dim + 1))
 
-    def add(out, alpha, phys):
-        if not any(alpha):
-            out[0] = (np.abs(phys) * suite.weight).sum(axis=axes) * grid.quad_weight
-        out[1] += _sq(phys) @ suite.weight_sq_flat
+    def zero_order(rows):
+        block = phys[rows]
+        return ((np.abs(block) * suite.weight).sum(axis=axes) * grid.quad_weight,
+                _weighted_sq(block, suite.weight_sq_flat))
 
+    def add(out, alpha, d_alpha):
+        out[0] += _weighted_sq(d_alpha, suite.weight_sq_flat)
+
+    sums = map_chunks(zero_order, node_chunks(len(g)))
+    l1w, h1w_sq = (np.concatenate(part) for part in zip(*sums))
     freq = (g.to_frequency() if g_freq is None else g_freq).data
-    phys = g.data if g.representation == PHYSICAL else None
-    l1w, h1w_sq = _node_sums(freq, grid, 1, None, 2, add, halo=False, phys=phys)
+    h1w_sq += _node_sums(freq, grid, 1, None, 1, add, halo=False, skip_zero=True)[0]
     return float(np.sqrt(_trapz(l1w ** 2, dx=g.dt)) + np.sqrt(_trapz(h1w_sq, dx=g.dt)))

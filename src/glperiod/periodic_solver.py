@@ -22,7 +22,8 @@ the cubic terms with one task per chunk of time nodes, the period map with
 one task per slab of the first spatial axis (modes are independent; only
 the recurrence over time nodes is sequential). Each task writes its own
 rows or slab of a preallocated output, so results do not depend on the
-number of workers.
+number of workers; one map runs at most spectral.IN_FLIGHT tasks at once,
+so a kernel's temporaries do not grow with the pool.
 """
 
 from __future__ import annotations
@@ -357,12 +358,10 @@ def _contraction_factor(history: list[float]) -> float | None:
 
 def contraction_estimate(report: PeriodicSolveReport) -> float:
     """Geometric mean of successive residual ratios, excluding the first."""
-    history = report.residual_history
-    if len(history) < 3:
-        raise ValueError("contraction estimate needs at least 3 residuals")
-    if any(r <= 0 for r in history):
-        raise ValueError("contraction estimate needs positive residuals")
-    return _contraction_factor(history)
+    factor = _contraction_factor(report.residual_history)
+    if factor is None:
+        raise ValueError("contraction estimate needs at least 3 residuals, all positive")
+    return factor
 
 
 def split_series(u: FieldSeries, cutoffs: CutoffSpec) -> tuple[FieldSeries, FieldSeries]:

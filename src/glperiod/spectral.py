@@ -20,12 +20,15 @@ Conventions (fixed, for bit-exact file interchange):
 Series kernels split their work into independent tasks (chunks of time
 nodes, or slabs of the first spatial axis) and run them through
 :func:`map_chunks` on one shared thread pool with a worker per usable CPU.
+One map keeps at most IN_FLIGHT tasks running, so a kernel's working set
+(IN_FLIGHT chunks of CHUNK_NODES nodes) is the same on every host.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -46,21 +49,36 @@ def _usable_cpus() -> int:
 
 
 WORKERS = _usable_cpus()
-CHUNK_NODES = 8  # time nodes per task: with 2 workers, 16 nodes in flight
+CHUNK_NODES = 8  # time nodes per task
+IN_FLIGHT = 2  # tasks one map runs at once: 16 nodes of kernel work
 # Threads start on the first map, not at import.
 _POOL = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="glperiod")
 
 
 def map_chunks(task, items) -> list:
-    """[task(item) for item in items], run on the shared thread pool.
+    """[task(item) for item in items], run on the shared thread pool with at
+    most IN_FLIGHT tasks of this call running or queued at once.
 
+    The window bounds the call's working set whatever the pool size; the
+    pool's other workers serve concurrent callers (the sweep's row threads).
     Tasks must be leaves: a task never calls map_chunks itself, so callers on
-    other pools (the sweep's row threads) cannot deadlock it. Each task must
-    write only its own rows or slab; reductions across items belong to the
-    caller, after the map, so results do not depend on the worker count. An
-    exception raised in a task is re-raised here.
+    other pools cannot deadlock it. Each task must write only its own rows
+    or slab; reductions across items belong to the caller, after the map, so
+    results do not depend on the worker count. An exception raised in a
+    task is re-raised here, and tasks not yet started are cancelled.
     """
-    return list(_POOL.map(task, items))
+    results, pending = [], deque()
+    try:
+        for item in items:
+            if len(pending) == IN_FLIGHT:
+                results.append(pending.popleft().result())
+            pending.append(_POOL.submit(task, item))
+        while pending:
+            results.append(pending.popleft().result())
+    finally:
+        for future in pending:
+            future.cancel()
+    return results
 
 
 def node_chunks(n_nodes: int) -> list[slice]:

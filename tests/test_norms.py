@@ -9,7 +9,7 @@ import pytest
 
 from glperiod import (FieldSeries, GridConfig, NormSuite, SpectralField,
                       auto_cutoffs, forcing_bracket, lp_norm, make_grid,
-                      sobolev_norm, spacetime_norm, time_derivative,
+                      sobolev_norm, spacetime_norm, spectral, time_derivative,
                       x_weighted_gradient_norm, z_norm)
 from glperiod.norms import _multi_indices, _trapz, weighted_hk_node_sq
 
@@ -345,8 +345,9 @@ class TestPerMultiIndexOracle:
 
 
 class TestWorkerCount:
-    """Every series norm is the same, bit for bit, on one or two workers
-    (chunk counts uneven: m_t 8 and 21 with 8-node chunks)."""
+    """Every series norm is the same, bit for bit, on one or two workers and
+    for any chunk size (chunk counts uneven: m_t 8 and 21 with 8-node
+    chunks)."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("m_t", [8, 21])
@@ -370,6 +371,12 @@ class TestWorkerCount:
         two = on_workers(monkeypatch, 2, norms)
         assert one[0] == two[0]
         assert np.array_equal(one[1], two[1])
+        # node sums reduce each row on its own, so the chunk size is free too
+        for chunk_nodes in (1, 3):
+            monkeypatch.setattr(spectral, "CHUNK_NODES", chunk_nodes)
+            other = on_workers(monkeypatch, 2, norms)
+            assert one[0] == other[0]
+            assert np.array_equal(one[1], other[1])
 
 
 def _z_norm_peak_bytes(grid, cutoffs, m_t, rng):
@@ -391,3 +398,13 @@ def test_z_norm_memory_does_not_grow_with_series_length(grid3d, cutoffs3d, rng):
     short = _z_norm_peak_bytes(grid3d, cutoffs3d, 32, rng)
     long = _z_norm_peak_bytes(grid3d, cutoffs3d, 128, rng)
     assert long <= 1.25 * short
+
+
+def test_z_norm_memory_does_not_grow_with_pool_size(monkeypatch, grid3d, cutoffs3d, rng):
+    # one map keeps IN_FLIGHT chunks running however many workers the pool has
+    _z_norm_peak_bytes(grid3d, cutoffs3d, 8, rng)
+    short, long = (on_workers(monkeypatch, 8, _z_norm_peak_bytes, grid3d, cutoffs3d, m_t, rng)
+                   for m_t in (32, 128))
+    assert long <= 1.25 * short
+    assert long <= 1.25 * on_workers(monkeypatch, 2, _z_norm_peak_bytes,
+                                     grid3d, cutoffs3d, 128, rng)

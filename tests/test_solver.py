@@ -2,6 +2,8 @@
 iteration, and the equation-residual certificate."""
 
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -374,6 +376,22 @@ class TestSeriesKernelsOnThePool:
             sys.setswitchinterval(interval)
         for a, b in zip(one, many):
             assert np.array_equal(a, b)
+
+    def test_one_map_keeps_a_fixed_window_of_tasks(self, monkeypatch):
+        running, most = [0], [0]
+        lock = threading.Lock()
+
+        def task(i):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.002)
+            with lock:
+                running[0] -= 1
+            return i
+
+        assert on_workers(monkeypatch, 8, spectral.map_chunks, task, range(24)) == list(range(24))
+        assert most[0] == spectral.IN_FLIGHT
 
     def test_task_exception_keeps_its_type(self, monkeypatch):
         class Boom(Exception):
