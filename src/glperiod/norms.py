@@ -30,6 +30,9 @@ trapezoid, max) run after the map. Node sums are row-by-row einsum
 reductions, not BLAS products, so no result depends on the number of
 workers, the chunk size or the BLAS thread count, and tasks start no BLAS
 threads of their own.
+
+The weighted field norms (weighted_hk_node_sq, x_gradient_node_sq) run on
+the same tree over stacks of fields; single-field norms are stacks of one.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ class NormSuite:
         self.axis_symbols = [
             [((1j * grid.xi1d) ** a).reshape((-1,) + (1,) * (grid.dim - 1 - axis))
              for a in range(4)] for axis in range(grid.dim)]
-        self._alpha_symbols: dict[tuple[int, ...], np.ndarray] = {}
         self._sobolev_symbols: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -84,28 +86,15 @@ class NormSuite:
             grid._norm_suite = suite
         return suite
 
-    def alpha_symbol(self, alpha: tuple[int, ...]) -> np.ndarray:
-        """Frequency multiplier of d^alpha, Nyquist-zeroed for |alpha| >= 1."""
-        sym = self._alpha_symbols.get(alpha)
-        if sym is None:
-            grid = self.grid
-            sym = np.ones(grid.shape, dtype=complex)
-            for axis, power in enumerate(alpha):
-                if power:
-                    sym = sym * (1j * grid.xi[axis]) ** power
-            if sum(alpha) >= 1:
-                sym = sym * grid.keep_nyquist_free
-            self._alpha_symbols[alpha] = sym
-        return sym
-
     def sobolev_symbol(self, k: int) -> np.ndarray:
-        """sum_{|alpha| <= k} |symbol_alpha|^2, for the unweighted fast path."""
+        """sum_{|alpha| <= k} |(i xi)^alpha|^2, Nyquist-zeroed for |alpha| >= 1,
+        for the unweighted fast path."""
         sym = self._sobolev_symbols.get(k)
         if sym is None:
-            sym = np.zeros(self.grid.shape)
-            for alpha in _multi_indices(self.grid.dim, k):
-                a = self.alpha_symbol(alpha)
-                sym = sym + (a.real ** 2 + a.imag ** 2)
+            grid = self.grid
+            sym = 1.0 + grid.keep_nyquist_free * sum(
+                math.prod(grid.xi[axis] ** (2 * p) for axis, p in enumerate(alpha))
+                for alpha in _multi_indices(grid.dim, k)[1:])
             self._sobolev_symbols[k] = sym
         return sym
 
@@ -113,51 +102,44 @@ class NormSuite:
 _LP_EXPONENTS = (1, 2, 3, 6)
 
 
+def _lp_node(phys: np.ndarray, grid: Grid, p, weighted: bool = False) -> np.ndarray:
+    """Per-node quadrature L^p norms of physical data stacked along axis 0,
+    optionally with the (1+|x|) weight; p = inf is the max modulus."""
+    axes = tuple(range(1, grid.dim + 1))
+    mag = np.abs(phys)
+    if weighted:
+        mag = NormSuite.for_grid(grid).weight * mag
+    if p == math.inf or p == float("inf"):
+        return mag.max(axis=axes)
+    if p not in _LP_EXPONENTS:
+        raise ValueError(f"unsupported exponent p={p!r}; use 1, 2, 3, 6 or inf")
+    return ((mag ** p).sum(axis=axes) * grid.quad_weight) ** (1.0 / p)
+
+
 def lp_norm(f: SpectralField, p, weighted: bool = False) -> float:
     """Quadrature L^p norm, optionally with the (1+|x|) weight; p = inf is the
     exact max modulus over nodes."""
-    suite = NormSuite.for_grid(f.grid)
-    mag = np.abs(f.to_physical().data)
-    if weighted:
-        mag = suite.weight * mag
-    if p == math.inf or p == float("inf"):
-        return float(mag.max())
-    if p not in _LP_EXPONENTS:
-        raise ValueError(f"unsupported exponent p={p!r}; use 1, 2, 3, 6 or inf")
-    return float((mag ** p).sum() * f.grid.quad_weight) ** (1.0 / p)
+    return float(_lp_node(f.to_physical().data[None], f.grid, p, weighted)[0])
 
 
 def sobolev_norm(f: SpectralField, k: int, weighted: bool = False) -> float:
     """H^k norm over all multi-indices |alpha| <= k; weighted applies (1+|x|)
-    in physical space after differentiation."""
+    in physical space after differentiation (one field of
+    weighted_hk_node_sq)."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"Sobolev order k must be 0..3; got {k}")
-    suite = NormSuite.for_grid(f.grid)
-    grid = f.grid
     freq = f.to_frequency().data
-    if not weighted:
-        abs_sq = freq.real ** 2 + freq.imag ** 2
-        return float(np.sqrt((suite.sobolev_symbol(k) * abs_sq).sum()
-                             * grid.parseval_factor))
-    total = 0.0
-    for alpha in _multi_indices(grid.dim, k):
-        phys = np.fft.ifftn(freq * suite.alpha_symbol(alpha))
-        wmag = suite.weight_sq * (phys.real ** 2 + phys.imag ** 2)
-        total += wmag.sum() * grid.quad_weight
-    return float(np.sqrt(total))
+    if weighted:
+        return float(np.sqrt(weighted_hk_node_sq(freq[None], f.grid, k)[k, 0]))
+    abs_sq = freq.real ** 2 + freq.imag ** 2
+    return float(np.sqrt((NormSuite.for_grid(f.grid).sobolev_symbol(k) * abs_sq).sum()
+                         * f.grid.parseval_factor))
 
 
 def x_weighted_gradient_norm(f: SpectralField) -> float:
-    """|| |x| |grad f| ||_{L2} with x in centered coordinates."""
-    suite = NormSuite.for_grid(f.grid)
-    grid = f.grid
-    freq = f.to_frequency().data
-    grad_sq = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        alpha = tuple(1 if a == axis else 0 for a in range(grid.dim))
-        phys = np.fft.ifftn(freq * suite.alpha_symbol(alpha))
-        grad_sq += phys.real ** 2 + phys.imag ** 2
-    return float(np.sqrt((suite.x_abs_sq * grad_sq).sum() * grid.quad_weight))
+    """|| |x| |grad f| ||_{L2} with x in centered coordinates (one field of
+    x_gradient_node_sq)."""
+    return float(np.sqrt(x_gradient_node_sq(f.to_frequency().data[None], f.grid)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +168,7 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
     or every 1 <= |alpha| <= k with `skip_zero`.
 
     `block` is frequency data stacked along axis 0. Nyquist modes are zeroed
-    for |alpha| >= 1 and kept for alpha = 0 (the rule of alpha_symbol); a
+    for |alpha| >= 1 and kept for alpha = 0 (the rule of sobolev_symbol); a
     block that is not known to be Nyquist-free takes its alpha = 0 field
     from an unmasked transform and the rest from the masked tree.
     """
@@ -216,15 +198,15 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None,
     """Per-node sums over the d^alpha fields, |alpha| <= k, of chi * data,
     as an (n_sums, m_t + 1) array.
 
-    One task per chunk of time nodes runs on the shared pool; node m_t is a
-    chunk of its own. For every d^alpha block of its chunk (Nyquist rule of
-    _derivative_tree) a task calls add(out, alpha, block), where out is the
-    chunk's zeroed (n_sums, nodes) slice. With `halo` the block carries one
-    periodic node either side, so block[1:-1] is the chunk and
-    block[2:] - block[:-2] its centered difference. The halo wraps over the
-    m_t periodic nodes: node m_t gets nodes m_t - 1 and 1, so its difference
-    is that of node 0. With chi None the data are used as given; with
-    `skip_zero` the alpha = 0 block is not built.
+    One task per chunk of time nodes runs on the shared pool (with `halo`,
+    node m_t is a chunk of its own). For every d^alpha block of its chunk
+    (Nyquist rule of _derivative_tree) a task calls add(out, alpha, block),
+    where out is the chunk's zeroed (n_sums, nodes) slice. With `halo` the
+    block carries one periodic node either side, so block[1:-1] is the chunk
+    and block[2:] - block[:-2] its centered difference. The halo wraps over
+    the m_t periodic nodes: node m_t gets nodes m_t - 1 and 1, so its
+    difference is that of node 0. With chi None the data are used as given;
+    with `skip_zero` the alpha = 0 block is not built.
     """
     NormSuite.for_grid(grid)  # fill the per-grid cache before workers read it
     m_t = data.shape[0] - 1
@@ -242,20 +224,31 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None,
             add(out, alpha, d_alpha)
         return out
 
-    chunks = [*node_chunks(m_t), slice(m_t, m_t + 1)]
+    chunks = [*node_chunks(m_t), slice(m_t, m_t + 1)] if halo else node_chunks(m_t + 1)
     return np.concatenate(map_chunks(task, chunks), axis=1)
 
 
 def weighted_hk_node_sq(data: np.ndarray, grid: Grid, k: int,
-                        chi: np.ndarray) -> np.ndarray:
-    """Squared per-node weighted H^j norms, j = 0..k (row j), of the
-    projection by chi of frequency-stacked data."""
+                        chi: np.ndarray | None = None) -> np.ndarray:
+    """Squared weighted H^j norms, j = 0..k (row j), of every field of
+    frequency-stacked data, projected by chi when given (without chi the
+    Nyquist rule of _derivative_tree applies)."""
     w2 = NormSuite.for_grid(grid).weight_sq_flat
 
     def add(out, alpha, phys):
         out[sum(alpha)] += _weighted_sq(phys, w2)
 
     return np.cumsum(_node_sums(data, grid, k, chi, k + 1, add, halo=False), axis=0)
+
+
+def x_gradient_node_sq(data: np.ndarray, grid: Grid) -> np.ndarray:
+    """|| |x| |grad f| ||_{L2}^2 of every field f of frequency-stacked data."""
+    x2 = NormSuite.for_grid(grid).x_abs_sq_flat
+
+    def add(out, alpha, phys):
+        out[0] += _weighted_sq(phys, x2)
+
+    return _node_sums(data, grid, 1, None, 1, add, halo=False, skip_zero=True)[0]
 
 
 def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
@@ -325,11 +318,10 @@ def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
     grid = g.grid
     suite = NormSuite.for_grid(grid)
     phys = g.to_physical().data
-    axes = tuple(range(1, grid.dim + 1))
 
     def zero_order(rows):
         block = phys[rows]
-        return ((np.abs(block) * suite.weight).sum(axis=axes) * grid.quad_weight,
+        return (_lp_node(block, grid, 1, weighted=True),
                 _weighted_sq(block, suite.weight_sq_flat))
 
     def add(out, alpha, d_alpha):

@@ -160,15 +160,11 @@ class Grid:
     def box_length(self) -> float:
         return self.config.box_length
 
-    def freqs_natural_order(self) -> np.ndarray:
-        """Per-axis frequencies sorted ascending (-n/2 ... n/2-1) * 2*pi/L."""
-        return np.fft.fftshift(self.xi1d)
-
     def reflect(self, data: np.ndarray) -> np.ndarray:
-        """Apply the lattice reflection x -> -x (index j -> -j mod n) on
-        every axis. Works identically on frequency-index data (k -> -k)."""
+        """Apply the lattice reflection x -> -x (index j -> -j mod n) on the last
+        dim axes (stacked fields one by one); also on frequency data (k -> -k)."""
         idx = [self._reflect_1d] * self.dim
-        return data[np.ix_(*idx)]
+        return data[(Ellipsis,) + np.ix_(*idx)]
 
     def dealias_mask(self, fraction: float) -> np.ndarray:
         """Boolean keep-mask of the 2/3-style truncation: modes with any axis

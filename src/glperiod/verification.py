@@ -8,7 +8,9 @@ A battery passes when its fitted constant is finite (threshold batteries,
 like projection completeness, pass against a fixed tolerance instead).
 
 Per-sample seeds derive from the root seed via numpy's SeedSequence.spawn,
-so reports are bit-reproducible for a fixed seed and grid.
+so reports are bit-reproducible for a fixed seed and grid. Samples are drawn
+in order and evaluated in bounded stacks through the stacked norms of
+`norms`, so a battery's memory does not grow with its sample count.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import (NormSuite, _trapz, lp_norm, sobolev_norm, weighted_hk_node_sq,
-                    x_weighted_gradient_norm, z_norm)
+from .norms import (NormSuite, _lp_node, _node_l2, _trapz, _weighted_sq,
+                    weighted_hk_node_sq, x_gradient_node_sq, z_norm)
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
 from .periodic_solver import _rhs_series_data
 from .spectral import FREQUENCY, FieldSeries, Grid, SpectralField
 
 COMPLETENESS_TOL = 1e-14
+STACK_SAMPLES = 16  # sample fields a battery evaluates at once
 
 
 @dataclass
@@ -93,17 +96,30 @@ def _fitted_battery_report(name: str, ratios: list[float], extras: dict) -> Chec
                        fitted_constant=fitted, passed=passed, extras=extras)
 
 
+def _batches(seed: int, samples: int) -> list[list[np.random.Generator]]:
+    """sample_rngs(seed, samples) in consecutive lists of STACK_SAMPLES."""
+    rngs = sample_rngs(seed, samples)
+    return [rngs[i:i + STACK_SAMPLES] for i in range(0, samples, STACK_SAMPLES)]
+
+
+def _band_stack(grid: Grid, batch, band: str, cutoffs: CutoffSpec) -> np.ndarray:
+    return np.array([random_band_field(grid, rng, band, cutoffs).data for rng in batch])
+
+
+def _axes(grid: Grid) -> tuple[int, ...]:
+    return tuple(range(1, grid.dim + 1))
+
+
 def check_projection_completeness(grid: Grid, cutoffs: CutoffSpec,
                                   samples: int = 50, seed: int = 0,
                                   tol: float = COMPLETENESS_TOL) -> CheckReport:
     """P_low f + P_high f must reproduce f (relative L2, threshold battery)."""
     symbol_defect = float(np.abs(cutoffs.chi1 + cutoffs.chi_inf - 1.0).max())
     worst = symbol_defect
-    for rng in sample_rngs(seed, samples):
-        f = random_band_field(grid, rng, "full", cutoffs)
-        recombined = (cutoffs.chi1 * f.data + cutoffs.chi_inf * f.data)
-        resid = np.sqrt(np.sum(np.abs(recombined - f.data) ** 2) * grid.parseval_factor)
-        worst = max(worst, float(resid))
+    for batch in _batches(seed, samples):
+        f = _band_stack(grid, batch, "full", cutoffs)
+        recombined = cutoffs.chi1 * f + cutoffs.chi_inf * f
+        worst = max(worst, float(_node_l2(recombined - f, grid).max()))
     return CheckReport(check_name="projection_completeness", samples=samples,
                        worst_ratio=worst / tol, fitted_constant=worst,
                        passed=worst <= tol,
@@ -118,17 +134,12 @@ def check_low_freq_smoothing(op: LinearOperatorSpec, cutoffs: CutoffSpec,
     grid = op.grid
     horizon = t_max if t_max is not None else op.period
     ratios = []
-    for rng in sample_rngs(seed, samples):
-        u = random_band_field(grid, rng, "low", cutoffs)
-        t = rng.uniform(0.0, horizon)
-        decay = np.exp(-t * op.symbol)
-        evolved = decay * u.data
-        d_dt = -op.symbol * evolved
-        pf = grid.parseval_factor
-        num = (np.sqrt(np.sum(np.abs(evolved) ** 2) * pf)
-               + np.sqrt(np.sum(np.abs(d_dt) ** 2) * pf))
-        den = np.sqrt(np.sum(np.abs(u.data) ** 2) * pf)
-        ratios.append(num / den)
+    for batch in _batches(seed, samples):
+        u = _band_stack(grid, batch, "low", cutoffs)
+        t = np.array([rng.uniform(0.0, horizon) for rng in batch])
+        evolved = np.exp(-t.reshape((-1,) + (1,) * grid.dim) * op.symbol) * u
+        num = _node_l2(evolved, grid) + _node_l2(-op.symbol * evolved, grid)
+        ratios.extend(num / _node_l2(u, grid))
     return _fitted_battery_report(
         "low_freq_smoothing", ratios,
         {"t_max": horizon, "bound_hint": 1.0 + cutoffs.r_inf ** 2 * horizon})
@@ -142,29 +153,41 @@ def check_period_inverse_bound(op: LinearOperatorSpec, cutoffs: CutoffSpec,
     from .forcing import gauss_dipole
     inv = period_inverse_symbol(op)
     keep = grid.keep_nyquist_free
-    ratios = []
-    widths = []
     L = grid.box_length
-    for rng in sample_rngs(seed, samples):
+
+    def dipoles(rng):
         profile = np.zeros(grid.shape, dtype=complex)
         for _ in range(3):
             sigma = rng.uniform(L / 32.0, L / 10.0)
             axis = int(rng.integers(0, grid.dim))
             coeff = rng.standard_normal() + 1j * rng.standard_normal()
             profile += coeff * gauss_dipole(grid, sigma, axis)
-            widths.append(sigma)
-        f_hat = np.fft.fftn(profile) * cutoffs.chi1 * keep
+        return profile
+
+    ratios = []
+    for batch in _batches(seed, samples):
+        profiles = np.array([dipoles(rng) for rng in batch])
+        f_hat = np.fft.fftn(profiles, axes=_axes(grid)) * cutoffs.chi1 * keep
         f_hat = 0.5 * (f_hat - grid.reflect(f_hat))  # exact lattice oddness
-        f_hat.flat[0] = 0.0
-        F = SpectralField(grid, FREQUENCY, f_hat)
-        u = SpectralField(grid, FREQUENCY, inv * f_hat * keep)
-        num = lp_norm(u, 2) + x_weighted_gradient_norm(u)
-        den = lp_norm(F, 1, weighted=True)
-        if den > 0:
-            ratios.append(num / den)
+        f_hat[(slice(None),) + (0,) * grid.dim] = 0.0
+        u = inv * f_hat * keep
+        num = _node_l2(u, grid) + np.sqrt(x_gradient_node_sq(u, grid))
+        den = _lp_node(np.fft.ifftn(f_hat, axes=_axes(grid)), grid, 1, weighted=True)
+        ratios.extend(num[den > 0] / den[den > 0])
     return _fitted_battery_report(
         "period_inverse_bound", ratios,
         {"dipoles_per_sample": 3, "sigma_range": [L / 32.0, L / 10.0]})
+
+
+def _high_freq_decay_norms(op: LinearOperatorSpec, cutoffs: CutoffSpec,
+                           t_grid: np.ndarray, samples: int, seed: int):
+    """||e^{-tA} u||_{H2_w} for t in t_grid, per high-frequency sample u; the
+    evolved fields of one sample are one stack."""
+    grid = op.grid
+    decay = np.exp(-t_grid.reshape((-1,) + (1,) * grid.dim) * op.symbol)
+    for rng in sample_rngs(seed, samples):
+        u = random_band_field(grid, rng, "high", cutoffs)
+        yield np.sqrt(weighted_hk_node_sq(decay * u.data, grid, 2)[2])
 
 
 def check_high_freq_decay(op: LinearOperatorSpec, cutoffs: CutoffSpec,
@@ -172,20 +195,11 @@ def check_high_freq_decay(op: LinearOperatorSpec, cutoffs: CutoffSpec,
                           n_times: int = 16) -> CheckReport:
     """sup_t e^{a t} ||e^{-tA} u||_{H2_w} / ||u||_{H2_w} <= C with a = r1^2/2
     on high-frequency fields, t on a grid over [0, T]."""
-    grid = op.grid
     a = cutoffs.r1 ** 2 / 2.0
     t_grid = np.linspace(0.0, op.period, n_times + 1)
-    ratios = []
-    for rng in sample_rngs(seed, samples):
-        u = random_band_field(grid, rng, "high", cutoffs)
-        base = sobolev_norm(u, 2, weighted=True)
-        worst = 0.0
-        for t in t_grid:
-            evolved = SpectralField(grid, FREQUENCY,
-                                    np.exp(-t * op.symbol) * u.data)
-            val = math.exp(a * t) * sobolev_norm(evolved, 2, weighted=True) / base
-            worst = max(worst, val)
-        ratios.append(worst)
+    growth = np.exp(a * t_grid)
+    ratios = [float((growth * norms / norms[0]).max())  # norms[0]: t = 0, u itself
+              for norms in _high_freq_decay_norms(op, cutoffs, t_grid, samples, seed)]
     return _fitted_battery_report(
         "high_freq_decay", ratios, {"decay_rate_a": a, "time_samples": n_times + 1})
 
@@ -236,8 +250,6 @@ def check_nonlinear_bound(u_series: FieldSeries, g_series: FieldSeries,
         ||F_high||_{L2(t;H1_w)} <= C (||u||_Z^3 + ||g_high||_{L2(t;H1_w)}).
     """
     grid = u_series.grid
-    suite = NormSuite.for_grid(grid)
-    axes = tuple(range(1, grid.dim + 1))
     U = u_series.to_frequency().data
     G = g_series.to_frequency().data
     F = _rhs_series_data(U, G, grid, True)
@@ -246,8 +258,7 @@ def check_nonlinear_bound(u_series: FieldSeries, g_series: FieldSeries,
     z = z_norm(u_series, cutoffs)
 
     def l2t_l1w(data):
-        phys = np.fft.ifftn(data, axes=axes)
-        node = (np.abs(phys) * suite.weight).sum(axis=axes) * grid.quad_weight
+        node = _lp_node(np.fft.ifftn(data, axes=_axes(grid)), grid, 1, weighted=True)
         return float(np.sqrt(_trapz(node ** 2, dx=h)))
 
     def l2t_h1w(data):
@@ -282,14 +293,15 @@ def check_bernstein(grid: Grid, cutoffs: CutoffSpec, samples: int = 100,
     ||f||_{L^p} <= C ||f||_{L2} with C measured for p in {3, 6, inf}."""
     grad_ratios = []
     lp_consts = {3: 0.0, 6: 0.0, math.inf: 0.0}
-    for rng in sample_rngs(seed, samples):
-        f = random_band_field(grid, rng, "low", cutoffs)
-        l2 = lp_norm(f, 2)
-        grad = math.sqrt(float((grid.xi_sq * (f.data.real ** 2 + f.data.imag ** 2)).sum())
-                         * grid.parseval_factor)
-        grad_ratios.append(grad / (cutoffs.r_inf * l2))
+    for batch in _batches(seed, samples):
+        f = _band_stack(grid, batch, "low", cutoffs)
+        phys = np.fft.ifftn(f, axes=_axes(grid))
+        l2 = _lp_node(phys, grid, 2)
+        grad = np.sqrt((grid.xi_sq * (f.real ** 2 + f.imag ** 2)).sum(axis=_axes(grid))
+                       * grid.parseval_factor)
+        grad_ratios.extend(grad / (cutoffs.r_inf * l2))
         for p in lp_consts:
-            lp_consts[p] = max(lp_consts[p], lp_norm(f, p) / l2)
+            lp_consts[p] = max(lp_consts[p], float((_lp_node(phys, grid, p) / l2).max()))
     worst = float(max(grad_ratios))
     fitted = float(lp_consts[math.inf])
     passed = worst <= 1.0 + 1e-12 and all(math.isfinite(v) for v in lp_consts.values())
@@ -301,26 +313,25 @@ def check_bernstein(grid: Grid, cutoffs: CutoffSpec, samples: int = 100,
 
 def check_hardy(grid: Grid, samples: int = 100, seed: int = 0) -> CheckReport:
     """|| f/|x| ||_{L2} <= C ||grad f||_{L2} on smooth fields vanishing at the
-    box edge; the origin node is excluded from the quadrature."""
-    suite = NormSuite.for_grid(grid)
+    box edge; the origin node is excluded from the quadrature. ||grad f||^2
+    is sum xi^2 |f_hat|^2 over the Nyquist-free modes (Parseval)."""
+    axes = _axes(grid)
     window = np.exp(-grid.x_abs ** 2 / (2.0 * (grid.box_length / 8.0) ** 2))
     inv_x = np.zeros(grid.shape)
     nonzero = grid.x_abs > 0
     inv_x[nonzero] = 1.0 / grid.x_abs[nonzero]
+    envelope = np.exp(-((grid.xi_abs * grid.box_length / (8.0 * np.pi)) ** 2))
+    grad_symbol = grid.xi_sq * grid.keep_nyquist_free
     ratios = []
-    for rng in sample_rngs(seed, samples):
-        raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        envelope = np.exp(-((grid.xi_abs * grid.box_length / (8.0 * np.pi)) ** 2))
-        f_phys = np.fft.ifftn(raw * envelope * grid.keep_nyquist_free) * window
-        f_hat = np.fft.fftn(f_phys)
-        num_sq = ((np.abs(f_phys) * inv_x) ** 2).sum() * grid.quad_weight
-        grad_sq = 0.0
-        for axis in range(grid.dim):
-            alpha = tuple(1 if a == axis else 0 for a in range(grid.dim))
-            d = np.fft.ifftn(f_hat * suite.alpha_symbol(alpha))
-            grad_sq += (np.abs(d) ** 2).sum() * grid.quad_weight
-        if grad_sq > 0:
-            ratios.append(math.sqrt(num_sq / grad_sq))
+    for batch in _batches(seed, samples):
+        raw = np.array([rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+                        for rng in batch])
+        f_phys = np.fft.ifftn(raw * envelope * grid.keep_nyquist_free, axes=axes) * window
+        f_hat = np.fft.fftn(f_phys, axes=axes)
+        num_sq = ((np.abs(f_phys) * inv_x) ** 2).sum(axis=axes) * grid.quad_weight
+        grad_sq = ((grad_symbol * (f_hat.real ** 2 + f_hat.imag ** 2)).sum(axis=axes)
+                   * grid.parseval_factor)
+        ratios.extend(np.sqrt(num_sq[grad_sq > 0] / grad_sq[grad_sq > 0]))
     return _fitted_battery_report("hardy_inequality", ratios,
                                   {"origin_node_excluded": True})
 
@@ -329,15 +340,14 @@ def check_high_freq_weighted_poincare(grid: Grid, cutoffs: CutoffSpec,
                                       samples: int = 100, seed: int = 0) -> CheckReport:
     """High-frequency fields: (r1^2/2) || |x| f ||^2 <= || |x| grad f ||^2 + C ||f||^2
     with C measured as the worst deficit."""
+    suite = NormSuite.for_grid(grid)
     consts = []
-    for rng in sample_rngs(seed, samples):
-        f = random_band_field(grid, rng, "high", cutoffs)
-        phys = np.fft.ifftn(f.data)
-        x_f_sq = ((np.abs(phys) * grid.x_abs) ** 2).sum() * grid.quad_weight
-        xg = x_weighted_gradient_norm(f) ** 2
-        l2_sq = lp_norm(f, 2) ** 2
-        deficit = max(0.0, (cutoffs.r1 ** 2 / 2.0) * x_f_sq - xg)
-        consts.append(deficit / l2_sq)
+    for batch in _batches(seed, samples):
+        f = _band_stack(grid, batch, "high", cutoffs)
+        phys = np.fft.ifftn(f, axes=_axes(grid))
+        x_f_sq = _weighted_sq(phys, suite.x_abs_sq_flat)
+        deficit = np.maximum(0.0, (cutoffs.r1 ** 2 / 2.0) * x_f_sq - x_gradient_node_sq(f, grid))
+        consts.extend(deficit / _weighted_sq(phys, suite.quad_flat))
     return _fitted_battery_report("high_freq_weighted_poincare", consts,
                                   {"r1": cutoffs.r1})
 

@@ -11,7 +11,8 @@ from glperiod import (FieldSeries, GridConfig, NormSuite, SpectralField,
                       auto_cutoffs, forcing_bracket, lp_norm, make_grid,
                       sobolev_norm, spacetime_norm, spectral, time_derivative,
                       x_weighted_gradient_norm, z_norm)
-from glperiod.norms import _multi_indices, _trapz, weighted_hk_node_sq
+from glperiod.norms import (_multi_indices, _trapz, weighted_hk_node_sq,
+                            x_gradient_node_sq)
 
 from conftest import on_workers, random_physical_field, raw_random_series
 
@@ -240,6 +241,17 @@ class TestForcingBracket:
 # ---------------------------------------------------------------------------
 
 
+def _ref_alpha_symbol(grid, alpha):
+    """Frequency multiplier of d^alpha, Nyquist-zeroed for |alpha| >= 1."""
+    sym = np.ones(grid.shape, dtype=complex)
+    for axis, power in enumerate(alpha):
+        if power:
+            sym = sym * (1j * grid.xi[axis]) ** power
+    if sum(alpha) >= 1:
+        sym = sym * grid.keep_nyquist_free
+    return sym
+
+
 def _ref_axes(grid):
     return tuple(range(1, grid.dim + 1))
 
@@ -254,7 +266,7 @@ def _ref_hk(data, grid, k_max):
     axes = _ref_axes(grid)
     cums = {k: np.zeros(data.shape[0]) for k in range(k_max + 1)}
     for alpha in _multi_indices(grid.dim, k_max):
-        phys = np.fft.ifftn(data * suite.alpha_symbol(alpha), axes=axes)
+        phys = np.fft.ifftn(data * _ref_alpha_symbol(grid, alpha), axes=axes)
         contrib = ((phys.real ** 2 + phys.imag ** 2) * suite.weight_sq).sum(axis=axes) \
             * grid.quad_weight
         for k in range(sum(alpha), k_max + 1):
@@ -268,7 +280,7 @@ def _ref_x_grad(data, grid):
     grad_sq = np.zeros(data.shape[0:1] + grid.shape)
     for axis in range(grid.dim):
         alpha = tuple(1 if a == axis else 0 for a in range(grid.dim))
-        phys = np.fft.ifftn(data * suite.alpha_symbol(alpha), axes=axes)
+        phys = np.fft.ifftn(data * _ref_alpha_symbol(grid, alpha), axes=axes)
         grad_sq += phys.real ** 2 + phys.imag ** 2
     return np.sqrt((grad_sq * suite.x_abs_sq).sum(axis=axes) * grid.quad_weight)
 
@@ -318,7 +330,67 @@ def _ref_forcing_bracket(g):
     return float(np.sqrt(_trapz(l1w ** 2, dx=h)) + np.sqrt(_trapz(h1w ** 2, dx=h)))
 
 
+def _ref_sobolev_norm(f, k):
+    """Weighted H^k norm of one field: one full inverse transform per
+    multi-index |alpha| <= k."""
+    grid, suite = f.grid, NormSuite.for_grid(f.grid)
+    freq = f.to_frequency().data
+    total = 0.0
+    for alpha in _multi_indices(grid.dim, k):
+        phys = np.fft.ifftn(freq * _ref_alpha_symbol(grid, alpha))
+        total += (suite.weight_sq * (phys.real ** 2 + phys.imag ** 2)).sum() * grid.quad_weight
+    return float(np.sqrt(total))
+
+
+def _ref_x_weighted_gradient_norm(f):
+    """|| |x| |grad f| ||_{L2} of one field: one full inverse transform per
+    axis."""
+    grid, suite = f.grid, NormSuite.for_grid(f.grid)
+    freq = f.to_frequency().data
+    grad_sq = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        alpha = tuple(1 if a == axis else 0 for a in range(grid.dim))
+        phys = np.fft.ifftn(freq * _ref_alpha_symbol(grid, alpha))
+        grad_sq += phys.real ** 2 + phys.imag ** 2
+    return float(np.sqrt((suite.x_abs_sq * grad_sq).sum() * grid.quad_weight))
+
+
 _ORACLE_GRIDS = {1: 32, 2: 16, 3: 16}
+
+
+class TestFieldNormOracle:
+    """Single-field norms and their stacked forms on the derivative tree
+    against the per-multi-index and per-axis references, on raw random
+    fields (Nyquist modes populated)."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("fields", [1, 8, 21])
+    def test_stacks_match_reference(self, dim, fields):
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
+                                    box_length=32.0))
+        data = raw_random_series(grid, fields - 1, np.random.default_rng(31 * dim + fields))
+        singles = [SpectralField(grid, "frequency", d) for d in data]
+        hk = weighted_hk_node_sq(data, grid, 3)
+        for k in range(4):
+            ref = [_ref_sobolev_norm(f, k) for f in singles]
+            np.testing.assert_allclose(np.sqrt(hk[k]), ref, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(np.sqrt(weighted_hk_node_sq(data, grid, k)[k]), ref,
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_allclose([sobolev_norm(f, k, weighted=True) for f in singles],
+                                       ref, rtol=1e-13, atol=0)
+        ref = [_ref_x_weighted_gradient_norm(f) for f in singles]
+        np.testing.assert_allclose(np.sqrt(x_gradient_node_sq(data, grid)), ref,
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose([x_weighted_gradient_norm(f) for f in singles], ref,
+                                   rtol=1e-13, atol=0)
+
+    def test_physical_input(self, grid3d, rng):
+        f = SpectralField(grid3d, "physical", raw_random_series(grid3d, 0, rng)[0])
+        for k in range(4):
+            assert sobolev_norm(f, k, weighted=True) == pytest.approx(
+                _ref_sobolev_norm(f, k), rel=1e-13)
+        assert x_weighted_gradient_norm(f) == pytest.approx(
+            _ref_x_weighted_gradient_norm(f), rel=1e-13)
 
 
 class TestPerMultiIndexOracle:

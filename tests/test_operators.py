@@ -8,7 +8,7 @@ from glperiod import (CutoffSpec, SpectralField, ZeroModeViolation, auto_cutoffs
                       check_oddness, make_cutoffs, make_operator,
                       period_inverse_apply, project, semigroup_apply,
                       verify_multiplier_bound)
-from glperiod.operators import inverse_multiplier_ratio, smooth_step
+from glperiod.operators import check_zero_mode, inverse_multiplier_ratio, smooth_step
 
 from conftest import random_physical_field, random_odd_field
 
@@ -178,6 +178,27 @@ class TestPeriodInverse:
         f = random_odd_field(grid3d, rng)
         out = period_inverse_apply(f, op3d).to_physical()
         assert check_oddness(out) <= 1e-12
+
+
+class TestZeroModeCheck:
+    """One check for fields and series: a field is a series of one node; the
+    threshold is tol times the largest per-node coefficient l2 norm."""
+
+    @pytest.mark.parametrize("nodes", [1, 5])
+    def test_threshold(self, grid3d, rng, nodes):
+        tol = 1e-10
+        data = rng.standard_normal((nodes,) + grid3d.shape) + 0j
+        data[:, 0, 0, 0] = 0.0
+        flat = data.reshape(nodes, -1)
+        total = float(np.sqrt((flat.real ** 2 + flat.imag ** 2).sum(axis=1).max()))
+        data[-1, 0, 0, 0] = tol * total * (1.0 - 1e-9)
+        check_zero_mode(data, tol)
+        data[-1, 0, 0, 0] = tol * total * (1.0 + 1e-9)
+        with pytest.raises(ZeroModeViolation):
+            check_zero_mode(data, tol)
+
+    def test_zero_data_passes(self, grid3d):
+        check_zero_mode(np.zeros((3,) + grid3d.shape, dtype=complex), 1e-10)
 
 
 class TestMultiplierBound:

@@ -15,8 +15,8 @@ from glperiod import (FieldSeries, GridConfig, NonFiniteField, PeriodicSolveRepo
                       make_operator, periodic_initial_data,
                       picard_step, realize_forcing, solve_periodic,
                       spectral, split_equation_residual, split_series)
-from glperiod.periodic_solver import (_cubic_difference_data, _linear_period_map_data,
-                                      _rhs_series_data)
+from glperiod.periodic_solver import (_cubic_difference_data, _decay_table,
+                                      _linear_period_map_data, _rhs_series_data)
 
 from conftest import on_workers, random_odd_field, raw_random_series
 
@@ -155,6 +155,17 @@ class TestLinearPeriodMap:
         num = np.sqrt((np.abs(u.data[0] - u.data[-1]) ** 2).sum())
         den = np.sqrt((np.abs(u.data) ** 2).sum(axis=tuple(range(1, 4))).max())
         assert num / den <= 1e-9
+
+
+class TestDecayTable:
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 16)])
+    def test_equals_full_lattice_exponentials(self, dim, n):
+        op = make_operator(make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=32.0)), 1.3)
+        m_t, h = 21, 1.3 / 21
+        values, index = _decay_table(op, h, m_t)
+        assert values.shape[1] < op.symbol.size
+        for m in range(m_t + 1):
+            assert np.array_equal(values[m][index], np.exp(-(m * h) * op.symbol))
 
 
 class TestPicardStep:
