@@ -93,6 +93,7 @@ def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
         "g_bracket": report.g_bracket,
         "c_estimate": report.c_estimate,
         "contraction_factor": report.contraction_factor,
+        "contraction_factor_reason": report.contraction_factor_reason,
     }
     manifest.finish()
     manifest.write(out / "manifest.json")
@@ -180,7 +181,9 @@ def cmd_stability(cfg: dict, base: str | None = None,
     atomic_write_text(json_path, decay.to_json())
     manifest.add_artifact(json_path, out)
 
-    manifest.headline = decay.summary_dict()
+    # the timing stays out of decay.json, a hashed artifact, so a rerun
+    # writes the same bytes; bench/run.py skips runtime_s when it compares runs
+    manifest.headline = {**decay.summary_dict(), "step_loop": {"runtime_s": decay.step_s}}
     manifest.finish()
     manifest.write(out / "manifest.json")
 

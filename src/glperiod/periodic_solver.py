@@ -71,6 +71,7 @@ class PeriodicSolveReport:
     contraction_factor: float | None
     diverged: bool = False
     divergence_reason: str | None = None
+    contraction_factor_reason: str | None = None  # why contraction_factor is None
 
     def as_dict(self) -> dict:
         return {
@@ -82,6 +83,7 @@ class PeriodicSolveReport:
             "g_bracket": self.g_bracket,
             "c_estimate": self.c_estimate,
             "contraction_factor": self.contraction_factor,
+            "contraction_factor_reason": self.contraction_factor_reason,
             "diverged": self.diverged,
             "divergence_reason": self.divergence_reason,
         }
@@ -311,12 +313,14 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
                                 * grid.parseval_factor) / scale)
     z_final = z_norm(u, cutoffs)
     c_est = (z_final / bracket) if bracket > 0 else None
+    factor, factor_reason = _contraction_factor(history)
 
     report = PeriodicSolveReport(
         converged=converged, iterations=iterations, residual_history=history,
         periodicity_residual=periodicity, z_norm=z_final, g_bracket=bracket,
-        c_estimate=c_est, contraction_factor=_contraction_factor(history),
-        diverged=diverged, divergence_reason=reason)
+        c_estimate=c_est, contraction_factor=factor,
+        diverged=diverged, divergence_reason=reason,
+        contraction_factor_reason=factor_reason)
     return u, report
 
 
@@ -342,18 +346,21 @@ def equation_residual(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
     return res / scale
 
 
-def _contraction_factor(history: list[float]) -> float | None:
-    """Geometric mean of successive residual ratios, excluding the first;
-    None for fewer than 3 residuals or a non-positive one."""
-    if len(history) < 3 or any(r <= 0 for r in history):
-        return None
+def _contraction_factor(history: list[float]) -> tuple[float | None, str | None]:
+    """Geometric mean of successive residual ratios, excluding the first, and
+    None beside the reason when there are fewer than 3 residuals or a
+    non-positive one."""
+    if len(history) < 3:
+        return None, f"fewer than 3 residuals (got {len(history)})"
+    if any(r <= 0 for r in history):
+        return None, "a residual is not positive"
     tail = [history[i + 1] / history[i] for i in range(1, len(history) - 1)]
-    return float(np.exp(np.mean(np.log(tail))))
+    return float(np.exp(np.mean(np.log(tail)))), None
 
 
 def contraction_estimate(report: PeriodicSolveReport) -> float:
     """Geometric mean of successive residual ratios, excluding the first."""
-    factor = _contraction_factor(report.residual_history)
+    factor, _ = _contraction_factor(report.residual_history)
     if factor is None:
         raise ValueError("contraction estimate needs at least 3 residuals, all positive")
     return factor

@@ -4,9 +4,16 @@ A perturbation w of a base solution v obeys
 
     dw/dt + A w = 2|v|^2 w + v^2 conj(w) + 2|w|^2 v + w^2 conj(v) + |w|^2 w,
 
-the exact expansion of |v+w|^2 (v+w) - |v|^2 v. Time stepping is exponential
-Euler (order 1) or an ETD predictor-corrector (order 2), both stiff-exact in
-the linear part. The run records the algebraically weighted running suprema
+the exact expansion of |v+w|^2 (v+w) - |v|^2 v. Time stepping is
+stiff-exact in the linear part. Order 1 is exponential Euler. Order 2 is the
+multistep ETD2 of Cox & Matthews (J. Comput. Phys. 176, 2002),
+
+    w_{n+1} = e^{-hA} w_n + h phi1 N_n + h phi2 (N_n - N_{n-1}),
+
+started by one ETD2RK (predictor-corrector) step; it makes one nonlinear
+evaluation per step. exp_step builds a fresh stepper, so it is always one
+ETD2RK step at order 2. The run records the algebraically weighted running
+suprema
 
     N1(t) = sup_{tau<=t} [(1+tau)^{3/4} ||P_low w||_{L2}
                           + (1+tau)^{5/4} ||grad P_low w||_{L2}]
@@ -21,8 +28,11 @@ A perturbation step allocates no full-size array. The right-hand side is
 grouped as v (p + 2|w|^2) + w (2|v|^2 + conj(p) + |w|^2) with p = v conj(w)
 and written into caller buffers; the stepper owns its work buffers and
 transforms into them with numpy.fft's out= (numpy >= 2.0); the dealias mask
-is folded into h phi1 and h phi2 once; and the step advances the frequency
-data in place (exp_step steps a copy, so a caller's field never changes).
+is folded into h phi1 and h phi2 once; the previous step's N lives in the
+stepper's second transform buffer; and the step advances the frequency data
+in place (exp_step steps a copy, so a caller's field never changes). On the
+interpolated base path the blend of two nodes is written into two buffers
+that the run owns.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +116,10 @@ class _Stepper:
 
     The dealias mask is folded into h phi1 and h phi2, which is bitwise the
     same as masking the nonlinear term first; all buffers are allocated here,
-    so a step allocates no full-size array.
+    so a step allocates no full-size array. At order 2 the first step with
+    the right-hand side is one ETD2RK step and every later one is multistep
+    ETD2: f_prev keeps N_{n-1} (the two transform buffers swap after each
+    step). rhs_evals counts the nonlinear evaluations made.
     """
 
     def __init__(self, grid: Grid, op: LinearOperatorSpec, h: float):
@@ -114,19 +128,24 @@ class _Stepper:
         self.h_phi1 = h_phi1 * mask
         self.h_phi2 = h_phi2 * mask
         self.axes = tuple(range(grid.dim))
-        self.w_phys, self.rhs, self.f_now, self.f_pred = (
+        self.w_phys, self.rhs, self.f_now, self.f_prev = (
             np.empty(grid.shape, complex) for _ in range(4))
         self.work = _rhs_work(grid.shape)
+        self.has_prev = False
+        self.rhs_evals = 0
 
     def _nonlinear_hat(self, w_hat: np.ndarray, v_phys: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
+        self.rhs_evals += 1
         np.fft.ifftn(w_hat, axes=self.axes, out=self.w_phys)
         _rhs_data(self.w_phys, v_phys, self.rhs, self.work)
         return np.fft.fftn(self.rhs, axes=self.axes, out=out)
 
-    def step(self, w_hat: np.ndarray, v_now: np.ndarray, v_next: np.ndarray,
+    def step(self, w_hat: np.ndarray, v_now: np.ndarray, v_next: np.ndarray | None,
              order: int, include_rhs: bool = True) -> np.ndarray:
-        """Advance the frequency data w_hat by one step in place; returns it."""
+        """Advance the frequency data w_hat by one step in place; returns it.
+        v_next, the base at the step's end, is read only by the ETD2RK step
+        that starts an order-2 run."""
         if not include_rhs:
             w_hat *= self.decay
             return w_hat
@@ -137,10 +156,17 @@ class _Stepper:
             w_hat += np.multiply(self.h_phi1, f_now, out=self.rhs)
             if order == 1:
                 return w_hat
-            f_pred = self._nonlinear_hat(w_hat, v_next, self.f_pred)
-            f_pred -= f_now
-            f_pred *= self.h_phi2
-            w_hat += f_pred
+            f_prev = self.f_prev
+            if self.has_prev:
+                np.subtract(f_now, f_prev, out=f_prev)      # N_n - N_{n-1}
+            else:
+                # ETD2RK: N at the predictor in place of the missing N_{n-1}
+                self._nonlinear_hat(w_hat, v_next, f_prev)
+                f_prev -= f_now
+                self.has_prev = True
+            f_prev *= self.h_phi2
+            w_hat += f_prev
+            self.f_now, self.f_prev = f_prev, f_now         # N_n becomes N_{n-1}
         return w_hat
 
 
@@ -151,7 +177,9 @@ def exp_step(w: SpectralField, v_at_t: SpectralField, h: float,
     """One exponential integrator step of the perturbation flow.
 
     order=1 is exponential Euler w <- e^{-hA} w + h phi1(-hA) F(w, v);
-    order=2 adds the ETD corrector h phi2(-hA) (F(pred, v_next) - F(w, v)).
+    order=2 is one ETD2RK step: it adds the corrector
+    h phi2(-hA) (F(pred, v_next) - F(w, v)). Each call starts afresh, so it
+    is the first step of an order-2 run, never a multistep one.
     With include_rhs=False the step is the pure semigroup (exact for any h).
     """
     if not h > 0:
@@ -237,9 +265,13 @@ class DecayReport:
     escape_time: float | None = None
     interpolated_vper: bool = False
     fit_reason: str | None = None  # why the fitted values are NaN
+    steps: int = 0                 # steps taken (fewer than planned on escape)
+    rhs_evals: int = 0             # nonlinear evaluations made
+    step_s: float = 0.0            # seconds in the step loop, records included
 
     def summary_dict(self) -> dict:
-        """Strict-JSON summary: NaN fit values become null beside fit_reason."""
+        """Strict-JSON summary: NaN fit values become null beside fit_reason.
+        It holds no timing (step_s), so a rerun writes the same bytes."""
         fits = {key: getattr(self, key) for key in (
             "fitted_slope_l0", "fitted_slope_l1", "fit_intercept_l0",
             "fit_intercept_l1", "fit_r2_l0", "fit_r2_l1")}
@@ -252,6 +284,8 @@ class DecayReport:
             "interpolated_vper": self.interpolated_vper,
             "n_final": float(self.n_series[-1]) if self.n_series.size else 0.0,
             "samples": int(self.times.size),
+            "steps": self.steps,
+            "rhs_evals": self.rhs_evals,
         }
 
     def to_json(self) -> str:
@@ -316,8 +350,12 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
 
     axes = tuple(range(1, grid.dim + 1))
     v_phys_nodes = np.fft.ifftn(v_series.data[:m_t], axes=axes)
+    if interpolated:
+        v_blend, v_part = (np.empty(grid.shape, complex) for _ in range(2))
 
     def v_at(step: int) -> np.ndarray:
+        """The base at t = step h. A blend of two nodes is written into
+        v_blend and holds only until the next call."""
         if not interpolated:
             return v_phys_nodes[step % m_t]
         t_frac = step * h / h_nodes
@@ -326,7 +364,10 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         if abs(lam) < 1e-12:
             return v_phys_nodes[base % m_t]
         nxt = (base + 1) % m_t
-        return (1.0 - lam) * v_phys_nodes[base % m_t] + lam * v_phys_nodes[nxt]
+        # (1 - lam) a + lam b, in that order
+        np.multiply(1.0 - lam, v_phys_nodes[base % m_t], out=v_blend)
+        np.multiply(lam, v_phys_nodes[nxt], out=v_part)
+        return np.add(v_blend, v_part, out=v_blend)
 
     pf = grid.parseval_factor
     xi_sq = grid.xi_sq
@@ -364,14 +405,20 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     record(w_hat, 0.0, state)
     escaped = False
     escape_time = None
+    steps = 0
+    started = time.perf_counter()
     for step in range(n_steps):
         if cfg.linear_only:
             w_hat = stepper.step(w_hat, None, None, cfg.order, include_rhs=False)
         else:
             v_now = v_at(step)
-            v_nxt = v_at(step + 1) if cfg.order == 2 else v_now
+            # only the ETD2RK first step reads the base at the step's end;
+            # step 0 sits on node 0, so v_now is not the blend buffer
+            v_nxt = (v_at(step + 1) if cfg.order == 2 and not stepper.has_prev
+                     else None)
             w_hat = stepper.step(w_hat, v_now, v_nxt, cfg.order)
-        t = (step + 1) * h
+        steps = step + 1
+        t = steps * h
         # NaN and inf fail the comparison, so they count as escape too
         if not np.abs(w_hat.view(float), out=magnitude).max() <= 1e100:
             escaped = True
@@ -379,6 +426,7 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
             break
         if (step + 1) % cfg.record_stride == 0 or step + 1 == n_steps:
             record(w_hat, t, state)
+    step_s = time.perf_counter() - started
 
     times = np.asarray(state["times"])
     l2_w = np.asarray(state["l2"])
@@ -400,4 +448,5 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         fit_intercept_l0=icpt0, fit_intercept_l1=icpt1,
         fit_r2_l0=r20, fit_r2_l1=r21, fit_window=window,
         escaped=escaped, escape_time=escape_time,
-        interpolated_vper=interpolated, fit_reason=fit_reason)
+        interpolated_vper=interpolated, fit_reason=fit_reason,
+        steps=steps, rhs_evals=stepper.rhs_evals, step_s=step_s)

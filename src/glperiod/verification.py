@@ -67,15 +67,25 @@ def random_band_field(grid: Grid, rng: np.random.Generator, band: str,
     (support |xi| >= r1), 'full' applies a broad envelope only. The Nyquist
     rows are always zeroed; odd=True antisymmetrizes under xi -> -xi.
     """
-    data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    envelope = _band_envelope(grid, band, cutoffs)
+    return SpectralField(grid, FREQUENCY, _band_data(grid, rng, envelope, odd))
+
+
+def _band_envelope(grid: Grid, band: str, cutoffs: CutoffSpec) -> np.ndarray:
+    """The radial envelope of random_band_field, computed once per battery."""
     if band == "low":
-        envelope = np.exp(-((grid.xi_abs / cutoffs.r_inf) ** 2)) * cutoffs.chi1
-    elif band == "high":
-        envelope = np.exp(-((grid.xi_abs / (4.0 * cutoffs.r1)) ** 2)) * cutoffs.chi_inf
-    elif band == "full":
-        envelope = np.exp(-((grid.xi_abs / (2.0 * cutoffs.r_inf)) ** 2))
-    else:
-        raise ValueError(f"unknown band {band!r}")
+        return np.exp(-((grid.xi_abs / cutoffs.r_inf) ** 2)) * cutoffs.chi1
+    if band == "high":
+        return np.exp(-((grid.xi_abs / (4.0 * cutoffs.r1)) ** 2)) * cutoffs.chi_inf
+    if band == "full":
+        return np.exp(-((grid.xi_abs / (2.0 * cutoffs.r_inf)) ** 2))
+    raise ValueError(f"unknown band {band!r}")
+
+
+def _band_data(grid: Grid, rng: np.random.Generator, envelope: np.ndarray,
+               odd: bool = False) -> np.ndarray:
+    """The data of random_band_field under a precomputed envelope."""
+    data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     data = data * envelope * grid.keep_nyquist_free
     if odd:
         data = 0.5 * (data - grid.reflect(data))
@@ -83,7 +93,7 @@ def random_band_field(grid: Grid, rng: np.random.Generator, band: str,
     norm = np.sqrt((data.real ** 2 + data.imag ** 2).sum() * grid.parseval_factor)
     if norm > 0:
         data = data / norm
-    return SpectralField(grid, FREQUENCY, data)
+    return data
 
 
 def _fitted_battery_report(name: str, ratios: list[float], extras: dict) -> CheckReport:
@@ -102,8 +112,8 @@ def _batches(seed: int, samples: int) -> list[list[np.random.Generator]]:
     return [rngs[i:i + STACK_SAMPLES] for i in range(0, samples, STACK_SAMPLES)]
 
 
-def _band_stack(grid: Grid, batch, band: str, cutoffs: CutoffSpec) -> np.ndarray:
-    return np.array([random_band_field(grid, rng, band, cutoffs).data for rng in batch])
+def _band_stack(grid: Grid, batch, envelope: np.ndarray) -> np.ndarray:
+    return np.array([_band_data(grid, rng, envelope) for rng in batch])
 
 
 def _axes(grid: Grid) -> tuple[int, ...]:
@@ -116,8 +126,9 @@ def check_projection_completeness(grid: Grid, cutoffs: CutoffSpec,
     """P_low f + P_high f must reproduce f (relative L2, threshold battery)."""
     symbol_defect = float(np.abs(cutoffs.chi1 + cutoffs.chi_inf - 1.0).max())
     worst = symbol_defect
+    envelope = _band_envelope(grid, "full", cutoffs)
     for batch in _batches(seed, samples):
-        f = _band_stack(grid, batch, "full", cutoffs)
+        f = _band_stack(grid, batch, envelope)
         recombined = cutoffs.chi1 * f + cutoffs.chi_inf * f
         worst = max(worst, float(_node_l2(recombined - f, grid).max()))
     return CheckReport(check_name="projection_completeness", samples=samples,
@@ -134,8 +145,9 @@ def check_low_freq_smoothing(op: LinearOperatorSpec, cutoffs: CutoffSpec,
     grid = op.grid
     horizon = t_max if t_max is not None else op.period
     ratios = []
+    envelope = _band_envelope(grid, "low", cutoffs)
     for batch in _batches(seed, samples):
-        u = _band_stack(grid, batch, "low", cutoffs)
+        u = _band_stack(grid, batch, envelope)
         t = np.array([rng.uniform(0.0, horizon) for rng in batch])
         evolved = np.exp(-t.reshape((-1,) + (1,) * grid.dim) * op.symbol) * u
         num = _node_l2(evolved, grid) + _node_l2(-op.symbol * evolved, grid)
@@ -185,9 +197,10 @@ def _high_freq_decay_norms(op: LinearOperatorSpec, cutoffs: CutoffSpec,
     evolved fields of one sample are one stack."""
     grid = op.grid
     decay = np.exp(-t_grid.reshape((-1,) + (1,) * grid.dim) * op.symbol)
+    envelope = _band_envelope(grid, "high", cutoffs)
     for rng in sample_rngs(seed, samples):
-        u = random_band_field(grid, rng, "high", cutoffs)
-        yield np.sqrt(weighted_hk_node_sq(decay * u.data, grid, 2)[2])
+        u = _band_data(grid, rng, envelope)
+        yield np.sqrt(weighted_hk_node_sq(decay * u, grid, 2)[2])
 
 
 def check_high_freq_decay(op: LinearOperatorSpec, cutoffs: CutoffSpec,
@@ -293,8 +306,9 @@ def check_bernstein(grid: Grid, cutoffs: CutoffSpec, samples: int = 100,
     ||f||_{L^p} <= C ||f||_{L2} with C measured for p in {3, 6, inf}."""
     grad_ratios = []
     lp_consts = {3: 0.0, 6: 0.0, math.inf: 0.0}
+    envelope = _band_envelope(grid, "low", cutoffs)
     for batch in _batches(seed, samples):
-        f = _band_stack(grid, batch, "low", cutoffs)
+        f = _band_stack(grid, batch, envelope)
         phys = np.fft.ifftn(f, axes=_axes(grid))
         l2 = _lp_node(phys, grid, 2)
         grad = np.sqrt((grid.xi_sq * (f.real ** 2 + f.imag ** 2)).sum(axis=_axes(grid))
@@ -342,8 +356,9 @@ def check_high_freq_weighted_poincare(grid: Grid, cutoffs: CutoffSpec,
     with C measured as the worst deficit."""
     suite = NormSuite.for_grid(grid)
     consts = []
+    envelope = _band_envelope(grid, "high", cutoffs)
     for batch in _batches(seed, samples):
-        f = _band_stack(grid, batch, "high", cutoffs)
+        f = _band_stack(grid, batch, envelope)
         phys = np.fft.ifftn(f, axes=_axes(grid))
         x_f_sq = _weighted_sq(phys, suite.x_abs_sq_flat)
         deficit = np.maximum(0.0, (cutoffs.r1 ** 2 / 2.0) * x_f_sq - x_gradient_node_sq(f, grid))

@@ -100,6 +100,19 @@ class TestSolveCommand:
         assert report["converged"] is True
         assert report["iterations"] <= 15
 
+    def test_reference_run_says_why_contraction_factor_is_null(self, tmp_path):
+        # the reference config converges in 2 iterations: too few residuals
+        path = tmp_path / "reference.json"
+        path.write_text("{}")
+        assert main(["solve-periodic", "--config", str(path),
+                     "--out", str(tmp_path / "ref")]) == 0
+        report = json.loads((tmp_path / "ref" / "report.json").read_text())
+        headline = load_manifest(tmp_path / "ref" / "manifest.json")["headline"]
+        assert report["iterations"] == 2
+        for summary in (report, headline):
+            assert summary["contraction_factor"] is None
+            assert summary["contraction_factor_reason"] == "fewer than 3 residuals (got 2)"
+
     def test_zero_amplitude_null_c_estimate(self, tmp_path):
         cfg_path = _small_config(tmp_path, forcing={"amplitude": 0.0})
         assert main(["solve-periodic", "--config", str(cfg_path)]) == 0
@@ -228,6 +241,23 @@ class TestStabilityCommand:
             assert summary["fitted_slope_l0"] is None
             assert summary["fit_r2_l1"] is None
             assert "8 samples" in summary["fit_reason"]
+
+    def test_step_telemetry_in_headline_not_in_artifact(self, tmp_path):
+        # decay.json is hashed into the manifest, so it carries counts but no
+        # timing and a rerun writes the same bytes; the headline adds the
+        # step loop's seconds
+        cfg_path = _small_config(tmp_path)
+        for out in ("r1", "r2"):
+            assert main(["stability", "--config", str(cfg_path),
+                         "--out", str(tmp_path / out)]) == 0
+        assert sha256_of(tmp_path / "r1" / "decay.json") == sha256_of(
+            tmp_path / "r2" / "decay.json")
+        decay = json.loads((tmp_path / "r1" / "decay.json").read_text())
+        headline = load_manifest(tmp_path / "r1" / "manifest.json")["headline"]
+        assert decay["steps"] == headline["steps"] == 10 * 16
+        assert decay["rhs_evals"] == headline["rhs_evals"] == 10 * 16 + 1
+        assert "step_loop" not in decay
+        assert headline["step_loop"]["runtime_s"] > 0
 
     def test_escape_is_finding_not_failure(self, tmp_path):
         cfg_path = _small_config(tmp_path, stability={"t_max": 10.0,

@@ -15,8 +15,9 @@ from glperiod import (FieldSeries, GridConfig, NonFiniteField, PeriodicSolveRepo
                       make_operator, periodic_initial_data,
                       picard_step, realize_forcing, solve_periodic,
                       spectral, split_equation_residual, split_series)
-from glperiod.periodic_solver import (_cubic_difference_data, _decay_table,
-                                      _linear_period_map_data, _rhs_series_data)
+from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_data,
+                                      _decay_table, _linear_period_map_data,
+                                      _rhs_series_data)
 
 from conftest import on_workers, random_odd_field, raw_random_series
 
@@ -327,6 +328,11 @@ class TestContractionEstimate:
         assert rep.converged
         assert rep.contraction_factor is not None
         assert rep.contraction_factor < 1.0
+        assert rep.contraction_factor_reason is None
+
+    def test_null_factor_says_why(self):
+        assert _contraction_factor([1.0, 0.1]) == (None, "fewer than 3 residuals (got 2)")
+        assert _contraction_factor([1.0, 0.1, 0.0]) == (None, "a residual is not positive")
 
     def test_residual_ratios_geometric_regime(self, grid3d, op3d, cutoffs3d):
         # below the documented default amplitude the residual ratios stay

@@ -1,6 +1,7 @@
 """Perturbation dynamics: the expanded right-hand side, the exponential
 steppers, the decay recorder and the slope fit."""
 
+import json
 import math
 import tracemalloc
 
@@ -20,8 +21,10 @@ from conftest import random_physical_field
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: the allocating right-hand side and ETD step that
-# the in-place stepper replaced, kept as oracles.
+# Reference implementations: the allocating right-hand side and ETD steps that
+# the in-place stepper replaced, kept as oracles. _ReferenceStepper is one
+# exponential Euler or ETD2RK step; _ReferenceMultistep is the order-2 run
+# scheme, multistep ETD2 started by one ETD2RK step.
 # ---------------------------------------------------------------------------
 
 
@@ -57,6 +60,25 @@ class _ReferenceStepper:
         return pred + self.h_phi2 * (f_pred - f_now)
 
 
+class _ReferenceMultistep(_ReferenceStepper):
+    """w_{n+1} = e^{-hA} w_n + h phi1 N_n + h phi2 (N_n - N_{n-1}) after one
+    ETD2RK step; keeps N_{n-1} as a new array."""
+
+    def __init__(self, grid, op, h):
+        super().__init__(grid, op, h)
+        self.f_prev = None
+
+    def step(self, w_hat, v_now, v_next, order):
+        if self.f_prev is None:
+            self.f_prev = self._nonlinear_hat(w_hat, v_now)
+            return super().step(w_hat, v_now, v_next, order)
+        f_now = self._nonlinear_hat(w_hat, v_now)
+        out = (self.decay * w_hat + self.h_phi1 * f_now
+               + self.h_phi2 * (f_now - self.f_prev))
+        self.f_prev = f_now
+        return out
+
+
 def _reference_run(cfg, op, cutoffs):
     """Node-locked reference integration with the per-norm recorder:
     (times, l2, grad, n1, n2)."""
@@ -84,7 +106,7 @@ def _reference_run(cfg, op, cutoffs):
         n2 = max(n2, (1 + t) ** 1.25 * h1_high)
         rows.append((t, l2, grad, n1, n2))
 
-    stepper = _ReferenceStepper(grid, op, h)
+    stepper = (_ReferenceMultistep if cfg.order == 2 else _ReferenceStepper)(grid, op, h)
     w_hat = cfg.w0.to_frequency().data
     n_steps = int(math.ceil(cfg.t_max / h - 1e-12))
     record(w_hat, 0.0)
@@ -220,19 +242,47 @@ class TestExpStep:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_step_allocates_no_field(self, small_setup, order):
+        # a stepper's first step (ETD2RK at order 2) and a later one
+        # (multistep ETD2 at order 2) are both measured
         grid, op, cut, g, v_per = small_setup
         stepper = _Stepper(grid, op, v_per.dt)
+        fresh = _Stepper(grid, op, v_per.dt)
         v_phys = v_per.to_physical().data
         w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
                                      grid).to_frequency().data.copy()
         stepper.step(w_hat, v_phys[0], v_phys[1], order)  # warm the FFT caches
-        tracemalloc.start()
-        try:
-            stepper.step(w_hat, v_phys[1], v_phys[2], order)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < w_hat.nbytes
+        for measured in (fresh, stepper):
+            tracemalloc.start()
+            try:
+                measured.step(w_hat, v_phys[1], v_phys[2], order)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < w_hat.nbytes
+        assert stepper.has_prev == fresh.has_prev == (order == 2)
+        assert (fresh.rhs_evals, stepper.rhs_evals) == (order, order + 1)
+
+    def test_first_order2_step_is_one_exp_step(self, small_setup):
+        # a run's first step is bit for bit exp_step(order=2); the second is
+        # multistep ETD2 and makes one nonlinear evaluation
+        grid, op, cut, g, v_per = small_setup
+        v_phys = [v_per.field(m).to_physical() for m in range(3)]
+        w = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid).to_frequency()
+        stepper = _Stepper(grid, op, v_per.dt)
+        w_hat = stepper.step(w.data.copy(), v_phys[0].data, v_phys[1].data, 2)
+        single = exp_step(w, v_phys[0], v_per.dt, op, order=2, v_next=v_phys[1])
+        assert np.array_equal(w_hat, single.data)
+        assert stepper.rhs_evals == 2
+
+        reference = _ReferenceMultistep(grid, op, v_per.dt)
+        ref_hat = reference.step(w.data, v_phys[0].data, v_phys[1].data, 2)
+        np.testing.assert_allclose(w_hat, ref_hat, rtol=0, atol=1e-15 * np.abs(ref_hat).max())
+        w_hat = stepper.step(w_hat, v_phys[1].data, None, 2)
+        ref_hat = reference.step(ref_hat, v_phys[1].data, None, 2)
+        assert stepper.rhs_evals == 3
+        np.testing.assert_allclose(w_hat, ref_hat, rtol=0, atol=1e-13 * np.abs(ref_hat).max())
+        rk_hat = exp_step(single, v_phys[1], v_per.dt, op, order=2, v_next=v_phys[2]).data
+        assert not np.allclose(w_hat, rk_hat, rtol=1e-13, atol=0)
 
     def test_rejects_bad_step(self, grid3d, op3d, rng):
         w = random_physical_field(grid3d, rng)
@@ -265,6 +315,61 @@ class TestRunStability:
                           (decay.n1_series, n1), (decay.n2_series, n2),
                           (decay.n_series, n1 + n2)):
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_multistep_order_study(self, small_setup):
+        # l2_w of the order-2 run against a fine-step reference (h = dt/32,
+        # base blended between nodes): second order, so the error falls
+        # about 4x per halving of h
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+
+        def l2_w(refine):
+            cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0,
+                                     h=v_per.dt / refine, record_stride=4 * refine)
+            decay = run_stability(cfg, op, cut)
+            assert not decay.escaped
+            return decay.l2_w
+
+        ref = l2_w(32)
+        errs = [np.abs(l2_w(refine) - ref).max() for refine in (1, 2, 4)]
+        assert 3.0 <= errs[0] / errs[1] <= 6.0
+        assert 3.0 <= errs[1] / errs[2] <= 6.0
+
+    @pytest.mark.parametrize("order, linear_only", [(1, False), (2, False), (2, True)])
+    def test_step_telemetry(self, small_setup, order, linear_only):
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
+        cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=8,
+                                 order=order, linear_only=linear_only)
+        decay = run_stability(cfg, op, cut)
+        assert decay.steps == 10 * v_per.n_steps
+        expected = 0 if linear_only else decay.steps + (order == 2)
+        assert decay.rhs_evals == expected
+        assert decay.step_s > 0
+        summary = json.loads(decay.to_json())
+        assert (summary["steps"], summary["rhs_evals"]) == (decay.steps, expected)
+
+    def test_interpolated_base_allocates_two_fields(self, small_setup):
+        # the blend of two base nodes goes into two buffers the run owns, so
+        # the half-step run's peak exceeds the node-locked one by about two
+        # fields
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
+        field_bytes = np.empty(grid.shape, complex).nbytes
+
+        def peak(h, stride):
+            cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, h=h,
+                                     record_stride=stride)
+            run_stability(cfg, op, cut)  # warm the FFT caches
+            tracemalloc.start()
+            try:
+                run_stability(cfg, op, cut)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra = (peak(v_per.dt / 2, 8) - peak(v_per.dt, 4)) / field_bytes
+        assert extra <= 2.25
 
     def test_linear_single_mode_heat_decay(self, grid1d):
         # base solution zero and rhs off: each mode decays exactly like

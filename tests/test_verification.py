@@ -10,7 +10,8 @@ from test_norms import (_ref_alpha_symbol, _ref_sobolev_norm,
 
 from glperiod import (CutoffSpec, ForcingSpec, NormSuite, SolveOptions, SpectralField,
                       lp_norm, realize_forcing, solve_periodic)
-from glperiod.verification import (STACK_SAMPLES, _high_freq_decay_norms,
+from glperiod.verification import (STACK_SAMPLES, _band_envelope, _band_stack,
+                                   _high_freq_decay_norms,
                                    check_bernstein, check_energy_inequality,
                                    check_hardy, check_high_freq_decay,
                                    check_high_freq_weighted_poincare,
@@ -66,6 +67,31 @@ class TestRandomBandFields:
         reflected = grid3d_module.reflect(f.data)
         np.testing.assert_allclose(reflected, -f.data, atol=1e-16)
         assert f.data.flat[0] == 0
+
+    @pytest.mark.parametrize("band, odd", [("low", False), ("high", False),
+                                           ("full", False), ("full", True)])
+    def test_shared_envelope_draws_unchanged(self, grid3d_module, cutoffs3d_module,
+                                             band, odd):
+        # one envelope per battery draws, in order, the fields that the
+        # per-call envelope drew: same RNG stream, same bits
+        grid, cut = grid3d_module, cutoffs3d_module
+        scale = {"low": cut.r_inf, "high": 4.0 * cut.r1, "full": 2.0 * cut.r_inf}[band]
+        weight = {"low": cut.chi1, "high": cut.chi_inf, "full": 1.0}[band]
+        refs = []
+        for rng in sample_rngs(5, 3):
+            data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+            data = data * (np.exp(-((grid.xi_abs / scale) ** 2)) * weight) * grid.keep_nyquist_free
+            if odd:
+                data = 0.5 * (data - grid.reflect(data))
+                data.flat[0] = 0.0
+            refs.append(data / np.sqrt((data.real ** 2 + data.imag ** 2).sum()
+                                       * grid.parseval_factor))
+        singles = [random_band_field(grid, rng, band, cut, odd=odd).data
+                   for rng in sample_rngs(5, 3)]
+        assert [f.tobytes() for f in singles] == [f.tobytes() for f in refs]
+        if not odd:
+            stack = _band_stack(grid, sample_rngs(5, 3), _band_envelope(grid, band, cut))
+            assert stack.tobytes() == np.array(refs).tobytes()
 
     def test_seed_split_reproducible(self):
         a = [r.standard_normal() for r in sample_rngs(42, 4)]
