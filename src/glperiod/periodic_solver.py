@@ -24,6 +24,13 @@ the recurrence over time nodes is sequential). Each task writes its own
 rows or slab of a preallocated output, so results do not depend on the
 number of workers; one map runs at most spectral.IN_FLIGHT tasks at once,
 so a kernel's temporaries do not grow with the pool.
+
+A solve holds three series: the caller's g, the iterate u and the
+correction delta. The period map runs in place (F[m] is carried per slab
+before its row is overwritten), u starts in the frequency buffer the solve
+made for a physical g, and one fused map per iteration advances u by delta
+and overwrites delta with the next cubic difference. equation_residual
+streams over chunks of interior nodes and builds no full series.
 """
 
 from __future__ import annotations
@@ -102,10 +109,16 @@ def _step_coefficients(op: LinearOperatorSpec, h: float):
 
 
 def _integrate_into(out: np.ndarray, F: np.ndarray, decay, a, b) -> np.ndarray:
-    """out[m] = I(t_m), m = 0..len(out) - 1, via the stiff-exact recurrence."""
+    """out[m] = I(t_m), m = 0..len(out) - 1, via the stiff-exact recurrence.
+
+    `out` may be F: F[m] is carried in a copy before its row is overwritten.
+    """
+    f_m = F[0].copy()
     out[0] = 0.0
     for m in range(out.shape[0] - 1):
-        out[m + 1] = decay * out[m] + a * F[m] + b * F[m + 1]
+        f_next = F[m + 1].copy()
+        out[m + 1] = decay * out[m] + a * f_m + b * f_next
+        f_m = f_next
     return out
 
 
@@ -138,6 +151,8 @@ def periodic_initial_data(F: FieldSeries, op: LinearOperatorSpec,
 
 
 _SLAB_PLANES = 8  # first-axis planes per period-map task
+_NON_FINITE = ("iteration produced non-finite modes; the forcing is too large "
+               "for the contraction regime")
 
 
 def _decay_table(op: LinearOperatorSpec, h: float, m_t: int):
@@ -150,17 +165,20 @@ def _decay_table(op: LinearOperatorSpec, h: float, m_t: int):
 
 
 def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
-                            zero_mode_tol: float) -> np.ndarray:
-    """Periodic response of frequency-stacked F. Modes are independent, so
-    one task per slab of the first spatial axis runs the recurrence over
-    the time nodes in place in the output."""
+                            zero_mode_tol: float, out: np.ndarray | None = None
+                            ) -> np.ndarray:
+    """Periodic response of frequency-stacked F, written to `out` (a new
+    array by default; `out` may be F). Modes are independent, so one task
+    per slab of the first spatial axis runs the recurrence over the time
+    nodes in place in the output."""
     check_zero_mode(F, zero_mode_tol)
     m_t = F.shape[0] - 1
     coefficients = _step_coefficients(op, h)
     inverse = period_inverse_symbol(op)
     decay, index = _decay_table(op, h, m_t)
     keep = op.grid.keep_nyquist_free
-    out = np.empty_like(F)
+    if out is None:
+        out = np.empty_like(F)
 
     def task(slab):
         I = _integrate_into(out[:, slab], F[:, slab], *(c[slab] for c in coefficients))
@@ -193,13 +211,18 @@ def _rhs_series_data(u: np.ndarray, g: np.ndarray, grid,
     out = np.empty_like(u)
 
     def task(rows):
-        phys = np.fft.ifftn(u[rows], axes=axes)
-        C = np.fft.fftn(phys * (phys.real ** 2 + phys.imag ** 2), axes=axes)
-        C *= mask
-        out[rows] = C + g[rows]
+        out[rows] = _rhs_rows(u[rows], g[rows], axes, mask)
 
     map_chunks(task, node_chunks(u.shape[0]))
     return out
+
+
+def _rhs_rows(u_rows: np.ndarray, g_rows: np.ndarray, axes, mask) -> np.ndarray:
+    """dealias(|u|^2 u) + g on a block of nodes, frequency representation."""
+    phys = np.fft.ifftn(u_rows, axes=axes)
+    C = np.fft.fftn(phys * (phys.real ** 2 + phys.imag ** 2), axes=axes)
+    C *= mask
+    return C + g_rows
 
 
 def picard_step(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
@@ -212,38 +235,60 @@ def picard_step(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
     F = _rhs_series_data(U, G, u.grid, opts.nonlinearity_enabled)
     out = _linear_period_map_data(F, op, u.dt, opts.zero_mode_tol)
     if not np.all(np.isfinite(out.view(float))):
-        raise NonFiniteField(
-            "iteration produced non-finite modes; the forcing is too large "
-            "for the contraction regime")
+        raise NonFiniteField(_NON_FINITE)
     return FieldSeries(u.grid, FREQUENCY, out, u.period)
 
 
-def _cubic_difference_data(v: np.ndarray, w: np.ndarray, grid) -> np.ndarray:
+def _cubic_difference_data(v: np.ndarray | None, w: np.ndarray, grid,
+                           advance: bool = False) -> np.ndarray:
     """dealias(|v+w|^2 (v+w) - |v|^2 v) evaluated in the expanded form
     2|v|^2 w + v^2 conj(w) + 2|w|^2 v + w^2 conj(v) + |w|^2 w.
 
     The expansion is an exact pointwise identity; evaluating it directly keeps
     every term accurate relative to its own size, so successive-iterate
     residuals stay meaningful far below the cancellation floor of the naive
-    subtraction. One task per chunk of time nodes.
+    subtraction. v = None stands for v = 0: the result is dealias(|w|^2 w).
+
+    The difference goes to a new array, or with `advance` into w, after the
+    task has advanced v[rows] += w[rows]: the solve's step from the iterate
+    u^(l) = v and correction delta^(l) = w to u^(l+1) and the cubic term of
+    delta^(l+1), with no series allocated. One task per chunk of time nodes.
     """
     axes = tuple(range(1, grid.dim + 1))
     mask = grid.dealias_mask(grid.config.dealias_fraction)
-    out = np.empty_like(v)
+    out = w if advance else np.empty_like(w)
 
     def task(rows):
-        vp = np.fft.ifftn(v[rows], axes=axes)
         wp = np.fft.ifftn(w[rows], axes=axes)
-        v_sq = vp.real * vp.real + vp.imag * vp.imag
         w_sq = wp.real * wp.real + wp.imag * wp.imag
-        diff = (2.0 * v_sq * wp + vp * vp * np.conj(wp)
-                + 2.0 * w_sq * vp + wp * wp * np.conj(vp) + w_sq * wp)
+        if v is None:
+            diff = w_sq * wp
+        else:
+            vp = np.fft.ifftn(v[rows], axes=axes)
+            v_sq = vp.real * vp.real + vp.imag * vp.imag
+            diff = (2.0 * v_sq * wp + vp * vp * np.conj(wp)
+                    + 2.0 * w_sq * vp + wp * wp * np.conj(vp) + w_sq * wp)
         chunk = np.fft.fftn(diff, axes=axes)
         chunk *= mask
+        if advance:
+            v[rows] += w[rows]
         out[rows] = chunk
 
-    map_chunks(task, node_chunks(v.shape[0]))
+    map_chunks(task, node_chunks(w.shape[0]))
     return out
+
+
+def _node_l2_chunked(data: np.ndarray, grid) -> np.ndarray:
+    """_node_l2 reduced one chunk of nodes at a time (row sums do not depend
+    on their neighbours, so the result is the same bits)."""
+    return np.concatenate(map_chunks(lambda rows: _node_l2(data[rows], grid),
+                                     node_chunks(data.shape[0])))
+
+
+def _all_finite(data: np.ndarray) -> bool:
+    """Whether every entry of the series is finite, one chunk of nodes at a time."""
+    return all(map_chunks(lambda rows: bool(np.isfinite(data[rows]).all()),
+                          node_chunks(data.shape[0])))
 
 
 def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
@@ -261,6 +306,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     if g.n_steps != opts.m_t:
         # The forcing series defines the time grid; keep them consistent.
         opts = replace(opts, m_t=g.n_steps)
+    zero_tol = opts.zero_mode_tol
     g_freq = g.to_frequency()
     bracket = forcing_bracket(g, g_freq)
 
@@ -268,49 +314,51 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     # correction delta^(l) = u^(l+1) - u^(l). Both the update of u and the
     # update of delta are algebraically identical to repeated picard_step
     # calls; the correction is propagated through the expanded cubic
-    # difference so residuals stay accurate at any magnitude.
-    u_data = _linear_period_map_data(g_freq.data, op, g.dt, opts.zero_mode_tol)
+    # difference so residuals stay accurate at any magnitude. Both series
+    # are updated in place: u starts in the frequency buffer of g when the
+    # solve made it (never in the caller's data).
+    u = _linear_period_map_data(g_freq.data, op, g.dt, zero_tol,
+                                out=None if g_freq is g else g_freq.data)
     if opts.nonlinearity_enabled:
-        cubic0 = _cubic_difference_data(np.zeros_like(u_data), u_data, grid)
-        delta = _linear_period_map_data(cubic0, op, g.dt, opts.zero_mode_tol)
+        delta = _cubic_difference_data(None, u, grid)
+        _linear_period_map_data(delta, op, g.dt, zero_tol, out=delta)
     else:
-        delta = np.zeros_like(u_data)
+        delta = np.zeros_like(u)
 
     history: list[float] = []
     converged = False
     diverged = False
     reason = None
     iterations = 0
-    for _ in range(opts.max_iterations):
+    while True:
         res = z_norm(FieldSeries(grid, FREQUENCY, delta, g.period), cutoffs)
         history.append(res)
-        u_prev = u_data
-        u_data = u_data + delta
         iterations += 1
-        if not np.all(np.isfinite(u_data.view(float))) or not math.isfinite(res):
-            raise NonFiniteField(
-                "iteration produced non-finite modes; the forcing is too large "
-                "for the contraction regime")
+        if not math.isfinite(res):
+            raise NonFiniteField(_NON_FINITE)
         if res <= opts.z_tolerance:
             converged = True
-            break
-        if len(history) >= 4 and all(
-                history[-k] > history[-k - 1] for k in (1, 2, 3)):
+        elif len(history) >= 4 and all(history[-k] > history[-k - 1] for k in (1, 2, 3)):
             diverged = True
             reason = (f"residual grew for 3 consecutive iterations "
                       f"(last {history[-1]:.3e}); forcing outside the contraction regime")
-            break
-        if opts.nonlinearity_enabled:
-            diff_rhs = _cubic_difference_data(u_prev, delta, grid)
-            delta = _linear_period_map_data(diff_rhs, op, g.dt, opts.zero_mode_tol)
+        # without the nonlinearity delta is zero, so the first iteration converges
+        last = converged or diverged or iterations == opts.max_iterations
+        if last:
+            u += delta
         else:
-            delta = np.zeros_like(u_data)
-    u = FieldSeries(grid, FREQUENCY, u_data, g.period)
+            _cubic_difference_data(u, delta, grid, advance=True)
+        if not _all_finite(u):
+            raise NonFiniteField(_NON_FINITE)
+        if last:
+            break
+        _linear_period_map_data(delta, op, g.dt, zero_tol, out=delta)
+    del delta  # before the final z_norm's chunk temporaries
 
-    node_l2 = _node_l2(u.data, grid)
-    scale = max(float(node_l2.max()), np.finfo(float).tiny)
-    periodicity = float(np.sqrt(np.sum(np.abs(u.data[-1] - u.data[0]) ** 2)
+    scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
+    periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
                                 * grid.parseval_factor) / scale)
+    u = FieldSeries(grid, FREQUENCY, u, g.period)
     z_final = z_norm(u, cutoffs)
     c_est = (z_final / bracket) if bracket > 0 else None
     factor, factor_reason = _contraction_factor(history)
@@ -328,21 +376,34 @@ def equation_residual(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
                       include_nonlinearity: bool = True) -> float:
     """Solver-independent certificate: max over interior time nodes of
     ||D_t u + A u - dealias(|u|^2 u) - g||_{L2} / (1 + sup_t ||u||_{L2})
-    with D_t the centered difference."""
-    U = u.to_frequency().data
-    G = g.to_frequency().data
-    if U.shape != G.shape:
+    with D_t the centered difference.
+
+    Streamed over chunks of interior nodes: each task builds the forcing,
+    right-hand side and residual of its own nodes (D_t from the neighbouring
+    rows of u), so no series beyond u's frequency data is allocated.
+    """
+    if u.data.shape != g.data.shape:
         raise ValueError("solution and forcing series are not aligned")
     grid = u.grid
     m_t = u.n_steps
     if m_t < 2:
         raise ValueError("need at least 3 time nodes")
     h = u.dt
-    F = _rhs_series_data(U, G, grid, include_nonlinearity)
-    dt = (U[2:] - U[:-2]) / (2.0 * h)
-    R = dt + op.symbol * U[1:-1] - F[1:-1]
-    res = float(_node_l2(R, grid).max())
-    scale = 1.0 + float(_node_l2(U, grid).max())
+    U = u.to_frequency().data
+    axes = tuple(range(1, grid.dim + 1))
+    mask = grid.dealias_mask(grid.config.dealias_fraction)
+
+    def task(rows):
+        G = g.data[rows]
+        if g.representation != FREQUENCY:
+            G = np.fft.fftn(G, axes=axes)
+        F = _rhs_rows(U[rows], G, axes, mask) if include_nonlinearity else G
+        dt = (U[rows.start + 1:rows.stop + 1] - U[rows.start - 1:rows.stop - 1]) / (2.0 * h)
+        return _node_l2(dt + op.symbol * U[rows] - F, grid)
+
+    interior = [slice(c.start + 1, c.stop + 1) for c in node_chunks(m_t - 1)]
+    res = float(np.concatenate(map_chunks(task, interior)).max())
+    scale = 1.0 + float(_node_l2_chunked(U, grid).max())
     return res / scale
 
 

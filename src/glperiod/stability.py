@@ -332,6 +332,16 @@ def default_fit_window(grid: Grid) -> tuple[float, float]:
     return 1.0, 0.25 * (grid.box_length / (2.0 * np.pi)) ** 2
 
 
+def _physical_nodes(data: np.ndarray, m_t: int) -> np.ndarray:
+    """Nodes 0..m_t - 1 of frequency-stacked data in physical space, each
+    transformed into its row of one array: a batched transform's
+    temporaries would double the memory of the nodes."""
+    nodes = np.empty((m_t,) + data.shape[1:], dtype=complex)
+    for m in range(m_t):
+        np.fft.ifftn(data[m], out=nodes[m])
+    return nodes
+
+
 def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
                   cutoffs: CutoffSpec) -> DecayReport:
     """Integrate the perturbation to t_max about the stored periodic base
@@ -348,8 +358,7 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     if substeps < 1:
         raise ValueError("step size h may not exceed the stored node spacing T/m_t")
 
-    axes = tuple(range(1, grid.dim + 1))
-    v_phys_nodes = np.fft.ifftn(v_series.data[:m_t], axes=axes)
+    v_phys_nodes = _physical_nodes(v_series.data, m_t)
     if interpolated:
         v_blend, v_part = (np.empty(grid.shape, complex) for _ in range(2))
 

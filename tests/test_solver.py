@@ -4,6 +4,7 @@ iteration, and the equation-residual certificate."""
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from glperiod import (FieldSeries, GridConfig, NonFiniteField, PeriodicSolveRepo
                       make_operator, periodic_initial_data,
                       picard_step, realize_forcing, solve_periodic,
                       spectral, split_equation_residual, split_series)
+from glperiod.norms import _node_l2
 from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_data,
                                       _decay_table, _linear_period_map_data,
                                       _rhs_series_data)
@@ -428,3 +430,170 @@ class TestSeriesKernelsOnThePool:
         F = np.zeros((9,) + grid3d.shape[:-1] + (grid3d.n // 2,), dtype=complex)
         with pytest.raises(ValueError, match="broadcast"):
             on_workers(monkeypatch, 2, _linear_period_map_data, F, op3d, 1 / 8, 1e-10)
+
+
+def _ref_equation_residual(u, g, op, include_nonlinearity=True):
+    """The full-series equation residual: G, F, D_t u and R built for every
+    node at once (the form the streamed equation_residual replaced)."""
+    U = u.to_frequency().data
+    G = g.to_frequency().data
+    if U.shape != G.shape:
+        raise ValueError("solution and forcing series are not aligned")
+    grid = u.grid
+    h = u.dt
+    F = _rhs_series_data(U, G, grid, include_nonlinearity)
+    dt = (U[2:] - U[:-2]) / (2.0 * h)
+    R = dt + op.symbol * U[1:-1] - F[1:-1]
+    res = float(_node_l2(R, grid).max())
+    scale = 1.0 + float(_node_l2(U, grid).max())
+    return res / scale
+
+
+def _series_bytes(grid, m_t):
+    return (m_t + 1) * grid.n ** grid.dim * np.dtype(complex).itemsize
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes tracemalloc sees allocated during fn(*args), results included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestInPlaceSeriesKernels:
+    """The solve updates its iterate and correction in place; every in-place
+    form gives the bits of the allocating one."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_period_map_into_its_input_equals_out_of_place(self, monkeypatch, dim, workers):
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=_POOL_GRIDS[dim], box_length=32.0))
+        op = make_operator(grid, 1.3)
+        F = raw_random_series(grid, 21, np.random.default_rng(40 + dim))
+        F.reshape(22, -1)[:, 0] = 0.0
+        expected = _linear_period_map_data(F, op, 1.3 / 21, 1e-10)
+        same = F.copy()
+        got = on_workers(monkeypatch, workers, _linear_period_map_data,
+                         same, op, 1.3 / 21, 1e-10, same)
+        assert got is same
+        assert np.array_equal(got, expected)
+
+    def test_period_map_rejects_mean_before_writing(self, grid3d, op3d):
+        F = raw_random_series(grid3d, 8, np.random.default_rng(3))
+        before = F.copy()
+        with pytest.raises(ZeroModeViolation):
+            _linear_period_map_data(F, op3d, 1 / 8, 1e-10, out=F)
+        assert np.array_equal(F, before)
+
+    @pytest.mark.parametrize("m_t", [8, 21])
+    def test_advancing_cubic_difference_equals_allocating(self, monkeypatch, grid3d, m_t):
+        rng = np.random.default_rng(m_t)
+        v, w = (raw_random_series(grid3d, m_t, rng) for _ in range(2))
+        expected = _cubic_difference_data(v, w, grid3d)
+        u, delta = v.copy(), w.copy()
+        got = on_workers(monkeypatch, 2, _cubic_difference_data, u, delta, grid3d, True)
+        assert got is delta
+        assert np.array_equal(delta, expected)
+        assert np.array_equal(u, v + w)
+
+    def test_cubic_term_without_a_zero_series(self, grid3d):
+        w = raw_random_series(grid3d, 8, np.random.default_rng(9))
+        zero = np.zeros_like(w)
+        assert np.array_equal(_cubic_difference_data(None, w, grid3d),
+                              _cubic_difference_data(zero, w, grid3d))
+
+
+class TestSolveKeepsCallerData:
+    @pytest.fixture(scope="class")
+    def forcing(self, grid3d):
+        return realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
+
+    def test_caller_forcing_is_unchanged(self, grid3d, op3d, cutoffs3d, forcing):
+        for g in (forcing, forcing.to_frequency()):
+            before = g.data.tobytes()
+            solve_periodic(g, op3d, cutoffs3d, SolveOptions(m_t=16))
+            assert g.data.tobytes() == before
+
+    def test_physical_and_frequency_forcing_give_the_same_bytes(self, grid3d, op3d,
+                                                                cutoffs3d, forcing):
+        u_phys, rep_phys = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions(m_t=16))
+        u_freq, rep_freq = solve_periodic(forcing.to_frequency(), op3d, cutoffs3d,
+                                          SolveOptions(m_t=16))
+        assert rep_phys.converged
+        assert u_phys.data.tobytes() == u_freq.data.tobytes()
+        # g_bracket reads the physical field, which to_physical rounds
+        assert rep_phys.residual_history == rep_freq.residual_history
+        assert rep_phys.z_norm == rep_freq.z_norm
+
+    def test_max_iterations_ends_with_the_last_correction_added(self, grid3d, op3d,
+                                                                 cutoffs3d, forcing):
+        # one iteration adds delta^(0) to the linear response: picard_step of 0
+        u, rep = solve_periodic(forcing, op3d, cutoffs3d,
+                                SolveOptions(m_t=16, max_iterations=1))
+        assert rep.iterations == 1 and not rep.converged
+        g_freq = forcing.to_frequency()
+        linear = _linear_period_map_data(g_freq.data, op3d, g_freq.dt, 1e-10)
+        stepped = picard_step(FieldSeries(grid3d, "frequency", linear, 1.0), g_freq,
+                              op3d, cutoffs3d, SolveOptions(m_t=16))
+        np.testing.assert_allclose(u.data, stepped.data, rtol=0, atol=1e-15)
+
+
+class TestStreamedEquationResidual:
+    """equation_residual against the full-series form, ==, on uneven node
+    chunks (m_t 16 and 21: 15 and 20 interior nodes in chunks of 8)."""
+
+    @pytest.mark.parametrize("m_t", [16, 21])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_random_series(self, grid3d, op3d, m_t, nonlinear):
+        rng = np.random.default_rng(m_t)
+        u = FieldSeries(grid3d, "frequency", raw_random_series(grid3d, m_t, rng), 1.0)
+        g_freq = FieldSeries(grid3d, "frequency", raw_random_series(grid3d, m_t, rng), 1.0)
+        for g in (g_freq, g_freq.to_physical()):
+            assert (equation_residual(u, g, op3d, nonlinear)
+                    == _ref_equation_residual(u, g, op3d, nonlinear))
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_converged_solution(self, grid3d, op3d, cutoffs3d, nonlinear):
+        g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 21)
+        u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions(m_t=21))
+        assert rep.converged
+        for forcing in (g, g.to_frequency()):
+            assert (equation_residual(u, forcing, op3d, nonlinear)
+                    == _ref_equation_residual(u, forcing, op3d, nonlinear))
+
+    def test_misaligned_series_rejected(self, grid3d, op3d):
+        rng = np.random.default_rng(1)
+        u = FieldSeries(grid3d, "frequency", raw_random_series(grid3d, 16, rng), 1.0)
+        g = FieldSeries(grid3d, "physical", raw_random_series(grid3d, 8, rng), 1.0)
+        with pytest.raises(ValueError, match="not aligned"):
+            equation_residual(u, g, op3d)
+
+
+class TestSolveMemory:
+    """tracemalloc peaks in units of one series (dim 3, n 16, m_t 64): the
+    solve holds the iterate and the correction, the residual streams."""
+
+    M_T = 64
+
+    @pytest.fixture(scope="class")
+    def forcing(self, grid3d):
+        return realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, self.M_T)
+
+    def test_solve_holds_two_series(self, grid3d, op3d, cutoffs3d, forcing):
+        # 3.86 series on two workers (3.0 on one); the allocating loop read
+        # 7.86, and one extra series per iteration (a fresh iterate, or a
+        # zero series for the first cubic term) reads 4.48
+        opts = SolveOptions(m_t=self.M_T)
+        solve_periodic(forcing, op3d, cutoffs3d, opts)  # warm the per-grid caches
+        peak = _traced_peak(solve_periodic, forcing, op3d, cutoffs3d, opts)
+        assert peak <= 4.2 * _series_bytes(grid3d, self.M_T)
+
+    def test_equation_residual_streams(self, grid3d, op3d, cutoffs3d, forcing):
+        u, _ = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions(m_t=self.M_T))
+        equation_residual(u, forcing, op3d)
+        peak = _traced_peak(equation_residual, u, forcing, op3d)
+        assert peak <= 2.0 * _series_bytes(grid3d, self.M_T)

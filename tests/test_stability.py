@@ -15,7 +15,7 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig,
                       perturbation_rhs, realize_forcing, realize_perturbation,
                       run_stability, semigroup_apply, solve_periodic)
 from glperiod.phi import phi1, phi2
-from glperiod.stability import _rhs_data, _rhs_work, _Stepper
+from glperiod.stability import _physical_nodes, _rhs_data, _rhs_work, _Stepper
 
 from conftest import random_physical_field
 
@@ -370,6 +370,20 @@ class TestRunStability:
 
         extra = (peak(v_per.dt / 2, 8) - peak(v_per.dt, 4)) / field_bytes
         assert extra <= 2.25
+
+    def test_base_nodes_transform_one_node_at_a_time(self, small_setup):
+        # the batched transform's bits, with no temporaries beyond the nodes
+        grid, op, cut, g, v_per = small_setup
+        m_t = v_per.n_steps
+        batched = np.fft.ifftn(v_per.data[:m_t], axes=tuple(range(1, grid.dim + 1)))
+        assert np.array_equal(_physical_nodes(v_per.data, m_t), batched)
+        tracemalloc.start()
+        try:
+            nodes = _physical_nodes(v_per.data, m_t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * nodes.nbytes
 
     def test_linear_single_mode_heat_decay(self, grid1d):
         # base solution zero and rhs off: each mode decays exactly like
