@@ -22,14 +22,14 @@ Series norms stream over chunks of time nodes, each gathered with one
 periodic halo node either side and projected on its own, so their memory
 does not grow with the number of nodes. In a chunk every d^alpha u comes
 from a per-axis tree of one-axis inverse transforms (one pass on the first
-axis per power a_0, on the second per (a_0, a_1), on the last per alpha);
-time derivatives are centered differences of those physical fields. Each
-chunk is one task on the shared thread pool (spectral.map_chunks) and
-returns per-node sums only; the reductions over nodes and orders (cumsum,
-trapezoid, max) run after the map. Node sums are row-by-row einsum
-reductions, not BLAS products, so no result depends on the number of
-workers, the chunk size or the BLAS thread count, and tasks start no BLAS
-threads of their own.
+axis per power a_0, on the second per (a_0, a_1), on the last per alpha)
+into buffers the chunk's task owns; a pass keeps the halo only if a time
+difference is read below it, and skips lines where the projection's mask
+is identically zero. Each chunk is one task on the shared thread pool
+(spectral.map_chunks) and returns per-node sums only; reductions over
+nodes and orders (cumsum, trapezoid, max) run after the map. Node sums are
+row-by-row einsum reductions, not BLAS products, so no result depends on
+the number of workers, the chunk size or the BLAS thread count.
 
 The weighted field norms (weighted_hk_node_sq, x_gradient_node_sq) run on
 the same tree over stacks of fields; single-field norms are stacks of one.
@@ -162,66 +162,104 @@ def _weighted_sq(phys: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij,j->i", flat, flat, w)
 
 
-def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
-                     skip_zero: bool = False):
-    """Yield (alpha, d^alpha block in physical space) for every |alpha| <= k,
-    or every 1 <= |alpha| <= k with `skip_zero`.
+def _axis_support(mask: np.ndarray | None, grid: Grid) -> list:
+    """Per spatial axis after the first, the indices off which `mask` is zero and
+    their runs as (whole, gathered) slices; None where it drops only Nyquist."""
+    support = [None] * grid.dim
+    for axis in range(1, grid.dim if mask is not None else 1):
+        cols = np.flatnonzero(np.moveaxis(mask != 0, axis, 0).reshape(grid.n, -1).any(1))
+        cuts = [0, *(np.flatnonzero(np.diff(cols) != 1) + 1), len(cols)]
+        if len(cols) < grid.n - 1:
+            support[axis] = cols, [(slice(cols[a], cols[b - 1] + 1), slice(a, b))
+                                   for a, b in zip(cuts, cuts[1:])]
+    return support
 
-    `block` is frequency data stacked along axis 0. Nyquist modes are zeroed
-    for |alpha| >= 1 and kept for alpha = 0 (the rule of sobolev_symbol); a
-    block that is not known to be Nyquist-free takes its alpha = 0 field
-    from an unmasked transform and the rest from the masked tree.
+
+def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
+                     skip_zero: bool, support: list, halo_order: int):
+    """Yield (alpha, d^alpha block in physical space, in a buffer the next
+    block overwrites) for every |alpha| <= k, or 1 <= |alpha| <= k with
+    `skip_zero`, from task-owned frequency data `block` stacked along axis 0
+    (overwritten), reduced to support[axis] where that is set. Nyquist modes
+    are zeroed for |alpha| >= 1 and kept for alpha = 0 (the rule of
+    sobolev_symbol); a block not known to be Nyquist-free takes its alpha = 0
+    field from an unmasked transform. The first and last nodes are a halo,
+    kept for |alpha| <= halo_order only (none with -1).
     """
-    dim = grid.dim
-    symbols = NormSuite.for_grid(grid).axis_symbols
+    dim, n, rows = grid.dim, grid.n, block.shape[0]
+    widths = [n if s is None else len(s[0]) for s in support]
+    # Level buffers, then zero-padded ones, from one allocation: separate ones freed
+    # together let glibc trim the thread's arena, and the next task refaulted them.
+    shapes = [(rows,) + (n,) * (axis + 1) + tuple(widths[axis + 1:]) for axis in range(dim)]
+    shapes += [shape if s else (0,) for shape, s in zip(shapes, support)]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    work = np.empty(ends[-1], complex)
+    work[ends[dim - 1]:] = 0
+    level = [w.reshape(shape) for w, shape in zip(np.split(work, ends[:-1]), shapes)]
     if not nyquist_free:
         if not skip_zero:
-            yield (0,) * dim, np.fft.ifftn(block, axes=tuple(range(1, dim + 1)))
-        block = block * grid.keep_nyquist_free
+            yield (0,) * dim, np.fft.ifftn(block, axes=range(1, dim + 1), out=level[dim - 1])
+        block *= grid.keep_nyquist_free
         skip_zero = True
 
-    def walk(field, alpha):
-        axis = len(alpha)
-        first = int(skip_zero and axis == dim - 1 and not any(alpha))
-        for a in range(first, k - sum(alpha) + 1):
-            phys = np.fft.ifftn(field * symbols[axis][a] if a else field, axes=(axis + 1,))
-            if axis == dim - 1:
-                yield alpha + (a,), phys
-            else:
-                yield from walk(phys, alpha + (a,))
+    # Depth first: a level's pass reruns when alpha's prefix up to it changes.
+    inputs, prev = [block] + [None] * (dim - 1), None
+    for alpha in itertools.product(range(k + 1), repeat=dim):
+        if sum(alpha) > k or (skip_zero and not any(alpha)):
+            continue
+        start = 0 if prev is None else next(i for i in range(dim) if alpha[i] != prev[i])
+        prev = alpha
+        for axis in range(start, dim):
+            order, a = sum(alpha[:axis]), alpha[axis]
+            src = inputs[axis][1:-1] if order <= halo_order < order + a else inputs[axis]
+            out = level[axis][:len(src)]
+            if a:
+                np.multiply(src, NormSuite.for_grid(grid).axis_symbols[axis][a], out=out)
+            np.fft.ifftn(out if a else src, axes=(axis + 1,), out=out)
+            if axis + 1 < dim:
+                if support[axis + 1]:
+                    nxt, lead = level[dim + axis + 1][:len(out)], (slice(None),) * (axis + 2)
+                    for whole, part in support[axis + 1][1]:
+                        nxt[lead + (whole,)] = out[lead + (part,)]
+                    out = nxt
+                inputs[axis + 1] = out
+        yield alpha, out
 
-    yield from walk(block, ())
 
-
-def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None,
-               n_sums: int, add, halo: bool = True, skip_zero: bool = False) -> np.ndarray:
+def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_sums: int,
+               add, dt_order: int = -1, skip_zero: bool = False) -> np.ndarray:
     """Per-node sums over the d^alpha fields, |alpha| <= k, of chi * data,
     as an (n_sums, m_t + 1) array.
 
-    One task per chunk of time nodes runs on the shared pool (with `halo`,
-    node m_t is a chunk of its own). For every d^alpha block of its chunk
-    (Nyquist rule of _derivative_tree) a task calls add(out, alpha, block),
-    where out is the chunk's zeroed (n_sums, nodes) slice. With `halo` the
-    block carries one periodic node either side, so block[1:-1] is the chunk
-    and block[2:] - block[:-2] its centered difference. The halo wraps over
-    the m_t periodic nodes: node m_t gets nodes m_t - 1 and 1, so its
-    difference is that of node 0. With chi None the data are used as given;
-    with `skip_zero` the alpha = 0 block is not built.
+    One task per chunk of time nodes runs on the shared pool, owning every
+    buffer it writes, and calls add(out, alpha, node, diff) for each d^alpha
+    (Nyquist rule of _derivative_tree) with out its zeroed (n_sums, nodes)
+    slice. diff is None unless |alpha| <= dt_order, then node's centered
+    difference from a periodic halo node either side, wrapping over the m_t
+    periodic nodes (node m_t, a chunk of its own, gets m_t - 1 and 1). With
+    chi None the data are used as given; `skip_zero` skips alpha = 0.
     """
     NormSuite.for_grid(grid)  # fill the per-grid cache before workers read it
     m_t = data.shape[0] - 1
+    halo = dt_order >= 0
     mask = None if chi is None else chi * grid.keep_nyquist_free
+    support = _axis_support(mask, grid)
+    cols = any(support) and [np.arange(grid.n) if s is None else s[0] for s in support]
+    mask = mask[np.ix_(*cols)] if cols else mask
 
     def task(rows):
-        if halo:
-            block = data[np.r_[(rows.start - 1) % m_t, rows, rows.stop % m_t]]
-            if mask is not None:
-                block *= mask
-        else:
-            block = data[rows] if mask is None else data[rows] * mask
+        nodes = np.r_[(rows.start - 1) % m_t, rows, rows.stop % m_t] if halo else np.r_[rows]
+        block = data[np.ix_(nodes, *cols)] if cols else data[nodes]
+        if mask is not None:
+            block *= mask
         out = np.zeros((n_sums, rows.stop - rows.start))
-        for alpha, d_alpha in _derivative_tree(block, grid, k, mask is not None, skip_zero):
-            add(out, alpha, d_alpha)
+        diff = np.empty((out.shape[1],) + grid.shape, complex) if halo else None
+        for alpha, phys in _derivative_tree(block, grid, k, mask is not None, skip_zero,
+                                            support, dt_order):
+            if sum(alpha) <= dt_order:
+                add(out, alpha, phys[1:-1], np.subtract(phys[2:], phys[:-2], out=diff))
+            else:
+                add(out, alpha, phys, None)
         return out
 
     chunks = [*node_chunks(m_t), slice(m_t, m_t + 1)] if halo else node_chunks(m_t + 1)
@@ -235,27 +273,26 @@ def weighted_hk_node_sq(data: np.ndarray, grid: Grid, k: int,
     Nyquist rule of _derivative_tree applies)."""
     w2 = NormSuite.for_grid(grid).weight_sq_flat
 
-    def add(out, alpha, phys):
+    def add(out, alpha, phys, diff):
         out[sum(alpha)] += _weighted_sq(phys, w2)
 
-    return np.cumsum(_node_sums(data, grid, k, chi, k + 1, add, halo=False), axis=0)
+    return np.cumsum(_node_sums(data, grid, k, chi, k + 1, add), axis=0)
 
 
 def x_gradient_node_sq(data: np.ndarray, grid: Grid) -> np.ndarray:
     """|| |x| |grad f| ||_{L2}^2 of every field f of frequency-stacked data."""
     x2 = NormSuite.for_grid(grid).x_abs_sq_flat
 
-    def add(out, alpha, phys):
+    def add(out, alpha, phys, diff):
         out[0] += _weighted_sq(phys, x2)
 
-    return _node_sums(data, grid, 1, None, 1, add, halo=False, skip_zero=True)[0]
+    return _node_sums(data, grid, 1, None, 1, add, skip_zero=True)[0]
 
 
 def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
     suite = NormSuite.for_grid(grid)
 
-    def add(out, alpha, phys):
-        node, diff = phys[1:-1], phys[2:] - phys[:-2]
+    def add(out, alpha, node, diff):
         if any(alpha):
             out[1] += (_weighted_sq(node, suite.x_abs_sq_flat)
                        + _weighted_sq(diff, suite.x_abs_sq_flat) / (4 * h * h))
@@ -264,19 +301,19 @@ def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> f
                       + _weighted_sq(diff, suite.quad_flat) / (4 * h * h))
             out[2] = _weighted_sq(diff, suite.weight_sq_flat) / (4 * h * h)
 
-    l2, xg, l2w_dt = _node_sums(data, grid, 1, chi, 3, add)
+    l2, xg, l2w_dt = _node_sums(data, grid, 1, chi, 3, add, dt_order=1)
     return float(sum(np.sqrt(_trapz(v, dx=h)) for v in (l2, xg, l2w_dt)))
 
 
 def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
     w2 = NormSuite.for_grid(grid).weight_sq_flat
 
-    def add(out, alpha, phys):
-        out[sum(alpha)] += _weighted_sq(phys[1:-1], w2)
-        if sum(alpha) <= 1:
-            out[4] += _weighted_sq(phys[2:] - phys[:-2], w2) / (4 * h * h)
+    def add(out, alpha, node, diff):
+        out[sum(alpha)] += _weighted_sq(node, w2)
+        if diff is not None:  # |alpha| <= 1
+            out[4] += _weighted_sq(diff, w2) / (4 * h * h)
 
-    sums = _node_sums(data, grid, 3, chi, 5, add)
+    sums = _node_sums(data, grid, 3, chi, 5, add, dt_order=1)
     hk, h1_dt = np.cumsum(sums[:4], axis=0), sums[4]
     return float(np.sqrt(hk[2].max())
                  + np.sqrt(_trapz(hk[3], dx=h))
@@ -324,11 +361,11 @@ def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
         return (_lp_node(block, grid, 1, weighted=True),
                 _weighted_sq(block, suite.weight_sq_flat))
 
-    def add(out, alpha, d_alpha):
+    def add(out, alpha, d_alpha, diff):
         out[0] += _weighted_sq(d_alpha, suite.weight_sq_flat)
 
     sums = map_chunks(zero_order, node_chunks(len(g)))
     l1w, h1w_sq = (np.concatenate(part) for part in zip(*sums))
     freq = (g.to_frequency() if g_freq is None else g_freq).data
-    h1w_sq += _node_sums(freq, grid, 1, None, 1, add, halo=False, skip_zero=True)[0]
+    h1w_sq += _node_sums(freq, grid, 1, None, 1, add, skip_zero=True)[0]
     return float(np.sqrt(_trapz(l1w ** 2, dx=g.dt)) + np.sqrt(_trapz(h1w_sq, dx=g.dt)))

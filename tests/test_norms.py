@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from glperiod import (FieldSeries, GridConfig, NormSuite, SpectralField,
-                      auto_cutoffs, forcing_bracket, lp_norm, make_grid,
+                      auto_cutoffs, forcing_bracket, lp_norm, make_grid, norms,
                       sobolev_norm, spacetime_norm, spectral, time_derivative,
                       x_weighted_gradient_norm, z_norm)
-from glperiod.norms import (_multi_indices, _trapz, weighted_hk_node_sq,
-                            x_gradient_node_sq)
+from glperiod.norms import (_multi_indices, _trapz, _weighted_sq,
+                            weighted_hk_node_sq, x_gradient_node_sq)
+from glperiod.spectral import map_chunks, node_chunks
 
 from conftest import on_workers, random_physical_field, raw_random_series
 
@@ -355,6 +356,100 @@ def _ref_x_weighted_gradient_norm(f):
     return float(np.sqrt((suite.x_abs_sq * grad_sq).sum() * grid.quad_weight))
 
 
+# ---------------------------------------------------------------------------
+# Allocating tree reference: the derivative tree and node sums as they were
+# before the passes moved into task-owned buffers, with whole halo chunks and
+# no pruned lines. The buffered tree must reproduce its node sums bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _ref_derivative_tree(block, grid, k, nyquist_free, skip_zero=False):
+    dim = grid.dim
+    symbols = NormSuite.for_grid(grid).axis_symbols
+    if not nyquist_free:
+        if not skip_zero:
+            yield (0,) * dim, np.fft.ifftn(block, axes=tuple(range(1, dim + 1)))
+        block = block * grid.keep_nyquist_free
+        skip_zero = True
+
+    def walk(field, alpha):
+        axis = len(alpha)
+        first = int(skip_zero and axis == dim - 1 and not any(alpha))
+        for a in range(first, k - sum(alpha) + 1):
+            phys = np.fft.ifftn(field * symbols[axis][a] if a else field, axes=(axis + 1,))
+            if axis == dim - 1:
+                yield alpha + (a,), phys
+            else:
+                yield from walk(phys, alpha + (a,))
+
+    yield from walk(block, ())
+
+
+def _ref_node_sums(data, grid, k, chi, n_sums, add, halo=True, skip_zero=False):
+    NormSuite.for_grid(grid)
+    m_t = data.shape[0] - 1
+    mask = None if chi is None else chi * grid.keep_nyquist_free
+
+    def task(rows):
+        if halo:
+            block = data[np.r_[(rows.start - 1) % m_t, rows, rows.stop % m_t]]
+            if mask is not None:
+                block *= mask
+        else:
+            block = data[rows] if mask is None else data[rows] * mask
+        out = np.zeros((n_sums, rows.stop - rows.start))
+        for alpha, d_alpha in _ref_derivative_tree(block, grid, k, mask is not None,
+                                                   skip_zero):
+            add(out, alpha, d_alpha)
+        return out
+
+    chunks = [*node_chunks(m_t), slice(m_t, m_t + 1)] if halo else node_chunks(m_t + 1)
+    return np.concatenate(map_chunks(task, chunks), axis=1)
+
+
+def _ref_adds(grid, h):
+    """The reference's add callbacks: (block of d^alpha with its halo) ->
+    node sums, for X, Y and the weighted H^k / |x| gradient sums."""
+    suite = NormSuite.for_grid(grid)
+
+    def x_add(out, alpha, phys):
+        node, diff = phys[1:-1], phys[2:] - phys[:-2]
+        if any(alpha):
+            out[1] += (_weighted_sq(node, suite.x_abs_sq_flat)
+                       + _weighted_sq(diff, suite.x_abs_sq_flat) / (4 * h * h))
+        else:
+            out[0] = (_weighted_sq(node, suite.quad_flat)
+                      + _weighted_sq(diff, suite.quad_flat) / (4 * h * h))
+            out[2] = _weighted_sq(diff, suite.weight_sq_flat) / (4 * h * h)
+
+    def y_add(out, alpha, phys):
+        out[sum(alpha)] += _weighted_sq(phys[1:-1], suite.weight_sq_flat)
+        if sum(alpha) <= 1:
+            out[4] += _weighted_sq(phys[2:] - phys[:-2], suite.weight_sq_flat) / (4 * h * h)
+
+    def hk_add(out, alpha, phys):
+        out[sum(alpha)] += _weighted_sq(phys, suite.weight_sq_flat)
+
+    def xg_add(out, alpha, phys):
+        out[0] += _weighted_sq(phys, suite.x_abs_sq_flat)
+
+    return x_add, y_add, hk_add, xg_add
+
+
+def _ref_node_sums_for(data, grid, k, chi, n_sums, add, dt_order=-1, skip_zero=False):
+    """norms._node_sums computed by the reference tree, for a buffered-style
+    add(out, alpha, node, diff): the reference's allocations, same results."""
+    halo = dt_order >= 0
+
+    def block_add(out, alpha, phys):
+        if halo and sum(alpha) <= dt_order:
+            add(out, alpha, phys[1:-1], phys[2:] - phys[:-2])
+        else:
+            add(out, alpha, phys[1:-1] if halo else phys, None)
+
+    return _ref_node_sums(data, grid, k, chi, n_sums, block_add, halo, skip_zero)
+
+
 _ORACLE_GRIDS = {1: 32, 2: 16, 3: 16}
 
 
@@ -449,6 +544,107 @@ class TestWorkerCount:
             other = on_workers(monkeypatch, 2, norms)
             assert one[0] == other[0]
             assert np.array_equal(one[1], other[1])
+
+
+class TestBufferedTree:
+    """The buffered tree (task-owned buffers, halo trimmed above the orders
+    whose time differences are read, lines off the mask's support skipped)
+    against the allocating reference: every per-node sum bit for bit, on raw
+    fields with Nyquist modes, for chunk sizes 1, 3 and 8 and 1 or 2
+    workers. With chi1 (support 15 of 32 lines) the X and Y trees prune."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("mask", ["chi1", "chi_inf", None])
+    def test_node_sums_match_reference(self, monkeypatch, dim, mask):
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
+                                    box_length=32.0))
+        m_t, period = 10, 1.3
+        h = period / m_t
+        chi = None if mask is None else getattr(auto_cutoffs(grid, period), mask)
+        data = raw_random_series(grid, m_t, np.random.default_rng(11 * dim + len(str(mask))))
+        x_add, y_add, hk_add, xg_add = _ref_adds(grid, h)
+        ref = {
+            "x": _ref_node_sums(data, grid, 1, chi, 3, x_add),
+            "y": _ref_node_sums(data, grid, 3, chi, 5, y_add),
+            "xg": _ref_node_sums(data, grid, 1, None, 1, xg_add, halo=False,
+                                 skip_zero=True)[0],
+            **{("hk", k): np.cumsum(_ref_node_sums(data, grid, k, chi, k + 1, hk_add,
+                                                   halo=False), axis=0)
+               for k in range(4)},
+        }
+        if mask is None:  # the bracket's first-derivative sums, unmasked
+            ref["bracket"] = _ref_node_sums(data, grid, 1, None, 2, hk_add, halo=False,
+                                            skip_zero=True)[1:]
+        node_sums = norms._node_sums
+
+        def buffered():
+            got = {}
+
+            def recording(name):
+                def call(*args, **kwargs):
+                    got[name] = node_sums(*args, **kwargs)
+                    return got[name]
+                return call
+
+            monkeypatch.setattr(norms, "_node_sums", recording("x"))
+            norms._x_norm(data, grid, chi, h)
+            monkeypatch.setattr(norms, "_node_sums", recording("y"))
+            norms._y_norm(data, grid, chi, h)
+            if mask is None:
+                monkeypatch.setattr(norms, "_node_sums", recording("bracket"))
+                forcing_bracket(FieldSeries(grid, "frequency", data, period))
+            monkeypatch.setattr(norms, "_node_sums", node_sums)
+            got["xg"] = x_gradient_node_sq(data, grid)
+            for k in range(4):
+                got["hk", k] = weighted_hk_node_sq(data, grid, k, chi)
+            return got
+
+        for chunk_nodes in (1, 3, 8):
+            monkeypatch.setattr(spectral, "CHUNK_NODES", chunk_nodes)
+            for workers in (1, 2):
+                got = on_workers(monkeypatch, workers, buffered)
+                assert got.keys() == ref.keys()
+                for key in ref:
+                    assert np.array_equal(got[key], ref[key]), (key, chunk_nodes, workers)
+
+
+def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cutoffs3d, rng):
+    # Points handed to np.fft.ifftn by one z_norm (dim 3, n 16, m_t 16: halo
+    # chunks of 8, 8 and 1 nodes, so 10, 10 and 3 rows). X (chi1, supported
+    # on s = 7 of 16 lines per axis) runs 2 first-level passes over s*s
+    # columns, 3 second-level passes over s columns and 4 whole passes, all
+    # with the halo. Y (chi_inf, not pruned) runs 34 whole passes, of which
+    # 2 + 3 + 4 keep the halo. The reference runs 43 whole halo passes.
+    n, m_t = grid3d.n, 16
+    s = int(np.count_nonzero(np.abs(grid3d.xi1d) < cutoffs3d.r_inf))
+    assert s == 7
+    rows = [c.stop - c.start + 2 for c in node_chunks(m_t)] + [3]
+    x_points = sum(r * (2 * n * s * s + 3 * n * n * s + 4 * n ** 3) for r in rows)
+    y_points = sum(n ** 3 * (9 * r + 25 * (r - 2)) for r in rows)
+    series = FieldSeries(grid3d, "frequency", raw_random_series(grid3d, m_t, rng), 1.0)
+    points = []
+    ifftn = np.fft.ifftn
+
+    def counting(a, *args, **kwargs):
+        points.append(a.size)
+        return ifftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counting)
+    z_norm(series, cutoffs3d)
+    assert len(points) == 9 * len(rows) + 34 * len(rows)
+    assert sum(points) == x_points + y_points
+    assert sum(points) < 0.8 * 43 * n ** 3 * sum(rows)  # 0.77 of the reference
+
+
+def test_z_norm_memory_not_above_allocating_tree(monkeypatch, grid3d, cutoffs3d, rng):
+    # Warmed tracemalloc peaks at dim 3, n 16, m_t 64: the buffered tree
+    # against the allocating reference's chunk temporaries.
+    _z_norm_peak_bytes(grid3d, cutoffs3d, 8, rng)
+    buffered = _z_norm_peak_bytes(grid3d, cutoffs3d, 64, rng)
+    monkeypatch.setattr(norms, "_node_sums", _ref_node_sums_for)
+    _z_norm_peak_bytes(grid3d, cutoffs3d, 8, rng)
+    reference = _z_norm_peak_bytes(grid3d, cutoffs3d, 64, rng)
+    assert buffered <= reference
 
 
 def _z_norm_peak_bytes(grid, cutoffs, m_t, rng):

@@ -6,9 +6,10 @@ import pytest
 
 from glperiod import (FieldSeries, GridConfig, SpectralField, check_oddness,
                       cubic_nonlinearity, dealias, make_grid, read_snapshot,
-                      time_derivative, transform, write_snapshot)
+                      spectral, time_derivative, transform, write_snapshot)
 
-from conftest import random_physical_field, random_odd_field
+from conftest import (on_workers, random_physical_field, random_odd_field,
+                      raw_random_series)
 
 
 class TestGridConfig:
@@ -173,6 +174,25 @@ class TestFieldSeries:
         with pytest.raises(ValueError):
             FieldSeries(grid1d, "physical",
                         np.zeros((1,) + grid1d.shape, dtype=complex), period=1.0)
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 16)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pooled_transforms_match_batched(self, monkeypatch, dim, n, workers):
+        # one chunk of nodes per task, written into one output array; node
+        # counts 21 (uneven chunks) with CHUNK_NODES 8 and 3
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=32.0))
+        data = raw_random_series(grid, 20, np.random.default_rng(dim))
+        axes = tuple(range(1, dim + 1))
+        for chunk_nodes in (8, 3):
+            monkeypatch.setattr(spectral, "CHUNK_NODES", chunk_nodes)
+            freq = on_workers(monkeypatch, workers,
+                              FieldSeries(grid, "physical", data, 1.0).to_frequency)
+            assert freq.representation == "frequency"
+            assert np.array_equal(freq.data, np.fft.fftn(data, axes=axes))
+            phys = on_workers(monkeypatch, workers,
+                              FieldSeries(grid, "frequency", data, 1.0).to_physical)
+            assert phys.representation == "physical"
+            assert np.array_equal(phys.data, np.fft.ifftn(data, axes=axes))
 
 
 class TestSnapshots:
