@@ -163,13 +163,13 @@ def _weighted_sq(phys: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _axis_support(mask: np.ndarray | None, grid: Grid) -> list:
-    """Per spatial axis after the first, the indices off which `mask` is zero and
-    their runs as (whole, gathered) slices; None where it drops only Nyquist."""
+    """Per spatial axis after the first, the indices where `mask` is nonzero and
+    their runs as (whole, gathered) slices; None if it drops only Nyquist or all."""
     support = [None] * grid.dim
     for axis in range(1, grid.dim if mask is not None else 1):
         cols = np.flatnonzero(np.moveaxis(mask != 0, axis, 0).reshape(grid.n, -1).any(1))
         cuts = [0, *(np.flatnonzero(np.diff(cols) != 1) + 1), len(cols)]
-        if len(cols) < grid.n - 1:
+        if 0 < len(cols) < grid.n - 1:
             support[axis] = cols, [(slice(cols[a], cols[b - 1] + 1), slice(a, b))
                                    for a, b in zip(cuts, cuts[1:])]
     return support

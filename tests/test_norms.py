@@ -551,16 +551,21 @@ class TestBufferedTree:
     whose time differences are read, lines off the mask's support skipped)
     against the allocating reference: every per-node sum bit for bit, on raw
     fields with Nyquist modes, for chunk sizes 1, 3 and 8 and 1 or 2
-    workers. With chi1 (support 15 of 32 lines) the X and Y trees prune."""
+    workers. With chi1 (support 15 of 32 lines) the X and Y trees prune. A
+    mask set only on Nyquist lines (chi_inf when r1 exceeds every other
+    |xi|) is zero once projected, and must give zero sums, not empty runs."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("mask", ["chi1", "chi_inf", None])
+    @pytest.mark.parametrize("mask", ["chi1", "chi_inf", "nyquist_only", None])
     def test_node_sums_match_reference(self, monkeypatch, dim, mask):
         grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
                                     box_length=32.0))
         m_t, period = 10, 1.3
         h = period / m_t
-        chi = None if mask is None else getattr(auto_cutoffs(grid, period), mask)
+        if mask == "nyquist_only":
+            chi = 1.0 - grid.keep_nyquist_free
+        else:
+            chi = None if mask is None else getattr(auto_cutoffs(grid, period), mask)
         data = raw_random_series(grid, m_t, np.random.default_rng(11 * dim + len(str(mask))))
         x_add, y_add, hk_add, xg_add = _ref_adds(grid, h)
         ref = {
@@ -606,6 +611,8 @@ class TestBufferedTree:
                 assert got.keys() == ref.keys()
                 for key in ref:
                     assert np.array_equal(got[key], ref[key]), (key, chunk_nodes, workers)
+        if mask == "nyquist_only":
+            assert not any(np.any(ref[key]) for key in ref if key != "xg")
 
 
 def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cutoffs3d, rng):

@@ -1,15 +1,15 @@
 """Alternating parent/change pairs of the glperiod benchmark, written to one file.
 
-    python3 tools/bench_pairs.py --parent REF --out BENCH_N.json \\
-        [--workload NAME ...] [--pairs 10] [--seed 9301] [--seconds 20] \\
-        [--traced-seed S] [--work DIR]
+    python3 tools/bench_pairs.py --parent REF --out BENCH_N.json --seed S \\
+        [--traced-seed S]
 
-The parent is ``git archive REF`` unpacked under ``--work``; the change is
-this checkout as it stands (committed or not). Pair i runs
-``python3 bench/run.py --workload W --seed SEED+i --seconds S`` once in each
-tree, one after the other, the parent first in even pairs and the change
-first in odd ones, so slow drift of the host falls on both sides alike.
-``bench/`` is used as it is; nothing under it is edited.
+The parent is ``git archive REF`` unpacked under ``.bench_pairs/``; the
+change is this checkout as it stands (committed or not). For every workload
+in BENCHMARK.json, pair i of 10 runs
+``python3 bench/run.py --workload W --seed S+i`` (the benchmark's own run
+length) once in each tree, one after the other, the parent first in even
+pairs and the change first in odd ones, so slow drift of the host falls on
+both sides alike. ``bench/`` is used as it is; nothing under it is edited.
 
 The output holds the machine block of ``bench/run.py``, and per workload the
 seeds, every run's end-to-end metrics, their medians and quartiles on each
@@ -33,6 +33,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+WORK = ROOT / ".bench_pairs"
 
 
 def _bench_run_module():
@@ -58,10 +60,10 @@ def export_parent(ref: str, work: Path) -> tuple[Path, str]:
     return tree, sha
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, trace: bool) -> dict:
     """One bench/run.py invocation in `tree`; returns its result line."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "1" if trace else "0"]
+            "--trace", "1" if trace else "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -79,15 +81,14 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def pair_workload(trees: dict, workload: str, pairs: int, seed: int, seconds: float,
-                  better: dict) -> dict:
+def pair_workload(trees: dict, workload: str, seed: int, better: dict) -> dict:
     runs = {"parent": [], "change": []}
-    seeds = [seed + i for i in range(pairs)]
+    seeds = [seed + i for i in range(PAIRS)]
     for i, s in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_bench(trees[side], workload, s, seconds, False))
-        print(f"{workload} pair {i + 1}/{pairs} seed {s}: " + "  ".join(
+            runs[side].append(run_bench(trees[side], workload, s, False))
+        print(f"{workload} pair {i + 1}/{PAIRS} seed {s}: " + "  ".join(
             f"{side} wall_s {runs[side][-1]['metrics']['wall_s']:.3f}" for side in order),
             file=sys.stderr, flush=True)
     out = {"seeds": seeds, "runs": runs}
@@ -107,40 +108,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workload", action="append",
-                        help="workload to pair (repeatable; default: all in BENCHMARK.json)")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--traced-seed", type=int, default=None)
-    parser.add_argument("--work", type=Path, default=ROOT / ".bench_pairs")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bench_run = _bench_run_module()
-    args.work.mkdir(parents=True, exist_ok=True)
-    parent, sha = export_parent(args.parent, args.work)
+    WORK.mkdir(parents=True, exist_ok=True)
+    parent, sha = export_parent(args.parent, WORK)
     trees = {"parent": parent, "change": ROOT}
     started = time.time()
     try:
         result = {
             "parent_commit": sha,
-            "command": "python3 bench/run.py --workload W --seed S --seconds "
-                       f"{args.seconds:g}",
+            "command": "python3 bench/run.py --workload W --seed S",
             "machine": bench_run.machine_block(bench_run.child_env(workloads[0])),
             "workloads": {},
         }
         for workload in workloads:
-            entry = pair_workload(trees, workload, args.pairs, args.seed, args.seconds,
-                                  better)
+            entry = pair_workload(trees, workload, args.seed, better)
             if args.traced_seed is not None:
                 entry["traced"] = {"seed": args.traced_seed, **{
-                    side: run_bench(tree, workload, args.traced_seed, args.seconds,
-                                    True)["metrics"]
+                    side: run_bench(tree, workload, args.traced_seed, True)["metrics"]
                     for side, tree in trees.items()}}
             result["workloads"][workload] = entry
         result["elapsed_s"] = round(time.time() - started, 1)
