@@ -6,39 +6,29 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, GLPeriodError, NonFiniteField, OddnessViolation,
                      SeamDecayViolation, ZeroModeViolation)
-from .spectral import (FieldSeries, Grid, GridConfig, SpectralField,
-                       cubic_nonlinearity, dealias, make_grid, read_snapshot,
-                       time_derivative, transform, write_snapshot)
-from .operators import (BoundReport, CutoffSpec, LinearOperatorSpec, auto_cutoffs,
-                        make_cutoffs, make_operator, period_inverse_apply, project,
-                        semigroup_apply, verify_multiplier_bound)
+from .spectral import (FieldSeries, Grid, GridConfig, SpectralField, make_grid,
+                       read_snapshot, write_snapshot)
+from .operators import (CutoffSpec, LinearOperatorSpec, auto_cutoffs, make_cutoffs,
+                        make_operator)
 from .norms import (NormSuite, forcing_bracket, lp_norm, sobolev_norm,
                     spacetime_norm, x_weighted_gradient_norm, z_norm)
 from .forcing import (ForcingSpec, PerturbationSpec, check_oddness,
                       realize_forcing, realize_perturbation)
-from .periodic_solver import (PeriodicSolveReport, SolveOptions, contraction_estimate,
-                              duhamel_integral, equation_residual, linear_period_map,
-                              periodic_initial_data, picard_step, solve_periodic,
-                              split_equation_residual, split_series)
-from .stability import (DecayReport, StabilityRunConfig, direct_step, exp_step,
-                        fit_decay_rate, perturbation_rhs, run_stability)
+from .periodic_solver import (PeriodicSolveReport, SolveOptions, equation_residual,
+                              solve_periodic)
+from .stability import (DecayReport, StabilityRunConfig, fit_decay_rate,
+                        run_stability)
 from .verification import CheckReport, run_all_checks
 
 __all__ = [
-    "BoundReport", "CheckReport", "ConfigError", "CutoffSpec", "DecayReport",
-    "FieldSeries", "ForcingSpec", "GLPeriodError", "Grid", "GridConfig",
-    "LinearOperatorSpec", "NonFiniteField", "NormSuite", "OddnessViolation",
-    "PeriodicSolveReport", "PerturbationSpec", "SeamDecayViolation",
-    "SolveOptions", "SpectralField", "StabilityRunConfig", "ZeroModeViolation",
-    "auto_cutoffs", "check_oddness", "contraction_estimate", "cubic_nonlinearity",
-    "dealias", "direct_step", "duhamel_integral", "equation_residual", "exp_step",
-    "fit_decay_rate", "forcing_bracket", "linear_period_map", "lp_norm",
-    "make_cutoffs", "make_grid", "make_operator", "period_inverse_apply",
-    "periodic_initial_data", "perturbation_rhs", "picard_step", "project",
-    "read_snapshot", "realize_forcing", "realize_perturbation", "run_all_checks",
-    "run_stability", "semigroup_apply", "sobolev_norm", "solve_periodic",
-    "spacetime_norm", "split_equation_residual", "split_series",
-    "time_derivative", "transform",
-    "verify_multiplier_bound", "write_snapshot", "x_weighted_gradient_norm",
-    "z_norm",
+    "CheckReport", "ConfigError", "CutoffSpec", "DecayReport", "FieldSeries",
+    "ForcingSpec", "GLPeriodError", "Grid", "GridConfig", "LinearOperatorSpec",
+    "NonFiniteField", "NormSuite", "OddnessViolation", "PeriodicSolveReport",
+    "PerturbationSpec", "SeamDecayViolation", "SolveOptions", "SpectralField",
+    "StabilityRunConfig", "ZeroModeViolation", "auto_cutoffs", "check_oddness",
+    "equation_residual", "fit_decay_rate", "forcing_bracket", "lp_norm",
+    "make_cutoffs", "make_grid", "make_operator", "read_snapshot",
+    "realize_forcing", "realize_perturbation", "run_all_checks", "run_stability",
+    "sobolev_norm", "solve_periodic", "spacetime_norm", "write_snapshot",
+    "x_weighted_gradient_norm", "z_norm",
 ]

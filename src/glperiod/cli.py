@@ -11,7 +11,6 @@ import argparse
 import concurrent.futures
 import copy
 import csv
-import json
 import os
 import sys
 import time

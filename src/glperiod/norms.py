@@ -45,8 +45,6 @@ import numpy as np
 from .operators import CutoffSpec
 from .spectral import FieldSeries, Grid, SpectralField, map_chunks, node_chunks
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 def _multi_indices(dim: int, k: int) -> list[tuple[int, ...]]:
     out = []
@@ -302,7 +300,7 @@ def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> f
             out[2] = _weighted_sq(diff, suite.weight_sq_flat) / (4 * h * h)
 
     l2, xg, l2w_dt = _node_sums(data, grid, 1, chi, 3, add, dt_order=1)
-    return float(sum(np.sqrt(_trapz(v, dx=h)) for v in (l2, xg, l2w_dt)))
+    return float(sum(np.sqrt(np.trapezoid(v, dx=h)) for v in (l2, xg, l2w_dt)))
 
 
 def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
@@ -316,8 +314,8 @@ def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> f
     sums = _node_sums(data, grid, 3, chi, 5, add, dt_order=1)
     hk, h1_dt = np.cumsum(sums[:4], axis=0), sums[4]
     return float(np.sqrt(hk[2].max())
-                 + np.sqrt(_trapz(hk[3], dx=h))
-                 + np.sqrt(_trapz(hk[1] + h1_dt, dx=h)))
+                 + np.sqrt(np.trapezoid(hk[3], dx=h))
+                 + np.sqrt(np.trapezoid(hk[1] + h1_dt, dx=h)))
 
 
 def spacetime_norm(series: FieldSeries, kind: str,
@@ -368,4 +366,5 @@ def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
     l1w, h1w_sq = (np.concatenate(part) for part in zip(*sums))
     freq = (g.to_frequency() if g_freq is None else g_freq).data
     h1w_sq += _node_sums(freq, grid, 1, None, 1, add, skip_zero=True)[0]
-    return float(np.sqrt(_trapz(l1w ** 2, dx=g.dt)) + np.sqrt(_trapz(h1w_sq, dx=g.dt)))
+    return float(np.sqrt(np.trapezoid(l1w ** 2, dx=g.dt))
+                 + np.sqrt(np.trapezoid(h1w_sq, dx=g.dt)))

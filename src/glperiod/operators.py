@@ -1,29 +1,28 @@
-"""Fourier-multiplier calculus for the dissipative linear part.
+"""Fourier-multiplier symbols of the dissipative linear part.
 
-Three multiplier families act mode-wise on the frequency lattice:
+Three multiplier families act mode-wise on the frequency lattice. This
+module tabulates them; the series kernels multiply frequency-stacked arrays
+by them:
 
 * smooth low/high projections P_low, P_high built from a partition of unity
-  chi_low + chi_high = 1,
+  chi_low + chi_high = 1 (CutoffSpec),
 * the semigroup exp(-t*A) with A = -(1+i)*Laplacian, symbol
-  exp(-t*(1+i)*|xi|^2),
+  exp(-t*(1+i)*|xi|^2) (LinearOperatorSpec.symbol),
 * the inverse period multiplier (1 - exp(-T*A))^{-1}, singular only at xi = 0
-  and therefore restricted to mean-zero data.
+  and therefore restricted to mean-zero data (check_zero_mode).
 
-All multipliers zero the Nyquist rows after application (the k = -n/2 mode
-has no conjugate partner).
+Every application zeroes the Nyquist rows (the k = -n/2 mode has no
+conjugate partner).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroModeViolation
-from .spectral import FREQUENCY, Grid, SpectralField
-
-DEFAULT_ZERO_MODE_TOL = 1e-10
+from .spectral import Grid
 
 
 @dataclass
@@ -73,11 +72,7 @@ def smooth_step(s):
         return out
 
     num = _bump(1.0 - s)
-    den = _bump(s) + num
-    out = np.zeros_like(s)
-    nz = den > 0  # den vanishes nowhere; guard against underflow anyway
-    out[nz] = num[nz] / den[nz]
-    return out
+    return num / (_bump(s) + num)  # max(s, 1-s) >= 1/2, so the sum is >= e^-2
 
 
 def make_cutoffs(r1: float, r_inf: float, grid: Grid) -> CutoffSpec:
@@ -123,32 +118,6 @@ def make_operator(grid: Grid, period: float) -> LinearOperatorSpec:
                               symbol=(1.0 + 1.0j) * grid.xi_sq)
 
 
-def _apply_multiplier(f: SpectralField, values: np.ndarray) -> SpectralField:
-    """Mode-wise multiply in frequency space, zero the Nyquist rows, and
-    return in the input's representation."""
-    freq = f.to_frequency()
-    data = freq.data * values
-    data = data * f.grid.keep_nyquist_free
-    out = SpectralField(f.grid, FREQUENCY, data)
-    return out.to_physical() if f.representation != FREQUENCY else out
-
-
-def project(f: SpectralField, which: str, cutoffs: CutoffSpec) -> SpectralField:
-    """Low/high frequency projection by chi1 (low) or chi_inf (high)."""
-    if which == "low":
-        return _apply_multiplier(f, cutoffs.chi1)
-    if which == "high":
-        return _apply_multiplier(f, cutoffs.chi_inf)
-    raise ValueError(f"which must be 'low' or 'high'; got {which!r}")
-
-
-def semigroup_apply(f: SpectralField, t: float, op: LinearOperatorSpec) -> SpectralField:
-    """Apply exp(-t*A): mode-wise factor exp(-t*(1+i)*|xi|^2), t >= 0."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative; got {t}")
-    return _apply_multiplier(f, np.exp(-t * op.symbol))
-
-
 def period_inverse_symbol(op: LinearOperatorSpec) -> np.ndarray:
     """(1 - exp(-T*lambda))^{-1} with the xi = 0 entry forced to 0."""
     grid = op.grid
@@ -171,52 +140,3 @@ def check_zero_mode(data: np.ndarray, tol: float) -> None:
         raise ZeroModeViolation(
             f"mean-mode magnitude {worst:.3e} exceeds {tol:.1e} * ||f|| = {tol * total:.3e} "
             f"at some time node; the input is not mean-free (odd forcing violated)")
-
-
-def period_inverse_apply(f: SpectralField, op: LinearOperatorSpec,
-                         zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL) -> SpectralField:
-    """Apply (1 - exp(-T*A))^{-1} on mean-free data; the xi = 0 output mode
-    is set to zero. Raises ZeroModeViolation when the mean mode is too large."""
-    freq = f.to_frequency()
-    check_zero_mode(freq.data[None], zero_mode_tol)
-    out = _apply_multiplier(freq, period_inverse_symbol(op))
-    return out.to_physical() if f.representation != FREQUENCY else out
-
-
-@dataclass
-class BoundReport:
-    """Empirical bound of |1 - exp(-T(1+i)|xi|^2)|^{-1} * T|xi|^2 over a scan."""
-
-    r1: float
-    r_inf: float
-    period: float
-    c_mult: float
-    samples: int
-
-    def as_dict(self) -> dict:
-        return {"r1": self.r1, "r_inf": self.r_inf, "T": self.period,
-                "C_mult": self.c_mult, "samples": self.samples}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
-
-def inverse_multiplier_ratio(theta):
-    """theta / |1 - exp(-(1+i)*theta)| for theta = T*|xi|^2 > 0."""
-    theta = np.asarray(theta, dtype=float)
-    return theta / np.abs(1.0 - np.exp(-(1.0 + 1.0j) * theta))
-
-
-def verify_multiplier_bound(op: LinearOperatorSpec, cutoffs: CutoffSpec,
-                            samples: int = 256) -> BoundReport:
-    """Scan |xi| uniformly over (0, r_inf] and report the largest value of
-    T|xi|^2 / |1 - exp(-T(1+i)|xi|^2)|.
-
-    Finite by construction for T*r_inf^2 <= 1; tends to 1/sqrt(2) as xi -> 0.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    xi = cutoffs.r_inf * np.arange(1, samples + 1) / samples
-    ratios = inverse_multiplier_ratio(op.period * xi ** 2)
-    return BoundReport(r1=cutoffs.r1, r_inf=cutoffs.r_inf, period=op.period,
-                       c_mult=float(ratios.max()), samples=samples)

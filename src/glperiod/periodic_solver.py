@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .norms import _node_l2, forcing_bracket, z_norm
 from .operators import (CutoffSpec, LinearOperatorSpec, check_zero_mode,
                         period_inverse_symbol)
 from .phi import phi1, phi2
-from .spectral import FREQUENCY, FieldSeries, SpectralField, map_chunks, node_chunks
+from .spectral import FREQUENCY, FieldSeries, map_chunks, node_chunks
 
 
 @dataclass
@@ -122,34 +122,6 @@ def _integrate_into(out: np.ndarray, F: np.ndarray, decay, a, b) -> np.ndarray:
     return out
 
 
-def _prefix_integrals(F: np.ndarray, op: LinearOperatorSpec, h: float,
-                      upto: int | None = None) -> np.ndarray:
-    """I(t_m) for m = 0..upto via the stiff-exact recurrence."""
-    m_max = F.shape[0] - 1 if upto is None else upto
-    out = np.empty((m_max + 1,) + F.shape[1:], dtype=complex)
-    return _integrate_into(out, F, *_step_coefficients(op, h))
-
-
-def duhamel_integral(F: FieldSeries, t_index: int, op: LinearOperatorSpec) -> SpectralField:
-    """int_0^{t_index h} e^{-(t-s)A} F(s) ds with F piecewise linear in time."""
-    if not 0 <= t_index <= F.n_steps:
-        raise IndexError(f"t_index {t_index} out of range 0..{F.n_steps}")
-    data = F.to_frequency().data
-    I = _prefix_integrals(data, op, F.dt, upto=t_index)
-    return SpectralField(F.grid, FREQUENCY, I[t_index])
-
-
-def periodic_initial_data(F: FieldSeries, op: LinearOperatorSpec,
-                          zero_mode_tol: float = 1e-10) -> SpectralField:
-    """u(0) = (1 - e^{-TA})^{-1} int_0^T e^{-(T-s)A} F(s) ds."""
-    data = F.to_frequency().data
-    check_zero_mode(data, zero_mode_tol)
-    I_T = _prefix_integrals(data, op, F.dt)[F.n_steps]
-    u0 = period_inverse_symbol(op) * I_T
-    u0 = u0 * F.grid.keep_nyquist_free
-    return SpectralField(F.grid, FREQUENCY, u0)
-
-
 _SLAB_PLANES = 8  # first-axis planes per period-map task
 _NON_FINITE = ("iteration produced non-finite modes; the forcing is too large "
                "for the contraction regime")
@@ -191,85 +163,45 @@ def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
     return out
 
 
-def linear_period_map(F: FieldSeries, op: LinearOperatorSpec,
-                      zero_mode_tol: float = 1e-10) -> FieldSeries:
-    """Periodic response series of the linear flow driven by F; the same
-    multiplier formula serves both frequency bands."""
-    data = F.to_frequency().data
-    out = _linear_period_map_data(data, op, F.dt, zero_mode_tol)
-    return FieldSeries(F.grid, FREQUENCY, out, F.period)
-
-
-def _rhs_series_data(u: np.ndarray, g: np.ndarray, grid,
-                     nonlinearity: bool = True) -> np.ndarray:
-    """F = dealias(|u|^2 u) + g on every node, frequency representation;
-    one task per chunk of time nodes."""
-    if not nonlinearity:
-        return g
-    axes = tuple(range(1, grid.dim + 1))
-    mask = grid.dealias_mask(grid.config.dealias_fraction)
-    out = np.empty_like(u)
-
-    def task(rows):
-        out[rows] = _rhs_rows(u[rows], g[rows], axes, mask)
-
-    map_chunks(task, node_chunks(u.shape[0]))
-    return out
-
-
-def _rhs_rows(u_rows: np.ndarray, g_rows: np.ndarray, axes, mask) -> np.ndarray:
-    """dealias(|u|^2 u) + g on a block of nodes, frequency representation."""
-    phys = np.fft.ifftn(u_rows, axes=axes)
-    C = np.fft.fftn(phys * (phys.real ** 2 + phys.imag ** 2), axes=axes)
-    C *= mask
-    return C + g_rows
-
-
-def picard_step(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
-                cutoffs: CutoffSpec | None, opts: SolveOptions) -> FieldSeries:
-    """One fixed-point update: periodic response of dealias(|u|^2 u) + g."""
-    if len(u) != len(g):
-        raise ValueError("solution and forcing series are not aligned in time")
-    U = u.to_frequency().data
-    G = g.to_frequency().data
-    F = _rhs_series_data(U, G, u.grid, opts.nonlinearity_enabled)
-    out = _linear_period_map_data(F, op, u.dt, opts.zero_mode_tol)
-    if not np.all(np.isfinite(out.view(float))):
-        raise NonFiniteField(_NON_FINITE)
-    return FieldSeries(u.grid, FREQUENCY, out, u.period)
-
-
-def _cubic_difference_data(v: np.ndarray | None, w: np.ndarray, grid,
-                           advance: bool = False) -> np.ndarray:
-    """dealias(|v+w|^2 (v+w) - |v|^2 v) evaluated in the expanded form
-    2|v|^2 w + v^2 conj(w) + 2|w|^2 v + w^2 conj(v) + |w|^2 w.
+def _cubic_rows(v: np.ndarray | None, w: np.ndarray, axes, mask) -> np.ndarray:
+    """dealias(|v+w|^2 (v+w) - |v|^2 v) on a block of nodes, evaluated in the
+    expanded form 2|v|^2 w + v^2 conj(w) + 2|w|^2 v + w^2 conj(v) + |w|^2 w;
+    frequency representation in and out.
 
     The expansion is an exact pointwise identity; evaluating it directly keeps
     every term accurate relative to its own size, so successive-iterate
     residuals stay meaningful far below the cancellation floor of the naive
     subtraction. v = None stands for v = 0: the result is dealias(|w|^2 w).
+    """
+    wp = np.fft.ifftn(w, axes=axes)
+    w_sq = wp.real * wp.real + wp.imag * wp.imag
+    if v is None:
+        diff = w_sq * wp
+    else:
+        vp = np.fft.ifftn(v, axes=axes)
+        v_sq = vp.real * vp.real + vp.imag * vp.imag
+        diff = (2.0 * v_sq * wp + vp * vp * np.conj(wp)
+                + 2.0 * w_sq * vp + wp * wp * np.conj(vp) + w_sq * wp)
+    chunk = np.fft.fftn(diff, axes=axes)
+    chunk *= mask
+    return chunk
+
+
+def _cubic_difference_data(v: np.ndarray | None, w: np.ndarray, grid,
+                           advance: bool = False) -> np.ndarray:
+    """_cubic_rows over a series, one task per chunk of time nodes.
 
     The difference goes to a new array, or with `advance` into w, after the
     task has advanced v[rows] += w[rows]: the solve's step from the iterate
     u^(l) = v and correction delta^(l) = w to u^(l+1) and the cubic term of
-    delta^(l+1), with no series allocated. One task per chunk of time nodes.
+    delta^(l+1), with no series allocated.
     """
     axes = tuple(range(1, grid.dim + 1))
     mask = grid.dealias_mask(grid.config.dealias_fraction)
     out = w if advance else np.empty_like(w)
 
     def task(rows):
-        wp = np.fft.ifftn(w[rows], axes=axes)
-        w_sq = wp.real * wp.real + wp.imag * wp.imag
-        if v is None:
-            diff = w_sq * wp
-        else:
-            vp = np.fft.ifftn(v[rows], axes=axes)
-            v_sq = vp.real * vp.real + vp.imag * vp.imag
-            diff = (2.0 * v_sq * wp + vp * vp * np.conj(wp)
-                    + 2.0 * w_sq * vp + wp * wp * np.conj(vp) + w_sq * wp)
-        chunk = np.fft.fftn(diff, axes=axes)
-        chunk *= mask
+        chunk = _cubic_rows(None if v is None else v[rows], w[rows], axes, mask)
         if advance:
             v[rows] += w[rows]
         out[rows] = chunk
@@ -303,17 +235,14 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     """
     opts = opts or SolveOptions()
     grid = g.grid
-    if g.n_steps != opts.m_t:
-        # The forcing series defines the time grid; keep them consistent.
-        opts = replace(opts, m_t=g.n_steps)
     zero_tol = opts.zero_mode_tol
     g_freq = g.to_frequency()
     bracket = forcing_bracket(g, g_freq)
 
     # Difference-form iteration: carry the current iterate u^(l) and the
-    # correction delta^(l) = u^(l+1) - u^(l). Both the update of u and the
-    # update of delta are algebraically identical to repeated picard_step
-    # calls; the correction is propagated through the expanded cubic
+    # correction delta^(l) = u^(l+1) - u^(l). Both updates are algebraically
+    # those of repeated Picard steps u <- period_map(dealias(|u|^2 u) + g);
+    # the correction is propagated through the expanded cubic
     # difference so residuals stay accurate at any magnitude. Both series
     # are updated in place: u starts in the frequency buffer of g when the
     # solve made it (never in the caller's data).
@@ -397,9 +326,10 @@ def equation_residual(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
         G = g.data[rows]
         if g.representation != FREQUENCY:
             G = np.fft.fftn(G, axes=axes)
-        F = _rhs_rows(U[rows], G, axes, mask) if include_nonlinearity else G
+        if include_nonlinearity:
+            G = _cubic_rows(None, U[rows], axes, mask) + G
         dt = (U[rows.start + 1:rows.stop + 1] - U[rows.start - 1:rows.stop - 1]) / (2.0 * h)
-        return _node_l2(dt + op.symbol * U[rows] - F, grid)
+        return _node_l2(dt + op.symbol * U[rows] - G, grid)
 
     interior = [slice(c.start + 1, c.stop + 1) for c in node_chunks(m_t - 1)]
     res = float(np.concatenate(map_chunks(task, interior)).max())
@@ -417,45 +347,3 @@ def _contraction_factor(history: list[float]) -> tuple[float | None, str | None]
         return None, "a residual is not positive"
     tail = [history[i + 1] / history[i] for i in range(1, len(history) - 1)]
     return float(np.exp(np.mean(np.log(tail)))), None
-
-
-def contraction_estimate(report: PeriodicSolveReport) -> float:
-    """Geometric mean of successive residual ratios, excluding the first."""
-    factor, _ = _contraction_factor(report.residual_history)
-    if factor is None:
-        raise ValueError("contraction estimate needs at least 3 residuals, all positive")
-    return factor
-
-
-def split_series(u: FieldSeries, cutoffs: CutoffSpec) -> tuple[FieldSeries, FieldSeries]:
-    """Materialize the low/high frequency parts of a series."""
-    data = u.to_frequency().data
-    keep = u.grid.keep_nyquist_free
-    low = FieldSeries(u.grid, FREQUENCY, data * (cutoffs.chi1 * keep), u.period)
-    high = FieldSeries(u.grid, FREQUENCY, data * (cutoffs.chi_inf * keep), u.period)
-    return low, high
-
-
-def split_equation_residual(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
-                            cutoffs: CutoffSpec) -> tuple[float, float]:
-    """Residuals of the low and high sub-systems
-    D_t u_j + A u_j = P_j (dealias(|u|^2 u) + g), j = low, high.
-
-    Both projections of a converged series satisfy their sub-equation at the
-    same discretization order as the full equation_residual.
-    """
-    U = u.to_frequency().data
-    G = g.to_frequency().data
-    grid = u.grid
-    h = u.dt
-    F = _rhs_series_data(U, G, grid, True)
-    keep = grid.keep_nyquist_free
-    scale = 1.0 + float(_node_l2(U, grid).max())
-    out = []
-    for chi in (cutoffs.chi1, cutoffs.chi_inf):
-        Uj = U * (chi * keep)
-        Fj = F * (chi * keep)
-        dt = (Uj[2:] - Uj[:-2]) / (2.0 * h)
-        R = dt + op.symbol * Uj[1:-1] - Fj[1:-1]
-        out.append(float(_node_l2(R, grid).max()) / scale)
-    return out[0], out[1]

@@ -5,8 +5,7 @@ Conventions (fixed, for bit-exact file interchange):
 * Physical nodes per axis: x_j = (j - n/2) * (L/n), j = 0..n-1, so the box is
   [-L/2, L/2)^dim with the periodic seam at x = -L/2.
 * Frequency lattice per axis: xi_k = 2*pi*k/L with the integer index k stored
-  in standard FFT order (0, 1, ..., n/2-1, -n/2, ..., -1). Natural-order
-  frequencies are available through an accessor.
+  in standard FFT order (0, 1, ..., n/2-1, -n/2, ..., -1).
 * Data arrays are C-ordered, last axis fastest.
 * The frequency representation holds raw forward-FFT coefficients (numpy
   convention, no normalization); Parseval then reads
@@ -30,7 +29,7 @@ import os
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,51 +206,15 @@ class SpectralField:
         if self.data.dtype != np.complex128:
             self.data = self.data.astype(np.complex128)
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.representation, self.data.copy())
-
     def to_frequency(self) -> "SpectralField":
         if self.representation == FREQUENCY:
             return self
-        return transform(self, "forward")
+        return SpectralField(self.grid, FREQUENCY, np.fft.fftn(self.data))
 
     def to_physical(self) -> "SpectralField":
         if self.representation == PHYSICAL:
             return self
-        return transform(self, "inverse")
-
-
-def transform(field: SpectralField, direction: str) -> SpectralField:
-    """Toggle between physical and frequency representations.
-
-    forward: physical -> frequency (fftn); inverse: frequency -> physical
-    (ifftn). Linear, and forward o inverse is the identity to roundoff.
-    """
-    if direction == "forward":
-        if field.representation != PHYSICAL:
-            raise ValueError("forward transform expects a physical-representation field")
-        return SpectralField(field.grid, FREQUENCY, np.fft.fftn(field.data))
-    if direction == "inverse":
-        if field.representation != FREQUENCY:
-            raise ValueError("inverse transform expects a frequency-representation field")
-        return SpectralField(field.grid, PHYSICAL, np.fft.ifftn(field.data))
-    raise ValueError(f"unknown transform direction {direction!r}")
-
-
-def cubic_nonlinearity(u: SpectralField) -> SpectralField:
-    """Pointwise |u|^2 u. Physical representation in, physical out."""
-    if u.representation != PHYSICAL:
-        raise ValueError("cubic_nonlinearity expects a physical-representation field")
-    d = u.data
-    return SpectralField(u.grid, PHYSICAL, d * (d.real * d.real + d.imag * d.imag))
-
-
-def dealias(field: SpectralField, fraction: float) -> SpectralField:
-    """Zero all modes with any axis index |k| > fraction * (n/2)."""
-    if field.representation != FREQUENCY:
-        raise ValueError("dealias expects a frequency-representation field")
-    mask = field.grid.dealias_mask(fraction)
-    return SpectralField(field.grid, FREQUENCY, field.data * mask)
+        return SpectralField(self.grid, PHYSICAL, np.fft.ifftn(self.data))
 
 
 @dataclass
@@ -299,13 +262,6 @@ class FieldSeries:
     def field(self, m: int) -> SpectralField:
         return SpectralField(self.grid, self.representation, self.data[m])
 
-    @property
-    def fields(self) -> list[SpectralField]:
-        return [self.field(m) for m in range(len(self))]
-
-    def copy(self) -> "FieldSeries":
-        return FieldSeries(self.grid, self.representation, self.data.copy(), self.period)
-
     def to_frequency(self) -> "FieldSeries":
         return self if self.representation == FREQUENCY else self._transformed(FREQUENCY)
 
@@ -322,29 +278,6 @@ class FieldSeries:
 
         map_chunks(task, node_chunks(len(self)))
         return FieldSeries(self.grid, representation, out, self.period)
-
-
-def time_derivative(series: FieldSeries, periodic: bool = True) -> FieldSeries:
-    """Centered-difference time derivative of a series.
-
-    For a periodic series the stencil wraps (node m_t duplicates node 0);
-    otherwise one-sided differences are used at the ends.
-    """
-    if len(series) < 3:
-        raise ValueError("time derivative needs at least 3 time nodes")
-    data = series.data
-    h = series.dt
-    out = np.empty_like(data)
-    if periodic:
-        m_t = series.n_steps
-        body = data[:m_t]  # nodes 0..m_t-1 carry one full period
-        out[:m_t] = (np.roll(body, -1, axis=0) - np.roll(body, 1, axis=0)) / (2.0 * h)
-        out[m_t] = out[0]
-    else:
-        out[1:-1] = (data[2:] - data[:-2]) / (2.0 * h)
-        out[0] = (data[1] - data[0]) / h
-        out[-1] = (data[-1] - data[-2]) / h
-    return FieldSeries(series.grid, series.representation, out, series.period)
 
 
 # ---------------------------------------------------------------------------

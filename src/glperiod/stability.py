@@ -11,8 +11,7 @@ multistep ETD2 of Cox & Matthews (J. Comput. Phys. 176, 2002),
     w_{n+1} = e^{-hA} w_n + h phi1 N_n + h phi2 (N_n - N_{n-1}),
 
 started by one ETD2RK (predictor-corrector) step; it makes one nonlinear
-evaluation per step. exp_step builds a fresh stepper, so it is always one
-ETD2RK step at order 2. The run records the algebraically weighted running
+evaluation per step. The run records the algebraically weighted running
 suprema
 
     N1(t) = sup_{tau<=t} [(1+tau)^{3/4} ||P_low w||_{L2}
@@ -30,9 +29,8 @@ and written into caller buffers; the stepper owns its work buffers and
 transforms into them with numpy.fft's out= (numpy >= 2.0); the dealias mask
 is folded into h phi1 and h phi2 once; the previous step's N lives in the
 stepper's second transform buffer; and the step advances the frequency data
-in place (exp_step steps a copy, so a caller's field never changes). On the
-interpolated base path the blend of two nodes is written into two buffers
-that the run owns.
+in place (the run steps a copy of w0). On the interpolated base path the
+blend of two nodes is written into two buffers that the run owns.
 """
 
 from __future__ import annotations
@@ -45,29 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteField
 from .operators import CutoffSpec, LinearOperatorSpec
 from .phi import phi1, phi2
-from .spectral import FREQUENCY, FieldSeries, Grid, SpectralField
-
-
-def perturbation_rhs(w: SpectralField, v: SpectralField,
-                     dealias_output: bool = True) -> SpectralField:
-    """Nonlinear and coupling terms of the perturbation flow, evaluated
-    pointwise in physical space; returned in frequency representation,
-    dealiased by default.
-
-    Identity: rhs(w, v) equals |v+w|^2 (v+w) - |v|^2 v pointwise.
-    """
-    if w.representation != "physical" or v.representation != "physical":
-        raise ValueError("perturbation_rhs expects physical-representation fields")
-    if w.grid.shape != v.grid.shape or w.grid.config != v.grid.config:
-        raise ValueError("perturbation and base fields live on different grids")
-    rhs = _rhs_data(w.data, v.data, np.empty_like(w.data), _rhs_work(w.grid.shape))
-    out = np.fft.fftn(rhs)
-    if dealias_output:
-        out = out * w.grid.dealias_mask(w.grid.config.dealias_fraction)
-    return SpectralField(w.grid, FREQUENCY, out)
+from .spectral import FieldSeries, Grid, SpectralField
 
 
 def _rhs_work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -102,15 +80,6 @@ def _rhs_data(w: np.ndarray, v: np.ndarray, out: np.ndarray,
     return out
 
 
-def _etd_coefficients(grid: Grid, op: LinearOperatorSpec,
-                      h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """e^{-hA}, h phi1(-hA) and h phi2(-hA) per mode. Nyquist rows are zeroed,
-    matching the period-map convention, so stepped and mapped series agree."""
-    z = -h * op.symbol
-    keep = grid.keep_nyquist_free
-    return np.exp(z) * keep, h * phi1(z) * keep, h * phi2(z) * keep
-
-
 class _Stepper:
     """ETD coefficients and work buffers of the perturbation step.
 
@@ -123,10 +92,14 @@ class _Stepper:
     """
 
     def __init__(self, grid: Grid, op: LinearOperatorSpec, h: float):
-        self.decay, h_phi1, h_phi2 = _etd_coefficients(grid, op, h)
+        # e^{-hA}, h phi1(-hA) and h phi2(-hA) per mode, Nyquist rows zeroed
+        # as in the period map, so stepped and mapped series agree
+        z = -h * op.symbol
+        keep = grid.keep_nyquist_free
         mask = grid.dealias_mask(grid.config.dealias_fraction)
-        self.h_phi1 = h_phi1 * mask
-        self.h_phi2 = h_phi2 * mask
+        self.decay = np.exp(z) * keep
+        self.h_phi1 = h * phi1(z) * keep * mask
+        self.h_phi2 = h * phi2(z) * keep * mask
         self.axes = tuple(range(grid.dim))
         self.w_phys, self.rhs, self.f_now, self.f_prev = (
             np.empty(grid.shape, complex) for _ in range(4))
@@ -168,63 +141,6 @@ class _Stepper:
             w_hat += f_prev
             self.f_now, self.f_prev = f_prev, f_now         # N_n becomes N_{n-1}
         return w_hat
-
-
-def exp_step(w: SpectralField, v_at_t: SpectralField, h: float,
-             op: LinearOperatorSpec, order: int = 1,
-             v_next: SpectralField | None = None,
-             include_rhs: bool = True) -> SpectralField:
-    """One exponential integrator step of the perturbation flow.
-
-    order=1 is exponential Euler w <- e^{-hA} w + h phi1(-hA) F(w, v);
-    order=2 is one ETD2RK step: it adds the corrector
-    h phi2(-hA) (F(pred, v_next) - F(w, v)). Each call starts afresh, so it
-    is the first step of an order-2 run, never a multistep one.
-    With include_rhs=False the step is the pure semigroup (exact for any h).
-    """
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    grid = w.grid
-    stepper = _Stepper(grid, op, h)
-    w_hat = w.to_frequency().data.copy()  # the step works in place
-    v_now = v_at_t.to_physical().data
-    v_nxt = (v_next.to_physical().data if v_next is not None else v_now)
-    out = stepper.step(w_hat, v_now, v_nxt, order, include_rhs)
-    if not np.all(np.isfinite(out.view(float))):
-        raise NonFiniteField("perturbation escaped the stability basin")
-    return SpectralField(grid, FREQUENCY, out)
-
-
-def direct_step(u: SpectralField, g_at_t: SpectralField, g_next: SpectralField,
-                h: float, op: LinearOperatorSpec, order: int = 2,
-                nonlinearity: bool = True) -> SpectralField:
-    """One exponential integrator step of the full forced flow
-    du/dt + A u = dealias(|u|^2 u) + g (cross-check plumbing)."""
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    grid = u.grid
-    decay, h_phi1, h_phi2 = _etd_coefficients(grid, op, h)
-    mask = grid.dealias_mask(grid.config.dealias_fraction)
-    axes = tuple(range(grid.dim))
-
-    def forcing_hat(u_hat: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
-        if not nonlinearity:
-            return g_hat
-        u_phys = np.fft.ifftn(u_hat, axes=axes)
-        cubic = u_phys * (u_phys.real ** 2 + u_phys.imag ** 2)
-        return np.fft.fftn(cubic, axes=axes) * mask + g_hat
-
-    u_hat = u.to_frequency().data
-    f_now = forcing_hat(u_hat, g_at_t.to_frequency().data)
-    out = decay * u_hat + h_phi1 * f_now
-    if order != 1:
-        f_pred = forcing_hat(out, g_next.to_frequency().data)
-        out = out + h_phi2 * (f_pred - f_now)
-    if not np.all(np.isfinite(out.view(float))):
-        raise NonFiniteField("direct integration produced non-finite modes")
-    return SpectralField(grid, FREQUENCY, out)
 
 
 @dataclass

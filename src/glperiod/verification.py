@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import (NormSuite, _lp_node, _node_l2, _trapz, _weighted_sq,
+from .norms import (NormSuite, _lp_node, _node_l2, _weighted_sq,
                     weighted_hk_node_sq, x_gradient_node_sq, z_norm)
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
-from .periodic_solver import _rhs_series_data
-from .spectral import FREQUENCY, FieldSeries, Grid, SpectralField
+from .periodic_solver import _cubic_difference_data
+from .spectral import FieldSeries, Grid
 
 COMPLETENESS_TOL = 1e-14
 STACK_SAMPLES = 16  # sample fields a battery evaluates at once
@@ -59,20 +59,12 @@ def sample_rngs(seed: int, samples: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
-def random_band_field(grid: Grid, rng: np.random.Generator, band: str,
-                      cutoffs: CutoffSpec, odd: bool = False) -> SpectralField:
-    """Random frequency-space field with unit L2 norm.
+def _band_envelope(grid: Grid, band: str, cutoffs: CutoffSpec) -> np.ndarray:
+    """Radial envelope of a battery's random fields, computed once per battery.
 
     band 'low' masks by chi1 (support |xi| <= r_inf), 'high' by chi_inf
-    (support |xi| >= r1), 'full' applies a broad envelope only. The Nyquist
-    rows are always zeroed; odd=True antisymmetrizes under xi -> -xi.
+    (support |xi| >= r1), 'full' applies a broad envelope only.
     """
-    envelope = _band_envelope(grid, band, cutoffs)
-    return SpectralField(grid, FREQUENCY, _band_data(grid, rng, envelope, odd))
-
-
-def _band_envelope(grid: Grid, band: str, cutoffs: CutoffSpec) -> np.ndarray:
-    """The radial envelope of random_band_field, computed once per battery."""
     if band == "low":
         return np.exp(-((grid.xi_abs / cutoffs.r_inf) ** 2)) * cutoffs.chi1
     if band == "high":
@@ -84,7 +76,9 @@ def _band_envelope(grid: Grid, band: str, cutoffs: CutoffSpec) -> np.ndarray:
 
 def _band_data(grid: Grid, rng: np.random.Generator, envelope: np.ndarray,
                odd: bool = False) -> np.ndarray:
-    """The data of random_band_field under a precomputed envelope."""
+    """Random frequency-space field with unit L2 norm under a precomputed
+    envelope. The Nyquist rows are always zeroed; odd=True antisymmetrizes
+    under xi -> -xi."""
     data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     data = data * envelope * grid.keep_nyquist_free
     if odd:
@@ -231,7 +225,8 @@ def check_energy_inequality(u_series: FieldSeries, g_series: FieldSeries,
     grid = u_series.grid
     U = u_series.to_frequency().data
     G = g_series.to_frequency().data
-    F = _rhs_series_data(U, G, grid, True)
+    F = _cubic_difference_data(None, U, grid)
+    F += G
     _, _, e2_sq, e3_sq = weighted_hk_node_sq(U, grid, 3, cutoffs.chi_inf)
     f1_sq = weighted_hk_node_sq(F, grid, 1, cutoffs.chi_inf)[1]
     if float(e2_sq.max()) == 0.0:
@@ -265,18 +260,19 @@ def check_nonlinear_bound(u_series: FieldSeries, g_series: FieldSeries,
     grid = u_series.grid
     U = u_series.to_frequency().data
     G = g_series.to_frequency().data
-    F = _rhs_series_data(U, G, grid, True)
+    F = _cubic_difference_data(None, U, grid)
+    F += G
     keep = grid.keep_nyquist_free
     h = u_series.dt
     z = z_norm(u_series, cutoffs)
 
     def l2t_l1w(data):
         node = _lp_node(np.fft.ifftn(data, axes=_axes(grid)), grid, 1, weighted=True)
-        return float(np.sqrt(_trapz(node ** 2, dx=h)))
+        return float(np.sqrt(np.trapezoid(node ** 2, dx=h)))
 
     def l2t_h1w(data):
         node_sq = weighted_hk_node_sq(data, grid, 1, cutoffs.chi_inf)[1]
-        return float(np.sqrt(_trapz(node_sq, dx=h)))
+        return float(np.sqrt(np.trapezoid(node_sq, dx=h)))
 
     lhs_low = l2t_l1w(F * (cutoffs.chi1 * keep))
     g_low = l2t_l1w(G * (cutoffs.chi1 * keep))

@@ -1,0 +1,192 @@
+"""Reference forms that the tests hold the ndarray core against.
+
+The package computes on frequency-stacked arrays; the forms below take and
+return single fields (SpectralField) or whole series (FieldSeries) and
+allocate freely, so a test can state an identity in a few lines.
+
+* project, semigroup_apply, period_inverse_apply: the cutoffs, the symbol
+  and period_inverse_symbol applied to one field. Criterion 1 and
+  test_operators check them against closed forms, the semigroup law and the
+  forward map; test_stability checks the stepper's linear step against
+  semigroup_apply.
+* inverse_multiplier_ratio, multiplier_bound: the scan of
+  T|xi|^2 / |1 - e^{-T(1+i)|xi|^2}| over (0, r_inf], against its closed
+  forms and its cap for T r_inf^2 <= 1.
+* time_derivative: the periodic centered difference of the reference
+  Z-norm in test_norms, against the streamed Z-norm.
+* duhamel_integral, periodic_initial_data: the period map's prefix
+  recurrence and inverse multiplier, one node at a time, against closed
+  forms, oversampled quadrature and the fixed-point identity.
+* cubic_rhs: dealias(|u|^2 u) + g over a whole series at once, against the
+  solve's chunked cubic kernel (bit for bit) and inside
+  split_equation_residual and the residual references.
+* picard_step: one fixed-point update, against the solve's difference
+  form and, in criterion 6, for oddness.
+* split_series, split_equation_residual: the low and high sub-systems,
+  against equation_residual.
+* exp_step: one step of the run's stepper from a fresh start on a copy of
+  the field, against the run's first step and, in criterion 8, beside
+  direct_step, one allocating step of the full forced flow.
+* random_band_field: one battery draw as a field, against the battery
+  stacks and the per-sample battery references.
+"""
+
+import numpy as np
+
+from glperiod import FieldSeries, SpectralField
+from glperiod.norms import _node_l2
+from glperiod.operators import check_zero_mode, period_inverse_symbol
+from glperiod.periodic_solver import (_cubic_difference_data, _integrate_into,
+                                      _linear_period_map_data, _step_coefficients)
+from glperiod.phi import phi1, phi2
+from glperiod.stability import _Stepper
+from glperiod.verification import _band_data, _band_envelope
+
+
+def _multiply(f, values):
+    """f times a mode-wise multiplier, Nyquist rows zeroed, returned in f's
+    representation."""
+    data = f.to_frequency().data * values * f.grid.keep_nyquist_free
+    out = SpectralField(f.grid, "frequency", data)
+    return out if f.representation == "frequency" else out.to_physical()
+
+
+def project(f, which, cutoffs):
+    """P_low (chi1) or P_high (chi_inf) of one field."""
+    return _multiply(f, {"low": cutoffs.chi1, "high": cutoffs.chi_inf}[which])
+
+
+def semigroup_apply(f, t, op):
+    """exp(-t A) f: mode-wise factor exp(-t (1+i) |xi|^2), t >= 0."""
+    if t < 0:
+        raise ValueError(f"semigroup time must be nonnegative; got {t}")
+    return _multiply(f, np.exp(-t * op.symbol))
+
+
+def period_inverse_apply(f, op, zero_mode_tol=1e-10):
+    """(1 - exp(-T A))^{-1} f on mean-free f; the xi = 0 mode is set to 0."""
+    check_zero_mode(f.to_frequency().data[None], zero_mode_tol)
+    return _multiply(f, period_inverse_symbol(op))
+
+
+def inverse_multiplier_ratio(theta):
+    """theta / |1 - exp(-(1+i) theta)| for theta = T |xi|^2 > 0."""
+    theta = np.asarray(theta, dtype=float)
+    return theta / np.abs(1.0 - np.exp(-(1.0 + 1.0j) * theta))
+
+
+def multiplier_bound(op, cutoffs, samples=256):
+    """C_mult: the largest inverse_multiplier_ratio over |xi| scanned
+    uniformly over (0, r_inf]."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    xi = cutoffs.r_inf * np.arange(1, samples + 1) / samples
+    return float(inverse_multiplier_ratio(op.period * xi ** 2).max())
+
+
+def time_derivative(series):
+    """Centered time difference of a periodic series (node m_t duplicates
+    node 0), as an array."""
+    body = series.data[:series.n_steps]
+    out = np.empty_like(series.data)
+    out[:-1] = (np.roll(body, -1, axis=0) - np.roll(body, 1, axis=0)) / (2.0 * series.dt)
+    out[-1] = out[0]
+    return out
+
+
+def duhamel_integral(F, t_index, op):
+    """int_0^{t_index h} e^{-(t-s)A} F(s) ds with F piecewise linear in time."""
+    if not 0 <= t_index <= F.n_steps:
+        raise IndexError(f"t_index {t_index} out of range 0..{F.n_steps}")
+    data = F.to_frequency().data
+    I = np.empty((t_index + 1,) + data.shape[1:], dtype=complex)
+    _integrate_into(I, data, *_step_coefficients(op, F.dt))
+    return SpectralField(F.grid, "frequency", I[t_index])
+
+
+def periodic_initial_data(F, op, zero_mode_tol=1e-10):
+    """u(0) = (1 - e^{-TA})^{-1} int_0^T e^{-(T-s)A} F(s) ds."""
+    check_zero_mode(F.to_frequency().data, zero_mode_tol)
+    I_T = duhamel_integral(F, F.n_steps, op).data
+    return SpectralField(F.grid, "frequency",
+                         period_inverse_symbol(op) * I_T * F.grid.keep_nyquist_free)
+
+
+def cubic_rhs(U, G, grid):
+    """dealias(|u|^2 u) + g of frequency-stacked U and G, all nodes at once."""
+    axes = tuple(range(1, grid.dim + 1))
+    phys = np.fft.ifftn(U, axes=axes)
+    C = np.fft.fftn(phys * (phys.real ** 2 + phys.imag ** 2), axes=axes)
+    C *= grid.dealias_mask(grid.config.dealias_fraction)
+    return C + G
+
+
+def picard_step(u, g, op, nonlinearity=True):
+    """One fixed-point update: the periodic response of dealias(|u|^2 u) + g."""
+    F = G = g.to_frequency().data
+    if nonlinearity:
+        F = _cubic_difference_data(None, u.to_frequency().data, u.grid)
+        F += G
+    return FieldSeries(u.grid, "frequency", _linear_period_map_data(F, op, u.dt, 1e-10),
+                       u.period)
+
+
+def split_series(u, cutoffs):
+    """The low and high frequency parts of a series."""
+    data = u.to_frequency().data
+    keep = u.grid.keep_nyquist_free
+    return tuple(FieldSeries(u.grid, "frequency", data * (chi * keep), u.period)
+                 for chi in (cutoffs.chi1, cutoffs.chi_inf))
+
+
+def split_equation_residual(u, g, op, cutoffs):
+    """Residuals of the sub-systems D_t u_j + A u_j = P_j (dealias(|u|^2 u) + g),
+    j = low, high, normalized as equation_residual normalizes the full one."""
+    U = u.to_frequency().data
+    F = cubic_rhs(U, g.to_frequency().data, u.grid)
+    keep = u.grid.keep_nyquist_free
+    scale = 1.0 + float(_node_l2(U, u.grid).max())
+    out = []
+    for chi in (cutoffs.chi1, cutoffs.chi_inf):
+        Uj, Fj = U * (chi * keep), F * (chi * keep)
+        R = (Uj[2:] - Uj[:-2]) / (2.0 * u.dt) + op.symbol * Uj[1:-1] - Fj[1:-1]
+        out.append(float(_node_l2(R, u.grid).max()) / scale)
+    return tuple(out)
+
+
+def exp_step(w, v_at_t, h, op, order=1, v_next=None, include_rhs=True):
+    """One perturbation step of a fresh _Stepper on a copy of w: exponential
+    Euler at order 1, one ETD2RK step at order 2, the pure semigroup with
+    include_rhs=False."""
+    if not h > 0 or order not in (1, 2):
+        raise ValueError(f"need h > 0 and order 1 or 2; got h={h}, order={order}")
+    v_now = v_at_t.to_physical().data
+    v_nxt = v_now if v_next is None else v_next.to_physical().data
+    w_hat = w.to_frequency().data.copy()
+    out = _Stepper(w.grid, op, h).step(w_hat, v_now, v_nxt, order, include_rhs)
+    return SpectralField(w.grid, "frequency", out)
+
+
+def direct_step(u, g_at_t, g_next, h, op, order=2, nonlinearity=True):
+    """One exponential step of the full forced flow
+    du/dt + A u = dealias(|u|^2 u) + g: exponential Euler, or ETD2RK."""
+    grid = u.grid
+    z, keep = -h * op.symbol, grid.keep_nyquist_free
+    decay, h_phi1, h_phi2 = np.exp(z) * keep, h * phi1(z) * keep, h * phi2(z) * keep
+
+    def forcing_hat(u_hat, g_hat):
+        return cubic_rhs(u_hat[None], g_hat, grid)[0] if nonlinearity else g_hat
+
+    u_hat = u.to_frequency().data
+    f_now = forcing_hat(u_hat, g_at_t.to_frequency().data)
+    out = decay * u_hat + h_phi1 * f_now
+    if order != 1:
+        out = out + h_phi2 * (forcing_hat(out, g_next.to_frequency().data) - f_now)
+    return SpectralField(grid, "frequency", out)
+
+
+def random_band_field(grid, rng, band, cutoffs, odd=False):
+    """One battery draw: a random frequency-space field with unit L2 norm
+    under the battery's envelope for band 'low', 'high' or 'full'."""
+    return SpectralField(grid, "frequency",
+                         _band_data(grid, rng, _band_envelope(grid, band, cutoffs), odd))

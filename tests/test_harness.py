@@ -1,9 +1,14 @@
-"""Configuration, manifests and the command line interface."""
+"""The public surface, configuration, manifests and the command line
+interface."""
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+import glperiod
 from glperiod.cli import main
 from glperiod.config import load_config, reference_config
 from glperiod.errors import ConfigError
@@ -34,6 +39,41 @@ def _small_config(tmp_path, **overrides):
     return path
 
 
+# The single-field API that only tests called; its reference forms live in
+# tests/oracles.py.
+REMOVED_NAMES = (
+    "transform", "dealias", "cubic_nonlinearity", "time_derivative",
+    "project", "semigroup_apply", "period_inverse_apply", "verify_multiplier_bound",
+    "linear_period_map", "picard_step", "duhamel_integral", "periodic_initial_data",
+    "split_series", "split_equation_residual", "contraction_estimate",
+    "exp_step", "direct_step", "perturbation_rhs", "BoundReport",
+)
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        assert [name for name in glperiod.__all__ if not hasattr(glperiod, name)] == []
+
+    def test_test_only_api_is_not_exported(self):
+        assert [name for name in REMOVED_NAMES if hasattr(glperiod, name)] == []
+
+    def test_every_traced_glperiod_function_resolves(self):
+        # the bench tracer reports a missing name as zero time, not as an error
+        path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = []
+        for module_name, attr, _ in tracer.TRACED:
+            if module_name.startswith("glperiod"):
+                owner, _, leaf = attr.rpartition(".")
+                module = importlib.import_module(module_name)
+                holder = getattr(module, owner, None) if owner else module
+                if not callable(getattr(holder, leaf, None)):
+                    missing.append(f"{module_name}.{attr}")
+        assert missing == []
+
+
 class TestConfig:
     def test_reference_defaults_load(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -42,7 +82,6 @@ class TestConfig:
         assert cfg == reference_config()
 
     def test_shipped_reference_config_matches_defaults(self):
-        from pathlib import Path
         shipped = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
         assert json.loads(shipped.read_text()) == reference_config()
 

@@ -9,27 +9,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glperiod import (FieldSeries, GridConfig, NonFiniteField, PeriodicSolveReport,
-                      ForcingSpec, SolveOptions, ZeroModeViolation,
-                      check_oddness, contraction_estimate, duhamel_integral,
-                      equation_residual, linear_period_map, make_grid,
-                      make_operator, periodic_initial_data,
-                      picard_step, realize_forcing, solve_periodic,
-                      spectral, split_equation_residual, split_series)
+from glperiod import (FieldSeries, GridConfig, NonFiniteField, ForcingSpec,
+                      SolveOptions, ZeroModeViolation, check_oddness,
+                      equation_residual, make_grid, make_operator,
+                      realize_forcing, solve_periodic, spectral)
 from glperiod.norms import _node_l2
 from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_data,
-                                      _decay_table, _linear_period_map_data,
-                                      _rhs_series_data)
+                                      _decay_table, _linear_period_map_data)
 
 from conftest import on_workers, random_odd_field, raw_random_series
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+from oracles import (cubic_rhs, duhamel_integral, periodic_initial_data, picard_step,
+                     split_equation_residual, split_series)
 
 
 def _mode_series(grid, k_index, values, period):
     data = np.zeros((len(values),) + grid.shape, dtype=complex)
     data[(slice(None),) + k_index] = values
     return FieldSeries(grid, "frequency", data, period)
+
+
+def linear_period_map(F, op):
+    """The period map of a FieldSeries, as an array."""
+    return _linear_period_map_data(F.to_frequency().data, op, F.dt, 1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ class TestDuhamelIntegral:
         F = _mode_series(grid1, (k,), np.exp(1j * omega * t), 1.0)
         out = duhamel_integral(F, m_t, op1)
         ts = np.linspace(0.0, 1.0, 64 * m_t + 1)
-        oracle = _trapz(np.exp(-(1.0 - ts) * lam) * np.exp(1j * omega * ts), ts)
+        oracle = np.trapezoid(np.exp(-(1.0 - ts) * lam) * np.exp(1j * omega * ts), ts)
         # forcing has unit amplitude over a unit period; the gap is the
         # piecewise-linear interpolation bias, ~(omega*h)^2/12 here
         assert abs(out.data[k] - oracle) <= 1e-3
@@ -134,7 +135,7 @@ class TestPeriodicInitialData:
 class TestLinearPeriodMap:
     def test_zero(self, grid1, op1):
         F = _mode_series(grid1, (3,), np.zeros(17), 1.0)
-        assert np.all(linear_period_map(F, op1).data == 0)
+        assert np.all(linear_period_map(F, op1) == 0)
 
     def test_time_harmonic_closed_form(self, grid1, op1):
         k = 2
@@ -146,7 +147,7 @@ class TestLinearPeriodMap:
         F = _mode_series(grid1, (k,), c * np.exp(1j * omega * t), 1.0)
         u = linear_period_map(F, op1)
         expected = c * np.exp(1j * omega * t) / (lam + 1j * omega)
-        err = np.abs(u.data[:, k] - expected).max() / np.abs(expected).max()
+        err = np.abs(u[:, k] - expected).max() / np.abs(expected).max()
         assert err <= 1e-3  # quadrature bias at m_t = 64
 
     def test_periodic_by_construction(self, grid3d, op3d, rng):
@@ -155,8 +156,8 @@ class TestLinearPeriodMap:
         data[-1] = data[0]
         F = FieldSeries(grid3d, "frequency", data, 1.0)
         u = linear_period_map(F, op3d)
-        num = np.sqrt((np.abs(u.data[0] - u.data[-1]) ** 2).sum())
-        den = np.sqrt((np.abs(u.data) ** 2).sum(axis=tuple(range(1, 4))).max())
+        num = np.sqrt((np.abs(u[0] - u[-1]) ** 2).sum())
+        den = np.sqrt((np.abs(u) ** 2).sum(axis=tuple(range(1, 4))).max())
         assert num / den <= 1e-9
 
 
@@ -172,31 +173,29 @@ class TestDecayTable:
 
 
 class TestPicardStep:
-    def test_zero_everything(self, grid3d, op3d, cutoffs3d):
+    def test_zero_everything(self, grid3d, op3d):
         zero = FieldSeries(grid3d, "frequency",
                            np.zeros((17,) + grid3d.shape, dtype=complex), 1.0)
-        out = picard_step(zero, zero, op3d, cutoffs3d, SolveOptions(m_t=16))
+        out = picard_step(zero, zero, op3d)
         assert np.all(out.data == 0)
 
-    def test_zero_u_reduces_to_linear_response(self, grid3d, op3d, cutoffs3d):
+    def test_zero_u_reduces_to_linear_response(self, grid3d, op3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
         g_freq = g.to_frequency()
         zero = FieldSeries(grid3d, "frequency",
                            np.zeros_like(g_freq.data), 1.0)
-        stepped = picard_step(zero, g_freq, op3d, cutoffs3d, SolveOptions(m_t=16))
-        linear = linear_period_map(g_freq, op3d)
-        np.testing.assert_allclose(stepped.data, linear.data, atol=1e-15)
+        stepped = picard_step(zero, g_freq, op3d)
+        np.testing.assert_allclose(stepped.data, linear_period_map(g_freq, op3d), atol=1e-15)
 
-    def test_linear_mode_ignores_u(self, grid3d, op3d, cutoffs3d, rng):
+    def test_linear_mode_ignores_u(self, grid3d, op3d, rng):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
         g_freq = g.to_frequency()
-        opts = SolveOptions(m_t=16, nonlinearity_enabled=False)
         u1 = FieldSeries(grid3d, "frequency",
                          np.stack([random_odd_field(grid3d, rng).data
                                    for _ in range(17)]), 1.0)
         zero = FieldSeries(grid3d, "frequency", np.zeros_like(u1.data), 1.0)
-        out1 = picard_step(u1, g_freq, op3d, cutoffs3d, opts)
-        out0 = picard_step(zero, g_freq, op3d, cutoffs3d, opts)
+        out1 = picard_step(u1, g_freq, op3d, nonlinearity=False)
+        out0 = picard_step(zero, g_freq, op3d, nonlinearity=False)
         np.testing.assert_array_equal(out1.data, out0.data)
 
 
@@ -307,21 +306,13 @@ class TestEquationResidual:
 
 class TestContractionEstimate:
     def test_geometric_history(self):
-        rep = PeriodicSolveReport(converged=True, iterations=4,
-                                  residual_history=[1.0, 0.1, 0.01, 0.001],
-                                  periodicity_residual=0.0, z_norm=1.0,
-                                  g_bracket=1.0, c_estimate=1.0,
-                                  contraction_factor=None)
-        assert contraction_estimate(rep) == pytest.approx(0.1, rel=1e-12)
+        factor, reason = _contraction_factor([1.0, 0.1, 0.01, 0.001])
+        assert factor == pytest.approx(0.1, rel=1e-12) and reason is None
 
     def test_requires_three_residuals(self):
-        rep = PeriodicSolveReport(converged=True, iterations=2,
-                                  residual_history=[1.0, 0.1],
-                                  periodicity_residual=0.0, z_norm=1.0,
-                                  g_bracket=1.0, c_estimate=1.0,
-                                  contraction_factor=None)
-        with pytest.raises(ValueError, match="at least 3"):
-            contraction_estimate(rep)
+        for n in range(3):
+            assert _contraction_factor([1.0, 0.1, 0.01][:n]) == (
+                None, f"fewer than 3 residuals (got {n})")
 
     def test_contraction_below_one_when_converged(self, grid3d, op3d, cutoffs3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
@@ -368,7 +359,7 @@ class TestSeriesKernelsOnThePool:
         F.reshape(m_t + 1, -1)[:, 0] = 0.0  # the period map needs a mean-free forcing
 
         def kernels():
-            return (_cubic_difference_data(v, w, grid), _rhs_series_data(v, g, grid),
+            return (_cubic_difference_data(v, w, grid), _cubic_difference_data(None, g, grid),
                     _linear_period_map_data(F, op, 1.3 / m_t, 1e-10))
 
         one = on_workers(monkeypatch, 1, kernels)
@@ -441,7 +432,7 @@ def _ref_equation_residual(u, g, op, include_nonlinearity=True):
         raise ValueError("solution and forcing series are not aligned")
     grid = u.grid
     h = u.dt
-    F = _rhs_series_data(U, G, grid, include_nonlinearity)
+    F = cubic_rhs(U, G, grid) if include_nonlinearity else G
     dt = (U[2:] - U[:-2]) / (2.0 * h)
     R = dt + op.symbol * U[1:-1] - F[1:-1]
     res = float(_node_l2(R, grid).max())
@@ -500,6 +491,16 @@ class TestInPlaceSeriesKernels:
         assert np.array_equal(delta, expected)
         assert np.array_equal(u, v + w)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cubic_term_plus_forcing_is_the_allocating_rhs(self, dim):
+        # the trajectory batteries' F = dealias(|u|^2 u) + g, bit for bit
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=_POOL_GRIDS[dim], box_length=32.0))
+        rng = np.random.default_rng(70 + dim)
+        U, G = (raw_random_series(grid, 32, rng) for _ in range(2))
+        F = _cubic_difference_data(None, U, grid)
+        F += G
+        assert np.array_equal(F.view(np.uint64), cubic_rhs(U, G, grid).view(np.uint64))
+
     def test_cubic_term_without_a_zero_series(self, grid3d):
         w = raw_random_series(grid3d, 8, np.random.default_rng(9))
         zero = np.zeros_like(w)
@@ -537,8 +538,7 @@ class TestSolveKeepsCallerData:
         assert rep.iterations == 1 and not rep.converged
         g_freq = forcing.to_frequency()
         linear = _linear_period_map_data(g_freq.data, op3d, g_freq.dt, 1e-10)
-        stepped = picard_step(FieldSeries(grid3d, "frequency", linear, 1.0), g_freq,
-                              op3d, cutoffs3d, SolveOptions(m_t=16))
+        stepped = picard_step(FieldSeries(grid3d, "frequency", linear, 1.0), g_freq, op3d)
         np.testing.assert_allclose(u.data, stepped.data, rtol=0, atol=1e-15)
 
 

@@ -19,8 +19,9 @@ from glperiod.verification import (STACK_SAMPLES, _band_envelope, _band_stack,
                                    check_nonlinear_bound,
                                    check_period_inverse_bound,
                                    check_projection_completeness,
-                                   random_band_field, reports_to_json,
-                                   run_all_checks, sample_rngs)
+                                   reports_to_json, run_all_checks, sample_rngs)
+
+from oracles import cubic_rhs, random_band_field
 
 
 @pytest.fixture(scope="module")
@@ -384,18 +385,16 @@ class TestStackedBatteriesMatchPerSample:
     def test_nonlinear_bound(self, seed, solved, op3d_module, cutoffs3d_module):
         # the trajectory battery's weighted L1 node norms now come from the
         # shared L^p helper; this reference is the per-node formula
-        from glperiod.norms import _trapz
-        from glperiod.periodic_solver import _rhs_series_data
         u, g = solved
         grid, keep = u.grid, u.grid.keep_nyquist_free
         axes = (1, 2, 3)
-        F = _rhs_series_data(u.to_frequency().data, g.to_frequency().data, grid, True)
+        F = cubic_rhs(u.to_frequency().data, g.to_frequency().data, grid)
         phys = np.fft.ifftn(F * (cutoffs3d_module.chi1 * keep), axes=axes)
         node = (np.abs(phys) * NormSuite.for_grid(grid).weight).sum(axis=axes) \
             * grid.quad_weight
         low = check_nonlinear_bound(u, g, op3d_module, cutoffs3d_module)[0]
         assert low.extras["lhs"] == pytest.approx(
-            float(np.sqrt(_trapz(node ** 2, dx=u.dt))), rel=1e-12)
+            float(np.sqrt(np.trapezoid(node ** 2, dx=u.dt))), rel=1e-12)
 
 
 def _decay_battery_peak_bytes(op, cutoffs, samples):
