@@ -20,7 +20,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import ConfigError, GLPeriodError, NonFiniteField, SeamDecayViolation
-from .forcing import realize_forcing, realize_perturbation
+from .forcing import realize_perturbation
 from .manifest import RunManifest, atomic_write_text, load_manifest, verify_manifest
 from .periodic_solver import equation_residual, solve_periodic
 from .spectral import FieldSeries, Grid, read_snapshot, write_snapshot
@@ -54,7 +54,7 @@ def _run_solve(cfg: dict):
     op = cfgmod.build_operator(grid, cfg)
     cutoffs = cfgmod.build_cutoffs(grid, cfg)
     opts = cfgmod.build_solve_options(cfg)
-    g = realize_forcing(cfgmod.build_forcing_spec(cfg), grid, opts.m_t)
+    g = cfgmod.build_forcing(cfg, grid)
     u, report = solve_periodic(g, op, cutoffs, opts)
     return grid, op, cutoffs, g, u, report
 
@@ -72,7 +72,7 @@ def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
-    resid = equation_residual(u, g, op)
+    resid = equation_residual(u, g, op, bool(cfg["solve"]["nonlinearity_enabled"]))
     report_path = out / "report.json"
     atomic_write_text(report_path, report.to_json())
     manifest.add_artifact(report_path, out)
@@ -218,7 +218,7 @@ def cmd_verify(cfg: dict, seed: int | None = None,
     cutoffs = cfgmod.build_cutoffs(grid, small)
     opts = cfgmod.build_solve_options(small)
     try:
-        g = realize_forcing(cfgmod.build_forcing_spec(small), grid, opts.m_t)
+        g = cfgmod.build_forcing(small, grid)
     except GLPeriodError as exc:
         raise ConfigError(f"verification battery construction failed: {exc}")
 

@@ -1,7 +1,10 @@
 """Run configuration: a single JSON key/value tree.
 
-The shipped reference configuration doubles as schema documentation; every
-field has a default, so a config file only needs the keys it overrides.
+The reference configuration, reference.json beside this module, doubles as
+schema documentation; every field has a default, so a config file only needs
+the keys it overrides. "cutoffs" is "auto" or an object
+{"r1": ..., "r_inf": ...}; a null forcing.sigma means L/16 (a null
+stability.sigma, L/19).
 """
 
 from __future__ import annotations
@@ -12,65 +15,15 @@ import math
 from pathlib import Path
 
 from .errors import ConfigError
-from .forcing import ForcingSpec, PerturbationSpec
+from .forcing import ForcingSpec, PerturbationSpec, realize_forcing
 from .operators import CutoffSpec, LinearOperatorSpec, auto_cutoffs, make_cutoffs, make_operator
 from .periodic_solver import SolveOptions
-from .spectral import Grid, GridConfig, make_grid
+from .spectral import FieldSeries, Grid, GridConfig, make_grid
 
 
 def reference_config() -> dict:
     """The pinned desk-scale experiment (dim 3, n=32, L=64, T=1, eps=1e-2)."""
-    return {
-        "grid": {
-            "dim": 3,
-            "n_per_axis": 32,
-            "box_length": 64.0,
-            "dealias_fraction": 2.0 / 3.0,
-        },
-        "period": 1.0,
-        "cutoffs": "auto",  # or {"r1": ..., "r_inf": ...}
-        "forcing": {
-            "amplitude": 1e-2,
-            "temporal_profile": "sin_fundamental",
-            "harmonic": 1,
-            "spatial_profile": "gauss_dipole",
-            "sigma": None,  # null -> L/16
-            "axis": 0,
-        },
-        "solve": {
-            "max_iterations": 50,
-            "z_tolerance": 1e-10,
-            "m_t": 64,
-            "zero_mode_tol": 1e-10,
-            "nonlinearity_enabled": True,
-        },
-        "stability": {
-            "t_max": 26.0,
-            "amplitude": 1e-2,
-            "profile": "gauss_dipole",
-            "sigma": None,
-            "axis": 0,
-            "record_stride": 4,
-            "order": 2,
-            "linear_only": False,
-        },
-        "verify": {
-            "samples": 200,
-            "grid": {"dim": 3, "n_per_axis": 16, "box_length": 32.0},
-            "m_t": 32,
-            "solve_amplitude": 1e-2,
-        },
-        "sweep": {
-            "epsilon": [1e-3, 3e-3, 1e-2],
-            "m_t": [32, 64, 128],
-            "n": [16, 32],
-        },
-        "seed": 12345,
-        "output": {
-            "dir": "runs/reference",
-            "save_fields": False,
-        },
-    }
+    return json.loads(Path(__file__).with_name("reference.json").read_text())
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -145,14 +98,21 @@ def build_cutoffs(grid: Grid, cfg: dict) -> CutoffSpec:
     return cutoffs
 
 
-def build_forcing_spec(cfg: dict) -> ForcingSpec:
+def build_forcing(cfg: dict, grid: Grid) -> FieldSeries:
+    """The forcing on solve.m_t + 1 nodes of one period: the solve's time grid."""
     f = cfg["forcing"]
     if f["spatial_profile"] == "custom":
         raise ConfigError("forcing.spatial_profile 'custom' needs a profile field, "
                           "which only the Python API (ForcingSpec.custom_profile) "
                           "can supply")
     try:
-        return ForcingSpec(amplitude=float(f["amplitude"]), period=float(cfg["period"]),
+        m_t = int(cfg["solve"]["m_t"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid solve.m_t: {exc}")
+    if m_t < 8:
+        raise ConfigError(f"solve.m_t must be >= 8; got {m_t}")
+    try:
+        spec = ForcingSpec(amplitude=float(f["amplitude"]), period=float(cfg["period"]),
                            temporal_profile=f["temporal_profile"],
                            harmonic=int(f["harmonic"]),
                            spatial_profile=f["spatial_profile"],
@@ -160,13 +120,14 @@ def build_forcing_spec(cfg: dict) -> ForcingSpec:
                            axis=int(f["axis"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid forcing config: {exc}")
+    return realize_forcing(spec, grid, m_t)
 
 
 def build_solve_options(cfg: dict) -> SolveOptions:
     s = cfg["solve"]
     try:
         return SolveOptions(max_iterations=int(s["max_iterations"]),
-                            z_tolerance=float(s["z_tolerance"]), m_t=int(s["m_t"]),
+                            z_tolerance=float(s["z_tolerance"]),
                             zero_mode_tol=float(s["zero_mode_tol"]),
                             nonlinearity_enabled=bool(s["nonlinearity_enabled"]))
     except (TypeError, ValueError) as exc:

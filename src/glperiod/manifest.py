@@ -7,7 +7,7 @@ import hashlib
 import json
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -61,13 +61,8 @@ class RunManifest:
     def finish(self) -> None:
         self.finished = _now()
 
-    def as_dict(self) -> dict:
-        return {"config": self.config, "versions": self.versions,
-                "started": self.started, "finished": self.finished,
-                "artifacts": self.artifacts, "headline": self.headline}
-
     def write(self, path) -> None:
-        atomic_write_text(path, json.dumps(self.as_dict(), indent=2, sort_keys=True))
+        atomic_write_text(path, json.dumps(asdict(self), indent=2, sort_keys=True))
 
 
 def load_manifest(path) -> dict:

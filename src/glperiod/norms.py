@@ -103,7 +103,7 @@ _LP_EXPONENTS = (1, 2, 3, 6)
 def _lp_node(phys: np.ndarray, grid: Grid, p, weighted: bool = False) -> np.ndarray:
     """Per-node quadrature L^p norms of physical data stacked along axis 0,
     optionally with the (1+|x|) weight; p = inf is the max modulus."""
-    axes = tuple(range(1, grid.dim + 1))
+    axes = grid.series_axes
     mag = np.abs(phys)
     if weighted:
         mag = NormSuite.for_grid(grid).weight * mag
@@ -196,7 +196,7 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
     level = [w.reshape(shape) for w, shape in zip(np.split(work, ends[:-1]), shapes)]
     if not nyquist_free:
         if not skip_zero:
-            yield (0,) * dim, np.fft.ifftn(block, axes=range(1, dim + 1), out=level[dim - 1])
+            yield (0,) * dim, np.fft.ifftn(block, axes=grid.series_axes, out=level[dim - 1])
         block *= grid.keep_nyquist_free
         skip_zero = True
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,13 +53,10 @@ from .spectral import FREQUENCY, FieldSeries, map_chunks, node_chunks
 class SolveOptions:
     max_iterations: int = 50
     z_tolerance: float = 1e-10
-    m_t: int = 64
     zero_mode_tol: float = 1e-10
     nonlinearity_enabled: bool = True
 
     def __post_init__(self):
-        if self.m_t < 8:
-            raise ValueError("m_t must be >= 8")
         if not self.z_tolerance > 0 or not self.zero_mode_tol > 0:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
@@ -80,23 +77,8 @@ class PeriodicSolveReport:
     divergence_reason: str | None = None
     contraction_factor_reason: str | None = None  # why contraction_factor is None
 
-    def as_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual_history": list(self.residual_history),
-            "periodicity_residual": self.periodicity_residual,
-            "z_norm": self.z_norm,
-            "g_bracket": self.g_bracket,
-            "c_estimate": self.c_estimate,
-            "contraction_factor": self.contraction_factor,
-            "contraction_factor_reason": self.contraction_factor_reason,
-            "diverged": self.diverged,
-            "divergence_reason": self.divergence_reason,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _step_coefficients(op: LinearOperatorSpec, h: float):
@@ -163,7 +145,7 @@ def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
     return out
 
 
-def _cubic_rows(v: np.ndarray | None, w: np.ndarray, axes, mask) -> np.ndarray:
+def _cubic_rows(v: np.ndarray | None, w: np.ndarray, grid) -> np.ndarray:
     """dealias(|v+w|^2 (v+w) - |v|^2 v) on a block of nodes, evaluated in the
     expanded form 2|v|^2 w + v^2 conj(w) + 2|w|^2 v + w^2 conj(v) + |w|^2 w;
     frequency representation in and out.
@@ -173,6 +155,7 @@ def _cubic_rows(v: np.ndarray | None, w: np.ndarray, axes, mask) -> np.ndarray:
     residuals stay meaningful far below the cancellation floor of the naive
     subtraction. v = None stands for v = 0: the result is dealias(|w|^2 w).
     """
+    axes = grid.series_axes
     wp = np.fft.ifftn(w, axes=axes)
     w_sq = wp.real * wp.real + wp.imag * wp.imag
     if v is None:
@@ -183,7 +166,7 @@ def _cubic_rows(v: np.ndarray | None, w: np.ndarray, axes, mask) -> np.ndarray:
         diff = (2.0 * v_sq * wp + vp * vp * np.conj(wp)
                 + 2.0 * w_sq * vp + wp * wp * np.conj(vp) + w_sq * wp)
     chunk = np.fft.fftn(diff, axes=axes)
-    chunk *= mask
+    chunk *= grid.dealias
     return chunk
 
 
@@ -196,12 +179,10 @@ def _cubic_difference_data(v: np.ndarray | None, w: np.ndarray, grid,
     u^(l) = v and correction delta^(l) = w to u^(l+1) and the cubic term of
     delta^(l+1), with no series allocated.
     """
-    axes = tuple(range(1, grid.dim + 1))
-    mask = grid.dealias_mask(grid.config.dealias_fraction)
     out = w if advance else np.empty_like(w)
 
     def task(rows):
-        chunk = _cubic_rows(None if v is None else v[rows], w[rows], axes, mask)
+        chunk = _cubic_rows(None if v is None else v[rows], w[rows], grid)
         if advance:
             v[rows] += w[rows]
         out[rows] = chunk
@@ -319,15 +300,13 @@ def equation_residual(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
         raise ValueError("need at least 3 time nodes")
     h = u.dt
     U = u.to_frequency().data
-    axes = tuple(range(1, grid.dim + 1))
-    mask = grid.dealias_mask(grid.config.dealias_fraction)
 
     def task(rows):
         G = g.data[rows]
         if g.representation != FREQUENCY:
-            G = np.fft.fftn(G, axes=axes)
+            G = np.fft.fftn(G, axes=grid.series_axes)
         if include_nonlinearity:
-            G = _cubic_rows(None, U[rows], axes, mask) + G
+            G = _cubic_rows(None, U[rows], grid) + G
         dt = (U[rows.start + 1:rows.stop + 1] - U[rows.start - 1:rows.stop - 1]) / (2.0 * h)
         return _node_l2(dt + op.symbol * U[rows] - G, grid)
 

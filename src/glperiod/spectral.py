@@ -143,9 +143,12 @@ class Grid:
         self.nyquist_mask = nyq
         self.keep_nyquist_free = ~nyq
 
+        # 2/3-style truncation: drop modes with any |k| > dealias_fraction * n/2
+        threshold = config.dealias_fraction * (n / 2.0)
+        self.dealias = np.logical_and.reduce([np.abs(km) <= threshold for km in k_mesh])
+        self.series_axes = tuple(range(1, dim + 1))  # spatial axes of stacked data
+
         self._reflect_1d = (-j) % n
-        self._dealias_masks: dict[float, np.ndarray] = {}
-        self._abs_k_mesh = [np.abs(km) for km in k_mesh]
 
     @property
     def dim(self) -> int:
@@ -164,21 +167,6 @@ class Grid:
         dim axes (stacked fields one by one); also on frequency data (k -> -k)."""
         idx = [self._reflect_1d] * self.dim
         return data[(Ellipsis,) + np.ix_(*idx)]
-
-    def dealias_mask(self, fraction: float) -> np.ndarray:
-        """Boolean keep-mask of the 2/3-style truncation: modes with any axis
-        index |k| > fraction * (n/2) are dropped. Idempotent by construction."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"dealias fraction must lie in (0, 1]; got {fraction}")
-        mask = self._dealias_masks.get(fraction)
-        if mask is None:
-            threshold = fraction * (self.n / 2.0)
-            keep = np.ones(self.shape, dtype=bool)
-            for abs_k in self._abs_k_mesh:
-                keep &= abs_k <= threshold
-            mask = keep
-            self._dealias_masks[fraction] = mask
-        return mask
 
 
 def make_grid(config: GridConfig) -> Grid:
@@ -274,7 +262,7 @@ class FieldSeries:
 
         def task(rows):
             fft = np.fft.fftn if representation == FREQUENCY else np.fft.ifftn
-            fft(self.data[rows], axes=range(1, self.grid.dim + 1), out=out[rows])
+            fft(self.data[rows], axes=self.grid.series_axes, out=out[rows])
 
         map_chunks(task, node_chunks(len(self)))
         return FieldSeries(self.grid, representation, out, self.period)

@@ -96,10 +96,9 @@ class _Stepper:
         # as in the period map, so stepped and mapped series agree
         z = -h * op.symbol
         keep = grid.keep_nyquist_free
-        mask = grid.dealias_mask(grid.config.dealias_fraction)
         self.decay = np.exp(z) * keep
-        self.h_phi1 = h * phi1(z) * keep * mask
-        self.h_phi2 = h * phi2(z) * keep * mask
+        self.h_phi1 = h * phi1(z) * keep * grid.dealias
+        self.h_phi2 = h * phi2(z) * keep * grid.dealias
         self.axes = tuple(range(grid.dim))
         self.w_phys, self.rhs, self.f_now, self.f_prev = (
             np.empty(grid.shape, complex) for _ in range(4))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,17 +40,9 @@ class CheckReport:
     passed: bool
     extras: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        d = {"check_name": self.check_name, "samples": self.samples,
-             "worst_ratio": self.worst_ratio,
-             "fitted_constant": self.fitted_constant, "passed": self.passed}
-        if self.extras:
-            d["extras"] = self.extras
-        return d
-
 
 def reports_to_json(reports: list[CheckReport]) -> str:
-    return json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True)
+    return json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True)
 
 
 def sample_rngs(seed: int, samples: int) -> list[np.random.Generator]:
@@ -108,10 +100,6 @@ def _batches(seed: int, samples: int) -> list[list[np.random.Generator]]:
 
 def _band_stack(grid: Grid, batch, envelope: np.ndarray) -> np.ndarray:
     return np.array([_band_data(grid, rng, envelope) for rng in batch])
-
-
-def _axes(grid: Grid) -> tuple[int, ...]:
-    return tuple(range(1, grid.dim + 1))
 
 
 def check_projection_completeness(grid: Grid, cutoffs: CutoffSpec,
@@ -173,12 +161,12 @@ def check_period_inverse_bound(op: LinearOperatorSpec, cutoffs: CutoffSpec,
     ratios = []
     for batch in _batches(seed, samples):
         profiles = np.array([dipoles(rng) for rng in batch])
-        f_hat = np.fft.fftn(profiles, axes=_axes(grid)) * cutoffs.chi1 * keep
+        f_hat = np.fft.fftn(profiles, axes=grid.series_axes) * cutoffs.chi1 * keep
         f_hat = 0.5 * (f_hat - grid.reflect(f_hat))  # exact lattice oddness
         f_hat[(slice(None),) + (0,) * grid.dim] = 0.0
         u = inv * f_hat * keep
         num = _node_l2(u, grid) + np.sqrt(x_gradient_node_sq(u, grid))
-        den = _lp_node(np.fft.ifftn(f_hat, axes=_axes(grid)), grid, 1, weighted=True)
+        den = _lp_node(np.fft.ifftn(f_hat, axes=grid.series_axes), grid, 1, weighted=True)
         ratios.extend(num[den > 0] / den[den > 0])
     return _fitted_battery_report(
         "period_inverse_bound", ratios,
@@ -267,7 +255,7 @@ def check_nonlinear_bound(u_series: FieldSeries, g_series: FieldSeries,
     z = z_norm(u_series, cutoffs)
 
     def l2t_l1w(data):
-        node = _lp_node(np.fft.ifftn(data, axes=_axes(grid)), grid, 1, weighted=True)
+        node = _lp_node(np.fft.ifftn(data, axes=grid.series_axes), grid, 1, weighted=True)
         return float(np.sqrt(np.trapezoid(node ** 2, dx=h)))
 
     def l2t_h1w(data):
@@ -305,9 +293,9 @@ def check_bernstein(grid: Grid, cutoffs: CutoffSpec, samples: int = 100,
     envelope = _band_envelope(grid, "low", cutoffs)
     for batch in _batches(seed, samples):
         f = _band_stack(grid, batch, envelope)
-        phys = np.fft.ifftn(f, axes=_axes(grid))
+        phys = np.fft.ifftn(f, axes=grid.series_axes)
         l2 = _lp_node(phys, grid, 2)
-        grad = np.sqrt((grid.xi_sq * (f.real ** 2 + f.imag ** 2)).sum(axis=_axes(grid))
+        grad = np.sqrt((grid.xi_sq * (f.real ** 2 + f.imag ** 2)).sum(axis=grid.series_axes)
                        * grid.parseval_factor)
         grad_ratios.extend(grad / (cutoffs.r_inf * l2))
         for p in lp_consts:
@@ -325,7 +313,7 @@ def check_hardy(grid: Grid, samples: int = 100, seed: int = 0) -> CheckReport:
     """|| f/|x| ||_{L2} <= C ||grad f||_{L2} on smooth fields vanishing at the
     box edge; the origin node is excluded from the quadrature. ||grad f||^2
     is sum xi^2 |f_hat|^2 over the Nyquist-free modes (Parseval)."""
-    axes = _axes(grid)
+    axes = grid.series_axes
     window = np.exp(-grid.x_abs ** 2 / (2.0 * (grid.box_length / 8.0) ** 2))
     inv_x = np.zeros(grid.shape)
     nonzero = grid.x_abs > 0
@@ -355,7 +343,7 @@ def check_high_freq_weighted_poincare(grid: Grid, cutoffs: CutoffSpec,
     envelope = _band_envelope(grid, "high", cutoffs)
     for batch in _batches(seed, samples):
         f = _band_stack(grid, batch, envelope)
-        phys = np.fft.ifftn(f, axes=_axes(grid))
+        phys = np.fft.ifftn(f, axes=grid.series_axes)
         x_f_sq = _weighted_sq(phys, suite.x_abs_sq_flat)
         deficit = np.maximum(0.0, (cutoffs.r1 ** 2 / 2.0) * x_f_sq - x_gradient_node_sq(f, grid))
         consts.extend(deficit / _weighted_sq(phys, suite.quad_flat))

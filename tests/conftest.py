@@ -39,7 +39,7 @@ def random_physical_field(grid, rng, dealiased=True):
     identity (which zeroes Nyquist rows) holds exactly."""
     data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     if dealiased:
-        fhat = np.fft.fftn(data) * grid.dealias_mask(grid.config.dealias_fraction)
+        fhat = np.fft.fftn(data) * grid.dealias
         data = np.fft.ifftn(fhat)
     return SpectralField(grid, "physical", data)
 
@@ -48,7 +48,7 @@ def random_odd_field(grid, rng):
     """Random field exactly odd on the lattice (frequency antisymmetrized)."""
     fhat = np.fft.fftn(rng.standard_normal(grid.shape)
                        + 1j * rng.standard_normal(grid.shape))
-    fhat *= grid.dealias_mask(grid.config.dealias_fraction)
+    fhat *= grid.dealias
     fhat = 0.5 * (fhat - grid.reflect(fhat))
     fhat.flat[0] = 0.0
     return SpectralField(grid, "frequency", fhat)

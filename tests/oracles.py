@@ -117,7 +117,7 @@ def cubic_rhs(U, G, grid):
     axes = tuple(range(1, grid.dim + 1))
     phys = np.fft.ifftn(U, axes=axes)
     C = np.fft.fftn(phys * (phys.real ** 2 + phys.imag ** 2), axes=axes)
-    C *= grid.dealias_mask(grid.config.dealias_fraction)
+    C *= grid.dealias
     return C + G
 
 

@@ -39,7 +39,7 @@ def reference():
     op = gl.make_operator(grid, PERIOD)
     cutoffs = gl.auto_cutoffs(grid, PERIOD)
     g = gl.realize_forcing(ForcingSpec(amplitude=1e-2, period=PERIOD), grid, 64)
-    u, report = gl.solve_periodic(g, op, cutoffs, SolveOptions(m_t=64))
+    u, report = gl.solve_periodic(g, op, cutoffs, SolveOptions())
     assert report.converged
     return {"grid": grid, "op": op, "cutoffs": cutoffs, "g": g, "u": u,
             "report": report}
@@ -109,7 +109,7 @@ def test_criterion_1_operator_algebra():
 def test_criterion_2_linear_oracle(small3d):
     grid, op, cutoffs = small3d
     rng = np.random.default_rng(2024)
-    opts = SolveOptions(m_t=16, nonlinearity_enabled=False)
+    opts = SolveOptions(nonlinearity_enabled=False)
     candidates = np.argwhere((grid.xi_sq.ravel() > 0)
                              & ~grid.nyquist_mask.ravel()).ravel()
     worst = 0.0
@@ -140,7 +140,7 @@ def test_criterion_3_reference_run(reference):
     resid = {64: gl.equation_residual(reference["u"], reference["g"], op)}
     for m_t in (32, 128):
         g = gl.realize_forcing(ForcingSpec(amplitude=1e-2, period=PERIOD), grid, m_t)
-        u, rep = gl.solve_periodic(g, op, cutoffs, SolveOptions(m_t=m_t))
+        u, rep = gl.solve_periodic(g, op, cutoffs, SolveOptions())
         assert rep.converged
         resid[m_t] = gl.equation_residual(u, g, op)
     ratio_a = resid[32] / resid[64]
@@ -149,7 +149,7 @@ def test_criterion_3_reference_run(reference):
     c_values = [report.c_estimate]
     for eps in (1e-3, 3e-3):
         g = gl.realize_forcing(ForcingSpec(amplitude=eps, period=PERIOD), grid, 64)
-        _, rep = gl.solve_periodic(g, op, cutoffs, SolveOptions(m_t=64))
+        _, rep = gl.solve_periodic(g, op, cutoffs, SolveOptions())
         assert rep.converged
         c_values.append(rep.c_estimate)
     c_spread = max(c_values) / min(c_values)
@@ -172,7 +172,7 @@ def test_criterion_3_reference_run(reference):
 
 def test_criterion_4_contraction_scaling(small3d):
     grid, op, cutoffs = small3d
-    opts = SolveOptions(m_t=32, z_tolerance=1e-30, max_iterations=8)
+    opts = SolveOptions(z_tolerance=1e-30, max_iterations=8)
 
     def contraction(eps):
         g = gl.realize_forcing(ForcingSpec(amplitude=eps, period=PERIOD), grid, 32)
@@ -261,7 +261,7 @@ def test_criterion_6_oddness_conservation(reference):
 def test_criterion_7_verification_batteries(small3d):
     grid, op, cutoffs = small3d
     g = gl.realize_forcing(ForcingSpec(amplitude=1e-2, period=PERIOD), grid, 32)
-    u, rep = gl.solve_periodic(g, op, cutoffs, SolveOptions(m_t=32))
+    u, rep = gl.solve_periodic(g, op, cutoffs, SolveOptions())
     assert rep.converged
     reports = run_all_checks(grid, op, cutoffs, samples=200, seed=12345,
                              u_series=u, g_series=g)

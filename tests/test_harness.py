@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import glperiod
+from glperiod import config
 from glperiod.cli import main
 from glperiod.config import load_config, reference_config
 from glperiod.errors import ConfigError
@@ -82,7 +83,10 @@ class TestConfig:
         assert cfg == reference_config()
 
     def test_shipped_reference_config_matches_defaults(self):
+        # configs/reference.json is a link to the file the package ships
         shipped = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+        packaged = Path(config.__file__)
+        assert shipped.resolve() == packaged.with_name("reference.json").resolve()
         assert json.loads(shipped.read_text()) == reference_config()
 
     def test_override_merging(self, tmp_path):
@@ -151,6 +155,21 @@ class TestSolveCommand:
         for summary in (report, headline):
             assert summary["contraction_factor"] is None
             assert summary["contraction_factor_reason"] == "fewer than 3 residuals (got 2)"
+
+    def test_linear_run_certifies_the_linear_equation(self, tmp_path):
+        # at amplitude 1 the cubic term moves the residual in the 4th digit
+        cfg_path = _small_config(tmp_path, forcing={"amplitude": 1.0},
+                                 solve={"m_t": 32, "nonlinearity_enabled": False})
+        assert main(["solve-periodic", "--config", str(cfg_path)]) == 0
+        headline = load_manifest(tmp_path / "out" / "manifest.json")["headline"]
+        cfg = load_config(cfg_path)
+        grid = config.build_grid(cfg)
+        op = config.build_operator(grid, cfg)
+        g = config.build_forcing(cfg, grid)
+        u, _ = glperiod.solve_periodic(g, op, config.build_cutoffs(grid, cfg),
+                                       config.build_solve_options(cfg))
+        expected = glperiod.equation_residual(u, g, op, False)
+        assert headline["equation_residual"] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_amplitude_null_c_estimate(self, tmp_path):
         cfg_path = _small_config(tmp_path, forcing={"amplitude": 0.0})
@@ -335,6 +354,7 @@ class TestMalformedInput:
         (["verify"], {"verify": {"grid": {"dim": None}}}, None),
         (["solve-periodic"], {"period": None}, None),
         (["solve-periodic"], {"solve": {"m_t": None}}, None),
+        (["solve-periodic"], {"solve": {"m_t": 4}}, None),
         (["sweep", "--axis", "epsilon"], {}, "abc"),
         (["sweep", "--axis", "epsilon"], {}, "-1"),
         (["stability"], {"stability": {"t_max": 5.0}}, None),
@@ -346,7 +366,7 @@ class TestMalformedInput:
         (["verify"], {"verify": {"grid": None}}, None),
         (["sweep", "--axis", "epsilon"], {"sweep": {"epsilon": [None]}}, None),
         (["solve-periodic"], {"forcing": {"spatial_profile": "custom"}}, None),
-    ], ids=["grid-dim-null", "verify-grid-dim-null", "period-null", "m_t-null",
+    ], ids=["grid-dim-null", "verify-grid-dim-null", "period-null", "m_t-null", "m_t-4",
             "threads-abc", "threads-negative", "t_max-below-10-periods",
             "t_max-null", "record_stride-0", "order-3", "perturbation-axis-5",
             "perturbation-sigma-negative", "verify-grid-null",

@@ -202,15 +202,20 @@ class TestPicardStep:
 class TestSolvePeriodic:
     def test_zero_forcing_converges_immediately(self, grid3d, op3d, cutoffs3d):
         g = realize_forcing(ForcingSpec(amplitude=0.0, period=1.0), grid3d, 16)
-        u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions(m_t=16))
+        u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
         assert rep.converged and rep.iterations == 1
         assert np.all(u.data == 0)
         assert rep.c_estimate is None
 
+    def test_time_nodes_are_not_an_option(self):
+        # the forcing series fixes the time grid; no option can disagree with it
+        with pytest.raises(TypeError):
+            SolveOptions(m_t=8)
+
     def test_linear_oracle_time_constant_modes(self, grid3d, op3d, cutoffs3d, rng):
         # closed form u = g_hat / lambda for per-mode constant forcing
         m_t = 16
-        opts = SolveOptions(m_t=m_t, nonlinearity_enabled=False)
+        opts = SolveOptions(nonlinearity_enabled=False)
         nz = np.argwhere(grid3d.xi_sq.ravel() > 0).ravel()
         for _ in range(5):
             flat_idx = nz[rng.integers(0, nz.size)]
@@ -231,14 +236,14 @@ class TestSolvePeriodic:
         cs = []
         for eps in (5e-3, 1e-2):
             g = realize_forcing(ForcingSpec(amplitude=eps, period=1.0), grid3d, 16)
-            _, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions(m_t=16))
+            _, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
             assert rep.converged
             cs.append(rep.c_estimate)
         assert abs(cs[1] / cs[0] - 1.0) <= 0.1
 
     def test_oddness_of_converged_solution(self, grid3d, op3d, cutoffs3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
-        u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions(m_t=16))
+        u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
         assert rep.converged
         for m in (0, 5, 11, 16):
             assert check_oddness(u.field(m).to_physical()) <= 1e-10
@@ -247,14 +252,14 @@ class TestSolvePeriodic:
         g = realize_forcing(ForcingSpec(amplitude=40.0, period=1.0), grid3d, 16)
         try:
             _, rep = solve_periodic(g, op3d, cutoffs3d,
-                                    SolveOptions(m_t=16, max_iterations=12))
+                                    SolveOptions(max_iterations=12))
             assert not rep.converged
         except NonFiniteField:
             pass  # escape by overflow is the other sanctioned outcome
 
     def test_split_consistency(self, grid3d, op3d, cutoffs3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
-        u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions(m_t=16))
+        u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
         low, high = split_series(u, cutoffs3d)
         recombined = low.data + high.data
         err = np.abs(recombined - u.data).max() / np.abs(u.data).max()
@@ -281,7 +286,7 @@ class TestEquationResidual:
             a = np.sin(2 * np.pi * (t % m_t) / m_t)
             data = a[(slice(None),) + (None,) * 3] * profile
             g = FieldSeries(grid3d, "frequency", data, 1.0)
-            u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions(m_t=m_t))
+            u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
             assert rep.converged
             resid[m_t] = equation_residual(u, g, op3d)
         assert 3.0 <= resid[16] / resid[32] <= 5.0
@@ -289,7 +294,7 @@ class TestEquationResidual:
 
     def test_noise_sensitivity_linear(self, grid3d, op3d, cutoffs3d, rng):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
-        u, _ = solve_periodic(g, op3d, cutoffs3d, SolveOptions(m_t=16))
+        u, _ = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
         base = equation_residual(u, g, op3d)
         noise = np.stack([random_odd_field(grid3d, rng).data for _ in range(17)])
         node_l2 = np.sqrt((np.abs(noise) ** 2).sum(axis=(1, 2, 3))
@@ -317,7 +322,7 @@ class TestContractionEstimate:
     def test_contraction_below_one_when_converged(self, grid3d, op3d, cutoffs3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
         _, rep = solve_periodic(g, op3d, cutoffs3d,
-                                SolveOptions(m_t=16, z_tolerance=1e-25))
+                                SolveOptions(z_tolerance=1e-25))
         assert rep.converged
         assert rep.contraction_factor is not None
         assert rep.contraction_factor < 1.0
@@ -332,7 +337,7 @@ class TestContractionEstimate:
         # within 50% of their geometric mean (clean contraction)
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
         _, rep = solve_periodic(g, op3d, cutoffs3d,
-                                SolveOptions(m_t=16, z_tolerance=1e-38,
+                                SolveOptions(z_tolerance=1e-38,
                                              max_iterations=7))
         hist = rep.residual_history
         assert len(hist) >= 4
@@ -516,14 +521,14 @@ class TestSolveKeepsCallerData:
     def test_caller_forcing_is_unchanged(self, grid3d, op3d, cutoffs3d, forcing):
         for g in (forcing, forcing.to_frequency()):
             before = g.data.tobytes()
-            solve_periodic(g, op3d, cutoffs3d, SolveOptions(m_t=16))
+            solve_periodic(g, op3d, cutoffs3d, SolveOptions())
             assert g.data.tobytes() == before
 
     def test_physical_and_frequency_forcing_give_the_same_bytes(self, grid3d, op3d,
                                                                 cutoffs3d, forcing):
-        u_phys, rep_phys = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions(m_t=16))
+        u_phys, rep_phys = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())
         u_freq, rep_freq = solve_periodic(forcing.to_frequency(), op3d, cutoffs3d,
-                                          SolveOptions(m_t=16))
+                                          SolveOptions())
         assert rep_phys.converged
         assert u_phys.data.tobytes() == u_freq.data.tobytes()
         # g_bracket reads the physical field, which to_physical rounds
@@ -534,7 +539,7 @@ class TestSolveKeepsCallerData:
                                                                  cutoffs3d, forcing):
         # one iteration adds delta^(0) to the linear response: picard_step of 0
         u, rep = solve_periodic(forcing, op3d, cutoffs3d,
-                                SolveOptions(m_t=16, max_iterations=1))
+                                SolveOptions(max_iterations=1))
         assert rep.iterations == 1 and not rep.converged
         g_freq = forcing.to_frequency()
         linear = _linear_period_map_data(g_freq.data, op3d, g_freq.dt, 1e-10)
@@ -559,7 +564,7 @@ class TestStreamedEquationResidual:
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_converged_solution(self, grid3d, op3d, cutoffs3d, nonlinear):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 21)
-        u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions(m_t=21))
+        u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
         assert rep.converged
         for forcing in (g, g.to_frequency()):
             assert (equation_residual(u, forcing, op3d, nonlinear)
@@ -587,13 +592,13 @@ class TestSolveMemory:
         # 3.86 series on two workers (3.0 on one); the allocating loop read
         # 7.86, and one extra series per iteration (a fresh iterate, or a
         # zero series for the first cubic term) reads 4.48
-        opts = SolveOptions(m_t=self.M_T)
+        opts = SolveOptions()
         solve_periodic(forcing, op3d, cutoffs3d, opts)  # warm the per-grid caches
         peak = _traced_peak(solve_periodic, forcing, op3d, cutoffs3d, opts)
         assert peak <= 4.2 * _series_bytes(grid3d, self.M_T)
 
     def test_equation_residual_streams(self, grid3d, op3d, cutoffs3d, forcing):
-        u, _ = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions(m_t=self.M_T))
+        u, _ = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())
         equation_residual(u, forcing, op3d)
         peak = _traced_peak(equation_residual, u, forcing, op3d)
         assert peak <= 2.0 * _series_bytes(grid3d, self.M_T)

@@ -127,26 +127,29 @@ class TestCubicNonlinearity:
 
 
 class TestDealias:
-    def test_fraction_one_is_identity(self, grid3d, rng):
-        f = random_physical_field(grid3d, rng, dealiased=False).to_frequency()
-        np.testing.assert_array_equal(f.data * grid3d.dealias_mask(1.0), f.data)
+    def test_fraction_one_is_identity(self, rng):
+        grid = make_grid(GridConfig(dim=3, n_per_axis=16, box_length=32.0,
+                                    dealias_fraction=1.0))
+        f = random_physical_field(grid, rng, dealiased=False).to_frequency()
+        np.testing.assert_array_equal(f.data * grid.dealias, f.data)
 
     def test_two_thirds_threshold_n8(self):
-        grid = make_grid(GridConfig(dim=1, n_per_axis=8, box_length=1.0))
-        kept = np.ones(8, dtype=complex) * grid.dealias_mask(2.0 / 3.0)
+        grid = make_grid(GridConfig(dim=1, n_per_axis=8, box_length=1.0,
+                                    dealias_fraction=2.0 / 3.0))
+        kept = np.ones(8, dtype=complex) * grid.dealias
         # indices in FFT order 0,1,2,3,-4,-3,-2,-1; keep |k| <= 2
         expected = np.array([1, 1, 1, 0, 0, 0, 1, 1], dtype=complex)
         np.testing.assert_array_equal(kept, expected)
 
     def test_idempotent(self, grid3d, rng):
         f = random_physical_field(grid3d, rng, dealiased=False).to_frequency()
-        once = f.data * grid3d.dealias_mask(2.0 / 3.0)
-        twice = once * grid3d.dealias_mask(2.0 / 3.0)
+        once = f.data * grid3d.dealias
+        twice = once * grid3d.dealias
         np.testing.assert_array_equal(once, twice)
 
-    def test_rejects_bad_fraction(self, grid1d):
+    def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
-            grid1d.dealias_mask(1.5)
+            GridConfig(dim=1, n_per_axis=8, dealias_fraction=1.5)
 
 
 class TestFieldSeries:

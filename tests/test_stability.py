@@ -44,7 +44,7 @@ class _ReferenceStepper:
         self.decay = np.exp(z) * keep
         self.h_phi1 = h * phi1(z) * keep
         self.h_phi2 = h * phi2(z) * keep
-        self.mask = grid.dealias_mask(grid.config.dealias_fraction)
+        self.mask = grid.dealias
         self.axes = tuple(range(grid.dim))
 
     def _nonlinear_hat(self, w_hat, v_phys):
@@ -124,7 +124,7 @@ def small_setup():
     op = make_operator(grid, 1.0)
     cut = auto_cutoffs(grid, 1.0)
     g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid, 16)
-    v_per, rep = solve_periodic(g, op, cut, SolveOptions(m_t=16))
+    v_per, rep = solve_periodic(g, op, cut, SolveOptions())
     assert rep.converged
     return grid, op, cut, g, v_per
 

@@ -28,7 +28,7 @@ from oracles import cubic_rhs, random_band_field
 def solved(grid3d_module, op3d_module, cutoffs3d_module):
     grid, op, cut = grid3d_module, op3d_module, cutoffs3d_module
     g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid, 16)
-    u, rep = solve_periodic(g, op, cut, SolveOptions(m_t=16))
+    u, rep = solve_periodic(g, op, cut, SolveOptions())
     assert rep.converged
     return u, g
 
