@@ -227,8 +227,8 @@ def cmd_verify(cfg: dict, seed: int | None = None,
         print("verification base solve did not converge", file=sys.stderr)
         return EXIT_DIVERGED
 
-    reports = run_all_checks(grid, op, cutoffs, samples=samples,
-                             seed=root_seed, u_series=u, g_series=g)
+    reports = run_all_checks(grid, op, cutoffs, samples=samples, seed=root_seed,
+                             u_series=u, g_series=g, u_z_norm=report.z_norm)
     checks_path = out / "checks.json"
     atomic_write_text(checks_path, reports_to_json(reports))
 

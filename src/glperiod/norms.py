@@ -31,6 +31,17 @@ nodes and orders (cumsum, trapezoid, max) run after the map. Node sums are
 row-by-row einsum reductions, not BLAS products, so no result depends on
 the number of workers, the chunk size or the BLAS thread count.
 
+Odd series (u(-x) = -u(x) on the lattice, as the solve's iterates are for
+the paper's odd forcings) can take a half-lattice path (z_norm(odd=True)).
+The lattice reflection j -> -j mod n leaves every weight and mask even and
+every |d^alpha u|^2 of an odd u even; it maps first-axis plane j to plane
+-j mod n, and every pass after the first-axis one stays within a plane. So
+after its first-axis pass the tree keeps planes 0..n/2 only, and the sums
+weight them 1, 2, ..., 2, 1. Each task first projects its block on its odd
+part (u - Ru)/2, so the odd-even cross term, which cancels only over the
+whole lattice, is not there to be lost: for data odd to roundoff the half
+and full sums agree to roundoff.
+
 The weighted field norms (weighted_hk_node_sq, x_gradient_node_sq) run on
 the same tree over stacks of fields; single-field norms are stacks of one.
 """
@@ -63,12 +74,6 @@ class NormSuite:
         self.weight = 1.0 + grid.x_abs
         self.weight_sq = self.weight * self.weight
         self.x_abs_sq = grid.x_abs * grid.x_abs
-        # Node-sum weights over the real view of a flattened complex field,
-        # quadrature weight included: the weighted |f|^2 of a node is
-        # _weighted_sq(f, w).
-        self.weight_sq_flat, self.x_abs_sq_flat, self.quad_flat = (
-            np.repeat(w.ravel(), 2) * grid.quad_weight
-            for w in (self.weight_sq, self.x_abs_sq, np.ones(grid.shape)))
         # axis_symbols[axis][a]: (i xi_axis)^a, shaped to broadcast along axis
         # `axis` of time-stacked data.
         self.axis_symbols = [
@@ -83,6 +88,21 @@ class NormSuite:
             suite = cls(grid)
             grid._norm_suite = suite
         return suite
+
+    def flat(self, name: str, odd: bool = False) -> np.ndarray:
+        """Node-sum weights over the real view of a flattened complex field,
+        quadrature weight included: the `name` ('weight_sq', 'x_abs_sq' or
+        'quad') weighted |f|^2 of a node is _weighted_sq(f, w). With `odd`
+        they cover the first-axis planes 0..n/2 of an odd field, each mirror
+        plane folded in (plane weights 1, 2, ..., 2, 1). Built per call (in
+        microseconds) rather than kept, so no run holds every variant."""
+        grid = self.grid
+        w = np.ones(grid.shape) if name == "quad" else getattr(self, name)
+        if odd:
+            planes = np.full((grid.n // 2 + 1,) + (1,) * (grid.dim - 1), 2.0)
+            planes[[0, -1]] = 1.0
+            w = w[:len(planes)] * planes
+        return np.repeat(w.ravel(), 2) * grid.quad_weight
 
     def sobolev_symbol(self, k: int) -> np.ndarray:
         """sum_{|alpha| <= k} |(i xi)^alpha|^2, Nyquist-zeroed for |alpha| >= 1,
@@ -174,7 +194,7 @@ def _axis_support(mask: np.ndarray | None, grid: Grid) -> list:
 
 
 def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
-                     skip_zero: bool, support: list, halo_order: int):
+                     skip_zero: bool, support: list, halo_order: int, planes: int):
     """Yield (alpha, d^alpha block in physical space, in a buffer the next
     block overwrites) for every |alpha| <= k, or 1 <= |alpha| <= k with
     `skip_zero`, from task-owned frequency data `block` stacked along axis 0
@@ -182,13 +202,16 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
     are zeroed for |alpha| >= 1 and kept for alpha = 0 (the rule of
     sobolev_symbol); a block not known to be Nyquist-free takes its alpha = 0
     field from an unmasked transform. The first and last nodes are a halo,
-    kept for |alpha| <= halo_order only (none with -1).
+    kept for |alpha| <= halo_order only (none with -1). Each first-axis pass
+    keeps its first `planes` planes (n, or n/2 + 1 for odd data), and every
+    later pass runs on those only.
     """
     dim, n, rows = grid.dim, grid.n, block.shape[0]
     widths = [n if s is None else len(s[0]) for s in support]
     # Level buffers, then zero-padded ones, from one allocation: separate ones freed
     # together let glibc trim the thread's arena, and the next task refaulted them.
-    shapes = [(rows,) + (n,) * (axis + 1) + tuple(widths[axis + 1:]) for axis in range(dim)]
+    shapes = [(rows, n if axis == 0 else planes) + (n,) * axis + tuple(widths[axis + 1:])
+              for axis in range(dim)]
     shapes += [shape if s else (0,) for shape, s in zip(shapes, support)]
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     work = np.empty(ends[-1], complex)
@@ -196,7 +219,9 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
     level = [w.reshape(shape) for w, shape in zip(np.split(work, ends[:-1]), shapes)]
     if not nyquist_free:
         if not skip_zero:
-            yield (0,) * dim, np.fft.ifftn(block, axes=grid.series_axes, out=level[dim - 1])
+            phys = np.fft.ifftn(block, axes=grid.series_axes,
+                                out=level[dim - 1] if planes == n else None)
+            yield (0,) * dim, phys[:, :planes]
         block *= grid.keep_nyquist_free
         skip_zero = True
 
@@ -214,6 +239,8 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
             if a:
                 np.multiply(src, NormSuite.for_grid(grid).axis_symbols[axis][a], out=out)
             np.fft.ifftn(out if a else src, axes=(axis + 1,), out=out)
+            if axis == 0:
+                out = out[:, :planes]
             if axis + 1 < dim:
                 if support[axis + 1]:
                     nxt, lead = level[dim + axis + 1][:len(out)], (slice(None),) * (axis + 2)
@@ -224,8 +251,23 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
         yield alpha, out
 
 
+def _odd_part(block: np.ndarray, mirror: tuple) -> None:
+    """Overwrite frequency data stacked along axis 0 with its odd part
+    (f - Rf)/2, R the lattice reflection, a first-axis plane and its mirror
+    at a time (`mirror` indexes R on the later axes of a plane); the result
+    is odd bit for bit."""
+    n, lead = block.shape[1], (slice(None),)
+    for j in range(n // 2 + 1):
+        plane = block[:, j]
+        plane -= block[:, -j % n][lead + mirror]
+        plane *= 0.5
+        if 0 < j < n // 2:
+            np.negative(plane[lead + mirror], out=block[:, -j % n])
+
+
 def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_sums: int,
-               add, dt_order: int = -1, skip_zero: bool = False) -> np.ndarray:
+               add, dt_order: int = -1, skip_zero: bool = False,
+               odd: bool = False) -> np.ndarray:
     """Per-node sums over the d^alpha fields, |alpha| <= k, of chi * data,
     as an (n_sums, m_t + 1) array.
 
@@ -236,24 +278,37 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
     difference from a periodic halo node either side, wrapping over the m_t
     periodic nodes (node m_t, a chunk of its own, gets m_t - 1 and 1). With
     chi None the data are used as given; `skip_zero` skips alpha = 0.
+
+    With `odd` each task projects its block on its odd part and the fields
+    cover only the first-axis planes 0..n/2, to be summed with the weights
+    NormSuite.flat(name, odd=True) (the half-lattice path of the module
+    docstring); chi must then be even on the lattice.
     """
     NormSuite.for_grid(grid)  # fill the per-grid cache before workers read it
     m_t = data.shape[0] - 1
     halo = dt_order >= 0
     mask = None if chi is None else chi * grid.keep_nyquist_free
+    if odd and mask is not None and not np.array_equal(grid.reflect(mask), mask):
+        raise ValueError("odd node sums need a mask that is even on the lattice")
+    planes = grid.n // 2 + 1 if odd else grid.n
     support = _axis_support(mask, grid)
-    cols = any(support) and [np.arange(grid.n) if s is None else s[0] for s in support]
+    lines = [np.arange(grid.n) if s is None else s[0] for s in support]
+    cols = any(support) and lines
+    mirror = np.ix_(*(np.searchsorted(c, -c % grid.n) for c in lines[1:]))  # R in a plane
     mask = mask[np.ix_(*cols)] if cols else mask
 
     def task(rows):
         nodes = np.r_[(rows.start - 1) % m_t, rows, rows.stop % m_t] if halo else np.r_[rows]
         block = data[np.ix_(nodes, *cols)] if cols else data[nodes]
+        if odd:
+            _odd_part(block, mirror)
         if mask is not None:
             block *= mask
         out = np.zeros((n_sums, rows.stop - rows.start))
-        diff = np.empty((out.shape[1],) + grid.shape, complex) if halo else None
+        diff = (np.empty((out.shape[1], planes) + grid.shape[1:], complex)
+                if halo else None)
         for alpha, phys in _derivative_tree(block, grid, k, mask is not None, skip_zero,
-                                            support, dt_order):
+                                            support, dt_order, planes):
             if sum(alpha) <= dt_order:
                 add(out, alpha, phys[1:-1], np.subtract(phys[2:], phys[:-2], out=diff))
             else:
@@ -269,7 +324,7 @@ def weighted_hk_node_sq(data: np.ndarray, grid: Grid, k: int,
     """Squared weighted H^j norms, j = 0..k (row j), of every field of
     frequency-stacked data, projected by chi when given (without chi the
     Nyquist rule of _derivative_tree applies)."""
-    w2 = NormSuite.for_grid(grid).weight_sq_flat
+    w2 = NormSuite.for_grid(grid).flat("weight_sq")
 
     def add(out, alpha, phys, diff):
         out[sum(alpha)] += _weighted_sq(phys, w2)
@@ -279,7 +334,7 @@ def weighted_hk_node_sq(data: np.ndarray, grid: Grid, k: int,
 
 def x_gradient_node_sq(data: np.ndarray, grid: Grid) -> np.ndarray:
     """|| |x| |grad f| ||_{L2}^2 of every field f of frequency-stacked data."""
-    x2 = NormSuite.for_grid(grid).x_abs_sq_flat
+    x2 = NormSuite.for_grid(grid).flat("x_abs_sq")
 
     def add(out, alpha, phys, diff):
         out[0] += _weighted_sq(phys, x2)
@@ -287,31 +342,32 @@ def x_gradient_node_sq(data: np.ndarray, grid: Grid) -> np.ndarray:
     return _node_sums(data, grid, 1, None, 1, add, skip_zero=True)[0]
 
 
-def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
+def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float,
+            odd: bool = False) -> float:
     suite = NormSuite.for_grid(grid)
+    w2, x2, quad = (suite.flat(name, odd) for name in ("weight_sq", "x_abs_sq", "quad"))
 
     def add(out, alpha, node, diff):
         if any(alpha):
-            out[1] += (_weighted_sq(node, suite.x_abs_sq_flat)
-                       + _weighted_sq(diff, suite.x_abs_sq_flat) / (4 * h * h))
+            out[1] += _weighted_sq(node, x2) + _weighted_sq(diff, x2) / (4 * h * h)
         else:
-            out[0] = (_weighted_sq(node, suite.quad_flat)
-                      + _weighted_sq(diff, suite.quad_flat) / (4 * h * h))
-            out[2] = _weighted_sq(diff, suite.weight_sq_flat) / (4 * h * h)
+            out[0] = _weighted_sq(node, quad) + _weighted_sq(diff, quad) / (4 * h * h)
+            out[2] = _weighted_sq(diff, w2) / (4 * h * h)
 
-    l2, xg, l2w_dt = _node_sums(data, grid, 1, chi, 3, add, dt_order=1)
+    l2, xg, l2w_dt = _node_sums(data, grid, 1, chi, 3, add, dt_order=1, odd=odd)
     return float(sum(np.sqrt(np.trapezoid(v, dx=h)) for v in (l2, xg, l2w_dt)))
 
 
-def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
-    w2 = NormSuite.for_grid(grid).weight_sq_flat
+def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float,
+            odd: bool = False) -> float:
+    w2 = NormSuite.for_grid(grid).flat("weight_sq", odd)
 
     def add(out, alpha, node, diff):
         out[sum(alpha)] += _weighted_sq(node, w2)
         if diff is not None:  # |alpha| <= 1
             out[4] += _weighted_sq(diff, w2) / (4 * h * h)
 
-    sums = _node_sums(data, grid, 3, chi, 5, add, dt_order=1)
+    sums = _node_sums(data, grid, 3, chi, 5, add, dt_order=1, odd=odd)
     hk, h1_dt = np.cumsum(sums[:4], axis=0), sums[4]
     return float(np.sqrt(hk[2].max())
                  + np.sqrt(np.trapezoid(hk[3], dx=h))
@@ -319,11 +375,13 @@ def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> f
 
 
 def spacetime_norm(series: FieldSeries, kind: str,
-                   cutoffs: CutoffSpec | None = None) -> float:
+                   cutoffs: CutoffSpec | None = None, odd: bool = False) -> float:
     """The X (low-frequency) or Y (high-frequency) space-time norm.
 
     When cutoffs are given the matching projection is applied first; pass
-    None for a series that is already supported in the right band.
+    None for a series that is already supported in the right band. With
+    `odd` (for a series known to be odd on the lattice) the norm is that of
+    the series' odd part, summed on half the lattice (see _node_sums).
     """
     if len(series) < 3:
         raise ValueError("space-time norms need at least 3 time nodes")
@@ -331,13 +389,14 @@ def spacetime_norm(series: FieldSeries, kind: str,
         raise ValueError(f"kind must be 'X' or 'Y'; got {kind!r}")
     chi = None if cutoffs is None else (cutoffs.chi1 if kind == "X" else cutoffs.chi_inf)
     norm = _x_norm if kind == "X" else _y_norm
-    return norm(series.to_frequency().data, series.grid, chi, series.dt)
+    return norm(series.to_frequency().data, series.grid, chi, series.dt, odd)
 
 
-def z_norm(series: FieldSeries, cutoffs: CutoffSpec) -> float:
-    """X(P_low u) + Y(P_high u): the norm in which the iteration contracts."""
-    return (spacetime_norm(series, "X", cutoffs)
-            + spacetime_norm(series, "Y", cutoffs))
+def z_norm(series: FieldSeries, cutoffs: CutoffSpec, odd: bool = False) -> float:
+    """X(P_low u) + Y(P_high u): the norm in which the iteration contracts
+    (`odd` as in spacetime_norm)."""
+    return (spacetime_norm(series, "X", cutoffs, odd)
+            + spacetime_norm(series, "Y", cutoffs, odd))
 
 
 def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
@@ -351,16 +410,15 @@ def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
     if len(g) < 3:
         raise ValueError("the forcing functional needs at least 3 time nodes")
     grid = g.grid
-    suite = NormSuite.for_grid(grid)
+    w2 = NormSuite.for_grid(grid).flat("weight_sq")
     phys = g.to_physical().data
 
     def zero_order(rows):
         block = phys[rows]
-        return (_lp_node(block, grid, 1, weighted=True),
-                _weighted_sq(block, suite.weight_sq_flat))
+        return _lp_node(block, grid, 1, weighted=True), _weighted_sq(block, w2)
 
     def add(out, alpha, d_alpha, diff):
-        out[0] += _weighted_sq(d_alpha, suite.weight_sq_flat)
+        out[0] += _weighted_sq(d_alpha, w2)
 
     sums = map_chunks(zero_order, node_chunks(len(g)))
     l1w, h1w_sq = (np.concatenate(part) for part in zip(*sums))

@@ -123,7 +123,10 @@ def check_low_freq_smoothing(op: LinearOperatorSpec, cutoffs: CutoffSpec,
                              samples: int = 200, seed: int = 0,
                              t_max: float | None = None) -> CheckReport:
     """(||e^{-tA} u|| + ||d/dt e^{-tA} u||) <= C ||u|| on low-frequency fields,
-    t drawn from [0, t_max]; d/dt realized as multiplication by -lambda."""
+    t drawn from [0, t_max]; d/dt realized as multiplication by -lambda. The
+    bound_hint is the multiplier's sup over the support of chi1,
+    sup |e^{-t lambda}| + |lambda e^{-t lambda}| = 1 + max |lambda| (since
+    Re lambda >= 0), which a band-edge mode reaches at t = 0."""
     grid = op.grid
     horizon = t_max if t_max is not None else op.period
     ratios = []
@@ -134,9 +137,9 @@ def check_low_freq_smoothing(op: LinearOperatorSpec, cutoffs: CutoffSpec,
         evolved = np.exp(-t.reshape((-1,) + (1,) * grid.dim) * op.symbol) * u
         num = _node_l2(evolved, grid) + _node_l2(-op.symbol * evolved, grid)
         ratios.extend(num / _node_l2(u, grid))
-    return _fitted_battery_report(
-        "low_freq_smoothing", ratios,
-        {"t_max": horizon, "bound_hint": 1.0 + cutoffs.r_inf ** 2 * horizon})
+    bound = 1.0 + float(np.abs(op.symbol[cutoffs.chi1 > 0]).max())
+    return _fitted_battery_report("low_freq_smoothing", ratios,
+                                  {"t_max": horizon, "bound_hint": bound})
 
 
 def check_period_inverse_bound(op: LinearOperatorSpec, cutoffs: CutoffSpec,
@@ -199,8 +202,17 @@ def check_high_freq_decay(op: LinearOperatorSpec, cutoffs: CutoffSpec,
         "high_freq_decay", ratios, {"decay_rate_a": a, "time_samples": n_times + 1})
 
 
+def _trajectory_rhs(u_series: FieldSeries, g_series: FieldSeries) -> np.ndarray:
+    """F = dealias(|u|^2 u) + g of a solved run, frequency-stacked: the
+    right-hand side both trajectory batteries read."""
+    F = _cubic_difference_data(None, u_series.to_frequency().data, u_series.grid)
+    F += g_series.to_frequency().data
+    return F
+
+
 def check_energy_inequality(u_series: FieldSeries, g_series: FieldSeries,
-                            op: LinearOperatorSpec, cutoffs: CutoffSpec) -> CheckReport:
+                            op: LinearOperatorSpec, cutoffs: CutoffSpec,
+                            rhs: np.ndarray | None = None) -> CheckReport:
     """Dissipation inequality of the high-frequency part along a solved
     trajectory:
 
@@ -208,13 +220,11 @@ def check_energy_inequality(u_series: FieldSeries, g_series: FieldSeries,
 
     Convention: C is budgeted at twice the zero-dissipation constant (or 1.0
     when the derivative term is nonpositive) and d is the largest value
-    admissible under that budget.
+    admissible under that budget. `rhs` is F when the caller has it.
     """
     grid = u_series.grid
     U = u_series.to_frequency().data
-    G = g_series.to_frequency().data
-    F = _cubic_difference_data(None, U, grid)
-    F += G
+    F = _trajectory_rhs(u_series, g_series) if rhs is None else rhs
     _, _, e2_sq, e3_sq = weighted_hk_node_sq(U, grid, 3, cutoffs.chi_inf)
     f1_sq = weighted_hk_node_sq(F, grid, 1, cutoffs.chi_inf)[1]
     if float(e2_sq.max()) == 0.0:
@@ -238,21 +248,24 @@ def check_energy_inequality(u_series: FieldSeries, g_series: FieldSeries,
 
 
 def check_nonlinear_bound(u_series: FieldSeries, g_series: FieldSeries,
-                          op: LinearOperatorSpec, cutoffs: CutoffSpec) -> list[CheckReport]:
+                          op: LinearOperatorSpec, cutoffs: CutoffSpec,
+                          rhs: np.ndarray | None = None,
+                          u_z_norm: float | None = None) -> list[CheckReport]:
     """Size of the projected right-hand side against the cubic power of the
     solution norm plus the matching projected forcing norm:
 
         ||F_low||_{L2(t;L1_w)}  <= C (||u||_Z^3 + ||g_low||_{L2(t;L1_w)}),
         ||F_high||_{L2(t;H1_w)} <= C (||u||_Z^3 + ||g_high||_{L2(t;H1_w)}).
+
+    `rhs` (F) and `u_z_norm` (||u||_Z, as the solve reported it) are computed
+    when not given.
     """
     grid = u_series.grid
-    U = u_series.to_frequency().data
     G = g_series.to_frequency().data
-    F = _cubic_difference_data(None, U, grid)
-    F += G
+    F = _trajectory_rhs(u_series, g_series) if rhs is None else rhs
     keep = grid.keep_nyquist_free
     h = u_series.dt
-    z = z_norm(u_series, cutoffs)
+    z = z_norm(u_series, cutoffs) if u_z_norm is None else u_z_norm
 
     def l2t_l1w(data):
         node = _lp_node(np.fft.ifftn(data, axes=grid.series_axes), grid, 1, weighted=True)
@@ -344,9 +357,9 @@ def check_high_freq_weighted_poincare(grid: Grid, cutoffs: CutoffSpec,
     for batch in _batches(seed, samples):
         f = _band_stack(grid, batch, envelope)
         phys = np.fft.ifftn(f, axes=grid.series_axes)
-        x_f_sq = _weighted_sq(phys, suite.x_abs_sq_flat)
+        x_f_sq = _weighted_sq(phys, suite.flat("x_abs_sq"))
         deficit = np.maximum(0.0, (cutoffs.r1 ** 2 / 2.0) * x_f_sq - x_gradient_node_sq(f, grid))
-        consts.extend(deficit / _weighted_sq(phys, suite.quad_flat))
+        consts.extend(deficit / _weighted_sq(phys, suite.flat("quad")))
     return _fitted_battery_report("high_freq_weighted_poincare", consts,
                                   {"r1": cutoffs.r1})
 
@@ -354,9 +367,12 @@ def check_high_freq_weighted_poincare(grid: Grid, cutoffs: CutoffSpec,
 def run_all_checks(grid: Grid, op: LinearOperatorSpec, cutoffs: CutoffSpec,
                    samples: int = 200, seed: int = 0,
                    u_series: FieldSeries | None = None,
-                   g_series: FieldSeries | None = None) -> list[CheckReport]:
+                   g_series: FieldSeries | None = None,
+                   u_z_norm: float | None = None) -> list[CheckReport]:
     """The full battery set; trajectory checks run only when a solved run is
-    supplied. Sub-seeds are decorrelated by fixed offsets from the root."""
+    supplied, sharing one right-hand side F (and the solve's reported
+    `u_z_norm`, computed when None). Sub-seeds are decorrelated by fixed
+    offsets from the root."""
     ineq_samples = max(20, samples // 2)
     reports = [
         check_projection_completeness(grid, cutoffs, max(20, samples // 4), seed),
@@ -368,6 +384,8 @@ def run_all_checks(grid: Grid, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         check_high_freq_weighted_poincare(grid, cutoffs, ineq_samples, seed + 6),
     ]
     if u_series is not None and g_series is not None:
-        reports.append(check_energy_inequality(u_series, g_series, op, cutoffs))
-        reports.extend(check_nonlinear_bound(u_series, g_series, op, cutoffs))
+        g_freq = g_series.to_frequency()
+        rhs = _trajectory_rhs(u_series, g_freq)
+        reports.append(check_energy_inequality(u_series, g_freq, op, cutoffs, rhs))
+        reports.extend(check_nonlinear_bound(u_series, g_freq, op, cutoffs, rhs, u_z_norm))
     return reports

@@ -70,3 +70,10 @@ def raw_random_series(grid, m_t, rng):
     the mean mode populated)."""
     shape = (m_t + 1,) + grid.shape
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def raw_odd_series(grid, m_t, rng):
+    """raw_random_series projected on its odd part (u - Ru)/2: odd on the
+    lattice bit for bit, Nyquist modes populated."""
+    data = raw_random_series(grid, m_t, rng)
+    return 0.5 * (data - grid.reflect(data))

@@ -15,7 +15,7 @@ from glperiod.norms import (_multi_indices, _weighted_sq,
                             weighted_hk_node_sq, x_gradient_node_sq)
 from glperiod.spectral import map_chunks, node_chunks
 
-from conftest import on_workers, random_physical_field, raw_random_series
+from conftest import on_workers, random_physical_field, raw_odd_series, raw_random_series
 from oracles import time_derivative
 
 
@@ -416,30 +416,33 @@ def _ref_adds(grid, h):
     def x_add(out, alpha, phys):
         node, diff = phys[1:-1], phys[2:] - phys[:-2]
         if any(alpha):
-            out[1] += (_weighted_sq(node, suite.x_abs_sq_flat)
-                       + _weighted_sq(diff, suite.x_abs_sq_flat) / (4 * h * h))
+            out[1] += (_weighted_sq(node, suite.flat("x_abs_sq"))
+                       + _weighted_sq(diff, suite.flat("x_abs_sq")) / (4 * h * h))
         else:
-            out[0] = (_weighted_sq(node, suite.quad_flat)
-                      + _weighted_sq(diff, suite.quad_flat) / (4 * h * h))
-            out[2] = _weighted_sq(diff, suite.weight_sq_flat) / (4 * h * h)
+            out[0] = (_weighted_sq(node, suite.flat("quad"))
+                      + _weighted_sq(diff, suite.flat("quad")) / (4 * h * h))
+            out[2] = _weighted_sq(diff, suite.flat("weight_sq")) / (4 * h * h)
 
     def y_add(out, alpha, phys):
-        out[sum(alpha)] += _weighted_sq(phys[1:-1], suite.weight_sq_flat)
+        out[sum(alpha)] += _weighted_sq(phys[1:-1], suite.flat("weight_sq"))
         if sum(alpha) <= 1:
-            out[4] += _weighted_sq(phys[2:] - phys[:-2], suite.weight_sq_flat) / (4 * h * h)
+            out[4] += _weighted_sq(phys[2:] - phys[:-2], suite.flat("weight_sq")) / (4 * h * h)
 
     def hk_add(out, alpha, phys):
-        out[sum(alpha)] += _weighted_sq(phys, suite.weight_sq_flat)
+        out[sum(alpha)] += _weighted_sq(phys, suite.flat("weight_sq"))
 
     def xg_add(out, alpha, phys):
-        out[0] += _weighted_sq(phys, suite.x_abs_sq_flat)
+        out[0] += _weighted_sq(phys, suite.flat("x_abs_sq"))
 
     return x_add, y_add, hk_add, xg_add
 
 
-def _ref_node_sums_for(data, grid, k, chi, n_sums, add, dt_order=-1, skip_zero=False):
+def _ref_node_sums_for(data, grid, k, chi, n_sums, add, dt_order=-1, skip_zero=False,
+                       odd=False):
     """norms._node_sums computed by the reference tree, for a buffered-style
-    add(out, alpha, node, diff): the reference's allocations, same results."""
+    add(out, alpha, node, diff): the reference's allocations, same results
+    (full lattice only)."""
+    assert not odd
     halo = dt_order >= 0
 
     def block_add(out, alpha, phys):
@@ -616,6 +619,73 @@ class TestBufferedTree:
             assert not any(np.any(ref[key]) for key in ref if key != "xg")
 
 
+class TestHalfLattice:
+    """The half-lattice path of X and Y (odd=True) against the allocating
+    full-lattice reference on odd series, to rtol 1e-13 per node sum, for
+    chunk sizes 1, 3 and 8 and 1 or 2 workers; X with chi1 prunes lines,
+    Y with chi_inf does not."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["X", "Y"])
+    def test_node_sums_match_reference(self, monkeypatch, dim, kind):
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
+                                    box_length=32.0))
+        m_t, period = 10, 1.3
+        h = period / m_t
+        cutoffs = auto_cutoffs(grid, period)
+        chi = cutoffs.chi1 if kind == "X" else cutoffs.chi_inf
+        data = raw_odd_series(grid, m_t, np.random.default_rng(17 * dim + len(kind)))
+        x_add, y_add, _, _ = _ref_adds(grid, h)
+        k, n_sums, ref_add = (1, 3, x_add) if kind == "X" else (3, 5, y_add)
+        ref = _ref_node_sums(data, grid, k, chi, n_sums, ref_add)
+        norm = norms._x_norm if kind == "X" else norms._y_norm
+        node_sums = norms._node_sums
+
+        def half():
+            got = []
+
+            def recording(*args, **kwargs):
+                assert kwargs["odd"]
+                got.append(node_sums(*args, **kwargs))
+                return got[-1]
+
+            monkeypatch.setattr(norms, "_node_sums", recording)
+            norm(data, grid, chi, h, odd=True)
+            monkeypatch.setattr(norms, "_node_sums", node_sums)
+            return got[0]
+
+        s = FieldSeries(grid, "frequency", data, period)
+        assert spacetime_norm(s, kind, cutoffs, odd=True) == pytest.approx(
+            spacetime_norm(s, kind, cutoffs), rel=1e-13)
+        for chunk_nodes in (1, 3, 8):
+            monkeypatch.setattr(spectral, "CHUNK_NODES", chunk_nodes)
+            for workers in (1, 2):
+                np.testing.assert_allclose(on_workers(monkeypatch, workers, half), ref,
+                                           rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_norms_are_those_of_the_odd_part(self, dim):
+        # data that is not odd: the half path reads its odd part only
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
+                                    box_length=32.0))
+        cutoffs = auto_cutoffs(grid, 1.3)
+        data = raw_random_series(grid, 8, np.random.default_rng(dim))
+        s = FieldSeries(grid, "frequency", data, 1.3)
+        odd = FieldSeries(grid, "frequency", 0.5 * (data - grid.reflect(data)), 1.3)
+        assert z_norm(s, cutoffs, odd=True) == pytest.approx(z_norm(odd, cutoffs), rel=1e-13)
+        for kind in "XY":
+            assert spacetime_norm(s, kind, odd=True) == pytest.approx(
+                spacetime_norm(odd, kind), rel=1e-13)
+
+    def test_mask_must_be_even(self, grid3d, cutoffs3d):
+        s = FieldSeries(grid3d, "frequency", raw_odd_series(grid3d, 4, np.random.default_rng(0)),
+                        1.0)
+        chi = cutoffs3d.chi1.copy()
+        chi[1, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="even"):
+            norms._x_norm(s.data, grid3d, chi, s.dt, odd=True)
+
+
 def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cutoffs3d, rng):
     # Points handed to np.fft.ifftn by one z_norm (dim 3, n 16, m_t 16: halo
     # chunks of 8, 8 and 1 nodes, so 10, 10 and 3 rows). X (chi1, supported
@@ -642,6 +712,36 @@ def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cuto
     assert len(points) == 9 * len(rows) + 34 * len(rows)
     assert sum(points) == x_points + y_points
     assert sum(points) < 0.8 * 43 * n ** 3 * sum(rows)  # 0.77 of the reference
+
+
+def test_odd_z_norm_transforms_half_the_planes_after_the_first_axis(monkeypatch, grid3d,
+                                                                   cutoffs3d, rng):
+    # As above on odd data with odd=True: every pass after a first-axis pass
+    # runs on planes 0..n/2 (p = 9 of 16). X: 2 first-axis passes over s*s
+    # columns, 3 second-level passes over p*s and 4 last ones over p*n. Y: 4
+    # whole first-axis passes (2 with the halo), then 30 passes over p*n*n
+    # (3 + 4 with the halo). Same number of calls as the full lattice.
+    n, m_t, p = grid3d.n, 16, grid3d.n // 2 + 1
+    s = int(np.count_nonzero(np.abs(grid3d.xi1d) < cutoffs3d.r_inf))
+    rows = [c.stop - c.start + 2 for c in node_chunks(m_t)] + [3]
+    x_points = sum(r * (2 * n * s * s + 3 * p * n * s + 4 * p * n * n) for r in rows)
+    y_points = sum(n ** 3 * (2 * r + 2 * (r - 2)) + p * n * n * (7 * r + 23 * (r - 2))
+                   for r in rows)
+    series = FieldSeries(grid3d, "frequency", raw_odd_series(grid3d, m_t, rng), 1.0)
+    points = []
+    ifftn = np.fft.ifftn
+
+    def counting(a, *args, **kwargs):
+        points.append(a.size)
+        return ifftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counting)
+    z_norm(series, cutoffs3d, odd=True)
+    assert len(points) == 9 * len(rows) + 34 * len(rows)
+    assert sum(points) == x_points + y_points
+    full_lattice = sum(r * (2 * n * s * s + 3 * n * n * s + 4 * n ** 3)
+                       + n ** 3 * (9 * r + 25 * (r - 2)) for r in rows)
+    assert sum(points) < 0.62 * full_lattice  # 0.613
 
 
 def test_z_norm_memory_not_above_allocating_tree(monkeypatch, grid3d, cutoffs3d, rng):

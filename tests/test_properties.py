@@ -1,0 +1,79 @@
+"""Property tests (hypothesis) on random odd series: the maps of the solve
+preserve lattice oddness, and the half-lattice Z-norm equals the full one."""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from glperiod import (FieldSeries, GridConfig, SolveOptions, auto_cutoffs, make_grid,
+                      make_operator, solve_periodic, z_norm)
+from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_data
+
+from conftest import raw_odd_series
+
+PERIOD = 1.0
+PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
+
+
+@functools.lru_cache(maxsize=None)
+def setup(dim):
+    grid = make_grid(GridConfig(dim=dim, n_per_axis={1: 16, 2: 8, 3: 8}[dim],
+                                box_length=16.0))
+    return grid, make_operator(grid, PERIOD), auto_cutoffs(grid, PERIOD)
+
+
+@st.composite
+def odd_series(draw):
+    """(dim, m_t + 1 odd frequency fields scaled to a largest modulus `size`)."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    m_t = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    size = draw(st.floats(min_value=1e-3, max_value=10.0))
+    data = raw_odd_series(setup(dim)[0], m_t, rng)
+    return dim, size * data / np.abs(data).max()
+
+
+def even_part(data, grid):
+    """max |f + Rf| / 2 relative to max |f|."""
+    return np.abs(data + grid.reflect(data)).max() / 2 / np.abs(data).max()
+
+
+@PROPERTY
+@given(odd_series())
+def test_period_map_preserves_oddness(case):
+    dim, F = case
+    grid, op, _ = setup(dim)
+    assert even_part(_linear_period_map_data(F, op, PERIOD / (len(F) - 1), 1e-10),
+                     grid) <= 1e-13
+
+
+@PROPERTY
+@given(odd_series(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_cubic_difference_preserves_oddness(case, seed):
+    dim, v = case
+    grid = setup(dim)[0]
+    w = raw_odd_series(grid, len(v) - 1, np.random.default_rng(seed))
+    assert even_part(_cubic_difference_data(v, w, grid), grid) <= 1e-13
+    assert even_part(_cubic_difference_data(None, w, grid), grid) <= 1e-13
+
+
+@PROPERTY
+@given(odd_series())
+def test_solve_iteration_preserves_oddness(case):
+    dim, data = case
+    grid, op, cutoffs = setup(dim)
+    g = FieldSeries(grid, "frequency", 1e-2 * data, PERIOD)
+    u, rep = solve_periodic(g, op, cutoffs, SolveOptions(max_iterations=1))
+    assert rep.iterations == 1
+    assert even_part(u.data, grid) <= 1e-13
+
+
+@PROPERTY
+@given(odd_series())
+def test_half_lattice_z_norm_equals_full(case):
+    dim, data = case
+    grid, _, cutoffs = setup(dim)
+    s = FieldSeries(grid, "frequency", data, PERIOD)
+    assert z_norm(s, cutoffs, odd=True) == pytest.approx(z_norm(s, cutoffs), rel=1e-13)

@@ -9,15 +9,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glperiod import (FieldSeries, GridConfig, NonFiniteField, ForcingSpec,
+from glperiod import (FieldSeries, GridConfig, NonFiniteField, ForcingSpec, norms,
+                      periodic_solver,
                       SolveOptions, ZeroModeViolation, check_oddness,
                       equation_residual, make_grid, make_operator,
                       realize_forcing, solve_periodic, spectral)
 from glperiod.norms import _node_l2
+from glperiod.forcing import ODDNESS_TOL
 from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_data,
                                       _decay_table, _linear_period_map_data)
 
 from conftest import on_workers, random_odd_field, raw_random_series
+from test_norms import _ref_node_sums_for
 from oracles import (cubic_rhs, duhamel_integral, periodic_initial_data, picard_step,
                      split_equation_residual, split_series)
 
@@ -576,6 +579,81 @@ class TestStreamedEquationResidual:
         g = FieldSeries(grid3d, "physical", raw_random_series(grid3d, 8, rng), 1.0)
         with pytest.raises(ValueError, match="not aligned"):
             equation_residual(u, g, op3d)
+
+
+class TestHalfLatticeZNorm:
+    """The solve takes the half-lattice Z-norm only for a forcing it measured
+    odd. There it moves the Z-norms by roundoff only; any other forcing
+    gives, bit for bit, the solve on the allocating full-lattice tree."""
+
+    @pytest.fixture(scope="class")
+    def forcing(self, grid3d):
+        return realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
+
+    @staticmethod
+    def with_even_part(g, size):
+        """g plus an even, mean-free, T-periodic series whose largest
+        coefficient is `size` times g's (frequency representation)."""
+        grid = g.grid
+        g_freq = g.to_frequency().data
+        bump = grid.x[0] * grid.x[1] * np.exp(-grid.x_abs ** 2 / 8.0)
+        even = np.fft.fftn(bump)
+        even.flat[0] = 0.0
+        a = np.sin(2.0 * np.pi * np.arange(len(g)) / g.n_steps)
+        even = a[:, None, None, None] * even / np.abs(even).max()
+        return FieldSeries(grid, "frequency", g_freq + size * np.abs(g_freq).max() * even,
+                           g.period)
+
+    @staticmethod
+    def solve(monkeypatch, g, op, cutoffs, measured=True):
+        """solve_periodic with the odd flag of every Z-norm call recorded;
+        with measured=False the forcing is taken as not odd."""
+        flags = []
+        z_norm = periodic_solver.z_norm
+
+        def recording(series, cutoffs, odd=False):
+            flags.append(odd)
+            return z_norm(series, cutoffs, odd=odd)
+
+        with monkeypatch.context() as m:
+            m.setattr(periodic_solver, "z_norm", recording)
+            if not measured:
+                m.setattr(periodic_solver, "_is_odd", lambda data, grid: False)
+            u, rep = solve_periodic(g, op, cutoffs, SolveOptions())
+        return u, rep, flags
+
+    def test_oddness_is_measured_against_the_tolerance(self, grid3d, forcing):
+        assert periodic_solver._is_odd(forcing.to_frequency().data, grid3d)
+        for size, odd in ((0.5 * ODDNESS_TOL, True), (2.0 * ODDNESS_TOL, False)):
+            g = self.with_even_part(forcing, size)
+            assert periodic_solver._is_odd(g.data, grid3d) is odd
+
+    def test_odd_forcing_moves_norms_by_roundoff(self, monkeypatch, grid3d, op3d,
+                                                 cutoffs3d, forcing):
+        u, rep, flags = self.solve(monkeypatch, forcing, op3d, cutoffs3d)
+        u_full, rep_full, flags_full = self.solve(monkeypatch, forcing, op3d, cutoffs3d,
+                                                  measured=False)
+        assert rep.converged and rep.iterations == rep_full.iterations
+        assert flags == [True] * (rep.iterations + 1)
+        assert flags_full == [False] * (rep.iterations + 1)
+        assert u.data.tobytes() == u_full.data.tobytes()
+        np.testing.assert_allclose(rep.residual_history, rep_full.residual_history,
+                                   rtol=1e-13, atol=0)
+        assert rep.z_norm == pytest.approx(rep_full.z_norm, rel=1e-13)
+        assert rep.c_estimate == pytest.approx(rep_full.c_estimate, rel=1e-13)
+        assert rep.g_bracket == rep_full.g_bracket
+
+    def test_forcing_with_even_part_keeps_the_full_lattice(self, monkeypatch, grid3d,
+                                                           op3d, cutoffs3d, forcing):
+        g = self.with_even_part(forcing, 1e-6)
+        u, rep, flags = self.solve(monkeypatch, g, op3d, cutoffs3d)
+        assert rep.converged
+        assert flags == [False] * (rep.iterations + 1)
+        with monkeypatch.context() as m:
+            m.setattr(norms, "_node_sums", _ref_node_sums_for)
+            u_ref, rep_ref = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
+        assert u.data.tobytes() == u_ref.data.tobytes()
+        assert rep.to_json() == rep_ref.to_json()
 
 
 class TestSolveMemory:

@@ -9,7 +9,7 @@ from test_norms import (_ref_alpha_symbol, _ref_sobolev_norm,
                         _ref_x_weighted_gradient_norm)
 
 from glperiod import (CutoffSpec, ForcingSpec, NormSuite, SolveOptions, SpectralField,
-                      lp_norm, realize_forcing, solve_periodic)
+                      lp_norm, realize_forcing, solve_periodic, verification, z_norm)
 from glperiod.verification import (STACK_SAMPLES, _band_envelope, _band_stack,
                                    _high_freq_decay_norms,
                                    check_bernstein, check_energy_inequality,
@@ -124,6 +124,28 @@ class TestBatteries:
         hint = 1.0 + cutoffs3d_module.r_inf ** 2 * op3d_module.period
         assert rep.fitted_constant <= hint
 
+    def test_low_freq_smoothing_bound_is_reached_at_the_band_edge(self, op3d_module,
+                                                                  cutoffs3d_module):
+        # the battery of `verify --seed 9` on its grid (16^3, L = 32, T = 1)
+        op, cut = op3d_module, cutoffs3d_module
+        rep = check_low_freq_smoothing(op, cut, samples=200, seed=9 + 1)
+        bound = rep.extras["bound_hint"]
+        assert bound == pytest.approx(1.763, abs=5e-4)
+        assert rep.fitted_constant < bound
+        # one mode where |lambda| is largest over chi1 > 0 reaches it at t = 0
+        edge = np.argmax(np.where(cut.chi1 > 0, np.abs(op.symbol), 0.0))
+        assert cut.chi1.flat[edge] > 0 and op.grid.keep_nyquist_free.flat[edge]
+        mode = np.zeros(op.grid.shape, complex)
+        mode.flat[edge] = 1.0
+
+        def ratio(t):  # the battery's ratio for one field, by Parseval
+            evolved = np.exp(-t * op.symbol) * mode
+            return ((np.linalg.norm(evolved) + np.linalg.norm(op.symbol * evolved))
+                    / np.linalg.norm(mode))
+
+        assert ratio(0.0) == pytest.approx(bound, rel=1e-14)
+        assert ratio(0.1) < bound
+
     def test_period_inverse_bound_scale_invariant(self, op3d_module, cutoffs3d_module):
         rep = check_period_inverse_bound(op3d_module, cutoffs3d_module,
                                          samples=50, seed=4)
@@ -201,6 +223,28 @@ class TestRunAllChecks:
         names = [r.check_name for r in first]
         assert "projection_completeness" in names
         assert "energy_inequality" in names
+
+    def test_trajectory_batteries_share_their_inputs(self, monkeypatch, grid3d_module,
+                                                     op3d_module, cutoffs3d_module, solved):
+        # one cubic term for both batteries and the solve's Z-norm passed in:
+        # the same reports as the batteries computing their own, to roundoff
+        u, g = solved
+        op, cut = op3d_module, cutoffs3d_module
+        alone = [check_energy_inequality(u, g, op, cut), *check_nonlinear_bound(u, g, op, cut)]
+        calls = []
+        for name in ("_cubic_difference_data", "z_norm"):
+            def counting(*args, _f=getattr(verification, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(verification, name, counting)
+        shared = run_all_checks(grid3d_module, op, cut, samples=20, seed=1, u_series=u,
+                                g_series=g, u_z_norm=z_norm(u, cut, odd=True))[-3:]
+        assert calls == ["_cubic_difference_data"]
+        for a, b in zip(shared, alone):
+            assert (a.check_name, a.passed) == (b.check_name, b.passed)
+            assert a.fitted_constant == pytest.approx(b.fitted_constant, rel=1e-13)
+            for key, value in b.extras.items():
+                assert a.extras[key] == pytest.approx(value, rel=1e-13)
 
     def test_seed_change_keeps_verdicts(self, grid3d_module, op3d_module,
                                         cutoffs3d_module):
