@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OddnessViolation, SeamDecayViolation
-from .spectral import FieldSeries, Grid, PHYSICAL, SpectralField
+from .spectral import ODDNESS_TOL, FieldSeries, Grid, PHYSICAL, SpectralField
 
 SEAM_DECAY_TOL = 1e-8
-ODDNESS_TOL = 1e-12
 
 TEMPORAL_PROFILES = ("sin_fundamental", "cos_fundamental", "harmonic")
 SPATIAL_PROFILES = ("gauss_dipole", "custom")

@@ -99,9 +99,7 @@ class NormSuite:
         grid = self.grid
         w = np.ones(grid.shape) if name == "quad" else getattr(self, name)
         if odd:
-            planes = np.full((grid.n // 2 + 1,) + (1,) * (grid.dim - 1), 2.0)
-            planes[[0, -1]] = 1.0
-            w = w[:len(planes)] * planes
+            w = w[:grid.n // 2 + 1] * grid.plane_weights()
         return np.repeat(w.ravel(), 2) * grid.quad_weight
 
     def sobolev_symbol(self, k: int) -> np.ndarray:
@@ -294,7 +292,7 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
     support = _axis_support(mask, grid)
     lines = [np.arange(grid.n) if s is None else s[0] for s in support]
     cols = any(support) and lines
-    mirror = np.ix_(*(np.searchsorted(c, -c % grid.n) for c in lines[1:]))  # R in a plane
+    mirror = grid.plane_mirror(lines[1:])
     mask = mask[np.ix_(*cols)] if cols else mask
 
     def task(rows):

@@ -42,7 +42,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NonFiniteField
-from .forcing import ODDNESS_TOL
 from .norms import _node_l2, forcing_bracket, z_norm
 from .operators import (CutoffSpec, LinearOperatorSpec, check_zero_mode,
                         period_inverse_symbol)
@@ -77,6 +76,7 @@ class PeriodicSolveReport:
     diverged: bool = False
     divergence_reason: str | None = None
     contraction_factor_reason: str | None = None  # why contraction_factor is None
+    half_lattice: bool = False  # the Z-norms ran on half the lattice (odd g)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -199,18 +199,6 @@ def _node_l2_chunked(data: np.ndarray, grid) -> np.ndarray:
                                      node_chunks(data.shape[0])))
 
 
-def _is_odd(data: np.ndarray, grid) -> bool:
-    """Whether frequency-stacked data is odd on the lattice: its even part
-    (f + Rf)/2 is at most ODDNESS_TOL of its largest modulus, measured one
-    chunk of nodes at a time."""
-    def task(rows):
-        block = data[rows]
-        return float(np.abs(block + grid.reflect(block)).max()) / 2, float(np.abs(block).max())
-
-    even, peak = np.max(map_chunks(task, node_chunks(data.shape[0])), axis=0)
-    return bool(even <= ODDNESS_TOL * peak)
-
-
 def _all_finite(data: np.ndarray) -> bool:
     """Whether every entry of the series is finite, one chunk of nodes at a time."""
     return all(map_chunks(lambda rows: bool(np.isfinite(data[rows]).all()),
@@ -237,7 +225,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     zero_tol = opts.zero_mode_tol
     g_freq = g.to_frequency()
     bracket = forcing_bracket(g, g_freq)
-    odd = _is_odd(g_freq.data, grid)
+    odd = grid.is_odd(g_freq.data)
 
     # Difference-form iteration: carry the current iterate u^(l) and the
     # correction delta^(l) = u^(l+1) - u^(l). Both updates are algebraically
@@ -297,7 +285,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         periodicity_residual=periodicity, z_norm=z_final, g_bracket=bracket,
         c_estimate=c_est, contraction_factor=factor,
         diverged=diverged, divergence_reason=reason,
-        contraction_factor_reason=factor_reason)
+        contraction_factor_reason=factor_reason, half_lattice=odd)
     return u, report
 
 

@@ -38,6 +38,7 @@ FREQUENCY = "frequency"
 
 SNAPSHOT_MAGIC = b"GLPF"
 SNAPSHOT_VERSION = 1
+ODDNESS_TOL = 1e-12  # largest even part, relative to the peak, of data taken as odd
 
 
 def _usable_cpus() -> int:
@@ -167,6 +168,28 @@ class Grid:
         dim axes (stacked fields one by one); also on frequency data (k -> -k)."""
         idx = [self._reflect_1d] * self.dim
         return data[(Ellipsis,) + np.ix_(*idx)]
+
+    def plane_mirror(self, lines=None) -> tuple:
+        """plane[mirror] reflects a first-axis plane kept on `lines` (default all)."""
+        lines = [np.arange(self.n)] * (self.dim - 1) if lines is None else lines
+        return np.ix_(*(np.searchsorted(c, -c % self.n) for c in lines))
+
+    def plane_weights(self) -> np.ndarray:
+        """Weights 1, 2, ..., 2, 1 folding planes -j into planes j <= n/2."""
+        weights = np.full((self.n // 2 + 1,) + (1,) * (self.dim - 1), 2.0)
+        weights[[0, -1]] = 1.0
+        return weights
+
+    def is_odd(self, data: np.ndarray) -> bool:
+        """Whether data stacked along axis 0 has an even part (f + Rf)/2 of at
+        most ODDNESS_TOL of its peak, one field at a time: chunk-sized
+        temporaries of pool tasks stay resident after they are freed."""
+        def task(rows):
+            even = max(np.abs(f + self.reflect(f)).max() for f in data[rows])
+            return float(even) / 2, float(max(np.abs(f).max() for f in data[rows]))
+
+        even, peak = np.max(map_chunks(task, node_chunks(data.shape[0])), axis=0)
+        return bool(even <= ODDNESS_TOL * peak)
 
 
 def make_grid(config: GridConfig) -> Grid:

@@ -31,6 +31,13 @@ is folded into h phi1 and h phi2 once; the previous step's N lives in the
 stepper's second transform buffer; and the step advances the frequency data
 in place (the run steps a copy of w0). On the interpolated base path the
 blend of two nodes is written into two buffers that the run owns.
+
+Odd runs step half the lattice: about an odd base (the paper's forcings)
+an odd w stays odd, so when the base and w0 both test odd (Grid.is_odd) the
+run keeps first-axis planes 0..n/2. Transforms are one-axis passes in fftn's
+order, the later axes on the half planes; the odd mirror (plane -j is minus
+plane j reflected) fills the rest before the first-axis pass, and the record
+folds in the plane weights. Other inputs step all n planes, as ifftn/fftn.
 """
 
 from __future__ import annotations
@@ -89,29 +96,55 @@ class _Stepper:
     the right-hand side is one ETD2RK step and every later one is multistep
     ETD2: f_prev keeps N_{n-1} (the two transform buffers swap after each
     step). rhs_evals counts the nonlinear evaluations made.
+    With `odd` all but w_phys, the transform buffer, hold planes 0..n/2.
     """
 
-    def __init__(self, grid: Grid, op: LinearOperatorSpec, h: float):
+    def __init__(self, grid: Grid, op: LinearOperatorSpec, h: float,
+                 odd: bool = False):
+        planes = grid.n // 2 + 1 if odd else grid.n
         # e^{-hA}, h phi1(-hA) and h phi2(-hA) per mode, Nyquist rows zeroed
         # as in the period map, so stepped and mapped series agree
-        z = -h * op.symbol
-        keep = grid.keep_nyquist_free
+        z = -h * op.symbol[:planes]
+        keep = grid.keep_nyquist_free[:planes]
         self.decay = np.exp(z) * keep
-        self.h_phi1 = h * phi1(z) * keep * grid.dealias
-        self.h_phi2 = h * phi2(z) * keep * grid.dealias
+        self.h_phi1 = h * phi1(z) * keep * grid.dealias[:planes]
+        self.h_phi2 = h * phi2(z) * keep * grid.dealias[:planes]
         self.axes = tuple(range(grid.dim))
-        self.w_phys, self.rhs, self.f_now, self.f_prev = (
-            np.empty(grid.shape, complex) for _ in range(4))
-        self.work = _rhs_work(grid.shape)
+        shape = (planes,) + grid.shape[1:]
+        self.w_phys = np.empty(grid.shape, complex)
+        self.rhs, self.f_now, self.f_prev = (np.empty(shape, complex) for _ in range(3))
+        self.work = _rhs_work(shape)
+        # flat sources of planes n/2+1..n-1: plane n-j is plane j reflected
+        plane = np.arange(grid.n ** (grid.dim - 1)).reshape(grid.shape[1:])
+        self.mirror = (np.add.outer(np.arange(planes - 2, 0, -1) * plane.size,
+                                    plane[grid.plane_mirror()]).ravel() if odd else None)
         self.has_prev = False
         self.rhs_evals = 0
+
+    def _transform(self, fft, src: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """fft from src into buf as one-axis passes in fftn's order (its bits
+        on all n planes); on half, the mirror fills the rest before axis 0."""
+        part = buf[:len(src)]
+        for axis in self.axes[:0:-1]:
+            src = fft(src, axes=(axis,), out=part)
+        if self.mirror is not None:
+            if src is not part:  # dim 1: no later axis
+                part[...] = src
+            flat, cut = buf.reshape(-1), part.size
+            np.take(flat[:cut], self.mirror, out=flat[cut:], mode="clip")
+            np.negative(flat[cut:], out=flat[cut:])
+            src = buf
+        return fft(src, axes=(0,), out=buf)
 
     def _nonlinear_hat(self, w_hat: np.ndarray, v_phys: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
         self.rhs_evals += 1
-        np.fft.ifftn(w_hat, axes=self.axes, out=self.w_phys)
-        _rhs_data(self.w_phys, v_phys, self.rhs, self.work)
-        return np.fft.fftn(self.rhs, axes=self.axes, out=out)
+        w_phys = self._transform(np.fft.ifftn, w_hat, self.w_phys)
+        _rhs_data(w_phys[:len(out)], v_phys, self.rhs, self.work)
+        if self.mirror is None:
+            return self._transform(np.fft.fftn, self.rhs, out)
+        out[...] = self._transform(np.fft.fftn, self.rhs, self.w_phys)[:len(out)]
+        return out
 
     def step(self, w_hat: np.ndarray, v_now: np.ndarray, v_next: np.ndarray | None,
              order: int, include_rhs: bool = True) -> np.ndarray:
@@ -179,6 +212,7 @@ class DecayReport:
     escaped: bool = False
     escape_time: float | None = None
     interpolated_vper: bool = False
+    half_lattice: bool = False     # odd base and perturbation: half planes stepped
     fit_reason: str | None = None  # why the fitted values are NaN
     steps: int = 0                 # steps taken (fewer than planned on escape)
     rhs_evals: int = 0             # nonlinear evaluations made
@@ -197,6 +231,7 @@ class DecayReport:
             "escaped": self.escaped,
             "escape_time": self.escape_time,
             "interpolated_vper": self.interpolated_vper,
+            "half_lattice": self.half_lattice,
             "n_final": float(self.n_series[-1]) if self.n_series.size else 0.0,
             "samples": int(self.times.size),
             "steps": self.steps,
@@ -247,13 +282,13 @@ def default_fit_window(grid: Grid) -> tuple[float, float]:
     return 1.0, 0.25 * (grid.box_length / (2.0 * np.pi)) ** 2
 
 
-def _physical_nodes(data: np.ndarray, m_t: int) -> np.ndarray:
-    """Nodes 0..m_t - 1 of frequency-stacked data in physical space, each
-    transformed into its row of one array: a batched transform's
-    temporaries would double the memory of the nodes."""
-    nodes = np.empty((m_t,) + data.shape[1:], dtype=complex)
+def _physical_nodes(data: np.ndarray, m_t: int, planes: int | None = None) -> np.ndarray:
+    """First-axis planes 0..planes - 1 (default all) of nodes 0..m_t - 1 in
+    physical space, one at a time: a batched ifftn's temporaries double them."""
+    nodes = np.empty((m_t, planes or data.shape[1]) + data.shape[2:], dtype=complex)
+    node = np.empty(data.shape[1:], complex)
     for m in range(m_t):
-        np.fft.ifftn(data[m], out=nodes[m])
+        nodes[m] = np.fft.ifftn(data[m], out=node)[:len(nodes[m])]
     return nodes
 
 
@@ -268,14 +303,17 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     h_nodes = T / m_t
     h = cfg.h if cfg.h is not None else h_nodes
     per_node = h_nodes / h
-    substeps = int(round(per_node))
-    interpolated = not math.isclose(per_node, substeps, rel_tol=1e-9) or substeps != 1
-    if substeps < 1:
+    interpolated = not math.isclose(per_node, 1.0, rel_tol=1e-9)
+    if interpolated and per_node < 1.0:
         raise ValueError("step size h may not exceed the stored node spacing T/m_t")
 
-    v_phys_nodes = _physical_nodes(v_series.data, m_t)
+    w_hat = cfg.w0.to_frequency().data
+    odd = grid.is_odd(w_hat[None]) and grid.is_odd(v_series.data)
+    planes = grid.n // 2 + 1 if odd else grid.n
+    w_hat = w_hat[:planes].copy()
+    v_phys_nodes = _physical_nodes(v_series.data, m_t, planes)
     if interpolated:
-        v_blend, v_part = (np.empty(grid.shape, complex) for _ in range(2))
+        v_blend, v_part = (np.empty(v_phys_nodes.shape[1:], complex) for _ in range(2))
 
     def v_at(step: int) -> np.ndarray:
         """The base at t = step h. A blend of two nodes is written into
@@ -298,11 +336,12 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     chi1_sq = (cutoffs.chi1 * grid.keep_nyquist_free) ** 2
     chi_inf_sq = (cutoffs.chi_inf * grid.keep_nyquist_free) ** 2
     # rows give ||w||^2, ||grad w||^2, ||P_low w||^2, ||grad P_low w||^2 and
-    # ||P_high w||_{H1}^2 as sums against |w_hat|^2
-    weights = np.stack([np.ones(grid.shape), xi_sq, chi1_sq, chi1_sq * xi_sq,
-                        chi_inf_sq * (1.0 + xi_sq)]).reshape(5, -1)
-    abs_sq = np.empty(grid.shape)
-    imag_sq = np.empty(grid.shape)
+    # ||P_high w||_{H1}^2 as sums against |w_hat|^2 (all even under R)
+    weights = (np.stack([np.ones(grid.shape), xi_sq, chi1_sq, chi1_sq * xi_sq,
+                         chi_inf_sq * (1.0 + xi_sq)])[:, :planes]
+               * (grid.plane_weights() if odd else 1.0)).reshape(5, -1)
+    abs_sq = np.empty(w_hat.shape)
+    imag_sq = np.empty(w_hat.shape)
 
     def record(w_hat: np.ndarray, t: float, state: dict) -> None:
         np.multiply(w_hat.real, w_hat.real, out=abs_sq)
@@ -320,8 +359,7 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         state["n2s"].append(state["n2"])
         state["ns"].append(state["n1"] + state["n2"])
 
-    stepper = _Stepper(grid, op, h)
-    w_hat = cfg.w0.to_frequency().data.copy()
+    stepper = _Stepper(grid, op, h, odd)
     magnitude = np.empty(w_hat.view(float).shape)
     n_steps = int(math.ceil(cfg.t_max / h - 1e-12))
     state = {"n1": 0.0, "n2": 0.0, "times": [], "l2": [], "grad": [],
@@ -372,5 +410,5 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         fit_intercept_l0=icpt0, fit_intercept_l1=icpt1,
         fit_r2_l0=r20, fit_r2_l1=r21, fit_window=window,
         escaped=escaped, escape_time=escape_time,
-        interpolated_vper=interpolated, fit_reason=fit_reason,
+        interpolated_vper=interpolated, half_lattice=odd, fit_reason=fit_reason,
         steps=steps, rhs_evals=stepper.rhs_evals, step_s=step_s)

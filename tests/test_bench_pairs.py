@@ -1,0 +1,69 @@
+"""tools/bench_pairs.py: the per-metric comparison of parent and change runs
+on synthetic pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+PARENT = [4.0, 4.1, 4.2, 4.3, 4.4, 4.5, 4.6, 4.7, 4.8, 4.9]  # q1 4.225, q3 4.675
+
+
+class TestCompare:
+    def test_clear_gain_is_resolved(self):
+        result = bench_pairs.compare(PARENT, [x - 1.0 for x in PARENT], "lower")
+        assert result["wins"] == 10
+        assert result["median_gap"] == pytest.approx(-1.0)
+        assert result["parent_iqr"] == pytest.approx(0.45)
+        assert result["resolved"] is True
+
+    def test_eight_wins_are_not_enough(self):
+        change = [x - 1.0 for x in PARENT[:8]] + [x + 1.0 for x in PARENT[8:]]
+        result = bench_pairs.compare(PARENT, change, "lower")
+        assert result["wins"] == 8
+        assert result["resolved"] is False
+
+    def test_gap_inside_the_parent_spread_is_not_resolved(self):
+        # the change wins every pair, but by less than the parent's q3 - q1
+        result = bench_pairs.compare(PARENT, [x - 0.3 for x in PARENT], "lower")
+        assert result["wins"] == 10
+        assert abs(result["median_gap"]) < result["parent_iqr"]
+        assert result["resolved"] is False
+
+    def test_resolved_regression(self):
+        # "higher is better": the change is lower in 9 pairs by a wide gap
+        change = [x - 1.0 for x in PARENT[:9]] + [PARENT[9] + 1.0]
+        result = bench_pairs.compare(PARENT, change, "higher")
+        assert result["wins"] == 1
+        assert result["median_gap"] < 0
+        assert result["resolved"] is True
+
+    def test_ties_are_unresolved(self):
+        result = bench_pairs.compare([2.0] * 10, [2.0] * 10, "lower")
+        assert result == {"wins": 0, "median_gap": 0.0, "parent_iqr": 0.0,
+                          "resolved": False}
+
+
+def test_pair_workload_keeps_its_keys(monkeypatch):
+    # runs alternate sides; each metric gets wins, gap, IQR and resolved
+    values = {"parent": iter(PARENT), "change": iter(x - 1.0 for x in PARENT)}
+
+    def fake_run(tree, workload, seed, trace):
+        wall = next(values[tree])
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": wall, "iterations": 2}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = bench_pairs.pair_workload({"parent": "parent", "change": "change"}, "w", 100,
+                                    {"wall_s": "lower", "iterations": "lower"})
+    assert out["seeds"] == list(range(100, 110))
+    assert out["wins"] == {"wall_s": 10, "iterations": 0}
+    assert out["resolved"] == {"wall_s": True, "iterations": False}
+    assert out["median_gap"]["wall_s"] == pytest.approx(-1.0)
+    assert out["parent_iqr"]["iterations"] == 0
+    assert out["parent"]["wall_s"]["median"] == pytest.approx(4.45)

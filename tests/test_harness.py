@@ -142,6 +142,7 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["converged"] is True
         assert report["iterations"] <= 15
+        assert report["half_lattice"] is True  # the dipole forcing is odd
 
     def test_reference_run_says_why_contraction_factor_is_null(self, tmp_path):
         # the reference config converges in 2 iterations: too few residuals
@@ -207,8 +208,16 @@ class TestStabilityCommand:
         assert main(["stability", "--config", str(cfg_path)]) == 0
         summary = json.loads((tmp_path / "out" / "decay.json").read_text())
         assert summary["escaped"] is False
+        assert summary["half_lattice"] is True  # odd base, dipole perturbation
         csv_text = (tmp_path / "out" / "decay.csv").read_text()
         assert csv_text.startswith("t,l2_w,h1_grad_w,n1,n2,n")
+
+    def test_even_perturbation_steps_the_full_lattice(self, tmp_path):
+        cfg_path = _small_config(tmp_path, stability={"t_max": 10.0, "record_stride": 2,
+                                                      "profile": "gauss"})
+        assert main(["stability", "--config", str(cfg_path)]) == 0
+        summary = json.loads((tmp_path / "out" / "decay.json").read_text())
+        assert summary["half_lattice"] is False
 
     def _saved_base(self, tmp_path, **overrides):
         cfg_path = _small_config(tmp_path, output={"dir": str(tmp_path / "base"),

@@ -1,5 +1,6 @@
 """Property tests (hypothesis) on random odd series: the maps of the solve
-preserve lattice oddness, and the half-lattice Z-norm equals the full one."""
+preserve lattice oddness, and the half-lattice Z-norm and perturbation step
+equal the full ones."""
 
 import functools
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from glperiod import (FieldSeries, GridConfig, SolveOptions, auto_cutoffs, make_grid,
                       make_operator, solve_periodic, z_norm)
 from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_data
+from glperiod.stability import _Stepper
 
 from conftest import raw_odd_series
 
@@ -77,3 +79,20 @@ def test_half_lattice_z_norm_equals_full(case):
     grid, _, cutoffs = setup(dim)
     s = FieldSeries(grid, "frequency", data, PERIOD)
     assert z_norm(s, cutoffs, odd=True) == pytest.approx(z_norm(s, cutoffs), rel=1e-13)
+
+
+@PROPERTY
+@given(odd_series(), st.sampled_from([1, 2]))
+def test_half_lattice_step_equals_full(case, order):
+    # two steps: at order 2 one ETD2RK step and one multistep ETD2 step
+    dim, data = case
+    grid, op, _ = setup(dim)
+    planes = grid.n // 2 + 1
+    v = np.fft.ifftn(data[1:3], axes=grid.series_axes)
+    full, half = _Stepper(grid, op, 0.05), _Stepper(grid, op, 0.05, odd=True)
+    w_full, w_half = data[0].copy(), data[0][:planes].copy()
+    for step in range(2):
+        full.step(w_full, v[step], v[1 - step], order)
+        half.step(w_half, v[step][:planes], v[1 - step][:planes], order)
+    np.testing.assert_allclose(w_half, w_full[:planes], rtol=1e-12,
+                               atol=1e-12 * np.abs(w_full).max())

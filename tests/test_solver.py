@@ -618,15 +618,15 @@ class TestHalfLatticeZNorm:
         with monkeypatch.context() as m:
             m.setattr(periodic_solver, "z_norm", recording)
             if not measured:
-                m.setattr(periodic_solver, "_is_odd", lambda data, grid: False)
+                m.setattr(spectral.Grid, "is_odd", lambda grid, data: False)
             u, rep = solve_periodic(g, op, cutoffs, SolveOptions())
         return u, rep, flags
 
     def test_oddness_is_measured_against_the_tolerance(self, grid3d, forcing):
-        assert periodic_solver._is_odd(forcing.to_frequency().data, grid3d)
+        assert grid3d.is_odd(forcing.to_frequency().data)
         for size, odd in ((0.5 * ODDNESS_TOL, True), (2.0 * ODDNESS_TOL, False)):
             g = self.with_even_part(forcing, size)
-            assert periodic_solver._is_odd(g.data, grid3d) is odd
+            assert grid3d.is_odd(g.data) is odd
 
     def test_odd_forcing_moves_norms_by_roundoff(self, monkeypatch, grid3d, op3d,
                                                  cutoffs3d, forcing):
@@ -636,6 +636,7 @@ class TestHalfLatticeZNorm:
         assert rep.converged and rep.iterations == rep_full.iterations
         assert flags == [True] * (rep.iterations + 1)
         assert flags_full == [False] * (rep.iterations + 1)
+        assert rep.half_lattice and not rep_full.half_lattice
         assert u.data.tobytes() == u_full.data.tobytes()
         np.testing.assert_allclose(rep.residual_history, rep_full.residual_history,
                                    rtol=1e-13, atol=0)

@@ -16,7 +16,7 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig,
 from glperiod.phi import phi1, phi2
 from glperiod.stability import _physical_nodes, _rhs_data, _rhs_work, _Stepper
 
-from conftest import random_physical_field
+from conftest import random_odd_field, random_physical_field, raw_random_series
 from oracles import direct_step, exp_step, semigroup_apply
 
 
@@ -237,24 +237,27 @@ class TestExpStep:
     @pytest.mark.parametrize("order", [1, 2])
     def test_step_allocates_no_field(self, small_setup, order):
         # a stepper's first step (ETD2RK at order 2) and a later one
-        # (multistep ETD2 at order 2) are both measured
+        # (multistep ETD2 at order 2) are both measured, on the full lattice
+        # and on half of it, where the bound is the half field
         grid, op, cut, g, v_per = small_setup
-        stepper = _Stepper(grid, op, v_per.dt)
-        fresh = _Stepper(grid, op, v_per.dt)
-        v_phys = v_per.to_physical().data
-        w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
-                                     grid).to_frequency().data.copy()
-        stepper.step(w_hat, v_phys[0], v_phys[1], order)  # warm the FFT caches
-        for measured in (fresh, stepper):
-            tracemalloc.start()
-            try:
-                measured.step(w_hat, v_phys[1], v_phys[2], order)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < w_hat.nbytes
-        assert stepper.has_prev == fresh.has_prev == (order == 2)
-        assert (fresh.rhs_evals, stepper.rhs_evals) == (order, order + 1)
+        for planes in (grid.n, grid.n // 2 + 1):
+            odd = planes < grid.n
+            stepper = _Stepper(grid, op, v_per.dt, odd)
+            fresh = _Stepper(grid, op, v_per.dt, odd)
+            v_phys = v_per.to_physical().data[:, :planes]
+            w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
+                                         grid).to_frequency().data[:planes].copy()
+            stepper.step(w_hat, v_phys[0], v_phys[1], order)  # warm the FFT caches
+            for measured in (fresh, stepper):
+                tracemalloc.start()
+                try:
+                    measured.step(w_hat, v_phys[1], v_phys[2], order)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < w_hat.nbytes
+            assert stepper.has_prev == fresh.has_prev == (order == 2)
+            assert (fresh.rhs_evals, stepper.rhs_evals) == (order, order + 1)
 
     def test_first_order2_step_is_one_exp_step(self, small_setup):
         # a run's first step is bit for bit exp_step(order=2); the second is
@@ -427,6 +430,22 @@ class TestRunStability:
         with pytest.raises(ValueError, match="10 periods"):
             StabilityRunConfig(t_max=5.0, v_per=v_per, w0=w0)
 
+    @pytest.mark.parametrize("ratio", [1.5, 1.9, 2.5])
+    def test_rejects_step_above_node_spacing(self, small_setup, ratio):
+        # h between T/m_t and 2T/m_t once rounded to one step per node
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
+        cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, h=ratio * v_per.dt)
+        with pytest.raises(ValueError, match="may not exceed"):
+            run_stability(cfg, op, cut)
+
+    def test_step_at_node_spacing_within_tolerance(self, small_setup):
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
+        cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=4,
+                                 h=v_per.dt * (1 + 1e-12))
+        assert not run_stability(cfg, op, cut).interpolated_vper
+
     def test_substepping_flags_interpolation(self, small_setup):
         grid, op, cut, g, v_per = small_setup
         w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
@@ -449,6 +468,126 @@ class TestRunStability:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "t,l2_w,h1_grad_w,n1,n2,n"
         assert len(rows) == decay.times.size + 1
+
+
+def _ifftn_fftn_hat(self, w_hat, v_phys, out):
+    """_Stepper._nonlinear_hat as one ifftn and one fftn over all axes, the
+    form the full lattice's one-axis passes must reproduce bit for bit."""
+    self.rhs_evals += 1
+    np.fft.ifftn(w_hat, axes=self.axes, out=self.w_phys)
+    _rhs_data(self.w_phys, v_phys, self.rhs, self.work)
+    return np.fft.fftn(self.rhs, axes=self.axes, out=out)
+
+
+def _with_even_part(v_per, size):
+    """The base plus a time-constant even field whose largest coefficient is
+    `size` times the base's (frequency representation)."""
+    grid = v_per.grid
+    data = v_per.to_frequency().data
+    even = np.fft.fftn(grid.x[0] * grid.x[-1] * np.exp(-grid.x_abs ** 2 / 8.0))
+    even *= size * np.abs(data).max() / np.abs(even).max()
+    return FieldSeries(grid, "frequency", data + even, v_per.period)
+
+
+def _assert_same_run(a, b):
+    for key in ("times", "l2_w", "h1_grad_w", "n1_series", "n2_series", "n_series"):
+        np.testing.assert_array_equal(getattr(a, key), getattr(b, key))
+    assert a.to_json() == b.to_json()
+
+
+class TestHalfLattice:
+    """Odd base and odd perturbation: the stepper keeps first-axis planes
+    0..n/2 and agrees with the full lattice to roundoff; any other input
+    steps all n planes, bit for bit the ifftn/fftn form."""
+
+    @staticmethod
+    def odd_case(dim, rng):
+        grid = make_grid(GridConfig(dim=dim, n_per_axis={1: 32, 2: 16, 3: 8}[dim],
+                                    box_length=16.0))
+        w_hat = random_odd_field(grid, rng).data
+        w_hat *= 0.3 / np.abs(np.fft.ifftn(w_hat)).max()
+        v = [np.fft.ifftn(random_odd_field(grid, rng).data) for _ in range(4)]
+        return grid, make_operator(grid, 1.0), w_hat, [x / np.abs(x).max() for x in v]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("order, include_rhs", [(1, True), (2, True), (2, False)])
+    def test_half_step_matches_full_planes(self, dim, order, include_rhs, rng):
+        # three steps: at order 2 the first is ETD2RK and the later ones
+        # multistep ETD2
+        grid, op, w_hat, v = self.odd_case(dim, rng)
+        planes = grid.n // 2 + 1
+        full, half = _Stepper(grid, op, 0.05), _Stepper(grid, op, 0.05, odd=True)
+        w_full, w_half = w_hat.copy(), w_hat[:planes].copy()
+        for step in range(3):
+            full.step(w_full, v[step], v[step + 1], order, include_rhs)
+            half.step(w_half, v[step][:planes], v[step + 1][:planes], order, include_rhs)
+            np.testing.assert_allclose(w_half, w_full[:planes], rtol=1e-12,
+                                       atol=1e-12 * np.abs(w_full).max())
+        assert half.rhs_evals == full.rhs_evals
+        assert not np.allclose(w_half, w_hat[:planes], rtol=1e-3)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_full_stepper_is_the_ifftn_fftn_form(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=16, box_length=16.0))
+        op = make_operator(grid, 1.0)
+        w_hat = np.fft.fftn(random_physical_field(grid, rng).data) * 1e-2
+        v = [random_physical_field(grid, rng).data for _ in range(4)]
+        stepped = {}
+        for form in ("passes", "ifftn_fftn"):
+            with monkeypatch.context() as m:
+                if form == "ifftn_fftn":
+                    m.setattr(_Stepper, "_nonlinear_hat", _ifftn_fftn_hat)
+                stepper, w = _Stepper(grid, op, 0.05), w_hat.copy()
+                for step in range(3):
+                    stepper.step(w, v[step], v[step + 1], 2)
+                stepped[form] = w
+        assert np.array_equal(stepped["passes"], stepped["ifftn_fftn"])
+
+    def test_odd_run_steps_half_the_lattice(self, small_setup, monkeypatch):
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+        cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=4)
+        half = run_stability(cfg, op, cut)
+        with monkeypatch.context() as m:
+            m.setattr(type(grid), "is_odd", lambda grid, data: False)
+            full = run_stability(cfg, op, cut)
+        assert half.half_lattice and not full.half_lattice
+        assert json.loads(half.to_json())["half_lattice"] is True
+        assert (half.steps, half.rhs_evals, half.escaped) == (
+            full.steps, full.rhs_evals, full.escaped)
+        for key in ("l2_w", "h1_grad_w", "n1_series", "n2_series", "n_series"):
+            np.testing.assert_allclose(getattr(half, key), getattr(full, key), rtol=1e-12)
+        assert half.fitted_slope_l0 == pytest.approx(full.fitted_slope_l0, rel=1e-12)
+        assert half.fitted_slope_l1 == pytest.approx(full.fitted_slope_l1, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["gauss_perturbation", "base_with_even_part"])
+    def test_other_inputs_take_the_full_lattice(self, small_setup, monkeypatch, case):
+        grid, op, cut, g, v_per = small_setup
+        profile = "gauss" if case == "gauss_perturbation" else "gauss_dipole"
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2, profile=profile), grid)
+        base = v_per if case == "gauss_perturbation" else _with_even_part(v_per, 1e-6)
+        cfg = StabilityRunConfig(t_max=10.0, v_per=base, w0=w0, record_stride=4)
+        decay = run_stability(cfg, op, cut)
+        assert not decay.half_lattice and not decay.escaped
+        with monkeypatch.context() as m:
+            m.setattr(_Stepper, "_nonlinear_hat", _ifftn_fftn_hat)
+            _assert_same_run(decay, run_stability(cfg, op, cut))
+
+    def test_odd_base_nodes_keep_half_the_planes(self, grid3d, rng):
+        # m_t = 64 nodes of 9 of 16 planes, plus one whole-node buffer
+        m_t, planes = 64, grid3d.n // 2 + 1
+        data = np.fft.fftn(raw_random_series(grid3d, m_t, rng), axes=(1, 2, 3))
+        full = _physical_nodes(data, m_t)
+        _physical_nodes(data, m_t, planes)  # warm the FFT caches
+        tracemalloc.start()
+        try:
+            nodes = _physical_nodes(data, m_t, planes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(nodes, full[:, :planes])
+        assert peak <= 0.6 * full.nbytes
 
 
 class TestFitDecayRate:

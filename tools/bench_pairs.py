@@ -14,7 +14,10 @@ both sides alike. ``bench/`` is used as it is; nothing under it is edited.
 The output holds the machine block of ``bench/run.py``, and per workload the
 seeds, every run's end-to-end metrics, their medians and quartiles on each
 side, and per metric the number of pairs the change won (strictly better in
-the direction BENCHMARK.json gives). With ``--traced-seed`` each tree also
+the direction BENCHMARK.json gives), the gap between the medians (change
+minus parent), the parent's interquartile range, and whether the difference
+is resolved: one side wins at least 9 of the 10 pairs and the gap exceeds
+the parent's interquartile range. With ``--traced-seed`` each tree also
 makes one ``--trace 1`` run per workload, whose per-layer metrics are stored
 beside the pairs.
 """
@@ -34,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+RESOLVE_WINS = 9  # pairs one side must win for a resolved difference
 WORK = ROOT / ".bench_pairs"
 
 
@@ -81,6 +85,20 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(parent: list[float], change: list[float], direction: str) -> dict:
+    """Pairs the change won, median gap (change - parent), the parent's
+    q3 - q1, and `resolved`: one side strictly better in at least
+    RESOLVE_WINS pairs and the gap wider than the parent's q3 - q1."""
+    sign = 1 if direction == "lower" else -1
+    diffs = [sign * (c - p) for p, c in zip(parent, change)]
+    wins = sum(d < 0 for d in diffs)
+    p, c = summary(parent), summary(change)
+    gap, iqr = c["median"] - p["median"], p["q3"] - p["q1"]
+    return {"wins": wins, "median_gap": gap, "parent_iqr": iqr,
+            "resolved": max(wins, sum(d > 0 for d in diffs)) >= RESOLVE_WINS
+            and abs(gap) > iqr}
+
+
 def pair_workload(trees: dict, workload: str, seed: int, better: dict) -> dict:
     runs = {"parent": [], "change": []}
     seeds = [seed + i for i in range(PAIRS)]
@@ -95,12 +113,11 @@ def pair_workload(trees: dict, workload: str, seed: int, better: dict) -> dict:
     for side in runs:
         out[side] = {name: summary([r["metrics"][name] for r in runs[side]])
                      for name in better}
-    out["wins"] = {}
     for name, direction in better.items():
-        sign = 1 if direction == "lower" else -1
-        out["wins"][name] = sum(
-            sign * (c["metrics"][name] - p["metrics"][name]) < 0
-            for p, c in zip(runs["parent"], runs["change"]))
+        result = compare(*([r["metrics"][name] for r in runs[side]]
+                           for side in ("parent", "change")), direction)
+        for key, value in result.items():
+            out.setdefault(key, {})[name] = value
     return out
 
 
