@@ -37,10 +37,12 @@ The lattice reflection j -> -j mod n leaves every weight and mask even and
 every |d^alpha u|^2 of an odd u even; it maps first-axis plane j to plane
 -j mod n, and every pass after the first-axis one stays within a plane. So
 after its first-axis pass the tree keeps planes 0..n/2 only, and the sums
-weight them 1, 2, ..., 2, 1. Each task first projects its block on its odd
-part (u - Ru)/2, so the odd-even cross term, which cancels only over the
-whole lattice, is not there to be lost: for data odd to roundoff the half
-and full sums agree to roundoff.
+weight them 1, 2, ..., 2, 1. The first-axis pass needs only half the
+columns (Grid.odd_columns): each task gathers the odd part (u - Ru)/2 of
+its nodes on them, and each pass is scattered into planes 0..n/2 with the
+sign -(-1)^a0 of d_0^a0 on the mirror columns. The projection drops the
+odd-even cross term, which cancels only over the whole lattice: for data
+odd to roundoff the half and full sums agree to roundoff.
 
 The weighted field norms (weighted_hk_node_sq, x_gradient_node_sq) run on
 the same tree over stacks of fields; single-field norms are stacks of one.
@@ -192,7 +194,7 @@ def _axis_support(mask: np.ndarray | None, grid: Grid) -> list:
 
 
 def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
-                     skip_zero: bool, support: list, halo_order: int, planes: int):
+                     skip_zero: bool, support: list, halo_order: int, columns=None):
     """Yield (alpha, d^alpha block in physical space, in a buffer the next
     block overwrites) for every |alpha| <= k, or 1 <= |alpha| <= k with
     `skip_zero`, from task-owned frequency data `block` stacked along axis 0
@@ -200,67 +202,66 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
     are zeroed for |alpha| >= 1 and kept for alpha = 0 (the rule of
     sobolev_symbol); a block not known to be Nyquist-free takes its alpha = 0
     field from an unmasked transform. The first and last nodes are a halo,
-    kept for |alpha| <= halo_order only (none with -1). Each first-axis pass
-    keeps its first `planes` planes (n, or n/2 + 1 for odd data), and every
-    later pass runs on those only.
+    kept for |alpha| <= halo_order only (none with -1). With `columns` (the
+    scatter of Grid.odd_columns, its sign over the real view and the
+    Nyquist-free mask) block holds all planes of the half columns of odd
+    data, and the later passes run on planes 0..n/2 (module docstring).
     """
     dim, n, rows = grid.dim, grid.n, block.shape[0]
+    symbols = NormSuite.for_grid(grid).axis_symbols
+    planes = n if columns is None else n // 2 + 1
     widths = [n if s is None else len(s[0]) for s in support]
-    # Level buffers, then zero-padded ones, from one allocation: separate ones freed
-    # together let glibc trim the thread's arena, and the next task refaulted them.
+    # Level buffers, the scattered first level, then zero-padded ones, in one allocation:
+    # separate ones freed together let glibc trim the thread's arena; the next task refaulted.
     shapes = [(rows, n if axis == 0 else planes) + (n,) * axis + tuple(widths[axis + 1:])
               for axis in range(dim)]
-    shapes += [shape if s else (0,) for shape, s in zip(shapes, support)]
+    shapes += [(0,) if columns is None else (rows, planes) + tuple(widths[1:])] + [
+        shape if s else (0,) for shape, s in zip(shapes, support)]
+    shapes[0] = block.shape  # on odd data, the half columns
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     work = np.empty(ends[-1], complex)
-    work[ends[dim - 1]:] = 0
+    work[ends[dim]:] = 0
     level = [w.reshape(shape) for w, shape in zip(np.split(work, ends[:-1]), shapes)]
+
+    def walk(alphas):
+        # Depth first: a level's pass reruns when alpha's prefix up to it changes.
+        inputs, prev = [block] + [None] * (dim - 1), None
+        for alpha in alphas:
+            start = 0 if prev is None else next(i for i in range(dim) if alpha[i] != prev[i])
+            prev = alpha
+            for axis in range(start, dim):
+                order, a = sum(alpha[:axis]), alpha[axis]
+                src = inputs[axis][1:-1] if order <= halo_order < order + a else inputs[axis]
+                out = level[axis][:len(src)]
+                if a:  # on a column block the first-axis symbol spans one axis
+                    sym = symbols[axis][a].reshape((-1,) + (1,) * (out.ndim - axis - 2))
+                    np.multiply(src, sym, out=out)
+                np.fft.ifftn(out if a else src, axes=(axis + 1,), out=out)
+                if axis == 0 and columns is not None:
+                    flat, out = out.reshape(len(out), -1), level[dim][:len(out)]
+                    scattered = out.reshape(len(out), planes, -1)
+                    np.take(flat, columns[0], axis=1, out=scattered, mode="clip")
+                    if a % 2 == 0:
+                        real = scattered.view(float)
+                        real *= columns[1]
+                if axis + 1 < dim:
+                    if support[axis + 1]:
+                        nxt, lead = level[dim + axis + 2][:len(out)], (slice(None),) * (axis + 2)
+                        for whole, part in support[axis + 1][1]:
+                            nxt[lead + (whole,)] = out[lead + (part,)]
+                        out = nxt
+                    inputs[axis + 1] = out
+            yield alpha, out
+
     if not nyquist_free:
-        if not skip_zero:
-            phys = np.fft.ifftn(block, axes=grid.series_axes,
-                                out=level[dim - 1] if planes == n else None)
-            yield (0,) * dim, phys[:, :planes]
-        block *= grid.keep_nyquist_free
+        if not skip_zero and columns is None:
+            yield (0,) * dim, np.fft.ifftn(block, axes=grid.series_axes, out=level[dim - 1])
+        elif not skip_zero:
+            yield from walk([(0,) * dim])
+        block *= grid.keep_nyquist_free if columns is None else columns[2]
         skip_zero = True
-
-    # Depth first: a level's pass reruns when alpha's prefix up to it changes.
-    inputs, prev = [block] + [None] * (dim - 1), None
-    for alpha in itertools.product(range(k + 1), repeat=dim):
-        if sum(alpha) > k or (skip_zero and not any(alpha)):
-            continue
-        start = 0 if prev is None else next(i for i in range(dim) if alpha[i] != prev[i])
-        prev = alpha
-        for axis in range(start, dim):
-            order, a = sum(alpha[:axis]), alpha[axis]
-            src = inputs[axis][1:-1] if order <= halo_order < order + a else inputs[axis]
-            out = level[axis][:len(src)]
-            if a:
-                np.multiply(src, NormSuite.for_grid(grid).axis_symbols[axis][a], out=out)
-            np.fft.ifftn(out if a else src, axes=(axis + 1,), out=out)
-            if axis == 0:
-                out = out[:, :planes]
-            if axis + 1 < dim:
-                if support[axis + 1]:
-                    nxt, lead = level[dim + axis + 1][:len(out)], (slice(None),) * (axis + 2)
-                    for whole, part in support[axis + 1][1]:
-                        nxt[lead + (whole,)] = out[lead + (part,)]
-                    out = nxt
-                inputs[axis + 1] = out
-        yield alpha, out
-
-
-def _odd_part(block: np.ndarray, mirror: tuple) -> None:
-    """Overwrite frequency data stacked along axis 0 with its odd part
-    (f - Rf)/2, R the lattice reflection, a first-axis plane and its mirror
-    at a time (`mirror` indexes R on the later axes of a plane); the result
-    is odd bit for bit."""
-    n, lead = block.shape[1], (slice(None),)
-    for j in range(n // 2 + 1):
-        plane = block[:, j]
-        plane -= block[:, -j % n][lead + mirror]
-        plane *= 0.5
-        if 0 < j < n // 2:
-            np.negative(plane[lead + mirror], out=block[:, -j % n])
+    yield from walk(alpha for alpha in itertools.product(range(k + 1), repeat=dim)
+                    if sum(alpha) <= k and not (skip_zero and not any(alpha)))
 
 
 def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_sums: int,
@@ -277,36 +278,47 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
     periodic nodes (node m_t, a chunk of its own, gets m_t - 1 and 1). With
     chi None the data are used as given; `skip_zero` skips alpha = 0.
 
-    With `odd` each task projects its block on its odd part and the fields
-    cover only the first-axis planes 0..n/2, to be summed with the weights
-    NormSuite.flat(name, odd=True) (the half-lattice path of the module
-    docstring); chi must then be even on the lattice.
+    With `odd` each task gathers the odd part of its nodes on the half columns
+    and the fields cover only the first-axis planes 0..n/2, to be summed with
+    the weights NormSuite.flat(name, odd=True) (the half-lattice path of the
+    module docstring); chi must then be even on the lattice.
     """
     NormSuite.for_grid(grid)  # fill the per-grid cache before workers read it
-    m_t = data.shape[0] - 1
+    m_t, n = data.shape[0] - 1, grid.n
     halo = dt_order >= 0
     mask = None if chi is None else chi * grid.keep_nyquist_free
     if odd and mask is not None and not np.array_equal(grid.reflect(mask), mask):
         raise ValueError("odd node sums need a mask that is even on the lattice")
-    planes = grid.n // 2 + 1 if odd else grid.n
+    planes = n // 2 + 1 if odd else n
     support = _axis_support(mask, grid)
-    lines = [np.arange(grid.n) if s is None else s[0] for s in support]
+    lines = [np.arange(n) if s is None else s[0] for s in support]
     cols = any(support) and lines
-    mirror = grid.plane_mirror(lines[1:])
     mask = mask[np.ix_(*cols)] if cols else mask
+    columns = None
+    if odd:
+        half, _, (scatter, sign) = grid.odd_columns(lines[1:])
+        flat = np.arange(n ** (grid.dim - 1)).reshape(grid.shape[1:])  # sources of c, mirror(c)
+        sources = [flat[np.ix_(*c)].ravel()[half] for c in (lines[1:], [-c % n for c in lines[1:]])]
+        keep = (grid.keep_nyquist_free if mask is None else mask).reshape(n, -1)[:, half]
+        mask = None if mask is None else keep
+        columns = scatter, np.repeat(sign, 2, axis=1), keep
+        series, k0 = data.reshape(data.shape[:2] + (-1,)), np.arange(n)
 
     def task(rows):
         nodes = np.r_[(rows.start - 1) % m_t, rows, rows.stop % m_t] if halo else np.r_[rows]
-        block = data[np.ix_(nodes, *cols)] if cols else data[nodes]
         if odd:
-            _odd_part(block, mirror)
+            block = series[np.ix_(nodes, k0, sources[0])]
+            block -= series[np.ix_(nodes, -k0 % n, sources[1])]
+            block *= 0.5
+        else:
+            block = data[np.ix_(nodes, *cols)] if cols else data[nodes]
         if mask is not None:
             block *= mask
         out = np.zeros((n_sums, rows.stop - rows.start))
         diff = (np.empty((out.shape[1], planes) + grid.shape[1:], complex)
                 if halo else None)
         for alpha, phys in _derivative_tree(block, grid, k, mask is not None, skip_zero,
-                                            support, dt_order, planes):
+                                            support, dt_order, columns):
             if sum(alpha) <= dt_order:
                 add(out, alpha, phys[1:-1], np.subtract(phys[2:], phys[:-2], out=diff))
             else:

@@ -169,10 +169,26 @@ class Grid:
         idx = [self._reflect_1d] * self.dim
         return data[(Ellipsis,) + np.ix_(*idx)]
 
-    def plane_mirror(self, lines=None) -> tuple:
-        """plane[mirror] reflects a first-axis plane kept on `lines` (default all)."""
-        lines = [np.arange(self.n)] * (self.dim - 1) if lines is None else lines
-        return np.ix_(*(np.searchsorted(c, -c % self.n) for c in lines))
+    def odd_columns(self, lines=None) -> tuple:
+        """Pair the flat columns of the later axes (kept on `lines`, default all,
+        each symmetric) for odd data, whose column -c of plane -j is minus column
+        c of plane j: (half, gather, (scatter, sign)). half holds the columns
+        c <= mirror(c); gather fills all n planes of them, an (n, len(half))
+        block, from planes 0..n/2, rows n/2+1.. from mirror columns (to be
+        negated); scatter fills planes 0..n/2 of every column from such a
+        block, and sign is -1 where a mirror column takes its entry."""
+        n, planes = self.n, self.n // 2 + 1
+        mirror = np.zeros(1, int)
+        for c in [np.arange(n)] * (self.dim - 1) if lines is None else lines:
+            mirror = np.add.outer(mirror * len(c), np.searchsorted(c, -c % n)).ravel()
+        cols = np.arange(mirror.size)
+        half = np.flatnonzero(cols <= mirror)
+        j, k = np.arange(n)[:, None], np.arange(planes)[:, None]
+        gather = np.where(j < planes, j * cols.size + half, (n - j) * cols.size + mirror[half])
+        slot = np.searchsorted(half, np.minimum(cols, mirror))  # block column of c or mirror(c)
+        scatter = np.where(cols <= mirror, k, -k % n) * half.size + slot
+        return half, gather, (scatter, np.broadcast_to(np.where(cols <= mirror, 1.0, -1.0),
+                                                       scatter.shape))
 
     def plane_weights(self) -> np.ndarray:
         """Weights 1, 2, ..., 2, 1 folding planes -j into planes j <= n/2."""

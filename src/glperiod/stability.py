@@ -32,12 +32,11 @@ stepper's second transform buffer; and the step advances the frequency data
 in place (the run steps a copy of w0). On the interpolated base path the
 blend of two nodes is written into two buffers that the run owns.
 
-Odd runs step half the lattice: about an odd base (the paper's forcings)
-an odd w stays odd, so when the base and w0 both test odd (Grid.is_odd) the
-run keeps first-axis planes 0..n/2. Transforms are one-axis passes in fftn's
-order, the later axes on the half planes; the odd mirror (plane -j is minus
-plane j reflected) fills the rest before the first-axis pass, and the record
-folds in the plane weights. Other inputs step all n planes, as ifftn/fftn.
+Odd runs step half the lattice: about an odd base (the paper's forcings) an
+odd w stays odd, so when w0 tests odd (Grid.is_odd), and the base too unless
+the run is linear, frequency data keep first-axis planes 0..n/2 and physical
+data all planes of the half columns (Grid.odd_columns), on which the
+first-axis pass runs. Other inputs step all n planes, as ifftn/fftn.
 """
 
 from __future__ import annotations
@@ -96,7 +95,8 @@ class _Stepper:
     the right-hand side is one ETD2RK step and every later one is multistep
     ETD2: f_prev keeps N_{n-1} (the two transform buffers swap after each
     step). rhs_evals counts the nonlinear evaluations made.
-    With `odd` all but w_phys, the transform buffer, hold planes 0..n/2.
+    With `odd` the frequency data keep first-axis planes 0..n/2 and the
+    physical data all n planes of the half columns of Grid.odd_columns.
     """
 
     def __init__(self, grid: Grid, op: LinearOperatorSpec, h: float,
@@ -111,40 +111,49 @@ class _Stepper:
         self.h_phi2 = h * phi2(z) * keep * grid.dealias[:planes]
         self.axes = tuple(range(grid.dim))
         shape = (planes,) + grid.shape[1:]
-        self.w_phys = np.empty(grid.shape, complex)
-        self.rhs, self.f_now, self.f_prev = (np.empty(shape, complex) for _ in range(3))
-        self.work = _rhs_work(shape)
-        # flat sources of planes n/2+1..n-1: plane n-j is plane j reflected
-        plane = np.arange(grid.n ** (grid.dim - 1)).reshape(grid.shape[1:])
-        self.mirror = (np.add.outer(np.arange(planes - 2, 0, -1) * plane.size,
-                                    plane[grid.plane_mirror()]).ravel() if odd else None)
+        self.columns, phys = None, grid.shape
+        if odd:
+            self.columns, self.gather, (self.scatter, sign) = grid.odd_columns()
+            self.sign, phys = np.repeat(sign, 2, axis=1), (grid.n, self.columns.size)
+        self.w_phys, self.rhs = (np.empty(phys, complex) for _ in range(2))
+        self.f_now, self.f_prev = (np.empty(shape, complex) for _ in range(2))
+        self.spare = np.empty(shape, complex) if odd else self.rhs  # frequency scratch
+        self.work = _rhs_work(phys)
         self.has_prev = False
         self.rhs_evals = 0
 
-    def _transform(self, fft, src: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """fft from src into buf as one-axis passes in fftn's order (its bits
-        on all n planes); on half, the mirror fills the rest before axis 0."""
-        part = buf[:len(src)]
+    def _passes(self, fft, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """fft along the later axes, last first as in fftn, from src into out."""
         for axis in self.axes[:0:-1]:
-            src = fft(src, axes=(axis,), out=part)
-        if self.mirror is not None:
-            if src is not part:  # dim 1: no later axis
-                part[...] = src
-            flat, cut = buf.reshape(-1), part.size
-            np.take(flat[:cut], self.mirror, out=flat[cut:], mode="clip")
-            np.negative(flat[cut:], out=flat[cut:])
-            src = buf
-        return fft(src, axes=(0,), out=buf)
+            src = fft(src, axes=(axis,), out=out)
+        return src
+
+    def _ifft(self, w_hat: np.ndarray) -> np.ndarray:
+        """w_hat in physical space, in w_phys (fftn's passes on all planes)."""
+        if self.columns is None:
+            return np.fft.ifftn(self._passes(np.fft.ifftn, w_hat, self.w_phys),
+                                axes=(0,), out=self.w_phys)
+        half = self._passes(np.fft.ifftn, w_hat, self.spare)
+        np.take(half.reshape(-1), self.gather, out=self.w_phys, mode="clip")
+        self.w_phys[len(w_hat):] *= -1  # rows read from mirror columns
+        return np.fft.ifftn(self.w_phys, axes=(0,), out=self.w_phys)
+
+    def _fft(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """phys (overwritten on half the lattice) in frequency space, in out."""
+        if self.columns is None:
+            return np.fft.fftn(self._passes(np.fft.fftn, phys, out), axes=(0,), out=out)
+        np.fft.fftn(phys, axes=(0,), out=phys)
+        flat = out.reshape(len(out), -1)
+        np.take(phys.reshape(-1), self.scatter, out=flat, mode="clip")
+        real = flat.view(float)  # the sign on the real view: no casting buffer
+        real *= self.sign
+        return self._passes(np.fft.fftn, out, out)
 
     def _nonlinear_hat(self, w_hat: np.ndarray, v_phys: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
         self.rhs_evals += 1
-        w_phys = self._transform(np.fft.ifftn, w_hat, self.w_phys)
-        _rhs_data(w_phys[:len(out)], v_phys, self.rhs, self.work)
-        if self.mirror is None:
-            return self._transform(np.fft.fftn, self.rhs, out)
-        out[...] = self._transform(np.fft.fftn, self.rhs, self.w_phys)[:len(out)]
-        return out
+        _rhs_data(self._ifft(w_hat), v_phys, self.rhs, self.work)
+        return self._fft(self.rhs, out)
 
     def step(self, w_hat: np.ndarray, v_now: np.ndarray, v_next: np.ndarray | None,
              order: int, include_rhs: bool = True) -> np.ndarray:
@@ -158,7 +167,7 @@ class _Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             f_now = self._nonlinear_hat(w_hat, v_now, self.f_now)
             w_hat *= self.decay
-            w_hat += np.multiply(self.h_phi1, f_now, out=self.rhs)
+            w_hat += np.multiply(self.h_phi1, f_now, out=self.spare)
             if order == 1:
                 return w_hat
             f_prev = self.f_prev
@@ -282,24 +291,26 @@ def default_fit_window(grid: Grid) -> tuple[float, float]:
     return 1.0, 0.25 * (grid.box_length / (2.0 * np.pi)) ** 2
 
 
-def _physical_nodes(data: np.ndarray, m_t: int, planes: int | None = None) -> np.ndarray:
-    """First-axis planes 0..planes - 1 (default all) of nodes 0..m_t - 1 in
-    physical space, one at a time: a batched ifftn's temporaries double them."""
-    nodes = np.empty((m_t, planes or data.shape[1]) + data.shape[2:], dtype=complex)
+def _physical_nodes(data: np.ndarray, m_t: int, columns: np.ndarray | None = None):
+    """Nodes 0..m_t - 1 in physical space, one at a time (a batched ifftn's
+    temporaries double them); `columns` keeps those flat later-axis columns."""
     node = np.empty(data.shape[1:], complex)
+    nodes = np.empty((m_t,) + (node.shape if columns is None else (len(node), len(columns))),
+                     complex)
     for m in range(m_t):
-        nodes[m] = np.fft.ifftn(data[m], out=node)[:len(nodes[m])]
+        phys = np.fft.ifftn(data[m], out=node)
+        if columns is None:
+            nodes[m] = phys
+        else:
+            np.take(phys.reshape(len(phys), -1), columns, axis=1, out=nodes[m], mode="clip")
     return nodes
 
 
 def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
                   cutoffs: CutoffSpec) -> DecayReport:
     """Integrate the perturbation to t_max about the stored periodic base
-    solution and record decay diagnostics."""
-    v_series = cfg.v_per.to_frequency()
-    grid = v_series.grid
-    m_t = v_series.n_steps
-    T = v_series.period
+    solution and record decay diagnostics. A linear run reads no base."""
+    grid, m_t, T = cfg.v_per.grid, cfg.v_per.n_steps, cfg.v_per.period
     h_nodes = T / m_t
     h = cfg.h if cfg.h is not None else h_nodes
     per_node = h_nodes / h
@@ -308,12 +319,15 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         raise ValueError("step size h may not exceed the stored node spacing T/m_t")
 
     w_hat = cfg.w0.to_frequency().data
-    odd = grid.is_odd(w_hat[None]) and grid.is_odd(v_series.data)
-    planes = grid.n // 2 + 1 if odd else grid.n
+    v_hat = None if cfg.linear_only else cfg.v_per.to_frequency().data
+    odd = grid.is_odd(w_hat[None]) and (v_hat is None or grid.is_odd(v_hat))
+    stepper = _Stepper(grid, op, h, odd)
+    planes = len(stepper.decay)
     w_hat = w_hat[:planes].copy()
-    v_phys_nodes = _physical_nodes(v_series.data, m_t, planes)
-    if interpolated:
-        v_blend, v_part = (np.empty(v_phys_nodes.shape[1:], complex) for _ in range(2))
+    if v_hat is not None:
+        v_phys_nodes = _physical_nodes(v_hat, m_t, stepper.columns)
+        if interpolated:
+            v_blend, v_part = (np.empty(v_phys_nodes.shape[1:], complex) for _ in range(2))
 
     def v_at(step: int) -> np.ndarray:
         """The base at t = step h. A blend of two nodes is written into
@@ -359,7 +373,6 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         state["n2s"].append(state["n2"])
         state["ns"].append(state["n1"] + state["n2"])
 
-    stepper = _Stepper(grid, op, h, odd)
     magnitude = np.empty(w_hat.view(float).shape)
     n_steps = int(math.ceil(cfg.t_max / h - 1e-12))
     state = {"n1": 0.0, "n2": 0.0, "times": [], "l2": [], "grad": [],

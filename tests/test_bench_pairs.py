@@ -67,3 +67,56 @@ def test_pair_workload_keeps_its_keys(monkeypatch):
     assert out["median_gap"]["wall_s"] == pytest.approx(-1.0)
     assert out["parent_iqr"]["iterations"] == 0
     assert out["parent"]["wall_s"]["median"] == pytest.approx(4.45)
+
+
+class TestStealShare:
+    STAT = "cpu  {} 0 {} {} 5 0 7 {} 0 0\ncpu0 1 2 3 4 5 6 7 8 9 10\n"
+
+    def test_reads_the_aggregate_cpu_line(self, monkeypatch, tmp_path):
+        stat = tmp_path / "stat"
+        stat.write_text(self.STAT.format(100, 20, 800, 60))
+        monkeypatch.setattr(bench_pairs, "PROC_STAT", stat)
+        assert bench_pairs.cpu_jiffies() == [100, 0, 20, 800, 5, 0, 7, 60]
+
+    def test_missing_file_reads_none(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench_pairs, "PROC_STAT", tmp_path / "absent")
+        assert bench_pairs.cpu_jiffies() is None
+        assert bench_pairs.steal_share(None, [1] * 8) is None
+
+    def test_share_of_the_interval(self):
+        before = [100, 0, 20, 800, 5, 0, 7, 60]
+        after = [160, 0, 30, 920, 5, 0, 7, 70]  # 200 jiffies, 10 of them stolen
+        assert bench_pairs.steal_share(before, after) == pytest.approx(0.05)
+        assert bench_pairs.steal_share(before, before) is None
+
+    def test_run_bench_records_the_share(self, monkeypatch):
+        # a stubbed reader around a stubbed bench/run.py: one reading before,
+        # one after
+        readings = iter([[0] * 7 + [0], [90, 0, 0, 0, 0, 0, 0, 10]])
+        monkeypatch.setattr(bench_pairs, "cpu_jiffies", lambda: next(readings))
+
+        class Proc:
+            returncode = 0
+            stdout = ('{"correct": true, "attempted": 1, "failed": 0, '
+                      '"metrics": {"wall_s": {"value": 3.5}}}\n')
+            stderr = ""
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Proc())
+        result = bench_pairs.run_bench(Path("."), "w", 1, False)
+        assert result["steal_share"] == pytest.approx(0.1)
+        assert result["metrics"] == {"wall_s": 3.5}
+
+    def test_pair_workload_keeps_the_median_per_side(self, monkeypatch):
+        shares = {"parent": iter([0.01 * i for i in range(10)]),
+                  "change": iter([None] * 10)}
+
+        def fake_run(tree, workload, seed, trace):
+            return {"correct": True, "attempted": 1, "failed": 0,
+                    "steal_share": next(shares[tree]), "metrics": {"wall_s": 1.0}}
+
+        monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+        out = bench_pairs.pair_workload({"parent": "parent", "change": "change"}, "w", 0,
+                                        {"wall_s": "lower"})
+        assert out["steal_share"]["parent"] == pytest.approx(0.045)
+        assert out["steal_share"]["change"] is None
+        assert {"seeds", "runs", "parent", "change", "wins", "resolved"} <= out.keys()

@@ -628,12 +628,23 @@ class TestHalfLattice:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind", ["X", "Y"])
     def test_node_sums_match_reference(self, monkeypatch, dim, kind):
+        self.check_node_sums(monkeypatch, dim, kind, "chi1" if kind == "X" else "chi_inf")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind, mask", [("X", "chi_inf"), ("X", None), ("Y", "chi1"),
+                                            ("Y", None)])
+    def test_node_sums_match_reference_on_other_masks(self, monkeypatch, dim, kind, mask):
+        # no mask: the alpha = 0 fields keep their Nyquist modes
+        self.check_node_sums(monkeypatch, dim, kind, mask)
+
+    @staticmethod
+    def check_node_sums(monkeypatch, dim, kind, mask):
         grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
                                     box_length=32.0))
         m_t, period = 10, 1.3
         h = period / m_t
         cutoffs = auto_cutoffs(grid, period)
-        chi = cutoffs.chi1 if kind == "X" else cutoffs.chi_inf
+        chi = None if mask is None else getattr(cutoffs, mask)
         data = raw_odd_series(grid, m_t, np.random.default_rng(17 * dim + len(kind)))
         x_add, y_add, _, _ = _ref_adds(grid, h)
         k, n_sums, ref_add = (1, 3, x_add) if kind == "X" else (3, 5, y_add)
@@ -655,8 +666,10 @@ class TestHalfLattice:
             return got[0]
 
         s = FieldSeries(grid, "frequency", data, period)
-        assert spacetime_norm(s, kind, cutoffs, odd=True) == pytest.approx(
-            spacetime_norm(s, kind, cutoffs), rel=1e-13)
+        if mask in (None, "chi1" if kind == "X" else "chi_inf"):  # spacetime_norm's pairing
+            band = None if mask is None else cutoffs
+            assert spacetime_norm(s, kind, band, odd=True) == pytest.approx(
+                spacetime_norm(s, kind, band), rel=1e-13)
         for chunk_nodes in (1, 3, 8):
             monkeypatch.setattr(spectral, "CHUNK_NODES", chunk_nodes)
             for workers in (1, 2):
@@ -716,16 +729,19 @@ def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cuto
 
 def test_odd_z_norm_transforms_half_the_planes_after_the_first_axis(monkeypatch, grid3d,
                                                                    cutoffs3d, rng):
-    # As above on odd data with odd=True: every pass after a first-axis pass
-    # runs on planes 0..n/2 (p = 9 of 16). X: 2 first-axis passes over s*s
-    # columns, 3 second-level passes over p*s and 4 last ones over p*n. Y: 4
-    # whole first-axis passes (2 with the halo), then 30 passes over p*n*n
-    # (3 + 4 with the halo). Same number of calls as the full lattice.
+    # As above on odd data with odd=True: every first-axis pass runs on the
+    # half columns of Grid.odd_columns, (s*s + 1)/2 of X's s*s gathered ones
+    # and (n*n + 4)/2 of Y's n*n (self-mirror columns: 1 and 4), and every
+    # pass after it on planes 0..n/2 (p = 9 of 16). X: 2 first-axis passes,
+    # 3 second-level passes over p*s and 4 last ones over p*n. Y: 4 first-axis
+    # passes (2 with the halo), then 30 passes over p*n*n (3 + 4 with the
+    # halo). Same number of calls as the full lattice.
     n, m_t, p = grid3d.n, 16, grid3d.n // 2 + 1
     s = int(np.count_nonzero(np.abs(grid3d.xi1d) < cutoffs3d.r_inf))
+    hx, hy = (s * s + 1) // 2, (n * n + 4) // 2
     rows = [c.stop - c.start + 2 for c in node_chunks(m_t)] + [3]
-    x_points = sum(r * (2 * n * s * s + 3 * p * n * s + 4 * p * n * n) for r in rows)
-    y_points = sum(n ** 3 * (2 * r + 2 * (r - 2)) + p * n * n * (7 * r + 23 * (r - 2))
+    x_points = sum(r * (2 * n * hx + 3 * p * n * s + 4 * p * n * n) for r in rows)
+    y_points = sum(n * hy * (2 * r + 2 * (r - 2)) + p * n * n * (7 * r + 23 * (r - 2))
                    for r in rows)
     series = FieldSeries(grid3d, "frequency", raw_odd_series(grid3d, m_t, rng), 1.0)
     points = []
@@ -741,7 +757,7 @@ def test_odd_z_norm_transforms_half_the_planes_after_the_first_axis(monkeypatch,
     assert sum(points) == x_points + y_points
     full_lattice = sum(r * (2 * n * s * s + 3 * n * n * s + 4 * n ** 3)
                        + n ** 3 * (9 * r + 25 * (r - 2)) for r in rows)
-    assert sum(points) < 0.62 * full_lattice  # 0.613
+    assert sum(points) < 0.56 * full_lattice  # 0.556
 
 
 def test_z_norm_memory_not_above_allocating_tree(monkeypatch, grid3d, cutoffs3d, rng):

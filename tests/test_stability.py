@@ -238,13 +238,15 @@ class TestExpStep:
     def test_step_allocates_no_field(self, small_setup, order):
         # a stepper's first step (ETD2RK at order 2) and a later one
         # (multistep ETD2 at order 2) are both measured, on the full lattice
-        # and on half of it, where the bound is the half field
+        # and on half of it (the odd stepper's gathers, scatters and signs),
+        # where the bound is the half field
         grid, op, cut, g, v_per = small_setup
-        for planes in (grid.n, grid.n // 2 + 1):
-            odd = planes < grid.n
+        for odd in (False, True):
             stepper = _Stepper(grid, op, v_per.dt, odd)
             fresh = _Stepper(grid, op, v_per.dt, odd)
-            v_phys = v_per.to_physical().data[:, :planes]
+            v_phys = _physical_nodes(v_per.to_frequency().data, 3, stepper.columns)
+            planes = len(stepper.decay)
+            assert planes == (grid.n // 2 + 1 if odd else grid.n)
             w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
                                          grid).to_frequency().data[:planes].copy()
             stepper.step(w_hat, v_phys[0], v_phys[1], order)  # warm the FFT caches
@@ -489,6 +491,13 @@ def _with_even_part(v_per, size):
     return FieldSeries(grid, "frequency", data + even, v_per.period)
 
 
+def _half_columns(grid, phys):
+    """Physical fields (stacked or one) in the odd stepper's layout: all n
+    first-axis planes of the half columns of Grid.odd_columns."""
+    half = grid.odd_columns()[0]
+    return phys.reshape(phys.shape[:-grid.dim] + (grid.n, -1))[..., half]
+
+
 def _assert_same_run(a, b):
     for key in ("times", "l2_w", "h1_grad_w", "n1_series", "n2_series", "n_series"):
         np.testing.assert_array_equal(getattr(a, key), getattr(b, key))
@@ -520,7 +529,8 @@ class TestHalfLattice:
         w_full, w_half = w_hat.copy(), w_hat[:planes].copy()
         for step in range(3):
             full.step(w_full, v[step], v[step + 1], order, include_rhs)
-            half.step(w_half, v[step][:planes], v[step + 1][:planes], order, include_rhs)
+            half.step(w_half, _half_columns(grid, v[step]), _half_columns(grid, v[step + 1]),
+                      order, include_rhs)
             np.testing.assert_allclose(w_half, w_full[:planes], rtol=1e-12,
                                        atol=1e-12 * np.abs(w_full).max())
         assert half.rhs_evals == full.rhs_evals
@@ -575,19 +585,57 @@ class TestHalfLattice:
             _assert_same_run(decay, run_stability(cfg, op, cut))
 
     def test_odd_base_nodes_keep_half_the_planes(self, grid3d, rng):
-        # m_t = 64 nodes of 9 of 16 planes, plus one whole-node buffer
-        m_t, planes = 64, grid3d.n // 2 + 1
+        # m_t = 64 nodes of all 16 planes of 130 of 256 columns (the half
+        # columns), plus one whole-node buffer
+        m_t, half = 64, grid3d.odd_columns()[0]
         data = np.fft.fftn(raw_random_series(grid3d, m_t, rng), axes=(1, 2, 3))
         full = _physical_nodes(data, m_t)
-        _physical_nodes(data, m_t, planes)  # warm the FFT caches
+        _physical_nodes(data, m_t, half)  # warm the FFT caches
         tracemalloc.start()
         try:
-            nodes = _physical_nodes(data, m_t, planes)
+            nodes = _physical_nodes(data, m_t, half)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(nodes, full[:, :planes])
-        assert peak <= 0.6 * full.nbytes
+        assert nodes.shape == (m_t, grid3d.n, 130)
+        assert np.array_equal(nodes, _half_columns(grid3d, full))
+        assert peak <= 0.53 * full.nbytes  # 130/256 + 1/64 = 0.523
+
+    def test_odd_interpolated_run_matches_full_lattice(self, small_setup, monkeypatch):
+        # h = T/(2 m_t): every other step blends two base nodes in the column layout
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+        cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, h=v_per.dt / 2,
+                                 record_stride=8)
+        half = run_stability(cfg, op, cut)
+        with monkeypatch.context() as m:
+            m.setattr(type(grid), "is_odd", lambda grid, data: False)
+            full = run_stability(cfg, op, cut)
+        assert half.interpolated_vper and half.half_lattice and not full.half_lattice
+        assert not half.escaped and half.steps == full.steps
+        np.testing.assert_array_equal(half.times, full.times)
+        for key in ("l2_w", "h1_grad_w", "n1_series", "n2_series", "n_series"):
+            np.testing.assert_allclose(getattr(half, key), getattr(full, key), rtol=1e-12)
+
+    def test_linear_run_reads_no_base(self, small_setup, monkeypatch):
+        # an odd w0 alone decides the lattice, even about a base that is not
+        # odd, and the base is never transformed
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid).to_frequency()
+        cfg = StabilityRunConfig(t_max=10.0, v_per=_with_even_part(v_per, 1e-6), w0=w0,
+                                 record_stride=4, linear_only=True)
+        calls = []
+        ifftn = np.fft.ifftn
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "ifftn", lambda *a, **k: calls.append(1) or ifftn(*a, **k))
+            half = run_stability(cfg, op, cut)
+        assert half.half_lattice and not calls and half.rhs_evals == 0
+        with monkeypatch.context() as m:
+            m.setattr(type(grid), "is_odd", lambda grid, data: False)
+            full = run_stability(cfg, op, cut)
+        assert not full.half_lattice and full.steps == half.steps
+        for key in ("l2_w", "h1_grad_w", "n1_series", "n2_series", "n_series"):
+            np.testing.assert_allclose(getattr(half, key), getattr(full, key), rtol=1e-12)
 
 
 class TestFitDecayRate:

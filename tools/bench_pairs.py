@@ -17,7 +17,10 @@ side, and per metric the number of pairs the change won (strictly better in
 the direction BENCHMARK.json gives), the gap between the medians (change
 minus parent), the parent's interquartile range, and whether the difference
 is resolved: one side wins at least 9 of the 10 pairs and the gap exceeds
-the parent's interquartile range. With ``--traced-seed`` each tree also
+the parent's interquartile range. Each run also records the host's steal
+share while it ran (steal jiffies over all jiffies of the ``cpu`` line of
+/proc/stat, read before and after; null where that file is missing), and
+each workload the median share per side. With ``--traced-seed`` each tree also
 makes one ``--trace 1`` run per workload, whose per-layer metrics are stored
 beside the pairs.
 """
@@ -39,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 RESOLVE_WINS = 9  # pairs one side must win for a resolved difference
 WORK = ROOT / ".bench_pairs"
+PROC_STAT = Path("/proc/stat")  # read only, for the host's steal time
 
 
 def _bench_run_module():
@@ -64,18 +68,44 @@ def export_parent(ref: str, work: Path) -> tuple[Path, str]:
     return tree, sha
 
 
+def cpu_jiffies() -> list[int] | None:
+    """The aggregate `cpu` line of /proc/stat as its first eight counters
+    (user, nice, system, idle, iowait, irq, softirq, steal; guest time is
+    already inside user and nice), or None where it cannot be read."""
+    try:
+        fields = PROC_STAT.read_text().split("\n", 1)[0].split()
+    except OSError:
+        return None
+    if len(fields) < 9 or fields[0] != "cpu":
+        return None
+    return [int(x) for x in fields[1:9]]
+
+
+def steal_share(before: list[int] | None, after: list[int] | None) -> float | None:
+    """Steal jiffies over all jiffies between two cpu_jiffies readings: the
+    share of the host's time that other tenants' guests took."""
+    if before is None or after is None:
+        return None
+    delta = [b - a for a, b in zip(before, after)]
+    total = sum(delta)
+    return delta[7] / total if total > 0 else None
+
+
 def run_bench(tree: Path, workload: str, seed: int, trace: bool) -> dict:
-    """One bench/run.py invocation in `tree`; returns its result line."""
+    """One bench/run.py invocation in `tree`; returns its result line and
+    the steal share of the host while it ran."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", "1" if trace else "0"]
+    before = cpu_jiffies()
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    steal = steal_share(before, cpu_jiffies())
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(argv)} in {tree} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
+            "failed": result["failed"], "steal_share": steal,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -109,7 +139,10 @@ def pair_workload(trees: dict, workload: str, seed: int, better: dict) -> dict:
         print(f"{workload} pair {i + 1}/{PAIRS} seed {s}: " + "  ".join(
             f"{side} wall_s {runs[side][-1]['metrics']['wall_s']:.3f}" for side in order),
             file=sys.stderr, flush=True)
-    out = {"seeds": seeds, "runs": runs}
+    out = {"seeds": seeds, "runs": runs, "steal_share": {}}
+    for side in runs:
+        shares = [r["steal_share"] for r in runs[side] if r.get("steal_share") is not None]
+        out["steal_share"][side] = statistics.median(shares) if shares else None
     for side in runs:
         out[side] = {name: summary([r["metrics"][name] for r in runs[side]])
                      for name in better}
