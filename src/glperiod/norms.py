@@ -32,17 +32,16 @@ row-by-row einsum reductions, not BLAS products, so no result depends on
 the number of workers, the chunk size or the BLAS thread count.
 
 Odd series (u(-x) = -u(x) on the lattice, as the solve's iterates are for
-the paper's odd forcings) can take a half-lattice path (z_norm(odd=True)).
-The lattice reflection j -> -j mod n leaves every weight and mask even and
-every |d^alpha u|^2 of an odd u even; it maps first-axis plane j to plane
--j mod n, and every pass after the first-axis one stays within a plane. So
-after its first-axis pass the tree keeps planes 0..n/2 only, and the sums
-weight them 1, 2, ..., 2, 1. The first-axis pass needs only half the
-columns (Grid.odd_columns): each task gathers the odd part (u - Ru)/2 of
-its nodes on them, and each pass is scattered into planes 0..n/2 with the
-sign -(-1)^a0 of d_0^a0 on the mirror columns. The projection drops the
-odd-even cross term, which cancels only over the whole lattice: for data
-odd to roundoff the half and full sums agree to roundoff.
+the paper's odd forcings) can take a half-lattice path (z_norm(odd=True))
+that reads their first-axis planes 0..n/2 only. The lattice reflection
+j -> -j mod n leaves every weight and mask even and every |d^alpha u|^2 of
+an odd u even; it maps first-axis plane j to plane -j mod n, and every pass
+after the first-axis one stays within a plane. So after its first-axis pass
+the tree keeps planes 0..n/2 only, and the sums weight them 1, 2, ..., 2, 1.
+The first-axis pass needs only half the columns (Grid.odd_columns): each
+task gathers all n planes of them, plane j > n/2 as minus plane n - j on
+the mirror columns, and each pass is scattered into planes 0..n/2 with the
+sign -(-1)^a0 of d_0^a0 on the mirror columns.
 
 The weighted field norms (weighted_hk_node_sq, x_gradient_node_sq) run on
 the same tree over stacks of fields; single-field norms are stacks of one.
@@ -278,10 +277,10 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
     periodic nodes (node m_t, a chunk of its own, gets m_t - 1 and 1). With
     chi None the data are used as given; `skip_zero` skips alpha = 0.
 
-    With `odd` each task gathers the odd part of its nodes on the half columns
-    and the fields cover only the first-axis planes 0..n/2, to be summed with
-    the weights NormSuite.flat(name, odd=True) (the half-lattice path of the
-    module docstring); chi must then be even on the lattice.
+    With `odd` the data are odd and only their planes 0..n/2 are read (all a
+    half series holds), gathered on the half columns; the fields cover those
+    planes, to be summed with NormSuite.flat(name, odd=True) (the half-lattice
+    path of the module docstring); chi must then be even on the lattice.
     """
     NormSuite.for_grid(grid)  # fill the per-grid cache before workers read it
     m_t, n = data.shape[0] - 1, grid.n
@@ -302,14 +301,14 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
         keep = (grid.keep_nyquist_free if mask is None else mask).reshape(n, -1)[:, half]
         mask = None if mask is None else keep
         columns = scatter, np.repeat(sign, 2, axis=1), keep
-        series, k0 = data.reshape(data.shape[:2] + (-1,)), np.arange(n)
+        j = np.arange(n)[:, None]  # plane j > n/2: minus plane n - j on the mirror columns
+        gather = np.where(j < planes, j * flat.size + sources[0], (n - j) * flat.size + sources[1])
 
     def task(rows):
         nodes = np.r_[(rows.start - 1) % m_t, rows, rows.stop % m_t] if halo else np.r_[rows]
         if odd:
-            block = series[np.ix_(nodes, k0, sources[0])]
-            block -= series[np.ix_(nodes, -k0 % n, sources[1])]
-            block *= 0.5
+            block = data.reshape(len(data), -1)[nodes[:, None, None], gather]
+            block[:, planes:] *= -1
         else:
             block = data[np.ix_(nodes, *cols)] if cols else data[nodes]
         if mask is not None:
@@ -390,13 +389,15 @@ def spacetime_norm(series: FieldSeries, kind: str,
 
     When cutoffs are given the matching projection is applied first; pass
     None for a series that is already supported in the right band. With
-    `odd` (for a series known to be odd on the lattice) the norm is that of
-    the series' odd part, summed on half the lattice (see _node_sums).
+    `odd` (a series known to be odd on the lattice) it reads the series'
+    planes 0..n/2 only and sums on half the lattice (see _node_sums).
     """
     if len(series) < 3:
         raise ValueError("space-time norms need at least 3 time nodes")
     if kind not in ("X", "Y"):
         raise ValueError(f"kind must be 'X' or 'Y'; got {kind!r}")
+    if series.half and not odd:
+        raise ValueError("a half-lattice series takes the odd norm")
     chi = None if cutoffs is None else (cutoffs.chi1 if kind == "X" else cutoffs.chi_inf)
     norm = _x_norm if kind == "X" else _y_norm
     return norm(series.to_frequency().data, series.grid, chi, series.dt, odd)
@@ -415,24 +416,25 @@ def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
     The alpha = 0 sums are read from g in physical space (a physical g is
     its own alpha = 0 field); the derivative tree builds only the first
     derivatives, from `g_freq` (g in frequency representation) when the
-    caller already has it.
+    caller already has it, on half the lattice when g_freq is a half series.
     """
     if len(g) < 3:
         raise ValueError("the forcing functional needs at least 3 time nodes")
     grid = g.grid
     w2 = NormSuite.for_grid(grid).flat("weight_sq")
     phys = g.to_physical().data
+    g_freq = g.to_frequency() if g_freq is None else g_freq
+    w2_tree = NormSuite.for_grid(grid).flat("weight_sq", g_freq.half)
 
     def zero_order(rows):
         block = phys[rows]
         return _lp_node(block, grid, 1, weighted=True), _weighted_sq(block, w2)
 
     def add(out, alpha, d_alpha, diff):
-        out[0] += _weighted_sq(d_alpha, w2)
+        out[0] += _weighted_sq(d_alpha, w2_tree)
 
     sums = map_chunks(zero_order, node_chunks(len(g)))
     l1w, h1w_sq = (np.concatenate(part) for part in zip(*sums))
-    freq = (g.to_frequency() if g_freq is None else g_freq).data
-    h1w_sq += _node_sums(freq, grid, 1, None, 1, add, skip_zero=True)[0]
+    h1w_sq += _node_sums(g_freq.data, grid, 1, None, 1, add, skip_zero=True, odd=g_freq.half)[0]
     return float(np.sqrt(np.trapezoid(l1w ** 2, dx=g.dt))
                  + np.sqrt(np.trapezoid(h1w_sq, dx=g.dt)))

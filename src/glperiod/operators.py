@@ -127,14 +127,17 @@ def period_inverse_symbol(op: LinearOperatorSpec) -> np.ndarray:
     return inv
 
 
-def check_zero_mode(data: np.ndarray, tol: float) -> None:
-    """Require the mean mode of frequency data stacked along axis 0 (a
-    single field is a series of one node) to be negligible at every node,
-    relative to the largest per-node coefficient l2 norm."""
+def check_zero_mode(data: np.ndarray, tol: float, half: bool = False) -> None:
+    """Require the mean mode of frequency data stacked along axis 0 (a single
+    field is a series of one node; `half` data are planes 0..n/2 of odd data)
+    to be negligible at every node, relative to the largest node's l2 norm."""
     flat = data.reshape(data.shape[0], -1)
     # Not a np.vdot per node: without these temporaries glibc's trim threshold
     # stays low and a solve's pool kernels page-fault 6x more (CHANGES.md).
-    total = float(np.sqrt((flat.real ** 2 + flat.imag ** 2).sum(axis=1).max()))
+    sq = flat.real ** 2 + flat.imag ** 2
+    if half:  # planes 1..n/2-1 stand for two (Grid.plane_weights)
+        sq.reshape(data.shape[:2] + (-1,))[:, 1:-1] *= 2.0
+    total = float(np.sqrt(sq.sum(axis=1).max()))
     worst = float(np.abs(flat[:, 0]).max())
     if total > 0 and worst > tol * total:
         raise ZeroModeViolation(

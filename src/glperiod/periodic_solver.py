@@ -28,16 +28,18 @@ so a kernel's temporaries do not grow with the pool.
 A solve holds three series: the caller's g, the iterate u and the
 correction delta. The period map runs in place (F[m] is carried per slab
 before its row is overwritten), u starts in the frequency buffer the solve
-made for a physical g, and one fused map per iteration advances u by delta
-and overwrites delta with the next cubic difference. equation_residual
-streams over chunks of interior nodes and builds no full series.
+made for g, and one fused map per iteration advances u by delta and
+overwrites delta with the next cubic difference. For an odd g (measured)
+that buffer, u and delta hold planes 0..n/2 only (17 of 32 at n = 32), the
+cubic terms run through spectral.OddTransform, and u is expanded to the
+whole lattice once, at the end. equation_residual streams by node chunks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -125,9 +127,9 @@ def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
     """Periodic response of frequency-stacked F, written to `out` (a new
     array by default; `out` may be F). Modes are independent, so one task
     per slab of the first spatial axis runs the recurrence over the time
-    nodes in place in the output."""
-    check_zero_mode(F, zero_mode_tol)
-    m_t = F.shape[0] - 1
+    nodes in place in the output. F may hold planes 0..n/2 of odd data."""
+    m_t, planes = F.shape[0] - 1, F.shape[1]
+    check_zero_mode(F, zero_mode_tol, half=planes < op.grid.n)
     coefficients = _step_coefficients(op, h)
     inverse = period_inverse_symbol(op)
     decay, index = _decay_table(op, h, m_t)
@@ -142,32 +144,34 @@ def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
         for m in range(m_t + 1):
             I[m] = (decay[m][nodes] * u0 + I[m]) * keep[slab]
 
-    map_chunks(task, [slice(i, i + _SLAB_PLANES) for i in range(0, F.shape[1], _SLAB_PLANES)])
+    map_chunks(task, [slice(i, min(i + _SLAB_PLANES, planes))
+                      for i in range(0, planes, _SLAB_PLANES)])
     return out
 
 
 def _cubic_rows(v: np.ndarray | None, w: np.ndarray, grid) -> np.ndarray:
     """dealias(|v+w|^2 (v+w) - |v|^2 v) on a block of nodes, evaluated in the
     expanded form 2|v|^2 w + v^2 conj(w) + 2|w|^2 v + w^2 conj(v) + |w|^2 w;
-    frequency representation in and out.
+    frequency representation in and out (or planes 0..n/2 of odd data).
 
     The expansion is an exact pointwise identity; evaluating it directly keeps
     every term accurate relative to its own size, so successive-iterate
     residuals stay meaningful far below the cancellation floor of the naive
     subtraction. v = None stands for v = 0: the result is dealias(|w|^2 w).
     """
-    axes = grid.series_axes
-    wp = np.fft.ifftn(w, axes=axes)
+    axes, odd = grid.series_axes, w.shape[1] < grid.n
+    inverse = grid.odd_transform.ifft if odd else lambda x: np.fft.ifftn(x, axes=axes)
+    wp = inverse(w)
     w_sq = wp.real * wp.real + wp.imag * wp.imag
     if v is None:
         diff = w_sq * wp
     else:
-        vp = np.fft.ifftn(v, axes=axes)
+        vp = inverse(v)
         v_sq = vp.real * vp.real + vp.imag * vp.imag
         diff = (2.0 * v_sq * wp + vp * vp * np.conj(wp)
                 + 2.0 * w_sq * vp + wp * wp * np.conj(vp) + w_sq * wp)
-    chunk = np.fft.fftn(diff, axes=axes)
-    chunk *= grid.dealias
+    chunk = grid.odd_transform.fft(diff, np.empty_like(w)) if odd else np.fft.fftn(diff, axes=axes)
+    chunk *= grid.dealias[:w.shape[1]]
     return chunk
 
 
@@ -205,6 +209,15 @@ def _all_finite(data: np.ndarray) -> bool:
                           node_chunks(data.shape[0])))
 
 
+def _whole_lattice(half: np.ndarray, grid) -> np.ndarray:
+    """Odd frequency data from planes 0..n/2: plane -j is minus plane j reflected."""
+    out, planes = np.empty((len(half),) + grid.shape, complex), half.shape[1]
+    out[:, :planes] = half
+    for node in out:  # one node at a time: no series temporary
+        node[planes:] = -grid.reflect(node)[planes:]
+    return out
+
+
 def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
                    opts: SolveOptions | None = None
                    ) -> tuple[FieldSeries, PeriodicSolveReport]:
@@ -217,15 +230,17 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
 
     Every map of the iteration commutes with the lattice reflection, so for
     an odd g (the paper's forcings; measured, not assumed) u and every
-    correction are odd, and each Z-norm sums their odd part on half the
-    lattice. Any other g takes the full-lattice Z-norm.
+    correction are odd: they are held on planes 0..n/2, and each Z-norm
+    runs on half the lattice. Any other g keeps the whole lattice.
     """
     opts = opts or SolveOptions()
     grid = g.grid
     zero_tol = opts.zero_mode_tol
-    g_freq = g.to_frequency()
+    odd = grid.is_odd(g)
+    g_freq = g.half_frequency() if odd else g.to_frequency()
     bracket = forcing_bracket(g, g_freq)
-    odd = grid.is_odd(g_freq.data)
+    # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines
+    delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
 
     # Difference-form iteration: carry the current iterate u^(l) and the
     # correction delta^(l) = u^(l+1) - u^(l). Both updates are algebraically
@@ -248,7 +263,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     reason = None
     iterations = 0
     while True:
-        res = z_norm(FieldSeries(grid, FREQUENCY, delta, g.period), cutoffs, odd=odd)
+        res = z_norm(FieldSeries(grid, FREQUENCY, delta, g.period), delta_cutoffs, odd=odd)
         history.append(res)
         iterations += 1
         if not math.isfinite(res):
@@ -272,11 +287,12 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         _linear_period_map_data(delta, op, g.dt, zero_tol, out=delta)
     del delta  # before the final z_norm's chunk temporaries
 
+    z_final = z_norm(FieldSeries(grid, FREQUENCY, u, g.period), cutoffs, odd=odd)
+    u = _whole_lattice(u, grid) if odd else u
     scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
                                 * grid.parseval_factor) / scale)
     u = FieldSeries(grid, FREQUENCY, u, g.period)
-    z_final = z_norm(u, cutoffs, odd=odd)
     c_est = (z_final / bracket) if bracket > 0 else None
     factor, factor_reason = _contraction_factor(history)
 
@@ -309,9 +325,7 @@ def equation_residual(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
     U = u.to_frequency().data
 
     def task(rows):
-        G = g.data[rows]
-        if g.representation != FREQUENCY:
-            G = np.fft.fftn(G, axes=grid.series_axes)
+        G = g.frequency_rows(rows)
         if include_nonlinearity:
             G = _cubic_rows(None, U[rows], grid) + G
         dt = (U[rows.start + 1:rows.stop + 1] - U[rows.start - 1:rows.stop - 1]) / (2.0 * h)

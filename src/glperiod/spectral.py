@@ -30,6 +30,7 @@ import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -148,6 +149,7 @@ class Grid:
         threshold = config.dealias_fraction * (n / 2.0)
         self.dealias = np.logical_and.reduce([np.abs(km) <= threshold for km in k_mesh])
         self.series_axes = tuple(range(1, dim + 1))  # spatial axes of stacked data
+        self.half_shape = (n // 2 + 1,) + self.shape[1:]  # planes 0..n/2 of odd data
 
         self._reflect_1d = (-j) % n
 
@@ -190,22 +192,60 @@ class Grid:
         return half, gather, (scatter, np.broadcast_to(np.where(cols <= mirror, 1.0, -1.0),
                                                        scatter.shape))
 
+    @cached_property
+    def odd_transform(self) -> "OddTransform":
+        return OddTransform(self)
+
     def plane_weights(self) -> np.ndarray:
         """Weights 1, 2, ..., 2, 1 folding planes -j into planes j <= n/2."""
         weights = np.full((self.n // 2 + 1,) + (1,) * (self.dim - 1), 2.0)
         weights[[0, -1]] = 1.0
         return weights
 
-    def is_odd(self, data: np.ndarray) -> bool:
-        """Whether data stacked along axis 0 has an even part (f + Rf)/2 of at
-        most ODDNESS_TOL of its peak, one field at a time: chunk-sized
-        temporaries of pool tasks stay resident after they are freed."""
+    def is_odd(self, data) -> bool:
+        """Whether frequency data stacked along axis 0, or a FieldSeries' (by
+        chunks of nodes), has an even part (f + Rf)/2 of at most ODDNESS_TOL
+        of its peak, one field at a time: chunk-sized temporaries of pool
+        tasks stay resident after they are freed."""
         def task(rows):
-            even = max(np.abs(f + self.reflect(f)).max() for f in data[rows])
-            return float(even) / 2, float(max(np.abs(f).max() for f in data[rows]))
+            block = data.frequency_rows(rows) if isinstance(data, FieldSeries) else data[rows]
+            even = max(np.abs(f + self.reflect(f)).max() for f in block)
+            return float(even) / 2, float(max(np.abs(f).max() for f in block))
 
-        even, peak = np.max(map_chunks(task, node_chunks(data.shape[0])), axis=0)
+        even, peak = np.max(map_chunks(task, node_chunks(len(data))), axis=0)
         return bool(even <= ODDNESS_TOL * peak)
+
+
+class OddTransform:
+    """The transform pair of odd data (Swarztrauber, "Symmetric FFTs", Math.
+    Comp. 47, 1986): planes 0..n/2 of frequency data stacked along axis 0 to
+    all n planes of Grid.odd_columns' half columns in physical space, and
+    back, each pass one np.fft call on one axis, in fftn's order."""
+
+    def __init__(self, grid: Grid):
+        self.half_shape = grid.half_shape
+        self.columns, self.gather, (self.scatter, sign) = grid.odd_columns()
+        self.sign = np.repeat(sign, 2, axis=1)  # per plane: no iterator buffer
+        self.later = tuple(range(grid.dim, 1, -1))
+
+    def ifft(self, half: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        """half (not written) in physical space, a (rows, n, columns) block;
+        `out` and `scratch` (for the later passes) default to new arrays."""
+        for axis in self.later:
+            half = scratch = np.fft.ifftn(half, axes=(axis,), out=scratch)
+        out = np.take(half.reshape(len(half), -1), self.gather, axis=1, out=out, mode="clip")
+        out[:, self.half_shape[0]:] *= -1  # rows read from mirror columns
+        return np.fft.ifftn(out, axes=(1,), out=out)
+
+    def fft(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """phys (overwritten) in frequency space on the half planes, in out."""
+        np.fft.fftn(phys, axes=(1,), out=phys)
+        flat = out.reshape(len(out), self.half_shape[0], -1)
+        np.take(phys.reshape(len(phys), -1), self.scatter, axis=1, out=flat, mode="clip")
+        np.multiply(flat.view(float), self.sign, out=flat.view(float))
+        for axis in self.later:
+            np.fft.fftn(out, axes=(axis,), out=out)
+        return out
 
 
 def make_grid(config: GridConfig) -> Grid:
@@ -250,7 +290,8 @@ class FieldSeries:
 
     All members share one grid and one representation; data is stacked along
     axis 0 with shape (m_t + 1,) + grid.shape. For a periodic series the last
-    field duplicates the first up to solver tolerance.
+    field duplicates the first up to solver tolerance. An odd frequency
+    series may keep planes 0..n/2 only (grid.half_shape), for z_norm.
     """
 
     grid: Grid
@@ -261,7 +302,7 @@ class FieldSeries:
     def __post_init__(self):
         if self.data.ndim != self.grid.dim + 1:
             raise ValueError("series data must be stacked along a leading time axis")
-        if self.data.shape[1:] != self.grid.shape:
+        if self.data.shape[1:] != self.grid.shape and not self.half:
             raise ValueError(
                 f"series spatial shape {self.data.shape[1:]} does not match grid {self.grid.shape}")
         if self.data.shape[0] < 2:
@@ -273,6 +314,11 @@ class FieldSeries:
 
     def __len__(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def half(self) -> bool:
+        """Whether the series holds planes 0..n/2 of odd frequency data."""
+        return self.representation == FREQUENCY and self.data.shape[1:] == self.grid.half_shape
 
     @property
     def n_steps(self) -> int:
@@ -294,6 +340,23 @@ class FieldSeries:
 
     def to_physical(self) -> "FieldSeries":
         return self if self.representation == PHYSICAL else self._transformed(PHYSICAL)
+
+    def frequency_rows(self, rows: slice) -> np.ndarray:
+        """The frequency data of nodes `rows`: a view of frequency data, or the
+        physical rows transformed as to_frequency does."""
+        if self.representation == FREQUENCY:
+            return self.data[rows]
+        return np.fft.fftn(self.data[rows], axes=self.grid.series_axes)
+
+    def half_frequency(self) -> "FieldSeries":
+        """A new series of planes 0..n/2 of odd frequency data, by chunks."""
+        out = np.empty((len(self),) + self.grid.half_shape, np.complex128)
+
+        def task(rows):
+            out[rows] = self.frequency_rows(rows)[:, :out.shape[1]]
+
+        map_chunks(task, node_chunks(len(self)))
+        return FieldSeries(self.grid, FREQUENCY, out, self.period)
 
     def _transformed(self, representation: str) -> "FieldSeries":
         """One chunk of nodes per pooled task, bit for bit the batched transform."""

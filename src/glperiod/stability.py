@@ -36,7 +36,8 @@ Odd runs step half the lattice: about an odd base (the paper's forcings) an
 odd w stays odd, so when w0 tests odd (Grid.is_odd), and the base too unless
 the run is linear, frequency data keep first-axis planes 0..n/2 and physical
 data all planes of the half columns (Grid.odd_columns), on which the
-first-axis pass runs. Other inputs step all n planes, as ifftn/fftn.
+first-axis pass runs (Grid.odd_transform, shared with the solve). Other
+inputs step all n planes, as ifftn/fftn.
 """
 
 from __future__ import annotations
@@ -111,10 +112,9 @@ class _Stepper:
         self.h_phi2 = h * phi2(z) * keep * grid.dealias[:planes]
         self.axes = tuple(range(grid.dim))
         shape = (planes,) + grid.shape[1:]
-        self.columns, phys = None, grid.shape
-        if odd:
-            self.columns, self.gather, (self.scatter, sign) = grid.odd_columns()
-            self.sign, phys = np.repeat(sign, 2, axis=1), (grid.n, self.columns.size)
+        self.pair = grid.odd_transform if odd else None
+        self.columns = self.pair.columns if odd else None
+        phys = (grid.n, self.columns.size) if odd else grid.shape
         self.w_phys, self.rhs = (np.empty(phys, complex) for _ in range(2))
         self.f_now, self.f_prev = (np.empty(shape, complex) for _ in range(2))
         self.spare = np.empty(shape, complex) if odd else self.rhs  # frequency scratch
@@ -122,38 +122,16 @@ class _Stepper:
         self.has_prev = False
         self.rhs_evals = 0
 
-    def _passes(self, fft, src: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """fft along the later axes, last first as in fftn, from src into out."""
-        for axis in self.axes[:0:-1]:
-            src = fft(src, axes=(axis,), out=out)
-        return src
-
-    def _ifft(self, w_hat: np.ndarray) -> np.ndarray:
-        """w_hat in physical space, in w_phys (fftn's passes on all planes)."""
-        if self.columns is None:
-            return np.fft.ifftn(self._passes(np.fft.ifftn, w_hat, self.w_phys),
-                                axes=(0,), out=self.w_phys)
-        half = self._passes(np.fft.ifftn, w_hat, self.spare)
-        np.take(half.reshape(-1), self.gather, out=self.w_phys, mode="clip")
-        self.w_phys[len(w_hat):] *= -1  # rows read from mirror columns
-        return np.fft.ifftn(self.w_phys, axes=(0,), out=self.w_phys)
-
-    def _fft(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """phys (overwritten on half the lattice) in frequency space, in out."""
-        if self.columns is None:
-            return np.fft.fftn(self._passes(np.fft.fftn, phys, out), axes=(0,), out=out)
-        np.fft.fftn(phys, axes=(0,), out=phys)
-        flat = out.reshape(len(out), -1)
-        np.take(phys.reshape(-1), self.scatter, out=flat, mode="clip")
-        real = flat.view(float)  # the sign on the real view: no casting buffer
-        real *= self.sign
-        return self._passes(np.fft.fftn, out, out)
-
     def _nonlinear_hat(self, w_hat: np.ndarray, v_phys: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
         self.rhs_evals += 1
-        _rhs_data(self._ifft(w_hat), v_phys, self.rhs, self.work)
-        return self._fft(self.rhs, out)
+        if self.pair is None:
+            np.fft.ifftn(w_hat, axes=self.axes, out=self.w_phys)
+            return np.fft.fftn(_rhs_data(self.w_phys, v_phys, self.rhs, self.work),
+                               axes=self.axes, out=out)
+        self.pair.ifft(w_hat[None], self.w_phys[None], self.spare[None])
+        return self.pair.fft(_rhs_data(self.w_phys, v_phys, self.rhs, self.work)[None],
+                             out[None])[0]
 
     def step(self, w_hat: np.ndarray, v_now: np.ndarray, v_next: np.ndarray | None,
              order: int, include_rhs: bool = True) -> np.ndarray:
@@ -291,18 +269,18 @@ def default_fit_window(grid: Grid) -> tuple[float, float]:
     return 1.0, 0.25 * (grid.box_length / (2.0 * np.pi)) ** 2
 
 
-def _physical_nodes(data: np.ndarray, m_t: int, columns: np.ndarray | None = None):
+def _physical_nodes(data: np.ndarray, m_t: int, pair=None):
     """Nodes 0..m_t - 1 in physical space, one at a time (a batched ifftn's
-    temporaries double them); `columns` keeps those flat later-axis columns."""
-    node = np.empty(data.shape[1:], complex)
-    nodes = np.empty((m_t,) + (node.shape if columns is None else (len(node), len(columns))),
-                     complex)
+    temporaries double them); with `pair` (Grid.odd_transform) the odd
+    inverse of their planes 0..n/2, in the stepper's column layout."""
+    shape = data.shape[1:] if pair is None else (data.shape[1], pair.columns.size)
+    nodes = np.empty((m_t,) + shape, complex)
+    scratch = None if pair is None else np.empty((1,) + pair.half_shape, complex)
     for m in range(m_t):
-        phys = np.fft.ifftn(data[m], out=node)
-        if columns is None:
-            nodes[m] = phys
+        if pair is None:
+            np.fft.ifftn(data[m], out=nodes[m])
         else:
-            np.take(phys.reshape(len(phys), -1), columns, axis=1, out=nodes[m], mode="clip")
+            pair.ifft(data[m:m + 1, :pair.half_shape[0]], nodes[m:m + 1], scratch)
     return nodes
 
 
@@ -325,7 +303,7 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     planes = len(stepper.decay)
     w_hat = w_hat[:planes].copy()
     if v_hat is not None:
-        v_phys_nodes = _physical_nodes(v_hat, m_t, stepper.columns)
+        v_phys_nodes = _physical_nodes(v_hat, m_t, stepper.pair)
         if interpolated:
             v_blend, v_part = (np.empty(v_phys_nodes.shape[1:], complex) for _ in range(2))
 

@@ -120,3 +120,25 @@ class TestStealShare:
         assert out["steal_share"]["parent"] == pytest.approx(0.045)
         assert out["steal_share"]["change"] is None
         assert {"seeds", "runs", "parent", "change", "wins", "resolved"} <= out.keys()
+
+    def test_traced_runs_record_the_share_per_side(self, monkeypatch):
+        # a stubbed reader around stubbed traced bench/run.py runs: each
+        # side's per-layer metrics and the steal share while it ran
+        readings = iter([[0] * 8, [80, 0, 0, 0, 0, 0, 0, 20], None, [1] * 8])
+        monkeypatch.setattr(bench_pairs, "cpu_jiffies", lambda: next(readings))
+        argvs = []
+
+        class Proc:
+            returncode = 0
+            stdout = ('{"correct": true, "attempted": 1, "failed": 0, "metrics": '
+                      '{"norms.z_norm.s": {"value": 1.5}}}\n')
+            stderr = ""
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run",
+                            lambda argv, **k: argvs.append(argv) or Proc())
+        out = bench_pairs.traced_runs({"parent": Path("p"), "change": Path("c")}, "w", 7)
+        assert out["seed"] == 7
+        assert out["parent"] == out["change"] == {"norms.z_norm.s": 1.5}
+        assert out["steal_share"]["parent"] == pytest.approx(0.2)
+        assert out["steal_share"]["change"] is None  # the reader failed before the run
+        assert all(argv[argv.index("--trace") + 1] == "1" for argv in argvs)

@@ -3,6 +3,7 @@ quadrature and assembly oracles."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -678,17 +679,26 @@ class TestHalfLattice:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_norms_are_those_of_the_odd_part(self, dim):
-        # data that is not odd: the half path reads its odd part only
+        # data that is not odd: a half series of planes 0..n/2 of its odd part
+        # has the odd part's norms, and the half path of the whole series
+        # reads those planes only
         grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
                                     box_length=32.0))
         cutoffs = auto_cutoffs(grid, 1.3)
         data = raw_random_series(grid, 8, np.random.default_rng(dim))
-        s = FieldSeries(grid, "frequency", data, 1.3)
-        odd = FieldSeries(grid, "frequency", 0.5 * (data - grid.reflect(data)), 1.3)
-        assert z_norm(s, cutoffs, odd=True) == pytest.approx(z_norm(odd, cutoffs), rel=1e-13)
+        odd_data = 0.5 * (data - grid.reflect(data))
+        odd = FieldSeries(grid, "frequency", odd_data, 1.3)
+        half = FieldSeries(grid, "frequency", odd_data[:, :grid.n // 2 + 1].copy(), 1.3)
+        assert half.half
+        assert z_norm(half, cutoffs, odd=True) == pytest.approx(z_norm(odd, cutoffs),
+                                                                rel=1e-13)
         for kind in "XY":
-            assert spacetime_norm(s, kind, odd=True) == pytest.approx(
+            assert spacetime_norm(half, kind, odd=True) == pytest.approx(
                 spacetime_norm(odd, kind), rel=1e-13)
+        odd_data[:, grid.n // 2 + 1:] = data[:, grid.n // 2 + 1:]
+        assert z_norm(odd, cutoffs, odd=True) == z_norm(half, cutoffs, odd=True)
+        with pytest.raises(ValueError, match="odd norm"):
+            z_norm(half, cutoffs)
 
     def test_mask_must_be_even(self, grid3d, cutoffs3d):
         s = FieldSeries(grid3d, "frequency", raw_odd_series(grid3d, 4, np.random.default_rng(0)),
@@ -697,6 +707,23 @@ class TestHalfLattice:
         chi[1, 0, 0] = 0.5
         with pytest.raises(ValueError, match="even"):
             norms._x_norm(s.data, grid3d, chi, s.dt, odd=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("odd", [False, True])
+def test_dealiased_series_take_the_dealias_support(dim, odd):
+    # chi_inf on the dealias support prunes Y's lines (11 of 16 at n = 16);
+    # on dealiased data the Z-norm is the same bits
+    grid = make_grid(GridConfig(dim=dim, n_per_axis=16, box_length=32.0))
+    cutoffs = auto_cutoffs(grid, 1.3)
+    series = (raw_odd_series if odd else raw_random_series)(grid, 10,
+                                                             np.random.default_rng(dim))
+    s = FieldSeries(grid, "frequency", series * grid.dealias, 1.3)
+    dealiased = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
+    support = norms._axis_support(dealiased.chi_inf * grid.keep_nyquist_free, grid)
+    assert all(len(lines) == 11 for lines, _ in support[1:])
+    assert norms._axis_support(cutoffs.chi_inf * grid.keep_nyquist_free, grid)[1] is None
+    assert z_norm(s, dealiased, odd=odd) == z_norm(s, cutoffs, odd=odd)
 
 
 def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cutoffs3d, rng):

@@ -8,7 +8,7 @@ from glperiod import (CutoffSpec, SpectralField, ZeroModeViolation, auto_cutoffs
                       check_oddness, make_cutoffs, make_operator)
 from glperiod.operators import check_zero_mode, smooth_step
 
-from conftest import random_physical_field, random_odd_field
+from conftest import random_physical_field, random_odd_field, raw_odd_series
 from oracles import (inverse_multiplier_ratio, multiplier_bound, period_inverse_apply,
                      project, semigroup_apply)
 
@@ -199,6 +199,24 @@ class TestZeroModeCheck:
 
     def test_zero_data_passes(self, grid3d):
         check_zero_mode(np.zeros((3,) + grid3d.shape, dtype=complex), 1e-10)
+
+    def test_half_planes_give_the_whole_lattice_verdict(self, grid3d, rng):
+        # planes 0..n/2 of odd data, planes 1..n/2-1 counted twice: the same
+        # threshold as on all planes, to well inside the 1e-9 margin
+        tol, planes = 1e-10, grid3d.n // 2 + 1
+        data = raw_odd_series(grid3d, 4, rng)
+        flat = data.reshape(len(data), -1)
+        total = float(np.sqrt((flat.real ** 2 + flat.imag ** 2).sum(axis=1).max()))
+        for factor, raises in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+            data[-1, 0, 0, 0] = tol * total * factor
+            half = data[:, :planes].copy()
+            for check in (lambda: check_zero_mode(data, tol),
+                          lambda: check_zero_mode(half, tol, half=True)):
+                if raises:
+                    with pytest.raises(ZeroModeViolation):
+                        check()
+                else:
+                    check()
 
 
 class TestMultiplierBound:

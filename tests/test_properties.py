@@ -1,15 +1,16 @@
 """Property tests (hypothesis) on random odd series: the maps of the solve
-preserve lattice oddness, and the half-lattice Z-norm and perturbation step
-equal the full ones."""
+preserve lattice oddness, and the half-lattice solve, Z-norm and
+perturbation step equal the full ones."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from glperiod import (FieldSeries, GridConfig, SolveOptions, auto_cutoffs, make_grid,
-                      make_operator, solve_periodic, z_norm)
+                      make_operator, solve_periodic, spectral, z_norm)
 from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_data
 from glperiod.stability import _Stepper
 
@@ -74,6 +75,25 @@ def test_solve_iteration_preserves_oddness(case):
 
 @PROPERTY
 @given(odd_series())
+def test_half_lattice_solve_equals_full(case):
+    # two iterations on planes 0..n/2 against the same solve on all planes
+    dim, data = case
+    grid, op, cutoffs = setup(dim)
+    g = FieldSeries(grid, "frequency", 1e-2 * data, PERIOD)
+    opts = SolveOptions(max_iterations=2)
+    u, rep = solve_periodic(g, op, cutoffs, opts)
+    with mock.patch.object(spectral.Grid, "is_odd", lambda grid, data: False):
+        u_full, rep_full = solve_periodic(g, op, cutoffs, opts)
+    assert rep.half_lattice and not rep_full.half_lattice
+    np.testing.assert_allclose(u.data, u_full.data, rtol=0,
+                               atol=1e-13 * np.abs(u_full.data).max())
+    np.testing.assert_allclose(rep.residual_history, rep_full.residual_history,
+                               rtol=1e-13, atol=0)
+    assert rep.z_norm == pytest.approx(rep_full.z_norm, rel=1e-13)
+
+
+@PROPERTY
+@given(odd_series())
 def test_half_lattice_z_norm_equals_full(case):
     dim, data = case
     grid, _, cutoffs = setup(dim)
@@ -102,12 +122,15 @@ def test_half_lattice_step_equals_full(case, order):
 @PROPERTY
 @given(odd_series())
 def test_paired_transforms_invert(case):
-    # odd half-plane data through the odd stepper's inverse transform (later
+    # odd half-plane data through the shared odd inverse transform (later
     # passes, gather, first-axis pass) and forward one (first-axis pass,
-    # scatter, later passes)
+    # scatter, later passes), which the stepper and the solve both run
     dim, data = case
-    grid, op, _ = setup(dim)
-    stepper = _Stepper(grid, op, 0.05, odd=True)
-    w_hat = data[0][:grid.n // 2 + 1]
-    back = stepper._fft(stepper._ifft(w_hat), np.empty_like(w_hat))
-    np.testing.assert_allclose(back, w_hat, rtol=0, atol=1e-13 * np.abs(w_hat).max())
+    grid = setup(dim)[0]
+    pair = grid.odd_transform
+    half = data[:, :grid.n // 2 + 1]
+    phys = pair.ifft(half)
+    np.testing.assert_allclose(phys, np.fft.ifftn(data, axes=grid.series_axes).reshape(
+        len(data), grid.n, -1)[..., pair.columns], rtol=0, atol=1e-13 * np.abs(phys).max())
+    back = pair.fft(phys, np.empty_like(half))
+    np.testing.assert_allclose(back, half, rtol=0, atol=1e-13 * np.abs(half).max())

@@ -16,7 +16,7 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig,
 from glperiod.phi import phi1, phi2
 from glperiod.stability import _physical_nodes, _rhs_data, _rhs_work, _Stepper
 
-from conftest import random_odd_field, random_physical_field, raw_random_series
+from conftest import random_odd_field, random_physical_field, raw_odd_series, raw_random_series
 from oracles import direct_step, exp_step, semigroup_apply
 
 
@@ -244,7 +244,7 @@ class TestExpStep:
         for odd in (False, True):
             stepper = _Stepper(grid, op, v_per.dt, odd)
             fresh = _Stepper(grid, op, v_per.dt, odd)
-            v_phys = _physical_nodes(v_per.to_frequency().data, 3, stepper.columns)
+            v_phys = _physical_nodes(v_per.to_frequency().data, 3, stepper.pair)
             planes = len(stepper.decay)
             assert planes == (grid.n // 2 + 1 if odd else grid.n)
             w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
@@ -474,7 +474,7 @@ class TestRunStability:
 
 def _ifftn_fftn_hat(self, w_hat, v_phys, out):
     """_Stepper._nonlinear_hat as one ifftn and one fftn over all axes, the
-    form the full lattice's one-axis passes must reproduce bit for bit."""
+    form the whole-lattice stepper must reproduce bit for bit."""
     self.rhs_evals += 1
     np.fft.ifftn(w_hat, axes=self.axes, out=self.w_phys)
     _rhs_data(self.w_phys, v_phys, self.rhs, self.work)
@@ -586,20 +586,22 @@ class TestHalfLattice:
 
     def test_odd_base_nodes_keep_half_the_planes(self, grid3d, rng):
         # m_t = 64 nodes of all 16 planes of 130 of 256 columns (the half
-        # columns), plus one whole-node buffer
-        m_t, half = 64, grid3d.odd_columns()[0]
-        data = np.fft.fftn(raw_random_series(grid3d, m_t, rng), axes=(1, 2, 3))
+        # columns), plus one half-plane buffer; the odd inverse of planes
+        # 0..n/2 gives the whole transform's columns to roundoff
+        m_t, pair = 64, grid3d.odd_transform
+        data = np.fft.fftn(raw_odd_series(grid3d, m_t, rng), axes=(1, 2, 3))
         full = _physical_nodes(data, m_t)
-        _physical_nodes(data, m_t, half)  # warm the FFT caches
+        _physical_nodes(data, m_t, pair)  # warm the FFT caches
         tracemalloc.start()
         try:
-            nodes = _physical_nodes(data, m_t, half)
+            nodes = _physical_nodes(data, m_t, pair)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert nodes.shape == (m_t, grid3d.n, 130)
-        assert np.array_equal(nodes, _half_columns(grid3d, full))
-        assert peak <= 0.53 * full.nbytes  # 130/256 + 1/64 = 0.523
+        half = _half_columns(grid3d, full)
+        np.testing.assert_allclose(nodes, half, rtol=0, atol=1e-13 * np.abs(half).max())
+        assert peak <= 0.53 * full.nbytes  # 130/256 + 9/(16 * 64) = 0.517
 
     def test_odd_interpolated_run_matches_full_lattice(self, small_setup, monkeypatch):
         # h = T/(2 m_t): every other step blends two base nodes in the column layout

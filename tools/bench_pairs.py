@@ -22,7 +22,7 @@ share while it ran (steal jiffies over all jiffies of the ``cpu`` line of
 /proc/stat, read before and after; null where that file is missing), and
 each workload the median share per side. With ``--traced-seed`` each tree also
 makes one ``--trace 1`` run per workload, whose per-layer metrics are stored
-beside the pairs.
+beside the pairs with the steal share of each traced run.
 """
 
 from __future__ import annotations
@@ -154,6 +154,17 @@ def pair_workload(trees: dict, workload: str, seed: int, better: dict) -> dict:
     return out
 
 
+def traced_runs(trees: dict, workload: str, seed: int) -> dict:
+    """One ``--trace 1`` run per tree: its per-layer metrics under the side's
+    name, and the host's steal share while it ran under ``steal_share``."""
+    out = {"seed": seed, "steal_share": {}}
+    for side, tree in trees.items():
+        run = run_bench(tree, workload, seed, True)
+        out[side] = run["metrics"]
+        out["steal_share"][side] = run["steal_share"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
@@ -180,9 +191,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             entry = pair_workload(trees, workload, args.seed, better)
             if args.traced_seed is not None:
-                entry["traced"] = {"seed": args.traced_seed, **{
-                    side: run_bench(tree, workload, args.traced_seed, True)["metrics"]
-                    for side, tree in trees.items()}}
+                entry["traced"] = traced_runs(trees, workload, args.traced_seed)
             result["workloads"][workload] = entry
         result["elapsed_s"] = round(time.time() - started, 1)
     finally:
