@@ -127,16 +127,16 @@ def period_inverse_symbol(op: LinearOperatorSpec) -> np.ndarray:
     return inv
 
 
-def check_zero_mode(data: np.ndarray, tol: float, half: bool = False) -> None:
+def check_zero_mode(data: np.ndarray, tol: float, plane_weights=None) -> None:
     """Require the mean mode of frequency data stacked along axis 0 (a single
-    field is a series of one node; `half` data are planes 0..n/2 of odd data)
-    to be negligible at every node, relative to the largest node's l2 norm."""
+    field is a series of one node; odd data's planes 0..n/2 pass their
+    plane_weights) to be negligible at every node against the largest l2 norm."""
     flat = data.reshape(data.shape[0], -1)
     # Not a np.vdot per node: without these temporaries glibc's trim threshold
     # stays low and a solve's pool kernels page-fault 6x more (CHANGES.md).
     sq = flat.real ** 2 + flat.imag ** 2
-    if half:  # planes 1..n/2-1 stand for two (Grid.plane_weights)
-        sq.reshape(data.shape[:2] + (-1,))[:, 1:-1] *= 2.0
+    if plane_weights is not None:
+        sq.reshape(data.shape)[...] *= plane_weights
     total = float(np.sqrt(sq.sum(axis=1).max()))
     worst = float(np.abs(flat[:, 0]).max())
     if total > 0 and worst > tol * total:

@@ -30,9 +30,9 @@ correction delta. The period map runs in place (F[m] is carried per slab
 before its row is overwritten), u starts in the frequency buffer the solve
 made for g, and one fused map per iteration advances u by delta and
 overwrites delta with the next cubic difference. For an odd g (measured)
-that buffer, u and delta hold planes 0..n/2 only (17 of 32 at n = 32), the
-cubic terms run through spectral.OddTransform, and u is expanded to the
-whole lattice once, at the end. equation_residual streams by node chunks.
+that buffer (g's odd part), u and delta hold planes 0..n/2 only (17 of 32
+at n = 32), the cubic terms run through spectral.OddTransform, and u is
+expanded to the whole lattice at the end. equation_residual streams.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
     per slab of the first spatial axis runs the recurrence over the time
     nodes in place in the output. F may hold planes 0..n/2 of odd data."""
     m_t, planes = F.shape[0] - 1, F.shape[1]
-    check_zero_mode(F, zero_mode_tol, half=planes < op.grid.n)
+    check_zero_mode(F, zero_mode_tol, op.grid.plane_weights() if op.grid.is_half(F) else None)
     coefficients = _step_coefficients(op, h)
     inverse = period_inverse_symbol(op)
     decay, index = _decay_table(op, h, m_t)
@@ -159,7 +159,7 @@ def _cubic_rows(v: np.ndarray | None, w: np.ndarray, grid) -> np.ndarray:
     residuals stay meaningful far below the cancellation floor of the naive
     subtraction. v = None stands for v = 0: the result is dealias(|w|^2 w).
     """
-    axes, odd = grid.series_axes, w.shape[1] < grid.n
+    axes, odd = grid.series_axes, grid.is_half(w)
     inverse = grid.odd_transform.ifft if odd else lambda x: np.fft.ifftn(x, axes=axes)
     wp = inverse(w)
     w_sq = wp.real * wp.real + wp.imag * wp.imag
@@ -209,15 +209,6 @@ def _all_finite(data: np.ndarray) -> bool:
                           node_chunks(data.shape[0])))
 
 
-def _whole_lattice(half: np.ndarray, grid) -> np.ndarray:
-    """Odd frequency data from planes 0..n/2: plane -j is minus plane j reflected."""
-    out, planes = np.empty((len(half),) + grid.shape, complex), half.shape[1]
-    out[:, :planes] = half
-    for node in out:  # one node at a time: no series temporary
-        node[planes:] = -grid.reflect(node)[planes:]
-    return out
-
-
 def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
                    opts: SolveOptions | None = None
                    ) -> tuple[FieldSeries, PeriodicSolveReport]:
@@ -230,14 +221,17 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
 
     Every map of the iteration commutes with the lattice reflection, so for
     an odd g (the paper's forcings; measured, not assumed) u and every
-    correction are odd: they are held on planes 0..n/2, and each Z-norm
-    runs on half the lattice. Any other g keeps the whole lattice.
+    correction are odd: the solve takes g's odd part (its even part is at
+    most ODDNESS_TOL of its peak), holds the series on planes 0..n/2, and
+    runs each Z-norm on half the lattice. Any other g keeps the whole lattice.
     """
     opts = opts or SolveOptions()
     grid = g.grid
     zero_tol = opts.zero_mode_tol
-    odd = grid.is_odd(g)
-    g_freq = g.half_frequency() if odd else g.to_frequency()
+    half = np.empty((len(g),) + grid.half_shape, complex)  # g's odd part if g is odd
+    odd = grid.is_odd(g, keep=half)
+    g_freq = FieldSeries(grid, FREQUENCY, half, g.period) if odd else g.to_frequency()
+    del half
     bracket = forcing_bracket(g, g_freq)
     # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
@@ -288,7 +282,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     del delta  # before the final z_norm's chunk temporaries
 
     z_final = z_norm(FieldSeries(grid, FREQUENCY, u, g.period), cutoffs, odd=odd)
-    u = _whole_lattice(u, grid) if odd else u
+    u = grid.whole_lattice(u) if odd else u
     scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
                                 * grid.parseval_factor) / scale)

@@ -202,18 +202,33 @@ class Grid:
         weights[[0, -1]] = 1.0
         return weights
 
-    def is_odd(self, data) -> bool:
+    def is_half(self, data: np.ndarray) -> bool:
+        """Whether data stacked along axis 0 hold planes 0..n/2 of odd data."""
+        return data.shape[1:] == self.half_shape
+
+    def is_odd(self, data, keep: np.ndarray | None = None) -> bool:
         """Whether frequency data stacked along axis 0, or a FieldSeries' (by
-        chunks of nodes), has an even part (f + Rf)/2 of at most ODDNESS_TOL
-        of its peak, one field at a time: chunk-sized temporaries of pool
-        tasks stay resident after they are freed."""
+        chunks of nodes), has an even part (f + Rf)/2 of at most ODDNESS_TOL of
+        its peak, one field at a time (pool tasks' chunk temporaries stay
+        resident); `keep` gets planes 0..n/2 of the odd part (f - Rf)/2."""
         def task(rows):
             block = data.frequency_rows(rows) if isinstance(data, FieldSeries) else data[rows]
+            if keep is not None:
+                for m, f in zip(range(rows.start, rows.stop), block):
+                    keep[m] = 0.5 * (f - self.reflect(f))[:keep.shape[1]]
             even = max(np.abs(f + self.reflect(f)).max() for f in block)
             return float(even) / 2, float(max(np.abs(f).max() for f in block))
 
         even, peak = np.max(map_chunks(task, node_chunks(len(data))), axis=0)
         return bool(even <= ODDNESS_TOL * peak)
+
+    def whole_lattice(self, half: np.ndarray) -> np.ndarray:
+        """Odd frequency data from its planes 0..n/2: plane -j is minus plane j reflected."""
+        out, planes = np.empty((len(half),) + self.shape, complex), self.half_shape[0]
+        out[:, :planes] = half
+        for node in out:  # one node at a time: no series temporary
+            node[planes:] = -self.reflect(node)[planes:]
+        return out
 
 
 class OddTransform:
@@ -229,8 +244,7 @@ class OddTransform:
         self.later = tuple(range(grid.dim, 1, -1))
 
     def ifft(self, half: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        """half (not written) in physical space, a (rows, n, columns) block;
-        `out` and `scratch` (for the later passes) default to new arrays."""
+        """half (not written) to physical (rows, n, columns) in out, later passes in scratch."""
         for axis in self.later:
             half = scratch = np.fft.ifftn(half, axes=(axis,), out=scratch)
         out = np.take(half.reshape(len(half), -1), self.gather, axis=1, out=out, mode="clip")
@@ -318,7 +332,7 @@ class FieldSeries:
     @property
     def half(self) -> bool:
         """Whether the series holds planes 0..n/2 of odd frequency data."""
-        return self.representation == FREQUENCY and self.data.shape[1:] == self.grid.half_shape
+        return self.representation == FREQUENCY and self.grid.is_half(self.data)
 
     @property
     def n_steps(self) -> int:
@@ -347,16 +361,6 @@ class FieldSeries:
         if self.representation == FREQUENCY:
             return self.data[rows]
         return np.fft.fftn(self.data[rows], axes=self.grid.series_axes)
-
-    def half_frequency(self) -> "FieldSeries":
-        """A new series of planes 0..n/2 of odd frequency data, by chunks."""
-        out = np.empty((len(self),) + self.grid.half_shape, np.complex128)
-
-        def task(rows):
-            out[rows] = self.frequency_rows(rows)[:, :out.shape[1]]
-
-        map_chunks(task, node_chunks(len(self)))
-        return FieldSeries(self.grid, FREQUENCY, out, self.period)
 
     def _transformed(self, representation: str) -> "FieldSeries":
         """One chunk of nodes per pooled task, bit for bit the batched transform."""

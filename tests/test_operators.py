@@ -211,7 +211,7 @@ class TestZeroModeCheck:
             data[-1, 0, 0, 0] = tol * total * factor
             half = data[:, :planes].copy()
             for check in (lambda: check_zero_mode(data, tol),
-                          lambda: check_zero_mode(half, tol, half=True)):
+                          lambda: check_zero_mode(half, tol, grid3d.plane_weights())):
                 if raises:
                     with pytest.raises(ZeroModeViolation):
                         check()

@@ -82,7 +82,7 @@ def test_half_lattice_solve_equals_full(case):
     g = FieldSeries(grid, "frequency", 1e-2 * data, PERIOD)
     opts = SolveOptions(max_iterations=2)
     u, rep = solve_periodic(g, op, cutoffs, opts)
-    with mock.patch.object(spectral.Grid, "is_odd", lambda grid, data: False):
+    with mock.patch.object(spectral.Grid, "is_odd", lambda grid, data, keep=None: False):
         u_full, rep_full = solve_periodic(g, op, cutoffs, opts)
     assert rep.half_lattice and not rep_full.half_lattice
     np.testing.assert_allclose(u.data, u_full.data, rtol=0,

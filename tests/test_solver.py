@@ -25,13 +25,11 @@ from oracles import (cubic_rhs, duhamel_integral, periodic_initial_data, picard_
                      split_equation_residual, split_series)
 
 
-def _even_part(data, grid):
-    """max |f + Rf| / 2 of frequency data. The half-lattice solve keeps
-    planes 0..n/2 of g and mirrors the others, so it drops the even part
-    that g carries into u: realize_forcing's g is odd to ODDNESS_TOL, not
-    exactly (its seam plane x = -L/2 is its own mirror), and the 16^3 test
-    forcing's even part reaches the whole-lattice u as 1.4e-13 of its peak."""
-    return np.abs(data + grid.reflect(data)).max() / 2
+def _odd_part(g):
+    """g's exact odd part (g - Rg)/2 as a frequency series: the forcing the
+    half-lattice solve takes for an odd g."""
+    data = g.to_frequency().data
+    return FieldSeries(g.grid, "frequency", 0.5 * (data - g.grid.reflect(data)), g.period)
 
 
 def _mode_series(grid, k_index, values, period):
@@ -551,21 +549,23 @@ class TestSolveKeepsCallerData:
                                                                  op3d, cutoffs3d, forcing):
         # one iteration adds delta^(0) to the linear response: picard_step of 0.
         # The whole-lattice solve (forcing taken as not odd) runs the oracle's
-        # transforms; the half-lattice one runs the odd pair, a different
-        # rounding of the same odd series.
+        # transforms; the half-lattice one solves g's odd part through the odd
+        # pair, so it meets the oracle on that odd part to roundoff.
         g_freq = forcing.to_frequency()
         linear = _linear_period_map_data(g_freq.data, op3d, g_freq.dt, 1e-10)
         stepped = picard_step(FieldSeries(grid3d, "frequency", linear, 1.0), g_freq, op3d)
         with monkeypatch.context() as m:
-            m.setattr(spectral.Grid, "is_odd", lambda grid, data: False)
+            m.setattr(spectral.Grid, "is_odd", lambda grid, data, keep=None: False)
             u, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions(max_iterations=1))
         assert rep.iterations == 1 and not rep.converged and not rep.half_lattice
         np.testing.assert_allclose(u.data, stepped.data, rtol=0, atol=1e-15)
+        g_odd = _odd_part(forcing)
+        linear = _linear_period_map_data(g_odd.data, op3d, g_odd.dt, 1e-10)
+        stepped = picard_step(FieldSeries(grid3d, "frequency", linear, 1.0), g_odd, op3d)
         u, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions(max_iterations=1))
         assert rep.iterations == 1 and not rep.converged and rep.half_lattice
         np.testing.assert_allclose(u.data, stepped.data, rtol=0,
-                                   atol=1e-13 * np.abs(stepped.data).max()
-                                   + _even_part(stepped.data, grid3d))
+                                   atol=1e-13 * np.abs(stepped.data).max())
 
 
 class TestStreamedEquationResidual:
@@ -636,7 +636,7 @@ class TestHalfLatticeZNorm:
         with monkeypatch.context() as m:
             m.setattr(periodic_solver, "z_norm", recording)
             if not measured:
-                m.setattr(spectral.Grid, "is_odd", lambda grid, data: False)
+                m.setattr(spectral.Grid, "is_odd", lambda grid, data, keep=None: False)
             u, rep = solve_periodic(g, op, cutoffs, SolveOptions())
         return u, rep, flags
 
@@ -655,10 +655,12 @@ class TestHalfLatticeZNorm:
         assert flags == [True] * (rep.iterations + 1)
         assert flags_full == [False] * (rep.iterations + 1)
         assert rep.half_lattice and not rep_full.half_lattice
-        # u within 1e-13 of its peak, beyond the even part the half path drops
-        np.testing.assert_allclose(u.data, u_full.data, rtol=0,
-                                   atol=1e-13 * np.abs(u_full.data).max()
-                                   + _even_part(u_full.data, grid3d))
+        # the half path solves g's odd part: u within 1e-13 of its peak of the
+        # whole-lattice solve of (g - Rg)/2
+        u_odd, _, _ = self.solve(monkeypatch, _odd_part(forcing), op3d, cutoffs3d,
+                                 measured=False)
+        np.testing.assert_allclose(u.data, u_odd.data, rtol=0,
+                                   atol=1e-13 * np.abs(u_odd.data).max())
         np.testing.assert_allclose(rep.residual_history, rep_full.residual_history,
                                    rtol=1e-13, atol=0)
         assert rep.z_norm == pytest.approx(rep_full.z_norm, rel=1e-13)
@@ -717,16 +719,20 @@ class TestHalfLatticeSolve:
 
     def test_odd_solve_holds_six_tenths_of_the_whole_lattice(self, monkeypatch, grid3d,
                                                               op3d, cutoffs3d, forcing):
-        # warmed tracemalloc peaks (dim 3, n 16, m_t 64): 2.17 series against
-        # 3.67 for the whole-lattice solve, 0.59 (0.56 on one worker); the
-        # peak is a delta Z-norm's task buffers beside u and delta
+        # warmed tracemalloc peaks (dim 3, n 16, m_t 64) on a pool of two
+        # workers: 2.17 series against 3.67 for the whole-lattice solve, 0.592
+        # (0.564 on one worker; the pool is pinned because the peak is a delta
+        # Z-norm's task buffers beside u and delta)
         opts = SolveOptions()
-        solve_periodic(forcing, op3d, cutoffs3d, opts)
-        half = _traced_peak(solve_periodic, forcing, op3d, cutoffs3d, opts)
-        with monkeypatch.context() as m:
-            m.setattr(spectral.Grid, "is_odd", lambda grid, data: False)
+
+        def peak():
             solve_periodic(forcing, op3d, cutoffs3d, opts)
-            full = _traced_peak(solve_periodic, forcing, op3d, cutoffs3d, opts)
+            return _traced_peak(solve_periodic, forcing, op3d, cutoffs3d, opts)
+
+        half = on_workers(monkeypatch, 2, peak)
+        with monkeypatch.context() as m:
+            m.setattr(spectral.Grid, "is_odd", lambda grid, data, keep=None: False)
+            full = on_workers(m, 2, peak)
         assert half <= 0.6 * full
 
     def test_correction_z_norms_read_the_dealias_support(self, monkeypatch, grid3d, op3d,

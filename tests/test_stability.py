@@ -16,7 +16,7 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig,
 from glperiod.phi import phi1, phi2
 from glperiod.stability import _physical_nodes, _rhs_data, _rhs_work, _Stepper
 
-from conftest import random_odd_field, random_physical_field, raw_odd_series, raw_random_series
+from conftest import random_odd_field, random_physical_field, raw_random_series
 from oracles import direct_step, exp_step, semigroup_apply
 
 
@@ -586,10 +586,11 @@ class TestHalfLattice:
 
     def test_odd_base_nodes_keep_half_the_planes(self, grid3d, rng):
         # m_t = 64 nodes of all 16 planes of 130 of 256 columns (the half
-        # columns), plus one half-plane buffer; the odd inverse of planes
-        # 0..n/2 gives the whole transform's columns to roundoff
+        # columns), plus one half-plane buffer: the shared odd inverse of each
+        # node's planes 0..n/2, which is the whole transform's columns of their
+        # odd extension to roundoff
         m_t, pair = 64, grid3d.odd_transform
-        data = np.fft.fftn(raw_odd_series(grid3d, m_t, rng), axes=(1, 2, 3))
+        data = np.fft.fftn(raw_random_series(grid3d, m_t, rng), axes=(1, 2, 3))
         full = _physical_nodes(data, m_t)
         _physical_nodes(data, m_t, pair)  # warm the FFT caches
         tracemalloc.start()
@@ -599,8 +600,10 @@ class TestHalfLattice:
         finally:
             tracemalloc.stop()
         assert nodes.shape == (m_t, grid3d.n, 130)
-        half = _half_columns(grid3d, full)
-        np.testing.assert_allclose(nodes, half, rtol=0, atol=1e-13 * np.abs(half).max())
+        half = data[:m_t, :grid3d.n // 2 + 1]
+        assert np.array_equal(nodes, pair.ifft(half))
+        odd = _half_columns(grid3d, np.fft.ifftn(grid3d.whole_lattice(half), axes=(1, 2, 3)))
+        np.testing.assert_allclose(nodes, odd, rtol=0, atol=1e-13 * np.abs(odd).max())
         assert peak <= 0.53 * full.nbytes  # 130/256 + 9/(16 * 64) = 0.517
 
     def test_odd_interpolated_run_matches_full_lattice(self, small_setup, monkeypatch):
