@@ -16,14 +16,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from .errors import ConfigError, GLPeriodError, NonFiniteField, SeamDecayViolation
 from .forcing import realize_perturbation
 from .manifest import RunManifest, atomic_write_text, load_manifest, verify_manifest
 from .periodic_solver import equation_residual, solve_periodic
-from .spectral import FieldSeries, Grid, read_snapshot, write_snapshot
+from .spectral import Grid, read_snapshot, write_snapshot
 from .stability import StabilityRunConfig, run_stability
 from .verification import reports_to_json, run_all_checks
 
@@ -106,13 +104,30 @@ def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
     return status
 
 
-def _load_base_series(manifest_path: str, grid: Grid, period: float) -> FieldSeries:
-    """The saved periodic solution of a solve-periodic run, read onto the
-    config's grid. The manifest's hashes, grid and period are checked first;
-    any mismatch is a config error."""
+class _SavedBase:
+    """A saved run's base: snapshots read one at a time, each by its own flag."""
+
+    def __init__(self, grid: Grid, paths: list[Path], period: float):
+        self.grid, self.paths, self.period, self.n_steps = grid, paths, period, len(paths) - 1
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def frequency_rows(self, rows: slice):
+        try:
+            for path in self.paths[rows]:
+                yield read_snapshot(path, self.grid).to_frequency().data
+        except ValueError as exc:
+            raise ConfigError(f"base snapshot rejected: {exc}")
+
+
+def _load_base_series(manifest_path: str, grid: Grid, period: float) -> _SavedBase:
+    """The saved periodic solution of a solve-periodic run, on the config's
+    grid. The manifest's hashes, grid and period are checked before any
+    snapshot is read; any mismatch is a config error."""
     base = Path(manifest_path)
-    if not base.exists():
-        raise ConfigError(f"base manifest not found: {manifest_path}")
+    if not base.is_file():
+        raise ConfigError(f"base manifest not found (not a file): {manifest_path}")
     try:
         problems = verify_manifest(base)
         man = load_manifest(base)
@@ -132,18 +147,11 @@ def _load_base_series(manifest_path: str, grid: Grid, period: float) -> FieldSer
         raise GLPeriodError("base run did not converge; refusing to run stability about it")
     snaps = sorted(e["path"] for e in man.get("artifacts", [])
                    if e["path"].endswith(".glpf"))
-    if not snaps:
+    if len(snaps) < 2:
         raise GLPeriodError(
-            "base manifest indexes no field snapshots (run solve-periodic with "
-            "output.save_fields = true)")
-    data = np.empty((len(snaps),) + grid.shape, dtype=complex)
-    try:
-        for m, name in enumerate(snaps):
-            field = read_snapshot(base.parent / name, grid)
-            data[m] = field.data
-    except ValueError as exc:
-        raise ConfigError(f"base snapshot rejected: {exc}")
-    return FieldSeries(grid, field.representation, data, period)
+            f"base manifest indexes {len(snaps)} field snapshots, fewer than two (run "
+            "solve-periodic with output.save_fields = true)")
+    return _SavedBase(grid, [base.parent / name for name in snaps], period)
 
 
 def cmd_stability(cfg: dict, base: str | None = None,

@@ -207,17 +207,18 @@ class Grid:
         return data.shape[1:] == self.half_shape
 
     def is_odd(self, data, keep: np.ndarray | None = None) -> bool:
-        """Whether frequency data stacked along axis 0, or a FieldSeries' (by
-        chunks of nodes), has an even part (f + Rf)/2 of at most ODDNESS_TOL of
-        its peak, one field at a time (pool tasks' chunk temporaries stay
-        resident); `keep` gets planes 0..n/2 of the odd part (f - Rf)/2."""
+        """Whether frequency data stacked along axis 0, or a series' (by chunks
+        of nodes from its frequency_rows, an array or one node at a time), has
+        an even part (f + Rf)/2 of at most ODDNESS_TOL of its peak, one field at
+        a time (pool tasks' chunk temporaries stay resident); `keep` (arrays
+        only) gets planes 0..n/2 of the odd part (f - Rf)/2."""
         def task(rows):
-            block = data.frequency_rows(rows) if isinstance(data, FieldSeries) else data[rows]
+            block = data[rows] if isinstance(data, np.ndarray) else data.frequency_rows(rows)
             if keep is not None:
                 for m, f in zip(range(rows.start, rows.stop), block):
                     keep[m] = 0.5 * (f - self.reflect(f))[:keep.shape[1]]
-            even = max(np.abs(f + self.reflect(f)).max() for f in block)
-            return float(even) / 2, float(max(np.abs(f).max() for f in block))
+            pairs = [(np.abs(f + self.reflect(f)).max(), np.abs(f).max()) for f in block]
+            return float(max(p[0] for p in pairs)) / 2, float(max(p[1] for p in pairs))
 
         even, peak = np.max(map_chunks(task, node_chunks(len(data))), axis=0)
         return bool(even <= ODDNESS_TOL * peak)
@@ -235,12 +236,16 @@ class OddTransform:
     """The transform pair of odd data (Swarztrauber, "Symmetric FFTs", Math.
     Comp. 47, 1986): planes 0..n/2 of frequency data stacked along axis 0 to
     all n planes of Grid.odd_columns' half columns in physical space, and
-    back, each pass one np.fft call on one axis, in fftn's order."""
+    back, each pass one np.fft call on one axis, in fftn's order. The forward
+    one is pruned to the planes with a dealiased mode, which every caller
+    masks to (Markel, IEEE Trans. Audio Electroacoust. 19, 1971)."""
 
     def __init__(self, grid: Grid):
         self.half_shape = grid.half_shape
-        self.columns, self.gather, (self.scatter, sign) = grid.odd_columns()
-        self.sign = np.repeat(sign, 2, axis=1)  # per plane: no iterator buffer
+        k = self.dealias_planes = int(  # a prefix of planes 0..n/2: plane j holds |k| = j
+            grid.dealias.any(axis=tuple(range(1, grid.dim)))[:grid.n // 2 + 1].sum())
+        self.columns, self.gather, (scatter, sign) = grid.odd_columns()
+        self.scatter, self.sign = scatter[:k], np.repeat(sign[:k], 2, axis=1)  # no iterator buffer
         self.later = tuple(range(grid.dim, 1, -1))
 
     def ifft(self, half: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -252,13 +257,16 @@ class OddTransform:
         return np.fft.ifftn(out, axes=(1,), out=out)
 
     def fft(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """phys (overwritten) in frequency space on the half planes, in out."""
+        """phys (overwritten) in frequency space on the half planes, in out:
+        planes 0..dealias_planes - 1 transformed, the others zero."""
         np.fft.fftn(phys, axes=(1,), out=phys)
-        flat = out.reshape(len(out), self.half_shape[0], -1)
+        low = out[:, :self.dealias_planes]
+        flat = out.reshape(len(out), self.half_shape[0], -1)[:, :self.dealias_planes]
         np.take(phys.reshape(len(phys), -1), self.scatter, axis=1, out=flat, mode="clip")
         np.multiply(flat.view(float), self.sign, out=flat.view(float))
+        out[:, self.dealias_planes:] = 0.0
         for axis in self.later:
-            np.fft.fftn(out, axes=(axis,), out=out)
+            np.fft.fftn(low, axes=(axis,), out=low)
         return out
 
 
@@ -406,15 +414,14 @@ def read_snapshot(path, grid: Grid | None = None) -> SpectralField:
             raise ValueError(f"{path}: not a field snapshot (bad magic {magic!r})")
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
-        payload = fh.read()
+        data = np.fromfile(fh, dtype="<c16")  # no bytes copy beside the array
     if grid is None:
         grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=L))
     else:
         cfg = grid.config
         if (cfg.dim, cfg.n_per_axis) != (dim, n) or cfg.box_length != L:
             raise ValueError(f"{path}: snapshot grid does not match the provided grid")
-    data = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
-    if data.size != n ** dim:
-        raise ValueError(f"{path}: truncated snapshot payload")
+    if data.size != n ** dim or os.path.getsize(path) != _HEADER.size + data.nbytes:
+        raise ValueError(f"{path}: snapshot payload is not n^dim values (truncated or padded)")
     rep = PHYSICAL if flag == 0 else FREQUENCY
     return SpectralField(grid, rep, data.reshape((n,) * dim))

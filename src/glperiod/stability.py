@@ -36,8 +36,10 @@ Odd runs step half the lattice: about an odd base (the paper's forcings) an
 odd w stays odd, so when w0 tests odd (Grid.is_odd), and the base too unless
 the run is linear, frequency data keep first-axis planes 0..n/2 and physical
 data all planes of the half columns (Grid.odd_columns), on which the
-first-axis pass runs (Grid.odd_transform, shared with the solve). Other
-inputs step all n planes, as ifftn/fftn.
+first-axis pass runs (Grid.odd_transform, shared with the solve; its forward
+transform and the h phi updates skip the planes with no dealiased mode). Other
+inputs step all n planes, as ifftn/fftn. Base nodes are transformed one at a time
+from frequency_rows (a FieldSeries, or snapshot files): no frequency copy is held.
 """
 
 from __future__ import annotations
@@ -103,16 +105,17 @@ class _Stepper:
     def __init__(self, grid: Grid, op: LinearOperatorSpec, h: float,
                  odd: bool = False):
         planes = grid.n // 2 + 1 if odd else grid.n
+        self.pair = grid.odd_transform if odd else None
+        self.kept = slice(self.pair.dealias_planes if odd else None)  # h phi are 0 past it
         # e^{-hA}, h phi1(-hA) and h phi2(-hA) per mode, Nyquist rows zeroed
         # as in the period map, so stepped and mapped series agree
         z = -h * op.symbol[:planes]
         keep = grid.keep_nyquist_free[:planes]
         self.decay = np.exp(z) * keep
-        self.h_phi1 = h * phi1(z) * keep * grid.dealias[:planes]
-        self.h_phi2 = h * phi2(z) * keep * grid.dealias[:planes]
+        self.h_phi1 = (h * phi1(z) * keep * grid.dealias[:planes])[self.kept]
+        self.h_phi2 = (h * phi2(z) * keep * grid.dealias[:planes])[self.kept]
         self.axes = tuple(range(grid.dim))
         shape = (planes,) + grid.shape[1:]
-        self.pair = grid.odd_transform if odd else None
         self.columns = self.pair.columns if odd else None
         phys = (grid.n, self.columns.size) if odd else grid.shape
         self.w_phys, self.rhs = (np.empty(phys, complex) for _ in range(2))
@@ -141,23 +144,24 @@ class _Stepper:
         if not include_rhs:
             w_hat *= self.decay
             return w_hat
+        kept = self.kept
         # overflow here is the escape signal, resolved by the caller's check
         with np.errstate(over="ignore", invalid="ignore"):
             f_now = self._nonlinear_hat(w_hat, v_now, self.f_now)
             w_hat *= self.decay
-            w_hat += np.multiply(self.h_phi1, f_now, out=self.spare)
+            w_hat[kept] += np.multiply(self.h_phi1, f_now[kept], out=self.spare[kept])
             if order == 1:
                 return w_hat
             f_prev = self.f_prev
             if self.has_prev:
-                np.subtract(f_now, f_prev, out=f_prev)      # N_n - N_{n-1}
+                np.subtract(f_now[kept], f_prev[kept], out=f_prev[kept])  # N_n - N_{n-1}
             else:
                 # ETD2RK: N at the predictor in place of the missing N_{n-1}
                 self._nonlinear_hat(w_hat, v_next, f_prev)
-                f_prev -= f_now
+                f_prev[kept] -= f_now[kept]
                 self.has_prev = True
-            f_prev *= self.h_phi2
-            w_hat += f_prev
+            f_prev[kept] *= self.h_phi2
+            w_hat[kept] += f_prev[kept]
             self.f_now, self.f_prev = f_prev, f_now         # N_n becomes N_{n-1}
         return w_hat
 
@@ -165,7 +169,7 @@ class _Stepper:
 @dataclass
 class StabilityRunConfig:
     t_max: float
-    v_per: FieldSeries
+    v_per: FieldSeries  # or any series with its grid, period, n_steps, frequency_rows
     w0: SpectralField
     h: float | None = None  # defaults to T/m_t, locked to the stored nodes
     record_stride: int = 4
@@ -269,18 +273,20 @@ def default_fit_window(grid: Grid) -> tuple[float, float]:
     return 1.0, 0.25 * (grid.box_length / (2.0 * np.pi)) ** 2
 
 
-def _physical_nodes(data: np.ndarray, m_t: int, pair=None):
-    """Nodes 0..m_t - 1 in physical space, one at a time (a batched ifftn's
-    temporaries double them); with `pair` (Grid.odd_transform) the odd
-    inverse of their planes 0..n/2, in the stepper's column layout."""
-    shape = data.shape[1:] if pair is None else (data.shape[1], pair.columns.size)
+def _base_nodes(v_per, pair=None) -> np.ndarray:
+    """Base nodes 0..m_t - 1 in physical space, transformed one at a time from
+    v_per.frequency_rows; with `pair` (Grid.odd_transform) the odd inverse of
+    their planes 0..n/2, in the stepper's column layout."""
+    grid, m_t = v_per.grid, v_per.n_steps
+    shape = grid.shape if pair is None else (grid.n, pair.columns.size)
     nodes = np.empty((m_t,) + shape, complex)
     scratch = None if pair is None else np.empty((1,) + pair.half_shape, complex)
     for m in range(m_t):
+        node, = v_per.frequency_rows(slice(m, m + 1))
         if pair is None:
-            np.fft.ifftn(data[m], out=nodes[m])
+            np.fft.ifftn(node, out=nodes[m])
         else:
-            pair.ifft(data[m:m + 1, :pair.half_shape[0]], nodes[m:m + 1], scratch)
+            pair.ifft(node[None, :pair.half_shape[0]], nodes[m:m + 1], scratch)
     return nodes
 
 
@@ -297,15 +303,14 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         raise ValueError("step size h may not exceed the stored node spacing T/m_t")
 
     w_hat = cfg.w0.to_frequency().data
-    v_hat = None if cfg.linear_only else cfg.v_per.to_frequency().data
-    odd = grid.is_odd(w_hat[None]) and (v_hat is None or grid.is_odd(v_hat))
+    v_per = None if cfg.linear_only else cfg.v_per
+    odd = grid.is_odd(w_hat[None]) and (v_per is None or grid.is_odd(v_per))
     stepper = _Stepper(grid, op, h, odd)
     planes = len(stepper.decay)
     w_hat = w_hat[:planes].copy()
-    if v_hat is not None:
-        v_phys_nodes = _physical_nodes(v_hat, m_t, stepper.pair)
-        if interpolated:
-            v_blend, v_part = (np.empty(v_phys_nodes.shape[1:], complex) for _ in range(2))
+    v_phys_nodes = None if v_per is None else _base_nodes(v_per, stepper.pair)
+    if interpolated and v_per is not None:
+        v_blend, v_part = (np.empty(v_phys_nodes.shape[1:], complex) for _ in range(2))
 
     def v_at(step: int) -> np.ndarray:
         """The base at t = step h. A blend of two nodes is written into
@@ -364,12 +369,11 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         if cfg.linear_only:
             w_hat = stepper.step(w_hat, None, None, cfg.order, include_rhs=False)
         else:
-            v_now = v_at(step)
             # only the ETD2RK first step reads the base at the step's end;
-            # step 0 sits on node 0, so v_now is not the blend buffer
+            # step 0 sits on node 0, so v_at(step) leaves v_nxt's blend intact
             v_nxt = (v_at(step + 1) if cfg.order == 2 and not stepper.has_prev
                      else None)
-            w_hat = stepper.step(w_hat, v_now, v_nxt, cfg.order)
+            w_hat = stepper.step(w_hat, v_at(step), v_nxt, cfg.order)
         steps = step + 1
         t = steps * h
         # NaN and inf fail the comparison, so they count as escape too
@@ -380,6 +384,7 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         if (step + 1) % cfg.record_stride == 0 or step + 1 == n_steps:
             record(w_hat, t, state)
     step_s = time.perf_counter() - started
+    v_phys_nodes = None  # freed: the fit's LAPACK start-up need not add to their peak
 
     times = np.asarray(state["times"])
     l2_w = np.asarray(state["l2"])

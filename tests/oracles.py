@@ -29,6 +29,9 @@ allocate freely, so a test can state an identity in a few lines.
   direct_step, one allocating step of the full forced flow.
 * random_band_field: one battery draw as a field, against the battery
   stacks and the per-sample battery references.
+* odd_fft_every_plane: the odd forward transform on every plane 0..n/2,
+  against OddTransform.fft, which transforms the dealias planes only (bit
+  for bit there), and against the odd inverse.
 """
 
 import numpy as np
@@ -190,3 +193,19 @@ def random_band_field(grid, rng, band, cutoffs, odd=False):
     under the battery's envelope for band 'low', 'high' or 'full'."""
     return SpectralField(grid, "frequency",
                          _band_data(grid, rng, _band_envelope(grid, band, cutoffs), odd))
+
+
+def odd_fft_every_plane(grid, phys):
+    """Planes 0..n/2 of the frequency data of odd physical data in the odd
+    column layout (stacked along axis 0), with the passes of OddTransform.fft
+    (first-axis pass, signed scatter of Grid.odd_columns, later passes) run
+    on every plane; phys is not written."""
+    _, _, (scatter, sign) = grid.odd_columns()
+    first = np.fft.fftn(phys, axes=(1,))
+    out = np.empty((len(phys),) + grid.half_shape, complex)
+    flat = out.reshape(len(out), grid.half_shape[0], -1)
+    np.take(first.reshape(len(phys), -1), scatter, axis=1, out=flat, mode="clip")
+    np.multiply(flat.view(float), np.repeat(sign, 2, axis=1), out=flat.view(float))
+    for axis in range(grid.dim, 1, -1):
+        np.fft.fftn(out, axes=(axis,), out=out)
+    return out

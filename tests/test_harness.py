@@ -6,6 +6,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import glperiod
@@ -14,6 +15,7 @@ from glperiod.cli import main
 from glperiod.config import load_config, reference_config
 from glperiod.errors import ConfigError
 from glperiod.manifest import load_manifest, sha256_of, verify_manifest
+from glperiod.spectral import read_snapshot, write_snapshot
 
 
 def _small_config(tmp_path, **overrides):
@@ -236,6 +238,35 @@ class TestStabilityCommand:
         code = main(["stability", "--config", str(cfg_path),
                      "--base", str(tmp_path / "missing.json")])
         assert code == 2
+
+    def test_directory_base_exit(self, tmp_path, capsys):
+        # the run directory in place of its manifest.json
+        cfg_path, manifest = self._saved_base(tmp_path)
+        capsys.readouterr()
+        assert main(["stability", "--config", str(cfg_path), "--base", str(manifest.parent),
+                     "--out", str(tmp_path / "stab")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: base manifest") and err.count("\n") == 1
+
+    def test_snapshot_in_physical_representation(self, tmp_path):
+        # node 3 rewritten in physical representation and re-hashed into the
+        # manifest is read by its own flag: the run is the untouched base's
+        # to roundoff (read as frequency data it would not be)
+        cfg_path, manifest = self._saved_base(tmp_path)
+        assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
+                     "--out", str(tmp_path / "frequency")]) == 0
+        snap = manifest.parent / "field_0003.glpf"
+        write_snapshot(read_snapshot(snap).to_physical(), snap)
+        man = load_manifest(manifest)
+        entry = next(a for a in man["artifacts"] if a["path"] == snap.name)
+        entry.update(sha256=sha256_of(snap), bytes=snap.stat().st_size)
+        manifest.write_text(json.dumps(man))
+        assert read_snapshot(snap).representation == "physical"
+        assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
+                     "--out", str(tmp_path / "mixed")]) == 0
+        frequency, mixed = (np.loadtxt(tmp_path / name / "decay.csv", delimiter=",",
+                                       skiprows=1) for name in ("frequency", "mixed"))
+        np.testing.assert_allclose(mixed, frequency, rtol=1e-10, atol=0)
 
     def test_base_without_snapshots_rejected(self, tmp_path):
         cfg_path = _small_config(tmp_path)

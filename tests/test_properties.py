@@ -15,6 +15,7 @@ from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_
 from glperiod.stability import _Stepper
 
 from conftest import raw_odd_series
+from oracles import odd_fft_every_plane
 
 PERIOD = 1.0
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -124,7 +125,8 @@ def test_half_lattice_step_equals_full(case, order):
 def test_paired_transforms_invert(case):
     # odd half-plane data through the shared odd inverse transform (later
     # passes, gather, first-axis pass) and forward one (first-axis pass,
-    # scatter, later passes), which the stepper and the solve both run
+    # scatter, later passes on the dealias planes), which the stepper and the
+    # solve both run
     dim, data = case
     grid = setup(dim)[0]
     pair = grid.odd_transform
@@ -132,5 +134,9 @@ def test_paired_transforms_invert(case):
     phys = pair.ifft(half)
     np.testing.assert_allclose(phys, np.fft.ifftn(data, axes=grid.series_axes).reshape(
         len(data), grid.n, -1)[..., pair.columns], rtol=0, atol=1e-13 * np.abs(phys).max())
-    back = pair.fft(phys, np.empty_like(half))
-    np.testing.assert_allclose(back, half, rtol=0, atol=1e-13 * np.abs(half).max())
+    every = odd_fft_every_plane(grid, phys)
+    np.testing.assert_allclose(every, half, rtol=0, atol=1e-13 * np.abs(half).max())
+    # the forward transform keeps the planes that hold a dealiased mode
+    back, kept = pair.fft(phys, np.empty_like(half)), pair.dealias_planes
+    assert back[:, :kept].tobytes() == every[:, :kept].tobytes()
+    assert not back[:, kept:].any()

@@ -17,12 +17,13 @@ from glperiod import (FieldSeries, GridConfig, NonFiniteField, ForcingSpec, norm
 from glperiod.norms import _node_l2
 from glperiod.forcing import ODDNESS_TOL
 from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_data,
-                                      _decay_table, _linear_period_map_data)
+                                      _cubic_rows, _decay_table, _linear_period_map_data)
 
-from conftest import on_workers, random_odd_field, raw_random_series
+from conftest import on_workers, random_odd_field, raw_odd_series, raw_random_series
 from test_norms import _ref_node_sums_for
-from oracles import (cubic_rhs, duhamel_integral, periodic_initial_data, picard_step,
-                     split_equation_residual, split_series)
+from oracles import (cubic_rhs, duhamel_integral, odd_fft_every_plane,
+                     periodic_initial_data, picard_step, split_equation_residual,
+                     split_series)
 
 
 def _odd_part(g):
@@ -703,6 +704,26 @@ class TestHalfLatticeSolve:
         assert flags == [False] * (rep.iterations + 1)
         assert u.data.tobytes() == u_full.data.tobytes()
         assert rep.to_json() == rep_full.to_json()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_odd_cubic_rows_keep_the_every_plane_bits(self, monkeypatch, dim):
+        # the forward transform pruned to the dealias planes changes no kept
+        # value: the every-plane form's bits there, and zeros where that form's
+        # masked products are +-0
+        grid = make_grid(GridConfig(dim=dim, n_per_axis={1: 32, 2: 16, 3: 16}[dim],
+                                    box_length=16.0))
+        rng, planes = np.random.default_rng(dim), grid.n // 2 + 1
+        v, w = (raw_odd_series(grid, 3, rng)[:, :planes] for _ in range(2))
+        for base in (v, None):
+            pruned = _cubic_rows(base, w, grid)
+            with monkeypatch.context() as m:
+                m.setattr(spectral.OddTransform, "fft",
+                          lambda pair, phys, out: odd_fft_every_plane(grid, phys))
+                every = _cubic_rows(base, w, grid)
+            kept = grid.odd_transform.dealias_planes
+            assert pruned[:, :kept].tobytes() == every[:, :kept].tobytes()
+            assert np.array_equal(pruned, every) and not pruned[:, kept:].any()
+            assert np.abs(every[:, :kept]).max() > 0
 
     def test_series_are_held_on_half_the_planes(self, monkeypatch, grid3d, op3d,
                                                  cutoffs3d, forcing):

@@ -9,8 +9,8 @@ from glperiod import (FieldSeries, GridConfig, SpectralField, auto_cutoffs, chec
 from glperiod.stability import _rhs_data, _rhs_work
 
 from conftest import (on_workers, random_physical_field, random_odd_field,
-                      raw_random_series)
-from oracles import time_derivative
+                      raw_odd_series, raw_random_series)
+from oracles import odd_fft_every_plane, time_derivative
 
 
 def _cubic(f):
@@ -132,6 +132,31 @@ class TestOddColumns:
         self.check(grid, lines, np.random.default_rng(n * dim))
         if (dim, n, chi) == (3, 32, "chi1"):
             assert grid.odd_columns(lines)[0].size == 113  # of 15 x 15
+
+
+class TestOddTransform:
+    """The forward transform of Grid.odd_transform, pruned to the planes that
+    hold a dealiased mode, against the same passes on every plane 0..n/2."""
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_forward_keeps_the_dealias_planes(self, dim, fraction):
+        n = {1: 32, 2: 16, 3: 16}[dim]
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=16.0,
+                                    dealias_fraction=fraction))
+        pair, planes = grid.odd_transform, n // 2 + 1
+        kept = pair.dealias_planes
+        # plane j of 0..n/2 holds |k| = j on the first axis
+        assert kept == int(fraction * n / 2) + 1
+        assert grid.dealias[kept - 1].any() and not grid.dealias[kept:planes].any()
+        phys = pair.ifft(raw_odd_series(grid, 2, np.random.default_rng(dim))[:, :planes])
+        every = odd_fft_every_plane(grid, phys)
+        assert np.abs(every[:, kept:]).max() > 0  # the pruned planes hold data
+        for rows in (slice(0, 1), slice(0, 3)):
+            out = np.full((rows.stop,) + grid.half_shape, np.nan, complex)
+            assert pair.fft(phys[rows].copy(), out) is out
+            assert out[:, :kept].tobytes() == every[rows, :kept].tobytes()
+            assert not out[:, kept:].any()
 
 
 class TestTransform:
@@ -285,6 +310,15 @@ class TestSnapshots:
         path = tmp_path / "junk.glpf"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("change", [-16, -1, 8, 16], ids=["short", "cut", "odd", "long"])
+    def test_payload_of_another_size_rejected(self, tmp_path, grid1d, rng, change):
+        path = tmp_path / "field.glpf"
+        write_snapshot(random_physical_field(grid1d, rng), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:change] if change < 0 else raw + b"\x00" * change)
+        with pytest.raises(ValueError, match="payload"):
             read_snapshot(path)
 
     def test_header_layout(self, tmp_path, grid1d):

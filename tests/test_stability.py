@@ -1,6 +1,7 @@
 """Perturbation dynamics: the expanded right-hand side, the exponential
 steppers, the decay recorder and the slope fit."""
 
+import collections
 import json
 import math
 import tracemalloc
@@ -13,8 +14,10 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig,
                       StabilityRunConfig, auto_cutoffs, fit_decay_rate,
                       make_grid, make_operator, realize_forcing,
                       realize_perturbation, run_stability, solve_periodic)
+from glperiod import cli
 from glperiod.phi import phi1, phi2
-from glperiod.stability import _physical_nodes, _rhs_data, _rhs_work, _Stepper
+from glperiod.spectral import write_snapshot
+from glperiod.stability import _base_nodes, _rhs_data, _rhs_work, _Stepper
 
 from conftest import random_odd_field, random_physical_field, raw_random_series
 from oracles import direct_step, exp_step, semigroup_apply
@@ -244,7 +247,7 @@ class TestExpStep:
         for odd in (False, True):
             stepper = _Stepper(grid, op, v_per.dt, odd)
             fresh = _Stepper(grid, op, v_per.dt, odd)
-            v_phys = _physical_nodes(v_per.to_frequency().data, 3, stepper.pair)
+            v_phys = _base_nodes(v_per, stepper.pair)
             planes = len(stepper.decay)
             assert planes == (grid.n // 2 + 1 if odd else grid.n)
             w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
@@ -375,10 +378,10 @@ class TestRunStability:
         grid, op, cut, g, v_per = small_setup
         m_t = v_per.n_steps
         batched = np.fft.ifftn(v_per.data[:m_t], axes=tuple(range(1, grid.dim + 1)))
-        assert np.array_equal(_physical_nodes(v_per.data, m_t), batched)
+        assert np.array_equal(_base_nodes(v_per), batched)
         tracemalloc.start()
         try:
-            nodes = _physical_nodes(v_per.data, m_t)
+            nodes = _base_nodes(v_per)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -591,11 +594,12 @@ class TestHalfLattice:
         # odd extension to roundoff
         m_t, pair = 64, grid3d.odd_transform
         data = np.fft.fftn(raw_random_series(grid3d, m_t, rng), axes=(1, 2, 3))
-        full = _physical_nodes(data, m_t)
-        _physical_nodes(data, m_t, pair)  # warm the FFT caches
+        series = FieldSeries(grid3d, "frequency", data, 1.0)
+        full = _base_nodes(series)
+        _base_nodes(series, pair)  # warm the FFT caches
         tracemalloc.start()
         try:
-            nodes = _physical_nodes(data, m_t, pair)
+            nodes = _base_nodes(series, pair)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -641,6 +645,68 @@ class TestHalfLattice:
         assert not full.half_lattice and full.steps == half.steps
         for key in ("l2_w", "h1_grad_w", "n1_series", "n2_series", "n_series"):
             np.testing.assert_allclose(getattr(half, key), getattr(full, key), rtol=1e-12)
+
+
+def _saved_base(series, directory):
+    """series written as one snapshot file per node and read back as the
+    base of `stability --base`."""
+    paths = [directory / f"field_{m:04d}.glpf" for m in range(len(series))]
+    for m, path in enumerate(paths):
+        write_snapshot(series.field(m), path)
+    return cli._SavedBase(series.grid, paths, series.period)
+
+
+class TestSavedBase:
+    """A base read from snapshot files takes the node builder of an
+    in-memory series, one snapshot at a time."""
+
+    def test_run_holds_the_nodes_not_the_series(self, monkeypatch, tmp_path):
+        # an odd run at 16^3, m_t = 64: the half-column nodes (32.5 fields)
+        # plus the stepper's buffers and set-up temporaries (13 fields,
+        # whatever m_t), well below the 65 fields of the frequency series;
+        # each snapshot is read at most twice (oddness test, node build)
+        grid = make_grid(GridConfig(dim=3, n_per_axis=16, box_length=32.0))
+        op, cut, m_t = make_operator(grid, 1.0), auto_cutoffs(grid, 1.0), 64
+        rng = np.random.default_rng(11)
+        data = np.stack([random_odd_field(grid, rng).data for _ in range(m_t + 1)])
+        series = FieldSeries(grid, "frequency", 0.1 * data / np.abs(data).max(), 1.0)
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+        cfg = StabilityRunConfig(t_max=10.0, v_per=_saved_base(series, tmp_path), w0=w0,
+                                 record_stride=4)
+        reads = collections.Counter()
+        read = cli.read_snapshot
+        monkeypatch.setattr(cli, "read_snapshot",
+                            lambda path, grid: reads.update([path]) or read(path, grid))
+        saved = run_stability(cfg, op, cut)  # also warms the FFT caches
+        assert saved.half_lattice and sorted(set(reads.values())) == [1, 2]
+        assert len(reads) == m_t + 1 and sum(reads.values()) == 2 * m_t + 1
+        _assert_same_run(saved, run_stability(
+            StabilityRunConfig(t_max=10.0, v_per=series, w0=w0, record_stride=4), op, cut))
+        tracemalloc.start()
+        try:
+            run_stability(cfg, op, cut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field = np.empty(grid.shape, complex).nbytes
+        nodes = np.empty((m_t, grid.n, grid.odd_columns()[0].size), complex).nbytes
+        assert peak <= nodes + 16 * field < series.data.nbytes
+
+    def test_base_that_is_not_odd_takes_the_whole_lattice(self, small_setup, tmp_path):
+        # an odd w0 about a saved base with an even part of 1e-6: the whole
+        # lattice, and the in-memory run's decay.csv
+        grid, op, cut, g, v_per = small_setup
+        memory = _with_even_part(v_per, 1e-6)
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+        assert grid.is_odd(w0.to_frequency().data[None])
+        runs = [run_stability(StabilityRunConfig(t_max=10.0, v_per=base, w0=w0,
+                                                 record_stride=4), op, cut)
+                for base in (memory, _saved_base(memory, tmp_path))]
+        assert not runs[0].half_lattice and not runs[0].escaped
+        _assert_same_run(*runs)
+        for name, run in zip(("memory", "saved"), runs):
+            run.write_csv(tmp_path / f"{name}.csv")
+        assert (tmp_path / "memory.csv").read_bytes() == (tmp_path / "saved.csv").read_bytes()
 
 
 class TestFitDecayRate:
