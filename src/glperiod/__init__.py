@@ -12,8 +12,7 @@ from .operators import (CutoffSpec, LinearOperatorSpec, auto_cutoffs, make_cutof
                         make_operator)
 from .norms import (NormSuite, forcing_bracket, lp_norm, sobolev_norm,
                     spacetime_norm, x_weighted_gradient_norm, z_norm)
-from .forcing import (ForcingSpec, PerturbationSpec, check_oddness,
-                      realize_forcing, realize_perturbation)
+from .forcing import ForcingSpec, PerturbationSpec, realize_forcing, realize_perturbation
 from .periodic_solver import (PeriodicSolveReport, SolveOptions, equation_residual,
                               solve_periodic)
 from .stability import (DecayReport, StabilityRunConfig, fit_decay_rate,
@@ -25,10 +24,9 @@ __all__ = [
     "ForcingSpec", "GLPeriodError", "Grid", "GridConfig", "LinearOperatorSpec",
     "NonFiniteField", "NormSuite", "OddnessViolation", "PeriodicSolveReport",
     "PerturbationSpec", "SeamDecayViolation", "SolveOptions", "SpectralField",
-    "StabilityRunConfig", "ZeroModeViolation", "auto_cutoffs", "check_oddness",
-    "equation_residual", "fit_decay_rate", "forcing_bracket", "lp_norm",
-    "make_cutoffs", "make_grid", "make_operator", "read_snapshot",
-    "realize_forcing", "realize_perturbation", "run_all_checks", "run_stability",
-    "sobolev_norm", "solve_periodic", "spacetime_norm", "write_snapshot",
-    "x_weighted_gradient_norm", "z_norm",
+    "StabilityRunConfig", "ZeroModeViolation", "auto_cutoffs", "equation_residual",
+    "fit_decay_rate", "forcing_bracket", "lp_norm", "make_cutoffs", "make_grid",
+    "make_operator", "read_snapshot", "realize_forcing", "realize_perturbation",
+    "run_all_checks", "run_stability", "sobolev_norm", "solve_periodic",
+    "spacetime_norm", "write_snapshot", "x_weighted_gradient_norm", "z_norm",
 ]

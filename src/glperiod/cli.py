@@ -225,11 +225,7 @@ def cmd_verify(cfg: dict, seed: int | None = None,
     op = cfgmod.build_operator(grid, small)
     cutoffs = cfgmod.build_cutoffs(grid, small)
     opts = cfgmod.build_solve_options(small)
-    try:
-        g = cfgmod.build_forcing(small, grid)
-    except GLPeriodError as exc:
-        raise ConfigError(f"verification battery construction failed: {exc}")
-
+    g = cfgmod.build_forcing(small, grid)
     u, report = solve_periodic(g, op, cutoffs, opts)
     if not report.converged:
         print("verification base solve did not converge", file=sys.stderr)

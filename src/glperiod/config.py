@@ -14,7 +14,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, OddnessViolation, SeamDecayViolation
 from .forcing import ForcingSpec, PerturbationSpec, realize_forcing
 from .operators import CutoffSpec, LinearOperatorSpec, auto_cutoffs, make_cutoffs, make_operator
 from .periodic_solver import SolveOptions
@@ -99,7 +99,9 @@ def build_cutoffs(grid: Grid, cfg: dict) -> CutoffSpec:
 
 
 def build_forcing(cfg: dict, grid: Grid) -> FieldSeries:
-    """The forcing on solve.m_t + 1 nodes of one period: the solve's time grid."""
+    """The forcing on solve.m_t + 1 nodes of one period: the solve's time grid.
+    A forcing that cannot be realized (a bad value, a profile that does not
+    decay at the seam or is not odd) is a config error."""
     f = cfg["forcing"]
     if f["spatial_profile"] == "custom":
         raise ConfigError("forcing.spatial_profile 'custom' needs a profile field, "
@@ -120,7 +122,10 @@ def build_forcing(cfg: dict, grid: Grid) -> FieldSeries:
                            axis=int(f["axis"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid forcing config: {exc}")
-    return realize_forcing(spec, grid, m_t)
+    try:
+        return realize_forcing(spec, grid, m_t)
+    except (ValueError, SeamDecayViolation, OddnessViolation) as exc:
+        raise ConfigError(f"invalid forcing config: {exc}")
 
 
 def build_solve_options(cfg: dict) -> SolveOptions:

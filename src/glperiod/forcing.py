@@ -5,10 +5,15 @@ The canonical forcing family is a Gaussian dipole times a sinusoid,
 
     g(x, t) = eps * a(t) * G(x) / max|G|,   G(x) = x_axis * exp(-|x|^2/(2 sigma^2)),
 
-which is odd in x, decays below any seam tolerance for sigma <= L/16, and is
-exactly T-periodic on the sampled time grid. Profiles are normalized to unit
-peak modulus so the amplitude knob is the peak field value and the forcing
-size functional scales linearly in eps.
+which is exactly T-periodic on the sampled time grid. Profiles are
+normalized to unit peak modulus so the amplitude knob is the peak field
+value and the forcing size functional scales linearly in eps.
+
+Realization checks G once: it must decay at the seam (check_seam_decay) and
+be odd by the rule the solve applies, Grid.is_odd on its frequency data;
+eps * a(t) * G is then odd at every node. On the lattice G is odd only as far
+as it vanishes at the seam: on the reference and test grids the default
+sigma = L/16 passes, while sigma = L/14 passes the seam check but not Grid.is_odd.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ class ForcingSpec:
     custom_profile: SpectralField | None = None
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
+        if not 0 <= self.amplitude < np.inf:
+            raise ValueError(f"amplitude must be finite and nonnegative; got {self.amplitude}")
         if not self.period > 0:
             raise ValueError("period must be positive")
         if self.temporal_profile not in TEMPORAL_PROFILES:
@@ -63,6 +68,8 @@ class PerturbationSpec:
     axis: int = 0
 
     def __post_init__(self):
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite; got {self.amplitude}")
         if self.profile not in PERTURBATION_PROFILES:
             raise ValueError(f"unknown perturbation profile {self.profile!r}")
 
@@ -83,43 +90,19 @@ def gauss_bump(grid: Grid, sigma: float) -> np.ndarray:
     return np.exp(-grid.x_abs ** 2 / (2.0 * sigma ** 2))
 
 
-def _boundary_mask(grid: Grid) -> np.ndarray:
-    """Nodes on the seam faces (any axis index 0, i.e. x = -L/2)."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[axis] = 0
-        mask[tuple(sl)] = True
-    return mask
-
-
 def check_seam_decay(profile: np.ndarray, grid: Grid,
                      tol: float = SEAM_DECAY_TOL) -> float:
     """Max profile modulus on the box boundary relative to the global max."""
     peak = np.abs(profile).max()
     if peak == 0.0:
         return 0.0
-    ratio = float(np.abs(profile[_boundary_mask(grid)]).max() / peak)
+    seam = max(np.abs(np.take(profile, 0, axis=axis)).max() for axis in range(grid.dim))
+    ratio = float(seam / peak)
     if ratio > tol:
         raise SeamDecayViolation(
             f"profile modulus at the box boundary is {ratio:.3e} of its max "
             f"(tolerance {tol:.0e}); the profile does not decay at the seam")
     return ratio
-
-
-def check_oddness(f: SpectralField) -> float:
-    """Oddness residual max |f(x) + f(-x)| / (1 + max|f|) on the lattice.
-
-    The reflection is j -> n - j per axis; rows with index 0 (the seam
-    x = -L/2, whose mirror exists only via periodic identification) are
-    excluded from the max.
-    """
-    if f.representation != PHYSICAL:
-        raise ValueError("check_oddness expects a physical-representation field")
-    grid = f.grid
-    resid = np.abs(f.data + grid.reflect(f.data))
-    interior = ~_boundary_mask(grid)
-    return float(resid[interior].max() / (1.0 + np.abs(f.data).max()))
 
 
 def temporal_values(spec: ForcingSpec, m_t: int) -> np.ndarray:
@@ -143,12 +126,14 @@ def spatial_profile(spec: ForcingSpec, grid: Grid) -> np.ndarray:
         if f.grid is not grid and f.grid.shape != grid.shape:
             raise ValueError("custom profile grid does not match")
         profile = f.data.copy()
-        if check_oddness(SpectralField(grid, PHYSICAL, profile)) > ODDNESS_TOL:
-            raise OddnessViolation("custom forcing profile is not odd on the lattice")
     else:
         sigma = spec.sigma if spec.sigma is not None else grid.box_length / 16.0
         profile = gauss_dipole(grid, sigma, spec.axis).astype(complex)
     check_seam_decay(profile, grid)
+    if not grid.is_odd(np.fft.fftn(profile)[None]):
+        raise OddnessViolation(
+            f"{spec.spatial_profile} forcing profile is not odd on the lattice: its even "
+            f"part exceeds {ODDNESS_TOL:.0e} of its largest coefficient")
     peak = np.abs(profile).max()
     if peak > 0:
         profile = profile / peak
@@ -159,7 +144,7 @@ def realize_forcing(spec: ForcingSpec, grid: Grid, m_t: int) -> FieldSeries:
     """Sample the forcing on the (m_t + 1)-node period grid.
 
     The result is physical-representation, exactly periodic in time, and odd
-    to ODDNESS_TOL at every node (verified; OddnessViolation otherwise).
+    at every node (spatial_profile checks G; OddnessViolation otherwise).
     """
     if m_t < 2:
         raise ValueError("m_t must be at least 2")
@@ -169,12 +154,7 @@ def realize_forcing(spec: ForcingSpec, grid: Grid, m_t: int) -> FieldSeries:
         return FieldSeries(grid, PHYSICAL, data, spec.period)
     profile = spatial_profile(spec, grid)
     data = spec.amplitude * a[(slice(None),) + (None,) * grid.dim] * profile
-    series = FieldSeries(grid, PHYSICAL, data, spec.period)
-    worst = max(check_oddness(series.field(m)) for m in range(m_t + 1))
-    if worst > ODDNESS_TOL:
-        raise OddnessViolation(
-            f"realized forcing oddness residual {worst:.3e} exceeds {ODDNESS_TOL:.0e}")
-    return series
+    return FieldSeries(grid, PHYSICAL, data, spec.period)
 
 
 def realize_perturbation(spec: PerturbationSpec, grid: Grid) -> SpectralField:

@@ -32,8 +32,9 @@ row-by-row einsum reductions, not BLAS products, so no result depends on
 the number of workers, the chunk size or the BLAS thread count.
 
 Odd series (u(-x) = -u(x) on the lattice, as the solve's iterates are for
-the paper's odd forcings) can take a half-lattice path (z_norm(odd=True))
-that reads their first-axis planes 0..n/2 only. The lattice reflection
+the paper's odd forcings) may be held as their first-axis planes 0..n/2
+only (Grid.is_half, the one flag: every norm takes the half-lattice path
+exactly for data in that layout). The lattice reflection
 j -> -j mod n leaves every weight and mask even and every |d^alpha u|^2 of
 an odd u even; it maps first-axis plane j to plane -j mod n, and every pass
 after the first-axis one stays within a plane. So after its first-axis pass
@@ -264,8 +265,7 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
 
 
 def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_sums: int,
-               add, dt_order: int = -1, skip_zero: bool = False,
-               odd: bool = False) -> np.ndarray:
+               add, dt_order: int = -1, skip_zero: bool = False) -> np.ndarray:
     """Per-node sums over the d^alpha fields, |alpha| <= k, of chi * data,
     as an (n_sums, m_t + 1) array.
 
@@ -277,13 +277,13 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
     periodic nodes (node m_t, a chunk of its own, gets m_t - 1 and 1). With
     chi None the data are used as given; `skip_zero` skips alpha = 0.
 
-    With `odd` the data are odd and only their planes 0..n/2 are read (all a
-    half series holds), gathered on the half columns; the fields cover those
-    planes, to be summed with NormSuite.flat(name, odd=True) (the half-lattice
-    path of the module docstring); chi must then be even on the lattice.
+    Half data (Grid.is_half: planes 0..n/2 of odd data) are gathered on the
+    half columns; the fields cover those planes, to be summed with
+    NormSuite.flat(name, odd=True) (the half-lattice path of the module
+    docstring); chi must then be even on the lattice.
     """
     NormSuite.for_grid(grid)  # fill the per-grid cache before workers read it
-    m_t, n = data.shape[0] - 1, grid.n
+    m_t, n, odd = data.shape[0] - 1, grid.n, grid.is_half(data)
     halo = dt_order >= 0
     mask = None if chi is None else chi * grid.keep_nyquist_free
     if odd and mask is not None and not np.array_equal(grid.reflect(mask), mask):
@@ -351,9 +351,8 @@ def x_gradient_node_sq(data: np.ndarray, grid: Grid) -> np.ndarray:
     return _node_sums(data, grid, 1, None, 1, add, skip_zero=True)[0]
 
 
-def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float,
-            odd: bool = False) -> float:
-    suite = NormSuite.for_grid(grid)
+def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
+    suite, odd = NormSuite.for_grid(grid), grid.is_half(data)
     w2, x2, quad = (suite.flat(name, odd) for name in ("weight_sq", "x_abs_sq", "quad"))
 
     def add(out, alpha, node, diff):
@@ -363,51 +362,46 @@ def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float,
             out[0] = _weighted_sq(node, quad) + _weighted_sq(diff, quad) / (4 * h * h)
             out[2] = _weighted_sq(diff, w2) / (4 * h * h)
 
-    l2, xg, l2w_dt = _node_sums(data, grid, 1, chi, 3, add, dt_order=1, odd=odd)
+    l2, xg, l2w_dt = _node_sums(data, grid, 1, chi, 3, add, dt_order=1)
     return float(sum(np.sqrt(np.trapezoid(v, dx=h)) for v in (l2, xg, l2w_dt)))
 
 
-def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float,
-            odd: bool = False) -> float:
-    w2 = NormSuite.for_grid(grid).flat("weight_sq", odd)
+def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
+    w2 = NormSuite.for_grid(grid).flat("weight_sq", grid.is_half(data))
 
     def add(out, alpha, node, diff):
         out[sum(alpha)] += _weighted_sq(node, w2)
         if diff is not None:  # |alpha| <= 1
             out[4] += _weighted_sq(diff, w2) / (4 * h * h)
 
-    sums = _node_sums(data, grid, 3, chi, 5, add, dt_order=1, odd=odd)
+    sums = _node_sums(data, grid, 3, chi, 5, add, dt_order=1)
     hk, h1_dt = np.cumsum(sums[:4], axis=0), sums[4]
     return float(np.sqrt(hk[2].max())
                  + np.sqrt(np.trapezoid(hk[3], dx=h))
                  + np.sqrt(np.trapezoid(hk[1] + h1_dt, dx=h)))
 
 
-def spacetime_norm(series: FieldSeries, kind: str,
-                   cutoffs: CutoffSpec | None = None, odd: bool = False) -> float:
+def spacetime_norm(series: FieldSeries, kind: str, cutoffs: CutoffSpec | None = None) -> float:
     """The X (low-frequency) or Y (high-frequency) space-time norm.
 
     When cutoffs are given the matching projection is applied first; pass
-    None for a series that is already supported in the right band. With
-    `odd` (a series known to be odd on the lattice) it reads the series'
-    planes 0..n/2 only and sums on half the lattice (see _node_sums).
+    None for a series that is already supported in the right band. A half
+    series (planes 0..n/2 of odd data) is summed on half the lattice (see
+    _node_sums).
     """
     if len(series) < 3:
         raise ValueError("space-time norms need at least 3 time nodes")
     if kind not in ("X", "Y"):
         raise ValueError(f"kind must be 'X' or 'Y'; got {kind!r}")
-    if series.half and not odd:
-        raise ValueError("a half-lattice series takes the odd norm")
     chi = None if cutoffs is None else (cutoffs.chi1 if kind == "X" else cutoffs.chi_inf)
     norm = _x_norm if kind == "X" else _y_norm
-    return norm(series.to_frequency().data, series.grid, chi, series.dt, odd)
+    return norm(series.to_frequency().data, series.grid, chi, series.dt)
 
 
-def z_norm(series: FieldSeries, cutoffs: CutoffSpec, odd: bool = False) -> float:
+def z_norm(series: FieldSeries, cutoffs: CutoffSpec) -> float:
     """X(P_low u) + Y(P_high u): the norm in which the iteration contracts
-    (`odd` as in spacetime_norm)."""
-    return (spacetime_norm(series, "X", cutoffs, odd)
-            + spacetime_norm(series, "Y", cutoffs, odd))
+    (on half the lattice for a half series, as in spacetime_norm)."""
+    return spacetime_norm(series, "X", cutoffs) + spacetime_norm(series, "Y", cutoffs)
 
 
 def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
@@ -424,7 +418,7 @@ def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
     w2 = NormSuite.for_grid(grid).flat("weight_sq")
     phys = g.to_physical().data
     g_freq = g.to_frequency() if g_freq is None else g_freq
-    w2_tree = NormSuite.for_grid(grid).flat("weight_sq", g_freq.half)
+    w2_tree = NormSuite.for_grid(grid).flat("weight_sq", grid.is_half(g_freq.data))
 
     def zero_order(rows):
         block = phys[rows]
@@ -435,6 +429,6 @@ def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
 
     sums = map_chunks(zero_order, node_chunks(len(g)))
     l1w, h1w_sq = (np.concatenate(part) for part in zip(*sums))
-    h1w_sq += _node_sums(g_freq.data, grid, 1, None, 1, add, skip_zero=True, odd=g_freq.half)[0]
+    h1w_sq += _node_sums(g_freq.data, grid, 1, None, 1, add, skip_zero=True)[0]
     return float(np.sqrt(np.trapezoid(l1w ** 2, dx=g.dt))
                  + np.sqrt(np.trapezoid(h1w_sq, dx=g.dt)))

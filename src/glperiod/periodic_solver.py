@@ -29,10 +29,12 @@ A solve holds three series: the caller's g, the iterate u and the
 correction delta. The period map runs in place (F[m] is carried per slab
 before its row is overwritten), u starts in the frequency buffer the solve
 made for g, and one fused map per iteration advances u by delta and
-overwrites delta with the next cubic difference. For an odd g (measured)
-that buffer (g's odd part), u and delta hold planes 0..n/2 only (17 of 32
-at n = 32), the cubic terms run through spectral.OddTransform, and u is
-expanded to the whole lattice at the end. equation_residual streams.
+overwrites delta with the next cubic difference. For an odd g (Grid.is_odd,
+the rule realize_forcing applies to its profile) that buffer (g's odd part),
+u and delta hold planes 0..n/2 only (17 of 32 at n = 32), the layout every
+kernel and Z-norm reads off the data (Grid.is_half); the cubic terms run
+through spectral.OddTransform and u is expanded to the whole lattice at the
+end. Any other g keeps the whole lattice. equation_residual streams.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     reason = None
     iterations = 0
     while True:
-        res = z_norm(FieldSeries(grid, FREQUENCY, delta, g.period), delta_cutoffs, odd=odd)
+        res = z_norm(FieldSeries(grid, FREQUENCY, delta, g.period), delta_cutoffs)
         history.append(res)
         iterations += 1
         if not math.isfinite(res):
@@ -281,7 +283,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         _linear_period_map_data(delta, op, g.dt, zero_tol, out=delta)
     del delta  # before the final z_norm's chunk temporaries
 
-    z_final = z_norm(FieldSeries(grid, FREQUENCY, u, g.period), cutoffs, odd=odd)
+    z_final = z_norm(FieldSeries(grid, FREQUENCY, u, g.period), cutoffs)
     u = grid.whole_lattice(u) if odd else u
     scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)

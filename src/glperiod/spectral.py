@@ -324,7 +324,8 @@ class FieldSeries:
     def __post_init__(self):
         if self.data.ndim != self.grid.dim + 1:
             raise ValueError("series data must be stacked along a leading time axis")
-        if self.data.shape[1:] != self.grid.shape and not self.half:
+        if self.data.shape[1:] != self.grid.shape and not (
+                self.representation == FREQUENCY and self.grid.is_half(self.data)):
             raise ValueError(
                 f"series spatial shape {self.data.shape[1:]} does not match grid {self.grid.shape}")
         if self.data.shape[0] < 2:
@@ -336,11 +337,6 @@ class FieldSeries:
 
     def __len__(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def half(self) -> bool:
-        """Whether the series holds planes 0..n/2 of odd frequency data."""
-        return self.representation == FREQUENCY and self.grid.is_half(self.data)
 
     @property
     def n_steps(self) -> int:
@@ -409,6 +405,8 @@ def write_snapshot(field: SpectralField, path) -> None:
 def read_snapshot(path, grid: Grid | None = None) -> SpectralField:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise ValueError(f"{path}: shorter than the {_HEADER.size}-byte snapshot header")
         magic, version, dim, n, L, flag = _HEADER.unpack(raw)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: not a field snapshot (bad magic {magic!r})")

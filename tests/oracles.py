@@ -32,6 +32,9 @@ allocate freely, so a test can state an identity in a few lines.
 * odd_fft_every_plane: the odd forward transform on every plane 0..n/2,
   against OddTransform.fft, which transforms the dealias planes only (bit
   for bit there), and against the odd inverse.
+* odd_residual: oddness measured in physical space off the seam, a rule
+  independent of Grid.is_odd, for the forcing, the perturbation, the maps
+  of the solve and, in criterion 6, its iterates and the stepper.
 """
 
 import numpy as np
@@ -209,3 +212,12 @@ def odd_fft_every_plane(grid, phys):
     for axis in range(grid.dim, 1, -1):
         np.fft.fftn(out, axes=(axis,), out=out)
     return out
+
+
+def odd_residual(f):
+    """max |f(x) + f(-x)| / (1 + max |f|) over the nodes of a physical field
+    off the seam (index 0 on some axis, whose mirror exists only by periodic
+    identification)."""
+    assert f.representation == "physical"
+    resid = np.abs(f.data + f.grid.reflect(f.data))[(slice(1, None),) * f.grid.dim]
+    return float(resid.max() / (1.0 + np.abs(f.data).max()))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from glperiod import (ForcingSpec, PerturbationSpec, SeamDecayViolation,
-                      SpectralField, check_oddness, forcing_bracket,
-                      realize_forcing, realize_perturbation)
+                      SpectralField, forcing_bracket, realize_forcing,
+                      realize_perturbation, spectral)
 from glperiod.errors import OddnessViolation
-from glperiod.forcing import gauss_dipole
+from glperiod.forcing import check_seam_decay, gauss_dipole
+
+from oracles import odd_residual
 
 
 class TestRealizeForcing:
@@ -28,7 +30,7 @@ class TestRealizeForcing:
     def test_oddness_at_every_node(self, grid3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 8)
         for m in range(9):
-            assert check_oddness(g.field(m)) <= 1e-12
+            assert odd_residual(g.field(m)) <= 1e-12
 
     def test_bracket_scales_linearly(self, grid3d):
         g1 = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
@@ -67,6 +69,48 @@ class TestRealizeForcing:
         with pytest.raises(OddnessViolation):
             realize_forcing(spec, grid3d, 8)
 
+    @pytest.mark.parametrize("even_part", [0.0, 1e-6])
+    def test_custom_profile_takes_the_solves_rule(self, grid3d, even_part):
+        # an odd dipole is the default profile; an even part of 1e-6 of it is not odd
+        odd = gauss_dipole(grid3d, 2.0)
+        profile = odd + even_part * np.abs(odd).max() * np.exp(-grid3d.x_abs ** 2 / 8.0)
+        spec = ForcingSpec(amplitude=1e-2, period=1.0, spatial_profile="custom",
+                           custom_profile=SpectralField(grid3d, "physical", profile))
+        if even_part:
+            with pytest.raises(OddnessViolation):
+                realize_forcing(spec, grid3d, 8)
+        else:
+            np.testing.assert_array_equal(
+                realize_forcing(spec, grid3d, 8).data,
+                realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0, sigma=2.0),
+                                grid3d, 8).data)
+
+    def test_dipole_that_decays_but_is_not_odd_rejected(self, grid3d):
+        # sigma = L/14 passes the seam check, yet its seam rows leave an even
+        # part above ODDNESS_TOL: the solve would not take it as odd
+        sigma = grid3d.box_length / 14.0
+        assert check_seam_decay(gauss_dipole(grid3d, sigma), grid3d) < 1e-8
+        with pytest.raises(OddnessViolation, match="not odd"):
+            realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0, sigma=sigma), grid3d, 8)
+
+    def test_profile_checked_once(self, monkeypatch, grid3d):
+        # eps * a(t) * G is odd exactly when G is: one test, not one per node
+        calls = []
+        is_odd = spectral.Grid.is_odd
+
+        def counting(grid, data, keep=None):
+            calls.append(len(data))
+            return is_odd(grid, data, keep)
+
+        monkeypatch.setattr(spectral.Grid, "is_odd", counting)
+        realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -1e-2])
+    def test_amplitude_must_be_finite_and_nonnegative(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude"):
+            ForcingSpec(amplitude=amplitude, period=1.0)
+
     def test_harmonic_profile(self, grid3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0,
                                         temporal_profile="harmonic", harmonic=2),
@@ -75,44 +119,22 @@ class TestRealizeForcing:
         assert np.abs(g.data[4]).max() == pytest.approx(0.0, abs=1e-15)
 
 
-class TestCheckOddness:
-    def test_odd_profile_near_zero(self, grid3d):
-        f = SpectralField(grid3d, "physical", gauss_dipole(grid3d, 2.0).astype(complex))
-        assert check_oddness(f) <= 1e-13
-
-    def test_even_gaussian_residual(self, grid3d):
-        data = np.exp(-grid3d.x_abs ** 2).astype(complex)
-        f = SpectralField(grid3d, "physical", data)
-        peak = np.abs(data).max()
-        assert check_oddness(f) == pytest.approx(2 * peak / (1 + peak), rel=1e-12)
-
-    def test_residual_linear_in_even_contamination(self, grid3d):
-        odd = gauss_dipole(grid3d, 2.0).astype(complex)
-        even = np.exp(-grid3d.x_abs ** 2 / 8.0)
-        resid = []
-        for delta in (1e-6, 1e-4, 1e-2):
-            f = SpectralField(grid3d, "physical", odd + delta * even)
-            resid.append(check_oddness(f))
-        assert resid[1] / resid[0] == pytest.approx(100.0, rel=0.05)
-        assert resid[2] / resid[1] == pytest.approx(100.0, rel=0.05)
-
-    def test_requires_physical(self, grid3d):
-        f = SpectralField(grid3d, "frequency", np.zeros(grid3d.shape, complex))
-        with pytest.raises(ValueError, match="physical"):
-            check_oddness(f)
-
-
 class TestPerturbation:
     def test_dipole_default(self, grid3d):
         w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid3d)
         assert np.abs(w0.data).max() == pytest.approx(1e-2, rel=1e-12)
-        assert check_oddness(w0) <= 1e-12
+        assert odd_residual(w0) <= 1e-12
 
     def test_even_profile_supported(self, grid3d):
         w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2, profile="gauss",
                                                    sigma=2.0), grid3d)
         # even profile: large oddness residual is expected
-        assert check_oddness(w0) > 1e-3
+        assert odd_residual(w0) > 1e-3
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="finite"):
+            PerturbationSpec(amplitude=amplitude)
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="profile"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import glperiod
-from glperiod import config
+from glperiod import cli, config
 from glperiod.cli import main
 from glperiod.config import load_config, reference_config
 from glperiod.errors import ConfigError
@@ -42,14 +42,14 @@ def _small_config(tmp_path, **overrides):
     return path
 
 
-# The single-field API that only tests called; its reference forms live in
-# tests/oracles.py.
+# The single-field API that only tests called, and the physical-space oddness
+# rule that Grid.is_odd replaced; their reference forms live in tests/oracles.py.
 REMOVED_NAMES = (
     "transform", "dealias", "cubic_nonlinearity", "time_derivative",
     "project", "semigroup_apply", "period_inverse_apply", "verify_multiplier_bound",
     "linear_period_map", "picard_step", "duhamel_integral", "periodic_initial_data",
     "split_series", "split_equation_residual", "contraction_estimate",
-    "exp_step", "direct_step", "perturbation_rhs", "BoundReport",
+    "exp_step", "direct_step", "perturbation_rhs", "BoundReport", "check_oddness",
 )
 
 
@@ -268,6 +268,23 @@ class TestStabilityCommand:
                                        skiprows=1) for name in ("frequency", "mixed"))
         np.testing.assert_allclose(mixed, frequency, rtol=1e-10, atol=0)
 
+    def test_snapshot_shorter_than_its_header_rejected(self, tmp_path, capsys):
+        # node 3 cut to 6 bytes and re-hashed into the manifest: it passes the
+        # hash check and is rejected when read
+        cfg_path, manifest = self._saved_base(tmp_path)
+        snap = manifest.parent / "field_0003.glpf"
+        snap.write_bytes(snap.read_bytes()[:6])
+        man = load_manifest(manifest)
+        entry = next(a for a in man["artifacts"] if a["path"] == snap.name)
+        entry.update(sha256=sha256_of(snap), bytes=snap.stat().st_size)
+        manifest.write_text(json.dumps(man))
+        capsys.readouterr()
+        assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
+                     "--out", str(tmp_path / "stab")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: base snapshot rejected: ")
+        assert "field_0003.glpf: shorter than the 28-byte" in err and err.count("\n") == 1
+
     def test_base_without_snapshots_rejected(self, tmp_path):
         cfg_path = _small_config(tmp_path)
         assert main(["solve-periodic", "--config", str(cfg_path)]) == 0
@@ -419,6 +436,47 @@ class TestMalformedInput:
         assert main(command + ["--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve-periodic", "stability", "verify"])
+    @pytest.mark.parametrize("forcing", [{"axis": 5}, {"sigma": -1.0}, {"sigma": 8.0}],
+                             ids=["axis-5", "sigma-negative", "sigma-wide"])
+    def test_forcing_that_cannot_be_realized(self, tmp_path, capsys, command, forcing):
+        # stability solves its base inline; sigma 8 = L/4 does not decay at the seam
+        cfg_path = _small_config(tmp_path, forcing=forcing)
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid forcing config: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("solve-periodic", {"forcing": {"amplitude": "nan"}}),
+        ("stability", {"forcing": {"amplitude": "nan"}}),
+        ("verify", {"verify": {"solve_amplitude": "nan"}}),
+        ("stability", {"stability": {"amplitude": "nan"}}),
+        ("stability", {"stability": {"amplitude": "inf"}}),
+    ], ids=["solve", "stability-base", "verify", "perturbation", "perturbation-inf"])
+    def test_non_finite_amplitude(self, tmp_path, capsys, command, overrides):
+        cfg_path = _small_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_forcing_not_odd_rejected_before_the_solve(self, tmp_path, monkeypatch, capsys):
+        # sigma = 4.571 (L/14) on the reference grid decays at the seam but
+        # is not odd by the solve's rule, so no whole-lattice solve runs
+        def no_solve(*args):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli, "solve_periodic", no_solve)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"forcing": {"sigma": 4.571},
+                                    "output": {"dir": str(tmp_path / "out")}}))
+        assert main(["solve-periodic", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid forcing config: gauss_dipole forcing "
+                              "profile is not odd") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestSweepCommand:

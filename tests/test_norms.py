@@ -438,12 +438,11 @@ def _ref_adds(grid, h):
     return x_add, y_add, hk_add, xg_add
 
 
-def _ref_node_sums_for(data, grid, k, chi, n_sums, add, dt_order=-1, skip_zero=False,
-                       odd=False):
+def _ref_node_sums_for(data, grid, k, chi, n_sums, add, dt_order=-1, skip_zero=False):
     """norms._node_sums computed by the reference tree, for a buffered-style
     add(out, alpha, node, diff): the reference's allocations, same results
     (full lattice only)."""
-    assert not odd
+    assert not grid.is_half(data)
     halo = dt_order >= 0
 
     def block_add(out, alpha, phys):
@@ -621,7 +620,7 @@ class TestBufferedTree:
 
 
 class TestHalfLattice:
-    """The half-lattice path of X and Y (odd=True) against the allocating
+    """The half-lattice path of X and Y (half series) against the allocating
     full-lattice reference on odd series, to rtol 1e-13 per node sum, for
     chunk sizes 1, 3 and 8 and 1 or 2 workers; X with chi1 prunes lines,
     Y with chi_inf does not."""
@@ -652,25 +651,27 @@ class TestHalfLattice:
         ref = _ref_node_sums(data, grid, k, chi, n_sums, ref_add)
         norm = norms._x_norm if kind == "X" else norms._y_norm
         node_sums = norms._node_sums
+        planes = data[:, :grid.n // 2 + 1]
 
         def half():
             got = []
 
             def recording(*args, **kwargs):
-                assert kwargs["odd"]
+                assert grid.is_half(args[0])
                 got.append(node_sums(*args, **kwargs))
                 return got[-1]
 
             monkeypatch.setattr(norms, "_node_sums", recording)
-            norm(data, grid, chi, h, odd=True)
+            norm(planes, grid, chi, h)
             monkeypatch.setattr(norms, "_node_sums", node_sums)
             return got[0]
 
         s = FieldSeries(grid, "frequency", data, period)
         if mask in (None, "chi1" if kind == "X" else "chi_inf"):  # spacetime_norm's pairing
             band = None if mask is None else cutoffs
-            assert spacetime_norm(s, kind, band, odd=True) == pytest.approx(
-                spacetime_norm(s, kind, band), rel=1e-13)
+            assert spacetime_norm(FieldSeries(grid, "frequency", planes, period), kind,
+                                  band) == pytest.approx(spacetime_norm(s, kind, band),
+                                                         rel=1e-13)
         for chunk_nodes in (1, 3, 8):
             monkeypatch.setattr(spectral, "CHUNK_NODES", chunk_nodes)
             for workers in (1, 2):
@@ -680,8 +681,8 @@ class TestHalfLattice:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_norms_are_those_of_the_odd_part(self, dim):
         # data that is not odd: a half series of planes 0..n/2 of its odd part
-        # has the odd part's norms, and the half path of the whole series
-        # reads those planes only
+        # has the odd part's norms, and a half view of an array holding those
+        # planes and others reads those planes only
         grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
                                     box_length=32.0))
         cutoffs = auto_cutoffs(grid, 1.3)
@@ -689,16 +690,14 @@ class TestHalfLattice:
         odd_data = 0.5 * (data - grid.reflect(data))
         odd = FieldSeries(grid, "frequency", odd_data, 1.3)
         half = FieldSeries(grid, "frequency", odd_data[:, :grid.n // 2 + 1].copy(), 1.3)
-        assert half.half
-        assert z_norm(half, cutoffs, odd=True) == pytest.approx(z_norm(odd, cutoffs),
-                                                                rel=1e-13)
+        assert grid.is_half(half.data) and not grid.is_half(odd.data)
+        assert z_norm(half, cutoffs) == pytest.approx(z_norm(odd, cutoffs), rel=1e-13)
         for kind in "XY":
-            assert spacetime_norm(half, kind, odd=True) == pytest.approx(
+            assert spacetime_norm(half, kind) == pytest.approx(
                 spacetime_norm(odd, kind), rel=1e-13)
         odd_data[:, grid.n // 2 + 1:] = data[:, grid.n // 2 + 1:]
-        assert z_norm(odd, cutoffs, odd=True) == z_norm(half, cutoffs, odd=True)
-        with pytest.raises(ValueError, match="odd norm"):
-            z_norm(half, cutoffs)
+        view = FieldSeries(grid, "frequency", odd_data[:, :grid.n // 2 + 1], 1.3)
+        assert z_norm(view, cutoffs) == z_norm(half, cutoffs)
 
     def test_mask_must_be_even(self, grid3d, cutoffs3d):
         s = FieldSeries(grid3d, "frequency", raw_odd_series(grid3d, 4, np.random.default_rng(0)),
@@ -706,7 +705,7 @@ class TestHalfLattice:
         chi = cutoffs3d.chi1.copy()
         chi[1, 0, 0] = 0.5
         with pytest.raises(ValueError, match="even"):
-            norms._x_norm(s.data, grid3d, chi, s.dt, odd=True)
+            norms._x_norm(s.data[:, :grid3d.n // 2 + 1], grid3d, chi, s.dt)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -718,12 +717,13 @@ def test_dealiased_series_take_the_dealias_support(dim, odd):
     cutoffs = auto_cutoffs(grid, 1.3)
     series = (raw_odd_series if odd else raw_random_series)(grid, 10,
                                                              np.random.default_rng(dim))
-    s = FieldSeries(grid, "frequency", series * grid.dealias, 1.3)
+    data = series * grid.dealias
+    s = FieldSeries(grid, "frequency", data[:, :grid.n // 2 + 1] if odd else data, 1.3)
     dealiased = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
     support = norms._axis_support(dealiased.chi_inf * grid.keep_nyquist_free, grid)
     assert all(len(lines) == 11 for lines, _ in support[1:])
     assert norms._axis_support(cutoffs.chi_inf * grid.keep_nyquist_free, grid)[1] is None
-    assert z_norm(s, dealiased, odd=odd) == z_norm(s, cutoffs, odd=odd)
+    assert z_norm(s, dealiased) == z_norm(s, cutoffs)
 
 
 def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cutoffs3d, rng):
@@ -756,7 +756,7 @@ def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cuto
 
 def test_odd_z_norm_transforms_half_the_planes_after_the_first_axis(monkeypatch, grid3d,
                                                                    cutoffs3d, rng):
-    # As above on odd data with odd=True: every first-axis pass runs on the
+    # As above on a half series of odd data: every first-axis pass runs on the
     # half columns of Grid.odd_columns, (s*s + 1)/2 of X's s*s gathered ones
     # and (n*n + 4)/2 of Y's n*n (self-mirror columns: 1 and 4), and every
     # pass after it on planes 0..n/2 (p = 9 of 16). X: 2 first-axis passes,
@@ -770,7 +770,7 @@ def test_odd_z_norm_transforms_half_the_planes_after_the_first_axis(monkeypatch,
     x_points = sum(r * (2 * n * hx + 3 * p * n * s + 4 * p * n * n) for r in rows)
     y_points = sum(n * hy * (2 * r + 2 * (r - 2)) + p * n * n * (7 * r + 23 * (r - 2))
                    for r in rows)
-    series = FieldSeries(grid3d, "frequency", raw_odd_series(grid3d, m_t, rng), 1.0)
+    series = FieldSeries(grid3d, "frequency", raw_odd_series(grid3d, m_t, rng)[:, :p], 1.0)
     points = []
     ifftn = np.fft.ifftn
 
@@ -779,7 +779,7 @@ def test_odd_z_norm_transforms_half_the_planes_after_the_first_axis(monkeypatch,
         return ifftn(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifftn", counting)
-    z_norm(series, cutoffs3d, odd=True)
+    z_norm(series, cutoffs3d)
     assert len(points) == 9 * len(rows) + 34 * len(rows)
     assert sum(points) == x_points + y_points
     full_lattice = sum(r * (2 * n * s * s + 3 * n * n * s + 4 * n ** 3)

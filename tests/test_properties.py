@@ -1,16 +1,18 @@
 """Property tests (hypothesis) on random odd series: the maps of the solve
 preserve lattice oddness, and the half-lattice solve, Z-norm and
-perturbation step equal the full ones."""
+perturbation step equal the full ones. A dipole forcing passes realization
+only if the solve takes it as odd."""
 
 import functools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from glperiod import (FieldSeries, GridConfig, SolveOptions, auto_cutoffs, make_grid,
-                      make_operator, solve_periodic, spectral, z_norm)
+from glperiod import (FieldSeries, ForcingSpec, GridConfig, OddnessViolation,
+                      SeamDecayViolation, SolveOptions, auto_cutoffs, make_grid,
+                      make_operator, realize_forcing, solve_periodic, spectral, z_norm)
 from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_data
 from glperiod.stability import _Stepper
 
@@ -94,12 +96,31 @@ def test_half_lattice_solve_equals_full(case):
 
 
 @PROPERTY
+@given(st.sampled_from([1, 2, 3]), st.floats(min_value=8.0, max_value=32.0),
+       st.integers(min_value=0, max_value=2))
+@example(1, 14.0, 0)
+@example(3, 14.0, 2)
+def test_dipole_forcing_is_rejected_or_solved_on_half_the_lattice(dim, divisor, axis):
+    # sigma = L/divisor; at L/14 the dipole decays at the seam but is not odd
+    grid, op, cutoffs = setup(dim)
+    spec = ForcingSpec(amplitude=1e-2, period=PERIOD, sigma=grid.box_length / divisor,
+                       axis=axis % dim)
+    try:
+        g = realize_forcing(spec, grid, 8)
+    except (OddnessViolation, SeamDecayViolation):
+        return
+    _, rep = solve_periodic(g, op, cutoffs, SolveOptions(max_iterations=2))
+    assert rep.half_lattice
+
+
+@PROPERTY
 @given(odd_series())
 def test_half_lattice_z_norm_equals_full(case):
     dim, data = case
     grid, _, cutoffs = setup(dim)
-    s = FieldSeries(grid, "frequency", data, PERIOD)
-    assert z_norm(s, cutoffs, odd=True) == pytest.approx(z_norm(s, cutoffs), rel=1e-13)
+    s, half = (FieldSeries(grid, "frequency", d, PERIOD)
+               for d in (data, data[:, :grid.n // 2 + 1]))
+    assert z_norm(half, cutoffs) == pytest.approx(z_norm(s, cutoffs), rel=1e-13)
 
 
 @PROPERTY

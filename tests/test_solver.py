@@ -11,7 +11,7 @@ import pytest
 
 from glperiod import (FieldSeries, GridConfig, NonFiniteField, ForcingSpec, norms,
                       periodic_solver,
-                      SolveOptions, ZeroModeViolation, check_oddness,
+                      SolveOptions, ZeroModeViolation,
                       equation_residual, make_grid, make_operator,
                       realize_forcing, solve_periodic, spectral)
 from glperiod.norms import _node_l2
@@ -21,7 +21,7 @@ from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_dat
 
 from conftest import on_workers, random_odd_field, raw_odd_series, raw_random_series
 from test_norms import _ref_node_sums_for
-from oracles import (cubic_rhs, duhamel_integral, odd_fft_every_plane,
+from oracles import (cubic_rhs, duhamel_integral, odd_fft_every_plane, odd_residual,
                      periodic_initial_data, picard_step, split_equation_residual,
                      split_series)
 
@@ -257,7 +257,7 @@ class TestSolvePeriodic:
         u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
         assert rep.converged
         for m in (0, 5, 11, 16):
-            assert check_oddness(u.field(m).to_physical()) <= 1e-10
+            assert odd_residual(u.field(m).to_physical()) <= 1e-10
 
     def test_divergence_raises_or_reports(self, grid3d, op3d, cutoffs3d):
         g = realize_forcing(ForcingSpec(amplitude=40.0, period=1.0), grid3d, 16)
@@ -625,14 +625,15 @@ class TestHalfLatticeZNorm:
 
     @staticmethod
     def solve(monkeypatch, g, op, cutoffs, measured=True):
-        """solve_periodic with the odd flag of every Z-norm call recorded;
-        with measured=False the forcing is taken as not odd."""
+        """solve_periodic with the layout of every Z-norm call recorded
+        (whether its series is a half series); with measured=False the
+        forcing is taken as not odd."""
         flags = []
         z_norm = periodic_solver.z_norm
 
-        def recording(series, cutoffs, odd=False):
-            flags.append(odd)
-            return z_norm(series, cutoffs, odd=odd)
+        def recording(series, cutoffs):
+            flags.append(series.grid.is_half(series.data))
+            return z_norm(series, cutoffs)
 
         with monkeypatch.context() as m:
             m.setattr(periodic_solver, "z_norm", recording)
@@ -763,9 +764,9 @@ class TestHalfLatticeSolve:
         masks = []
         z_norm = periodic_solver.z_norm
 
-        def recording(series, cutoffs, odd=False):
+        def recording(series, cutoffs):
             masks.append((cutoffs.chi1, cutoffs.chi_inf))
-            return z_norm(series, cutoffs, odd=odd)
+            return z_norm(series, cutoffs)
 
         monkeypatch.setattr(periodic_solver, "z_norm", recording)
         _, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())

@@ -4,13 +4,12 @@ containers and snapshot files."""
 import numpy as np
 import pytest
 
-from glperiod import (FieldSeries, GridConfig, SpectralField, auto_cutoffs, check_oddness,
-                      make_grid, read_snapshot, spectral, write_snapshot)
+from glperiod import (FieldSeries, GridConfig, SpectralField, auto_cutoffs, make_grid, read_snapshot, spectral, write_snapshot)
 from glperiod.stability import _rhs_data, _rhs_work
 
 from conftest import (on_workers, random_physical_field, random_odd_field,
                       raw_odd_series, raw_random_series)
-from oracles import odd_fft_every_plane, time_derivative
+from oracles import odd_fft_every_plane, odd_residual, time_derivative
 
 
 def _cubic(f):
@@ -213,7 +212,7 @@ class TestCubicNonlinearity:
     def test_preserves_oddness(self, grid3d, rng):
         f = random_odd_field(grid3d, rng).to_physical()
         cubed = _cubic(f)
-        assert check_oddness(cubed) <= 1e-12
+        assert odd_residual(cubed) <= 1e-12
 
 
 class TestDealias:
@@ -320,6 +319,17 @@ class TestSnapshots:
         path.write_bytes(raw[:change] if change < 0 else raw + b"\x00" * change)
         with pytest.raises(ValueError, match="payload"):
             read_snapshot(path)
+
+    def test_header_cut_at_every_byte_rejected(self, tmp_path, grid1d, rng):
+        # a file shorter than the 28-byte header names itself in a ValueError
+        path = tmp_path / "field.glpf"
+        write_snapshot(random_physical_field(grid1d, rng), path)
+        raw = path.read_bytes()
+        for size in range(28):
+            path.write_bytes(raw[:size])
+            with pytest.raises(ValueError, match="shorter than the 28-byte") as info:
+                read_snapshot(path)
+            assert str(info.value).startswith(f"{path}: ")
 
     def test_header_layout(self, tmp_path, grid1d):
         # magic, version u32, dim u32, n u32, L f64, representation u32
