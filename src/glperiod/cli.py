@@ -221,6 +221,8 @@ def cmd_verify(cfg: dict, seed: int | None = None,
         samples = int(v["samples"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid verify config: {exc}")
+    if small["forcing"]["amplitude"] == 0.0:  # the trajectory batteries need a nonzero u
+        raise ConfigError("verify.solve_amplitude must be nonzero")
     grid = cfgmod.build_grid(small)
     op = cfgmod.build_operator(grid, small)
     cutoffs = cfgmod.build_cutoffs(grid, small)
@@ -270,6 +272,8 @@ def _sweep_row(row_cfg: dict, value) -> dict:
         row["periodicity_residual"] = report.periodicity_residual
         if not report.converged:
             row["error"] = "not converged"
+    except ConfigError:  # a bad config ends the sweep (exit 2), not one row
+        raise
     except GLPeriodError as exc:
         row["error"] = str(exc)
     row["runtime_s"] = time.perf_counter() - started

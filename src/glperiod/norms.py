@@ -44,6 +44,10 @@ task gathers all n planes of them, plane j > n/2 as minus plane n - j on
 the mirror columns, and each pass is scattered into planes 0..n/2 with the
 sign -(-1)^a0 of d_0^a0 on the mirror columns.
 
+With antiperiodic=True (u(t + T/2) = -u(t), as the solve measures) node m
+takes the sums of node m mod m_t/2, every node sum being one of |.|^2: only
+nodes 0..m_t/2 - 1 are computed, their halos read from the data as always.
+
 The weighted field norms (weighted_hk_node_sq, x_gradient_node_sq) run on
 the same tree over stacks of fields; single-field norms are stacks of one.
 """
@@ -265,7 +269,8 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
 
 
 def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_sums: int,
-               add, dt_order: int = -1, skip_zero: bool = False) -> np.ndarray:
+               add, dt_order: int = -1, skip_zero: bool = False,
+               antiperiodic: bool = False) -> np.ndarray:
     """Per-node sums over the d^alpha fields, |alpha| <= k, of chi * data,
     as an (n_sums, m_t + 1) array.
 
@@ -324,6 +329,9 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
                 add(out, alpha, phys, None)
         return out
 
+    if antiperiodic:
+        sums = np.concatenate(map_chunks(task, node_chunks(m_t // 2)), axis=1)
+        return sums[:, np.arange(m_t + 1) % (m_t // 2)]
     chunks = [*node_chunks(m_t), slice(m_t, m_t + 1)] if halo else node_chunks(m_t + 1)
     return np.concatenate(map_chunks(task, chunks), axis=1)
 
@@ -351,7 +359,7 @@ def x_gradient_node_sq(data: np.ndarray, grid: Grid) -> np.ndarray:
     return _node_sums(data, grid, 1, None, 1, add, skip_zero=True)[0]
 
 
-def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
+def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float, **fold) -> float:
     suite, odd = NormSuite.for_grid(grid), grid.is_half(data)
     w2, x2, quad = (suite.flat(name, odd) for name in ("weight_sq", "x_abs_sq", "quad"))
 
@@ -362,11 +370,11 @@ def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> f
             out[0] = _weighted_sq(node, quad) + _weighted_sq(diff, quad) / (4 * h * h)
             out[2] = _weighted_sq(diff, w2) / (4 * h * h)
 
-    l2, xg, l2w_dt = _node_sums(data, grid, 1, chi, 3, add, dt_order=1)
+    l2, xg, l2w_dt = _node_sums(data, grid, 1, chi, 3, add, dt_order=1, **fold)
     return float(sum(np.sqrt(np.trapezoid(v, dx=h)) for v in (l2, xg, l2w_dt)))
 
 
-def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> float:
+def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float, **fold) -> float:
     w2 = NormSuite.for_grid(grid).flat("weight_sq", grid.is_half(data))
 
     def add(out, alpha, node, diff):
@@ -374,20 +382,21 @@ def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float) -> f
         if diff is not None:  # |alpha| <= 1
             out[4] += _weighted_sq(diff, w2) / (4 * h * h)
 
-    sums = _node_sums(data, grid, 3, chi, 5, add, dt_order=1)
+    sums = _node_sums(data, grid, 3, chi, 5, add, dt_order=1, **fold)
     hk, h1_dt = np.cumsum(sums[:4], axis=0), sums[4]
     return float(np.sqrt(hk[2].max())
                  + np.sqrt(np.trapezoid(hk[3], dx=h))
                  + np.sqrt(np.trapezoid(hk[1] + h1_dt, dx=h)))
 
 
-def spacetime_norm(series: FieldSeries, kind: str, cutoffs: CutoffSpec | None = None) -> float:
+def spacetime_norm(series: FieldSeries, kind: str, cutoffs: CutoffSpec | None = None,
+                   *, antiperiodic: bool = False) -> float:
     """The X (low-frequency) or Y (high-frequency) space-time norm.
 
     When cutoffs are given the matching projection is applied first; pass
     None for a series that is already supported in the right band. A half
-    series (planes 0..n/2 of odd data) is summed on half the lattice (see
-    _node_sums).
+    series (planes 0..n/2 of odd data) is summed on half the lattice, an
+    `antiperiodic` one on half the period (see _node_sums).
     """
     if len(series) < 3:
         raise ValueError("space-time norms need at least 3 time nodes")
@@ -395,22 +404,24 @@ def spacetime_norm(series: FieldSeries, kind: str, cutoffs: CutoffSpec | None = 
         raise ValueError(f"kind must be 'X' or 'Y'; got {kind!r}")
     chi = None if cutoffs is None else (cutoffs.chi1 if kind == "X" else cutoffs.chi_inf)
     norm = _x_norm if kind == "X" else _y_norm
-    return norm(series.to_frequency().data, series.grid, chi, series.dt)
+    return norm(series.to_frequency().data, series.grid, chi, series.dt, antiperiodic=antiperiodic)
 
 
-def z_norm(series: FieldSeries, cutoffs: CutoffSpec) -> float:
+def z_norm(series: FieldSeries, cutoffs: CutoffSpec, *, antiperiodic: bool = False) -> float:
     """X(P_low u) + Y(P_high u): the norm in which the iteration contracts
-    (on half the lattice for a half series, as in spacetime_norm)."""
-    return spacetime_norm(series, "X", cutoffs) + spacetime_norm(series, "Y", cutoffs)
+    (on half the lattice or the period as in spacetime_norm)."""
+    return sum(spacetime_norm(series, kind, cutoffs, antiperiodic=antiperiodic) for kind in "XY")
 
 
-def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
+def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None, *,
+                    antiperiodic: bool = False) -> float:
     """[g] = ||g||_{L2(0,T;L1_w)} + ||g||_{L2(0,T;H1_w)}.
 
     The alpha = 0 sums are read from g in physical space (a physical g is
     its own alpha = 0 field); the derivative tree builds only the first
     derivatives, from `g_freq` (g in frequency representation) when the
-    caller already has it, on half the lattice when g_freq is a half series.
+    caller already has it, on half the lattice when g_freq is a half series;
+    both sums run on half the period for an `antiperiodic` g (see _node_sums).
     """
     if len(g) < 3:
         raise ValueError("the forcing functional needs at least 3 time nodes")
@@ -427,8 +438,10 @@ def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None) -> float:
     def add(out, alpha, d_alpha, diff):
         out[0] += _weighted_sq(d_alpha, w2_tree)
 
-    sums = map_chunks(zero_order, node_chunks(len(g)))
-    l1w, h1w_sq = (np.concatenate(part) for part in zip(*sums))
-    h1w_sq += _node_sums(g_freq.data, grid, 1, None, 1, add, skip_zero=True)[0]
+    nodes = np.arange(len(g)) % (len(g) // 2) if antiperiodic else slice(None)
+    sums = map_chunks(zero_order, node_chunks(len(g) // 2 if antiperiodic else len(g)))
+    l1w, h1w_sq = (np.concatenate(part)[nodes] for part in zip(*sums))
+    h1w_sq += _node_sums(g_freq.data, grid, 1, None, 1, add, skip_zero=True,
+                         antiperiodic=antiperiodic)[0]
     return float(np.sqrt(np.trapezoid(l1w ** 2, dx=g.dt))
                  + np.sqrt(np.trapezoid(h1w_sq, dx=g.dt)))

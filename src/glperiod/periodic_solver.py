@@ -35,6 +35,10 @@ u and delta hold planes 0..n/2 only (17 of 32 at n = 32), the layout every
 kernel and Z-norm reads off the data (Grid.is_half); the cubic terms run
 through spectral.OddTransform and u is expanded to the whole lattice at the
 end. Any other g keeps the whole lattice. equation_residual streams.
+
+The equation is unchanged by u -> -u and a time shift, so for a measured
+antiperiodic g (g(t + T/2) = -g(t), as eps sin(2 pi t/T) G(x)) u and every
+correction are antiperiodic: the Z-norms and [g] sum one half period only.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .norms import _node_l2, forcing_bracket, z_norm
 from .operators import (CutoffSpec, LinearOperatorSpec, check_zero_mode,
                         period_inverse_symbol)
 from .phi import phi1, phi2
-from .spectral import FREQUENCY, FieldSeries, map_chunks, node_chunks
+from .spectral import FREQUENCY, ODDNESS_TOL, FieldSeries, map_chunks, node_chunks
 
 
 @dataclass
@@ -81,6 +85,7 @@ class PeriodicSolveReport:
     divergence_reason: str | None = None
     contraction_factor_reason: str | None = None  # why contraction_factor is None
     half_lattice: bool = False  # the Z-norms ran on half the lattice (odd g)
+    antiperiodic: bool = False  # the Z-norms and [g] summed half the period
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -211,6 +216,21 @@ def _all_finite(data: np.ndarray) -> bool:
                           node_chunks(data.shape[0])))
 
 
+def _is_antiperiodic(data: np.ndarray) -> bool:
+    """Whether frequency data stacked along axis 0 (any layout) have an even
+    m_t and a periodic part (g[m] + g[m + m_t/2])/2 of at most ODDNESS_TOL of
+    the peak, one pair of nodes at a time (cf. Grid.is_odd's even part)."""
+    half = (len(data) - 1) // 2
+
+    def task(rows):  # (periodic part, peak) over the pairs (m, m + m_t/2)
+        return np.max([(np.abs(data[m] + data[m + half]).max() / 2,
+                        np.abs(data[[m, m + half]]).max())
+                       for m in range(rows.start, rows.stop)], axis=0)
+
+    periodic, peak = np.max(map_chunks(task, node_chunks(half + 1)), axis=0)
+    return len(data) % 2 == 1 and bool(periodic <= ODDNESS_TOL * peak)
+
+
 def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
                    opts: SolveOptions | None = None
                    ) -> tuple[FieldSeries, PeriodicSolveReport]:
@@ -234,7 +254,8 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     odd = grid.is_odd(g, keep=half)
     g_freq = FieldSeries(grid, FREQUENCY, half, g.period) if odd else g.to_frequency()
     del half
-    bracket = forcing_bracket(g, g_freq)
+    antiperiodic = _is_antiperiodic(g_freq.data)
+    bracket = forcing_bracket(g, g_freq, antiperiodic=antiperiodic)
     # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
 
@@ -259,7 +280,8 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     reason = None
     iterations = 0
     while True:
-        res = z_norm(FieldSeries(grid, FREQUENCY, delta, g.period), delta_cutoffs)
+        res = z_norm(FieldSeries(grid, FREQUENCY, delta, g.period), delta_cutoffs,
+                     antiperiodic=antiperiodic)
         history.append(res)
         iterations += 1
         if not math.isfinite(res):
@@ -283,7 +305,8 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         _linear_period_map_data(delta, op, g.dt, zero_tol, out=delta)
     del delta  # before the final z_norm's chunk temporaries
 
-    z_final = z_norm(FieldSeries(grid, FREQUENCY, u, g.period), cutoffs)
+    z_final = z_norm(FieldSeries(grid, FREQUENCY, u, g.period), cutoffs,
+                     antiperiodic=antiperiodic)
     u = grid.whole_lattice(u) if odd else u
     scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
@@ -297,7 +320,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         periodicity_residual=periodicity, z_norm=z_final, g_bracket=bracket,
         c_estimate=c_est, contraction_factor=factor,
         diverged=diverged, divergence_reason=reason,
-        contraction_factor_reason=factor_reason, half_lattice=odd)
+        contraction_factor_reason=factor_reason, half_lattice=odd, antiperiodic=antiperiodic)
     return u, report
 
 

@@ -77,3 +77,10 @@ def raw_odd_series(grid, m_t, rng):
     lattice bit for bit, Nyquist modes populated."""
     data = raw_random_series(grid, m_t, rng)
     return 0.5 * (data - grid.reflect(data))
+
+
+def antiperiodic_series(data):
+    """Nodes 0..m_t/2 - 1 of stacked data (m_t + 1 >= 3 nodes) continued
+    antiperiodically: node m + m_t/2 is minus node m, node m_t is node 0."""
+    half = data[:(len(data) - 1) // 2]
+    return np.concatenate([half, -half, half[:1]])

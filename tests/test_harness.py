@@ -423,11 +423,12 @@ class TestMalformedInput:
         (["verify"], {"verify": {"grid": None}}, None),
         (["sweep", "--axis", "epsilon"], {"sweep": {"epsilon": [None]}}, None),
         (["solve-periodic"], {"forcing": {"spatial_profile": "custom"}}, None),
+        (["verify"], {"verify": {"solve_amplitude": 0}}, None),
     ], ids=["grid-dim-null", "verify-grid-dim-null", "period-null", "m_t-null", "m_t-4",
             "threads-abc", "threads-negative", "t_max-below-10-periods",
             "t_max-null", "record_stride-0", "order-3", "perturbation-axis-5",
             "perturbation-sigma-negative", "verify-grid-null",
-            "sweep-epsilon-null", "forcing-custom-profile"])
+            "sweep-epsilon-null", "forcing-custom-profile", "verify-zero-amplitude"])
     def test_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys,
                                   command, overrides, threads):
         if threads is not None:
@@ -437,13 +438,15 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["solve-periodic", "stability", "verify"])
+    @pytest.mark.parametrize("command", ["solve-periodic", "stability", "verify", "sweep"])
     @pytest.mark.parametrize("forcing", [{"axis": 5}, {"sigma": -1.0}, {"sigma": 8.0}],
                              ids=["axis-5", "sigma-negative", "sigma-wide"])
     def test_forcing_that_cannot_be_realized(self, tmp_path, capsys, command, forcing):
-        # stability solves its base inline; sigma 8 = L/4 does not decay at the seam
+        # stability solves its base inline; sigma 8 = L/4 does not decay at the seam;
+        # a sweep's rows share the forcing, so the sweep ends on the first row's error
         cfg_path = _small_config(tmp_path, forcing=forcing)
-        assert main([command, "--config", str(cfg_path)]) == 2
+        axis = ["--axis", "epsilon"] if command == "sweep" else []
+        assert main([command, "--config", str(cfg_path)] + axis) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: invalid forcing config: ")
         assert err.count("\n") == 1 and "Traceback" not in err

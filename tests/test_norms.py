@@ -4,6 +4,7 @@ quadrature and assembly oracles."""
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from glperiod.norms import (_multi_indices, _weighted_sq,
                             weighted_hk_node_sq, x_gradient_node_sq)
 from glperiod.spectral import map_chunks, node_chunks
 
-from conftest import on_workers, random_physical_field, raw_odd_series, raw_random_series
+from conftest import (antiperiodic_series, on_workers, random_physical_field, raw_odd_series,
+                      raw_random_series)
 from oracles import time_derivative
 
 
@@ -438,10 +440,12 @@ def _ref_adds(grid, h):
     return x_add, y_add, hk_add, xg_add
 
 
-def _ref_node_sums_for(data, grid, k, chi, n_sums, add, dt_order=-1, skip_zero=False):
+def _ref_node_sums_for(data, grid, k, chi, n_sums, add, dt_order=-1, skip_zero=False,
+                       antiperiodic=False):
     """norms._node_sums computed by the reference tree, for a buffered-style
     add(out, alpha, node, diff): the reference's allocations, same results
-    (full lattice only)."""
+    (full lattice only; an antiperiodic series' nodes take the sums of
+    nodes 0..m_t/2 - 1, as the fold does)."""
     assert not grid.is_half(data)
     halo = dt_order >= 0
 
@@ -451,7 +455,9 @@ def _ref_node_sums_for(data, grid, k, chi, n_sums, add, dt_order=-1, skip_zero=F
         else:
             add(out, alpha, phys[1:-1] if halo else phys, None)
 
-    return _ref_node_sums(data, grid, k, chi, n_sums, block_add, halo, skip_zero)
+    sums = _ref_node_sums(data, grid, k, chi, n_sums, block_add, halo, skip_zero)
+    m_t = len(data) - 1
+    return sums[:, np.arange(m_t + 1) % (m_t // 2)] if antiperiodic else sums
 
 
 _ORACLE_GRIDS = {1: 32, 2: 16, 3: 16}
@@ -706,6 +712,55 @@ class TestHalfLattice:
         chi[1, 0, 0] = 0.5
         with pytest.raises(ValueError, match="even"):
             norms._x_norm(s.data[:, :grid3d.n // 2 + 1], grid3d, chi, s.dt)
+
+
+class TestHalfPeriod:
+    """Z-norms and [g] of an antiperiodic series summed on one half period
+    (antiperiodic=True) against every node, whole and half lattice."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("m_t", [2, 10, 32])
+    def test_folded_norms_match_every_node(self, dim, odd, m_t):
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
+                                    box_length=32.0))
+        cutoffs = auto_cutoffs(grid, 1.3)
+        rng = np.random.default_rng(7 * dim + m_t + odd)
+        data = antiperiodic_series((raw_odd_series if odd else raw_random_series)(
+            grid, m_t, rng))
+        whole = FieldSeries(grid, "frequency", data, 1.3)
+        s = FieldSeries(grid, "frequency", data[:, :grid.n // 2 + 1], 1.3) if odd else whole
+        for norm in (partial(z_norm, s, cutoffs), partial(spacetime_norm, s, "X"),
+                     partial(spacetime_norm, s, "Y"), partial(forcing_bracket, whole, s),
+                     partial(forcing_bracket, whole.to_physical(), s)):
+            assert norm(antiperiodic=True) == pytest.approx(norm(), rel=1e-13)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_fold_runs_half_the_tasks(self, monkeypatch, grid3d, cutoffs3d, odd):
+        # m_t 32: X and Y each run 4 halo chunks of 8 nodes + node m_t every
+        # node, 2 chunks folded, and the fold computes nodes 0..15 only
+        m_t = 32
+        data = antiperiodic_series(raw_odd_series(grid3d, m_t, np.random.default_rng(3)))
+        s = FieldSeries(grid3d, "frequency", data[:, :grid3d.n // 2 + 1] if odd else data,
+                        1.0)
+        map_chunks = norms.map_chunks
+
+        def tasks(**kwargs):
+            items = []
+
+            def recording(task, chunks):
+                items.extend(chunks)
+                return map_chunks(task, chunks)
+
+            with monkeypatch.context() as m:
+                m.setattr(norms, "map_chunks", recording)
+                z_norm(s, cutoffs3d, **kwargs)
+            return items
+
+        every, folded = tasks(), tasks(antiperiodic=True)
+        assert len(every) == 2 * (len(node_chunks(m_t)) + 1) == 10
+        assert folded == 2 * node_chunks(m_t // 2) and len(folded) == 4
+        assert max(c.stop for c in folded) == m_t // 2
 
 
 @pytest.mark.parametrize("dim", [2, 3])

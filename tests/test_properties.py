@@ -1,7 +1,8 @@
 """Property tests (hypothesis) on random odd series: the maps of the solve
 preserve lattice oddness, and the half-lattice solve, Z-norm and
 perturbation step equal the full ones. A dipole forcing passes realization
-only if the solve takes it as odd."""
+only if the solve takes it as odd. The period map's output is periodic, and
+antiperiodic for an antiperiodic forcing, to stated roundoff bounds."""
 
 import functools
 from unittest import mock
@@ -13,14 +14,17 @@ from hypothesis import example, given, settings, strategies as st
 from glperiod import (FieldSeries, ForcingSpec, GridConfig, OddnessViolation,
                       SeamDecayViolation, SolveOptions, auto_cutoffs, make_grid,
                       make_operator, realize_forcing, solve_periodic, spectral, z_norm)
+from glperiod.config import build_forcing, reference_config
+from glperiod.operators import period_inverse_symbol
 from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_data
 from glperiod.stability import _Stepper
 
-from conftest import raw_odd_series
+from conftest import antiperiodic_series, raw_odd_series
 from oracles import odd_fft_every_plane
 
 PERIOD = 1.0
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
+EPS = np.finfo(float).eps
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,6 +57,55 @@ def test_period_map_preserves_oddness(case):
     grid, op, _ = setup(dim)
     assert even_part(_linear_period_map_data(F, op, PERIOD / (len(F) - 1), 1e-10),
                      grid) <= 1e-13
+
+
+@PROPERTY
+@given(odd_series())
+def test_period_map_output_is_periodic(case):
+    # node m_t is e^{-T lambda} u0 + I(T) = u0 up to the roundings of those
+    # products, a few eps of the peak (at most 1.1 eps measured)
+    dim, F = case
+    out = _linear_period_map_data(F, setup(dim)[1], PERIOD / (len(F) - 1), 1e-10)
+    assert np.abs(out[-1] - out[0]).max() <= 8 * EPS * np.abs(out).max()
+
+
+def antiperiodicity_bound(F, op):
+    """Bound on max_m |u[m + m_t/2] + u[m]| / max |u| for u the period map of
+    an antiperiodic F (zero in exact arithmetic). The recurrence rounds I at
+    about 2 eps per step over m_t steps, and u0 = I(T) / (1 - e^{-T lambda})
+    multiplies that by kappa = max 1/|1 - e^{-T lambda}| over F's modes (the
+    low modes'). Measured: at most 0.26 of this bound on 660 random series
+    (dims 1-3, m_t 2-12), 0.21 at the reference config."""
+    m_t = len(F) - 1
+    kappa = np.abs(period_inverse_symbol(op)[:F.shape[1]])[np.abs(F).max(axis=0) > 0].max()
+    return 2 * (m_t + 4) * EPS * kappa
+
+
+def antiperiodicity_defect(u):
+    half = (len(u) - 1) // 2
+    return max(np.abs(u[m] + u[m + half]).max() for m in range(half + 1)) / np.abs(u).max()
+
+
+@PROPERTY
+@given(odd_series())
+def test_period_map_keeps_antiperiodicity(case):
+    dim, data = case
+    F, op = antiperiodic_series(data), setup(dim)[1]
+    out = _linear_period_map_data(F, op, PERIOD / (len(F) - 1), 1e-10)
+    assert antiperiodicity_defect(out) <= antiperiodicity_bound(F, op)
+
+
+def test_reference_period_map_keeps_antiperiodicity():
+    # the reference forcing (32^3, m_t 64, kappa 73.7) on half the lattice:
+    # 4.7e-13 of the peak against a bound of 2.2e-12
+    cfg = reference_config()
+    grid = make_grid(GridConfig(**cfg["grid"]))
+    g = build_forcing(cfg, grid)
+    F = np.empty((len(g),) + grid.half_shape, complex)
+    assert grid.is_odd(g, keep=F)
+    op = make_operator(grid, g.period)
+    out = _linear_period_map_data(F, op, g.dt, 1e-10)
+    assert antiperiodicity_defect(out) <= antiperiodicity_bound(F, op)
 
 
 @PROPERTY

@@ -631,9 +631,9 @@ class TestHalfLatticeZNorm:
         flags = []
         z_norm = periodic_solver.z_norm
 
-        def recording(series, cutoffs):
+        def recording(series, cutoffs, **kwargs):
             flags.append(series.grid.is_half(series.data))
-            return z_norm(series, cutoffs)
+            return z_norm(series, cutoffs, **kwargs)
 
         with monkeypatch.context() as m:
             m.setattr(periodic_solver, "z_norm", recording)
@@ -764,9 +764,9 @@ class TestHalfLatticeSolve:
         masks = []
         z_norm = periodic_solver.z_norm
 
-        def recording(series, cutoffs):
+        def recording(series, cutoffs, **kwargs):
             masks.append((cutoffs.chi1, cutoffs.chi_inf))
-            return z_norm(series, cutoffs)
+            return z_norm(series, cutoffs, **kwargs)
 
         monkeypatch.setattr(periodic_solver, "z_norm", recording)
         _, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())
@@ -775,6 +775,88 @@ class TestHalfLatticeSolve:
             assert np.array_equal(chi1, cutoffs3d.chi1)
             assert np.array_equal(chi_inf, cutoffs3d.chi_inf * grid3d.dealias)
         assert masks[-1][1] is cutoffs3d.chi_inf
+
+
+class TestHalfPeriodSolve:
+    """The solve measures its forcing antiperiodic, g(t + T/2) = -g(t), and
+    then sums each Z-norm and [g] on one half period: u keeps its bytes and
+    the norms move by roundoff only. Any other forcing sums every node."""
+
+    M_T = 16
+
+    @pytest.fixture(scope="class")
+    def forcing(self, grid3d):
+        return realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, self.M_T)
+
+    @staticmethod
+    def with_periodic_part(g, size):
+        """g plus an odd series of period T/2 whose largest coefficient is
+        `size` times g's: cos(4 pi t/T) times g's peak node, sin(2 pi t/T) = 1
+        (frequency representation)."""
+        data = g.to_frequency().data
+        a = np.cos(4.0 * np.pi * np.arange(len(g)) / g.n_steps)
+        part = a[:, None, None, None] * data[g.n_steps // 4]
+        assert np.abs(part).max() == np.abs(data).max()
+        return FieldSeries(g.grid, "frequency", data + size * part, g.period)
+
+    @staticmethod
+    def solve(monkeypatch, g, op, cutoffs, measured=True):
+        """solve_periodic with the antiperiodic keyword of every Z-norm and
+        forcing bracket recorded; with measured=False the forcing is taken
+        as not antiperiodic."""
+        flags = []
+        with monkeypatch.context() as m:
+            for name in ("z_norm", "forcing_bracket"):
+                def recording(*args, _f=getattr(periodic_solver, name), **kwargs):
+                    flags.append(kwargs["antiperiodic"])
+                    return _f(*args, **kwargs)
+                m.setattr(periodic_solver, name, recording)
+            if not measured:
+                m.setattr(periodic_solver, "_is_antiperiodic", lambda data: False)
+            u, rep = solve_periodic(g, op, cutoffs, SolveOptions())
+        return u, rep, flags
+
+    def test_antiperiodicity_is_measured_against_the_tolerance(self, grid3d, forcing):
+        planes = grid3d.n // 2 + 1
+        for size, antiperiodic in ((0.0, True), (0.5 * ODDNESS_TOL, True),
+                                   (2.0 * ODDNESS_TOL, False)):
+            data = self.with_periodic_part(forcing, size).data
+            assert periodic_solver._is_antiperiodic(data) is antiperiodic
+            assert periodic_solver._is_antiperiodic(data[:, :planes]) is antiperiodic
+
+    def test_antiperiodic_forcing_moves_norms_by_roundoff(self, monkeypatch, op3d,
+                                                         cutoffs3d, forcing):
+        u, rep, flags = self.solve(monkeypatch, forcing, op3d, cutoffs3d)
+        u_every, rep_every, flags_every = self.solve(monkeypatch, forcing, op3d, cutoffs3d,
+                                                     measured=False)
+        assert rep.converged and rep.iterations == rep_every.iterations
+        assert rep.antiperiodic and not rep_every.antiperiodic and rep.half_lattice
+        assert flags == [True] * (rep.iterations + 2)
+        assert flags_every == [False] * (rep.iterations + 2)
+        assert u.data.tobytes() == u_every.data.tobytes()  # the norms only steer
+        np.testing.assert_allclose(rep.residual_history, rep_every.residual_history,
+                                   rtol=1e-13, atol=0)
+        for key in ("z_norm", "c_estimate", "g_bracket"):
+            assert getattr(rep, key) == pytest.approx(getattr(rep_every, key), rel=1e-13)
+
+    @pytest.mark.parametrize("case", ["harmonic-2", "odd-m_t", "periodic-part"])
+    def test_other_forcings_sum_every_node(self, monkeypatch, grid3d, op3d, cutoffs3d,
+                                           forcing, case):
+        # harmonic 2 has period T/2 (g(t + T/2) = +g(t)); m_t 15 has no half
+        # period on its nodes; a periodic part of twice the tolerance
+        if case == "periodic-part":
+            g = self.with_periodic_part(forcing, 2.0 * ODDNESS_TOL)
+        else:
+            spec = (ForcingSpec(amplitude=1e-2, period=1.0, temporal_profile="harmonic",
+                                harmonic=2) if case == "harmonic-2"
+                    else ForcingSpec(amplitude=1e-2, period=1.0))
+            g = realize_forcing(spec, grid3d, 15 if case == "odd-m_t" else self.M_T)
+        u, rep, flags = self.solve(monkeypatch, g, op3d, cutoffs3d)
+        u_every, rep_every, _ = self.solve(monkeypatch, g, op3d, cutoffs3d, measured=False)
+        assert rep.converged and not rep.antiperiodic
+        assert flags == [False] * (rep.iterations + 2)
+        assert u.data.tobytes() == u_every.data.tobytes()
+        assert rep.to_json() == rep_every.to_json()
 
 
 class TestSolveMemory:
