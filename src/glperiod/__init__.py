@@ -5,7 +5,7 @@ centered periodic box."""
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, GLPeriodError, NonFiniteField, OddnessViolation,
-                     SeamDecayViolation, ZeroModeViolation)
+                     SeamDecayViolation)
 from .spectral import (FieldSeries, Grid, GridConfig, SpectralField, make_grid,
                        read_snapshot, write_snapshot)
 from .operators import (CutoffSpec, LinearOperatorSpec, auto_cutoffs, make_cutoffs,
@@ -24,7 +24,7 @@ __all__ = [
     "ForcingSpec", "GLPeriodError", "Grid", "GridConfig", "LinearOperatorSpec",
     "NonFiniteField", "NormSuite", "OddnessViolation", "PeriodicSolveReport",
     "PerturbationSpec", "SeamDecayViolation", "SolveOptions", "SpectralField",
-    "StabilityRunConfig", "ZeroModeViolation", "auto_cutoffs", "equation_residual",
+    "StabilityRunConfig", "auto_cutoffs", "equation_residual",
     "fit_decay_rate", "forcing_bracket", "lp_norm", "make_cutoffs", "make_grid",
     "make_operator", "read_snapshot", "realize_forcing", "realize_perturbation",
     "run_all_checks", "run_stability", "sobolev_norm", "solve_periodic",

@@ -42,19 +42,30 @@ def _print_headline(title: str, rows: dict) -> None:
 
 
 def _out_dir(cfg: dict, override: str | None) -> Path:
-    out = Path(override) if override else Path(cfg["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = override or cfg["output"]["dir"]
+    if not isinstance(out, str):
+        raise ConfigError(f"output.dir must be a path string; got {out!r}")
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory: {exc}")
     return out
 
 
-def _run_solve(cfg: dict):
+def _build_solve(cfg: dict) -> tuple:
+    """The arguments of a config's solve_periodic call: forcing, operator,
+    cutoffs and options."""
     grid = cfgmod.build_grid(cfg)
-    op = cfgmod.build_operator(grid, cfg)
-    cutoffs = cfgmod.build_cutoffs(grid, cfg)
+    op, cutoffs = cfgmod.build_operator(grid, cfg), cfgmod.build_cutoffs(grid, cfg)
     opts = cfgmod.build_solve_options(cfg)
-    g = cfgmod.build_forcing(cfg, grid)
+    return cfgmod.build_forcing(cfg, grid), op, cutoffs, opts
+
+
+def _run_solve(cfg: dict):
+    g, op, cutoffs, opts = _build_solve(cfg)
     u, report = solve_periodic(g, op, cutoffs, opts)
-    return grid, op, cutoffs, g, u, report
+    return g.grid, op, cutoffs, g, u, report
 
 
 def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
@@ -129,8 +140,10 @@ def _load_base_series(manifest_path: str, grid: Grid, period: float) -> _SavedBa
     if not base.is_file():
         raise ConfigError(f"base manifest not found (not a file): {manifest_path}")
     try:
-        problems = verify_manifest(base)
         man = load_manifest(base)
+        if not isinstance(man, dict) or not isinstance(man.get("headline", {}), dict):
+            raise TypeError("it or its headline is not a JSON object")
+        problems = verify_manifest(base)
         base_grid = cfgmod.grid_config(man["config"])
         base_period = float(man["config"]["period"])
     except (ValueError, KeyError, TypeError) as exc:
@@ -208,9 +221,14 @@ def cmd_stability(cfg: dict, base: str | None = None,
 
 def cmd_verify(cfg: dict, seed: int | None = None,
                out_override: str | None = None) -> int:
+    try:
+        root_seed = int(seed if seed is not None else cfg["seed"])
+        if root_seed < 0:
+            raise ValueError(f"{root_seed} is negative")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid seed: {exc}")
     out = _out_dir(cfg, out_override)
     v = cfg["verify"]
-    root_seed = int(seed if seed is not None else cfg["seed"])
 
     # Reduced-size config for the battery grid and the trajectory checks.
     small = copy.deepcopy(cfg)
@@ -223,12 +241,7 @@ def cmd_verify(cfg: dict, seed: int | None = None,
         raise ConfigError(f"invalid verify config: {exc}")
     if small["forcing"]["amplitude"] == 0.0:  # the trajectory batteries need a nonzero u
         raise ConfigError("verify.solve_amplitude must be nonzero")
-    grid = cfgmod.build_grid(small)
-    op = cfgmod.build_operator(grid, small)
-    cutoffs = cfgmod.build_cutoffs(grid, small)
-    opts = cfgmod.build_solve_options(small)
-    g = cfgmod.build_forcing(small, grid)
-    u, report = solve_periodic(g, op, cutoffs, opts)
+    grid, op, cutoffs, g, u, report = _run_solve(small)
     if not report.converged:
         print("verification base solve did not converge", file=sys.stderr)
         return EXIT_DIVERGED
@@ -260,20 +273,18 @@ def _sweep_value_config(cfg: dict, axis: str, value) -> dict:
     return row
 
 
-def _sweep_row(row_cfg: dict, value) -> dict:
+def _sweep_row(solve_args: tuple, value) -> dict:
     started = time.perf_counter()
     row = {"value": value, "c_estimate": "", "contraction_factor": "",
            "periodicity_residual": "", "runtime_s": "", "error": ""}
     try:
-        _grid, op, _cutoffs, g, u, report = _run_solve(row_cfg)
+        _u, report = solve_periodic(*solve_args)
         row["c_estimate"] = report.c_estimate if report.c_estimate is not None else ""
         row["contraction_factor"] = (report.contraction_factor
                                      if report.contraction_factor is not None else "")
         row["periodicity_residual"] = report.periodicity_residual
         if not report.converged:
             row["error"] = "not converged"
-    except ConfigError:  # a bad config ends the sweep (exit 2), not one row
-        raise
     except GLPeriodError as exc:
         row["error"] = str(exc)
     row["runtime_s"] = time.perf_counter() - started
@@ -289,13 +300,15 @@ def cmd_sweep(cfg: dict, axis: str, out_override: str | None = None) -> int:
         row_cfgs = [_sweep_value_config(cfg, axis, v) for v in values]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sweep.{axis} value: {exc}")
+    # a bad row ends the sweep (exit 2) before any row is solved
+    solves = [_build_solve(row_cfg) for row_cfg in row_cfgs]
     threads = os.environ.get("GLPERIOD_THREADS", "0")
     if not threads.strip().isdecimal():
         raise ConfigError(f"GLPERIOD_THREADS must be a non-negative integer; got {threads!r}")
     out = _out_dir(cfg, out_override)
     max_workers = int(threads) or min(4, len(values))
     with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(_sweep_row, row_cfgs, values))
+        rows = list(pool.map(_sweep_row, solves, values))
 
     csv_path = out / f"sweep_{axis}.csv"
     tmp = csv_path.with_suffix(".tmp")

@@ -133,7 +133,6 @@ def build_solve_options(cfg: dict) -> SolveOptions:
     try:
         return SolveOptions(max_iterations=int(s["max_iterations"]),
                             z_tolerance=float(s["z_tolerance"]),
-                            zero_mode_tol=float(s["zero_mode_tol"]),
                             nonlinearity_enabled=bool(s["nonlinearity_enabled"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solve config: {exc}")

@@ -9,11 +9,6 @@ class ConfigError(GLPeriodError):
     """Invalid run configuration (CLI exit code 2)."""
 
 
-class ZeroModeViolation(GLPeriodError):
-    """The mean (xi = 0) frequency mode is too large for the inverse period
-    multiplier; the input violates the odd-forcing requirement."""
-
-
 class SeamDecayViolation(GLPeriodError):
     """A spatial profile does not decay at the periodic seam x = -L/2."""
 

@@ -8,8 +8,9 @@ by them:
   chi_low + chi_high = 1 (CutoffSpec),
 * the semigroup exp(-t*A) with A = -(1+i)*Laplacian, symbol
   exp(-t*(1+i)*|xi|^2) (LinearOperatorSpec.symbol),
-* the inverse period multiplier (1 - exp(-T*A))^{-1}, singular only at xi = 0
-  and therefore restricted to mean-zero data (check_zero_mode).
+* the inverse period multiplier (1 - exp(-T*A))^{-1}, singular only at xi = 0,
+  where the table holds 0: it is applied to mean-free data only, as the odd
+  part of an odd forcing is (periodic_solver).
 
 Every application zeroes the Nyquist rows (the k = -n/2 mode has no
 conjugate partner).
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroModeViolation
 from .spectral import Grid
 
 
@@ -125,21 +125,3 @@ def period_inverse_symbol(op: LinearOperatorSpec) -> np.ndarray:
     safe = np.where(grid.xi_sq > 0, denom, 1.0)
     inv = np.where(grid.xi_sq > 0, 1.0 / safe, 0.0)
     return inv
-
-
-def check_zero_mode(data: np.ndarray, tol: float, plane_weights=None) -> None:
-    """Require the mean mode of frequency data stacked along axis 0 (a single
-    field is a series of one node; odd data's planes 0..n/2 pass their
-    plane_weights) to be negligible at every node against the largest l2 norm."""
-    flat = data.reshape(data.shape[0], -1)
-    # Not a np.vdot per node: without these temporaries glibc's trim threshold
-    # stays low and a solve's pool kernels page-fault 6x more (CHANGES.md).
-    sq = flat.real ** 2 + flat.imag ** 2
-    if plane_weights is not None:
-        sq.reshape(data.shape)[...] *= plane_weights
-    total = float(np.sqrt(sq.sum(axis=1).max()))
-    worst = float(np.abs(flat[:, 0]).max())
-    if total > 0 and worst > tol * total:
-        raise ZeroModeViolation(
-            f"mean-mode magnitude {worst:.3e} exceeds {tol:.1e} * ||f|| = {tol * total:.3e} "
-            f"at some time node; the input is not mean-free (odd forcing violated)")

@@ -26,15 +26,15 @@ number of workers; one map runs at most spectral.IN_FLIGHT tasks at once,
 so a kernel's temporaries do not grow with the pool.
 
 A solve holds three series: the caller's g, the iterate u and the
-correction delta. The period map runs in place (F[m] is carried per slab
-before its row is overwritten), u starts in the frequency buffer the solve
-made for g, and one fused map per iteration advances u by delta and
-overwrites delta with the next cubic difference. For an odd g (Grid.is_odd,
-the rule realize_forcing applies to its profile) that buffer (g's odd part),
-u and delta hold planes 0..n/2 only (17 of 32 at n = 32), the layout every
-kernel and Z-norm reads off the data (Grid.is_half); the cubic terms run
-through spectral.OddTransform and u is expanded to the whole lattice at the
-end. Any other g keeps the whole lattice. equation_residual streams.
+correction delta. g must be odd (Grid.is_odd, the rule realize_forcing
+applies to its profile), and the solve takes its odd part (g - Rg)/2, whose
+mean mode is exactly 0. That part, u and delta hold planes 0..n/2 only, the
+layout every kernel and Z-norm reads off the data (Grid.is_half); the cubic
+terms run through spectral.OddTransform and u is expanded to the whole
+lattice at the end. The period map runs in place (F[m] is carried per slab
+before its row is overwritten), u starts in the buffer of g's odd part, and
+one fused map per iteration advances u by delta and overwrites delta with
+the next cubic difference. equation_residual streams.
 
 The equation is unchanged by u -> -u and a time shift, so for a measured
 antiperiodic g (g(t + T/2) = -g(t), as eps sin(2 pi t/T) G(x)) u and every
@@ -49,10 +49,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import NonFiniteField
+from .errors import NonFiniteField, OddnessViolation
 from .norms import _node_l2, forcing_bracket, z_norm
-from .operators import (CutoffSpec, LinearOperatorSpec, check_zero_mode,
-                        period_inverse_symbol)
+from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
 from .phi import phi1, phi2
 from .spectral import FREQUENCY, ODDNESS_TOL, FieldSeries, map_chunks, node_chunks
 
@@ -61,12 +60,11 @@ from .spectral import FREQUENCY, ODDNESS_TOL, FieldSeries, map_chunks, node_chun
 class SolveOptions:
     max_iterations: int = 50
     z_tolerance: float = 1e-10
-    zero_mode_tol: float = 1e-10
     nonlinearity_enabled: bool = True
 
     def __post_init__(self):
-        if not self.z_tolerance > 0 or not self.zero_mode_tol > 0:
-            raise ValueError("tolerances must be positive")
+        if not self.z_tolerance > 0:
+            raise ValueError("z_tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -84,7 +82,6 @@ class PeriodicSolveReport:
     diverged: bool = False
     divergence_reason: str | None = None
     contraction_factor_reason: str | None = None  # why contraction_factor is None
-    half_lattice: bool = False  # the Z-norms ran on half the lattice (odd g)
     antiperiodic: bool = False  # the Z-norms and [g] summed half the period
 
     def to_json(self) -> str:
@@ -129,14 +126,12 @@ def _decay_table(op: LinearOperatorSpec, h: float, m_t: int):
 
 
 def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
-                            zero_mode_tol: float, out: np.ndarray | None = None
-                            ) -> np.ndarray:
-    """Periodic response of frequency-stacked F, written to `out` (a new
-    array by default; `out` may be F). Modes are independent, so one task
-    per slab of the first spatial axis runs the recurrence over the time
-    nodes in place in the output. F may hold planes 0..n/2 of odd data."""
+                            out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic response of frequency-stacked, mean-free F, written to `out`
+    (a new array by default; `out` may be F). Modes are independent, so one
+    task per slab of the first spatial axis runs the recurrence over the
+    time nodes in place in the output. F may hold planes 0..n/2 of odd data."""
     m_t, planes = F.shape[0] - 1, F.shape[1]
-    check_zero_mode(F, zero_mode_tol, op.grid.plane_weights() if op.grid.is_half(F) else None)
     coefficients = _step_coefficients(op, h)
     inverse = period_inverse_symbol(op)
     decay, index = _decay_table(op, h, m_t)
@@ -241,21 +236,22 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     max-iterations or on three consecutive residual increases (fail-fast
     divergence policy). Non-finite iterates raise NonFiniteField.
 
-    Every map of the iteration commutes with the lattice reflection, so for
-    an odd g (the paper's forcings; measured, not assumed) u and every
-    correction are odd: the solve takes g's odd part (its even part is at
-    most ODDNESS_TOL of its peak), holds the series on planes 0..n/2, and
-    runs each Z-norm on half the lattice. Any other g keeps the whole lattice.
+    g must be odd (Grid.is_odd; OddnessViolation otherwise), as the paper's
+    forcings are. Every map of the iteration commutes with the lattice
+    reflection, so u and every correction are odd: the solve takes g's odd
+    part (its even part is at most ODDNESS_TOL of its peak), holds the series
+    on planes 0..n/2, and runs each Z-norm on half the lattice.
     """
     opts = opts or SolveOptions()
     grid = g.grid
-    zero_tol = opts.zero_mode_tol
-    half = np.empty((len(g),) + grid.half_shape, complex)  # g's odd part if g is odd
-    odd = grid.is_odd(g, keep=half)
-    g_freq = FieldSeries(grid, FREQUENCY, half, g.period) if odd else g.to_frequency()
-    del half
-    antiperiodic = _is_antiperiodic(g_freq.data)
-    bracket = forcing_bracket(g, g_freq, antiperiodic=antiperiodic)
+    u = np.empty((len(g),) + grid.half_shape, complex)  # g's odd part, then the iterate
+    if not grid.is_odd(g, keep=u):
+        raise OddnessViolation(
+            f"forcing is not odd on the lattice: its even part exceeds {ODDNESS_TOL:.0e} "
+            f"of its largest coefficient")
+    antiperiodic = _is_antiperiodic(u)
+    bracket = forcing_bracket(g, FieldSeries(grid, FREQUENCY, u, g.period),
+                              antiperiodic=antiperiodic)
     # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
 
@@ -264,13 +260,11 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     # those of repeated Picard steps u <- period_map(dealias(|u|^2 u) + g);
     # the correction is propagated through the expanded cubic
     # difference so residuals stay accurate at any magnitude. Both series
-    # are updated in place: u starts in the frequency buffer of g when the
-    # solve made it (never in the caller's data).
-    u = _linear_period_map_data(g_freq.data, op, g.dt, zero_tol,
-                                out=None if g_freq is g else g_freq.data)
+    # are updated in place, u in the buffer of g's odd part.
+    _linear_period_map_data(u, op, g.dt, out=u)
     if opts.nonlinearity_enabled:
         delta = _cubic_difference_data(None, u, grid)
-        _linear_period_map_data(delta, op, g.dt, zero_tol, out=delta)
+        _linear_period_map_data(delta, op, g.dt, out=delta)
     else:
         delta = np.zeros_like(u)
 
@@ -302,12 +296,12 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
             raise NonFiniteField(_NON_FINITE)
         if last:
             break
-        _linear_period_map_data(delta, op, g.dt, zero_tol, out=delta)
+        _linear_period_map_data(delta, op, g.dt, out=delta)
     del delta  # before the final z_norm's chunk temporaries
 
     z_final = z_norm(FieldSeries(grid, FREQUENCY, u, g.period), cutoffs,
                      antiperiodic=antiperiodic)
-    u = grid.whole_lattice(u) if odd else u
+    u = grid.whole_lattice(u)
     scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
                                 * grid.parseval_factor) / scale)
@@ -320,7 +314,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         periodicity_residual=periodicity, z_norm=z_final, g_bracket=bracket,
         c_estimate=c_est, contraction_factor=factor,
         diverged=diverged, divergence_reason=reason,
-        contraction_factor_reason=factor_reason, half_lattice=odd, antiperiodic=antiperiodic)
+        contraction_factor_reason=factor_reason, antiperiodic=antiperiodic)
     return u, report
 
 

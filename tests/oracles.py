@@ -14,9 +14,16 @@ allocate freely, so a test can state an identity in a few lines.
   forms and its cap for T r_inf^2 <= 1.
 * time_derivative: the periodic centered difference of the reference
   Z-norm in test_norms, against the streamed Z-norm.
+* check_zero_mode: the mean-mode guard of period_inverse_apply and
+  periodic_initial_data (ValueError); the solve needs none, since the odd
+  part of its odd forcing has no mean mode.
 * duhamel_integral, periodic_initial_data: the period map's prefix
   recurrence and inverse multiplier, one node at a time, against closed
   forms, oversampled quadrature and the fixed-point identity.
+* whole_lattice_solve: the solve's difference-form loop on all n planes,
+  run from the product kernels on any mean-free g, odd or not. The solve
+  (odd g only, half the lattice) is held against it: u and the norms to
+  roundoff, the memory peak by ratio, in test_solver and test_properties.
 * cubic_rhs: dealias(|u|^2 u) + g over a whole series at once, against the
   solve's chunked cubic kernel (bit for bit) and inside
   split_equation_residual and the residual references.
@@ -37,13 +44,19 @@ allocate freely, so a test can state an identity in a few lines.
   of the solve and, in criterion 6, its iterates and the stepper.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
-from glperiod import FieldSeries, SpectralField
-from glperiod.norms import _node_l2
-from glperiod.operators import check_zero_mode, period_inverse_symbol
-from glperiod.periodic_solver import (_cubic_difference_data, _integrate_into,
-                                      _linear_period_map_data, _step_coefficients)
+from glperiod import FieldSeries, PeriodicSolveReport, SolveOptions, SpectralField
+from glperiod.errors import NonFiniteField
+from glperiod.norms import _node_l2, forcing_bracket, z_norm
+from glperiod.operators import period_inverse_symbol
+from glperiod.periodic_solver import (_NON_FINITE, _all_finite, _contraction_factor,
+                                      _cubic_difference_data, _integrate_into,
+                                      _is_antiperiodic, _linear_period_map_data,
+                                      _node_l2_chunked, _step_coefficients)
 from glperiod.phi import phi1, phi2
 from glperiod.stability import _Stepper
 from glperiod.verification import _band_data, _band_envelope
@@ -67,6 +80,18 @@ def semigroup_apply(f, t, op):
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative; got {t}")
     return _multiply(f, np.exp(-t * op.symbol))
+
+
+def check_zero_mode(data, tol):
+    """Require the mean mode of frequency data stacked along axis 0 (a single
+    field is a series of one node) to be at most tol times the largest
+    per-node l2 norm of the coefficients; ValueError otherwise."""
+    flat = data.reshape(data.shape[0], -1)
+    total = float(np.sqrt((flat.real ** 2 + flat.imag ** 2).sum(axis=1).max()))
+    worst = float(np.abs(flat[:, 0]).max())
+    if total > 0 and worst > tol * total:
+        raise ValueError(f"mean-mode magnitude {worst:.3e} exceeds {tol:.1e} * ||f|| = "
+                         f"{tol * total:.3e} at some time node; the input is not mean-free")
 
 
 def period_inverse_apply(f, op, zero_mode_tol=1e-10):
@@ -133,8 +158,64 @@ def picard_step(u, g, op, nonlinearity=True):
     if nonlinearity:
         F = _cubic_difference_data(None, u.to_frequency().data, u.grid)
         F += G
-    return FieldSeries(u.grid, "frequency", _linear_period_map_data(F, op, u.dt, 1e-10),
-                       u.period)
+    return FieldSeries(u.grid, "frequency", _linear_period_map_data(F, op, u.dt), u.period)
+
+
+def whole_lattice_solve(g, op, cutoffs, opts=None):
+    """solve_periodic's iteration on the whole lattice, for any mean-free g:
+    the series it holds (g's frequency data when g is physical, u, delta) and
+    the order of its kernel calls are those of solve_periodic, on all n
+    planes and on g itself rather than its odd part."""
+    opts = opts or SolveOptions()
+    grid = g.grid
+    g_freq = g.to_frequency()
+    antiperiodic = _is_antiperiodic(g_freq.data)
+    bracket = forcing_bracket(g, g_freq, antiperiodic=antiperiodic)
+    delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
+    u = _linear_period_map_data(g_freq.data, op, g.dt,
+                                out=None if g_freq is g else g_freq.data)
+    if opts.nonlinearity_enabled:
+        delta = _cubic_difference_data(None, u, grid)
+        _linear_period_map_data(delta, op, g.dt, out=delta)
+    else:
+        delta = np.zeros_like(u)
+    history, converged, diverged, reason = [], False, False, None
+    while True:
+        res = z_norm(FieldSeries(grid, "frequency", delta, g.period), delta_cutoffs,
+                     antiperiodic=antiperiodic)
+        history.append(res)
+        if not math.isfinite(res):
+            raise NonFiniteField(_NON_FINITE)
+        if res <= opts.z_tolerance:
+            converged = True
+        elif len(history) >= 4 and all(history[-k] > history[-k - 1] for k in (1, 2, 3)):
+            diverged = True
+            reason = (f"residual grew for 3 consecutive iterations "
+                      f"(last {history[-1]:.3e}); forcing outside the contraction regime")
+        last = converged or diverged or len(history) == opts.max_iterations
+        if last:
+            u += delta
+        else:
+            _cubic_difference_data(u, delta, grid, advance=True)
+        if not _all_finite(u):
+            raise NonFiniteField(_NON_FINITE)
+        if last:
+            break
+        _linear_period_map_data(delta, op, g.dt, out=delta)
+    del delta
+    z_final = z_norm(FieldSeries(grid, "frequency", u, g.period), cutoffs,
+                     antiperiodic=antiperiodic)
+    scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
+    periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
+                                * grid.parseval_factor) / scale)
+    factor, factor_reason = _contraction_factor(history)
+    report = PeriodicSolveReport(
+        converged=converged, iterations=len(history), residual_history=history,
+        periodicity_residual=periodicity, z_norm=z_final, g_bracket=bracket,
+        c_estimate=(z_final / bracket) if bracket > 0 else None,
+        contraction_factor=factor, diverged=diverged, divergence_reason=reason,
+        contraction_factor_reason=factor_reason, antiperiodic=antiperiodic)
+    return FieldSeries(grid, "frequency", u, g.period), report
 
 
 def split_series(u, cutoffs):

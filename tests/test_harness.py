@@ -1,6 +1,7 @@
 """The public surface, configuration, manifests and the command line
 interface."""
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -98,6 +99,18 @@ class TestConfig:
         assert cfg["forcing"]["amplitude"] == 0.5
         assert cfg["forcing"]["axis"] == 0  # untouched default
 
+    def test_solve_options_are_the_solve_block(self):
+        # every solve knob lives in both places; m_t sets the forcing's time grid
+        fields = {f.name for f in dataclasses.fields(glperiod.SolveOptions)}
+        assert fields == set(reference_config()["solve"]) - {"m_t"}
+
+    def test_removed_solve_key_rejected(self, tmp_path, capsys):
+        # the mean-mode tolerance went with the solve's mean-mode check
+        cfg_path = _small_config(tmp_path, solve={"m_t": 16, "zero_mode_tol": 1e-10})
+        assert main(["solve-periodic", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: unknown config key 'solve.zero_mode_tol'\n"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"forcign": {}}))
@@ -144,7 +157,7 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["converged"] is True
         assert report["iterations"] <= 15
-        assert report["half_lattice"] is True  # the dipole forcing is odd
+        assert "half_lattice" not in report  # every solve runs on half the lattice
 
     def test_reference_run_says_why_contraction_factor_is_null(self, tmp_path):
         # the reference config converges in 2 iterations: too few residuals
@@ -291,6 +304,23 @@ class TestStabilityCommand:
         code = main(["stability", "--config", str(cfg_path),
                      "--base", str(tmp_path / "out" / "manifest.json")])
         assert code == 3
+
+    @pytest.mark.parametrize("edit", ["root", "headline"])
+    def test_manifest_that_is_not_an_object_rejected(self, tmp_path, capsys, edit):
+        # a JSON list in place of the manifest, or of its headline
+        cfg_path, manifest = self._saved_base(tmp_path)
+        man = load_manifest(manifest)
+        if edit == "root":
+            man = [1, 2]
+        else:
+            man["headline"] = [1, 2]
+        manifest.write_text(json.dumps(man))
+        capsys.readouterr()
+        assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
+                     "--out", str(tmp_path / "stab")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: base manifest") and "not a JSON object" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_tampered_snapshot_rejected(self, tmp_path, capsys):
         cfg_path, manifest = self._saved_base(tmp_path)
@@ -465,6 +495,27 @@ class TestMalformedInput:
         assert err.startswith("config error: ") and "finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("seed", ["abc", None, -1])
+    def test_seed_that_is_not_a_non_negative_integer(self, tmp_path, capsys, seed):
+        cfg_path = _small_config(tmp_path, seed=seed)
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid seed: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve-periodic", "stability", "verify", "sweep"])
+    @pytest.mark.parametrize("out", [5, "a_file"], ids=["number", "file"])
+    def test_output_dir_that_is_not_a_directory(self, tmp_path, capsys, command, out):
+        if out == "a_file":
+            out = str(tmp_path / out)
+            Path(out).write_text("")
+        cfg_path = _small_config(tmp_path, output={"dir": out})
+        axis = ["--axis", "epsilon"] if command == "sweep" else []
+        assert main([command, "--config", str(cfg_path)] + axis) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert ("must be a path string; got 5" if out == 5 else "File exists") in err
+
     def test_forcing_not_odd_rejected_before_the_solve(self, tmp_path, monkeypatch, capsys):
         # sigma = 4.571 (L/14) on the reference grid decays at the seam but
         # is not odd by the solve's rule, so no whole-lattice solve runs
@@ -500,6 +551,18 @@ class TestSweepCommand:
         monkeypatch.setenv("GLPERIOD_THREADS", "1")
         cfg_path = _small_config(tmp_path)
         assert main(["sweep", "--config", str(cfg_path), "--axis", "n"]) == 0
+
+    def test_bad_row_ends_the_sweep_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        # n = 7 is no grid: the n = 16 row is not solved first
+        def no_solve(*args):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr(cli, "solve_periodic", no_solve)
+        cfg_path = _small_config(tmp_path, sweep={"n": [16, 7]})
+        assert main(["sweep", "--config", str(cfg_path), "--axis", "n"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid grid config: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "sweep_n.csv").exists()
 
     def test_partial_failure_still_exits_zero(self, tmp_path):
         # one diverging amplitude, one fine: the failed row is recorded and

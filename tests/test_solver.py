@@ -9,9 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glperiod import (FieldSeries, GridConfig, NonFiniteField, ForcingSpec, norms,
-                      periodic_solver,
-                      SolveOptions, ZeroModeViolation,
+from glperiod import (FieldSeries, GridConfig, NonFiniteField, ForcingSpec,
+                      OddnessViolation, periodic_solver, SolveOptions,
                       equation_residual, make_grid, make_operator,
                       realize_forcing, solve_periodic, spectral)
 from glperiod.norms import _node_l2
@@ -20,15 +19,14 @@ from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_dat
                                       _cubic_rows, _decay_table, _linear_period_map_data)
 
 from conftest import on_workers, random_odd_field, raw_odd_series, raw_random_series
-from test_norms import _ref_node_sums_for
 from oracles import (cubic_rhs, duhamel_integral, odd_fft_every_plane, odd_residual,
                      periodic_initial_data, picard_step, split_equation_residual,
-                     split_series)
+                     split_series, whole_lattice_solve)
 
 
 def _odd_part(g):
     """g's exact odd part (g - Rg)/2 as a frequency series: the forcing the
-    half-lattice solve takes for an odd g."""
+    solve takes for an odd g."""
     data = g.to_frequency().data
     return FieldSeries(g.grid, "frequency", 0.5 * (data - g.grid.reflect(data)), g.period)
 
@@ -41,7 +39,7 @@ def _mode_series(grid, k_index, values, period):
 
 def linear_period_map(F, op):
     """The period map of a FieldSeries, as an array."""
-    return _linear_period_map_data(F.to_frequency().data, op, F.dt, 1e-10)
+    return _linear_period_map_data(F.to_frequency().data, op, F.dt)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +137,7 @@ class TestPeriodicInitialData:
     def test_rejects_mean_carrying_forcing(self, grid1, op1):
         values = np.full(17, 1.0 + 0j)
         F = _mode_series(grid1, (0,), values, 1.0)
-        with pytest.raises(ZeroModeViolation):
+        with pytest.raises(ValueError, match="not mean-free"):
             periodic_initial_data(F, op1)
 
 
@@ -223,19 +221,20 @@ class TestSolvePeriodic:
         with pytest.raises(TypeError):
             SolveOptions(m_t=8)
 
-    def test_linear_oracle_time_constant_modes(self, grid3d, op3d, cutoffs3d, rng):
-        # closed form u = g_hat / lambda for per-mode constant forcing
+    def test_linear_oracle_time_constant_modes(self, grid3d, op3d, cutoffs3d):
+        # closed form u = g_hat / lambda for per-mode constant forcing, through
+        # the solve: criterion 2's modes, each as the odd pair c at k, -c at -k
         m_t = 16
         opts = SolveOptions(nonlinearity_enabled=False)
-        nz = np.argwhere(grid3d.xi_sq.ravel() > 0).ravel()
-        for _ in range(5):
-            flat_idx = nz[rng.integers(0, nz.size)]
-            idx = np.unravel_index(flat_idx, grid3d.shape)
-            if grid3d.nyquist_mask[idx]:
-                continue
+        rng = np.random.default_rng(2024)
+        candidates = np.argwhere((grid3d.xi_sq.ravel() > 0)
+                                 & ~grid3d.nyquist_mask.ravel()).ravel()
+        for flat in rng.choice(candidates, size=20, replace=False):
+            idx = np.unravel_index(flat, grid3d.shape)
             c = rng.standard_normal() + 1j * rng.standard_normal()
             data = np.zeros((m_t + 1,) + grid3d.shape, dtype=complex)
             data[(slice(None),) + idx] = c
+            data[(slice(None),) + tuple(-np.array(idx) % grid3d.n)] = -c
             g = FieldSeries(grid3d, "frequency", data, 1.0)
             u, rep = solve_periodic(g, op3d, cutoffs3d, opts)
             lam = (1 + 1j) * grid3d.xi_sq[idx]
@@ -376,7 +375,7 @@ class TestSeriesKernelsOnThePool:
 
         def kernels():
             return (_cubic_difference_data(v, w, grid), _cubic_difference_data(None, g, grid),
-                    _linear_period_map_data(F, op, 1.3 / m_t, 1e-10))
+                    _linear_period_map_data(F, op, 1.3 / m_t))
 
         one = on_workers(monkeypatch, 1, kernels)
         two = on_workers(monkeypatch, 2, kernels)
@@ -391,7 +390,7 @@ class TestSeriesKernelsOnThePool:
 
         def kernels():
             return (_cubic_difference_data(v, w, grid3d),
-                    _linear_period_map_data(F, op3d, 1 / 64, 1e-10))
+                    _linear_period_map_data(F, op3d, 1 / 64))
 
         one = on_workers(monkeypatch, 1, kernels)
         interval = sys.getswitchinterval()
@@ -436,7 +435,7 @@ class TestSeriesKernelsOnThePool:
         # broadcast inside the period map's slab tasks
         F = np.zeros((9,) + grid3d.shape[:-1] + (grid3d.n // 2,), dtype=complex)
         with pytest.raises(ValueError, match="broadcast"):
-            on_workers(monkeypatch, 2, _linear_period_map_data, F, op3d, 1 / 8, 1e-10)
+            on_workers(monkeypatch, 2, _linear_period_map_data, F, op3d, 1 / 8)
 
 
 def _ref_equation_residual(u, g, op, include_nonlinearity=True):
@@ -482,19 +481,12 @@ class TestInPlaceSeriesKernels:
         op = make_operator(grid, 1.3)
         F = raw_random_series(grid, 21, np.random.default_rng(40 + dim))
         F.reshape(22, -1)[:, 0] = 0.0
-        expected = _linear_period_map_data(F, op, 1.3 / 21, 1e-10)
+        expected = _linear_period_map_data(F, op, 1.3 / 21)
         same = F.copy()
         got = on_workers(monkeypatch, workers, _linear_period_map_data,
-                         same, op, 1.3 / 21, 1e-10, same)
+                         same, op, 1.3 / 21, same)
         assert got is same
         assert np.array_equal(got, expected)
-
-    def test_period_map_rejects_mean_before_writing(self, grid3d, op3d):
-        F = raw_random_series(grid3d, 8, np.random.default_rng(3))
-        before = F.copy()
-        with pytest.raises(ZeroModeViolation):
-            _linear_period_map_data(F, op3d, 1 / 8, 1e-10, out=F)
-        assert np.array_equal(F, before)
 
     @pytest.mark.parametrize("m_t", [8, 21])
     def test_advancing_cubic_difference_equals_allocating(self, monkeypatch, grid3d, m_t):
@@ -546,25 +538,23 @@ class TestSolveKeepsCallerData:
         assert rep_phys.residual_history == rep_freq.residual_history
         assert rep_phys.z_norm == rep_freq.z_norm
 
-    def test_max_iterations_ends_with_the_last_correction_added(self, monkeypatch, grid3d,
-                                                                 op3d, cutoffs3d, forcing):
+    def test_max_iterations_ends_with_the_last_correction_added(self, grid3d, op3d,
+                                                                 cutoffs3d, forcing):
         # one iteration adds delta^(0) to the linear response: picard_step of 0.
-        # The whole-lattice solve (forcing taken as not odd) runs the oracle's
-        # transforms; the half-lattice one solves g's odd part through the odd
-        # pair, so it meets the oracle on that odd part to roundoff.
+        # The whole-lattice reference runs the oracle's transforms; the solve
+        # takes g's odd part through the odd pair, so it meets the oracle on
+        # that odd part to roundoff.
         g_freq = forcing.to_frequency()
-        linear = _linear_period_map_data(g_freq.data, op3d, g_freq.dt, 1e-10)
+        linear = _linear_period_map_data(g_freq.data, op3d, g_freq.dt)
         stepped = picard_step(FieldSeries(grid3d, "frequency", linear, 1.0), g_freq, op3d)
-        with monkeypatch.context() as m:
-            m.setattr(spectral.Grid, "is_odd", lambda grid, data, keep=None: False)
-            u, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions(max_iterations=1))
-        assert rep.iterations == 1 and not rep.converged and not rep.half_lattice
+        u, rep = whole_lattice_solve(forcing, op3d, cutoffs3d, SolveOptions(max_iterations=1))
+        assert rep.iterations == 1 and not rep.converged
         np.testing.assert_allclose(u.data, stepped.data, rtol=0, atol=1e-15)
         g_odd = _odd_part(forcing)
-        linear = _linear_period_map_data(g_odd.data, op3d, g_odd.dt, 1e-10)
+        linear = _linear_period_map_data(g_odd.data, op3d, g_odd.dt)
         stepped = picard_step(FieldSeries(grid3d, "frequency", linear, 1.0), g_odd, op3d)
         u, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions(max_iterations=1))
-        assert rep.iterations == 1 and not rep.converged and rep.half_lattice
+        assert rep.iterations == 1 and not rep.converged
         np.testing.assert_allclose(u.data, stepped.data, rtol=0,
                                    atol=1e-13 * np.abs(stepped.data).max())
 
@@ -601,9 +591,8 @@ class TestStreamedEquationResidual:
 
 
 class TestHalfLatticeZNorm:
-    """The solve takes the half-lattice Z-norm only for a forcing it measured
-    odd. There it moves the Z-norms by roundoff only; any other forcing
-    gives, bit for bit, the solve on the allocating full-lattice tree."""
+    """The solve runs every Z-norm on half the lattice, which moves the norms
+    by roundoff only against the whole-lattice reference solve."""
 
     @pytest.fixture(scope="class")
     def forcing(self, grid3d):
@@ -624,10 +613,9 @@ class TestHalfLatticeZNorm:
                            g.period)
 
     @staticmethod
-    def solve(monkeypatch, g, op, cutoffs, measured=True):
+    def solve(monkeypatch, g, op, cutoffs):
         """solve_periodic with the layout of every Z-norm call recorded
-        (whether its series is a half series); with measured=False the
-        forcing is taken as not odd."""
+        (whether its series is a half series)."""
         flags = []
         z_norm = periodic_solver.z_norm
 
@@ -637,8 +625,6 @@ class TestHalfLatticeZNorm:
 
         with monkeypatch.context() as m:
             m.setattr(periodic_solver, "z_norm", recording)
-            if not measured:
-                m.setattr(spectral.Grid, "is_odd", lambda grid, data, keep=None: False)
             u, rep = solve_periodic(g, op, cutoffs, SolveOptions())
         return u, rep, flags
 
@@ -651,16 +637,12 @@ class TestHalfLatticeZNorm:
     def test_odd_forcing_moves_norms_by_roundoff(self, monkeypatch, grid3d, op3d,
                                                  cutoffs3d, forcing):
         u, rep, flags = self.solve(monkeypatch, forcing, op3d, cutoffs3d)
-        u_full, rep_full, flags_full = self.solve(monkeypatch, forcing, op3d, cutoffs3d,
-                                                  measured=False)
+        u_full, rep_full = whole_lattice_solve(forcing, op3d, cutoffs3d)
         assert rep.converged and rep.iterations == rep_full.iterations
         assert flags == [True] * (rep.iterations + 1)
-        assert flags_full == [False] * (rep.iterations + 1)
-        assert rep.half_lattice and not rep_full.half_lattice
-        # the half path solves g's odd part: u within 1e-13 of its peak of the
+        # the solve takes g's odd part: u within 1e-13 of its peak of the
         # whole-lattice solve of (g - Rg)/2
-        u_odd, _, _ = self.solve(monkeypatch, _odd_part(forcing), op3d, cutoffs3d,
-                                 measured=False)
+        u_odd, _ = whole_lattice_solve(_odd_part(forcing), op3d, cutoffs3d)
         np.testing.assert_allclose(u.data, u_odd.data, rtol=0,
                                    atol=1e-13 * np.abs(u_odd.data).max())
         np.testing.assert_allclose(rep.residual_history, rep_full.residual_history,
@@ -669,42 +651,62 @@ class TestHalfLatticeZNorm:
         assert rep.c_estimate == pytest.approx(rep_full.c_estimate, rel=1e-13)
         assert rep.g_bracket == rep_full.g_bracket
 
-    def test_forcing_with_even_part_keeps_the_full_lattice(self, monkeypatch, grid3d,
-                                                           op3d, cutoffs3d, forcing):
-        g = self.with_even_part(forcing, 1e-6)
-        u, rep, flags = self.solve(monkeypatch, g, op3d, cutoffs3d)
-        assert rep.converged
-        assert flags == [False] * (rep.iterations + 1)
+
+class TestOddnessPrecondition:
+    """The solve takes odd forcings only: one that Grid.is_odd rejects raises
+    OddnessViolation before any series is solved or the caller's data
+    written."""
+
+    @pytest.fixture(scope="class")
+    def forcing(self, grid3d):
+        return realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
+
+    @staticmethod
+    def rejected(monkeypatch, g, op, cutoffs):
+        """Whether the solve rejects g before its first period map, with g's
+        data unchanged."""
+        def no_period_map(*args, **kwargs):
+            raise AssertionError("the period map ran")
+
+        before = g.data.tobytes()
         with monkeypatch.context() as m:
-            m.setattr(norms, "_node_sums", _ref_node_sums_for)
-            u_ref, rep_ref = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
-        assert u.data.tobytes() == u_ref.data.tobytes()
-        assert rep.to_json() == rep_ref.to_json()
+            m.setattr(periodic_solver, "_linear_period_map_data", no_period_map)
+            with pytest.raises(OddnessViolation, match="forcing is not odd on the lattice"):
+                solve_periodic(g, op, cutoffs, SolveOptions())
+        return g.data.tobytes() == before
+
+    def test_even_part_above_the_tolerance_is_rejected(self, monkeypatch, grid3d, op3d,
+                                                       cutoffs3d, forcing):
+        g = TestHalfLatticeZNorm.with_even_part(forcing, 2.0 * ODDNESS_TOL)
+        assert self.rejected(monkeypatch, g, op3d, cutoffs3d)
+        g = TestHalfLatticeZNorm.with_even_part(forcing, 0.5 * ODDNESS_TOL)
+        assert solve_periodic(g, op3d, cutoffs3d, SolveOptions())[1].converged
+
+    def test_even_part_of_one_millionth_is_rejected(self, monkeypatch, grid3d, op3d,
+                                                    cutoffs3d, forcing):
+        # the even part that the solve once took on the whole lattice
+        g = TestHalfLatticeZNorm.with_even_part(forcing, 1e-6)
+        assert self.rejected(monkeypatch, g, op3d, cutoffs3d)
+
+    def test_mean_carrying_forcing_is_rejected_before_writing(self, monkeypatch, grid3d,
+                                                              op3d, cutoffs3d, forcing):
+        # the mean mode is even: a forcing that carries one is not odd
+        data = forcing.to_frequency().data.copy()
+        data[:, 0, 0, 0] = 1e-3 * np.abs(data).max()
+        for g in (FieldSeries(grid3d, "frequency", data, 1.0),
+                  FieldSeries(grid3d, "frequency", data, 1.0).to_physical()):
+            assert self.rejected(monkeypatch, g, op3d, cutoffs3d)
 
 
 class TestHalfLatticeSolve:
     """An odd forcing's solve holds g's frequency data, u and delta on planes
-    0..n/2; a forcing just outside the oddness tolerance keeps the whole
-    lattice, bit for bit."""
+    0..n/2."""
 
     M_T = 64
 
     @pytest.fixture(scope="class")
     def forcing(self, grid3d):
         return realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, self.M_T)
-
-    def test_even_part_above_the_tolerance_gives_the_whole_lattice_bytes(
-            self, monkeypatch, grid3d, op3d, cutoffs3d):
-        g = TestHalfLatticeZNorm.with_even_part(
-            realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16),
-            2.0 * ODDNESS_TOL)
-        u, rep, flags = TestHalfLatticeZNorm.solve(monkeypatch, g, op3d, cutoffs3d)
-        u_full, rep_full, _ = TestHalfLatticeZNorm.solve(monkeypatch, g, op3d, cutoffs3d,
-                                                         measured=False)
-        assert rep.converged and not rep.half_lattice
-        assert flags == [False] * (rep.iterations + 1)
-        assert u.data.tobytes() == u_full.data.tobytes()
-        assert rep.to_json() == rep_full.to_json()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_odd_cubic_rows_keep_the_every_plane_bits(self, monkeypatch, dim):
@@ -736,25 +738,23 @@ class TestHalfLatticeSolve:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(periodic_solver, name, recording)
         u, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())
-        assert rep.half_lattice and u.data.shape[1:] == grid3d.shape
+        assert u.data.shape[1:] == grid3d.shape
         assert set(planes) == {grid3d.n // 2 + 1}
 
     def test_odd_solve_holds_six_tenths_of_the_whole_lattice(self, monkeypatch, grid3d,
                                                               op3d, cutoffs3d, forcing):
         # warmed tracemalloc peaks (dim 3, n 16, m_t 64) on a pool of two
-        # workers: 2.17 series against 3.67 for the whole-lattice solve, 0.592
-        # (0.564 on one worker; the pool is pinned because the peak is a delta
-        # Z-norm's task buffers beside u and delta)
+        # workers: 2.17 series against 3.67 for the whole-lattice reference,
+        # 0.592 (0.585 on one worker; the pool is pinned because the peak is a
+        # delta Z-norm's task buffers beside u and delta)
         opts = SolveOptions()
 
-        def peak():
-            solve_periodic(forcing, op3d, cutoffs3d, opts)
-            return _traced_peak(solve_periodic, forcing, op3d, cutoffs3d, opts)
+        def peak_of(solve):
+            solve(forcing, op3d, cutoffs3d, opts)
+            return _traced_peak(solve, forcing, op3d, cutoffs3d, opts)
 
-        half = on_workers(monkeypatch, 2, peak)
-        with monkeypatch.context() as m:
-            m.setattr(spectral.Grid, "is_odd", lambda grid, data, keep=None: False)
-            full = on_workers(m, 2, peak)
+        half = on_workers(monkeypatch, 2, peak_of, solve_periodic)
+        full = on_workers(monkeypatch, 2, peak_of, whole_lattice_solve)
         assert half <= 0.6 * full
 
     def test_correction_z_norms_read_the_dealias_support(self, monkeypatch, grid3d, op3d,
@@ -830,7 +830,7 @@ class TestHalfPeriodSolve:
         u_every, rep_every, flags_every = self.solve(monkeypatch, forcing, op3d, cutoffs3d,
                                                      measured=False)
         assert rep.converged and rep.iterations == rep_every.iterations
-        assert rep.antiperiodic and not rep_every.antiperiodic and rep.half_lattice
+        assert rep.antiperiodic and not rep_every.antiperiodic
         assert flags == [True] * (rep.iterations + 2)
         assert flags_every == [False] * (rep.iterations + 2)
         assert u.data.tobytes() == u_every.data.tobytes()  # the norms only steer
