@@ -56,10 +56,9 @@ def _out_dir(cfg: dict, override: str | None) -> Path:
 def _build_solve(cfg: dict) -> tuple:
     """The arguments of a config's solve_periodic call: forcing, operator,
     cutoffs and options."""
-    grid = cfgmod.build_grid(cfg)
-    op, cutoffs = cfgmod.build_operator(grid, cfg), cfgmod.build_cutoffs(grid, cfg)
     opts = cfgmod.build_solve_options(cfg)
-    return cfgmod.build_forcing(cfg, grid), op, cutoffs, opts
+    g = cfgmod.build_forcing(cfg)  # the forcing's keys are read before its grid is built
+    return g, cfgmod.build_operator(g.grid, cfg), cfgmod.build_cutoffs(g.grid, cfg), opts
 
 
 def _run_solve(cfg: dict):
@@ -70,6 +69,7 @@ def _run_solve(cfg: dict):
 
 def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
     out = _out_dir(cfg, out_override)
+    save_fields = cfgmod.boolean(cfg["output"]["save_fields"], "output.save_fields")
     manifest = RunManifest(config=cfg)
     status = EXIT_OK
     try:
@@ -81,12 +81,12 @@ def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
-    resid = equation_residual(u, g, op, bool(cfg["solve"]["nonlinearity_enabled"]))
+    resid = equation_residual(u, g, op, cfg["solve"]["nonlinearity_enabled"])
     report_path = out / "report.json"
     atomic_write_text(report_path, report.to_json())
     manifest.add_artifact(report_path, out)
 
-    if cfg["output"]["save_fields"]:
+    if save_fields:
         for m in range(len(u)):
             snap = out / f"field_{m:04d}.glpf"
             write_snapshot(u.field(m), snap)
@@ -116,7 +116,7 @@ def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
 
 
 class _SavedBase:
-    """A saved run's base: snapshots read one at a time, each by its own flag."""
+    """A saved run's base: snapshots read one at a time."""
 
     def __init__(self, grid: Grid, paths: list[Path], period: float):
         self.grid, self.paths, self.period, self.n_steps = grid, paths, period, len(paths) - 1
@@ -127,7 +127,7 @@ class _SavedBase:
     def frequency_rows(self, rows: slice):
         try:
             for path in self.paths[rows]:
-                yield read_snapshot(path, self.grid).to_frequency().data
+                yield read_snapshot(path, self.grid).data
         except ValueError as exc:
             raise ConfigError(f"base snapshot rejected: {exc}")
 
@@ -171,9 +171,10 @@ def cmd_stability(cfg: dict, base: str | None = None,
                   out_override: str | None = None) -> int:
     # the whole stability block is checked before a base is solved or loaded
     settings = cfgmod.build_stability_settings(cfg)
+    spec = cfgmod.build_perturbation_spec(cfg)
     grid = cfgmod.build_grid(cfg)
     try:
-        w0 = realize_perturbation(cfgmod.build_perturbation_spec(cfg), grid)
+        w0 = realize_perturbation(spec, grid)
     except (ValueError, SeamDecayViolation) as exc:
         raise ConfigError(f"invalid stability perturbation: {exc}")
     out = _out_dir(cfg, out_override)
@@ -221,22 +222,21 @@ def cmd_stability(cfg: dict, base: str | None = None,
 
 def cmd_verify(cfg: dict, seed: int | None = None,
                out_override: str | None = None) -> int:
-    try:
-        root_seed = int(seed if seed is not None else cfg["seed"])
-        if root_seed < 0:
-            raise ValueError(f"{root_seed} is negative")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid seed: {exc}")
+    root_seed = cfgmod.integer(cfg["seed"], "seed") if seed is None else seed
+    if root_seed < 0:
+        raise ConfigError(f"invalid seed: {root_seed} is negative")
     out = _out_dir(cfg, out_override)
     v = cfg["verify"]
 
     # Reduced-size config for the battery grid and the trajectory checks.
     small = copy.deepcopy(cfg)
-    small["grid"].update(v["grid"])
+    small["grid"].update({key: cfgmod.integer(value, f"verify.grid.{key}")
+                          if key in ("dim", "n_per_axis") else value
+                          for key, value in v["grid"].items()})
+    small["solve"]["m_t"] = cfgmod.integer(v["m_t"], "verify.m_t")
+    samples = cfgmod.integer(v["samples"], "verify.samples")
     try:
-        small["solve"]["m_t"] = int(v["m_t"])
         small["forcing"]["amplitude"] = float(v["solve_amplitude"])
-        samples = int(v["samples"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid verify config: {exc}")
     if small["forcing"]["amplitude"] == 0.0:  # the trajectory batteries need a nonzero u
@@ -265,9 +265,9 @@ def _sweep_value_config(cfg: dict, axis: str, value) -> dict:
     if axis == "epsilon":
         row["forcing"]["amplitude"] = float(value)
     elif axis == "m_t":
-        row["solve"]["m_t"] = int(value)
+        row["solve"]["m_t"] = cfgmod.integer(value, "sweep.m_t")
     elif axis == "n":
-        row["grid"]["n_per_axis"] = int(value)
+        row["grid"]["n_per_axis"] = cfgmod.integer(value, "sweep.n")
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     return row

@@ -54,10 +54,26 @@ def load_config(path) -> dict:
     return _merge(reference_config(), raw)
 
 
+def integer(value, key: str) -> int:
+    """A JSON integer (or an integral float) as an int; ConfigError naming
+    `key` for anything else, a boolean included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise ConfigError(f"invalid {key}: {json.dumps(value)} is not an integer")
+    return int(value)
+
+
+def boolean(value, key: str) -> bool:
+    """JSON true or false; ConfigError naming `key` for anything else."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"invalid {key}: {json.dumps(value)} is not true or false")
+    return value
+
+
 def grid_config(cfg: dict) -> GridConfig:
     g = cfg["grid"]
+    dim, n = integer(g["dim"], "grid.dim"), integer(g["n_per_axis"], "grid.n_per_axis")
     try:
-        return GridConfig(dim=int(g["dim"]), n_per_axis=int(g["n_per_axis"]),
+        return GridConfig(dim=dim, n_per_axis=n,
                           box_length=float(g["box_length"]),
                           dealias_fraction=float(g["dealias_fraction"]))
     except (TypeError, ValueError) as exc:
@@ -98,52 +114,51 @@ def build_cutoffs(grid: Grid, cfg: dict) -> CutoffSpec:
     return cutoffs
 
 
-def build_forcing(cfg: dict, grid: Grid) -> FieldSeries:
-    """The forcing on solve.m_t + 1 nodes of one period: the solve's time grid.
-    A forcing that cannot be realized (a bad value, a profile that does not
-    decay at the seam or is not odd) is a config error."""
+def build_forcing(cfg: dict) -> FieldSeries:
+    """The forcing on solve.m_t + 1 nodes of one period, the solve's time
+    grid, on the config's grid, built after every key is read. A forcing
+    that cannot be realized (a bad value, a profile that does not decay at
+    the seam or is not odd) is a config error."""
     f = cfg["forcing"]
     if f["spatial_profile"] == "custom":
         raise ConfigError("forcing.spatial_profile 'custom' needs a profile field, "
                           "which only the Python API (ForcingSpec.custom_profile) "
                           "can supply")
-    try:
-        m_t = int(cfg["solve"]["m_t"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid solve.m_t: {exc}")
+    m_t = integer(cfg["solve"]["m_t"], "solve.m_t")
     if m_t < 8:
         raise ConfigError(f"solve.m_t must be >= 8; got {m_t}")
+    harmonic, axis = integer(f["harmonic"], "forcing.harmonic"), integer(f["axis"], "forcing.axis")
     try:
         spec = ForcingSpec(amplitude=float(f["amplitude"]), period=float(cfg["period"]),
-                           temporal_profile=f["temporal_profile"],
-                           harmonic=int(f["harmonic"]),
-                           spatial_profile=f["spatial_profile"],
-                           sigma=None if f["sigma"] is None else float(f["sigma"]),
-                           axis=int(f["axis"]))
+                           temporal_profile=f["temporal_profile"], harmonic=harmonic,
+                           spatial_profile=f["spatial_profile"], axis=axis,
+                           sigma=None if f["sigma"] is None else float(f["sigma"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid forcing config: {exc}")
     try:
-        return realize_forcing(spec, grid, m_t)
+        return realize_forcing(spec, build_grid(cfg), m_t)
     except (ValueError, SeamDecayViolation, OddnessViolation) as exc:
         raise ConfigError(f"invalid forcing config: {exc}")
 
 
 def build_solve_options(cfg: dict) -> SolveOptions:
     s = cfg["solve"]
+    max_iterations = integer(s["max_iterations"], "solve.max_iterations")
+    nonlinear = boolean(s["nonlinearity_enabled"], "solve.nonlinearity_enabled")
     try:
-        return SolveOptions(max_iterations=int(s["max_iterations"]),
-                            z_tolerance=float(s["z_tolerance"]),
-                            nonlinearity_enabled=bool(s["nonlinearity_enabled"]))
+        return SolveOptions(max_iterations=max_iterations, z_tolerance=float(s["z_tolerance"]),
+                            nonlinearity_enabled=nonlinear)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solve config: {exc}")
 
 
 def build_perturbation_spec(cfg: dict) -> PerturbationSpec:
     s = cfg["stability"]
+    axis = integer(s["axis"], "stability.axis")
     try:
         return PerturbationSpec(amplitude=float(s["amplitude"]), profile=s["profile"],
                                 sigma=None if s["sigma"] is None else float(s["sigma"]),
-                                axis=int(s["axis"]))
+                                axis=axis)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid stability config: {exc}")
 
@@ -152,9 +167,11 @@ def build_stability_settings(cfg: dict) -> dict:
     """t_max, record_stride, order and linear_only of the stability block,
     checked against the config period before any base is solved or loaded."""
     s = cfg["stability"]
+    settings = {"record_stride": integer(s["record_stride"], "stability.record_stride"),
+                "order": integer(s["order"], "stability.order"),
+                "linear_only": boolean(s["linear_only"], "stability.linear_only")}
     try:
-        settings = {"t_max": float(s["t_max"]), "record_stride": int(s["record_stride"]),
-                    "order": int(s["order"]), "linear_only": bool(s["linear_only"])}
+        settings["t_max"] = float(s["t_max"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid stability config: {exc}")
     min_t = 10.0 * _period(cfg)

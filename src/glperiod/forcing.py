@@ -10,10 +10,11 @@ normalized to unit peak modulus so the amplitude knob is the peak field
 value and the forcing size functional scales linearly in eps.
 
 Realization checks G once: it must decay at the seam (check_seam_decay) and
-be odd by the rule the solve applies, Grid.is_odd on its frequency data;
-eps * a(t) * G is then odd at every node. On the lattice G is odd only as far
-as it vanishes at the seam: on the reference and test grids the default
-sigma = L/16 passes, while sigma = L/14 passes the seam check but not Grid.is_odd.
+be odd by the rule the solve applies, Grid.is_odd on its transform G_hat;
+the forcing is then eps * a(t) * G_hat, frequency data odd at every node.
+On the lattice G is odd only as far as it vanishes at the seam: on the
+reference and test grids the default sigma = L/16 passes, while sigma = L/14
+passes the seam check but not Grid.is_odd.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OddnessViolation, SeamDecayViolation
-from .spectral import ODDNESS_TOL, FieldSeries, Grid, PHYSICAL, SpectralField
+from .spectral import ODDNESS_TOL, FieldSeries, Grid, SpectralField
 
 SEAM_DECAY_TOL = 1e-8
 
@@ -43,7 +44,7 @@ class ForcingSpec:
     spatial_profile: str = "gauss_dipole"
     sigma: float | None = None  # defaults to L/16 at realization time
     axis: int = 0
-    custom_profile: SpectralField | None = None
+    custom_profile: SpectralField | None = None  # frequency data of G
 
     def __post_init__(self):
         if not 0 <= self.amplitude < np.inf:
@@ -117,48 +118,48 @@ def temporal_values(spec: ForcingSpec, m_t: int) -> np.ndarray:
 
 
 def spatial_profile(spec: ForcingSpec, grid: Grid) -> np.ndarray:
-    """The normalized (unit peak modulus) spatial factor, verified odd and
-    seam-decaying."""
+    """The spatial factor as frequency data, normalized to unit peak modulus
+    in physical space, verified odd and seam-decaying."""
     if spec.spatial_profile == "custom":
         if spec.custom_profile is None:
             raise ValueError("custom spatial profile requires custom_profile")
-        f = spec.custom_profile.to_physical()
-        if f.grid is not grid and f.grid.shape != grid.shape:
+        if spec.custom_profile.grid.shape != grid.shape:
             raise ValueError("custom profile grid does not match")
-        profile = f.data.copy()
+        profile_hat = spec.custom_profile.data
+        profile = np.fft.ifftn(profile_hat)
     else:
         sigma = spec.sigma if spec.sigma is not None else grid.box_length / 16.0
         profile = gauss_dipole(grid, sigma, spec.axis).astype(complex)
+        profile_hat = np.fft.fftn(profile)
     check_seam_decay(profile, grid)
-    if not grid.is_odd(np.fft.fftn(profile)[None]):
+    if not grid.is_odd(profile_hat[None]):
         raise OddnessViolation(
             f"{spec.spatial_profile} forcing profile is not odd on the lattice: its even "
             f"part exceeds {ODDNESS_TOL:.0e} of its largest coefficient")
     peak = np.abs(profile).max()
-    if peak > 0:
-        profile = profile / peak
-    return profile
+    return profile_hat / peak if peak > 0 else profile_hat
 
 
 def realize_forcing(spec: ForcingSpec, grid: Grid, m_t: int) -> FieldSeries:
     """Sample the forcing on the (m_t + 1)-node period grid.
 
-    The result is physical-representation, exactly periodic in time, and odd
-    at every node (spatial_profile checks G; OddnessViolation otherwise).
+    The result is frequency data, exactly periodic in time, and odd at every
+    node (spatial_profile checks G; OddnessViolation otherwise).
     """
     if m_t < 2:
         raise ValueError("m_t must be at least 2")
     a = temporal_values(spec, m_t)
     if spec.amplitude == 0.0:
         data = np.zeros((m_t + 1,) + grid.shape, dtype=complex)
-        return FieldSeries(grid, PHYSICAL, data, spec.period)
+        return FieldSeries(grid, data, spec.period)
     profile = spatial_profile(spec, grid)
     data = spec.amplitude * a[(slice(None),) + (None,) * grid.dim] * profile
-    return FieldSeries(grid, PHYSICAL, data, spec.period)
+    return FieldSeries(grid, data, spec.period)
 
 
 def realize_perturbation(spec: PerturbationSpec, grid: Grid) -> SpectralField:
-    """Initial perturbation field; unit peak modulus scaled by the amplitude.
+    """Initial perturbation field (frequency data); unit peak modulus in
+    physical space scaled by the amplitude.
 
     The default width L/19 puts the measured decay slopes of a dipole
     perturbation mid-band inside the box-truncation validity window at the
@@ -173,4 +174,4 @@ def realize_perturbation(spec: PerturbationSpec, grid: Grid) -> SpectralField:
     peak = np.abs(profile).max()
     if peak > 0:
         profile = profile / peak
-    return SpectralField(grid, PHYSICAL, spec.amplitude * profile)
+    return SpectralField(grid, np.fft.fftn(spec.amplitude * profile))

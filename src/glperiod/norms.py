@@ -138,10 +138,21 @@ def _lp_node(phys: np.ndarray, grid: Grid, p, weighted: bool = False) -> np.ndar
     return ((mag ** p).sum(axis=axes) * grid.quad_weight) ** (1.0 / p)
 
 
+def l1w_node(data: np.ndarray, grid: Grid, antiperiodic: bool = False) -> np.ndarray:
+    """Per-node weighted L1 norms of frequency-stacked data, one inverse
+    transform per chunk of nodes on the shared pool; an `antiperiodic` series
+    computes nodes 0..m_t/2 - 1 only, node m taking node m mod m_t/2's norm."""
+    n_nodes = (len(data) - 1) // 2 if antiperiodic else len(data)
+    node = np.concatenate(map_chunks(lambda rows: _lp_node(
+        np.fft.ifftn(data[rows], axes=grid.series_axes), grid, 1, weighted=True),
+        node_chunks(n_nodes)))
+    return node[np.arange(len(data)) % n_nodes]
+
+
 def lp_norm(f: SpectralField, p, weighted: bool = False) -> float:
     """Quadrature L^p norm, optionally with the (1+|x|) weight; p = inf is the
     exact max modulus over nodes."""
-    return float(_lp_node(f.to_physical().data[None], f.grid, p, weighted)[0])
+    return float(_lp_node(np.fft.ifftn(f.data)[None], f.grid, p, weighted)[0])
 
 
 def sobolev_norm(f: SpectralField, k: int, weighted: bool = False) -> float:
@@ -150,7 +161,7 @@ def sobolev_norm(f: SpectralField, k: int, weighted: bool = False) -> float:
     weighted_hk_node_sq)."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"Sobolev order k must be 0..3; got {k}")
-    freq = f.to_frequency().data
+    freq = f.data
     if weighted:
         return float(np.sqrt(weighted_hk_node_sq(freq[None], f.grid, k)[k, 0]))
     abs_sq = freq.real ** 2 + freq.imag ** 2
@@ -161,7 +172,7 @@ def sobolev_norm(f: SpectralField, k: int, weighted: bool = False) -> float:
 def x_weighted_gradient_norm(f: SpectralField) -> float:
     """|| |x| |grad f| ||_{L2} with x in centered coordinates (one field of
     x_gradient_node_sq)."""
-    return float(np.sqrt(x_gradient_node_sq(f.to_frequency().data[None], f.grid)[0]))
+    return float(np.sqrt(x_gradient_node_sq(f.data[None], f.grid)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +415,7 @@ def spacetime_norm(series: FieldSeries, kind: str, cutoffs: CutoffSpec | None = 
         raise ValueError(f"kind must be 'X' or 'Y'; got {kind!r}")
     chi = None if cutoffs is None else (cutoffs.chi1 if kind == "X" else cutoffs.chi_inf)
     norm = _x_norm if kind == "X" else _y_norm
-    return norm(series.to_frequency().data, series.grid, chi, series.dt, antiperiodic=antiperiodic)
+    return norm(series.data, series.grid, chi, series.dt, antiperiodic=antiperiodic)
 
 
 def z_norm(series: FieldSeries, cutoffs: CutoffSpec, *, antiperiodic: bool = False) -> float:
@@ -413,35 +424,24 @@ def z_norm(series: FieldSeries, cutoffs: CutoffSpec, *, antiperiodic: bool = Fal
     return sum(spacetime_norm(series, kind, cutoffs, antiperiodic=antiperiodic) for kind in "XY")
 
 
-def forcing_bracket(g: FieldSeries, g_freq: FieldSeries | None = None, *,
+def forcing_bracket(g: FieldSeries, half: FieldSeries | None = None, *,
                     antiperiodic: bool = False) -> float:
     """[g] = ||g||_{L2(0,T;L1_w)} + ||g||_{L2(0,T;H1_w)}.
 
-    The alpha = 0 sums are read from g in physical space (a physical g is
-    its own alpha = 0 field); the derivative tree builds only the first
-    derivatives, from `g_freq` (g in frequency representation) when the
-    caller already has it, on half the lattice when g_freq is a half series;
-    both sums run on half the period for an `antiperiodic` g (see _node_sums).
+    g is whole-lattice frequency data, its L1_w read by l1w_node; the H1_w
+    sums come from the derivative tree on `half` (planes 0..n/2 of g's odd
+    part, on half the lattice) when given, else on g. Both sums run on half
+    the period for an `antiperiodic` g (see _node_sums).
     """
     if len(g) < 3:
         raise ValueError("the forcing functional needs at least 3 time nodes")
-    grid = g.grid
-    w2 = NormSuite.for_grid(grid).flat("weight_sq")
-    phys = g.to_physical().data
-    g_freq = g.to_frequency() if g_freq is None else g_freq
-    w2_tree = NormSuite.for_grid(grid).flat("weight_sq", grid.is_half(g_freq.data))
-
-    def zero_order(rows):
-        block = phys[rows]
-        return _lp_node(block, grid, 1, weighted=True), _weighted_sq(block, w2)
+    tree = (g if half is None else half).data
+    w2 = NormSuite.for_grid(g.grid).flat("weight_sq", g.grid.is_half(tree))
 
     def add(out, alpha, d_alpha, diff):
-        out[0] += _weighted_sq(d_alpha, w2_tree)
+        out[0] += _weighted_sq(d_alpha, w2)
 
-    nodes = np.arange(len(g)) % (len(g) // 2) if antiperiodic else slice(None)
-    sums = map_chunks(zero_order, node_chunks(len(g) // 2 if antiperiodic else len(g)))
-    l1w, h1w_sq = (np.concatenate(part)[nodes] for part in zip(*sums))
-    h1w_sq += _node_sums(g_freq.data, grid, 1, None, 1, add, skip_zero=True,
-                         antiperiodic=antiperiodic)[0]
+    l1w = l1w_node(g.data, g.grid, antiperiodic)
+    h1w_sq = _node_sums(tree, g.grid, 1, None, 1, add, antiperiodic=antiperiodic)[0]
     return float(np.sqrt(np.trapezoid(l1w ** 2, dx=g.dt))
                  + np.sqrt(np.trapezoid(h1w_sq, dx=g.dt)))

@@ -1,5 +1,5 @@
-"""Time-periodic solver: exponential Duhamel quadrature, the period-map
-representation of the unique periodic linear response, and the fixed-point
+"""Time-periodic solver: exponential Duhamel quadrature, the period map
+giving the unique periodic linear response, and the fixed-point
 iteration on the cubic nonlinearity.
 
 Per mode with symbol lambda, the periodic response to a forcing series F is
@@ -53,7 +53,7 @@ from .errors import NonFiniteField, OddnessViolation
 from .norms import _node_l2, forcing_bracket, z_norm
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
 from .phi import phi1, phi2
-from .spectral import FREQUENCY, ODDNESS_TOL, FieldSeries, map_chunks, node_chunks
+from .spectral import ODDNESS_TOL, FieldSeries, map_chunks, node_chunks
 
 
 @dataclass
@@ -154,7 +154,7 @@ def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
 def _cubic_rows(v: np.ndarray | None, w: np.ndarray, grid) -> np.ndarray:
     """dealias(|v+w|^2 (v+w) - |v|^2 v) on a block of nodes, evaluated in the
     expanded form 2|v|^2 w + v^2 conj(w) + 2|w|^2 v + w^2 conj(v) + |w|^2 w;
-    frequency representation in and out (or planes 0..n/2 of odd data).
+    frequency data in and out (or planes 0..n/2 of odd data).
 
     The expansion is an exact pointwise identity; evaluating it directly keeps
     every term accurate relative to its own size, so successive-iterate
@@ -245,13 +245,12 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     opts = opts or SolveOptions()
     grid = g.grid
     u = np.empty((len(g),) + grid.half_shape, complex)  # g's odd part, then the iterate
-    if not grid.is_odd(g, keep=u):
+    if not grid.is_odd(g.data, keep=u):
         raise OddnessViolation(
             f"forcing is not odd on the lattice: its even part exceeds {ODDNESS_TOL:.0e} "
             f"of its largest coefficient")
     antiperiodic = _is_antiperiodic(u)
-    bracket = forcing_bracket(g, FieldSeries(grid, FREQUENCY, u, g.period),
-                              antiperiodic=antiperiodic)
+    bracket = forcing_bracket(g, FieldSeries(grid, u, g.period), antiperiodic=antiperiodic)
     # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
 
@@ -274,8 +273,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     reason = None
     iterations = 0
     while True:
-        res = z_norm(FieldSeries(grid, FREQUENCY, delta, g.period), delta_cutoffs,
-                     antiperiodic=antiperiodic)
+        res = z_norm(FieldSeries(grid, delta, g.period), delta_cutoffs, antiperiodic=antiperiodic)
         history.append(res)
         iterations += 1
         if not math.isfinite(res):
@@ -299,13 +297,12 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         _linear_period_map_data(delta, op, g.dt, out=delta)
     del delta  # before the final z_norm's chunk temporaries
 
-    z_final = z_norm(FieldSeries(grid, FREQUENCY, u, g.period), cutoffs,
-                     antiperiodic=antiperiodic)
+    z_final = z_norm(FieldSeries(grid, u, g.period), cutoffs, antiperiodic=antiperiodic)
     u = grid.whole_lattice(u)
     scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
                                 * grid.parseval_factor) / scale)
-    u = FieldSeries(grid, FREQUENCY, u, g.period)
+    u = FieldSeries(grid, u, g.period)
     c_est = (z_final / bracket) if bracket > 0 else None
     factor, factor_reason = _contraction_factor(history)
 
@@ -326,7 +323,7 @@ def equation_residual(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
 
     Streamed over chunks of interior nodes: each task builds the forcing,
     right-hand side and residual of its own nodes (D_t from the neighbouring
-    rows of u), so no series beyond u's frequency data is allocated.
+    rows of u), so no series is allocated.
     """
     if u.data.shape != g.data.shape:
         raise ValueError("solution and forcing series are not aligned")
@@ -334,11 +331,10 @@ def equation_residual(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
     m_t = u.n_steps
     if m_t < 2:
         raise ValueError("need at least 3 time nodes")
-    h = u.dt
-    U = u.to_frequency().data
+    h, U = u.dt, u.data
 
     def task(rows):
-        G = g.frequency_rows(rows)
+        G = g.data[rows]
         if include_nonlinearity:
             G = _cubic_rows(None, U[rows], grid) + G
         dt = (U[rows.start + 1:rows.stop + 1] - U[rows.start - 1:rows.stop - 1]) / (2.0 * h)

@@ -7,7 +7,7 @@ Conventions (fixed, for bit-exact file interchange):
 * Frequency lattice per axis: xi_k = 2*pi*k/L with the integer index k stored
   in standard FFT order (0, 1, ..., n/2-1, -n/2, ..., -1).
 * Data arrays are C-ordered, last axis fastest.
-* The frequency representation holds raw forward-FFT coefficients (numpy
+* Fields and series hold frequency data: raw forward-FFT coefficients (numpy
   convention, no normalization); Parseval then reads
   ||f||_L2^2 = (L^dim / n^(2*dim)) * sum |f_hat|^2. Coefficient phases are
   referenced to the array corner x = -L/2, so the centered-coordinate basis
@@ -33,9 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-PHYSICAL = "physical"
-FREQUENCY = "frequency"
 
 SNAPSHOT_MAGIC = b"GLPF"
 SNAPSHOT_VERSION = 1
@@ -277,55 +274,38 @@ def make_grid(config: GridConfig) -> Grid:
 
 @dataclass
 class SpectralField:
-    """A complex scalar field in one fixed representation.
-
-    data has shape grid.shape and dtype complex128.
-    """
+    """A complex scalar field as its frequency data, shape grid.shape and
+    dtype complex128."""
 
     grid: Grid
-    representation: str
     data: np.ndarray
 
     def __post_init__(self):
-        if self.representation not in (PHYSICAL, FREQUENCY):
-            raise ValueError(f"unknown representation {self.representation!r}")
         if self.data.shape != self.grid.shape:
             raise ValueError(
                 f"data shape {self.data.shape} does not match grid shape {self.grid.shape}")
         if self.data.dtype != np.complex128:
             self.data = self.data.astype(np.complex128)
 
-    def to_frequency(self) -> "SpectralField":
-        if self.representation == FREQUENCY:
-            return self
-        return SpectralField(self.grid, FREQUENCY, np.fft.fftn(self.data))
-
-    def to_physical(self) -> "SpectralField":
-        if self.representation == PHYSICAL:
-            return self
-        return SpectralField(self.grid, PHYSICAL, np.fft.ifftn(self.data))
-
 
 @dataclass
 class FieldSeries:
     """m_t + 1 fields at uniform times t_m = m*T/m_t, m = 0..m_t.
 
-    All members share one grid and one representation; data is stacked along
-    axis 0 with shape (m_t + 1,) + grid.shape. For a periodic series the last
-    field duplicates the first up to solver tolerance. An odd frequency
-    series may keep planes 0..n/2 only (grid.half_shape), for z_norm.
+    Frequency data stacked along axis 0 with shape (m_t + 1,) + grid.shape.
+    For a periodic series the last field duplicates the first up to solver
+    tolerance. An odd series may keep planes 0..n/2 only (grid.half_shape),
+    for z_norm.
     """
 
     grid: Grid
-    representation: str
     data: np.ndarray
     period: float
 
     def __post_init__(self):
         if self.data.ndim != self.grid.dim + 1:
             raise ValueError("series data must be stacked along a leading time axis")
-        if self.data.shape[1:] != self.grid.shape and not (
-                self.representation == FREQUENCY and self.grid.is_half(self.data)):
+        if self.data.shape[1:] != self.grid.shape and not self.grid.is_half(self.data):
             raise ValueError(
                 f"series spatial shape {self.data.shape[1:]} does not match grid {self.grid.shape}")
         if self.data.shape[0] < 2:
@@ -351,31 +331,11 @@ class FieldSeries:
         return np.arange(len(self)) * self.dt
 
     def field(self, m: int) -> SpectralField:
-        return SpectralField(self.grid, self.representation, self.data[m])
-
-    def to_frequency(self) -> "FieldSeries":
-        return self if self.representation == FREQUENCY else self._transformed(FREQUENCY)
-
-    def to_physical(self) -> "FieldSeries":
-        return self if self.representation == PHYSICAL else self._transformed(PHYSICAL)
+        return SpectralField(self.grid, self.data[m])
 
     def frequency_rows(self, rows: slice) -> np.ndarray:
-        """The frequency data of nodes `rows`: a view of frequency data, or the
-        physical rows transformed as to_frequency does."""
-        if self.representation == FREQUENCY:
-            return self.data[rows]
-        return np.fft.fftn(self.data[rows], axes=self.grid.series_axes)
-
-    def _transformed(self, representation: str) -> "FieldSeries":
-        """One chunk of nodes per pooled task, bit for bit the batched transform."""
-        out = np.empty(self.data.shape, np.complex128)
-
-        def task(rows):
-            fft = np.fft.fftn if representation == FREQUENCY else np.fft.ifftn
-            fft(self.data[rows], axes=self.grid.series_axes, out=out[rows])
-
-        map_chunks(task, node_chunks(len(self)))
-        return FieldSeries(self.grid, representation, out, self.period)
+        """The data of nodes `rows`, the series protocol a saved base shares."""
+        return self.data[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +343,8 @@ class FieldSeries:
 #
 # Layout (all little-endian): magic "GLPF", version u32, dim u32,
 # n_per_axis u32, box_length f64, representation flag u32 (0 physical,
-# 1 frequency), then n^dim complex values as (re, im) f64 pairs in C order.
+# 1 frequency; read_snapshot returns frequency data, write_snapshot writes 1),
+# then n^dim complex values as (re, im) f64 pairs in C order.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sIIIdI")
@@ -391,9 +352,8 @@ _HEADER = struct.Struct("<4sIIIdI")
 
 def write_snapshot(field: SpectralField, path) -> None:
     cfg = field.grid.config
-    flag = 0 if field.representation == PHYSICAL else 1
     header = _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, cfg.dim,
-                          cfg.n_per_axis, cfg.box_length, flag)
+                          cfg.n_per_axis, cfg.box_length, 1)
     payload = np.ascontiguousarray(field.data, dtype="<c16").tobytes()
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
@@ -412,6 +372,8 @@ def read_snapshot(path, grid: Grid | None = None) -> SpectralField:
             raise ValueError(f"{path}: not a field snapshot (bad magic {magic!r})")
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
+        if flag not in (0, 1):
+            raise ValueError(f"{path}: unknown snapshot representation flag {flag}")
         data = np.fromfile(fh, dtype="<c16")  # no bytes copy beside the array
     if grid is None:
         grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=L))
@@ -421,5 +383,5 @@ def read_snapshot(path, grid: Grid | None = None) -> SpectralField:
             raise ValueError(f"{path}: snapshot grid does not match the provided grid")
     if data.size != n ** dim or os.path.getsize(path) != _HEADER.size + data.nbytes:
         raise ValueError(f"{path}: snapshot payload is not n^dim values (truncated or padded)")
-    rep = PHYSICAL if flag == 0 else FREQUENCY
-    return SpectralField(grid, rep, data.reshape((n,) * dim))
+    data = data.reshape((n,) * dim)
+    return SpectralField(grid, np.fft.fftn(data) if flag == 0 else data)

@@ -302,7 +302,7 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     if interpolated and per_node < 1.0:
         raise ValueError("step size h may not exceed the stored node spacing T/m_t")
 
-    w_hat = cfg.w0.to_frequency().data
+    w_hat = cfg.w0.data
     v_per = None if cfg.linear_only else cfg.v_per
     odd = grid.is_odd(w_hat[None]) and (v_per is None or grid.is_odd(v_per))
     stepper = _Stepper(grid, op, h, odd)

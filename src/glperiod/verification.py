@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .norms import (NormSuite, _lp_node, _node_l2, _weighted_sq,
+from .norms import (NormSuite, _lp_node, _node_l2, _weighted_sq, l1w_node,
                     weighted_hk_node_sq, x_gradient_node_sq, z_norm)
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
 from .periodic_solver import _cubic_difference_data
@@ -169,7 +169,7 @@ def check_period_inverse_bound(op: LinearOperatorSpec, cutoffs: CutoffSpec,
         f_hat[(slice(None),) + (0,) * grid.dim] = 0.0
         u = inv * f_hat * keep
         num = _node_l2(u, grid) + np.sqrt(x_gradient_node_sq(u, grid))
-        den = _lp_node(np.fft.ifftn(f_hat, axes=grid.series_axes), grid, 1, weighted=True)
+        den = l1w_node(f_hat, grid)
         ratios.extend(num[den > 0] / den[den > 0])
     return _fitted_battery_report(
         "period_inverse_bound", ratios,
@@ -205,8 +205,8 @@ def check_high_freq_decay(op: LinearOperatorSpec, cutoffs: CutoffSpec,
 def _trajectory_rhs(u_series: FieldSeries, g_series: FieldSeries) -> np.ndarray:
     """F = dealias(|u|^2 u) + g of a solved run, frequency-stacked: the
     right-hand side both trajectory batteries read."""
-    F = _cubic_difference_data(None, u_series.to_frequency().data, u_series.grid)
-    F += g_series.to_frequency().data
+    F = _cubic_difference_data(None, u_series.data, u_series.grid)
+    F += g_series.data
     return F
 
 
@@ -222,8 +222,7 @@ def check_energy_inequality(u_series: FieldSeries, g_series: FieldSeries,
     when the derivative term is nonpositive) and d is the largest value
     admissible under that budget. `rhs` is F when the caller has it.
     """
-    grid = u_series.grid
-    U = u_series.to_frequency().data
+    grid, U = u_series.grid, u_series.data
     F = _trajectory_rhs(u_series, g_series) if rhs is None else rhs
     _, _, e2_sq, e3_sq = weighted_hk_node_sq(U, grid, 3, cutoffs.chi_inf)
     f1_sq = weighted_hk_node_sq(F, grid, 1, cutoffs.chi_inf)[1]
@@ -260,16 +259,14 @@ def check_nonlinear_bound(u_series: FieldSeries, g_series: FieldSeries,
     `rhs` (F) and `u_z_norm` (||u||_Z, as the solve reported it) are computed
     when not given.
     """
-    grid = u_series.grid
-    G = g_series.to_frequency().data
+    grid, G = u_series.grid, g_series.data
     F = _trajectory_rhs(u_series, g_series) if rhs is None else rhs
     keep = grid.keep_nyquist_free
     h = u_series.dt
     z = z_norm(u_series, cutoffs) if u_z_norm is None else u_z_norm
 
     def l2t_l1w(data):
-        node = _lp_node(np.fft.ifftn(data, axes=grid.series_axes), grid, 1, weighted=True)
-        return float(np.sqrt(np.trapezoid(node ** 2, dx=h)))
+        return float(np.sqrt(np.trapezoid(l1w_node(data, grid) ** 2, dx=h)))
 
     def l2t_h1w(data):
         node_sq = weighted_hk_node_sq(data, grid, 1, cutoffs.chi_inf)[1]
@@ -384,8 +381,7 @@ def run_all_checks(grid: Grid, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         check_high_freq_weighted_poincare(grid, cutoffs, ineq_samples, seed + 6),
     ]
     if u_series is not None and g_series is not None:
-        g_freq = g_series.to_frequency()
-        rhs = _trajectory_rhs(u_series, g_freq)
-        reports.append(check_energy_inequality(u_series, g_freq, op, cutoffs, rhs))
-        reports.extend(check_nonlinear_bound(u_series, g_freq, op, cutoffs, rhs, u_z_norm))
+        rhs = _trajectory_rhs(u_series, g_series)
+        reports.append(check_energy_inequality(u_series, g_series, op, cutoffs, rhs))
+        reports.extend(check_nonlinear_bound(u_series, g_series, op, cutoffs, rhs, u_z_norm))
     return reports

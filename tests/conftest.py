@@ -35,13 +35,18 @@ def rng():
 
 
 def random_physical_field(grid, rng, dealiased=True):
-    """Random complex field; by default band-limited so every multiplier
-    identity (which zeroes Nyquist rows) holds exactly."""
+    """Random complex physical values; by default band-limited so every
+    multiplier identity (which zeroes Nyquist rows) holds exactly."""
     data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     if dealiased:
         fhat = np.fft.fftn(data) * grid.dealias
         data = np.fft.ifftn(fhat)
-    return SpectralField(grid, "physical", data)
+    return data
+
+
+def random_field(grid, rng, dealiased=True):
+    """random_physical_field as a field (its frequency data)."""
+    return SpectralField(grid, np.fft.fftn(random_physical_field(grid, rng, dealiased)))
 
 
 def random_odd_field(grid, rng):
@@ -51,7 +56,7 @@ def random_odd_field(grid, rng):
     fhat *= grid.dealias
     fhat = 0.5 * (fhat - grid.reflect(fhat))
     fhat.flat[0] = 0.0
-    return SpectralField(grid, "frequency", fhat)
+    return SpectralField(grid, fhat)
 
 
 def on_workers(monkeypatch, workers, fn, *args):

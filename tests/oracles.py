@@ -1,8 +1,9 @@
 """Reference forms that the tests hold the ndarray core against.
 
 The package computes on frequency-stacked arrays; the forms below take and
-return single fields (SpectralField) or whole series (FieldSeries) and
-allocate freely, so a test can state an identity in a few lines.
+return single fields (SpectralField) or whole series (FieldSeries) of
+frequency data and allocate freely, so a test can state an identity in a
+few lines.
 
 * project, semigroup_apply, period_inverse_apply: the cutoffs, the symbol
   and period_inverse_symbol applied to one field. Criterion 1 and
@@ -42,6 +43,11 @@ allocate freely, so a test can state an identity in a few lines.
 * odd_residual: oddness measured in physical space off the seam, a rule
   independent of Grid.is_odd, for the forcing, the perturbation, the maps
   of the solve and, in criterion 6, its iterates and the stepper.
+* physical_forcing_bracket: [g] read from g's physical values and
+  whole-lattice derivatives, against forcing_bracket, which reads L1_w
+  through chunked inverse transforms and the H1_w sums on half the lattice.
+* write_physical_snapshot: a snapshot file holding physical values (flag
+  0), which write_snapshot no longer writes, for read_snapshot's flag-0 path.
 """
 
 import math
@@ -58,16 +64,14 @@ from glperiod.periodic_solver import (_NON_FINITE, _all_finite, _contraction_fac
                                       _is_antiperiodic, _linear_period_map_data,
                                       _node_l2_chunked, _step_coefficients)
 from glperiod.phi import phi1, phi2
+from glperiod.spectral import write_snapshot
 from glperiod.stability import _Stepper
 from glperiod.verification import _band_data, _band_envelope
 
 
 def _multiply(f, values):
-    """f times a mode-wise multiplier, Nyquist rows zeroed, returned in f's
-    representation."""
-    data = f.to_frequency().data * values * f.grid.keep_nyquist_free
-    out = SpectralField(f.grid, "frequency", data)
-    return out if f.representation == "frequency" else out.to_physical()
+    """f times a mode-wise multiplier, Nyquist rows zeroed."""
+    return SpectralField(f.grid, f.data * values * f.grid.keep_nyquist_free)
 
 
 def project(f, which, cutoffs):
@@ -96,7 +100,7 @@ def check_zero_mode(data, tol):
 
 def period_inverse_apply(f, op, zero_mode_tol=1e-10):
     """(1 - exp(-T A))^{-1} f on mean-free f; the xi = 0 mode is set to 0."""
-    check_zero_mode(f.to_frequency().data[None], zero_mode_tol)
+    check_zero_mode(f.data[None], zero_mode_tol)
     return _multiply(f, period_inverse_symbol(op))
 
 
@@ -129,18 +133,16 @@ def duhamel_integral(F, t_index, op):
     """int_0^{t_index h} e^{-(t-s)A} F(s) ds with F piecewise linear in time."""
     if not 0 <= t_index <= F.n_steps:
         raise IndexError(f"t_index {t_index} out of range 0..{F.n_steps}")
-    data = F.to_frequency().data
-    I = np.empty((t_index + 1,) + data.shape[1:], dtype=complex)
-    _integrate_into(I, data, *_step_coefficients(op, F.dt))
-    return SpectralField(F.grid, "frequency", I[t_index])
+    I = np.empty((t_index + 1,) + F.data.shape[1:], dtype=complex)
+    _integrate_into(I, F.data, *_step_coefficients(op, F.dt))
+    return SpectralField(F.grid, I[t_index])
 
 
 def periodic_initial_data(F, op, zero_mode_tol=1e-10):
     """u(0) = (1 - e^{-TA})^{-1} int_0^T e^{-(T-s)A} F(s) ds."""
-    check_zero_mode(F.to_frequency().data, zero_mode_tol)
+    check_zero_mode(F.data, zero_mode_tol)
     I_T = duhamel_integral(F, F.n_steps, op).data
-    return SpectralField(F.grid, "frequency",
-                         period_inverse_symbol(op) * I_T * F.grid.keep_nyquist_free)
+    return SpectralField(F.grid, period_inverse_symbol(op) * I_T * F.grid.keep_nyquist_free)
 
 
 def cubic_rhs(U, G, grid):
@@ -154,26 +156,24 @@ def cubic_rhs(U, G, grid):
 
 def picard_step(u, g, op, nonlinearity=True):
     """One fixed-point update: the periodic response of dealias(|u|^2 u) + g."""
-    F = G = g.to_frequency().data
+    F = G = g.data
     if nonlinearity:
-        F = _cubic_difference_data(None, u.to_frequency().data, u.grid)
+        F = _cubic_difference_data(None, u.data, u.grid)
         F += G
-    return FieldSeries(u.grid, "frequency", _linear_period_map_data(F, op, u.dt), u.period)
+    return FieldSeries(u.grid, _linear_period_map_data(F, op, u.dt), u.period)
 
 
 def whole_lattice_solve(g, op, cutoffs, opts=None):
     """solve_periodic's iteration on the whole lattice, for any mean-free g:
-    the series it holds (g's frequency data when g is physical, u, delta) and
-    the order of its kernel calls are those of solve_periodic, on all n
-    planes and on g itself rather than its odd part."""
+    the series it holds (u, delta) and the order of its kernel calls are
+    those of solve_periodic, on all n planes and on g itself rather than its
+    odd part."""
     opts = opts or SolveOptions()
     grid = g.grid
-    g_freq = g.to_frequency()
-    antiperiodic = _is_antiperiodic(g_freq.data)
-    bracket = forcing_bracket(g, g_freq, antiperiodic=antiperiodic)
+    antiperiodic = _is_antiperiodic(g.data)
+    bracket = forcing_bracket(g, antiperiodic=antiperiodic)
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
-    u = _linear_period_map_data(g_freq.data, op, g.dt,
-                                out=None if g_freq is g else g_freq.data)
+    u = _linear_period_map_data(g.data, op, g.dt)
     if opts.nonlinearity_enabled:
         delta = _cubic_difference_data(None, u, grid)
         _linear_period_map_data(delta, op, g.dt, out=delta)
@@ -181,7 +181,7 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
         delta = np.zeros_like(u)
     history, converged, diverged, reason = [], False, False, None
     while True:
-        res = z_norm(FieldSeries(grid, "frequency", delta, g.period), delta_cutoffs,
+        res = z_norm(FieldSeries(grid, delta, g.period), delta_cutoffs,
                      antiperiodic=antiperiodic)
         history.append(res)
         if not math.isfinite(res):
@@ -203,7 +203,7 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
             break
         _linear_period_map_data(delta, op, g.dt, out=delta)
     del delta
-    z_final = z_norm(FieldSeries(grid, "frequency", u, g.period), cutoffs,
+    z_final = z_norm(FieldSeries(grid, u, g.period), cutoffs,
                      antiperiodic=antiperiodic)
     scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
@@ -215,22 +215,21 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
         c_estimate=(z_final / bracket) if bracket > 0 else None,
         contraction_factor=factor, diverged=diverged, divergence_reason=reason,
         contraction_factor_reason=factor_reason, antiperiodic=antiperiodic)
-    return FieldSeries(grid, "frequency", u, g.period), report
+    return FieldSeries(grid, u, g.period), report
 
 
 def split_series(u, cutoffs):
     """The low and high frequency parts of a series."""
-    data = u.to_frequency().data
     keep = u.grid.keep_nyquist_free
-    return tuple(FieldSeries(u.grid, "frequency", data * (chi * keep), u.period)
+    return tuple(FieldSeries(u.grid, u.data * (chi * keep), u.period)
                  for chi in (cutoffs.chi1, cutoffs.chi_inf))
 
 
 def split_equation_residual(u, g, op, cutoffs):
     """Residuals of the sub-systems D_t u_j + A u_j = P_j (dealias(|u|^2 u) + g),
     j = low, high, normalized as equation_residual normalizes the full one."""
-    U = u.to_frequency().data
-    F = cubic_rhs(U, g.to_frequency().data, u.grid)
+    U = u.data
+    F = cubic_rhs(U, g.data, u.grid)
     keep = u.grid.keep_nyquist_free
     scale = 1.0 + float(_node_l2(U, u.grid).max())
     out = []
@@ -244,14 +243,12 @@ def split_equation_residual(u, g, op, cutoffs):
 def exp_step(w, v_at_t, h, op, order=1, v_next=None, include_rhs=True):
     """One perturbation step of a fresh _Stepper on a copy of w: exponential
     Euler at order 1, one ETD2RK step at order 2, the pure semigroup with
-    include_rhs=False."""
+    include_rhs=False. The base v is given by its physical values."""
     if not h > 0 or order not in (1, 2):
         raise ValueError(f"need h > 0 and order 1 or 2; got h={h}, order={order}")
-    v_now = v_at_t.to_physical().data
-    v_nxt = v_now if v_next is None else v_next.to_physical().data
-    w_hat = w.to_frequency().data.copy()
-    out = _Stepper(w.grid, op, h).step(w_hat, v_now, v_nxt, order, include_rhs)
-    return SpectralField(w.grid, "frequency", out)
+    v_nxt = v_at_t if v_next is None else v_next
+    out = _Stepper(w.grid, op, h).step(w.data.copy(), v_at_t, v_nxt, order, include_rhs)
+    return SpectralField(w.grid, out)
 
 
 def direct_step(u, g_at_t, g_next, h, op, order=2, nonlinearity=True):
@@ -264,19 +261,17 @@ def direct_step(u, g_at_t, g_next, h, op, order=2, nonlinearity=True):
     def forcing_hat(u_hat, g_hat):
         return cubic_rhs(u_hat[None], g_hat, grid)[0] if nonlinearity else g_hat
 
-    u_hat = u.to_frequency().data
-    f_now = forcing_hat(u_hat, g_at_t.to_frequency().data)
-    out = decay * u_hat + h_phi1 * f_now
+    f_now = forcing_hat(u.data, g_at_t.data)
+    out = decay * u.data + h_phi1 * f_now
     if order != 1:
-        out = out + h_phi2 * (forcing_hat(out, g_next.to_frequency().data) - f_now)
-    return SpectralField(grid, "frequency", out)
+        out = out + h_phi2 * (forcing_hat(out, g_next.data) - f_now)
+    return SpectralField(grid, out)
 
 
 def random_band_field(grid, rng, band, cutoffs, odd=False):
     """One battery draw: a random frequency-space field with unit L2 norm
     under the battery's envelope for band 'low', 'high' or 'full'."""
-    return SpectralField(grid, "frequency",
-                         _band_data(grid, rng, _band_envelope(grid, band, cutoffs), odd))
+    return SpectralField(grid, _band_data(grid, rng, _band_envelope(grid, band, cutoffs), odd))
 
 
 def odd_fft_every_plane(grid, phys):
@@ -296,9 +291,36 @@ def odd_fft_every_plane(grid, phys):
 
 
 def odd_residual(f):
-    """max |f(x) + f(-x)| / (1 + max |f|) over the nodes of a physical field
+    """max |f(x) + f(-x)| / (1 + max |f|) over the physical nodes of a field
     off the seam (index 0 on some axis, whose mirror exists only by periodic
     identification)."""
-    assert f.representation == "physical"
-    resid = np.abs(f.data + f.grid.reflect(f.data))[(slice(1, None),) * f.grid.dim]
-    return float(resid.max() / (1.0 + np.abs(f.data).max()))
+    phys = np.fft.ifftn(f.data)
+    resid = np.abs(phys + f.grid.reflect(phys))[(slice(1, None),) * f.grid.dim]
+    return float(resid.max() / (1.0 + np.abs(phys).max()))
+
+
+def physical_forcing_bracket(g):
+    """[g] = ||g||_{L2(0,T;L1_w)} + ||g||_{L2(0,T;H1_w)} read in physical
+    space, as the package computed it from a physical forcing series: the
+    L1_w and alpha = 0 sums from the values, the first derivatives from the
+    Nyquist-free multipliers, each node on its own."""
+    grid, axes = g.grid, g.grid.series_axes
+    weight = 1.0 + grid.x_abs
+    phys = np.fft.ifftn(g.data, axes=axes)
+    l1w = (weight * np.abs(phys)).sum(axis=axes) * grid.quad_weight
+    h1w_sq = (weight ** 2 * np.abs(phys) ** 2).sum(axis=axes) * grid.quad_weight
+    for axis in range(grid.dim):
+        d = np.fft.ifftn(g.data * (1j * grid.xi[axis] * grid.keep_nyquist_free), axes=axes)
+        h1w_sq += (weight ** 2 * np.abs(d) ** 2).sum(axis=axes) * grid.quad_weight
+    return float(np.sqrt(np.trapezoid(l1w ** 2, dx=g.dt))
+                 + np.sqrt(np.trapezoid(h1w_sq, dx=g.dt)))
+
+
+def write_physical_snapshot(field, path):
+    """write_snapshot's file for a field held as physical values: flag 0 and
+    the values ifftn(field.data) as the payload."""
+    write_snapshot(field, path)
+    with open(path, "r+b") as fh:  # the flag, then the payload, after the 24-byte prefix
+        fh.seek(24)
+        fh.write((0).to_bytes(4, "little"))
+        fh.write(np.ascontiguousarray(np.fft.ifftn(field.data), dtype="<c16").tobytes())

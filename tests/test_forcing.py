@@ -7,7 +7,7 @@ from glperiod import (ForcingSpec, PerturbationSpec, SeamDecayViolation,
                       SpectralField, forcing_bracket, realize_forcing,
                       realize_perturbation, spectral)
 from glperiod.errors import OddnessViolation
-from glperiod.forcing import check_seam_decay, gauss_dipole
+from glperiod.forcing import check_seam_decay, gauss_dipole, temporal_values
 
 from oracles import odd_residual
 
@@ -19,9 +19,10 @@ class TestRealizeForcing:
 
     def test_dipole_vanishes_at_origin(self, grid3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 8)
+        phys = np.fft.ifftn(g.data, axes=grid3d.series_axes)
         origin = (grid3d.n // 2,) * 3
-        for m in range(9):
-            assert abs(g.data[(m,) + origin]) == 0.0
+        for m in range(9):  # zero to the roundoff of the inverse transform
+            assert abs(phys[(m,) + origin]) <= 8 * np.finfo(float).eps * 1e-2
 
     def test_exact_time_periodicity(self, grid3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
@@ -42,7 +43,7 @@ class TestRealizeForcing:
         g = realize_forcing(ForcingSpec(amplitude=eps, period=1.0,
                                         temporal_profile="cos_fundamental"),
                             grid3d, 8)
-        assert np.abs(g.data[0]).max() == pytest.approx(eps, rel=1e-12)
+        assert np.abs(np.fft.ifftn(g.data[0])).max() == pytest.approx(eps, rel=1e-12)
 
     def test_bracket_matches_separable_closed_form(self, grid3d):
         import glperiod as gl
@@ -51,7 +52,7 @@ class TestRealizeForcing:
         g = realize_forcing(ForcingSpec(amplitude=eps, period=1.0), grid3d, m_t)
         # sin profile peaks at node m_t/4; recover the spatial factor there
         peak_node = m_t // 4
-        profile = SpectralField(grid3d, "physical", g.data[peak_node] / eps)
+        profile = SpectralField(grid3d, g.data[peak_node] / eps)
         closed = eps * np.sqrt(0.5) * (gl.lp_norm(profile, 1, weighted=True)
                                        + gl.sobolev_norm(profile, 1, weighted=True))
         assert forcing_bracket(g) == pytest.approx(closed, rel=1e-8)
@@ -62,8 +63,7 @@ class TestRealizeForcing:
             realize_forcing(wide, grid3d, 8)
 
     def test_even_custom_profile_rejected(self, grid3d):
-        even = SpectralField(grid3d, "physical",
-                             np.exp(-grid3d.x_abs ** 2 / 8.0).astype(complex))
+        even = SpectralField(grid3d, np.fft.fftn(np.exp(-grid3d.x_abs ** 2 / 8.0)))
         spec = ForcingSpec(amplitude=1e-2, period=1.0, spatial_profile="custom",
                            custom_profile=even)
         with pytest.raises(OddnessViolation):
@@ -75,15 +75,15 @@ class TestRealizeForcing:
         odd = gauss_dipole(grid3d, 2.0)
         profile = odd + even_part * np.abs(odd).max() * np.exp(-grid3d.x_abs ** 2 / 8.0)
         spec = ForcingSpec(amplitude=1e-2, period=1.0, spatial_profile="custom",
-                           custom_profile=SpectralField(grid3d, "physical", profile))
+                           custom_profile=SpectralField(grid3d, np.fft.fftn(profile)))
         if even_part:
             with pytest.raises(OddnessViolation):
                 realize_forcing(spec, grid3d, 8)
-        else:
-            np.testing.assert_array_equal(
-                realize_forcing(spec, grid3d, 8).data,
-                realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0, sigma=2.0),
-                                grid3d, 8).data)
+        else:  # the custom peak is read through an inverse transform: roundoff
+            default = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0, sigma=2.0),
+                                      grid3d, 8).data
+            np.testing.assert_allclose(realize_forcing(spec, grid3d, 8).data, default,
+                                       rtol=0, atol=8 * np.finfo(float).eps * np.abs(default).max())
 
     def test_dipole_that_decays_but_is_not_odd_rejected(self, grid3d):
         # sigma = L/14 passes the seam check, yet its seam rows leave an even
@@ -116,13 +116,26 @@ class TestRealizeForcing:
                                         temporal_profile="harmonic", harmonic=2),
                             grid3d, 16)
         # second harmonic vanishes at t = T/4 and T/2
-        assert np.abs(g.data[4]).max() == pytest.approx(0.0, abs=1e-15)
+        assert np.abs(np.fft.ifftn(g.data[4])).max() == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("temporal_profile", ["sin_fundamental", "cos_fundamental"])
+    def test_frequency_samples_match_transformed_physical_samples(self, grid3d,
+                                                                  temporal_profile):
+        # eps a(t_m) G_hat against the node-by-node transform of the physical
+        # samples eps a(t_m) G / max|G|
+        spec = ForcingSpec(amplitude=3e-2, period=1.0, temporal_profile=temporal_profile)
+        profile = gauss_dipole(grid3d, grid3d.box_length / 16.0).astype(complex)
+        profile = profile / np.abs(profile).max()
+        a = temporal_values(spec, 16)
+        expected = np.array([np.fft.fftn(spec.amplitude * a_m * profile) for a_m in a])
+        got = realize_forcing(spec, grid3d, 16).data
+        assert np.abs(got - expected).max() <= 8 * np.finfo(float).eps * np.abs(expected).max()
 
 
 class TestPerturbation:
     def test_dipole_default(self, grid3d):
         w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid3d)
-        assert np.abs(w0.data).max() == pytest.approx(1e-2, rel=1e-12)
+        assert np.abs(np.fft.ifftn(w0.data)).max() == pytest.approx(1e-2, rel=1e-12)
         assert odd_residual(w0) <= 1e-12
 
     def test_even_profile_supported(self, grid3d):

@@ -16,7 +16,9 @@ from glperiod.cli import main
 from glperiod.config import load_config, reference_config
 from glperiod.errors import ConfigError
 from glperiod.manifest import load_manifest, sha256_of, verify_manifest
-from glperiod.spectral import read_snapshot, write_snapshot
+from glperiod.spectral import read_snapshot
+
+from oracles import write_physical_snapshot
 
 
 def _small_config(tmp_path, **overrides):
@@ -179,9 +181,9 @@ class TestSolveCommand:
         assert main(["solve-periodic", "--config", str(cfg_path)]) == 0
         headline = load_manifest(tmp_path / "out" / "manifest.json")["headline"]
         cfg = load_config(cfg_path)
-        grid = config.build_grid(cfg)
+        g = config.build_forcing(cfg)
+        grid = g.grid
         op = config.build_operator(grid, cfg)
-        g = config.build_forcing(cfg, grid)
         u, _ = glperiod.solve_periodic(g, op, config.build_cutoffs(grid, cfg),
                                        config.build_solve_options(cfg))
         expected = glperiod.equation_residual(u, g, op, False)
@@ -261,20 +263,26 @@ class TestStabilityCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: base manifest") and err.count("\n") == 1
 
+    @staticmethod
+    def _rehash(manifest, snap):
+        """Write snap's new hash and size into the manifest, so the file
+        passes the hash check and is judged when read."""
+        man = load_manifest(manifest)
+        entry = next(a for a in man["artifacts"] if a["path"] == snap.name)
+        entry.update(sha256=sha256_of(snap), bytes=snap.stat().st_size)
+        manifest.write_text(json.dumps(man))
+
     def test_snapshot_in_physical_representation(self, tmp_path):
-        # node 3 rewritten in physical representation and re-hashed into the
+        # node 3 rewritten as physical values (flag 0) and re-hashed into the
         # manifest is read by its own flag: the run is the untouched base's
         # to roundoff (read as frequency data it would not be)
         cfg_path, manifest = self._saved_base(tmp_path)
         assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
                      "--out", str(tmp_path / "frequency")]) == 0
         snap = manifest.parent / "field_0003.glpf"
-        write_snapshot(read_snapshot(snap).to_physical(), snap)
-        man = load_manifest(manifest)
-        entry = next(a for a in man["artifacts"] if a["path"] == snap.name)
-        entry.update(sha256=sha256_of(snap), bytes=snap.stat().st_size)
-        manifest.write_text(json.dumps(man))
-        assert read_snapshot(snap).representation == "physical"
+        write_physical_snapshot(read_snapshot(snap), snap)
+        self._rehash(manifest, snap)
+        assert int.from_bytes(snap.read_bytes()[24:28], "little") == 0
         assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
                      "--out", str(tmp_path / "mixed")]) == 0
         frequency, mixed = (np.loadtxt(tmp_path / name / "decay.csv", delimiter=",",
@@ -287,16 +295,30 @@ class TestStabilityCommand:
         cfg_path, manifest = self._saved_base(tmp_path)
         snap = manifest.parent / "field_0003.glpf"
         snap.write_bytes(snap.read_bytes()[:6])
-        man = load_manifest(manifest)
-        entry = next(a for a in man["artifacts"] if a["path"] == snap.name)
-        entry.update(sha256=sha256_of(snap), bytes=snap.stat().st_size)
-        manifest.write_text(json.dumps(man))
+        self._rehash(manifest, snap)
         capsys.readouterr()
         assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
                      "--out", str(tmp_path / "stab")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: base snapshot rejected: ")
         assert "field_0003.glpf: shorter than the 28-byte" in err and err.count("\n") == 1
+
+    def test_snapshot_with_unknown_flag_rejected(self, tmp_path, capsys):
+        # node 3's representation flag set to 2 and re-hashed into the
+        # manifest: neither physical nor frequency data, so no run
+        cfg_path, manifest = self._saved_base(tmp_path)
+        snap = manifest.parent / "field_0003.glpf"
+        raw = bytearray(snap.read_bytes())
+        raw[24:28] = (2).to_bytes(4, "little")
+        snap.write_bytes(bytes(raw))
+        self._rehash(manifest, snap)
+        capsys.readouterr()
+        assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
+                     "--out", str(tmp_path / "stab")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: base snapshot rejected: ")
+        assert "field_0003.glpf: unknown snapshot representation flag 2" in err
+        assert err.count("\n") == 1 and not (tmp_path / "stab" / "decay.csv").exists()
 
     def test_base_without_snapshots_rejected(self, tmp_path):
         cfg_path = _small_config(tmp_path)

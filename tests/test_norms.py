@@ -9,21 +9,27 @@ from functools import partial
 import numpy as np
 import pytest
 
-from glperiod import (FieldSeries, GridConfig, NormSuite, SpectralField,
+from glperiod import (FieldSeries, ForcingSpec, GridConfig, NormSuite, SpectralField,
                       auto_cutoffs, forcing_bracket, lp_norm, make_grid, norms,
-                      sobolev_norm, spacetime_norm, spectral,
+                      realize_forcing, sobolev_norm, spacetime_norm, spectral,
                       x_weighted_gradient_norm, z_norm)
 from glperiod.norms import (_multi_indices, _weighted_sq,
                             weighted_hk_node_sq, x_gradient_node_sq)
 from glperiod.spectral import map_chunks, node_chunks
 
-from conftest import (antiperiodic_series, on_workers, random_physical_field, raw_odd_series,
-                      raw_random_series)
-from oracles import time_derivative
+from conftest import (antiperiodic_series, on_workers, random_field, random_physical_field,
+                      raw_odd_series, raw_random_series)
+from oracles import physical_forcing_bracket, time_derivative
 
 
 def _field(grid, values):
-    return SpectralField(grid, "physical", np.asarray(values, dtype=complex))
+    """The field of physical values (its frequency data)."""
+    return SpectralField(grid, np.fft.fftn(values))
+
+
+def _series(grid, values, period):
+    """The series of physical values stacked along axis 0."""
+    return FieldSeries(grid, np.fft.fftn(values, axes=grid.series_axes), period)
 
 
 class TestWeight:
@@ -60,8 +66,8 @@ class TestLpNorm:
         assert value == pytest.approx((np.pi / 2.0) ** 0.25, rel=1e-12)
 
     def test_infinity_norm_is_max_modulus(self, grid3d, rng):
-        f = random_physical_field(grid3d, rng)
-        assert lp_norm(f, math.inf) == np.abs(f.data).max()
+        f = random_field(grid3d, rng)
+        assert lp_norm(f, math.inf) == np.abs(np.fft.ifftn(f.data)).max()
 
     def test_rejects_unsupported_exponent(self, grid1d):
         f = _field(grid1d, np.ones(grid1d.shape))
@@ -69,18 +75,18 @@ class TestLpNorm:
             lp_norm(f, 4)
 
     def test_homogeneity_and_triangle(self, grid3d, rng):
-        f = random_physical_field(grid3d, rng)
-        g = random_physical_field(grid3d, rng)
+        f = random_field(grid3d, rng)
+        g = random_field(grid3d, rng)
         for p in (1, 2, 3, 6, math.inf):
             for weighted in (False, True):
                 n_f = lp_norm(f, p, weighted)
-                scaled = lp_norm(_field(f.grid, 2.5 * f.data), p, weighted)
+                scaled = lp_norm(SpectralField(f.grid, 2.5 * f.data), p, weighted)
                 assert scaled == pytest.approx(2.5 * n_f, rel=1e-10)
-                n_sum = lp_norm(_field(f.grid, f.data + g.data), p, weighted)
+                n_sum = lp_norm(SpectralField(f.grid, f.data + g.data), p, weighted)
                 assert n_sum <= n_f + lp_norm(g, p, weighted) + 1e-10
 
     def test_unweighted_below_weighted(self, grid3d, rng):
-        f = random_physical_field(grid3d, rng)
+        f = random_field(grid3d, rng)
         for p in (1, 2, 3, 6, math.inf):
             assert lp_norm(f, p) <= lp_norm(f, p, weighted=True)
 
@@ -99,18 +105,16 @@ class TestSobolevNorm:
         assert sobolev_norm(f, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_h1_assembled_from_l2_pieces(self, grid3d, rng):
-        f = random_physical_field(grid3d, rng)
-        fhat = f.to_frequency()
+        f = random_field(grid3d, rng)
         total = lp_norm(f, 2) ** 2
         for axis in range(3):
-            d = fhat.data * (1j * grid3d.xi[axis]) * grid3d.keep_nyquist_free
-            dphys = SpectralField(grid3d, "frequency", d).to_physical()
-            total += lp_norm(dphys, 2) ** 2
+            d = f.data * (1j * grid3d.xi[axis]) * grid3d.keep_nyquist_free
+            total += lp_norm(SpectralField(grid3d, d), 2) ** 2
         assert sobolev_norm(f, 1) == pytest.approx(np.sqrt(total), rel=1e-12)
 
     def test_weighted_matches_bruteforce(self, grid3d, rng):
-        f = random_physical_field(grid3d, rng)
-        fhat = f.to_frequency().data
+        f = random_field(grid3d, rng)
+        fhat = f.data
         w = 1.0 + grid3d.x_abs
         total = 0.0
         for alpha in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
@@ -146,8 +150,8 @@ class TestXWeightedGradient:
         assert value_n[256] == pytest.approx(closed, rel=2e-4)
 
     def test_reflection_invariance(self, grid3d, rng):
-        f = random_physical_field(grid3d, rng)
-        mirrored = SpectralField(grid3d, "physical", grid3d.reflect(f.data))
+        f = random_field(grid3d, rng)
+        mirrored = SpectralField(grid3d, grid3d.reflect(f.data))
         assert x_weighted_gradient_norm(f) == pytest.approx(
             x_weighted_gradient_norm(mirrored), rel=1e-12)
 
@@ -156,21 +160,21 @@ def _cosine_series(grid, f_data, m_t, period):
     t = np.arange(m_t + 1)
     phase = np.cos(2 * np.pi * (t % m_t) / m_t)
     data = phase[(slice(None),) + (None,) * grid.dim] * f_data
-    return FieldSeries(grid, "physical", data, period)
+    return _series(grid, data, period)
 
 
 class TestSpaceTimeNorms:
     def test_zero_series(self, grid3d):
-        s = FieldSeries(grid3d, "physical",
+        s = _series(grid3d,
                         np.zeros((9,) + grid3d.shape, dtype=complex), 1.0)
         assert spacetime_norm(s, "X") == 0.0
         assert spacetime_norm(s, "Y") == 0.0
 
     def test_time_constant_x_norm(self, grid3d, rng):
         T, m_t = 1.0, 16
-        f = random_physical_field(grid3d, rng)
-        data = np.broadcast_to(f.data, (m_t + 1,) + grid3d.shape).copy()
-        s = FieldSeries(grid3d, "physical", data, T)
+        phys = random_physical_field(grid3d, rng)
+        f = _field(grid3d, phys)
+        s = _series(grid3d, np.broadcast_to(phys, (m_t + 1,) + grid3d.shape), T)
         expected = (np.sqrt(T) * lp_norm(f, 2)
                     + np.sqrt(T) * x_weighted_gradient_norm(f))
         assert spacetime_norm(s, "X") == pytest.approx(expected, rel=1e-10)
@@ -180,8 +184,8 @@ class TestSpaceTimeNorms:
         h = T / m_t
         omega = 2 * np.pi / T
         omega_d = np.sin(omega * h) / h  # centered-difference symbol
-        f = random_physical_field(grid3d, rng)
-        s = _cosine_series(grid3d, f.data, m_t, T)
+        phys = random_physical_field(grid3d, rng)
+        f, s = _field(grid3d, phys), _cosine_series(grid3d, phys, m_t, T)
         expected = (np.sqrt(T / 2 * (1 + omega_d ** 2)) * lp_norm(f, 2)
                     + np.sqrt(T / 2 * (1 + omega_d ** 2)) * x_weighted_gradient_norm(f)
                     + np.sqrt(T / 2) * omega_d * lp_norm(f, 2, weighted=True))
@@ -192,8 +196,8 @@ class TestSpaceTimeNorms:
         h = T / m_t
         omega = 2 * np.pi / T
         omega_d = np.sin(omega * h) / h
-        f = random_physical_field(grid3d, rng)
-        s = _cosine_series(grid3d, f.data, m_t, T)
+        phys = random_physical_field(grid3d, rng)
+        f, s = _field(grid3d, phys), _cosine_series(grid3d, phys, m_t, T)
         h1, h2, h3 = (sobolev_norm(f, k, weighted=True) for k in (1, 2, 3))
         expected = (h2  # max over nodes of |cos| * H2_w
                     + np.sqrt(T / 2) * h3
@@ -201,14 +205,14 @@ class TestSpaceTimeNorms:
         assert spacetime_norm(s, "Y") == pytest.approx(expected, rel=1e-12)
 
     def test_needs_three_nodes(self, grid3d):
-        s = FieldSeries(grid3d, "physical",
+        s = _series(grid3d,
                         np.zeros((2,) + grid3d.shape, dtype=complex), 1.0)
         with pytest.raises(ValueError, match="time nodes"):
             spacetime_norm(s, "X")
 
     def test_z_norm_is_x_plus_y(self, grid3d, cutoffs3d, rng):
-        data = np.stack([random_physical_field(grid3d, rng).data for _ in range(9)])
-        s = FieldSeries(grid3d, "physical", data, 1.0)
+        data = np.stack([random_physical_field(grid3d, rng) for _ in range(9)])
+        s = _series(grid3d, data, 1.0)
         z = z_norm(s, cutoffs3d)
         assert z == pytest.approx(spacetime_norm(s, "X", cutoffs3d)
                                   + spacetime_norm(s, "Y", cutoffs3d), rel=1e-14)
@@ -216,28 +220,40 @@ class TestSpaceTimeNorms:
 
 class TestForcingBracket:
     def test_zero(self, grid3d):
-        s = FieldSeries(grid3d, "physical",
-                        np.zeros((9,) + grid3d.shape, dtype=complex), 1.0)
+        s = _series(grid3d, np.zeros((9,) + grid3d.shape, dtype=complex), 1.0)
         assert forcing_bracket(s) == 0.0
 
     def test_homogeneity(self, grid3d, rng):
-        data = np.stack([random_physical_field(grid3d, rng).data for _ in range(9)])
-        s = FieldSeries(grid3d, "physical", data, 1.0)
-        s2 = FieldSeries(grid3d, "physical", 3.0 * data, 1.0)
+        data = np.stack([random_physical_field(grid3d, rng) for _ in range(9)])
+        s = _series(grid3d, data, 1.0)
+        s2 = _series(grid3d, 3.0 * data, 1.0)
         assert forcing_bracket(s2) == pytest.approx(3.0 * forcing_bracket(s), rel=1e-12)
 
     def test_separable_assembly(self, grid3d, rng):
         # [a(t) G(x)] = ||a||_{L2(0,T)} (||G||_{L1_w} + ||G||_{H1_w})
         T, m_t = 1.0, 16
-        G = random_physical_field(grid3d, rng)
+        phys = random_physical_field(grid3d, rng)
+        G = _field(grid3d, phys)
         t = np.arange(m_t + 1)
         a = np.sin(2 * np.pi * (t % m_t) / m_t)
-        data = a[(slice(None),) + (None,) * 3] * G.data
-        s = FieldSeries(grid3d, "physical", data, T)
+        data = a[(slice(None),) + (None,) * 3] * phys
+        s = _series(grid3d, data, T)
         a_l2 = np.sqrt(T / 2.0)  # trapezoid of sin^2 over one period
         expected = a_l2 * (lp_norm(G, 1, weighted=True)
                            + sobolev_norm(G, 1, weighted=True))
         assert forcing_bracket(s) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("m_t", [16, 64])
+    def test_matches_the_physical_space_reference(self, grid3d, m_t):
+        # [g] of the forcing, with L1_w read through chunked inverse
+        # transforms and, as the solve reads it, the H1_w sums on half the
+        # lattice and half the period: the physical-space formula to roundoff
+        g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, m_t)
+        odd = 0.5 * (g.data - grid3d.reflect(g.data))
+        half = FieldSeries(grid3d, odd[:, :grid3d.n // 2 + 1], g.period)
+        ref = physical_forcing_bracket(g)
+        for value in (forcing_bracket(g), forcing_bracket(g, half, antiperiodic=True)):
+            assert value == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +332,9 @@ def _ref_y_norm(series):
 
 
 def _ref_spacetime_norm(series, kind, cutoffs=None):
-    series = series.to_frequency()
     if cutoffs is not None:
         chi = cutoffs.chi1 if kind == "X" else cutoffs.chi_inf
-        series = FieldSeries(series.grid, "frequency",
-                             series.data * (chi * series.grid.keep_nyquist_free),
+        series = FieldSeries(series.grid, series.data * (chi * series.grid.keep_nyquist_free),
                              series.period)
     return _ref_x_norm(series) if kind == "X" else _ref_y_norm(series)
 
@@ -328,7 +342,7 @@ def _ref_spacetime_norm(series, kind, cutoffs=None):
 def _ref_forcing_bracket(g):
     grid, h = g.grid, g.dt
     axes = _ref_axes(grid)
-    data = g.to_frequency().data
+    data = g.data
     phys = np.fft.ifftn(data, axes=axes)
     l1w = (np.abs(phys) * NormSuite.for_grid(grid).weight).sum(axis=axes) * grid.quad_weight
     h1w = _ref_hk(data, grid, 1)[1]
@@ -339,7 +353,7 @@ def _ref_sobolev_norm(f, k):
     """Weighted H^k norm of one field: one full inverse transform per
     multi-index |alpha| <= k."""
     grid, suite = f.grid, NormSuite.for_grid(f.grid)
-    freq = f.to_frequency().data
+    freq = f.data
     total = 0.0
     for alpha in _multi_indices(grid.dim, k):
         phys = np.fft.ifftn(freq * _ref_alpha_symbol(grid, alpha))
@@ -351,7 +365,7 @@ def _ref_x_weighted_gradient_norm(f):
     """|| |x| |grad f| ||_{L2} of one field: one full inverse transform per
     axis."""
     grid, suite = f.grid, NormSuite.for_grid(f.grid)
-    freq = f.to_frequency().data
+    freq = f.data
     grad_sq = np.zeros(grid.shape)
     for axis in range(grid.dim):
         alpha = tuple(1 if a == axis else 0 for a in range(grid.dim))
@@ -474,7 +488,7 @@ class TestFieldNormOracle:
         grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
                                     box_length=32.0))
         data = raw_random_series(grid, fields - 1, np.random.default_rng(31 * dim + fields))
-        singles = [SpectralField(grid, "frequency", d) for d in data]
+        singles = [SpectralField(grid, d) for d in data]
         hk = weighted_hk_node_sq(data, grid, 3)
         for k in range(4):
             ref = [_ref_sobolev_norm(f, k) for f in singles]
@@ -490,7 +504,7 @@ class TestFieldNormOracle:
                                    rtol=1e-13, atol=0)
 
     def test_physical_input(self, grid3d, rng):
-        f = SpectralField(grid3d, "physical", raw_random_series(grid3d, 0, rng)[0])
+        f = _field(grid3d, raw_random_series(grid3d, 0, rng)[0])
         for k in range(4):
             assert sobolev_norm(f, k, weighted=True) == pytest.approx(
                 _ref_sobolev_norm(f, k), rel=1e-13)
@@ -511,7 +525,7 @@ class TestPerMultiIndexOracle:
         rng = np.random.default_rng(1000 * dim + m_t)
         shape = (m_t + 1,) + grid.shape
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        s = FieldSeries(grid, "physical", data, 1.3)
+        s = _series(grid, data, 1.3)
         ref = {kind: _ref_spacetime_norm(s, kind, cutoffs) for kind in "XY"}
         assert z_norm(s, cutoffs) == pytest.approx(ref["X"] + ref["Y"], rel=1e-13)
         for kind in "XY":
@@ -533,16 +547,14 @@ class TestWorkerCount:
                                     box_length=32.0))
         cutoffs = auto_cutoffs(grid, 1.3)
         data = raw_random_series(grid, m_t, np.random.default_rng(7 * dim + m_t))
-        s = FieldSeries(grid, "physical", data, 1.3)
-        s_freq = s.to_frequency()
+        s = _series(grid, data, 1.3)
 
         def norms():
             return ([z_norm(s, cutoffs),
                      *(spacetime_norm(s, kind, cutoffs) for kind in "XY"),
                      *(spacetime_norm(s, kind) for kind in "XY"),
-                     forcing_bracket(s), forcing_bracket(s, s_freq),
-                     forcing_bracket(s_freq)],
-                    weighted_hk_node_sq(s_freq.data, grid, 3, cutoffs.chi_inf))
+                     forcing_bracket(s)],
+                    weighted_hk_node_sq(s.data, grid, 3, cutoffs.chi_inf))
 
         one = on_workers(monkeypatch, 1, norms)
         two = on_workers(monkeypatch, 2, norms)
@@ -587,9 +599,9 @@ class TestBufferedTree:
                                                    halo=False), axis=0)
                for k in range(4)},
         }
-        if mask is None:  # the bracket's first-derivative sums, unmasked
-            ref["bracket"] = _ref_node_sums(data, grid, 1, None, 2, hk_add, halo=False,
-                                            skip_zero=True)[1:]
+        if mask is None:  # the bracket's H1_w sums, unmasked, in one row
+            ref["bracket"] = _ref_node_sums(data, grid, 1, None, 1, halo=False, add=lambda
+                                            out, alpha, phys: hk_add(out, (0,), phys))
         node_sums = norms._node_sums
 
         def buffered():
@@ -607,7 +619,7 @@ class TestBufferedTree:
             norms._y_norm(data, grid, chi, h)
             if mask is None:
                 monkeypatch.setattr(norms, "_node_sums", recording("bracket"))
-                forcing_bracket(FieldSeries(grid, "frequency", data, period))
+                forcing_bracket(FieldSeries(grid, data, period))
             monkeypatch.setattr(norms, "_node_sums", node_sums)
             got["xg"] = x_gradient_node_sq(data, grid)
             for k in range(4):
@@ -672,10 +684,10 @@ class TestHalfLattice:
             monkeypatch.setattr(norms, "_node_sums", node_sums)
             return got[0]
 
-        s = FieldSeries(grid, "frequency", data, period)
+        s = FieldSeries(grid, data, period)
         if mask in (None, "chi1" if kind == "X" else "chi_inf"):  # spacetime_norm's pairing
             band = None if mask is None else cutoffs
-            assert spacetime_norm(FieldSeries(grid, "frequency", planes, period), kind,
+            assert spacetime_norm(FieldSeries(grid, planes, period), kind,
                                   band) == pytest.approx(spacetime_norm(s, kind, band),
                                                          rel=1e-13)
         for chunk_nodes in (1, 3, 8):
@@ -694,19 +706,19 @@ class TestHalfLattice:
         cutoffs = auto_cutoffs(grid, 1.3)
         data = raw_random_series(grid, 8, np.random.default_rng(dim))
         odd_data = 0.5 * (data - grid.reflect(data))
-        odd = FieldSeries(grid, "frequency", odd_data, 1.3)
-        half = FieldSeries(grid, "frequency", odd_data[:, :grid.n // 2 + 1].copy(), 1.3)
+        odd = FieldSeries(grid, odd_data, 1.3)
+        half = FieldSeries(grid, odd_data[:, :grid.n // 2 + 1].copy(), 1.3)
         assert grid.is_half(half.data) and not grid.is_half(odd.data)
         assert z_norm(half, cutoffs) == pytest.approx(z_norm(odd, cutoffs), rel=1e-13)
         for kind in "XY":
             assert spacetime_norm(half, kind) == pytest.approx(
                 spacetime_norm(odd, kind), rel=1e-13)
         odd_data[:, grid.n // 2 + 1:] = data[:, grid.n // 2 + 1:]
-        view = FieldSeries(grid, "frequency", odd_data[:, :grid.n // 2 + 1], 1.3)
+        view = FieldSeries(grid, odd_data[:, :grid.n // 2 + 1], 1.3)
         assert z_norm(view, cutoffs) == z_norm(half, cutoffs)
 
     def test_mask_must_be_even(self, grid3d, cutoffs3d):
-        s = FieldSeries(grid3d, "frequency", raw_odd_series(grid3d, 4, np.random.default_rng(0)),
+        s = FieldSeries(grid3d, raw_odd_series(grid3d, 4, np.random.default_rng(0)),
                         1.0)
         chi = cutoffs3d.chi1.copy()
         chi[1, 0, 0] = 0.5
@@ -728,11 +740,10 @@ class TestHalfPeriod:
         rng = np.random.default_rng(7 * dim + m_t + odd)
         data = antiperiodic_series((raw_odd_series if odd else raw_random_series)(
             grid, m_t, rng))
-        whole = FieldSeries(grid, "frequency", data, 1.3)
-        s = FieldSeries(grid, "frequency", data[:, :grid.n // 2 + 1], 1.3) if odd else whole
+        whole = FieldSeries(grid, data, 1.3)
+        s = FieldSeries(grid, data[:, :grid.n // 2 + 1], 1.3) if odd else whole
         for norm in (partial(z_norm, s, cutoffs), partial(spacetime_norm, s, "X"),
-                     partial(spacetime_norm, s, "Y"), partial(forcing_bracket, whole, s),
-                     partial(forcing_bracket, whole.to_physical(), s)):
+                     partial(spacetime_norm, s, "Y"), partial(forcing_bracket, whole, s)):
             assert norm(antiperiodic=True) == pytest.approx(norm(), rel=1e-13)
 
     @pytest.mark.parametrize("odd", [False, True])
@@ -741,7 +752,7 @@ class TestHalfPeriod:
         # node, 2 chunks folded, and the fold computes nodes 0..15 only
         m_t = 32
         data = antiperiodic_series(raw_odd_series(grid3d, m_t, np.random.default_rng(3)))
-        s = FieldSeries(grid3d, "frequency", data[:, :grid3d.n // 2 + 1] if odd else data,
+        s = FieldSeries(grid3d, data[:, :grid3d.n // 2 + 1] if odd else data,
                         1.0)
         map_chunks = norms.map_chunks
 
@@ -773,7 +784,7 @@ def test_dealiased_series_take_the_dealias_support(dim, odd):
     series = (raw_odd_series if odd else raw_random_series)(grid, 10,
                                                              np.random.default_rng(dim))
     data = series * grid.dealias
-    s = FieldSeries(grid, "frequency", data[:, :grid.n // 2 + 1] if odd else data, 1.3)
+    s = FieldSeries(grid, data[:, :grid.n // 2 + 1] if odd else data, 1.3)
     dealiased = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
     support = norms._axis_support(dealiased.chi_inf * grid.keep_nyquist_free, grid)
     assert all(len(lines) == 11 for lines, _ in support[1:])
@@ -794,7 +805,7 @@ def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cuto
     rows = [c.stop - c.start + 2 for c in node_chunks(m_t)] + [3]
     x_points = sum(r * (2 * n * s * s + 3 * n * n * s + 4 * n ** 3) for r in rows)
     y_points = sum(n ** 3 * (9 * r + 25 * (r - 2)) for r in rows)
-    series = FieldSeries(grid3d, "frequency", raw_random_series(grid3d, m_t, rng), 1.0)
+    series = FieldSeries(grid3d, raw_random_series(grid3d, m_t, rng), 1.0)
     points = []
     ifftn = np.fft.ifftn
 
@@ -825,7 +836,7 @@ def test_odd_z_norm_transforms_half_the_planes_after_the_first_axis(monkeypatch,
     x_points = sum(r * (2 * n * hx + 3 * p * n * s + 4 * p * n * n) for r in rows)
     y_points = sum(n * hy * (2 * r + 2 * (r - 2)) + p * n * n * (7 * r + 23 * (r - 2))
                    for r in rows)
-    series = FieldSeries(grid3d, "frequency", raw_odd_series(grid3d, m_t, rng)[:, :p], 1.0)
+    series = FieldSeries(grid3d, raw_odd_series(grid3d, m_t, rng)[:, :p], 1.0)
     points = []
     ifftn = np.fft.ifftn
 
@@ -856,7 +867,7 @@ def test_z_norm_memory_not_above_allocating_tree(monkeypatch, grid3d, cutoffs3d,
 def _z_norm_peak_bytes(grid, cutoffs, m_t, rng):
     shape = (m_t + 1,) + grid.shape
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    s = FieldSeries(grid, "frequency", data, 1.0)
+    s = FieldSeries(grid, data, 1.0)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

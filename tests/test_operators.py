@@ -7,7 +7,7 @@ import pytest
 from glperiod import CutoffSpec, SpectralField, auto_cutoffs, make_cutoffs, make_operator
 from glperiod.operators import smooth_step
 
-from conftest import random_physical_field, random_odd_field
+from conftest import random_field, random_odd_field
 from oracles import (check_zero_mode, inverse_multiplier_ratio, multiplier_bound,
                      odd_residual, period_inverse_apply, project, semigroup_apply)
 
@@ -56,20 +56,20 @@ class TestProjections:
             grid3d.shape)
         data = np.zeros(grid3d.shape, dtype=complex)
         data[idx] = 2.0 - 1.0j
-        f = SpectralField(grid3d, "frequency", data)
+        f = SpectralField(grid3d, data)
         low = project(f, "low", cutoffs3d)
         high = project(f, "high", cutoffs3d)
         np.testing.assert_array_equal(low.data, data)
         assert np.all(high.data == 0)
 
     def test_completeness(self, grid3d, cutoffs3d, rng):
-        f = random_physical_field(grid3d, rng).to_frequency()
+        f = random_field(grid3d, rng)
         total = project(f, "low", cutoffs3d).data + project(f, "high", cutoffs3d).data
         resid = np.abs(total - f.data).max() / np.abs(f.data).max()
         assert resid <= 1e-14
 
     def test_projection_not_idempotent_only_in_band(self, grid3d, cutoffs3d, rng):
-        f = random_physical_field(grid3d, rng).to_frequency()
+        f = random_field(grid3d, rng)
         once = project(f, "low", cutoffs3d)
         twice = project(once, "low", cutoffs3d)
         # mode-by-mode the second application multiplies by chi1 again
@@ -80,26 +80,20 @@ class TestProjections:
         np.testing.assert_array_equal(twice.data[outside], once.data[outside])
 
     def test_support(self, grid3d, cutoffs3d, rng):
-        f = random_physical_field(grid3d, rng).to_frequency()
+        f = random_field(grid3d, rng)
         low = project(f, "low", cutoffs3d).data
         high = project(f, "high", cutoffs3d).data
         assert np.all(low[grid3d.xi_abs > cutoffs3d.r_inf] == 0)
         assert np.all(high[grid3d.xi_abs < cutoffs3d.r1] == 0)
 
-    def test_physical_representation_round_trips(self, grid3d, cutoffs3d, rng):
-        f = random_physical_field(grid3d, rng)
-        low = project(f, "low", cutoffs3d)
-        assert low.representation == "physical"
-
     def test_preserves_oddness(self, grid3d, cutoffs3d, rng):
         f = random_odd_field(grid3d, rng)
-        low = project(f, "low", cutoffs3d).to_physical()
-        assert odd_residual(low) <= 1e-12
+        assert odd_residual(project(f, "low", cutoffs3d)) <= 1e-12
 
 
 class TestSemigroup:
     def test_t_zero_is_identity(self, grid3d, op3d, rng):
-        f = random_physical_field(grid3d, rng).to_frequency()
+        f = random_field(grid3d, rng)
         out = semigroup_apply(f, 0.0, op3d)
         np.testing.assert_allclose(out.data, f.data * grid3d.keep_nyquist_free,
                                    atol=1e-16)
@@ -109,14 +103,14 @@ class TestSemigroup:
         k = 1  # xi = 1 on the 2*pi box
         data = np.zeros(grid1d.shape, dtype=complex)
         data[k] = 1.0
-        f = SpectralField(grid1d, "frequency", data)
+        f = SpectralField(grid1d, data)
         t = np.log(2.0)
         out = semigroup_apply(f, t, op)
         assert abs(out.data[k]) == pytest.approx(0.5, rel=1e-13)
         assert np.angle(out.data[k]) == pytest.approx(-np.log(2.0), rel=1e-12)
 
     def test_composition(self, grid3d, op3d, rng):
-        f = random_physical_field(grid3d, rng).to_frequency()
+        f = random_field(grid3d, rng)
         t1, t2 = 0.13, 0.29
         composed = semigroup_apply(semigroup_apply(f, t1, op3d), t2, op3d)
         direct = semigroup_apply(f, t1 + t2, op3d)
@@ -124,12 +118,12 @@ class TestSemigroup:
         assert err <= 1e-12
 
     def test_rejects_negative_time(self, grid3d, op3d, rng):
-        f = random_physical_field(grid3d, rng)
+        f = random_field(grid3d, rng)
         with pytest.raises(ValueError, match="nonnegative"):
             semigroup_apply(f, -0.1, op3d)
 
     def test_high_band_contraction(self, grid3d, op3d, cutoffs3d, rng):
-        f = project(random_physical_field(grid3d, rng).to_frequency(),
+        f = project(random_field(grid3d, rng),
                     "high", cutoffs3d)
         norm0 = np.sqrt((np.abs(f.data) ** 2).sum())
         for t in (0.1, 0.5, 1.0):
@@ -148,7 +142,7 @@ class TestPeriodInverse:
         op = make_operator(grid1d, T)
         data = np.zeros(grid1d.shape, dtype=complex)
         data[k] = 1.0
-        out = period_inverse_apply(SpectralField(grid1d, "frequency", data), op)
+        out = period_inverse_apply(SpectralField(grid1d, data), op)
         expected_modulus = 1.0 / abs(1.0 - np.exp(-np.pi * (1 + 1j)))
         assert expected_modulus == pytest.approx(0.95858, abs=2e-5)
         assert abs(out.data[k]) == pytest.approx(expected_modulus, rel=1e-12)
@@ -171,12 +165,11 @@ class TestPeriodInverse:
         data.flat[0] = 1.0
         data.flat[5] = 0.5
         with pytest.raises(ValueError, match="not mean-free"):
-            period_inverse_apply(SpectralField(grid3d, "frequency", data), op3d)
+            period_inverse_apply(SpectralField(grid3d, data), op3d)
 
     def test_preserves_oddness(self, grid3d, op3d, rng):
         f = random_odd_field(grid3d, rng)
-        out = period_inverse_apply(f, op3d).to_physical()
-        assert odd_residual(out) <= 1e-12
+        assert odd_residual(period_inverse_apply(f, op3d)) <= 1e-12
 
 
 class TestZeroModeCheck:

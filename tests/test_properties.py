@@ -2,14 +2,23 @@
 preserve lattice oddness, and the half-lattice solve, Z-norm and
 perturbation step equal the full ones. A dipole forcing passes realization
 only if the solve takes it as odd. The period map's output is periodic, and
-antiperiodic for an antiperiodic forcing, to stated roundoff bounds."""
+antiperiodic for an antiperiodic forcing, to stated roundoff bounds. Every
+integer and boolean config key rejects a value of the wrong type with one
+line, before any lattice is built."""
 
+import contextlib
 import functools
+import io
+import json
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from glperiod import cli, spectral
 from glperiod import (FieldSeries, ForcingSpec, GridConfig, OddnessViolation,
                       SeamDecayViolation, SolveOptions, auto_cutoffs, make_grid,
                       make_operator, realize_forcing, solve_periodic, z_norm)
@@ -98,8 +107,8 @@ def test_reference_period_map_keeps_antiperiodicity():
     # the reference forcing (32^3, m_t 64, kappa 73.7) on half the lattice:
     # 4.7e-13 of the peak against a bound of 2.2e-12
     cfg = reference_config()
-    grid = make_grid(GridConfig(**cfg["grid"]))
-    g = build_forcing(cfg, grid)
+    g = build_forcing(cfg)
+    grid = g.grid
     F = np.empty((len(g),) + grid.half_shape, complex)
     assert grid.is_odd(g, keep=F)
     op = make_operator(grid, g.period)
@@ -122,7 +131,7 @@ def test_cubic_difference_preserves_oddness(case, seed):
 def test_solve_iteration_preserves_oddness(case):
     dim, data = case
     grid, op, cutoffs = setup(dim)
-    g = FieldSeries(grid, "frequency", 1e-2 * data, PERIOD)
+    g = FieldSeries(grid, 1e-2 * data, PERIOD)
     u, rep = solve_periodic(g, op, cutoffs, SolveOptions(max_iterations=1))
     assert rep.iterations == 1
     assert even_part(u.data, grid) <= 1e-13
@@ -134,7 +143,7 @@ def test_half_lattice_solve_equals_full(case):
     # two iterations on planes 0..n/2 against the same iteration on all planes
     dim, data = case
     grid, op, cutoffs = setup(dim)
-    g = FieldSeries(grid, "frequency", 1e-2 * data, PERIOD)
+    g = FieldSeries(grid, 1e-2 * data, PERIOD)
     opts = SolveOptions(max_iterations=2)
     u, rep = solve_periodic(g, op, cutoffs, opts)
     u_full, rep_full = whole_lattice_solve(g, op, cutoffs, opts)
@@ -168,7 +177,7 @@ def test_dipole_forcing_is_rejected_or_solved_on_half_the_lattice(dim, divisor, 
 def test_half_lattice_z_norm_equals_full(case):
     dim, data = case
     grid, _, cutoffs = setup(dim)
-    s, half = (FieldSeries(grid, "frequency", d, PERIOD)
+    s, half = (FieldSeries(grid, d, PERIOD)
                for d in (data, data[:, :grid.n // 2 + 1]))
     assert z_norm(half, cutoffs) == pytest.approx(z_norm(s, cutoffs), rel=1e-13)
 
@@ -211,3 +220,73 @@ def test_paired_transforms_invert(case):
     back, kept = pair.fft(phys, np.empty_like(half)), pair.dealias_planes
     assert back[:, :kept].tobytes() == every[:, :kept].tobytes()
     assert not back[:, kept:].any()
+
+
+def _leaves(node, path=()):
+    """(path, value) of every scalar of a config tree; a list member's path
+    ends in its index."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+INTEGER_LEAVES = [path for path, value in _leaves(reference_config())
+                  if isinstance(value, int) and not isinstance(value, bool)]
+BOOLEAN_LEAVES = [path for path, value in _leaves(reference_config())
+                  if isinstance(value, bool)]
+# the command that reads each top-level key: the sweep's lists go through their axis
+COMMANDS = {"grid": ["solve-periodic"], "solve": ["solve-periodic"],
+            "forcing": ["solve-periodic"], "output": ["solve-periodic"],
+            "stability": ["stability"], "verify": ["verify"], "seed": ["verify"]}
+
+
+def _no_lattice(*args, **kwargs):
+    raise AssertionError("a lattice was allocated")
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.one_of(
+    st.tuples(st.sampled_from(INTEGER_LEAVES),
+              st.one_of(st.just(True), st.floats().filter(lambda x: not x.is_integer()))),
+    st.tuples(st.sampled_from(BOOLEAN_LEAVES), st.sampled_from(["false", 0, None]))))
+def test_config_reader_rejects_the_wrong_type(case):
+    # an integer key given a non-integral number or true, a boolean key given
+    # "false", 0 or null: exit 2 with one line naming the key, before any
+    # lattice is built
+    path, value = case
+    cfg = reference_config()
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    key = ".".join(str(part) for part in path if not isinstance(part, int))
+    command = (["sweep", "--axis", path[1]] if path[0] == "sweep"
+               else COMMANDS[path[0]])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["output"]["dir"] = tmp
+        config_path = os.path.join(tmp, "config.json")
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with mock.patch.object(spectral.Grid, "__init__", _no_lattice), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([command[0], "--config", config_path, *command[1:]])
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err.getvalue()
+    assert lines[0].startswith(f"config error: invalid {key}: ")
+
+
+def test_config_reader_leaves_are_the_documented_keys():
+    # every integer and boolean key of the reference config is drawn above
+    names = {".".join(str(p) for p in path if not isinstance(p, int))
+             for path in INTEGER_LEAVES + BOOLEAN_LEAVES}
+    assert names == {
+        "grid.dim", "grid.n_per_axis", "solve.m_t", "solve.max_iterations",
+        "forcing.harmonic", "forcing.axis", "stability.record_stride", "stability.order",
+        "stability.axis", "verify.m_t", "verify.samples", "verify.grid.dim",
+        "verify.grid.n_per_axis", "seed", "sweep.m_t", "sweep.n",
+        "solve.nonlinearity_enabled", "stability.linear_only", "output.save_fields"}

@@ -27,19 +27,19 @@ from oracles import (cubic_rhs, duhamel_integral, odd_fft_every_plane, odd_resid
 def _odd_part(g):
     """g's exact odd part (g - Rg)/2 as a frequency series: the forcing the
     solve takes for an odd g."""
-    data = g.to_frequency().data
-    return FieldSeries(g.grid, "frequency", 0.5 * (data - g.grid.reflect(data)), g.period)
+    data = g.data
+    return FieldSeries(g.grid, 0.5 * (data - g.grid.reflect(data)), g.period)
 
 
 def _mode_series(grid, k_index, values, period):
     data = np.zeros((len(values),) + grid.shape, dtype=complex)
     data[(slice(None),) + k_index] = values
-    return FieldSeries(grid, "frequency", data, period)
+    return FieldSeries(grid, data, period)
 
 
 def linear_period_map(F, op):
     """The period map of a FieldSeries, as an array."""
-    return _linear_period_map_data(F.to_frequency().data, op, F.dt)
+    return _linear_period_map_data(F.data, op, F.dt)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ class TestPeriodicInitialData:
         m_t = 16
         data = np.stack([random_odd_field(grid3d, rng).data for _ in range(m_t + 1)])
         data[-1] = data[0]
-        F = FieldSeries(grid3d, "frequency", data, 1.0)
+        F = FieldSeries(grid3d, data, 1.0)
         u0 = periodic_initial_data(F, op3d)
         evolved = np.exp(-op3d.period * op3d.symbol) * u0.data \
             + duhamel_integral(F, m_t, op3d).data
@@ -163,7 +163,7 @@ class TestLinearPeriodMap:
         m_t = 16
         data = np.stack([random_odd_field(grid3d, rng).data for _ in range(m_t + 1)])
         data[-1] = data[0]
-        F = FieldSeries(grid3d, "frequency", data, 1.0)
+        F = FieldSeries(grid3d, data, 1.0)
         u = linear_period_map(F, op3d)
         num = np.sqrt((np.abs(u[0] - u[-1]) ** 2).sum())
         den = np.sqrt((np.abs(u) ** 2).sum(axis=tuple(range(1, 4))).max())
@@ -183,28 +183,23 @@ class TestDecayTable:
 
 class TestPicardStep:
     def test_zero_everything(self, grid3d, op3d):
-        zero = FieldSeries(grid3d, "frequency",
-                           np.zeros((17,) + grid3d.shape, dtype=complex), 1.0)
+        zero = FieldSeries(grid3d, np.zeros((17,) + grid3d.shape, dtype=complex), 1.0)
         out = picard_step(zero, zero, op3d)
         assert np.all(out.data == 0)
 
     def test_zero_u_reduces_to_linear_response(self, grid3d, op3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
-        g_freq = g.to_frequency()
-        zero = FieldSeries(grid3d, "frequency",
-                           np.zeros_like(g_freq.data), 1.0)
-        stepped = picard_step(zero, g_freq, op3d)
-        np.testing.assert_allclose(stepped.data, linear_period_map(g_freq, op3d), atol=1e-15)
+        zero = FieldSeries(grid3d, np.zeros_like(g.data), 1.0)
+        stepped = picard_step(zero, g, op3d)
+        np.testing.assert_allclose(stepped.data, linear_period_map(g, op3d), atol=1e-15)
 
     def test_linear_mode_ignores_u(self, grid3d, op3d, rng):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
-        g_freq = g.to_frequency()
-        u1 = FieldSeries(grid3d, "frequency",
-                         np.stack([random_odd_field(grid3d, rng).data
+        u1 = FieldSeries(grid3d, np.stack([random_odd_field(grid3d, rng).data
                                    for _ in range(17)]), 1.0)
-        zero = FieldSeries(grid3d, "frequency", np.zeros_like(u1.data), 1.0)
-        out1 = picard_step(u1, g_freq, op3d, nonlinearity=False)
-        out0 = picard_step(zero, g_freq, op3d, nonlinearity=False)
+        zero = FieldSeries(grid3d, np.zeros_like(u1.data), 1.0)
+        out1 = picard_step(u1, g, op3d, nonlinearity=False)
+        out0 = picard_step(zero, g, op3d, nonlinearity=False)
         np.testing.assert_array_equal(out1.data, out0.data)
 
 
@@ -235,7 +230,7 @@ class TestSolvePeriodic:
             data = np.zeros((m_t + 1,) + grid3d.shape, dtype=complex)
             data[(slice(None),) + idx] = c
             data[(slice(None),) + tuple(-np.array(idx) % grid3d.n)] = -c
-            g = FieldSeries(grid3d, "frequency", data, 1.0)
+            g = FieldSeries(grid3d, data, 1.0)
             u, rep = solve_periodic(g, op3d, cutoffs3d, opts)
             lam = (1 + 1j) * grid3d.xi_sq[idx]
             err = np.abs(u.data[(slice(None),) + idx] - c / lam).max() / abs(c / lam)
@@ -256,7 +251,7 @@ class TestSolvePeriodic:
         u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
         assert rep.converged
         for m in (0, 5, 11, 16):
-            assert odd_residual(u.field(m).to_physical()) <= 1e-10
+            assert odd_residual(u.field(m)) <= 1e-10
 
     def test_divergence_raises_or_reports(self, grid3d, op3d, cutoffs3d):
         g = realize_forcing(ForcingSpec(amplitude=40.0, period=1.0), grid3d, 16)
@@ -282,8 +277,7 @@ class TestSolvePeriodic:
 
 class TestEquationResidual:
     def test_zero_solution_zero_forcing(self, grid3d, op3d):
-        zero = FieldSeries(grid3d, "frequency",
-                           np.zeros((17,) + grid3d.shape, dtype=complex), 1.0)
+        zero = FieldSeries(grid3d, np.zeros((17,) + grid3d.shape, dtype=complex), 1.0)
         assert equation_residual(zero, zero, op3d) == 0.0
 
     def test_second_order_in_time_resolution(self, grid3d, op3d, cutoffs3d, rng):
@@ -295,7 +289,7 @@ class TestEquationResidual:
             t = np.arange(m_t + 1)
             a = np.sin(2 * np.pi * (t % m_t) / m_t)
             data = a[(slice(None),) + (None,) * 3] * profile
-            g = FieldSeries(grid3d, "frequency", data, 1.0)
+            g = FieldSeries(grid3d, data, 1.0)
             u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
             assert rep.converged
             resid[m_t] = equation_residual(u, g, op3d)
@@ -312,7 +306,7 @@ class TestEquationResidual:
         noise /= node_l2.max()
         grown = []
         for delta in (1e-3, 1e-2):  # noise-dominated, normalization-stable regime
-            u_noisy = FieldSeries(grid3d, "frequency", u.data + delta * noise, 1.0)
+            u_noisy = FieldSeries(grid3d, u.data + delta * noise, 1.0)
             resid = equation_residual(u_noisy, g, op3d)
             assert resid > 3.0 * base
             grown.append(resid)
@@ -441,8 +435,8 @@ class TestSeriesKernelsOnThePool:
 def _ref_equation_residual(u, g, op, include_nonlinearity=True):
     """The full-series equation residual: G, F, D_t u and R built for every
     node at once (the form the streamed equation_residual replaced)."""
-    U = u.to_frequency().data
-    G = g.to_frequency().data
+    U = u.data
+    G = g.data
     if U.shape != G.shape:
         raise ValueError("solution and forcing series are not aligned")
     grid = u.grid
@@ -522,21 +516,9 @@ class TestSolveKeepsCallerData:
         return realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
 
     def test_caller_forcing_is_unchanged(self, grid3d, op3d, cutoffs3d, forcing):
-        for g in (forcing, forcing.to_frequency()):
-            before = g.data.tobytes()
-            solve_periodic(g, op3d, cutoffs3d, SolveOptions())
-            assert g.data.tobytes() == before
-
-    def test_physical_and_frequency_forcing_give_the_same_bytes(self, grid3d, op3d,
-                                                                cutoffs3d, forcing):
-        u_phys, rep_phys = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())
-        u_freq, rep_freq = solve_periodic(forcing.to_frequency(), op3d, cutoffs3d,
-                                          SolveOptions())
-        assert rep_phys.converged
-        assert u_phys.data.tobytes() == u_freq.data.tobytes()
-        # g_bracket reads the physical field, which to_physical rounds
-        assert rep_phys.residual_history == rep_freq.residual_history
-        assert rep_phys.z_norm == rep_freq.z_norm
+        before = forcing.data.tobytes()
+        solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())
+        assert forcing.data.tobytes() == before
 
     def test_max_iterations_ends_with_the_last_correction_added(self, grid3d, op3d,
                                                                  cutoffs3d, forcing):
@@ -544,15 +526,14 @@ class TestSolveKeepsCallerData:
         # The whole-lattice reference runs the oracle's transforms; the solve
         # takes g's odd part through the odd pair, so it meets the oracle on
         # that odd part to roundoff.
-        g_freq = forcing.to_frequency()
-        linear = _linear_period_map_data(g_freq.data, op3d, g_freq.dt)
-        stepped = picard_step(FieldSeries(grid3d, "frequency", linear, 1.0), g_freq, op3d)
+        linear = _linear_period_map_data(forcing.data, op3d, forcing.dt)
+        stepped = picard_step(FieldSeries(grid3d, linear, 1.0), forcing, op3d)
         u, rep = whole_lattice_solve(forcing, op3d, cutoffs3d, SolveOptions(max_iterations=1))
         assert rep.iterations == 1 and not rep.converged
         np.testing.assert_allclose(u.data, stepped.data, rtol=0, atol=1e-15)
         g_odd = _odd_part(forcing)
         linear = _linear_period_map_data(g_odd.data, op3d, g_odd.dt)
-        stepped = picard_step(FieldSeries(grid3d, "frequency", linear, 1.0), g_odd, op3d)
+        stepped = picard_step(FieldSeries(grid3d, linear, 1.0), g_odd, op3d)
         u, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions(max_iterations=1))
         assert rep.iterations == 1 and not rep.converged
         np.testing.assert_allclose(u.data, stepped.data, rtol=0,
@@ -567,25 +548,23 @@ class TestStreamedEquationResidual:
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_random_series(self, grid3d, op3d, m_t, nonlinear):
         rng = np.random.default_rng(m_t)
-        u = FieldSeries(grid3d, "frequency", raw_random_series(grid3d, m_t, rng), 1.0)
-        g_freq = FieldSeries(grid3d, "frequency", raw_random_series(grid3d, m_t, rng), 1.0)
-        for g in (g_freq, g_freq.to_physical()):
-            assert (equation_residual(u, g, op3d, nonlinear)
-                    == _ref_equation_residual(u, g, op3d, nonlinear))
+        u = FieldSeries(grid3d, raw_random_series(grid3d, m_t, rng), 1.0)
+        g = FieldSeries(grid3d, raw_random_series(grid3d, m_t, rng), 1.0)
+        assert (equation_residual(u, g, op3d, nonlinear)
+                == _ref_equation_residual(u, g, op3d, nonlinear))
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_converged_solution(self, grid3d, op3d, cutoffs3d, nonlinear):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 21)
         u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
         assert rep.converged
-        for forcing in (g, g.to_frequency()):
-            assert (equation_residual(u, forcing, op3d, nonlinear)
-                    == _ref_equation_residual(u, forcing, op3d, nonlinear))
+        assert (equation_residual(u, g, op3d, nonlinear)
+                == _ref_equation_residual(u, g, op3d, nonlinear))
 
     def test_misaligned_series_rejected(self, grid3d, op3d):
         rng = np.random.default_rng(1)
-        u = FieldSeries(grid3d, "frequency", raw_random_series(grid3d, 16, rng), 1.0)
-        g = FieldSeries(grid3d, "physical", raw_random_series(grid3d, 8, rng), 1.0)
+        u = FieldSeries(grid3d, raw_random_series(grid3d, 16, rng), 1.0)
+        g = FieldSeries(grid3d, raw_random_series(grid3d, 8, rng), 1.0)
         with pytest.raises(ValueError, match="not aligned"):
             equation_residual(u, g, op3d)
 
@@ -601,15 +580,15 @@ class TestHalfLatticeZNorm:
     @staticmethod
     def with_even_part(g, size):
         """g plus an even, mean-free, T-periodic series whose largest
-        coefficient is `size` times g's (frequency representation)."""
+        coefficient is `size` times g's (frequency data)."""
         grid = g.grid
-        g_freq = g.to_frequency().data
+        g_data = g.data
         bump = grid.x[0] * grid.x[1] * np.exp(-grid.x_abs ** 2 / 8.0)
         even = np.fft.fftn(bump)
         even.flat[0] = 0.0
         a = np.sin(2.0 * np.pi * np.arange(len(g)) / g.n_steps)
         even = a[:, None, None, None] * even / np.abs(even).max()
-        return FieldSeries(grid, "frequency", g_freq + size * np.abs(g_freq).max() * even,
+        return FieldSeries(grid, g_data + size * np.abs(g_data).max() * even,
                            g.period)
 
     @staticmethod
@@ -629,7 +608,7 @@ class TestHalfLatticeZNorm:
         return u, rep, flags
 
     def test_oddness_is_measured_against_the_tolerance(self, grid3d, forcing):
-        assert grid3d.is_odd(forcing.to_frequency().data)
+        assert grid3d.is_odd(forcing.data)
         for size, odd in ((0.5 * ODDNESS_TOL, True), (2.0 * ODDNESS_TOL, False)):
             g = self.with_even_part(forcing, size)
             assert grid3d.is_odd(g.data) is odd
@@ -691,11 +670,9 @@ class TestOddnessPrecondition:
     def test_mean_carrying_forcing_is_rejected_before_writing(self, monkeypatch, grid3d,
                                                               op3d, cutoffs3d, forcing):
         # the mean mode is even: a forcing that carries one is not odd
-        data = forcing.to_frequency().data.copy()
+        data = forcing.data.copy()
         data[:, 0, 0, 0] = 1e-3 * np.abs(data).max()
-        for g in (FieldSeries(grid3d, "frequency", data, 1.0),
-                  FieldSeries(grid3d, "frequency", data, 1.0).to_physical()):
-            assert self.rejected(monkeypatch, g, op3d, cutoffs3d)
+        assert self.rejected(monkeypatch, FieldSeries(grid3d, data, 1.0), op3d, cutoffs3d)
 
 
 class TestHalfLatticeSolve:
@@ -792,12 +769,12 @@ class TestHalfPeriodSolve:
     def with_periodic_part(g, size):
         """g plus an odd series of period T/2 whose largest coefficient is
         `size` times g's: cos(4 pi t/T) times g's peak node, sin(2 pi t/T) = 1
-        (frequency representation)."""
-        data = g.to_frequency().data
+        (frequency data)."""
+        data = g.data
         a = np.cos(4.0 * np.pi * np.arange(len(g)) / g.n_steps)
         part = a[:, None, None, None] * data[g.n_steps // 4]
         assert np.abs(part).max() == np.abs(data).max()
-        return FieldSeries(g.grid, "frequency", data + size * part, g.period)
+        return FieldSeries(g.grid, data + size * part, g.period)
 
     @staticmethod
     def solve(monkeypatch, g, op, cutoffs, measured=True):

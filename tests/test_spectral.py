@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 
 from glperiod import (FieldSeries, GridConfig, SpectralField, auto_cutoffs, make_grid, read_snapshot, spectral, write_snapshot)
+from glperiod.norms import _lp_node, l1w_node
 from glperiod.stability import _rhs_data, _rhs_work
 
-from conftest import (on_workers, random_physical_field, random_odd_field,
+from conftest import (on_workers, random_field, random_physical_field, random_odd_field,
                       raw_odd_series, raw_random_series)
-from oracles import odd_fft_every_plane, odd_residual, time_derivative
+from oracles import odd_fft_every_plane, odd_residual, time_derivative, write_physical_snapshot
 
 
-def _cubic(f):
-    """|f|^2 f pointwise: the perturbation right-hand side about v = 0."""
-    w = f.data
-    return SpectralField(f.grid, "physical",
-                         _rhs_data(w, np.zeros_like(w), np.empty_like(w), _rhs_work(w.shape)))
+def _cubic(w):
+    """|w|^2 w pointwise of physical values: the perturbation right-hand
+    side about v = 0."""
+    return _rhs_data(w, np.zeros_like(w), np.empty_like(w), _rhs_work(w.shape))
 
 
 class TestGridConfig:
@@ -53,8 +53,7 @@ class TestGrid:
         assert nonzero.min() == pytest.approx(2 * np.pi / 32.0, rel=1e-14)
 
     def test_quadrature_of_constant_is_box_volume(self, grid3d):
-        f = SpectralField(grid3d, "physical", np.ones(grid3d.shape, dtype=complex))
-        vol = (np.abs(f.data) ** 2).sum() * grid3d.quad_weight
+        vol = (np.abs(np.ones(grid3d.shape, dtype=complex)) ** 2).sum() * grid3d.quad_weight
         assert vol == pytest.approx(grid3d.box_length ** 3, rel=1e-14)
 
     def test_nodes_are_centered(self, grid1d):
@@ -161,8 +160,7 @@ class TestOddTransform:
 class TestTransform:
     def test_single_mode_maps_to_single_coefficient(self, grid1d):
         k = 5
-        f = SpectralField(grid1d, "physical", np.exp(1j * grid1d.xi1d[k] * grid1d.x1d))
-        fhat = f.to_frequency()
+        fhat = SpectralField(grid1d, np.fft.fftn(np.exp(1j * grid1d.xi1d[k] * grid1d.x1d)))
         # raw FFT coefficients carry the corner-referenced phase (-1)^k
         # relative to the centered-coordinate basis function
         expected = np.zeros(grid1d.shape, dtype=complex)
@@ -170,56 +168,51 @@ class TestTransform:
         np.testing.assert_allclose(fhat.data, expected, atol=1e-11)
 
     def test_zero_field(self, grid3d):
-        f = SpectralField(grid3d, "physical", np.zeros(grid3d.shape, dtype=complex))
-        assert np.all(f.to_frequency().data == 0)
+        f = SpectralField(grid3d, np.fft.fftn(np.zeros(grid3d.shape, dtype=complex)))
+        assert np.all(f.data == 0)
 
     def test_round_trip(self, grid3d, rng):
         f = random_physical_field(grid3d, rng, dealiased=False)
-        back = f.to_frequency().to_physical()
-        err = np.abs(back.data - f.data).max() / np.abs(f.data).max()
+        back = np.fft.ifftn(np.fft.fftn(f))
+        err = np.abs(back - f).max() / np.abs(f).max()
         assert err <= 1e-12
 
     def test_linearity(self, grid3d, rng):
         f = random_physical_field(grid3d, rng, dealiased=False)
         g = random_physical_field(grid3d, rng, dealiased=False)
         a, b = 1.7 - 0.3j, -0.4 + 2.2j
-        combo = SpectralField(grid3d, "physical", a * f.data + b * g.data)
-        lhs = combo.to_frequency().data
-        rhs = a * f.to_frequency().data + b * g.to_frequency().data
+        lhs = np.fft.fftn(a * f + b * g)
+        rhs = a * np.fft.fftn(f) + b * np.fft.fftn(g)
         assert np.abs(lhs - rhs).max() / np.abs(rhs).max() <= 1e-12
 
     def test_parseval(self, grid3d, rng):
         f = random_physical_field(grid3d, rng, dealiased=False)
-        fhat = f.to_frequency()
-        phys = np.sqrt((np.abs(f.data) ** 2).sum() * grid3d.quad_weight)
-        freq = np.sqrt((np.abs(fhat.data) ** 2).sum() * grid3d.parseval_factor)
+        phys = np.sqrt((np.abs(f) ** 2).sum() * grid3d.quad_weight)
+        freq = np.sqrt((np.abs(np.fft.fftn(f)) ** 2).sum() * grid3d.parseval_factor)
         assert abs(phys - freq) / phys <= 1e-10
 
 
 class TestCubicNonlinearity:
     def test_zero(self, grid1d):
-        f = SpectralField(grid1d, "physical", np.zeros(grid1d.shape, dtype=complex))
-        assert np.all(_cubic(f).data == 0)
+        assert np.all(_cubic(np.zeros(grid1d.shape, dtype=complex)) == 0)
 
     def test_constant_two_gives_eight(self, grid1d):
-        f = SpectralField(grid1d, "physical", 2.0 * np.ones(grid1d.shape, dtype=complex))
-        np.testing.assert_allclose(_cubic(f).data, 8.0)
+        np.testing.assert_allclose(_cubic(2.0 * np.ones(grid1d.shape, dtype=complex)), 8.0)
 
     def test_unimodular_field_is_fixed(self, grid1d):
-        f = SpectralField(grid1d, "physical", np.exp(1j * np.sin(grid1d.x1d)))
-        np.testing.assert_allclose(_cubic(f).data, f.data, atol=1e-14)
+        f = np.exp(1j * np.sin(grid1d.x1d))
+        np.testing.assert_allclose(_cubic(f), f, atol=1e-14)
 
     def test_preserves_oddness(self, grid3d, rng):
-        f = random_odd_field(grid3d, rng).to_physical()
-        cubed = _cubic(f)
-        assert odd_residual(cubed) <= 1e-12
+        cubed = _cubic(np.fft.ifftn(random_odd_field(grid3d, rng).data))
+        assert odd_residual(SpectralField(grid3d, np.fft.fftn(cubed))) <= 1e-12
 
 
 class TestDealias:
     def test_fraction_one_is_identity(self, rng):
         grid = make_grid(GridConfig(dim=3, n_per_axis=16, box_length=32.0,
                                     dealias_fraction=1.0))
-        f = random_physical_field(grid, rng, dealiased=False).to_frequency()
+        f = random_field(grid, rng, dealiased=False)
         np.testing.assert_array_equal(f.data * grid.dealias, f.data)
 
     def test_two_thirds_threshold_n8(self):
@@ -231,7 +224,7 @@ class TestDealias:
         np.testing.assert_array_equal(kept, expected)
 
     def test_idempotent(self, grid3d, rng):
-        f = random_physical_field(grid3d, rng, dealiased=False).to_frequency()
+        f = random_field(grid3d, rng, dealiased=False)
         once = f.data * grid3d.dealias
         twice = once * grid3d.dealias
         np.testing.assert_array_equal(once, twice)
@@ -244,7 +237,7 @@ class TestDealias:
 class TestFieldSeries:
     def test_time_nodes(self, grid1d):
         data = np.zeros((9,) + grid1d.shape, dtype=complex)
-        s = FieldSeries(grid1d, "frequency", data, period=2.0)
+        s = FieldSeries(grid1d, data, period=2.0)
         assert s.n_steps == 8
         assert s.dt == pytest.approx(0.25)
         np.testing.assert_allclose(s.times, 0.25 * np.arange(9))
@@ -255,7 +248,7 @@ class TestFieldSeries:
         t = np.arange(m_t + 1) * (T / m_t)
         base = np.ones(grid1d.shape, dtype=complex)
         data = np.cos(2 * np.pi * t / T)[:, None] * base
-        s = FieldSeries(grid1d, "physical", data, period=T)
+        s = FieldSeries(grid1d, data, period=T)  # the difference is linear: any data
         d = time_derivative(s)
         h = T / m_t
         omega = 2 * np.pi / T
@@ -265,45 +258,60 @@ class TestFieldSeries:
 
     def test_needs_two_nodes(self, grid1d):
         with pytest.raises(ValueError):
-            FieldSeries(grid1d, "physical",
-                        np.zeros((1,) + grid1d.shape, dtype=complex), period=1.0)
+            FieldSeries(grid1d, np.zeros((1,) + grid1d.shape, dtype=complex), period=1.0)
 
     @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 16)])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pooled_transforms_match_batched(self, monkeypatch, dim, n, workers):
-        # one chunk of nodes per task, written into one output array; node
-        # counts 21 (uneven chunks) with CHUNK_NODES 8 and 3
+        # norms.l1w_node, the series' one physical read, transforms one chunk
+        # of nodes per task: bit for bit the batched transform's norms, and
+        # an antiperiodic series' nodes take those of nodes 0..m_t/2 - 1;
+        # node counts 21 (uneven chunks) with CHUNK_NODES 8 and 3
         grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=32.0))
         data = raw_random_series(grid, 20, np.random.default_rng(dim))
-        axes = tuple(range(1, dim + 1))
+        batched = _lp_node(np.fft.ifftn(data, axes=grid.series_axes), grid, 1, weighted=True)
         for chunk_nodes in (8, 3):
             monkeypatch.setattr(spectral, "CHUNK_NODES", chunk_nodes)
-            freq = on_workers(monkeypatch, workers,
-                              FieldSeries(grid, "physical", data, 1.0).to_frequency)
-            assert freq.representation == "frequency"
-            assert np.array_equal(freq.data, np.fft.fftn(data, axes=axes))
-            phys = on_workers(monkeypatch, workers,
-                              FieldSeries(grid, "frequency", data, 1.0).to_physical)
-            assert phys.representation == "physical"
-            assert np.array_equal(phys.data, np.fft.ifftn(data, axes=axes))
+            assert np.array_equal(on_workers(monkeypatch, workers, l1w_node, data, grid),
+                                  batched)
+            folded = on_workers(monkeypatch, workers, l1w_node, data, grid, True)
+            assert np.array_equal(folded, batched[np.arange(21) % 10])
 
 
 class TestSnapshots:
     def test_round_trip_bit_exact(self, tmp_path, grid3d, rng):
-        f = random_physical_field(grid3d, rng)
+        f = random_field(grid3d, rng)
         path = tmp_path / "field.glpf"
         write_snapshot(f, path)
         back = read_snapshot(path)
-        assert back.representation == f.representation
         assert back.grid.config.dim == 3
         assert back.grid.config.box_length == grid3d.box_length
         np.testing.assert_array_equal(back.data, f.data)
 
     def test_frequency_flag(self, tmp_path, grid1d, rng):
-        f = random_physical_field(grid1d, rng).to_frequency()
+        f = random_field(grid1d, rng)
         path = tmp_path / "field.glpf"
         write_snapshot(f, path)
-        assert read_snapshot(path).representation == "frequency"
+        assert int.from_bytes(path.read_bytes()[24:28], "little") == 1
+
+    def test_physical_flag_read_as_frequency_data(self, tmp_path, grid3d, rng):
+        # a flag-0 file holds physical values; read_snapshot transforms them
+        f = random_field(grid3d, rng)
+        path = tmp_path / "field.glpf"
+        write_physical_snapshot(f, path)
+        back = read_snapshot(path, grid3d)
+        assert np.array_equal(back.data, np.fft.fftn(np.fft.ifftn(f.data)))
+        assert np.abs(back.data - f.data).max() <= 1e-12 * np.abs(f.data).max()
+
+    @pytest.mark.parametrize("flag", [2, 7, 2 ** 32 - 1])
+    def test_unknown_flag_rejected(self, tmp_path, grid1d, rng, flag):
+        path = tmp_path / "field.glpf"
+        write_snapshot(random_field(grid1d, rng), path)
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = flag.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"representation flag {flag}$"):
+            read_snapshot(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.glpf"
@@ -314,7 +322,7 @@ class TestSnapshots:
     @pytest.mark.parametrize("change", [-16, -1, 8, 16], ids=["short", "cut", "odd", "long"])
     def test_payload_of_another_size_rejected(self, tmp_path, grid1d, rng, change):
         path = tmp_path / "field.glpf"
-        write_snapshot(random_physical_field(grid1d, rng), path)
+        write_snapshot(random_field(grid1d, rng), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:change] if change < 0 else raw + b"\x00" * change)
         with pytest.raises(ValueError, match="payload"):
@@ -323,7 +331,7 @@ class TestSnapshots:
     def test_header_cut_at_every_byte_rejected(self, tmp_path, grid1d, rng):
         # a file shorter than the 28-byte header names itself in a ValueError
         path = tmp_path / "field.glpf"
-        write_snapshot(random_physical_field(grid1d, rng), path)
+        write_snapshot(random_field(grid1d, rng), path)
         raw = path.read_bytes()
         for size in range(28):
             path.write_bytes(raw[:size])
@@ -333,7 +341,7 @@ class TestSnapshots:
 
     def test_header_layout(self, tmp_path, grid1d):
         # magic, version u32, dim u32, n u32, L f64, representation u32
-        f = SpectralField(grid1d, "physical", np.zeros(grid1d.shape, dtype=complex))
+        f = SpectralField(grid1d, np.zeros(grid1d.shape, dtype=complex))
         path = tmp_path / "field.glpf"
         write_snapshot(f, path)
         raw = path.read_bytes()

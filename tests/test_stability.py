@@ -19,7 +19,7 @@ from glperiod.phi import phi1, phi2
 from glperiod.spectral import write_snapshot
 from glperiod.stability import _base_nodes, _rhs_data, _rhs_work, _Stepper
 
-from conftest import random_odd_field, random_physical_field, raw_random_series
+from conftest import random_field, random_odd_field, random_physical_field, raw_random_series
 from oracles import direct_step, exp_step, semigroup_apply
 
 
@@ -85,7 +85,7 @@ class _ReferenceMultistep(_ReferenceStepper):
 def _reference_run(cfg, op, cutoffs):
     """Node-locked reference integration with the per-norm recorder:
     (times, l2, grad, n1, n2)."""
-    v_hat = cfg.v_per.to_frequency().data
+    v_hat = cfg.v_per.data
     grid = cfg.v_per.grid
     m_t = cfg.v_per.n_steps
     h = cfg.v_per.dt
@@ -110,7 +110,7 @@ def _reference_run(cfg, op, cutoffs):
         rows.append((t, l2, grad, n1, n2))
 
     stepper = (_ReferenceMultistep if cfg.order == 2 else _ReferenceStepper)(grid, op, h)
-    w_hat = cfg.w0.to_frequency().data
+    w_hat = cfg.w0.data
     n_steps = int(math.ceil(cfg.t_max / h - 1e-12))
     record(w_hat, 0.0)
     for step in range(n_steps):
@@ -138,11 +138,11 @@ def _rhs(w, v):
 
 class TestPerturbationRhs:
     def test_zero_perturbation(self, grid3d, rng):
-        v = random_physical_field(grid3d, rng).data
+        v = random_physical_field(grid3d, rng)
         assert np.all(_rhs(np.zeros_like(v), v) == 0)
 
     def test_zero_base_leaves_pure_cubic(self, grid3d, rng):
-        w = random_physical_field(grid3d, rng).data
+        w = random_physical_field(grid3d, rng)
         expected = w * np.abs(w) ** 2
         np.testing.assert_allclose(_rhs(w, np.zeros_like(w)), expected, rtol=1e-12, atol=1e-14)
 
@@ -151,9 +151,9 @@ class TestPerturbationRhs:
         for _ in range(20):
             w = random_physical_field(grid3d, rng, dealiased=False)
             v = random_physical_field(grid3d, rng, dealiased=False)
-            out = _rhs(w.data, v.data)
-            vw = v.data + w.data
-            direct = vw * np.abs(vw) ** 2 - v.data * np.abs(v.data) ** 2
+            out = _rhs(w, v)
+            vw = v + w
+            direct = vw * np.abs(vw) ** 2 - v * np.abs(v) ** 2
             worst = max(worst, np.abs(out - direct).max() / np.abs(direct).max())
         assert worst <= 1e-12
 
@@ -162,8 +162,8 @@ class TestPerturbationRhs:
         work = _rhs_work(grid3d.shape)
         for _ in range(10):
             # raw random fields: every mode, Nyquist included, is populated
-            w = random_physical_field(grid3d, rng, dealiased=False).data
-            v = random_physical_field(grid3d, rng, dealiased=False).data
+            w = random_physical_field(grid3d, rng, dealiased=False)
+            v = random_physical_field(grid3d, rng, dealiased=False)
             ref = _reference_rhs(w, v)
             np.testing.assert_allclose(_rhs_data(w, v, out, work), ref, rtol=1e-14,
                                        atol=1e-14 * np.abs(ref).max())
@@ -171,8 +171,8 @@ class TestPerturbationRhs:
 
 class TestExpStep:
     def test_pure_semigroup_when_rhs_disabled(self, grid3d, op3d, rng):
-        w = random_physical_field(grid3d, rng).to_frequency()
-        v = SpectralField(grid3d, "physical", np.zeros(grid3d.shape, complex))
+        w = random_field(grid3d, rng)
+        v = np.zeros(grid3d.shape, complex)
         h = 0.37
         stepped = exp_step(w, v, h, op3d, include_rhs=False)
         exact = semigroup_apply(w, h, op3d)
@@ -187,8 +187,8 @@ class TestExpStep:
         c = 0.6 - 0.8j
         g = np.zeros(grid1d.shape, dtype=complex)
         g[k] = c
-        g_field = SpectralField(grid1d, "frequency", g)
-        u0 = SpectralField(grid1d, "frequency", np.zeros(grid1d.shape, complex))
+        g_field = SpectralField(grid1d, g)
+        u0 = SpectralField(grid1d, np.zeros(grid1d.shape, complex))
         h = 1.0 / 16
         u1 = direct_step(u0, g_field, g_field, h, op, order=1, nonlinearity=False)
         expected = c * (1 - np.exp(-lam * h)) / lam
@@ -201,11 +201,11 @@ class TestExpStep:
         grid, op, cut, g, v_per = small_setup
         w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         t_final = 0.25
-        v_nodes = [v_per.field(m).to_physical() for m in range(v_per.n_steps)]
+        v_nodes = [np.fft.ifftn(v_per.data[m]) for m in range(v_per.n_steps)]
 
         def integrate(order, n_steps):
             h = t_final / n_steps
-            w = w0.to_frequency()
+            w = w0
             stride = v_per.n_steps / (n_steps * v_per.period / t_final)
             for s in range(n_steps):
                 # sample the stored base solution at the matching nodes
@@ -229,9 +229,9 @@ class TestExpStep:
     @pytest.mark.parametrize("order, include_rhs", [(1, True), (2, True), (2, False)])
     def test_input_field_untouched(self, small_setup, order, include_rhs):
         grid, op, cut, g, v_per = small_setup
-        w = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid).to_frequency()
+        w = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         before = w.data.copy()
-        v_now, v_next = v_per.field(0).to_physical(), v_per.field(1).to_physical()
+        v_now, v_next = np.fft.ifftn(v_per.data[0]), np.fft.ifftn(v_per.data[1])
         stepped = exp_step(w, v_now, v_per.dt, op, order=order, v_next=v_next,
                            include_rhs=include_rhs)
         assert np.array_equal(w.data, before)
@@ -251,7 +251,7 @@ class TestExpStep:
             planes = len(stepper.decay)
             assert planes == (grid.n // 2 + 1 if odd else grid.n)
             w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
-                                         grid).to_frequency().data[:planes].copy()
+                                         grid).data[:planes].copy()
             stepper.step(w_hat, v_phys[0], v_phys[1], order)  # warm the FFT caches
             for measured in (fresh, stepper):
                 tracemalloc.start()
@@ -268,36 +268,36 @@ class TestExpStep:
         # a run's first step is bit for bit exp_step(order=2); the second is
         # multistep ETD2 and makes one nonlinear evaluation
         grid, op, cut, g, v_per = small_setup
-        v_phys = [v_per.field(m).to_physical() for m in range(3)]
-        w = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid).to_frequency()
+        v_phys = [np.fft.ifftn(v_per.data[m]) for m in range(3)]
+        w = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         stepper = _Stepper(grid, op, v_per.dt)
-        w_hat = stepper.step(w.data.copy(), v_phys[0].data, v_phys[1].data, 2)
+        w_hat = stepper.step(w.data.copy(), v_phys[0], v_phys[1], 2)
         single = exp_step(w, v_phys[0], v_per.dt, op, order=2, v_next=v_phys[1])
         assert np.array_equal(w_hat, single.data)
         assert stepper.rhs_evals == 2
 
         reference = _ReferenceMultistep(grid, op, v_per.dt)
-        ref_hat = reference.step(w.data, v_phys[0].data, v_phys[1].data, 2)
+        ref_hat = reference.step(w.data, v_phys[0], v_phys[1], 2)
         np.testing.assert_allclose(w_hat, ref_hat, rtol=0, atol=1e-15 * np.abs(ref_hat).max())
-        w_hat = stepper.step(w_hat, v_phys[1].data, None, 2)
-        ref_hat = reference.step(ref_hat, v_phys[1].data, None, 2)
+        w_hat = stepper.step(w_hat, v_phys[1], None, 2)
+        ref_hat = reference.step(ref_hat, v_phys[1], None, 2)
         assert stepper.rhs_evals == 3
         np.testing.assert_allclose(w_hat, ref_hat, rtol=0, atol=1e-13 * np.abs(ref_hat).max())
         rk_hat = exp_step(single, v_phys[1], v_per.dt, op, order=2, v_next=v_phys[2]).data
         assert not np.allclose(w_hat, rk_hat, rtol=1e-13, atol=0)
 
     def test_rejects_bad_step(self, grid3d, op3d, rng):
-        w = random_physical_field(grid3d, rng)
+        w = random_field(grid3d, rng)
         with pytest.raises(ValueError):
-            exp_step(w, w, -0.1, op3d)
+            exp_step(w, w.data, -0.1, op3d)
         with pytest.raises(ValueError):
-            exp_step(w, w, 0.1, op3d, order=3)
+            exp_step(w, w.data, 0.1, op3d, order=3)
 
 
 class TestRunStability:
     def test_zero_perturbation_stays_zero(self, small_setup):
         grid, op, cut, g, v_per = small_setup
-        w0 = SpectralField(grid, "physical", np.zeros(grid.shape, complex))
+        w0 = SpectralField(grid, np.zeros(grid.shape, complex))
         cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=4)
         decay = run_stability(cfg, op, cut)
         assert np.all(decay.l2_w == 0.0)
@@ -395,9 +395,8 @@ class TestRunStability:
         k = 2
         data = np.zeros(grid1d.shape, dtype=complex)
         data[k] = 1.0
-        w0 = SpectralField(grid1d, "frequency", data)
-        v = FieldSeries(grid1d, "frequency",
-                        np.zeros((17,) + grid1d.shape, complex), 1.0)
+        w0 = SpectralField(grid1d, data)
+        v = FieldSeries(grid1d, np.zeros((17,) + grid1d.shape, complex), 1.0)
         cfg = StabilityRunConfig(t_max=10.0, v_per=v, w0=w0, record_stride=1,
                                  linear_only=True)
         decay = run_stability(cfg, op, cut)
@@ -486,12 +485,12 @@ def _ifftn_fftn_hat(self, w_hat, v_phys, out):
 
 def _with_even_part(v_per, size):
     """The base plus a time-constant even field whose largest coefficient is
-    `size` times the base's (frequency representation)."""
+    `size` times the base's (frequency data)."""
     grid = v_per.grid
-    data = v_per.to_frequency().data
+    data = v_per.data
     even = np.fft.fftn(grid.x[0] * grid.x[-1] * np.exp(-grid.x_abs ** 2 / 8.0))
     even *= size * np.abs(data).max() / np.abs(even).max()
-    return FieldSeries(grid, "frequency", data + even, v_per.period)
+    return FieldSeries(grid, data + even, v_per.period)
 
 
 def _half_columns(grid, phys):
@@ -544,8 +543,8 @@ class TestHalfLattice:
         rng = np.random.default_rng(dim)
         grid = make_grid(GridConfig(dim=dim, n_per_axis=16, box_length=16.0))
         op = make_operator(grid, 1.0)
-        w_hat = np.fft.fftn(random_physical_field(grid, rng).data) * 1e-2
-        v = [random_physical_field(grid, rng).data for _ in range(4)]
+        w_hat = np.fft.fftn(random_physical_field(grid, rng)) * 1e-2
+        v = [random_physical_field(grid, rng) for _ in range(4)]
         stepped = {}
         for form in ("passes", "ifftn_fftn"):
             with monkeypatch.context() as m:
@@ -594,7 +593,7 @@ class TestHalfLattice:
         # odd extension to roundoff
         m_t, pair = 64, grid3d.odd_transform
         data = np.fft.fftn(raw_random_series(grid3d, m_t, rng), axes=(1, 2, 3))
-        series = FieldSeries(grid3d, "frequency", data, 1.0)
+        series = FieldSeries(grid3d, data, 1.0)
         full = _base_nodes(series)
         _base_nodes(series, pair)  # warm the FFT caches
         tracemalloc.start()
@@ -630,7 +629,7 @@ class TestHalfLattice:
         # an odd w0 alone decides the lattice, even about a base that is not
         # odd, and the base is never transformed
         grid, op, cut, g, v_per = small_setup
-        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid).to_frequency()
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         cfg = StabilityRunConfig(t_max=10.0, v_per=_with_even_part(v_per, 1e-6), w0=w0,
                                  record_stride=4, linear_only=True)
         calls = []
@@ -669,7 +668,7 @@ class TestSavedBase:
         op, cut, m_t = make_operator(grid, 1.0), auto_cutoffs(grid, 1.0), 64
         rng = np.random.default_rng(11)
         data = np.stack([random_odd_field(grid, rng).data for _ in range(m_t + 1)])
-        series = FieldSeries(grid, "frequency", 0.1 * data / np.abs(data).max(), 1.0)
+        series = FieldSeries(grid, 0.1 * data / np.abs(data).max(), 1.0)
         w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         cfg = StabilityRunConfig(t_max=10.0, v_per=_saved_base(series, tmp_path), w0=w0,
                                  record_stride=4)
@@ -698,7 +697,7 @@ class TestSavedBase:
         grid, op, cut, g, v_per = small_setup
         memory = _with_even_part(v_per, 1e-6)
         w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
-        assert grid.is_odd(w0.to_frequency().data[None])
+        assert grid.is_odd(w0.data[None])
         runs = [run_stability(StabilityRunConfig(t_max=10.0, v_per=base, w0=w0,
                                                  record_stride=4), op, cut)
                 for base in (memory, _saved_base(memory, tmp_path))]

@@ -182,8 +182,7 @@ class TestBatteries:
                                                        op3d_module,
                                                        cutoffs3d_module):
         from glperiod import FieldSeries
-        zero = FieldSeries(grid3d_module, "frequency",
-                           np.zeros((17,) + grid3d_module.shape, complex), 1.0)
+        zero = FieldSeries(grid3d_module, np.zeros((17,) + grid3d_module.shape, complex), 1.0)
         with pytest.raises(ValueError, match="degenerate"):
             check_energy_inequality(zero, zero, op3d_module, cutoffs3d_module)
 
@@ -193,8 +192,7 @@ class TestBatteries:
         from glperiod import FieldSeries
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0),
                             grid3d_module, 16)
-        zero = FieldSeries(grid3d_module, "frequency",
-                           np.zeros((17,) + grid3d_module.shape, complex), 1.0)
+        zero = FieldSeries(grid3d_module, np.zeros((17,) + grid3d_module.shape, complex), 1.0)
         reports = check_nonlinear_bound(zero, g, op3d_module, cutoffs3d_module)
         for rep in reports:
             assert rep.fitted_constant == pytest.approx(1.0, rel=1e-10)
@@ -231,7 +229,7 @@ class TestRunAllChecks:
         # the same reports as the batteries computing their own, to roundoff
         u, g = solved
         op, cut = op3d_module, cutoffs3d_module
-        half = FieldSeries(u.grid, "frequency", u.data[:, :u.grid.n // 2 + 1], u.period)
+        half = FieldSeries(u.grid, u.data[:, :u.grid.n // 2 + 1], u.period)
         alone = [check_energy_inequality(u, g, op, cut), *check_nonlinear_bound(u, g, op, cut)]
         calls = []
         for name in ("_cubic_difference_data", "z_norm"):
@@ -304,8 +302,8 @@ def _ref_period_inverse_bound(op, cutoffs, samples, seed):
         f_hat = np.fft.fftn(profile) * cutoffs.chi1 * keep
         f_hat = 0.5 * (f_hat - grid.reflect(f_hat))
         f_hat.flat[0] = 0.0
-        F = SpectralField(grid, "frequency", f_hat)
-        u = SpectralField(grid, "frequency", inv * f_hat * keep)
+        F = SpectralField(grid, f_hat)
+        u = SpectralField(grid, inv * f_hat * keep)
         num = lp_norm(u, 2) + _ref_x_weighted_gradient_norm(u)
         den = lp_norm(F, 1, weighted=True)
         if den > 0:
@@ -318,8 +316,7 @@ def _ref_high_freq_decay_norms(op, cutoffs, samples, seed, n_times):
     t_grid = np.linspace(0.0, op.period, n_times + 1)
     for rng in sample_rngs(seed, samples):
         u = random_band_field(grid, rng, "high", cutoffs)
-        yield [_ref_sobolev_norm(SpectralField(grid, "frequency",
-                                               np.exp(-t * op.symbol) * u.data), 2)
+        yield [_ref_sobolev_norm(SpectralField(grid, np.exp(-t * op.symbol) * u.data), 2)
                for t in t_grid]
 
 
@@ -434,7 +431,7 @@ class TestStackedBatteriesMatchPerSample:
         u, g = solved
         grid, keep = u.grid, u.grid.keep_nyquist_free
         axes = (1, 2, 3)
-        F = cubic_rhs(u.to_frequency().data, g.to_frequency().data, grid)
+        F = cubic_rhs(u.data, g.data, grid)
         phys = np.fft.ifftn(F * (cutoffs3d_module.chi1 * keep), axes=axes)
         node = (np.abs(phys) * NormSuite.for_grid(grid).weight).sum(axis=axes) \
             * grid.quad_weight
