@@ -81,7 +81,12 @@ def grid_config(cfg: dict) -> GridConfig:
 
 
 def build_grid(cfg: dict) -> Grid:
-    return make_grid(grid_config(cfg))
+    config = grid_config(cfg)
+    try:
+        return make_grid(config)
+    except MemoryError:
+        raise ConfigError(f"invalid grid.n_per_axis: a lattice of {config.n_per_axis}^"
+                          f"{config.dim} points cannot be allocated")
 
 
 def _period(cfg: dict) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import math
 import os
 import platform
 from dataclasses import asdict, dataclass, field
@@ -20,6 +21,22 @@ def atomic_write_text(path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def strict_json(obj) -> str:
+    """obj as strict JSON (indented, keys sorted), the format of every JSON file a
+    run writes: a non-finite float is null, beside `<key>_reason` in a dict."""
+    def finite(node):
+        if isinstance(node, (list, tuple)):
+            return [finite(value) for value in node]
+        if not isinstance(node, dict):
+            return None if isinstance(node, float) and not math.isfinite(node) else node
+        out = {key: finite(value) for key, value in node.items()}
+        reasons = {f"{key}_reason": f"not finite: {value!r}" for key, value in node.items()
+                   if isinstance(value, float) and not math.isfinite(value)}
+        return out | {key: why for key, why in reasons.items() if out.get(key) is None}
+
+    return json.dumps(finite(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
 def sha256_of(path) -> str:
@@ -62,7 +79,7 @@ class RunManifest:
         self.finished = _now()
 
     def write(self, path) -> None:
-        atomic_write_text(path, json.dumps(asdict(self), indent=2, sort_keys=True))
+        atomic_write_text(path, strict_json(asdict(self)))
 
 
 def load_manifest(path) -> dict:

@@ -44,9 +44,10 @@ task gathers all n planes of them, plane j > n/2 as minus plane n - j on
 the mirror columns, and each pass is scattered into planes 0..n/2 with the
 sign -(-1)^a0 of d_0^a0 on the mirror columns.
 
-With antiperiodic=True (u(t + T/2) = -u(t), as the solve measures) node m
-takes the sums of node m mod m_t/2, every node sum being one of |.|^2: only
-nodes 0..m_t/2 - 1 are computed, their halos read from the data as always.
+With antiperiodic=True (u(t + T/2) = -u(t), as the solve measures) the
+data hold nodes 0..m_t/2, a series of period T/2 (dt stays T/m_t). Every
+node sum is one of |.|^2, so nodes 0..m_t/2 - 1 are computed (node 0's left
+halo is minus node m_t/2 - 1) and node m takes the sums of node m mod m_t/2.
 
 The weighted field norms (weighted_hk_node_sq, x_gradient_node_sq) run on
 the same tree over stacks of fields; single-field norms are stacks of one.
@@ -141,12 +142,12 @@ def _lp_node(phys: np.ndarray, grid: Grid, p, weighted: bool = False) -> np.ndar
 def l1w_node(data: np.ndarray, grid: Grid, antiperiodic: bool = False) -> np.ndarray:
     """Per-node weighted L1 norms of frequency-stacked data, one inverse
     transform per chunk of nodes on the shared pool; an `antiperiodic` series
-    computes nodes 0..m_t/2 - 1 only, node m taking node m mod m_t/2's norm."""
-    n_nodes = (len(data) - 1) // 2 if antiperiodic else len(data)
+    holds nodes 0..m_t/2 and gets the norms of nodes 0..m_t (module docstring)."""
+    n_nodes = len(data) - antiperiodic
     node = np.concatenate(map_chunks(lambda rows: _lp_node(
         np.fft.ifftn(data[rows], axes=grid.series_axes), grid, 1, weighted=True),
         node_chunks(n_nodes)))
-    return node[np.arange(len(data)) % n_nodes]
+    return node[np.arange(2 * n_nodes + 1) % n_nodes] if antiperiodic else node
 
 
 def lp_norm(f: SpectralField, p, weighted: bool = False) -> float:
@@ -293,13 +294,16 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
     periodic nodes (node m_t, a chunk of its own, gets m_t - 1 and 1). With
     chi None the data are used as given; `skip_zero` skips alpha = 0.
 
+    `antiperiodic` data hold nodes 0..m_t/2 and get the sums of nodes 0..m_t
+    from those of nodes 0..m_t/2 - 1 (module docstring).
+
     Half data (Grid.is_half: planes 0..n/2 of odd data) are gathered on the
     half columns; the fields cover those planes, to be summed with
     NormSuite.flat(name, odd=True) (the half-lattice path of the module
     docstring); chi must then be even on the lattice.
     """
     NormSuite.for_grid(grid)  # fill the per-grid cache before workers read it
-    m_t, n, odd = data.shape[0] - 1, grid.n, grid.is_half(data)
+    m_t, n, odd = data.shape[0] - 1, grid.n, grid.is_half(data)  # m_t/2 if antiperiodic
     halo = dt_order >= 0
     mask = None if chi is None else chi * grid.keep_nyquist_free
     if odd and mask is not None and not np.array_equal(grid.reflect(mask), mask):
@@ -321,12 +325,16 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
         gather = np.where(j < planes, j * flat.size + sources[0], (n - j) * flat.size + sources[1])
 
     def task(rows):
-        nodes = np.r_[(rows.start - 1) % m_t, rows, rows.stop % m_t] if halo else np.r_[rows]
+        # an antiperiodic series' last row (node m_t/2) is a right halo, not wrapped
+        nodes = (np.r_[(rows.start - 1) % m_t, rows, rows.stop % (m_t + antiperiodic)]
+                 if halo else np.r_[rows])
         if odd:
             block = data.reshape(len(data), -1)[nodes[:, None, None], gather]
             block[:, planes:] *= -1
         else:
             block = data[np.ix_(nodes, *cols)] if cols else data[nodes]
+        if halo and antiperiodic and rows.start == 0:
+            block[0] *= -1  # node -1 is minus node m_t/2 - 1
         if mask is not None:
             block *= mask
         out = np.zeros((n_sums, rows.stop - rows.start))
@@ -341,8 +349,8 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
         return out
 
     if antiperiodic:
-        sums = np.concatenate(map_chunks(task, node_chunks(m_t // 2)), axis=1)
-        return sums[:, np.arange(m_t + 1) % (m_t // 2)]
+        sums = np.concatenate(map_chunks(task, node_chunks(m_t)), axis=1)
+        return sums[:, np.arange(2 * m_t + 1) % m_t]
     chunks = [*node_chunks(m_t), slice(m_t, m_t + 1)] if halo else node_chunks(m_t + 1)
     return np.concatenate(map_chunks(task, chunks), axis=1)
 
@@ -406,10 +414,10 @@ def spacetime_norm(series: FieldSeries, kind: str, cutoffs: CutoffSpec | None = 
 
     When cutoffs are given the matching projection is applied first; pass
     None for a series that is already supported in the right band. A half
-    series (planes 0..n/2 of odd data) is summed on half the lattice, an
-    `antiperiodic` one on half the period (see _node_sums).
+    series (planes 0..n/2 of odd data) is summed on half the lattice; an
+    `antiperiodic` one holds and is summed on half the period (see _node_sums).
     """
-    if len(series) < 3:
+    if len(series) < 3 - antiperiodic:
         raise ValueError("space-time norms need at least 3 time nodes")
     if kind not in ("X", "Y"):
         raise ValueError(f"kind must be 'X' or 'Y'; got {kind!r}")
@@ -430,10 +438,10 @@ def forcing_bracket(g: FieldSeries, half: FieldSeries | None = None, *,
 
     g is whole-lattice frequency data, its L1_w read by l1w_node; the H1_w
     sums come from the derivative tree on `half` (planes 0..n/2 of g's odd
-    part, on half the lattice) when given, else on g. Both sums run on half
-    the period for an `antiperiodic` g (see _node_sums).
+    part, on half the lattice) when given, else on g. An `antiperiodic` g
+    (and `half`) holds nodes 0..m_t/2, and both sums run on them (see _node_sums).
     """
-    if len(g) < 3:
+    if len(g) < 3 - antiperiodic:
         raise ValueError("the forcing functional needs at least 3 time nodes")
     tree = (g if half is None else half).data
     w2 = NormSuite.for_grid(g.grid).flat("weight_sq", g.grid.is_half(tree))

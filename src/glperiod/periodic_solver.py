@@ -38,18 +38,20 @@ the next cubic difference. equation_residual streams.
 
 The equation is unchanged by u -> -u and a time shift, so for a measured
 antiperiodic g (g(t + T/2) = -g(t), as eps sin(2 pi t/T) G(x)) u and every
-correction are antiperiodic: the Z-norms and [g] sum one half period only.
+correction are antiperiodic. The solve then holds its series on nodes
+0..m_t/2: the period map closes with u(T/2) = -u(0), u(0) =
+-(1 + e^{-T lambda/2})^{-1} I(T/2), and u is extended over the period at the end.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import NonFiniteField, OddnessViolation
+from .manifest import strict_json
 from .norms import _node_l2, forcing_bracket, z_norm
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
 from .phi import phi1, phi2
@@ -82,10 +84,10 @@ class PeriodicSolveReport:
     diverged: bool = False
     divergence_reason: str | None = None
     contraction_factor_reason: str | None = None  # why contraction_factor is None
-    antiperiodic: bool = False  # the Z-norms and [g] summed half the period
+    antiperiodic: bool = False  # the solve held nodes 0..m_t/2 only
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return strict_json(asdict(self))
 
 
 def _step_coefficients(op: LinearOperatorSpec, h: float):
@@ -126,15 +128,18 @@ def _decay_table(op: LinearOperatorSpec, h: float, m_t: int):
 
 
 def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
-                            out: np.ndarray | None = None) -> np.ndarray:
+                            out: np.ndarray | None = None,
+                            antiperiodic: bool = False) -> np.ndarray:
     """Periodic response of frequency-stacked, mean-free F, written to `out`
     (a new array by default; `out` may be F). Modes are independent, so one
     task per slab of the first spatial axis runs the recurrence over the
-    time nodes in place in the output. F may hold planes 0..n/2 of odd data."""
+    time nodes in place in the output. F may hold planes 0..n/2 of odd data,
+    or nodes 0..m_t/2 of `antiperiodic` data, whose closing symbol
+    -1/(1 + e^{-T lambda/2}) is never singular (-1/2 at the mean mode)."""
     m_t, planes = F.shape[0] - 1, F.shape[1]
     coefficients = _step_coefficients(op, h)
-    inverse = period_inverse_symbol(op)
     decay, index = _decay_table(op, h, m_t)
+    inverse = (-1.0 / (1.0 + decay[m_t]))[index] if antiperiodic else period_inverse_symbol(op)
     keep = op.grid.keep_nyquist_free
     if out is None:
         out = np.empty_like(F)
@@ -240,17 +245,21 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     forcings are. Every map of the iteration commutes with the lattice
     reflection, so u and every correction are odd: the solve takes g's odd
     part (its even part is at most ODDNESS_TOL of its peak), holds the series
-    on planes 0..n/2, and runs each Z-norm on half the lattice.
+    on planes 0..n/2, and runs each Z-norm on half the lattice; for an
+    antiperiodic g (_is_antiperiodic) on nodes 0..m_t/2 too.
     """
     opts = opts or SolveOptions()
     grid = g.grid
-    u = np.empty((len(g),) + grid.half_shape, complex)  # g's odd part, then the iterate
+    antiperiodic = _is_antiperiodic(g.data)
+    # nodes 0..m_t/2 of an antiperiodic g (a series of period T/2), else every node
+    nodes, period = ((len(g) + 1) // 2, g.period / 2) if antiperiodic else (len(g), g.period)
+    u = np.empty((nodes,) + grid.half_shape, complex)  # g's odd part, then the iterate
     if not grid.is_odd(g.data, keep=u):
         raise OddnessViolation(
             f"forcing is not odd on the lattice: its even part exceeds {ODDNESS_TOL:.0e} "
             f"of its largest coefficient")
-    antiperiodic = _is_antiperiodic(u)
-    bracket = forcing_bracket(g, FieldSeries(grid, u, g.period), antiperiodic=antiperiodic)
+    bracket = forcing_bracket(FieldSeries(grid, g.data[:nodes], period),
+                              FieldSeries(grid, u, period), antiperiodic=antiperiodic)
     # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
 
@@ -260,10 +269,10 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     # the correction is propagated through the expanded cubic
     # difference so residuals stay accurate at any magnitude. Both series
     # are updated in place, u in the buffer of g's odd part.
-    _linear_period_map_data(u, op, g.dt, out=u)
+    _linear_period_map_data(u, op, g.dt, out=u, antiperiodic=antiperiodic)
     if opts.nonlinearity_enabled:
         delta = _cubic_difference_data(None, u, grid)
-        _linear_period_map_data(delta, op, g.dt, out=delta)
+        _linear_period_map_data(delta, op, g.dt, out=delta, antiperiodic=antiperiodic)
     else:
         delta = np.zeros_like(u)
 
@@ -273,7 +282,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     reason = None
     iterations = 0
     while True:
-        res = z_norm(FieldSeries(grid, delta, g.period), delta_cutoffs, antiperiodic=antiperiodic)
+        res = z_norm(FieldSeries(grid, delta, period), delta_cutoffs, antiperiodic=antiperiodic)
         history.append(res)
         iterations += 1
         if not math.isfinite(res):
@@ -294,11 +303,11 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
             raise NonFiniteField(_NON_FINITE)
         if last:
             break
-        _linear_period_map_data(delta, op, g.dt, out=delta)
+        _linear_period_map_data(delta, op, g.dt, out=delta, antiperiodic=antiperiodic)
     del delta  # before the final z_norm's chunk temporaries
 
-    z_final = z_norm(FieldSeries(grid, u, g.period), cutoffs, antiperiodic=antiperiodic)
-    u = grid.whole_lattice(u)
+    z_final = z_norm(FieldSeries(grid, u, period), cutoffs, antiperiodic=antiperiodic)
+    u = grid.whole_lattice(u, len(g))
     scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
                                 * grid.parseval_factor) / scale)

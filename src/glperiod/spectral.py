@@ -208,11 +208,11 @@ class Grid:
         of nodes from its frequency_rows, an array or one node at a time), has
         an even part (f + Rf)/2 of at most ODDNESS_TOL of its peak, one field at
         a time (pool tasks' chunk temporaries stay resident); `keep` (arrays
-        only) gets planes 0..n/2 of the odd part (f - Rf)/2."""
+        only) gets planes 0..n/2 of the odd part (f - Rf)/2 of its first nodes."""
         def task(rows):
             block = data[rows] if isinstance(data, np.ndarray) else data.frequency_rows(rows)
             if keep is not None:
-                for m, f in zip(range(rows.start, rows.stop), block):
+                for m, f in zip(range(rows.start, min(rows.stop, len(keep))), block):
                     keep[m] = 0.5 * (f - self.reflect(f))[:keep.shape[1]]
             pairs = [(np.abs(f + self.reflect(f)).max(), np.abs(f).max()) for f in block]
             return float(max(p[0] for p in pairs)) / 2, float(max(p[1] for p in pairs))
@@ -220,12 +220,14 @@ class Grid:
         even, peak = np.max(map_chunks(task, node_chunks(len(data))), axis=0)
         return bool(even <= ODDNESS_TOL * peak)
 
-    def whole_lattice(self, half: np.ndarray) -> np.ndarray:
-        """Odd frequency data from its planes 0..n/2: plane -j is minus plane j reflected."""
-        out, planes = np.empty((len(half),) + self.shape, complex), self.half_shape[0]
-        out[:, :planes] = half
-        for node in out:  # one node at a time: no series temporary
+    def whole_lattice(self, half: np.ndarray, nodes: int | None = None) -> np.ndarray:
+        """Odd frequency data from its planes 0..n/2: plane -j is minus plane j
+        reflected; with `nodes` = 2 len(half) - 1 node m + m_t/2 is minus node m."""
+        out, planes = np.empty((nodes or len(half),) + self.shape, complex), self.half_shape[0]
+        out[:len(half), :planes] = half
+        for node in out[:len(half)]:  # one node at a time: no series temporary
             node[planes:] = -self.reflect(node)[planes:]
+        np.negative(out[1:len(out) - len(half) + 1], out=out[len(half):])
         return out
 
 

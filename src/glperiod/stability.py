@@ -45,13 +45,13 @@ from frequency_rows (a FieldSeries, or snapshot files): no frequency copy is hel
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .manifest import strict_json
 from .operators import CutoffSpec, LinearOperatorSpec
 from .phi import phi1, phi2
 from .spectral import FieldSeries, Grid, SpectralField
@@ -230,8 +230,7 @@ class DecayReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.summary_dict(), indent=2, sort_keys=True,
-                          allow_nan=False)
+        return strict_json(self.summary_dict())
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

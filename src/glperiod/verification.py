@@ -15,12 +15,12 @@ in order and evaluated in bounded stacks through the stacked norms of
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .manifest import strict_json
 from .norms import (NormSuite, _lp_node, _node_l2, _weighted_sq, l1w_node,
                     weighted_hk_node_sq, x_gradient_node_sq, z_norm)
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
@@ -42,7 +42,7 @@ class CheckReport:
 
 
 def reports_to_json(reports: list[CheckReport]) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True)
+    return strict_json([asdict(r) for r in reports])
 
 
 def sample_rngs(seed: int, samples: int) -> list[np.random.Generator]:
@@ -66,16 +66,11 @@ def _band_envelope(grid: Grid, band: str, cutoffs: CutoffSpec) -> np.ndarray:
     raise ValueError(f"unknown band {band!r}")
 
 
-def _band_data(grid: Grid, rng: np.random.Generator, envelope: np.ndarray,
-               odd: bool = False) -> np.ndarray:
+def _band_data(grid: Grid, rng: np.random.Generator, envelope: np.ndarray) -> np.ndarray:
     """Random frequency-space field with unit L2 norm under a precomputed
-    envelope. The Nyquist rows are always zeroed; odd=True antisymmetrizes
-    under xi -> -xi."""
+    envelope. The Nyquist rows are always zeroed."""
     data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     data = data * envelope * grid.keep_nyquist_free
-    if odd:
-        data = 0.5 * (data - grid.reflect(data))
-        data.flat[0] = 0.0
     norm = np.sqrt((data.real ** 2 + data.imag ** 2).sum() * grid.parseval_factor)
     if norm > 0:
         data = data / norm

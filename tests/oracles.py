@@ -28,6 +28,10 @@ few lines.
 * cubic_rhs: dealias(|u|^2 u) + g over a whole series at once, against the
   solve's chunked cubic kernel (bit for bit) and inside
   split_equation_residual and the residual references.
+* antiperiodicity_bound: the roundoff bound on the period map's
+  antiperiodicity defect, for the full-period map of an antiperiodic F
+  (test_properties) and for the half-period solve against the full-period
+  one (test_solver).
 * picard_step: one fixed-point update, against the solve's difference
   form and, in criterion 6, for oddness.
 * split_series, split_equation_residual: the low and high sub-systems,
@@ -167,11 +171,15 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
     """solve_periodic's iteration on the whole lattice, for any mean-free g:
     the series it holds (u, delta) and the order of its kernel calls are
     those of solve_periodic, on all n planes and on g itself rather than its
-    odd part."""
+    odd part. For an antiperiodic g the norms take nodes 0..m_t/2 (a series
+    of period T/2) with the flag, as the solve's do; the period maps run over
+    the whole period."""
     opts = opts or SolveOptions()
     grid = g.grid
     antiperiodic = _is_antiperiodic(g.data)
-    bracket = forcing_bracket(g, antiperiodic=antiperiodic)
+    nodes, period = ((len(g) + 1) // 2, g.period / 2) if antiperiodic else (len(g), g.period)
+    bracket = forcing_bracket(FieldSeries(grid, g.data[:nodes], period),
+                              antiperiodic=antiperiodic)
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
     u = _linear_period_map_data(g.data, op, g.dt)
     if opts.nonlinearity_enabled:
@@ -181,7 +189,7 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
         delta = np.zeros_like(u)
     history, converged, diverged, reason = [], False, False, None
     while True:
-        res = z_norm(FieldSeries(grid, delta, g.period), delta_cutoffs,
+        res = z_norm(FieldSeries(grid, delta[:nodes], period), delta_cutoffs,
                      antiperiodic=antiperiodic)
         history.append(res)
         if not math.isfinite(res):
@@ -203,7 +211,7 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
             break
         _linear_period_map_data(delta, op, g.dt, out=delta)
     del delta
-    z_final = z_norm(FieldSeries(grid, u, g.period), cutoffs,
+    z_final = z_norm(FieldSeries(grid, u[:nodes], period), cutoffs,
                      antiperiodic=antiperiodic)
     scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
@@ -216,6 +224,18 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
         contraction_factor=factor, diverged=diverged, divergence_reason=reason,
         contraction_factor_reason=factor_reason, antiperiodic=antiperiodic)
     return FieldSeries(grid, u, g.period), report
+
+
+def antiperiodicity_bound(F, op):
+    """Bound on max_m |u[m + m_t/2] + u[m]| / max |u| for u the period map of
+    an antiperiodic F (zero in exact arithmetic). The recurrence rounds I at
+    about 2 eps per step over m_t steps, and u0 = I(T) / (1 - e^{-T lambda})
+    multiplies that by kappa = max 1/|1 - e^{-T lambda}| over F's modes (the
+    low modes'). Measured: at most 0.26 of this bound on 660 random series
+    (dims 1-3, m_t 2-12), 0.21 at the reference config."""
+    m_t = len(F) - 1
+    kappa = np.abs(period_inverse_symbol(op)[:F.shape[1]])[np.abs(F).max(axis=0) > 0].max()
+    return 2 * (m_t + 4) * np.finfo(float).eps * kappa
 
 
 def split_series(u, cutoffs):
@@ -270,8 +290,18 @@ def direct_step(u, g_at_t, g_next, h, op, order=2, nonlinearity=True):
 
 def random_band_field(grid, rng, band, cutoffs, odd=False):
     """One battery draw: a random frequency-space field with unit L2 norm
-    under the battery's envelope for band 'low', 'high' or 'full'."""
-    return SpectralField(grid, _band_data(grid, rng, _band_envelope(grid, band, cutoffs), odd))
+    under the battery's envelope for band 'low', 'high' or 'full'; with `odd`
+    the draw is antisymmetrized under xi -> -xi (mean mode zeroed) before
+    it is normalized."""
+    envelope = _band_envelope(grid, band, cutoffs)
+    if not odd:
+        return SpectralField(grid, _band_data(grid, rng, envelope))
+    data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    data = data * envelope * grid.keep_nyquist_free
+    data = 0.5 * (data - grid.reflect(data))
+    data.flat[0] = 0.0
+    return SpectralField(grid, data / np.sqrt((data.real ** 2 + data.imag ** 2).sum()
+                                              * grid.parseval_factor))
 
 
 def odd_fft_every_plane(grid, phys):

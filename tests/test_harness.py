@@ -538,6 +538,17 @@ class TestMalformedInput:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert ("must be a path string; got 5" if out == 5 else "File exists") in err
 
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys):
+        # 100000^3 complex points: numpy refuses the 7 PiB mesh at once, with
+        # nothing touched
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"grid": {"n_per_axis": 100000},
+                                    "output": {"dir": str(tmp_path / "out")}}))
+        assert main(["solve-periodic", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid grid.n_per_axis: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_forcing_not_odd_rejected_before_the_solve(self, tmp_path, monkeypatch, capsys):
         # sigma = 4.571 (L/14) on the reference grid decays at the seam but
         # is not odd by the solve's rule, so no whole-lattice solve runs

@@ -250,9 +250,10 @@ class TestForcingBracket:
         # lattice and half the period: the physical-space formula to roundoff
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, m_t)
         odd = 0.5 * (g.data - grid3d.reflect(g.data))
-        half = FieldSeries(grid3d, odd[:, :grid3d.n // 2 + 1], g.period)
+        half = FieldSeries(grid3d, odd[:m_t // 2 + 1, :grid3d.n // 2 + 1], g.period / 2)
         ref = physical_forcing_bracket(g)
-        for value in (forcing_bracket(g), forcing_bracket(g, half, antiperiodic=True)):
+        g_half = FieldSeries(grid3d, g.data[:m_t // 2 + 1], g.period / 2)
+        for value in (forcing_bracket(g), forcing_bracket(g_half, half, antiperiodic=True)):
             assert value == pytest.approx(ref, rel=1e-14, abs=0)
 
 
@@ -726,9 +727,14 @@ class TestHalfLattice:
             norms._x_norm(s.data[:, :grid3d.n // 2 + 1], grid3d, chi, s.dt)
 
 
+def _half_period(s):
+    """Nodes 0..m_t/2 of an antiperiodic series, a series of period T/2."""
+    return FieldSeries(s.grid, s.data[:s.n_steps // 2 + 1], s.period / 2)
+
+
 class TestHalfPeriod:
-    """Z-norms and [g] of an antiperiodic series summed on one half period
-    (antiperiodic=True) against every node, whole and half lattice."""
+    """Z-norms and [g] of an antiperiodic series held and summed on one half
+    period (antiperiodic=True) against every node, whole and half lattice."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("odd", [False, True])
@@ -742,9 +748,12 @@ class TestHalfPeriod:
             grid, m_t, rng))
         whole = FieldSeries(grid, data, 1.3)
         s = FieldSeries(grid, data[:, :grid.n // 2 + 1], 1.3) if odd else whole
-        for norm in (partial(z_norm, s, cutoffs), partial(spacetime_norm, s, "X"),
-                     partial(spacetime_norm, s, "Y"), partial(forcing_bracket, whole, s)):
-            assert norm(antiperiodic=True) == pytest.approx(norm(), rel=1e-13)
+        for norm in (partial(z_norm, cutoffs=cutoffs), partial(spacetime_norm, kind="X"),
+                     partial(spacetime_norm, kind="Y")):
+            assert norm(_half_period(s), antiperiodic=True) == pytest.approx(norm(s),
+                                                                             rel=1e-13)
+        assert forcing_bracket(_half_period(whole), _half_period(s), antiperiodic=True) \
+            == pytest.approx(forcing_bracket(whole, s), rel=1e-13)
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_fold_runs_half_the_tasks(self, monkeypatch, grid3d, cutoffs3d, odd):
@@ -756,7 +765,7 @@ class TestHalfPeriod:
                         1.0)
         map_chunks = norms.map_chunks
 
-        def tasks(**kwargs):
+        def tasks(series=s, **kwargs):
             items = []
 
             def recording(task, chunks):
@@ -765,10 +774,10 @@ class TestHalfPeriod:
 
             with monkeypatch.context() as m:
                 m.setattr(norms, "map_chunks", recording)
-                z_norm(s, cutoffs3d, **kwargs)
+                z_norm(series, cutoffs3d, **kwargs)
             return items
 
-        every, folded = tasks(), tasks(antiperiodic=True)
+        every, folded = tasks(), tasks(_half_period(s), antiperiodic=True)
         assert len(every) == 2 * (len(node_chunks(m_t)) + 1) == 10
         assert folded == 2 * node_chunks(m_t // 2) and len(folded) == 4
         assert max(c.stop for c in folded) == m_t // 2

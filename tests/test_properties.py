@@ -2,9 +2,11 @@
 preserve lattice oddness, and the half-lattice solve, Z-norm and
 perturbation step equal the full ones. A dipole forcing passes realization
 only if the solve takes it as odd. The period map's output is periodic, and
-antiperiodic for an antiperiodic forcing, to stated roundoff bounds. Every
-integer and boolean config key rejects a value of the wrong type with one
-line, before any lattice is built."""
+antiperiodic for an antiperiodic forcing, to stated roundoff bounds; its
+half-period form matches it within the same bound. The cutoffs are a
+partition of unity and the perturbation right-hand side is the cubic
+difference. Every integer and boolean config key rejects a value of the
+wrong type with one line, before any lattice is built."""
 
 import contextlib
 import functools
@@ -23,12 +25,12 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig, OddnessViolation,
                       SeamDecayViolation, SolveOptions, auto_cutoffs, make_grid,
                       make_operator, realize_forcing, solve_periodic, z_norm)
 from glperiod.config import build_forcing, reference_config
-from glperiod.operators import period_inverse_symbol
+from glperiod.operators import make_cutoffs
 from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_data
-from glperiod.stability import _Stepper
+from glperiod.stability import _Stepper, _rhs_data, _rhs_work
 
 from conftest import antiperiodic_series, raw_odd_series
-from oracles import odd_fft_every_plane, whole_lattice_solve
+from oracles import antiperiodicity_bound, odd_fft_every_plane, whole_lattice_solve
 
 PERIOD = 1.0
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -77,18 +79,6 @@ def test_period_map_output_is_periodic(case):
     assert np.abs(out[-1] - out[0]).max() <= 8 * EPS * np.abs(out).max()
 
 
-def antiperiodicity_bound(F, op):
-    """Bound on max_m |u[m + m_t/2] + u[m]| / max |u| for u the period map of
-    an antiperiodic F (zero in exact arithmetic). The recurrence rounds I at
-    about 2 eps per step over m_t steps, and u0 = I(T) / (1 - e^{-T lambda})
-    multiplies that by kappa = max 1/|1 - e^{-T lambda}| over F's modes (the
-    low modes'). Measured: at most 0.26 of this bound on 660 random series
-    (dims 1-3, m_t 2-12), 0.21 at the reference config."""
-    m_t = len(F) - 1
-    kappa = np.abs(period_inverse_symbol(op)[:F.shape[1]])[np.abs(F).max(axis=0) > 0].max()
-    return 2 * (m_t + 4) * EPS * kappa
-
-
 def antiperiodicity_defect(u):
     half = (len(u) - 1) // 2
     return max(np.abs(u[m] + u[m + half]).max() for m in range(half + 1)) / np.abs(u).max()
@@ -101,6 +91,20 @@ def test_period_map_keeps_antiperiodicity(case):
     F, op = antiperiodic_series(data), setup(dim)[1]
     out = _linear_period_map_data(F, op, PERIOD / (len(F) - 1))
     assert antiperiodicity_defect(out) <= antiperiodicity_bound(F, op)
+
+
+@PROPERTY
+@given(odd_series())
+def test_half_period_map_equals_full(case):
+    # the map of nodes 0..m_t/2, closed by u(T/2) = -u(0), against the map of
+    # the whole period on those nodes, within the full map's own defect bound
+    # (measured: at most 0.16 of it on 300 random series, dims 1-3, m_t 2-12)
+    dim, data = case
+    F, op = antiperiodic_series(data), setup(dim)[1]
+    h, half = PERIOD / (len(F) - 1), (len(F) + 1) // 2
+    full = _linear_period_map_data(F, op, h)
+    out = _linear_period_map_data(F[:half], op, h, antiperiodic=True)
+    assert np.abs(out - full[:half]).max() <= antiperiodicity_bound(F, op) * np.abs(full).max()
 
 
 def test_reference_period_map_keeps_antiperiodicity():
@@ -220,6 +224,33 @@ def test_paired_transforms_invert(case):
     back, kept = pair.fft(phys, np.empty_like(half)), pair.dealias_planes
     assert back[:, :kept].tobytes() == every[:, :kept].tobytes()
     assert not back[:, kept:].any()
+
+
+@PROPERTY
+@given(st.sampled_from([1, 2, 3]), st.floats(min_value=0.01, max_value=0.99),
+       st.floats(min_value=0.05, max_value=1.0))
+def test_cutoffs_are_a_partition_of_unity(dim, ratio, r_inf):
+    # chi1 + chi_inf = 1 on every mode, r1 = ratio * r_inf < r_inf
+    grid = setup(dim)[0]
+    cutoffs = make_cutoffs(ratio * r_inf, r_inf, grid)
+    assert np.abs(cutoffs.chi1 + cutoffs.chi_inf - 1.0).max() <= 1e-15
+
+
+@PROPERTY
+@given(odd_series(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_perturbation_rhs_is_the_cubic_difference(case, seed):
+    # the grouped right-hand side against |v+w|^2 (v+w) - |v|^2 v point by
+    # point, relative to the size of its terms, as the direct subtraction
+    # cancels (measured: at most 3.0 eps on 300 random pairs)
+    dim, v = case
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(1e-3, 10.0) * (rng.standard_normal(v.shape)
+                                   + 1j * rng.standard_normal(v.shape))
+    rhs = _rhs_data(w, v, np.empty_like(v), _rhs_work(v.shape))
+    s = v + w
+    direct = np.abs(s) ** 2 * s - np.abs(v) ** 2 * v
+    size = np.abs(s) ** 3 + np.abs(v) ** 3 + np.abs(w) ** 3
+    assert (np.abs(rhs - direct) <= 16 * EPS * size).all()
 
 
 def _leaves(node, path=()):

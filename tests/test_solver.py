@@ -19,8 +19,8 @@ from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_dat
                                       _cubic_rows, _decay_table, _linear_period_map_data)
 
 from conftest import on_workers, random_odd_field, raw_odd_series, raw_random_series
-from oracles import (cubic_rhs, duhamel_integral, odd_fft_every_plane, odd_residual,
-                     periodic_initial_data, picard_step, split_equation_residual,
+from oracles import (antiperiodicity_bound, cubic_rhs, duhamel_integral, odd_fft_every_plane,
+                     odd_residual, periodic_initial_data, picard_step, split_equation_residual,
                      split_series, whole_lattice_solve)
 
 
@@ -756,8 +756,8 @@ class TestHalfLatticeSolve:
 
 class TestHalfPeriodSolve:
     """The solve measures its forcing antiperiodic, g(t + T/2) = -g(t), and
-    then sums each Z-norm and [g] on one half period: u keeps its bytes and
-    the norms move by roundoff only. Any other forcing sums every node."""
+    then holds its series and sums each Z-norm and [g] on one half period:
+    u and the norms move by roundoff only. Any other forcing keeps every node."""
 
     M_T = 16
 
@@ -810,7 +810,14 @@ class TestHalfPeriodSolve:
         assert rep.antiperiodic and not rep_every.antiperiodic
         assert flags == [True] * (rep.iterations + 2)
         assert flags_every == [False] * (rep.iterations + 2)
-        assert u.data.tobytes() == u_every.data.tobytes()  # the norms only steer
+        # the half-period map moves u within the full map's antiperiodicity
+        # bound (measured: 0.10 of it), and u's second half is minus its first
+        F = np.empty((len(forcing),) + forcing.grid.half_shape, complex)
+        assert forcing.grid.is_odd(forcing.data, keep=F)
+        assert np.abs(u.data - u_every.data).max() \
+            <= antiperiodicity_bound(F, op3d) * np.abs(u_every.data).max()
+        half = self.M_T // 2
+        assert u.data[half + 1:].tobytes() == (-u.data[1:half + 1]).tobytes()
         np.testing.assert_allclose(rep.residual_history, rep_every.residual_history,
                                    rtol=1e-13, atol=0)
         for key in ("z_norm", "c_estimate", "g_bracket"):
@@ -854,6 +861,23 @@ class TestSolveMemory:
         solve_periodic(forcing, op3d, cutoffs3d, opts)  # warm the per-grid caches
         peak = _traced_peak(solve_periodic, forcing, op3d, cutoffs3d, opts)
         assert peak <= 4.2 * _series_bytes(grid3d, self.M_T)
+
+    def test_antiperiodic_solve_holds_half_the_period(self, monkeypatch, op3d, cutoffs3d,
+                                                      forcing):
+        # warmed tracemalloc peaks on a pool of two workers (pinned as in
+        # test_odd_solve_holds_six_tenths_of_the_whole_lattice): 1.59-1.62
+        # series for nodes 0..m_t/2 against 2.17 for every node, 0.73-0.74
+        # (0.80 on one worker); the bound leaves 0.06 of margin
+        opts = SolveOptions()
+
+        def peak_of():
+            solve_periodic(forcing, op3d, cutoffs3d, opts)
+            return _traced_peak(solve_periodic, forcing, op3d, cutoffs3d, opts)
+
+        half = on_workers(monkeypatch, 2, peak_of)
+        monkeypatch.setattr(periodic_solver, "_is_antiperiodic", lambda data: False)
+        every = on_workers(monkeypatch, 2, peak_of)
+        assert half <= 0.8 * every
 
     def test_equation_residual_streams(self, grid3d, op3d, cutoffs3d, forcing):
         u, _ = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())

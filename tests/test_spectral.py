@@ -265,8 +265,9 @@ class TestFieldSeries:
     def test_pooled_transforms_match_batched(self, monkeypatch, dim, n, workers):
         # norms.l1w_node, the series' one physical read, transforms one chunk
         # of nodes per task: bit for bit the batched transform's norms, and
-        # an antiperiodic series' nodes take those of nodes 0..m_t/2 - 1;
-        # node counts 21 (uneven chunks) with CHUNK_NODES 8 and 3
+        # an antiperiodic series held on nodes 0..m_t/2 gets, for nodes
+        # 0..m_t, those of nodes 0..m_t/2 - 1; node counts 21 (uneven chunks)
+        # with CHUNK_NODES 8 and 3
         grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=32.0))
         data = raw_random_series(grid, 20, np.random.default_rng(dim))
         batched = _lp_node(np.fft.ifftn(data, axes=grid.series_axes), grid, 1, weighted=True)
@@ -274,7 +275,7 @@ class TestFieldSeries:
             monkeypatch.setattr(spectral, "CHUNK_NODES", chunk_nodes)
             assert np.array_equal(on_workers(monkeypatch, workers, l1w_node, data, grid),
                                   batched)
-            folded = on_workers(monkeypatch, workers, l1w_node, data, grid, True)
+            folded = on_workers(monkeypatch, workers, l1w_node, data[:11], grid, True)
             assert np.array_equal(folded, batched[np.arange(21) % 10])
 
 

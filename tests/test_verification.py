@@ -1,5 +1,6 @@
 """Check batteries: reproducibility, pass behavior, fault injection."""
 
+import json
 import math
 import tracemalloc
 
@@ -196,6 +197,22 @@ class TestBatteries:
         reports = check_nonlinear_bound(zero, g, op3d_module, cutoffs3d_module)
         for rep in reports:
             assert rep.fitted_constant == pytest.approx(1.0, rel=1e-10)
+
+    def test_infinite_constant_is_written_as_strict_json(self, grid3d_module, op3d_module,
+                                                         cutoffs3d_module):
+        # zero u and g: the right side is 0, so the constant is inf, which
+        # checks.json holds as null beside its reason
+        from glperiod import FieldSeries
+        zero = FieldSeries(grid3d_module, np.zeros((17,) + grid3d_module.shape, complex), 1.0)
+        reports = check_nonlinear_bound(zero, zero, op3d_module, cutoffs3d_module)
+        assert reports[0].fitted_constant == math.inf and not reports[0].passed
+
+        def reject(constant):
+            raise AssertionError(f"non-strict JSON constant {constant}")
+
+        written = json.loads(reports_to_json(reports), parse_constant=reject)
+        assert written[0]["fitted_constant"] is None
+        assert written[0]["fitted_constant_reason"] == "not finite: inf"
 
     def test_nonlinear_bound_on_solved_run(self, solved, op3d_module,
                                            cutoffs3d_module):
