@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 verification batteries failed, 2 config error,
-3 numeric divergence or missing/diverged base run. GLPERIOD_THREADS caps the
-sweep worker pool.
+Exit codes: 0 success, 1 verification batteries failed, 2 config error (a
+stability perturbation or base that is not odd too), 3 numeric divergence or
+missing/diverged base run. GLPERIOD_THREADS caps the sweep worker pool.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import time
 from pathlib import Path
 
 from . import config as cfgmod
-from .errors import ConfigError, GLPeriodError, NonFiniteField, SeamDecayViolation
+from .errors import (ConfigError, GLPeriodError, NonFiniteField, OddnessViolation,
+                     SeamDecayViolation)
 from .forcing import realize_perturbation
 from .manifest import RunManifest, atomic_write_text, load_manifest, verify_manifest
 from .periodic_solver import equation_residual, solve_periodic
@@ -175,7 +176,7 @@ def cmd_stability(cfg: dict, base: str | None = None,
     grid = cfgmod.build_grid(cfg)
     try:
         w0 = realize_perturbation(spec, grid)
-    except (ValueError, SeamDecayViolation) as exc:
+    except (ValueError, SeamDecayViolation, OddnessViolation) as exc:
         raise ConfigError(f"invalid stability perturbation: {exc}")
     out = _out_dir(cfg, out_override)
     manifest = RunManifest(config=cfg)
@@ -193,7 +194,10 @@ def cmd_stability(cfg: dict, base: str | None = None,
             print("inline base solve did not converge", file=sys.stderr)
             return EXIT_DIVERGED
 
-    decay = run_stability(StabilityRunConfig(v_per=v_per, w0=w0, **settings), op, cutoffs)
+    try:  # an odd w0 is checked above; a base that is not odd ends here
+        decay = run_stability(StabilityRunConfig(v_per=v_per, w0=w0, **settings), op, cutoffs)
+    except OddnessViolation as exc:
+        raise ConfigError(f"invalid stability base: {exc}")
 
     csv_path = out / "decay.csv"
     decay.write_csv(csv_path)

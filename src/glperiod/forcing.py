@@ -1,5 +1,5 @@
 """Admissible forcings (time-periodic, odd, localized) and initial
-perturbations.
+perturbations (odd, localized).
 
 The canonical forcing family is a Gaussian dipole times a sinusoid,
 
@@ -12,9 +12,10 @@ value and the forcing size functional scales linearly in eps.
 Realization checks G once: it must decay at the seam (check_seam_decay) and
 be odd by the rule the solve applies, Grid.is_odd on its transform G_hat;
 the forcing is then eps * a(t) * G_hat, frequency data odd at every node.
-On the lattice G is odd only as far as it vanishes at the seam: on the
-reference and test grids the default sigma = L/16 passes, while sigma = L/14
-passes the seam check but not Grid.is_odd.
+A perturbation's dipole is checked the same way. On the lattice a dipole is
+odd only as far as it vanishes at the seam: on the reference and test grids
+the default widths L/16 and L/19 pass, while L/13 to L/15 pass the seam
+check but not Grid.is_odd.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OddnessViolation, SeamDecayViolation
-from .spectral import ODDNESS_TOL, FieldSeries, Grid, SpectralField
+from .errors import SeamDecayViolation
+from .spectral import FieldSeries, Grid, SpectralField
 
 SEAM_DECAY_TOL = 1e-8
 
 TEMPORAL_PROFILES = ("sin_fundamental", "cos_fundamental", "harmonic")
 SPATIAL_PROFILES = ("gauss_dipole", "custom")
-PERTURBATION_PROFILES = ("gauss_dipole", "gauss")
+PERTURBATION_PROFILES = ("gauss_dipole",)
 
 
 @dataclass
@@ -61,7 +62,8 @@ class ForcingSpec:
 
 @dataclass
 class PerturbationSpec:
-    """Initial perturbation w0 = amplitude * P(x) / max|P| (oddness optional)."""
+    """Initial perturbation w0 = amplitude * P(x) / max|P| with P odd: the
+    stability run steps odd perturbations only."""
 
     amplitude: float
     profile: str = "gauss_dipole"
@@ -82,13 +84,6 @@ def gauss_dipole(grid: Grid, sigma: float, axis: int = 0) -> np.ndarray:
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     return grid.x[axis] * np.exp(-grid.x_abs ** 2 / (2.0 * sigma ** 2))
-
-
-def gauss_bump(grid: Grid, sigma: float) -> np.ndarray:
-    """exp(-|x|^2 / (2 sigma^2)) on the lattice (even profile)."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    return np.exp(-grid.x_abs ** 2 / (2.0 * sigma ** 2))
 
 
 def check_seam_decay(profile: np.ndarray, grid: Grid,
@@ -132,10 +127,7 @@ def spatial_profile(spec: ForcingSpec, grid: Grid) -> np.ndarray:
         profile = gauss_dipole(grid, sigma, spec.axis).astype(complex)
         profile_hat = np.fft.fftn(profile)
     check_seam_decay(profile, grid)
-    if not grid.is_odd(profile_hat[None]):
-        raise OddnessViolation(
-            f"{spec.spatial_profile} forcing profile is not odd on the lattice: its even "
-            f"part exceeds {ODDNESS_TOL:.0e} of its largest coefficient")
+    grid.require_odd(profile_hat[None], f"{spec.spatial_profile} forcing profile")
     peak = np.abs(profile).max()
     return profile_hat / peak if peak > 0 else profile_hat
 
@@ -159,19 +151,19 @@ def realize_forcing(spec: ForcingSpec, grid: Grid, m_t: int) -> FieldSeries:
 
 def realize_perturbation(spec: PerturbationSpec, grid: Grid) -> SpectralField:
     """Initial perturbation field (frequency data); unit peak modulus in
-    physical space scaled by the amplitude.
+    physical space scaled by the amplitude, verified seam-decaying and odd
+    (OddnessViolation otherwise).
 
     The default width L/19 puts the measured decay slopes of a dipole
     perturbation mid-band inside the box-truncation validity window at the
     reference resolution (L=64, n=32).
     """
     sigma = spec.sigma if spec.sigma is not None else grid.box_length / 19.0
-    if spec.profile == "gauss_dipole":
-        profile = gauss_dipole(grid, sigma, spec.axis).astype(complex)
-    else:
-        profile = gauss_bump(grid, sigma).astype(complex)
+    profile = gauss_dipole(grid, sigma, spec.axis).astype(complex)
     check_seam_decay(profile, grid)
     peak = np.abs(profile).max()
     if peak > 0:
         profile = profile / peak
-    return SpectralField(grid, np.fft.fftn(spec.amplitude * profile))
+    w0 = SpectralField(grid, np.fft.fftn(spec.amplitude * profile))
+    grid.require_odd(w0.data[None], f"{spec.profile} perturbation profile")
+    return w0

@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import NonFiniteField, OddnessViolation
+from .errors import NonFiniteField
 from .manifest import strict_json
 from .norms import _node_l2, forcing_bracket, z_norm
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
@@ -254,10 +254,7 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     # nodes 0..m_t/2 of an antiperiodic g (a series of period T/2), else every node
     nodes, period = ((len(g) + 1) // 2, g.period / 2) if antiperiodic else (len(g), g.period)
     u = np.empty((nodes,) + grid.half_shape, complex)  # g's odd part, then the iterate
-    if not grid.is_odd(g.data, keep=u):
-        raise OddnessViolation(
-            f"forcing is not odd on the lattice: its even part exceeds {ODDNESS_TOL:.0e} "
-            f"of its largest coefficient")
+    grid.require_odd(g.data, "forcing", keep=u)
     bracket = forcing_bracket(FieldSeries(grid, g.data[:nodes], period),
                               FieldSeries(grid, u, period), antiperiodic=antiperiodic)
     # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines

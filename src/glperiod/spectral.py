@@ -34,6 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import OddnessViolation
+
 SNAPSHOT_MAGIC = b"GLPF"
 SNAPSHOT_VERSION = 1
 ODDNESS_TOL = 1e-12  # largest even part, relative to the peak, of data taken as odd
@@ -219,6 +221,13 @@ class Grid:
 
         even, peak = np.max(map_chunks(task, node_chunks(len(data))), axis=0)
         return bool(even <= ODDNESS_TOL * peak)
+
+    def require_odd(self, data, what: str, keep: np.ndarray | None = None) -> None:
+        """is_odd(data, keep), or OddnessViolation naming `what`."""
+        if not self.is_odd(data, keep):
+            raise OddnessViolation(
+                f"{what} is not odd on the lattice: its even part exceeds "
+                f"{ODDNESS_TOL:.0e} of its largest coefficient")
 
     def whole_lattice(self, half: np.ndarray, nodes: int | None = None) -> np.ndarray:
         """Odd frequency data from its planes 0..n/2: plane -j is minus plane j

@@ -29,17 +29,18 @@ and written into caller buffers; the stepper owns its work buffers and
 transforms into them with numpy.fft's out= (numpy >= 2.0); the dealias mask
 is folded into h phi1 and h phi2 once; the previous step's N lives in the
 stepper's second transform buffer; and the step advances the frequency data
-in place (the run steps a copy of w0). On the interpolated base path the
-blend of two nodes is written into two buffers that the run owns.
+in place (the run steps a copy of w0).
 
-Odd runs step half the lattice: about an odd base (the paper's forcings) an
-odd w stays odd, so when w0 tests odd (Grid.is_odd), and the base too unless
-the run is linear, frequency data keep first-axis planes 0..n/2 and physical
-data all planes of the half columns (Grid.odd_columns), on which the
-first-axis pass runs (Grid.odd_transform, shared with the solve; its forward
-transform and the h phi updates skip the planes with no dealiased mode). Other
-inputs step all n planes, as ifftn/fftn. Base nodes are transformed one at a time
-from frequency_rows (a FieldSeries, or snapshot files): no frequency copy is held.
+The run steps the paper's case only, one step per base node (h = T/m_t): its
+forcings are odd, g(-x, t) = -g(x, t), so is its periodic solution, and about
+an odd base an odd w stays odd. w0, and the base unless the run is linear,
+must pass Grid.is_odd (OddnessViolation otherwise, before any base node is
+built). Frequency data keep first-axis planes 0..n/2 and physical data all
+planes of the half columns (Grid.odd_columns), on which the first-axis pass
+runs (Grid.odd_transform, shared with the solve; its forward transform and
+the h phi updates skip the planes with no dealiased mode). Base nodes are
+transformed one at a time from frequency_rows (a FieldSeries, or snapshot
+files): no frequency copy is held.
 """
 
 from __future__ import annotations
@@ -98,15 +99,14 @@ class _Stepper:
     the right-hand side is one ETD2RK step and every later one is multistep
     ETD2: f_prev keeps N_{n-1} (the two transform buffers swap after each
     step). rhs_evals counts the nonlinear evaluations made.
-    With `odd` the frequency data keep first-axis planes 0..n/2 and the
+    The frequency data keep first-axis planes 0..n/2 of odd data and the
     physical data all n planes of the half columns of Grid.odd_columns.
     """
 
-    def __init__(self, grid: Grid, op: LinearOperatorSpec, h: float,
-                 odd: bool = False):
-        planes = grid.n // 2 + 1 if odd else grid.n
-        self.pair = grid.odd_transform if odd else None
-        self.kept = slice(self.pair.dealias_planes if odd else None)  # h phi are 0 past it
+    def __init__(self, grid: Grid, op: LinearOperatorSpec, h: float):
+        planes = grid.half_shape[0]
+        self.pair = grid.odd_transform
+        self.kept = slice(self.pair.dealias_planes)  # h phi are 0 past it
         # e^{-hA}, h phi1(-hA) and h phi2(-hA) per mode, Nyquist rows zeroed
         # as in the period map, so stepped and mapped series agree
         z = -h * op.symbol[:planes]
@@ -114,13 +114,10 @@ class _Stepper:
         self.decay = np.exp(z) * keep
         self.h_phi1 = (h * phi1(z) * keep * grid.dealias[:planes])[self.kept]
         self.h_phi2 = (h * phi2(z) * keep * grid.dealias[:planes])[self.kept]
-        self.axes = tuple(range(grid.dim))
-        shape = (planes,) + grid.shape[1:]
-        self.columns = self.pair.columns if odd else None
-        phys = (grid.n, self.columns.size) if odd else grid.shape
+        phys = (grid.n, self.pair.columns.size)
         self.w_phys, self.rhs = (np.empty(phys, complex) for _ in range(2))
-        self.f_now, self.f_prev = (np.empty(shape, complex) for _ in range(2))
-        self.spare = np.empty(shape, complex) if odd else self.rhs  # frequency scratch
+        self.f_now, self.f_prev = (np.empty(grid.half_shape, complex) for _ in range(2))
+        self.spare = np.empty(grid.half_shape, complex)  # frequency scratch
         self.work = _rhs_work(phys)
         self.has_prev = False
         self.rhs_evals = 0
@@ -128,10 +125,6 @@ class _Stepper:
     def _nonlinear_hat(self, w_hat: np.ndarray, v_phys: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
         self.rhs_evals += 1
-        if self.pair is None:
-            np.fft.ifftn(w_hat, axes=self.axes, out=self.w_phys)
-            return np.fft.fftn(_rhs_data(self.w_phys, v_phys, self.rhs, self.work),
-                               axes=self.axes, out=out)
         self.pair.ifft(w_hat[None], self.w_phys[None], self.spare[None])
         return self.pair.fft(_rhs_data(self.w_phys, v_phys, self.rhs, self.work)[None],
                              out[None])[0]
@@ -171,7 +164,6 @@ class StabilityRunConfig:
     t_max: float
     v_per: FieldSeries  # or any series with its grid, period, n_steps, frequency_rows
     w0: SpectralField
-    h: float | None = None  # defaults to T/m_t, locked to the stored nodes
     record_stride: int = 4
     order: int = 2
     linear_only: bool = False
@@ -202,8 +194,6 @@ class DecayReport:
     fit_window: tuple[float, float]
     escaped: bool = False
     escape_time: float | None = None
-    interpolated_vper: bool = False
-    half_lattice: bool = False     # odd base and perturbation: half planes stepped
     fit_reason: str | None = None  # why the fitted values are NaN
     steps: int = 0                 # steps taken (fewer than planned on escape)
     rhs_evals: int = 0             # nonlinear evaluations made
@@ -221,8 +211,6 @@ class DecayReport:
             "fit_window": list(self.fit_window),
             "escaped": self.escaped,
             "escape_time": self.escape_time,
-            "interpolated_vper": self.interpolated_vper,
-            "half_lattice": self.half_lattice,
             "n_final": float(self.n_series[-1]) if self.n_series.size else 0.0,
             "samples": int(self.times.size),
             "steps": self.steps,
@@ -272,60 +260,35 @@ def default_fit_window(grid: Grid) -> tuple[float, float]:
     return 1.0, 0.25 * (grid.box_length / (2.0 * np.pi)) ** 2
 
 
-def _base_nodes(v_per, pair=None) -> np.ndarray:
+def _base_nodes(v_per) -> np.ndarray:
     """Base nodes 0..m_t - 1 in physical space, transformed one at a time from
-    v_per.frequency_rows; with `pair` (Grid.odd_transform) the odd inverse of
-    their planes 0..n/2, in the stepper's column layout."""
+    v_per.frequency_rows: the odd inverse (Grid.odd_transform) of their
+    planes 0..n/2, in the stepper's column layout."""
     grid, m_t = v_per.grid, v_per.n_steps
-    shape = grid.shape if pair is None else (grid.n, pair.columns.size)
-    nodes = np.empty((m_t,) + shape, complex)
-    scratch = None if pair is None else np.empty((1,) + pair.half_shape, complex)
+    pair = grid.odd_transform
+    nodes = np.empty((m_t, grid.n, pair.columns.size), complex)
+    scratch = np.empty((1,) + pair.half_shape, complex)
     for m in range(m_t):
         node, = v_per.frequency_rows(slice(m, m + 1))
-        if pair is None:
-            np.fft.ifftn(node, out=nodes[m])
-        else:
-            pair.ifft(node[None, :pair.half_shape[0]], nodes[m:m + 1], scratch)
+        pair.ifft(node[None, :pair.half_shape[0]], nodes[m:m + 1], scratch)
     return nodes
 
 
 def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
                   cutoffs: CutoffSpec) -> DecayReport:
     """Integrate the perturbation to t_max about the stored periodic base
-    solution and record decay diagnostics. A linear run reads no base."""
-    grid, m_t, T = cfg.v_per.grid, cfg.v_per.n_steps, cfg.v_per.period
-    h_nodes = T / m_t
-    h = cfg.h if cfg.h is not None else h_nodes
-    per_node = h_nodes / h
-    interpolated = not math.isclose(per_node, 1.0, rel_tol=1e-9)
-    if interpolated and per_node < 1.0:
-        raise ValueError("step size h may not exceed the stored node spacing T/m_t")
-
-    w_hat = cfg.w0.data
-    v_per = None if cfg.linear_only else cfg.v_per
-    odd = grid.is_odd(w_hat[None]) and (v_per is None or grid.is_odd(v_per))
-    stepper = _Stepper(grid, op, h, odd)
+    solution, one step per base node (h = T/m_t), and record decay
+    diagnostics. w0 and, unless the run is linear, the base must be odd
+    (OddnessViolation otherwise). A linear run reads no base."""
+    grid, m_t = cfg.v_per.grid, cfg.v_per.n_steps
+    h = cfg.v_per.period / m_t
+    grid.require_odd(cfg.w0.data[None], "perturbation")
+    if not cfg.linear_only:
+        grid.require_odd(cfg.v_per, "base")
+    stepper = _Stepper(grid, op, h)
     planes = len(stepper.decay)
-    w_hat = w_hat[:planes].copy()
-    v_phys_nodes = None if v_per is None else _base_nodes(v_per, stepper.pair)
-    if interpolated and v_per is not None:
-        v_blend, v_part = (np.empty(v_phys_nodes.shape[1:], complex) for _ in range(2))
-
-    def v_at(step: int) -> np.ndarray:
-        """The base at t = step h. A blend of two nodes is written into
-        v_blend and holds only until the next call."""
-        if not interpolated:
-            return v_phys_nodes[step % m_t]
-        t_frac = step * h / h_nodes
-        base = int(math.floor(t_frac + 1e-12))
-        lam = t_frac - base
-        if abs(lam) < 1e-12:
-            return v_phys_nodes[base % m_t]
-        nxt = (base + 1) % m_t
-        # (1 - lam) a + lam b, in that order
-        np.multiply(1.0 - lam, v_phys_nodes[base % m_t], out=v_blend)
-        np.multiply(lam, v_phys_nodes[nxt], out=v_part)
-        return np.add(v_blend, v_part, out=v_blend)
+    w_hat = cfg.w0.data[:planes].copy()
+    v_nodes = None if cfg.linear_only else _base_nodes(cfg.v_per)
 
     pf = grid.parseval_factor
     xi_sq = grid.xi_sq
@@ -335,31 +298,27 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     # ||P_high w||_{H1}^2 as sums against |w_hat|^2 (all even under R)
     weights = (np.stack([np.ones(grid.shape), xi_sq, chi1_sq, chi1_sq * xi_sq,
                          chi_inf_sq * (1.0 + xi_sq)])[:, :planes]
-               * (grid.plane_weights() if odd else 1.0)).reshape(5, -1)
+               * grid.plane_weights()).reshape(5, -1)
     abs_sq = np.empty(w_hat.shape)
     imag_sq = np.empty(w_hat.shape)
 
-    def record(w_hat: np.ndarray, t: float, state: dict) -> None:
+    rows = []  # per record: t, ||w||, ||grad w||, N1, N2, N
+
+    def record(w_hat: np.ndarray, t: float) -> None:
         np.multiply(w_hat.real, w_hat.real, out=abs_sq)
         np.multiply(w_hat.imag, w_hat.imag, out=imag_sq)
         np.add(abs_sq, imag_sq, out=abs_sq)
         l2, grad, l2_low, grad_low, h1_high = np.sqrt(
             (weights @ abs_sq.reshape(-1)) * pf).tolist()
         wgt = 1.0 + t
-        state["n1"] = max(state["n1"], wgt ** 0.75 * l2_low + wgt ** 1.25 * grad_low)
-        state["n2"] = max(state["n2"], wgt ** 1.25 * h1_high)
-        state["times"].append(t)
-        state["l2"].append(l2)
-        state["grad"].append(grad)
-        state["n1s"].append(state["n1"])
-        state["n2s"].append(state["n2"])
-        state["ns"].append(state["n1"] + state["n2"])
+        n1, n2 = rows[-1][3:5] if rows else (0.0, 0.0)  # the running suprema
+        n1 = max(n1, wgt ** 0.75 * l2_low + wgt ** 1.25 * grad_low)
+        n2 = max(n2, wgt ** 1.25 * h1_high)
+        rows.append((t, l2, grad, n1, n2, n1 + n2))
 
     magnitude = np.empty(w_hat.view(float).shape)
     n_steps = int(math.ceil(cfg.t_max / h - 1e-12))
-    state = {"n1": 0.0, "n2": 0.0, "times": [], "l2": [], "grad": [],
-             "n1s": [], "n2s": [], "ns": []}
-    record(w_hat, 0.0, state)
+    record(w_hat, 0.0)
     escaped = False
     escape_time = None
     steps = 0
@@ -368,11 +327,10 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         if cfg.linear_only:
             w_hat = stepper.step(w_hat, None, None, cfg.order, include_rhs=False)
         else:
-            # only the ETD2RK first step reads the base at the step's end;
-            # step 0 sits on node 0, so v_at(step) leaves v_nxt's blend intact
-            v_nxt = (v_at(step + 1) if cfg.order == 2 and not stepper.has_prev
+            # only the ETD2RK first step reads the base at the step's end
+            v_nxt = (v_nodes[(step + 1) % m_t] if cfg.order == 2 and not stepper.has_prev
                      else None)
-            w_hat = stepper.step(w_hat, v_at(step), v_nxt, cfg.order)
+            w_hat = stepper.step(w_hat, v_nodes[step % m_t], v_nxt, cfg.order)
         steps = step + 1
         t = steps * h
         # NaN and inf fail the comparison, so they count as escape too
@@ -381,13 +339,11 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
             escape_time = t
             break
         if (step + 1) % cfg.record_stride == 0 or step + 1 == n_steps:
-            record(w_hat, t, state)
+            record(w_hat, t)
     step_s = time.perf_counter() - started
-    v_phys_nodes = None  # freed: the fit's LAPACK start-up need not add to their peak
+    v_nodes = None  # freed: the fit's LAPACK start-up need not add to their peak
 
-    times = np.asarray(state["times"])
-    l2_w = np.asarray(state["l2"])
-    grad_w = np.asarray(state["grad"])
+    times, l2_w, grad_w, n1_series, n2_series, n_series = np.array(rows).T
     window = default_fit_window(grid)
     slope0 = slope1 = icpt0 = icpt1 = r20 = r21 = float("nan")
     fit_reason = None
@@ -399,11 +355,9 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
 
     return DecayReport(
         times=times, l2_w=l2_w, h1_grad_w=grad_w,
-        n1_series=np.asarray(state["n1s"]), n2_series=np.asarray(state["n2s"]),
-        n_series=np.asarray(state["ns"]),
+        n1_series=n1_series, n2_series=n2_series, n_series=n_series,
         fitted_slope_l0=slope0, fitted_slope_l1=slope1,
         fit_intercept_l0=icpt0, fit_intercept_l1=icpt1,
         fit_r2_l0=r20, fit_r2_l1=r21, fit_window=window,
-        escaped=escaped, escape_time=escape_time,
-        interpolated_vper=interpolated, half_lattice=odd, fit_reason=fit_reason,
+        escaped=escaped, escape_time=escape_time, fit_reason=fit_reason,
         steps=steps, rhs_evals=stepper.rhs_evals, step_s=step_s)

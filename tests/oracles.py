@@ -36,8 +36,12 @@ few lines.
   form and, in criterion 6, for oddness.
 * split_series, split_equation_residual: the low and high sub-systems,
   against equation_residual.
-* exp_step: one step of the run's stepper from a fresh start on a copy of
-  the field, against the run's first step and, in criterion 8, beside
+* WholeLatticeStepper: the run's stepper on all n planes, its nonlinear
+  term as one ifftn and one fftn over all axes, any data, odd or not; the
+  step itself is _Stepper.step, shared. The run's half-lattice stepper is
+  held against it to roundoff (test_stability, test_properties).
+* exp_step: one step of WholeLatticeStepper from a fresh start on a copy of
+  the field, in criterion 6 for oddness and, in criterion 8, beside
   direct_step, one allocating step of the full forced flow.
 * random_band_field: one battery draw as a field, against the battery
   stacks and the per-sample battery references.
@@ -69,7 +73,7 @@ from glperiod.periodic_solver import (_NON_FINITE, _all_finite, _contraction_fac
                                       _node_l2_chunked, _step_coefficients)
 from glperiod.phi import phi1, phi2
 from glperiod.spectral import write_snapshot
-from glperiod.stability import _Stepper
+from glperiod.stability import _rhs_data, _rhs_work, _Stepper
 from glperiod.verification import _band_data, _band_envelope
 
 
@@ -260,14 +264,42 @@ def split_equation_residual(u, g, op, cutoffs):
     return tuple(out)
 
 
+class WholeLatticeStepper(_Stepper):
+    """_Stepper on all n planes of frequency data and physical values on the
+    whole lattice: the same coefficients, buffers and step, with the
+    nonlinear term transformed by ifftn and fftn over all axes."""
+
+    def __init__(self, grid, op, h):
+        z = -h * op.symbol
+        keep = grid.keep_nyquist_free
+        self.kept = slice(None)
+        self.decay = np.exp(z) * keep
+        self.h_phi1 = h * phi1(z) * keep * grid.dealias
+        self.h_phi2 = h * phi2(z) * keep * grid.dealias
+        self.axes = tuple(range(grid.dim))
+        self.w_phys, self.rhs, self.f_now, self.f_prev, self.spare = (
+            np.empty(grid.shape, complex) for _ in range(5))
+        self.work = _rhs_work(grid.shape)
+        self.has_prev = False
+        self.rhs_evals = 0
+
+    def _nonlinear_hat(self, w_hat, v_phys, out):
+        self.rhs_evals += 1
+        np.fft.ifftn(w_hat, axes=self.axes, out=self.w_phys)
+        return np.fft.fftn(_rhs_data(self.w_phys, v_phys, self.rhs, self.work),
+                           axes=self.axes, out=out)
+
+
 def exp_step(w, v_at_t, h, op, order=1, v_next=None, include_rhs=True):
-    """One perturbation step of a fresh _Stepper on a copy of w: exponential
-    Euler at order 1, one ETD2RK step at order 2, the pure semigroup with
-    include_rhs=False. The base v is given by its physical values."""
+    """One perturbation step of a fresh WholeLatticeStepper on a copy of w:
+    exponential Euler at order 1, one ETD2RK step at order 2, the pure
+    semigroup with include_rhs=False. The base v is given by its physical
+    values on the whole lattice."""
     if not h > 0 or order not in (1, 2):
         raise ValueError(f"need h > 0 and order 1 or 2; got h={h}, order={order}")
     v_nxt = v_at_t if v_next is None else v_next
-    out = _Stepper(w.grid, op, h).step(w.data.copy(), v_at_t, v_nxt, order, include_rhs)
+    out = WholeLatticeStepper(w.grid, op, h).step(w.data.copy(), v_at_t, v_nxt, order,
+                                                  include_rhs)
     return SpectralField(w.grid, out)
 
 

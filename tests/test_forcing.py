@@ -138,11 +138,18 @@ class TestPerturbation:
         assert np.abs(np.fft.ifftn(w0.data)).max() == pytest.approx(1e-2, rel=1e-12)
         assert odd_residual(w0) <= 1e-12
 
-    def test_even_profile_supported(self, grid3d):
-        w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2, profile="gauss",
-                                                   sigma=2.0), grid3d)
-        # even profile: large oddness residual is expected
-        assert odd_residual(w0) > 1e-3
+    def test_even_profile_rejected(self):
+        # the stability run steps odd perturbations only
+        with pytest.raises(ValueError, match="unknown perturbation profile 'gauss'"):
+            PerturbationSpec(amplitude=1e-2, profile="gauss", sigma=2.0)
+
+    @pytest.mark.parametrize("divisor", [13, 14, 15])
+    def test_dipole_that_is_not_odd_on_the_lattice_rejected(self, grid3d, divisor):
+        # widths L/13 to L/15 pass the seam check but not Grid.is_odd
+        spec = PerturbationSpec(amplitude=1e-2, sigma=grid3d.box_length / divisor)
+        with pytest.raises(OddnessViolation, match="^gauss_dipole perturbation profile "
+                                                   "is not odd on the lattice"):
+            realize_perturbation(spec, grid3d)
 
     @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_amplitude_rejected(self, amplitude):

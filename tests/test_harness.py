@@ -16,7 +16,7 @@ from glperiod.cli import main
 from glperiod.config import load_config, reference_config
 from glperiod.errors import ConfigError
 from glperiod.manifest import load_manifest, sha256_of, verify_manifest
-from glperiod.spectral import read_snapshot
+from glperiod.spectral import read_snapshot, write_snapshot
 
 from oracles import write_physical_snapshot
 
@@ -225,16 +225,40 @@ class TestStabilityCommand:
         assert main(["stability", "--config", str(cfg_path)]) == 0
         summary = json.loads((tmp_path / "out" / "decay.json").read_text())
         assert summary["escaped"] is False
-        assert summary["half_lattice"] is True  # odd base, dipole perturbation
+        assert "half_lattice" not in summary  # every run steps half the lattice
         csv_text = (tmp_path / "out" / "decay.csv").read_text()
         assert csv_text.startswith("t,l2_w,h1_grad_w,n1,n2,n")
 
-    def test_even_perturbation_steps_the_full_lattice(self, tmp_path):
+    def test_even_perturbation_rejected(self, tmp_path, monkeypatch, capsys):
+        # the even "gauss" profile is no perturbation profile: one line,
+        # before the inline base is solved
+        def no_solve(*args):
+            raise AssertionError("the base was solved")
+
+        monkeypatch.setattr(cli, "solve_periodic", no_solve)
         cfg_path = _small_config(tmp_path, stability={"t_max": 10.0, "record_stride": 2,
                                                       "profile": "gauss"})
-        assert main(["stability", "--config", str(cfg_path)]) == 0
-        summary = json.loads((tmp_path / "out" / "decay.json").read_text())
-        assert summary["half_lattice"] is False
+        assert main(["stability", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: invalid stability config: unknown perturbation "
+                       "profile 'gauss'\n")
+
+    def test_perturbation_not_odd_rejected_before_the_base(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # sigma = 4.571 (L/14) on the reference grid decays at the seam but
+        # is not odd by the run's rule: one line, before the base is solved
+        def no_solve(*args):
+            raise AssertionError("the base was solved")
+
+        monkeypatch.setattr(cli, "solve_periodic", no_solve)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"stability": {"sigma": 4.571},
+                                    "output": {"dir": str(tmp_path / "out")}}))
+        assert main(["stability", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid stability perturbation: gauss_dipole "
+                              "perturbation profile is not odd on the lattice")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def _saved_base(self, tmp_path, **overrides):
         cfg_path = _small_config(tmp_path, output={"dir": str(tmp_path / "base"),
@@ -319,6 +343,26 @@ class TestStabilityCommand:
         assert err.startswith("config error: base snapshot rejected: ")
         assert "field_0003.glpf: unknown snapshot representation flag 2" in err
         assert err.count("\n") == 1 and not (tmp_path / "stab" / "decay.csv").exists()
+
+    def test_base_with_an_even_part_rejected(self, tmp_path, capsys):
+        # node 3 given an even part of 1e-6 of its peak and re-hashed into
+        # the manifest: one line, and no decay files
+        cfg_path, manifest = self._saved_base(tmp_path)
+        snap = manifest.parent / "field_0003.glpf"
+        field = read_snapshot(snap)
+        grid = field.grid
+        even = np.fft.fftn(np.exp(-grid.x_abs ** 2 / 8.0).astype(complex))
+        even *= 1e-6 * np.abs(field.data).max() / np.abs(even).max()
+        write_snapshot(type(field)(grid, field.data + even), snap)
+        self._rehash(manifest, snap)
+        capsys.readouterr()
+        assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
+                     "--out", str(tmp_path / "stab")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid stability base: base is not odd on "
+                              "the lattice: its even part exceeds 1e-12")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "stab" / "decay.csv").exists()
 
     def test_base_without_snapshots_rejected(self, tmp_path):
         cfg_path = _small_config(tmp_path)

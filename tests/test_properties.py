@@ -6,14 +6,20 @@ antiperiodic for an antiperiodic forcing, to stated roundoff bounds; its
 half-period form matches it within the same bound. The cutoffs are a
 partition of unity and the perturbation right-hand side is the cubic
 difference. Every integer and boolean config key rejects a value of the
-wrong type with one line, before any lattice is built."""
+wrong type with one line, before any lattice is built. A dipole
+perturbation is rejected with one line or run, and a damaged snapshot or
+manifest of a saved base ends `stability --base` in its exit code with one
+line."""
 
 import contextlib
 import functools
 import io
 import json
 import os
+import shutil
+import struct
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,12 +31,14 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig, OddnessViolation,
                       SeamDecayViolation, SolveOptions, auto_cutoffs, make_grid,
                       make_operator, realize_forcing, solve_periodic, z_norm)
 from glperiod.config import build_forcing, reference_config
+from glperiod.manifest import load_manifest, sha256_of
 from glperiod.operators import make_cutoffs
 from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_data
 from glperiod.stability import _Stepper, _rhs_data, _rhs_work
 
 from conftest import antiperiodic_series, raw_odd_series
-from oracles import antiperiodicity_bound, odd_fft_every_plane, whole_lattice_solve
+from oracles import (WholeLatticeStepper, antiperiodicity_bound, odd_fft_every_plane,
+                     whole_lattice_solve)
 
 PERIOD = 1.0
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -194,8 +202,8 @@ def test_half_lattice_step_equals_full(case, order):
     grid, op, _ = setup(dim)
     planes = grid.n // 2 + 1
     v = np.fft.ifftn(data[1:3], axes=grid.series_axes)
-    full, half = _Stepper(grid, op, 0.05), _Stepper(grid, op, 0.05, odd=True)
-    v_half = v.reshape(2, grid.n, -1)[..., half.columns]  # the half stepper's layout
+    full, half = WholeLatticeStepper(grid, op, 0.05), _Stepper(grid, op, 0.05)
+    v_half = v.reshape(2, grid.n, -1)[..., half.pair.columns]  # the half stepper's layout
     w_full, w_half = data[0].copy(), data[0][:planes].copy()
     for step in range(2):
         full.step(w_full, v[step], v[1 - step], order)
@@ -321,3 +329,172 @@ def test_config_reader_leaves_are_the_documented_keys():
         "stability.axis", "verify.m_t", "verify.samples", "verify.grid.dim",
         "verify.grid.n_per_axis", "seed", "sweep.m_t", "sweep.n",
         "solve.nonlinearity_enabled", "stability.linear_only", "output.save_fields"}
+
+
+def _cli(argv):
+    """cli.main in process: (exit code, stderr lines, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue().splitlines(), err.getvalue()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def _assert_strict_json_outputs(directory):
+    for path in Path(directory).rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def _write_config(directory, **stability):
+    """A dim-2, n = 8, m_t = 8 config in `directory`: small enough that a
+    whole stability run takes a fraction of a second."""
+    cfg = {"grid": {"dim": 2, "n_per_axis": 8, "box_length": 16.0}, "period": PERIOD,
+           "forcing": {"amplitude": 1e-2}, "solve": {"m_t": 8},
+           "stability": {"t_max": 10.0, "record_stride": 4, **stability},
+           "output": {"dir": os.path.join(directory, "base"), "save_fields": True}}
+    path = os.path.join(directory, "config.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    return path
+
+
+@PROPERTY
+@given(st.floats(min_value=8.0, max_value=32.0), st.integers(min_value=0, max_value=1))
+@example(14.0, 0)
+def test_dipole_perturbation_is_rejected_or_run(divisor, axis):
+    # sigma = L/divisor: a width that fails the seam check or Grid.is_odd
+    # ends in one config-error line (exit 2), any other in a run
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _write_config(tmp, sigma=16.0 / divisor, axis=axis)
+        code, lines, text = _cli(["stability", "--config", config,
+                                  "--out", os.path.join(tmp, "out")])
+        assert "Traceback" not in text
+        if code == 2:
+            assert len(lines) == 1
+            assert lines[0].startswith("config error: invalid stability perturbation: ")
+            assert not os.path.exists(os.path.join(tmp, "out", "decay.csv"))
+        else:
+            assert code == 0 and lines == []
+            assert os.path.exists(os.path.join(tmp, "out", "decay.csv"))
+        _assert_strict_json_outputs(tmp)
+
+
+@pytest.fixture(scope="module")
+def saved_base(tmp_path_factory):
+    """A converged solve-periodic run with its 9 snapshots, and its config."""
+    tmp = tmp_path_factory.mktemp("saved_base")
+    config = _write_config(str(tmp))
+    assert cli.main(["solve-periodic", "--config", config]) == 0
+    return tmp
+
+
+@contextlib.contextmanager
+def _base_copy(saved_base):
+    """A fresh copy of the saved base: (config path, manifest path, out dir)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(saved_base / "base", os.path.join(tmp, "base"))
+        yield (str(saved_base / "config.json"), Path(tmp) / "base" / "manifest.json",
+               os.path.join(tmp, "out"))
+
+
+def _run_on_base(config, manifest, out):
+    code, lines, text = _cli(["stability", "--config", config, "--base", str(manifest),
+                              "--out", out])
+    assert "Traceback" not in text and len(lines) == 1
+    assert not os.path.exists(os.path.join(out, "decay.csv"))
+    _assert_strict_json_outputs(manifest.parent.parent)
+    return code, lines[0]
+
+
+_SNAPSHOT_HEADER = struct.Struct("<4sIIIdI")  # magic, version, dim, n, L, flag
+_UINT32 = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=8), st.one_of(
+    st.tuples(st.just("cut"), st.integers(min_value=0, max_value=_SNAPSHOT_HEADER.size - 1)),
+    st.tuples(st.just("magic"), st.binary(min_size=4, max_size=4).filter(
+        lambda magic: magic != spectral.SNAPSHOT_MAGIC)),
+    st.tuples(st.just("version"), _UINT32.filter(lambda v: v != spectral.SNAPSHOT_VERSION)),
+    st.tuples(st.just("dim"), _UINT32.filter(lambda dim: dim != 2)),
+    st.tuples(st.just("n"), _UINT32.filter(lambda n: n != 8)),
+    st.tuples(st.just("short"), st.integers(min_value=1, max_value=64 * 16)),
+    st.tuples(st.just("padded"), st.integers(min_value=1, max_value=64))))
+@example(3, ("cut", 6))
+def test_damaged_snapshot_of_a_saved_base(saved_base, node, case):
+    # one snapshot damaged and re-hashed into the manifest, so it passes the
+    # hash check and the reader judges it: exit 2, one line naming the file
+    kind, value = case
+    with _base_copy(saved_base) as (config, manifest, out):
+        snap = manifest.parent / f"field_{node:04d}.glpf"
+        raw = snap.read_bytes()
+        header = list(_SNAPSHOT_HEADER.unpack(raw[:_SNAPSHOT_HEADER.size]))
+        if kind == "cut":
+            raw = raw[:value]
+        elif kind == "short":
+            raw = raw[:-value]
+        elif kind == "padded":
+            raw = raw + bytes(value)
+        else:
+            header[("magic", "version", "dim", "n").index(kind)] = value
+            raw = _SNAPSHOT_HEADER.pack(*header) + raw[_SNAPSHOT_HEADER.size:]
+        snap.write_bytes(raw)
+        man = load_manifest(manifest)
+        entry = next(a for a in man["artifacts"] if a["path"] == snap.name)
+        entry.update(sha256=sha256_of(snap), bytes=len(raw))
+        manifest.write_text(json.dumps(man))
+        code, line = _run_on_base(config, manifest, out)
+    assert code == 2
+    assert line.startswith("config error: base snapshot rejected: ") and snap.name in line
+
+
+def _set(man, path, value):
+    node = man
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.one_of(
+    st.tuples(st.just("root"), st.one_of(st.lists(st.integers(), max_size=3), st.integers(),
+                                         st.text(max_size=8), st.none())),
+    st.tuples(st.just("missing"), st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("hash"), st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("grid"), st.sampled_from([("dim", 3), ("n_per_axis", 16),
+                                                ("box_length", 32.0)])),
+    st.tuples(st.just("period"), st.floats(min_value=0.1, max_value=10.0).filter(
+        lambda period: period != PERIOD)),
+    st.tuples(st.just("snapshots"), st.integers(min_value=0, max_value=1))))
+def test_damaged_manifest_of_a_saved_base(saved_base, case):
+    # exit 2 for a manifest that is no object, a missing or wrongly hashed
+    # artifact (report.json or a snapshot), or another grid or period;
+    # exit 3 for fewer than two snapshots: one line each
+    kind, value = case
+    with _base_copy(saved_base) as (config, manifest, out):
+        man = load_manifest(manifest)
+        artifacts = sorted(man["artifacts"], key=lambda a: a["path"])
+        if kind == "root":
+            man = value
+        elif kind == "missing":
+            (manifest.parent / artifacts[value]["path"]).unlink()
+        elif kind == "hash":
+            artifacts[value]["sha256"] = "0" * 64
+        elif kind == "grid":
+            _set(man, ("config", "grid", value[0]), value[1])
+        elif kind == "period":
+            _set(man, ("config", "period"), value)
+        else:
+            man["artifacts"] = [a for a in artifacts if not a["path"].endswith(".glpf")]
+            man["artifacts"] += [a for a in artifacts if a["path"].endswith(".glpf")][:value]
+        manifest.write_text(json.dumps(man))
+        code, line = _run_on_base(config, manifest, out)
+    expected = {"root": "config error: base manifest ",
+                "missing": "config error: base manifest failed verification: missing artifact",
+                "hash": "config error: base manifest failed verification: hash mismatch",
+                "grid": "config error: base grid ", "period": "config error: base period ",
+                "snapshots": f"error: base manifest indexes {value} field snapshots"}[kind]
+    assert code == (3 if kind == "snapshots" else 2) and line.startswith(expected)

@@ -14,7 +14,7 @@ from glperiod import (FieldSeries, GridConfig, NonFiniteField, ForcingSpec,
                       equation_residual, make_grid, make_operator,
                       realize_forcing, solve_periodic, spectral)
 from glperiod.norms import _node_l2
-from glperiod.forcing import ODDNESS_TOL
+from glperiod.spectral import ODDNESS_TOL
 from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_data,
                                       _cubic_rows, _decay_table, _linear_period_map_data)
 

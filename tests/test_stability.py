@@ -1,5 +1,7 @@
 """Perturbation dynamics: the expanded right-hand side, the exponential
-steppers, the decay recorder and the slope fit."""
+steppers, the decay recorder and the slope fit. The run steps odd
+perturbations about odd bases at the base's node spacing; anything else is
+rejected before a base node is built."""
 
 import collections
 import json
@@ -9,18 +11,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glperiod import (FieldSeries, ForcingSpec, GridConfig,
+from glperiod import (FieldSeries, ForcingSpec, GridConfig, OddnessViolation,
                       PerturbationSpec, SolveOptions, SpectralField,
                       StabilityRunConfig, auto_cutoffs, fit_decay_rate,
                       make_grid, make_operator, realize_forcing,
                       realize_perturbation, run_stability, solve_periodic)
-from glperiod import cli
+from glperiod import cli, stability
+from glperiod.forcing import gauss_dipole
 from glperiod.phi import phi1, phi2
 from glperiod.spectral import write_snapshot
 from glperiod.stability import _base_nodes, _rhs_data, _rhs_work, _Stepper
 
 from conftest import random_field, random_odd_field, random_physical_field, raw_random_series
-from oracles import direct_step, exp_step, semigroup_apply
+from oracles import WholeLatticeStepper, direct_step, exp_step, semigroup_apply
 
 
 # ---------------------------------------------------------------------------
@@ -240,37 +243,36 @@ class TestExpStep:
     @pytest.mark.parametrize("order", [1, 2])
     def test_step_allocates_no_field(self, small_setup, order):
         # a stepper's first step (ETD2RK at order 2) and a later one
-        # (multistep ETD2 at order 2) are both measured, on the full lattice
-        # and on half of it (the odd stepper's gathers, scatters and signs),
-        # where the bound is the half field
+        # (multistep ETD2 at order 2) are both measured, through the odd
+        # stepper's gathers, scatters and signs; the bound is the half field
         grid, op, cut, g, v_per = small_setup
-        for odd in (False, True):
-            stepper = _Stepper(grid, op, v_per.dt, odd)
-            fresh = _Stepper(grid, op, v_per.dt, odd)
-            v_phys = _base_nodes(v_per, stepper.pair)
-            planes = len(stepper.decay)
-            assert planes == (grid.n // 2 + 1 if odd else grid.n)
-            w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
-                                         grid).data[:planes].copy()
-            stepper.step(w_hat, v_phys[0], v_phys[1], order)  # warm the FFT caches
-            for measured in (fresh, stepper):
-                tracemalloc.start()
-                try:
-                    measured.step(w_hat, v_phys[1], v_phys[2], order)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                assert peak < w_hat.nbytes
-            assert stepper.has_prev == fresh.has_prev == (order == 2)
-            assert (fresh.rhs_evals, stepper.rhs_evals) == (order, order + 1)
+        stepper = _Stepper(grid, op, v_per.dt)
+        fresh = _Stepper(grid, op, v_per.dt)
+        v_phys = _base_nodes(v_per)
+        planes = len(stepper.decay)
+        assert planes == grid.n // 2 + 1
+        w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
+                                     grid).data[:planes].copy()
+        stepper.step(w_hat, v_phys[0], v_phys[1], order)  # warm the FFT caches
+        for measured in (fresh, stepper):
+            tracemalloc.start()
+            try:
+                measured.step(w_hat, v_phys[1], v_phys[2], order)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < w_hat.nbytes
+        assert stepper.has_prev == fresh.has_prev == (order == 2)
+        assert (fresh.rhs_evals, stepper.rhs_evals) == (order, order + 1)
 
     def test_first_order2_step_is_one_exp_step(self, small_setup):
-        # a run's first step is bit for bit exp_step(order=2); the second is
-        # multistep ETD2 and makes one nonlinear evaluation
+        # the shared step (on the whole lattice): a run's first step is bit
+        # for bit exp_step(order=2); the second is multistep ETD2 and makes
+        # one nonlinear evaluation
         grid, op, cut, g, v_per = small_setup
         v_phys = [np.fft.ifftn(v_per.data[m]) for m in range(3)]
         w = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
-        stepper = _Stepper(grid, op, v_per.dt)
+        stepper = WholeLatticeStepper(grid, op, v_per.dt)
         w_hat = stepper.step(w.data.copy(), v_phys[0], v_phys[1], 2)
         single = exp_step(w, v_phys[0], v_per.dt, op, order=2, v_next=v_phys[1])
         assert np.array_equal(w_hat, single.data)
@@ -319,21 +321,25 @@ class TestRunStability:
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_multistep_order_study(self, small_setup):
-        # l2_w of the order-2 run against a fine-step reference (h = dt/32,
-        # base blended between nodes): second order, so the error falls
-        # about 4x per halving of h
+        # l2_w of the order-2 run about the analytic odd base
+        # v = 0.05 sin(2 pi t/T) V (V a unit-peak dipole), sampled on
+        # m_t = 16, 32, 64 nodes, against m_t = 512: second order, so the
+        # error falls about 4x per halving of h (records every T/4 alike)
         grid, op, cut, g, v_per = small_setup
         w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+        dipole = np.fft.fftn(gauss_dipole(grid, grid.box_length / 16.0).astype(complex))
+        dipole *= 0.05 / np.abs(np.fft.ifftn(dipole)).max()
 
-        def l2_w(refine):
-            cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0,
-                                     h=v_per.dt / refine, record_stride=4 * refine)
+        def l2_w(m_t):
+            a = np.sin(2.0 * np.pi * np.arange(m_t + 1) / m_t)
+            base = FieldSeries(grid, a[:, None, None, None] * dipole, 1.0)
+            cfg = StabilityRunConfig(t_max=10.0, v_per=base, w0=w0, record_stride=m_t // 4)
             decay = run_stability(cfg, op, cut)
-            assert not decay.escaped
+            assert not decay.escaped and decay.steps == 10 * m_t
             return decay.l2_w
 
-        ref = l2_w(32)
-        errs = [np.abs(l2_w(refine) - ref).max() for refine in (1, 2, 4)]
+        ref = l2_w(512)
+        errs = [np.abs(l2_w(m_t) - ref).max() for m_t in (16, 32, 64)]
         assert 3.0 <= errs[0] / errs[1] <= 6.0
         assert 3.0 <= errs[1] / errs[2] <= 6.0
 
@@ -351,33 +357,13 @@ class TestRunStability:
         summary = json.loads(decay.to_json())
         assert (summary["steps"], summary["rhs_evals"]) == (decay.steps, expected)
 
-    def test_interpolated_base_allocates_two_fields(self, small_setup):
-        # the blend of two base nodes goes into two buffers the run owns, so
-        # the half-step run's peak exceeds the node-locked one by about two
-        # fields
-        grid, op, cut, g, v_per = small_setup
-        w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
-        field_bytes = np.empty(grid.shape, complex).nbytes
-
-        def peak(h, stride):
-            cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, h=h,
-                                     record_stride=stride)
-            run_stability(cfg, op, cut)  # warm the FFT caches
-            tracemalloc.start()
-            try:
-                run_stability(cfg, op, cut)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        extra = (peak(v_per.dt / 2, 8) - peak(v_per.dt, 4)) / field_bytes
-        assert extra <= 2.25
-
     def test_base_nodes_transform_one_node_at_a_time(self, small_setup):
-        # the batched transform's bits, with no temporaries beyond the nodes
+        # the batched odd inverse's bits, with no temporaries beyond the
+        # nodes and one half-plane buffer (9/16 of a field against 16 nodes
+        # of 130/256 fields)
         grid, op, cut, g, v_per = small_setup
         m_t = v_per.n_steps
-        batched = np.fft.ifftn(v_per.data[:m_t], axes=tuple(range(1, grid.dim + 1)))
+        batched = grid.odd_transform.ifft(v_per.data[:m_t, :grid.n // 2 + 1])
         assert np.array_equal(_base_nodes(v_per), batched)
         tracemalloc.start()
         try:
@@ -389,12 +375,12 @@ class TestRunStability:
 
     def test_linear_single_mode_heat_decay(self, grid1d):
         # base solution zero and rhs off: each mode decays exactly like
-        # exp(-|xi|^2 t)
+        # exp(-|xi|^2 t); the odd pair of modes k and -k
         op = make_operator(grid1d, 1.0)
         cut = auto_cutoffs(grid1d, 1.0)
         k = 2
         data = np.zeros(grid1d.shape, dtype=complex)
-        data[k] = 1.0
+        data[k], data[-k] = 1.0, -1.0
         w0 = SpectralField(grid1d, data)
         v = FieldSeries(grid1d, np.zeros((17,) + grid1d.shape, complex), 1.0)
         cfg = StabilityRunConfig(t_max=10.0, v_per=v, w0=w0, record_stride=1,
@@ -436,31 +422,34 @@ class TestRunStability:
 
     @pytest.mark.parametrize("ratio", [1.5, 1.9, 2.5])
     def test_rejects_step_above_node_spacing(self, small_setup, ratio):
-        # h between T/m_t and 2T/m_t once rounded to one step per node
+        # the step is the base's node spacing: the config takes no other
         grid, op, cut, g, v_per = small_setup
         w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
-        cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, h=ratio * v_per.dt)
-        with pytest.raises(ValueError, match="may not exceed"):
-            run_stability(cfg, op, cut)
+        with pytest.raises(TypeError, match="'h'"):
+            StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, h=ratio * v_per.dt)
 
-    def test_step_at_node_spacing_within_tolerance(self, small_setup):
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_steps_once_per_base_node(self, small_setup, monkeypatch, order):
+        # step s reads node s mod m_t, and the ETD2RK first step node 1 at
+        # its end; records fall on multiples of stride * T/m_t
         grid, op, cut, g, v_per = small_setup
         w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
-        cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=4,
-                                 h=v_per.dt * (1 + 1e-12))
-        assert not run_stability(cfg, op, cut).interpolated_vper
+        nodes, m_t, read = _base_nodes(v_per), v_per.n_steps, []
+        step = _Stepper.step
 
-    def test_substepping_flags_interpolation(self, small_setup):
-        grid, op, cut, g, v_per = small_setup
-        w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
-        node_locked = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0,
-                                         record_stride=4)
-        assert not run_stability(node_locked, op, cut).interpolated_vper
-        half_step = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0,
-                                       h=v_per.dt / 2, record_stride=8)
-        decay = run_stability(half_step, op, cut)
-        assert decay.interpolated_vper
-        assert not decay.escaped
+        def spy(self, w_hat, v_now, v_next, order, include_rhs=True):
+            read.append([next(m for m in range(m_t) if np.array_equal(v, nodes[m]))
+                         for v in (v_now, v_next) if v is not None])
+            return step(self, w_hat, v_now, v_next, order, include_rhs)
+
+        monkeypatch.setattr(_Stepper, "step", spy)
+        cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=4, order=order)
+        decay = run_stability(cfg, op, cut)
+        assert decay.steps == len(read) == 10 * m_t
+        assert read[0] == ([0, 1] if order == 2 else [0])
+        assert [r[0] for r in read] == [s % m_t for s in range(10 * m_t)]
+        assert all(len(r) == 1 for r in read[1:])
+        np.testing.assert_array_equal(decay.times, np.arange(41) * 4 * (1.0 / m_t))
 
     def test_csv_roundtrip(self, small_setup, tmp_path):
         grid, op, cut, g, v_per = small_setup
@@ -472,15 +461,6 @@ class TestRunStability:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "t,l2_w,h1_grad_w,n1,n2,n"
         assert len(rows) == decay.times.size + 1
-
-
-def _ifftn_fftn_hat(self, w_hat, v_phys, out):
-    """_Stepper._nonlinear_hat as one ifftn and one fftn over all axes, the
-    form the whole-lattice stepper must reproduce bit for bit."""
-    self.rhs_evals += 1
-    np.fft.ifftn(w_hat, axes=self.axes, out=self.w_phys)
-    _rhs_data(self.w_phys, v_phys, self.rhs, self.work)
-    return np.fft.fftn(self.rhs, axes=self.axes, out=out)
 
 
 def _with_even_part(v_per, size):
@@ -508,8 +488,8 @@ def _assert_same_run(a, b):
 
 class TestHalfLattice:
     """Odd base and odd perturbation: the stepper keeps first-axis planes
-    0..n/2 and agrees with the full lattice to roundoff; any other input
-    steps all n planes, bit for bit the ifftn/fftn form."""
+    0..n/2 and agrees with the whole-lattice stepper of tests/oracles.py to
+    roundoff; any other input is rejected before a base node is built."""
 
     @staticmethod
     def odd_case(dim, rng):
@@ -527,7 +507,7 @@ class TestHalfLattice:
         # multistep ETD2
         grid, op, w_hat, v = self.odd_case(dim, rng)
         planes = grid.n // 2 + 1
-        full, half = _Stepper(grid, op, 0.05), _Stepper(grid, op, 0.05, odd=True)
+        full, half = WholeLatticeStepper(grid, op, 0.05), _Stepper(grid, op, 0.05)
         w_full, w_half = w_hat.copy(), w_hat[:planes].copy()
         for step in range(3):
             full.step(w_full, v[step], v[step + 1], order, include_rhs)
@@ -538,53 +518,46 @@ class TestHalfLattice:
         assert half.rhs_evals == full.rhs_evals
         assert not np.allclose(w_half, w_hat[:planes], rtol=1e-3)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_full_stepper_is_the_ifftn_fftn_form(self, dim, monkeypatch):
-        rng = np.random.default_rng(dim)
-        grid = make_grid(GridConfig(dim=dim, n_per_axis=16, box_length=16.0))
-        op = make_operator(grid, 1.0)
-        w_hat = np.fft.fftn(random_physical_field(grid, rng)) * 1e-2
-        v = [random_physical_field(grid, rng) for _ in range(4)]
-        stepped = {}
-        for form in ("passes", "ifftn_fftn"):
-            with monkeypatch.context() as m:
-                if form == "ifftn_fftn":
-                    m.setattr(_Stepper, "_nonlinear_hat", _ifftn_fftn_hat)
-                stepper, w = _Stepper(grid, op, 0.05), w_hat.copy()
-                for step in range(3):
-                    stepper.step(w, v[step], v[step + 1], 2)
-                stepped[form] = w
-        assert np.array_equal(stepped["passes"], stepped["ifftn_fftn"])
-
     def test_odd_run_steps_half_the_lattice(self, small_setup, monkeypatch):
+        # every step advances planes 0..n/2 only; the run matches the
+        # whole-lattice reference run (test_matches_reference_stepper) and
+        # its summary names no lattice
         grid, op, cut, g, v_per = small_setup
         w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=4)
-        half = run_stability(cfg, op, cut)
-        with monkeypatch.context() as m:
-            m.setattr(type(grid), "is_odd", lambda grid, data: False)
-            full = run_stability(cfg, op, cut)
-        assert half.half_lattice and not full.half_lattice
-        assert json.loads(half.to_json())["half_lattice"] is True
-        assert (half.steps, half.rhs_evals, half.escaped) == (
-            full.steps, full.rhs_evals, full.escaped)
-        for key in ("l2_w", "h1_grad_w", "n1_series", "n2_series", "n_series"):
-            np.testing.assert_allclose(getattr(half, key), getattr(full, key), rtol=1e-12)
-        assert half.fitted_slope_l0 == pytest.approx(full.fitted_slope_l0, rel=1e-12)
-        assert half.fitted_slope_l1 == pytest.approx(full.fitted_slope_l1, rel=1e-12)
+        shapes = set()
+        step = _Stepper.step
 
-    @pytest.mark.parametrize("case", ["gauss_perturbation", "base_with_even_part"])
-    def test_other_inputs_take_the_full_lattice(self, small_setup, monkeypatch, case):
-        grid, op, cut, g, v_per = small_setup
-        profile = "gauss" if case == "gauss_perturbation" else "gauss_dipole"
-        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2, profile=profile), grid)
-        base = v_per if case == "gauss_perturbation" else _with_even_part(v_per, 1e-6)
-        cfg = StabilityRunConfig(t_max=10.0, v_per=base, w0=w0, record_stride=4)
+        def spy(self, w_hat, *args):
+            shapes.add(w_hat.shape)
+            return step(self, w_hat, *args)
+
+        monkeypatch.setattr(_Stepper, "step", spy)
         decay = run_stability(cfg, op, cut)
-        assert not decay.half_lattice and not decay.escaped
-        with monkeypatch.context() as m:
-            m.setattr(_Stepper, "_nonlinear_hat", _ifftn_fftn_hat)
-            _assert_same_run(decay, run_stability(cfg, op, cut))
+        assert shapes == {grid.half_shape} and not decay.escaped
+        assert {"half_lattice", "interpolated_vper"}.isdisjoint(json.loads(decay.to_json()))
+
+    @pytest.mark.parametrize("case", ["gauss_perturbation", "base_with_even_part",
+                                      "perturbation_with_even_part"])
+    def test_other_inputs_are_rejected(self, small_setup, monkeypatch, case):
+        # an even profile is no perturbation profile; an even part of 1e-6
+        # in the base or in w0 raises before any base node is built
+        grid, op, cut, g, v_per = small_setup
+        if case == "gauss_perturbation":
+            with pytest.raises(ValueError, match="unknown perturbation profile 'gauss'"):
+                PerturbationSpec(amplitude=5e-2, profile="gauss")
+            return
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+        if case == "base_with_even_part":
+            base, what = _with_even_part(v_per, 1e-6), "base"
+        else:
+            even = _with_even_part(FieldSeries(grid, np.stack([w0.data] * 2), 1.0), 1e-6)
+            base, w0, what = v_per, SpectralField(grid, even.data[0]), "perturbation"
+        monkeypatch.setattr(stability, "_base_nodes", None)  # a call would raise TypeError
+        cfg = StabilityRunConfig(t_max=10.0, v_per=base, w0=w0, record_stride=4)
+        with pytest.raises(OddnessViolation, match=f"^{what} is not odd on the lattice: "
+                                                   "its even part exceeds 1e-12"):
+            run_stability(cfg, op, cut)
 
     def test_odd_base_nodes_keep_half_the_planes(self, grid3d, rng):
         # m_t = 64 nodes of all 16 planes of 130 of 256 columns (the half
@@ -594,11 +567,11 @@ class TestHalfLattice:
         m_t, pair = 64, grid3d.odd_transform
         data = np.fft.fftn(raw_random_series(grid3d, m_t, rng), axes=(1, 2, 3))
         series = FieldSeries(grid3d, data, 1.0)
-        full = _base_nodes(series)
-        _base_nodes(series, pair)  # warm the FFT caches
+        full_bytes = m_t * np.empty(grid3d.shape, complex).nbytes
+        _base_nodes(series)  # warm the FFT caches
         tracemalloc.start()
         try:
-            nodes = _base_nodes(series, pair)
+            nodes = _base_nodes(series)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -607,27 +580,11 @@ class TestHalfLattice:
         assert np.array_equal(nodes, pair.ifft(half))
         odd = _half_columns(grid3d, np.fft.ifftn(grid3d.whole_lattice(half), axes=(1, 2, 3)))
         np.testing.assert_allclose(nodes, odd, rtol=0, atol=1e-13 * np.abs(odd).max())
-        assert peak <= 0.53 * full.nbytes  # 130/256 + 9/(16 * 64) = 0.517
-
-    def test_odd_interpolated_run_matches_full_lattice(self, small_setup, monkeypatch):
-        # h = T/(2 m_t): every other step blends two base nodes in the column layout
-        grid, op, cut, g, v_per = small_setup
-        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
-        cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, h=v_per.dt / 2,
-                                 record_stride=8)
-        half = run_stability(cfg, op, cut)
-        with monkeypatch.context() as m:
-            m.setattr(type(grid), "is_odd", lambda grid, data: False)
-            full = run_stability(cfg, op, cut)
-        assert half.interpolated_vper and half.half_lattice and not full.half_lattice
-        assert not half.escaped and half.steps == full.steps
-        np.testing.assert_array_equal(half.times, full.times)
-        for key in ("l2_w", "h1_grad_w", "n1_series", "n2_series", "n_series"):
-            np.testing.assert_allclose(getattr(half, key), getattr(full, key), rtol=1e-12)
+        assert peak <= 0.53 * full_bytes  # 130/256 + 9/(16 * 64) = 0.517
 
     def test_linear_run_reads_no_base(self, small_setup, monkeypatch):
-        # an odd w0 alone decides the lattice, even about a base that is not
-        # odd, and the base is never transformed
+        # the base is neither tested nor transformed, so one that is not odd
+        # is taken, and the run is the run about the odd base
         grid, op, cut, g, v_per = small_setup
         w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         cfg = StabilityRunConfig(t_max=10.0, v_per=_with_even_part(v_per, 1e-6), w0=w0,
@@ -636,14 +593,11 @@ class TestHalfLattice:
         ifftn = np.fft.ifftn
         with monkeypatch.context() as m:
             m.setattr(np.fft, "ifftn", lambda *a, **k: calls.append(1) or ifftn(*a, **k))
-            half = run_stability(cfg, op, cut)
-        assert half.half_lattice and not calls and half.rhs_evals == 0
-        with monkeypatch.context() as m:
-            m.setattr(type(grid), "is_odd", lambda grid, data: False)
-            full = run_stability(cfg, op, cut)
-        assert not full.half_lattice and full.steps == half.steps
-        for key in ("l2_w", "h1_grad_w", "n1_series", "n2_series", "n_series"):
-            np.testing.assert_allclose(getattr(half, key), getattr(full, key), rtol=1e-12)
+            m.setattr(stability, "_base_nodes", None)
+            linear = run_stability(cfg, op, cut)
+        assert not calls and linear.rhs_evals == 0 and linear.steps == 10 * v_per.n_steps
+        _assert_same_run(linear, run_stability(StabilityRunConfig(
+            t_max=10.0, v_per=v_per, w0=w0, record_stride=4, linear_only=True), op, cut))
 
 
 def _saved_base(series, directory):
@@ -677,7 +631,7 @@ class TestSavedBase:
         monkeypatch.setattr(cli, "read_snapshot",
                             lambda path, grid: reads.update([path]) or read(path, grid))
         saved = run_stability(cfg, op, cut)  # also warms the FFT caches
-        assert saved.half_lattice and sorted(set(reads.values())) == [1, 2]
+        assert sorted(set(reads.values())) == [1, 2]
         assert len(reads) == m_t + 1 and sum(reads.values()) == 2 * m_t + 1
         _assert_same_run(saved, run_stability(
             StabilityRunConfig(t_max=10.0, v_per=series, w0=w0, record_stride=4), op, cut))
@@ -691,21 +645,18 @@ class TestSavedBase:
         nodes = np.empty((m_t, grid.n, grid.odd_columns()[0].size), complex).nbytes
         assert peak <= nodes + 16 * field < series.data.nbytes
 
-    def test_base_that_is_not_odd_takes_the_whole_lattice(self, small_setup, tmp_path):
-        # an odd w0 about a saved base with an even part of 1e-6: the whole
-        # lattice, and the in-memory run's decay.csv
+    def test_base_that_is_not_odd_is_rejected(self, small_setup, monkeypatch, tmp_path):
+        # an odd w0 about a base with an even part of 1e-6, in memory and
+        # saved: OddnessViolation once each snapshot is read, before any
+        # base node is built (through --base: test_harness)
         grid, op, cut, g, v_per = small_setup
         memory = _with_even_part(v_per, 1e-6)
         w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
-        assert grid.is_odd(w0.data[None])
-        runs = [run_stability(StabilityRunConfig(t_max=10.0, v_per=base, w0=w0,
+        monkeypatch.setattr(stability, "_base_nodes", None)
+        for base in (memory, _saved_base(memory, tmp_path)):
+            with pytest.raises(OddnessViolation, match="^base is not odd on the lattice"):
+                run_stability(StabilityRunConfig(t_max=10.0, v_per=base, w0=w0,
                                                  record_stride=4), op, cut)
-                for base in (memory, _saved_base(memory, tmp_path))]
-        assert not runs[0].half_lattice and not runs[0].escaped
-        _assert_same_run(*runs)
-        for name, run in zip(("memory", "saved"), runs):
-            run.write_csv(tmp_path / f"{name}.csv")
-        assert (tmp_path / "memory.csv").read_bytes() == (tmp_path / "saved.csv").read_bytes()
 
 
 class TestFitDecayRate:
