@@ -22,7 +22,7 @@ from .errors import (ConfigError, GLPeriodError, NonFiniteField, OddnessViolatio
 from .forcing import realize_perturbation
 from .manifest import RunManifest, atomic_write_text, load_manifest, verify_manifest
 from .periodic_solver import equation_residual, solve_periodic
-from .spectral import Grid, read_snapshot, write_snapshot
+from .spectral import Grid, Series, SpectralField, read_snapshot, write_snapshot
 from .stability import StabilityRunConfig, run_stability
 from .verification import reports_to_json, run_all_checks
 
@@ -88,9 +88,9 @@ def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
     manifest.add_artifact(report_path, out)
 
     if save_fields:
-        for m in range(len(u)):
+        for m in range(len(u)):  # one node of u expanded at a time
             snap = out / f"field_{m:04d}.glpf"
-            write_snapshot(u.field(m), snap)
+            write_snapshot(SpectralField(grid, u.frequency_rows(slice(m, m + 1))[0]), snap)
             manifest.add_artifact(snap, out)
 
     manifest.headline = {
@@ -116,11 +116,11 @@ def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
     return status
 
 
-class _SavedBase:
+class _SavedBase(Series):
     """A saved run's base: snapshots read one at a time."""
 
     def __init__(self, grid: Grid, paths: list[Path], period: float):
-        self.grid, self.paths, self.period, self.n_steps = grid, paths, period, len(paths) - 1
+        self.grid, self.paths, self.period = grid, paths, period
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -146,8 +146,8 @@ def _load_base_series(manifest_path: str, grid: Grid, period: float) -> _SavedBa
             raise TypeError("it or its headline is not a JSON object")
         problems = verify_manifest(base)
         base_grid = cfgmod.grid_config(man["config"])
-        base_period = float(man["config"]["period"])
-    except (ValueError, KeyError, TypeError) as exc:
+        base_period = cfgmod.number(man["config"]["period"], "period")
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"base manifest {manifest_path} is unreadable: {exc}")
     if problems:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
@@ -235,14 +235,12 @@ def cmd_verify(cfg: dict, seed: int | None = None,
     # Reduced-size config for the battery grid and the trajectory checks.
     small = copy.deepcopy(cfg)
     small["grid"].update({key: cfgmod.integer(value, f"verify.grid.{key}")
-                          if key in ("dim", "n_per_axis") else value
+                          if key in ("dim", "n_per_axis") else
+                          cfgmod.number(value, f"verify.grid.{key}")
                           for key, value in v["grid"].items()})
     small["solve"]["m_t"] = cfgmod.integer(v["m_t"], "verify.m_t")
     samples = cfgmod.integer(v["samples"], "verify.samples")
-    try:
-        small["forcing"]["amplitude"] = float(v["solve_amplitude"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid verify config: {exc}")
+    small["forcing"]["amplitude"] = cfgmod.number(v["solve_amplitude"], "verify.solve_amplitude")
     if small["forcing"]["amplitude"] == 0.0:  # the trajectory batteries need a nonzero u
         raise ConfigError("verify.solve_amplitude must be nonzero")
     grid, op, cutoffs, g, u, report = _run_solve(small)
@@ -267,7 +265,7 @@ def cmd_verify(cfg: dict, seed: int | None = None,
 def _sweep_value_config(cfg: dict, axis: str, value) -> dict:
     row = copy.deepcopy(cfg)
     if axis == "epsilon":
-        row["forcing"]["amplitude"] = float(value)
+        row["forcing"]["amplitude"] = cfgmod.number(value, "sweep.epsilon")
     elif axis == "m_t":
         row["solve"]["m_t"] = cfgmod.integer(value, "sweep.m_t")
     elif axis == "n":

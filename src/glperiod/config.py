@@ -15,10 +15,10 @@ import math
 from pathlib import Path
 
 from .errors import ConfigError, OddnessViolation, SeamDecayViolation
-from .forcing import ForcingSpec, PerturbationSpec, realize_forcing
+from .forcing import ForcingSpec, PerturbationSpec, SeparableForcing, realize_forcing
 from .operators import CutoffSpec, LinearOperatorSpec, auto_cutoffs, make_cutoffs, make_operator
 from .periodic_solver import SolveOptions
-from .spectral import FieldSeries, Grid, GridConfig, make_grid
+from .spectral import Grid, GridConfig, make_grid
 
 
 def reference_config() -> dict:
@@ -62,6 +62,18 @@ def integer(value, key: str) -> int:
     return int(value)
 
 
+def number(value, key: str) -> float:
+    """A finite JSON number as a float; ConfigError naming `key` for anything
+    else: a string, a boolean, null, a list, an infinity or NaN."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"invalid {key}: {json.dumps(value)} is not a number")
+    return float(value)
+
+
 def boolean(value, key: str) -> bool:
     """JSON true or false; ConfigError naming `key` for anything else."""
     if not isinstance(value, bool):
@@ -72,10 +84,11 @@ def boolean(value, key: str) -> bool:
 def grid_config(cfg: dict) -> GridConfig:
     g = cfg["grid"]
     dim, n = integer(g["dim"], "grid.dim"), integer(g["n_per_axis"], "grid.n_per_axis")
+    box_length = number(g["box_length"], "grid.box_length")
+    dealias_fraction = number(g["dealias_fraction"], "grid.dealias_fraction")
     try:
-        return GridConfig(dim=dim, n_per_axis=n,
-                          box_length=float(g["box_length"]),
-                          dealias_fraction=float(g["dealias_fraction"]))
+        return GridConfig(dim=dim, n_per_axis=n, box_length=box_length,
+                          dealias_fraction=dealias_fraction)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid grid config: {exc}")
 
@@ -90,10 +103,7 @@ def build_grid(cfg: dict) -> Grid:
 
 
 def _period(cfg: dict) -> float:
-    try:
-        period = float(cfg["period"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid period: {exc}")
+    period = number(cfg["period"], "period")
     if not period > 0:
         raise ConfigError(f"period must be positive; got {period}")
     return period
@@ -110,7 +120,8 @@ def build_cutoffs(grid: Grid, cfg: dict) -> CutoffSpec:
         if spec == "auto":
             cutoffs = auto_cutoffs(grid, period)
         elif isinstance(spec, dict):
-            cutoffs = make_cutoffs(float(spec["r1"]), float(spec["r_inf"]), grid)
+            cutoffs = make_cutoffs(number(spec["r1"], "cutoffs.r1"),
+                                   number(spec["r_inf"], "cutoffs.r_inf"), grid)
         else:
             raise ConfigError(f"cutoffs must be 'auto' or an object; got {spec!r}")
         cutoffs.validate(grid, period)
@@ -119,7 +130,7 @@ def build_cutoffs(grid: Grid, cfg: dict) -> CutoffSpec:
     return cutoffs
 
 
-def build_forcing(cfg: dict) -> FieldSeries:
+def build_forcing(cfg: dict) -> SeparableForcing:
     """The forcing on solve.m_t + 1 nodes of one period, the solve's time
     grid, on the config's grid, built after every key is read. A forcing
     that cannot be realized (a bad value, a profile that does not decay at
@@ -133,11 +144,12 @@ def build_forcing(cfg: dict) -> FieldSeries:
     if m_t < 8:
         raise ConfigError(f"solve.m_t must be >= 8; got {m_t}")
     harmonic, axis = integer(f["harmonic"], "forcing.harmonic"), integer(f["axis"], "forcing.axis")
+    amplitude, period = number(f["amplitude"], "forcing.amplitude"), number(cfg["period"], "period")
+    sigma = None if f["sigma"] is None else number(f["sigma"], "forcing.sigma")
     try:
-        spec = ForcingSpec(amplitude=float(f["amplitude"]), period=float(cfg["period"]),
+        spec = ForcingSpec(amplitude=amplitude, period=period,
                            temporal_profile=f["temporal_profile"], harmonic=harmonic,
-                           spatial_profile=f["spatial_profile"], axis=axis,
-                           sigma=None if f["sigma"] is None else float(f["sigma"]))
+                           spatial_profile=f["spatial_profile"], axis=axis, sigma=sigma)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid forcing config: {exc}")
     try:
@@ -150,8 +162,9 @@ def build_solve_options(cfg: dict) -> SolveOptions:
     s = cfg["solve"]
     max_iterations = integer(s["max_iterations"], "solve.max_iterations")
     nonlinear = boolean(s["nonlinearity_enabled"], "solve.nonlinearity_enabled")
+    z_tolerance = number(s["z_tolerance"], "solve.z_tolerance")
     try:
-        return SolveOptions(max_iterations=max_iterations, z_tolerance=float(s["z_tolerance"]),
+        return SolveOptions(max_iterations=max_iterations, z_tolerance=z_tolerance,
                             nonlinearity_enabled=nonlinear)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solve config: {exc}")
@@ -160,9 +173,10 @@ def build_solve_options(cfg: dict) -> SolveOptions:
 def build_perturbation_spec(cfg: dict) -> PerturbationSpec:
     s = cfg["stability"]
     axis = integer(s["axis"], "stability.axis")
+    amplitude = number(s["amplitude"], "stability.amplitude")
+    sigma = None if s["sigma"] is None else number(s["sigma"], "stability.sigma")
     try:
-        return PerturbationSpec(amplitude=float(s["amplitude"]), profile=s["profile"],
-                                sigma=None if s["sigma"] is None else float(s["sigma"]),
+        return PerturbationSpec(amplitude=amplitude, profile=s["profile"], sigma=sigma,
                                 axis=axis)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid stability config: {exc}")
@@ -174,11 +188,8 @@ def build_stability_settings(cfg: dict) -> dict:
     s = cfg["stability"]
     settings = {"record_stride": integer(s["record_stride"], "stability.record_stride"),
                 "order": integer(s["order"], "stability.order"),
-                "linear_only": boolean(s["linear_only"], "stability.linear_only")}
-    try:
-        settings["t_max"] = float(s["t_max"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid stability config: {exc}")
+                "linear_only": boolean(s["linear_only"], "stability.linear_only"),
+                "t_max": number(s["t_max"], "stability.t_max")}
     min_t = 10.0 * _period(cfg)
     if not min_t <= settings["t_max"] < math.inf:
         raise ConfigError(f"stability.t_max must be finite and cover at least 10 "

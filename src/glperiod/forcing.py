@@ -10,8 +10,10 @@ normalized to unit peak modulus so the amplitude knob is the peak field
 value and the forcing size functional scales linearly in eps.
 
 Realization checks G once: it must decay at the seam (check_seam_decay) and
-be odd by the rule the solve applies, Grid.is_odd on its transform G_hat;
-the forcing is then eps * a(t) * G_hat, frequency data odd at every node.
+be odd by the rule the solve applies, Grid.is_odd on its transform G_hat.
+The forcing is held as its factors (SeparableForcing: a(t_m), eps and
+G_hat, never a series); its frequency_rows builds eps * a(t_m) * G_hat for
+the nodes a reader asks for, frequency data odd at every node.
 A perturbation's dipole is checked the same way. On the lattice a dipole is
 odd only as far as it vanishes at the seam: on the reference and test grids
 the default widths L/16 and L/19 pass, while L/13 to L/15 pass the seam
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SeamDecayViolation
-from .spectral import FieldSeries, Grid, SpectralField
+from .spectral import Grid, Series, SpectralField
 
 SEAM_DECAY_TOL = 1e-8
 
@@ -132,7 +134,32 @@ def spatial_profile(spec: ForcingSpec, grid: Grid) -> np.ndarray:
     return profile_hat / peak if peak > 0 else profile_hat
 
 
-def realize_forcing(spec: ForcingSpec, grid: Grid, m_t: int) -> FieldSeries:
+@dataclass
+class SeparableForcing(Series):
+    """A realized forcing as its factors: g(t_m) = amplitude * values[m] *
+    profile on the m_t + 1 nodes of one period, with profile the frequency
+    data of G (None for amplitude 0). It holds one field and m_t + 1
+    numbers; frequency_rows builds the requested nodes."""
+
+    grid: Grid
+    period: float
+    values: np.ndarray
+    amplitude: float
+    profile: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def frequency_rows(self, rows: slice) -> np.ndarray:
+        """amplitude * a(t_m) * G_hat for the nodes m of `rows` (zeros for
+        amplitude 0), in the order of operations the whole series had."""
+        a = self.values[rows]
+        if self.profile is None:
+            return np.zeros((len(a),) + self.grid.shape, dtype=complex)
+        return self.amplitude * a[(slice(None),) + (None,) * self.grid.dim] * self.profile
+
+
+def realize_forcing(spec: ForcingSpec, grid: Grid, m_t: int) -> SeparableForcing:
     """Sample the forcing on the (m_t + 1)-node period grid.
 
     The result is frequency data, exactly periodic in time, and odd at every
@@ -140,13 +167,9 @@ def realize_forcing(spec: ForcingSpec, grid: Grid, m_t: int) -> FieldSeries:
     """
     if m_t < 2:
         raise ValueError("m_t must be at least 2")
-    a = temporal_values(spec, m_t)
-    if spec.amplitude == 0.0:
-        data = np.zeros((m_t + 1,) + grid.shape, dtype=complex)
-        return FieldSeries(grid, data, spec.period)
-    profile = spatial_profile(spec, grid)
-    data = spec.amplitude * a[(slice(None),) + (None,) * grid.dim] * profile
-    return FieldSeries(grid, data, spec.period)
+    profile = None if spec.amplitude == 0.0 else spatial_profile(spec, grid)
+    return SeparableForcing(grid, spec.period, temporal_values(spec, m_t), spec.amplitude,
+                            profile)
 
 
 def realize_perturbation(spec: PerturbationSpec, grid: Grid) -> SpectralField:

@@ -142,11 +142,23 @@ def _lp_node(phys: np.ndarray, grid: Grid, p, weighted: bool = False) -> np.ndar
 def l1w_node(data: np.ndarray, grid: Grid, antiperiodic: bool = False) -> np.ndarray:
     """Per-node weighted L1 norms of frequency-stacked data, one inverse
     transform per chunk of nodes on the shared pool; an `antiperiodic` series
-    holds nodes 0..m_t/2 and gets the norms of nodes 0..m_t (module docstring)."""
+    holds nodes 0..m_t/2 and gets the norms of nodes 0..m_t (module docstring).
+    Half data (Grid.is_half) go through Grid.odd_transform: |f| on a mirror
+    column is |f| on its half column, so each half column counts once per
+    column it stands for (twice, or once for its own mirror)."""
     n_nodes = len(data) - antiperiodic
-    node = np.concatenate(map_chunks(lambda rows: _lp_node(
-        np.fft.ifftn(data[rows], axes=grid.series_axes), grid, 1, weighted=True),
-        node_chunks(n_nodes)))
+    if grid.is_half(data):
+        pair = grid.odd_transform  # plane 0 of its scatter: the half column of each column
+        w = (NormSuite.for_grid(grid).weight.reshape(grid.n, -1)[:, pair.columns]
+             * np.bincount(pair.scatter[0]))
+
+        def task(rows):
+            return (w * np.abs(pair.ifft(data[rows]))).sum(axis=(1, 2)) * grid.quad_weight
+    else:
+        def task(rows):
+            return _lp_node(np.fft.ifftn(data[rows], axes=grid.series_axes), grid, 1,
+                            weighted=True)
+    node = np.concatenate(map_chunks(task, node_chunks(n_nodes)))
     return node[np.arange(2 * n_nodes + 1) % n_nodes] if antiperiodic else node
 
 
@@ -432,24 +444,22 @@ def z_norm(series: FieldSeries, cutoffs: CutoffSpec, *, antiperiodic: bool = Fal
     return sum(spacetime_norm(series, kind, cutoffs, antiperiodic=antiperiodic) for kind in "XY")
 
 
-def forcing_bracket(g: FieldSeries, half: FieldSeries | None = None, *,
-                    antiperiodic: bool = False) -> float:
+def forcing_bracket(g: FieldSeries, *, antiperiodic: bool = False) -> float:
     """[g] = ||g||_{L2(0,T;L1_w)} + ||g||_{L2(0,T;H1_w)}.
 
-    g is whole-lattice frequency data, its L1_w read by l1w_node; the H1_w
-    sums come from the derivative tree on `half` (planes 0..n/2 of g's odd
-    part, on half the lattice) when given, else on g. An `antiperiodic` g
-    (and `half`) holds nodes 0..m_t/2, and both sums run on them (see _node_sums).
+    g is frequency data, whole-lattice or planes 0..n/2 of an odd g (the
+    solve passes its odd part, on half the lattice); L1_w is read by
+    l1w_node, the H1_w sums by the derivative tree. An `antiperiodic` g
+    holds nodes 0..m_t/2, and both sums run on them (see _node_sums).
     """
     if len(g) < 3 - antiperiodic:
         raise ValueError("the forcing functional needs at least 3 time nodes")
-    tree = (g if half is None else half).data
-    w2 = NormSuite.for_grid(g.grid).flat("weight_sq", g.grid.is_half(tree))
+    w2 = NormSuite.for_grid(g.grid).flat("weight_sq", g.grid.is_half(g.data))
 
     def add(out, alpha, d_alpha, diff):
         out[0] += _weighted_sq(d_alpha, w2)
 
     l1w = l1w_node(g.data, g.grid, antiperiodic)
-    h1w_sq = _node_sums(tree, g.grid, 1, None, 1, add, antiperiodic=antiperiodic)[0]
+    h1w_sq = _node_sums(g.data, g.grid, 1, None, 1, add, antiperiodic=antiperiodic)[0]
     return float(np.sqrt(np.trapezoid(l1w ** 2, dx=g.dt))
                  + np.sqrt(np.trapezoid(h1w_sq, dx=g.dt)))

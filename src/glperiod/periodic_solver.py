@@ -25,22 +25,26 @@ rows or slab of a preallocated output, so results do not depend on the
 number of workers; one map runs at most spectral.IN_FLIGHT tasks at once,
 so a kernel's temporaries do not grow with the pool.
 
-A solve holds three series: the caller's g, the iterate u and the
-correction delta. g must be odd (Grid.is_odd, the rule realize_forcing
-applies to its profile), and the solve takes its odd part (g - Rg)/2, whose
-mean mode is exactly 0. That part, u and delta hold planes 0..n/2 only, the
+A solve holds two series, the iterate u and the correction delta, and
+reads the caller's g by rows (frequency_rows: the realized forcing builds
+eps a(t_m) G_hat per row and is never a series). g must be odd
+(Grid.is_odd, the rule realize_forcing applies to its profile); that test
+writes g's odd part (g - Rg)/2, whose mean mode is exactly 0, into u's
+buffer, and [g] is read from it. u and delta hold planes 0..n/2 only, the
 layout every kernel and Z-norm reads off the data (Grid.is_half); the cubic
-terms run through spectral.OddTransform and u is expanded to the whole
-lattice at the end. The period map runs in place (F[m] is carried per slab
-before its row is overwritten), u starts in the buffer of g's odd part, and
-one fused map per iteration advances u by delta and overwrites delta with
-the next cubic difference. equation_residual streams.
+terms run through spectral.OddTransform. The period map runs in place (F[m]
+is carried per slab before its row is overwritten), and one fused map per
+iteration advances u by delta and overwrites delta with the next cubic
+difference. u leaves the solve as the data it held (spectral.OddSeries),
+whose frequency_rows expands the rows a reader asks for; equation_residual
+streams over them.
 
 The equation is unchanged by u -> -u and a time shift, so for a measured
 antiperiodic g (g(t + T/2) = -g(t), as eps sin(2 pi t/T) G(x)) u and every
 correction are antiperiodic. The solve then holds its series on nodes
 0..m_t/2: the period map closes with u(T/2) = -u(0), u(0) =
--(1 + e^{-T lambda/2})^{-1} I(T/2), and u is extended over the period at the end.
+-(1 + e^{-T lambda/2})^{-1} I(T/2), and node m + m_t/2 of u is read as minus
+node m.
 """
 
 from __future__ import annotations
@@ -50,12 +54,13 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import spectral
 from .errors import NonFiniteField
 from .manifest import strict_json
 from .norms import _node_l2, forcing_bracket, z_norm
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
 from .phi import phi1, phi2
-from .spectral import ODDNESS_TOL, FieldSeries, map_chunks, node_chunks
+from .spectral import ODDNESS_TOL, FieldSeries, OddSeries, Series, map_chunks, node_chunks
 
 
 @dataclass
@@ -203,11 +208,12 @@ def _cubic_difference_data(v: np.ndarray | None, w: np.ndarray, grid,
     return out
 
 
-def _node_l2_chunked(data: np.ndarray, grid) -> np.ndarray:
-    """_node_l2 reduced one chunk of nodes at a time (row sums do not depend
-    on their neighbours, so the result is the same bits)."""
-    return np.concatenate(map_chunks(lambda rows: _node_l2(data[rows], grid),
-                                     node_chunks(data.shape[0])))
+def _node_l2_chunked(series: Series) -> np.ndarray:
+    """_node_l2 of a series' frequency_rows, one chunk of nodes at a time (row
+    sums do not depend on their neighbours, so the result is the same bits)."""
+    return np.concatenate(map_chunks(lambda rows: _node_l2(series.frequency_rows(rows),
+                                                           series.grid),
+                                     node_chunks(len(series))))
 
 
 def _all_finite(data: np.ndarray) -> bool:
@@ -216,47 +222,49 @@ def _all_finite(data: np.ndarray) -> bool:
                           node_chunks(data.shape[0])))
 
 
-def _is_antiperiodic(data: np.ndarray) -> bool:
-    """Whether frequency data stacked along axis 0 (any layout) have an even
-    m_t and a periodic part (g[m] + g[m + m_t/2])/2 of at most ODDNESS_TOL of
-    the peak, one pair of nodes at a time (cf. Grid.is_odd's even part)."""
-    half = (len(data) - 1) // 2
+def _is_antiperiodic(g: Series) -> bool:
+    """Whether a series (its frequency_rows, any layout) has an even m_t and a
+    periodic part (g[m] + g[m + m_t/2])/2 of at most ODDNESS_TOL of the peak,
+    one chunk of node pairs at a time (cf. Grid.is_odd's even part)."""
+    if len(g) % 2 == 0:
+        return False
+    half = (len(g) - 1) // 2
 
     def task(rows):  # (periodic part, peak) over the pairs (m, m + m_t/2)
-        return np.max([(np.abs(data[m] + data[m + half]).max() / 2,
-                        np.abs(data[[m, m + half]]).max())
-                       for m in range(rows.start, rows.stop)], axis=0)
+        later = g.frequency_rows(slice(rows.start + half, rows.stop + half))
+        return np.max([(np.abs(a + b).max() / 2, max(np.abs(a).max(), np.abs(b).max()))
+                       for a, b in zip(g.frequency_rows(rows), later)], axis=0)
 
     periodic, peak = np.max(map_chunks(task, node_chunks(half + 1)), axis=0)
-    return len(data) % 2 == 1 and bool(periodic <= ODDNESS_TOL * peak)
+    return bool(periodic <= ODDNESS_TOL * peak)
 
 
-def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
-                   opts: SolveOptions | None = None
-                   ) -> tuple[FieldSeries, PeriodicSolveReport]:
+def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
+                   opts: SolveOptions | None = None) -> tuple[OddSeries, PeriodicSolveReport]:
     """Iterate the period map from the linear response of g until the Z-norm
     of successive iterates drops below tolerance.
 
-    Returns the final series and a report; the report has converged=False on
-    max-iterations or on three consecutive residual increases (fail-fast
-    divergence policy). Non-finite iterates raise NonFiniteField.
+    g is read by rows (spectral.Series: the realized forcing, a
+    FieldSeries). Returns u as the OddSeries the solve held and a
+    report; the report has converged=False on max-iterations or on three
+    consecutive residual increases (fail-fast divergence policy). Non-finite
+    iterates raise NonFiniteField.
 
     g must be odd (Grid.is_odd; OddnessViolation otherwise), as the paper's
     forcings are. Every map of the iteration commutes with the lattice
     reflection, so u and every correction are odd: the solve takes g's odd
     part (its even part is at most ODDNESS_TOL of its peak), holds the series
-    on planes 0..n/2, and runs each Z-norm on half the lattice; for an
-    antiperiodic g (_is_antiperiodic) on nodes 0..m_t/2 too.
+    on planes 0..n/2, and runs each Z-norm and [g] on half the lattice; for
+    an antiperiodic g (_is_antiperiodic) on nodes 0..m_t/2 too.
     """
     opts = opts or SolveOptions()
     grid = g.grid
-    antiperiodic = _is_antiperiodic(g.data)
+    antiperiodic = _is_antiperiodic(g)
     # nodes 0..m_t/2 of an antiperiodic g (a series of period T/2), else every node
     nodes, period = ((len(g) + 1) // 2, g.period / 2) if antiperiodic else (len(g), g.period)
     u = np.empty((nodes,) + grid.half_shape, complex)  # g's odd part, then the iterate
-    grid.require_odd(g.data, "forcing", keep=u)
-    bracket = forcing_bracket(FieldSeries(grid, g.data[:nodes], period),
-                              FieldSeries(grid, u, period), antiperiodic=antiperiodic)
+    grid.require_odd(g, "forcing", keep=u)
+    bracket = forcing_bracket(FieldSeries(grid, u, period), antiperiodic=antiperiodic)
     # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
 
@@ -304,11 +312,11 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     del delta  # before the final z_norm's chunk temporaries
 
     z_final = z_norm(FieldSeries(grid, u, period), cutoffs, antiperiodic=antiperiodic)
-    u = grid.whole_lattice(u, len(g))
-    scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
-    periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
+    u = OddSeries(grid, u, g.period, antiperiodic)
+    scale = max(float(_node_l2_chunked(u).max()), np.finfo(float).tiny)
+    first, last = (u.frequency_rows(slice(m, m + 1))[0] for m in (0, len(u) - 1))
+    periodicity = float(np.sqrt(np.sum(np.abs(last - first) ** 2)
                                 * grid.parseval_factor) / scale)
-    u = FieldSeries(grid, u, g.period)
     c_est = (z_final / bracket) if bracket > 0 else None
     factor, factor_reason = _contraction_factor(history)
 
@@ -321,35 +329,41 @@ def solve_periodic(g: FieldSeries, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     return u, report
 
 
-def equation_residual(u: FieldSeries, g: FieldSeries, op: LinearOperatorSpec,
+def equation_residual(u: Series, g: Series, op: LinearOperatorSpec,
                       include_nonlinearity: bool = True) -> float:
     """Solver-independent certificate: max over interior time nodes of
     ||D_t u + A u - dealias(|u|^2 u) - g||_{L2} / (1 + sup_t ||u||_{L2})
-    with D_t the centered difference.
+    with D_t the centered difference, for series u and g read by
+    frequency_rows (an OddSeries u, the realized forcing, FieldSeries).
 
-    Streamed over chunks of interior nodes: each task builds the forcing,
-    right-hand side and residual of its own nodes (D_t from the neighbouring
-    rows of u), so no series is allocated.
+    Streamed over chunks of interior nodes: each task reads its nodes of u
+    with one halo node either side (nodes 0 and m_t are halos, so the sup
+    takes every node) and its nodes of g, and builds the right-hand side and
+    residual of its own nodes, so no series is allocated. The PDE is
+    evaluated on every node of the whole lattice.
     """
-    if u.data.shape != g.data.shape:
+    if len(u) != len(g) or u.grid.config != g.grid.config:
         raise ValueError("solution and forcing series are not aligned")
     grid = u.grid
     m_t = u.n_steps
     if m_t < 2:
         raise ValueError("need at least 3 time nodes")
-    h, U = u.dt, u.data
+    h = u.dt
 
     def task(rows):
-        G = g.data[rows]
+        U = u.frequency_rows(slice(rows.start - 1, rows.stop + 1))
+        G = g.frequency_rows(rows)
         if include_nonlinearity:
-            G = _cubic_rows(None, U[rows], grid) + G
-        dt = (U[rows.start + 1:rows.stop + 1] - U[rows.start - 1:rows.stop - 1]) / (2.0 * h)
-        return _node_l2(dt + op.symbol * U[rows] - G, grid)
+            G = _cubic_rows(None, U[1:-1], grid) + G
+        dt = (U[2:] - U[:-2]) / (2.0 * h)
+        return _node_l2(dt + op.symbol * U[1:-1] - G, grid).max(), _node_l2(U, grid).max()
 
-    interior = [slice(c.start + 1, c.stop + 1) for c in node_chunks(m_t - 1)]
-    res = float(np.concatenate(map_chunks(task, interior)).max())
-    scale = 1.0 + float(_node_l2_chunked(U, grid).max())
-    return res / scale
+    # a task's rows of u with their halos are one chunk: freshly expanded rows
+    # beyond the other kernels' working set were faulted in anew by every task
+    size = max(spectral.CHUNK_NODES - 2, 1)
+    interior = [slice(start, min(start + size, m_t)) for start in range(1, m_t, size)]
+    res, sup = np.max(map_chunks(task, interior), axis=0)
+    return float(res) / (1.0 + float(sup))
 
 
 def _contraction_factor(history: list[float]) -> tuple[float | None, str | None]:

@@ -25,6 +25,7 @@ One map keeps at most IN_FLIGHT tasks running, so a kernel's working set
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from collections import deque
@@ -209,8 +210,8 @@ class Grid:
         """Whether frequency data stacked along axis 0, or a series' (by chunks
         of nodes from its frequency_rows, an array or one node at a time), has
         an even part (f + Rf)/2 of at most ODDNESS_TOL of its peak, one field at
-        a time (pool tasks' chunk temporaries stay resident); `keep` (arrays
-        only) gets planes 0..n/2 of the odd part (f - Rf)/2 of its first nodes."""
+        a time (pool tasks' chunk temporaries stay resident); `keep` gets planes
+        0..n/2 of the odd part (f - Rf)/2 of its first nodes."""
         def task(rows):
             block = data[rows] if isinstance(data, np.ndarray) else data.frequency_rows(rows)
             if keep is not None:
@@ -229,15 +230,14 @@ class Grid:
                 f"{what} is not odd on the lattice: its even part exceeds "
                 f"{ODDNESS_TOL:.0e} of its largest coefficient")
 
-    def whole_lattice(self, half: np.ndarray, nodes: int | None = None) -> np.ndarray:
-        """Odd frequency data from its planes 0..n/2: plane -j is minus plane j
-        reflected; with `nodes` = 2 len(half) - 1 node m + m_t/2 is minus node m."""
-        out, planes = np.empty((nodes or len(half),) + self.shape, complex), self.half_shape[0]
-        out[:len(half), :planes] = half
-        for node in out[:len(half)]:  # one node at a time: no series temporary
-            node[planes:] = -self.reflect(node)[planes:]
-        np.negative(out[1:len(out) - len(half) + 1], out=out[len(half):])
-        return out
+    @cached_property
+    def whole_index(self) -> np.ndarray:
+        """Flat index into planes 0..n/2 of a node of every entry of its whole
+        lattice: plane -j reads plane j reflected (to be negated for odd data)."""
+        planes, index = self.half_shape[0], np.empty(self.shape, int)
+        index[:planes] = np.arange(math.prod(self.half_shape)).reshape(self.half_shape)
+        index[planes:] = self.reflect(index)[planes:]
+        return index.ravel()
 
 
 class OddTransform:
@@ -299,8 +299,23 @@ class SpectralField:
             self.data = self.data.astype(np.complex128)
 
 
+class Series:
+    """m_t + 1 fields at uniform times t_m = m*T/m_t, m = 0..m_t, of period T,
+    read by frequency_rows(rows) (frequency data of nodes `rows`): the
+    protocol of FieldSeries, OddSeries, the realized forcing
+    (forcing.SeparableForcing) and a saved base."""
+
+    @property
+    def n_steps(self) -> int:
+        return len(self) - 1
+
+    @property
+    def dt(self) -> float:
+        return self.period / self.n_steps
+
+
 @dataclass
-class FieldSeries:
+class FieldSeries(Series):
     """m_t + 1 fields at uniform times t_m = m*T/m_t, m = 0..m_t.
 
     Frequency data stacked along axis 0 with shape (m_t + 1,) + grid.shape.
@@ -330,23 +345,45 @@ class FieldSeries:
         return self.data.shape[0]
 
     @property
-    def n_steps(self) -> int:
-        return self.data.shape[0] - 1
-
-    @property
-    def dt(self) -> float:
-        return self.period / self.n_steps
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(len(self)) * self.dt
 
-    def field(self, m: int) -> SpectralField:
-        return SpectralField(self.grid, self.data[m])
+    def frequency_rows(self, rows: slice) -> np.ndarray:
+        return self.data[rows]
+
+
+@dataclass
+class OddSeries(Series):
+    """An odd series as the data a periodic solve holds: planes 0..n/2
+    (Grid.half_shape) of nodes 0..m_t, or of nodes 0..m_t/2 when
+    `antiperiodic` (u(t + T/2) = -u(t)). frequency_rows expands only the
+    nodes it is asked for, by exact negation: plane -j is minus plane j
+    reflected (Grid.whole_index), and node m + m_t/2 is minus node m."""
+
+    grid: Grid
+    half: np.ndarray
+    period: float
+    antiperiodic: bool = False
+
+    def __len__(self) -> int:
+        return 2 * len(self.half) - 1 if self.antiperiodic else len(self.half)
 
     def frequency_rows(self, rows: slice) -> np.ndarray:
-        """The data of nodes `rows`, the series protocol a saved base shares."""
-        return self.data[rows]
+        """Whole-lattice frequency data of the consecutive nodes `rows` (of
+        0..m_t): np.take over views of the held planes, then negation."""
+        grid, held, planes = self.grid, len(self.half), self.grid.half_shape[0]
+        nodes = range(len(self))[rows]
+        if nodes.step != 1:
+            raise ValueError("frequency_rows reads consecutive nodes")
+        cut = min(max(nodes.start, held), nodes.stop) - nodes.start  # then minus node m - m_t/2
+        out = np.empty((len(nodes), grid.whole_index.size), complex)
+        for part, first in ((out[:cut], nodes.start), (out[cut:], nodes.start + cut - held + 1)):
+            block = self.half[first:first + len(part)].reshape(len(part), self.half[0].size)
+            np.take(block, grid.whole_index, axis=1, out=part, mode="clip")
+        out = out.reshape((len(nodes),) + grid.shape)
+        np.negative(out[:cut, planes:], out=out[:cut, planes:])
+        np.negative(out[cut:, :planes], out=out[cut:, :planes])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +422,15 @@ def read_snapshot(path, grid: Grid | None = None) -> SpectralField:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
         if flag not in (0, 1):
             raise ValueError(f"{path}: unknown snapshot representation flag {flag}")
-        data = np.fromfile(fh, dtype="<c16")  # no bytes copy beside the array
+        if grid is not None:
+            cfg = grid.config
+            if (cfg.dim, cfg.n_per_axis) != (dim, n) or cfg.box_length != L:
+                raise ValueError(f"{path}: snapshot grid does not match the provided grid")
+        # the size is checked before anything is read: a padded file is not allocated
+        if os.path.getsize(path) != _HEADER.size + 16 * n ** dim:
+            raise ValueError(f"{path}: snapshot payload is not n^dim values (truncated or padded)")
+        data = np.fromfile(fh, dtype="<c16", count=n ** dim)  # no bytes copy beside the array
     if grid is None:
         grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=L))
-    else:
-        cfg = grid.config
-        if (cfg.dim, cfg.n_per_axis) != (dim, n) or cfg.box_length != L:
-            raise ValueError(f"{path}: snapshot grid does not match the provided grid")
-    if data.size != n ** dim or os.path.getsize(path) != _HEADER.size + data.nbytes:
-        raise ValueError(f"{path}: snapshot payload is not n^dim values (truncated or padded)")
     data = data.reshape((n,) * dim)
     return SpectralField(grid, np.fft.fftn(data) if flag == 0 else data)

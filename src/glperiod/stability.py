@@ -39,8 +39,9 @@ built). Frequency data keep first-axis planes 0..n/2 and physical data all
 planes of the half columns (Grid.odd_columns), on which the first-axis pass
 runs (Grid.odd_transform, shared with the solve; its forward transform and
 the h phi updates skip the planes with no dealiased mode). Base nodes are
-transformed one at a time from frequency_rows (a FieldSeries, or snapshot
-files): no frequency copy is held.
+transformed one at a time from the planes the solve's OddSeries holds, or
+from frequency_rows (a FieldSeries, or snapshot files): no frequency copy is
+held.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 from .manifest import strict_json
 from .operators import CutoffSpec, LinearOperatorSpec
 from .phi import phi1, phi2
-from .spectral import FieldSeries, Grid, SpectralField
+from .spectral import Grid, OddSeries, Series, SpectralField
 
 
 def _rhs_work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -162,7 +163,7 @@ class _Stepper:
 @dataclass
 class StabilityRunConfig:
     t_max: float
-    v_per: FieldSeries  # or any series with its grid, period, n_steps, frequency_rows
+    v_per: Series  # the solve's OddSeries, a saved base's snapshots, a FieldSeries
     w0: SpectralField
     record_stride: int = 4
     order: int = 2
@@ -261,15 +262,24 @@ def default_fit_window(grid: Grid) -> tuple[float, float]:
 
 
 def _base_nodes(v_per) -> np.ndarray:
-    """Base nodes 0..m_t - 1 in physical space, transformed one at a time from
-    v_per.frequency_rows: the odd inverse (Grid.odd_transform) of their
-    planes 0..n/2, in the stepper's column layout."""
+    """Base nodes 0..m_t - 1 in physical space, transformed one at a time:
+    the odd inverse (Grid.odd_transform) of their planes 0..n/2, in the
+    stepper's column layout. The solve's OddSeries hands over the planes it
+    holds (node m + m_t/2 of an antiperiodic base is minus node m); other
+    series are read by frequency_rows."""
     grid, m_t = v_per.grid, v_per.n_steps
     pair = grid.odd_transform
     nodes = np.empty((m_t, grid.n, pair.columns.size), complex)
     scratch = np.empty((1,) + pair.half_shape, complex)
+    held = len(v_per.half) if isinstance(v_per, OddSeries) else 0
     for m in range(m_t):
-        node, = v_per.frequency_rows(slice(m, m + 1))
+        if not held:
+            node, = v_per.frequency_rows(slice(m, m + 1))
+        elif m < held:
+            node = v_per.half[m]
+        else:
+            np.negative(nodes[m - m_t // 2], out=nodes[m])
+            continue
         pair.ifft(node[None, :pair.half_shape[0]], nodes[m:m + 1], scratch)
     return nodes
 

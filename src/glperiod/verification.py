@@ -25,7 +25,7 @@ from .norms import (NormSuite, _lp_node, _node_l2, _weighted_sq, l1w_node,
                     weighted_hk_node_sq, x_gradient_node_sq, z_norm)
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
 from .periodic_solver import _cubic_difference_data
-from .spectral import FieldSeries, Grid
+from .spectral import FieldSeries, Grid, Series
 
 COMPLETENESS_TOL = 1e-14
 STACK_SAMPLES = 16  # sample fields a battery evaluates at once
@@ -358,13 +358,15 @@ def check_high_freq_weighted_poincare(grid: Grid, cutoffs: CutoffSpec,
 
 def run_all_checks(grid: Grid, op: LinearOperatorSpec, cutoffs: CutoffSpec,
                    samples: int = 200, seed: int = 0,
-                   u_series: FieldSeries | None = None,
-                   g_series: FieldSeries | None = None,
+                   u_series: Series | None = None,
+                   g_series: Series | None = None,
                    u_z_norm: float | None = None) -> list[CheckReport]:
     """The full battery set; trajectory checks run only when a solved run is
     supplied, sharing one right-hand side F (and the solve's reported
     `u_z_norm`, computed when None). Sub-seeds are decorrelated by fixed
-    offsets from the root."""
+    offsets from the root. u_series and g_series are read by frequency_rows
+    (spectral.Series) and expanded once for the batteries (the verify grid
+    is small)."""
     ineq_samples = max(20, samples // 2)
     reports = [
         check_projection_completeness(grid, cutoffs, max(20, samples // 4), seed),
@@ -376,6 +378,8 @@ def run_all_checks(grid: Grid, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         check_high_freq_weighted_poincare(grid, cutoffs, ineq_samples, seed + 6),
     ]
     if u_series is not None and g_series is not None:
+        u_series, g_series = (FieldSeries(grid, s.frequency_rows(slice(None)), s.period)
+                              for s in (u_series, g_series))
         rhs = _trajectory_rhs(u_series, g_series)
         reports.append(check_energy_inequality(u_series, g_series, op, cutoffs, rhs))
         reports.extend(check_nonlinear_bound(u_series, g_series, op, cutoffs, rhs, u_z_norm))

@@ -34,6 +34,10 @@ few lines.
   one (test_solver).
 * picard_step: one fixed-point update, against the solve's difference
   form and, in criterion 6, for oddness.
+* whole_series: a series read by frequency_rows (the solve's OddSeries,
+  the realized forcing) as a FieldSeries of every node.
+* whole_lattice: the expansion of planes 0..n/2 (and of nodes 0..m_t/2) by
+  Grid.reflect one node at a time, against OddSeries.frequency_rows.
 * split_series, split_equation_residual: the low and high sub-systems,
   against equation_residual.
 * WholeLatticeStepper: the run's stepper on all n planes, its nonlinear
@@ -53,7 +57,8 @@ few lines.
   of the solve and, in criterion 6, its iterates and the stepper.
 * physical_forcing_bracket: [g] read from g's physical values and
   whole-lattice derivatives, against forcing_bracket, which reads L1_w
-  through chunked inverse transforms and the H1_w sums on half the lattice.
+  through chunked inverse transforms (the odd inverse on the half columns
+  for half data) and the H1_w sums on half the lattice.
 * write_physical_snapshot: a snapshot file holding physical values (flag
   0), which write_snapshot no longer writes, for read_snapshot's flag-0 path.
 """
@@ -164,7 +169,7 @@ def cubic_rhs(U, G, grid):
 
 def picard_step(u, g, op, nonlinearity=True):
     """One fixed-point update: the periodic response of dealias(|u|^2 u) + g."""
-    F = G = g.data
+    F = G = g.frequency_rows(slice(None))
     if nonlinearity:
         F = _cubic_difference_data(None, u.data, u.grid)
         F += G
@@ -180,12 +185,13 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
     the whole period."""
     opts = opts or SolveOptions()
     grid = g.grid
-    antiperiodic = _is_antiperiodic(g.data)
+    antiperiodic = _is_antiperiodic(g)
     nodes, period = ((len(g) + 1) // 2, g.period / 2) if antiperiodic else (len(g), g.period)
-    bracket = forcing_bracket(FieldSeries(grid, g.data[:nodes], period),
-                              antiperiodic=antiperiodic)
+    G = g.frequency_rows(slice(None))
+    bracket = forcing_bracket(FieldSeries(grid, G[:nodes], period), antiperiodic=antiperiodic)
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
-    u = _linear_period_map_data(g.data, op, g.dt)
+    u = _linear_period_map_data(G, op, g.dt)
+    del G
     if opts.nonlinearity_enabled:
         delta = _cubic_difference_data(None, u, grid)
         _linear_period_map_data(delta, op, g.dt, out=delta)
@@ -217,7 +223,8 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
     del delta
     z_final = z_norm(FieldSeries(grid, u[:nodes], period), cutoffs,
                      antiperiodic=antiperiodic)
-    scale = max(float(_node_l2_chunked(u, grid).max()), np.finfo(float).tiny)
+    scale = max(float(_node_l2_chunked(FieldSeries(grid, u, g.period)).max()),
+                np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
                                 * grid.parseval_factor) / scale)
     factor, factor_reason = _contraction_factor(history)
@@ -240,6 +247,26 @@ def antiperiodicity_bound(F, op):
     m_t = len(F) - 1
     kappa = np.abs(period_inverse_symbol(op)[:F.shape[1]])[np.abs(F).max(axis=0) > 0].max()
     return 2 * (m_t + 4) * np.finfo(float).eps * kappa
+
+
+def whole_series(series):
+    """Every node of a series read by frequency_rows, as a FieldSeries: the
+    whole-lattice, whole-period data of the solve's OddSeries or of the
+    realized forcing, for tests that state identities on whole arrays."""
+    return FieldSeries(series.grid, series.frequency_rows(slice(None)), series.period)
+
+
+def whole_lattice(grid, half, nodes=None):
+    """Odd frequency data from its planes 0..n/2, one node at a time with
+    Grid.reflect: plane -j is minus plane j reflected; with `nodes` =
+    2 len(half) - 1, node m + m_t/2 is minus node m. The reference expansion
+    that OddSeries.frequency_rows is held against, bit for bit."""
+    out, planes = np.empty((nodes or len(half),) + grid.shape, complex), grid.half_shape[0]
+    out[:len(half), :planes] = half
+    for node in out[:len(half)]:
+        node[planes:] = -grid.reflect(node)[planes:]
+    np.negative(out[1:len(out) - len(half) + 1], out=out[len(half):])
+    return out
 
 
 def split_series(u, cutoffs):

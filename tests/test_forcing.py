@@ -7,35 +7,37 @@ from glperiod import (ForcingSpec, PerturbationSpec, SeamDecayViolation,
                       SpectralField, forcing_bracket, realize_forcing,
                       realize_perturbation, spectral)
 from glperiod.errors import OddnessViolation
-from glperiod.forcing import check_seam_decay, gauss_dipole, temporal_values
+from glperiod.forcing import (check_seam_decay, gauss_dipole, spatial_profile,
+                              temporal_values)
 
-from oracles import odd_residual
+from oracles import odd_residual, whole_series
 
 
 class TestRealizeForcing:
     def test_zero_amplitude_gives_zero_series(self, grid3d):
         g = realize_forcing(ForcingSpec(amplitude=0.0, period=1.0), grid3d, 8)
-        assert np.all(g.data == 0)
+        assert g.profile is None and np.all(g.frequency_rows(slice(None)) == 0)
 
     def test_dipole_vanishes_at_origin(self, grid3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 8)
-        phys = np.fft.ifftn(g.data, axes=grid3d.series_axes)
+        phys = np.fft.ifftn(whole_series(g).data, axes=grid3d.series_axes)
         origin = (grid3d.n // 2,) * 3
         for m in range(9):  # zero to the roundoff of the inverse transform
             assert abs(phys[(m,) + origin]) <= 8 * np.finfo(float).eps * 1e-2
 
     def test_exact_time_periodicity(self, grid3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
-        np.testing.assert_array_equal(g.data[0], g.data[16])
+        data = g.frequency_rows(slice(None))
+        np.testing.assert_array_equal(data[0], data[16])
 
     def test_oddness_at_every_node(self, grid3d):
-        g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 8)
+        g = whole_series(realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 8))
         for m in range(9):
-            assert odd_residual(g.field(m)) <= 1e-12
+            assert odd_residual(SpectralField(grid3d, g.data[m])) <= 1e-12
 
     def test_bracket_scales_linearly(self, grid3d):
-        g1 = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
-        g2 = realize_forcing(ForcingSpec(amplitude=2e-2, period=1.0), grid3d, 16)
+        g1, g2 = (whole_series(realize_forcing(ForcingSpec(amplitude=eps, period=1.0), grid3d, 16))
+                  for eps in (1e-2, 2e-2))
         assert forcing_bracket(g2) / forcing_bracket(g1) == pytest.approx(2.0, rel=1e-12)
 
     def test_peak_amplitude_equals_epsilon(self, grid3d):
@@ -43,7 +45,8 @@ class TestRealizeForcing:
         g = realize_forcing(ForcingSpec(amplitude=eps, period=1.0,
                                         temporal_profile="cos_fundamental"),
                             grid3d, 8)
-        assert np.abs(np.fft.ifftn(g.data[0])).max() == pytest.approx(eps, rel=1e-12)
+        g0, = g.frequency_rows(slice(0, 1))
+        assert np.abs(np.fft.ifftn(g0)).max() == pytest.approx(eps, rel=1e-12)
 
     def test_bracket_matches_separable_closed_form(self, grid3d):
         import glperiod as gl
@@ -52,10 +55,10 @@ class TestRealizeForcing:
         g = realize_forcing(ForcingSpec(amplitude=eps, period=1.0), grid3d, m_t)
         # sin profile peaks at node m_t/4; recover the spatial factor there
         peak_node = m_t // 4
-        profile = SpectralField(grid3d, g.data[peak_node] / eps)
+        profile = SpectralField(grid3d, whole_series(g).data[peak_node] / eps)
         closed = eps * np.sqrt(0.5) * (gl.lp_norm(profile, 1, weighted=True)
                                        + gl.sobolev_norm(profile, 1, weighted=True))
-        assert forcing_bracket(g) == pytest.approx(closed, rel=1e-8)
+        assert forcing_bracket(whole_series(g)) == pytest.approx(closed, rel=1e-8)
 
     def test_wide_profile_rejected_at_seam(self, grid3d):
         wide = ForcingSpec(amplitude=1e-2, period=1.0, sigma=grid3d.box_length / 4.0)
@@ -81,8 +84,9 @@ class TestRealizeForcing:
                 realize_forcing(spec, grid3d, 8)
         else:  # the custom peak is read through an inverse transform: roundoff
             default = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0, sigma=2.0),
-                                      grid3d, 8).data
-            np.testing.assert_allclose(realize_forcing(spec, grid3d, 8).data, default,
+                                      grid3d, 8).frequency_rows(slice(None))
+            custom = realize_forcing(spec, grid3d, 8).frequency_rows(slice(None))
+            np.testing.assert_allclose(custom, default,
                                        rtol=0, atol=8 * np.finfo(float).eps * np.abs(default).max())
 
     def test_dipole_that_decays_but_is_not_odd_rejected(self, grid3d):
@@ -116,7 +120,8 @@ class TestRealizeForcing:
                                         temporal_profile="harmonic", harmonic=2),
                             grid3d, 16)
         # second harmonic vanishes at t = T/4 and T/2
-        assert np.abs(np.fft.ifftn(g.data[4])).max() == pytest.approx(0.0, abs=1e-15)
+        g4, = g.frequency_rows(slice(4, 5))
+        assert np.abs(np.fft.ifftn(g4)).max() == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("temporal_profile", ["sin_fundamental", "cos_fundamental"])
     def test_frequency_samples_match_transformed_physical_samples(self, grid3d,
@@ -128,8 +133,25 @@ class TestRealizeForcing:
         profile = profile / np.abs(profile).max()
         a = temporal_values(spec, 16)
         expected = np.array([np.fft.fftn(spec.amplitude * a_m * profile) for a_m in a])
-        got = realize_forcing(spec, grid3d, 16).data
+        got = realize_forcing(spec, grid3d, 16).frequency_rows(slice(None))
         assert np.abs(got - expected).max() <= 8 * np.finfo(float).eps * np.abs(expected).max()
+
+
+    @pytest.mark.parametrize("amplitude", [0.0, 3e-2])
+    def test_rows_are_the_product_of_the_factors(self, grid3d, amplitude):
+        # the forcing holds a(t_m) and G_hat only; any row range is
+        # amplitude * a * G_hat bit for bit (zeros for amplitude 0)
+        spec = ForcingSpec(amplitude=amplitude, period=1.0)
+        g = realize_forcing(spec, grid3d, 16)
+        a = temporal_values(spec, 16)
+        if amplitude:
+            expected = amplitude * a[:, None, None, None] * spatial_profile(spec, grid3d)
+        else:
+            expected = np.zeros((17,) + grid3d.shape, complex)
+        for rows in (slice(None), slice(3, 11), slice(16, 17), slice(5, 5)):
+            assert g.frequency_rows(rows).tobytes() == expected[rows].tobytes()
+        held = [v.nbytes for v in vars(g).values() if isinstance(v, np.ndarray)]
+        assert sum(held) <= (17 + grid3d.n ** 3) * 16
 
 
 class TestPerturbation:

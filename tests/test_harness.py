@@ -547,18 +547,20 @@ class TestMalformedInput:
         assert err.startswith("config error: invalid forcing config: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("command, overrides", [
-        ("solve-periodic", {"forcing": {"amplitude": "nan"}}),
-        ("stability", {"forcing": {"amplitude": "nan"}}),
-        ("verify", {"verify": {"solve_amplitude": "nan"}}),
-        ("stability", {"stability": {"amplitude": "nan"}}),
-        ("stability", {"stability": {"amplitude": "inf"}}),
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("solve-periodic", {"forcing": {"amplitude": float("nan")}}, "forcing.amplitude"),
+        ("stability", {"forcing": {"amplitude": float("nan")}}, "forcing.amplitude"),
+        ("verify", {"verify": {"solve_amplitude": float("nan")}}, "verify.solve_amplitude"),
+        ("stability", {"stability": {"amplitude": float("nan")}}, "stability.amplitude"),
+        ("stability", {"stability": {"amplitude": float("inf")}}, "stability.amplitude"),
     ], ids=["solve", "stability-base", "verify", "perturbation", "perturbation-inf"])
-    def test_non_finite_amplitude(self, tmp_path, capsys, command, overrides):
+    def test_non_finite_amplitude(self, tmp_path, capsys, command, overrides, key):
+        # JSON NaN and Infinity, which the config parser accepts, are not numbers
         cfg_path = _small_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "finite" in err
+        assert err.startswith(f"config error: invalid {key}: ")
+        assert err.endswith(" is not a number\n")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("seed", ["abc", None, -1])
@@ -618,6 +620,22 @@ class TestSweepCommand:
         lines = csv_text.strip().splitlines()
         assert len(lines) == 3  # header + 2 rows
         assert lines[0].startswith("value,c_estimate,contraction_factor")
+
+    def test_epsilon_rows_hold_one_profile_each(self, tmp_path, monkeypatch):
+        # every row's forcing is a(t_m) and one G_hat, not a series of m_t + 1 fields
+        forcings, solve = [], cli.solve_periodic
+
+        def recording(g, *args):
+            forcings.append(g)
+            return solve(g, *args)
+
+        monkeypatch.setattr(cli, "solve_periodic", recording)
+        cfg_path = _small_config(tmp_path, sweep={"epsilon": [1e-3, 3e-3, 1e-2]})
+        assert main(["sweep", "--config", str(cfg_path), "--axis", "epsilon"]) == 0
+        assert len(forcings) == 3
+        for g in forcings:
+            held = sum(v.nbytes for v in vars(g).values() if isinstance(v, np.ndarray))
+            assert held == (g.grid.n ** g.grid.dim) * 16 + len(g) * 8
 
     def test_unknown_axis_rejected(self, tmp_path):
         cfg_path = _small_config(tmp_path)

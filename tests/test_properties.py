@@ -5,8 +5,8 @@ only if the solve takes it as odd. The period map's output is periodic, and
 antiperiodic for an antiperiodic forcing, to stated roundoff bounds; its
 half-period form matches it within the same bound. The cutoffs are a
 partition of unity and the perturbation right-hand side is the cubic
-difference. Every integer and boolean config key rejects a value of the
-wrong type with one line, before any lattice is built. A dipole
+difference. Every integer, boolean and float config key rejects a value of
+the wrong type with one line, before any lattice is built. A dipole
 perturbation is rejected with one line or run, and a damaged snapshot or
 manifest of a saved base ends `stability --base` in its exit code with one
 line."""
@@ -34,11 +34,12 @@ from glperiod.config import build_forcing, reference_config
 from glperiod.manifest import load_manifest, sha256_of
 from glperiod.operators import make_cutoffs
 from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_data
+from glperiod.spectral import OddSeries
 from glperiod.stability import _Stepper, _rhs_data, _rhs_work
 
 from conftest import antiperiodic_series, raw_odd_series
 from oracles import (WholeLatticeStepper, antiperiodicity_bound, odd_fft_every_plane,
-                     whole_lattice_solve)
+                     whole_lattice, whole_lattice_solve, whole_series)
 
 PERIOD = 1.0
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -61,6 +62,25 @@ def odd_series(draw):
     size = draw(st.floats(min_value=1e-3, max_value=10.0))
     data = raw_odd_series(setup(dim)[0], m_t, rng)
     return dim, size * data / np.abs(data).max()
+
+
+@PROPERTY
+@given(odd_series(), st.booleans())
+def test_odd_series_rows_are_the_reference_expansion(case, antiperiodic):
+    # every row range [a, b) of the held planes 0..n/2 (and nodes 0..m_t/2
+    # when antiperiodic) is the one-node-at-a-time expansion, bit for bit
+    dim, data = case
+    grid = setup(dim)[0]
+    half = data[:, :grid.n // 2 + 1]
+    if antiperiodic:
+        half = half[:len(half) // 2 + 1]
+    nodes = 2 * len(half) - 1 if antiperiodic else len(half)
+    u = OddSeries(grid, half, PERIOD, antiperiodic)
+    expected = whole_lattice(grid, half, nodes)
+    assert len(u) == nodes and u.n_steps == nodes - 1
+    for a in range(nodes + 1):
+        for b in range(a, nodes + 1):
+            assert u.frequency_rows(slice(a, b)).tobytes() == expected[a:b].tobytes()
 
 
 def even_part(data, grid):
@@ -146,7 +166,7 @@ def test_solve_iteration_preserves_oddness(case):
     g = FieldSeries(grid, 1e-2 * data, PERIOD)
     u, rep = solve_periodic(g, op, cutoffs, SolveOptions(max_iterations=1))
     assert rep.iterations == 1
-    assert even_part(u.data, grid) <= 1e-13
+    assert even_part(whole_series(u).data, grid) <= 1e-13
 
 
 @PROPERTY
@@ -159,7 +179,7 @@ def test_half_lattice_solve_equals_full(case):
     opts = SolveOptions(max_iterations=2)
     u, rep = solve_periodic(g, op, cutoffs, opts)
     u_full, rep_full = whole_lattice_solve(g, op, cutoffs, opts)
-    np.testing.assert_allclose(u.data, u_full.data, rtol=0,
+    np.testing.assert_allclose(whole_series(u).data, u_full.data, rtol=0,
                                atol=1e-13 * np.abs(u_full.data).max())
     np.testing.assert_allclose(rep.residual_history, rep_full.residual_history,
                                rtol=1e-13, atol=0)
@@ -276,26 +296,23 @@ INTEGER_LEAVES = [path for path, value in _leaves(reference_config())
                   if isinstance(value, int) and not isinstance(value, bool)]
 BOOLEAN_LEAVES = [path for path, value in _leaves(reference_config())
                   if isinstance(value, bool)]
+# the float keys, and the sigmas, whose documented null stands for a default width
+FLOAT_LEAVES = [path for path, value in _leaves(reference_config())
+                if isinstance(value, float) or path[-1] == "sigma"]
 # the command that reads each top-level key: the sweep's lists go through their axis
 COMMANDS = {"grid": ["solve-periodic"], "solve": ["solve-periodic"],
             "forcing": ["solve-periodic"], "output": ["solve-periodic"],
-            "stability": ["stability"], "verify": ["verify"], "seed": ["verify"]}
+            "period": ["solve-periodic"], "stability": ["stability"], "verify": ["verify"],
+            "seed": ["verify"]}
 
 
 def _no_lattice(*args, **kwargs):
     raise AssertionError("a lattice was allocated")
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(st.one_of(
-    st.tuples(st.sampled_from(INTEGER_LEAVES),
-              st.one_of(st.just(True), st.floats().filter(lambda x: not x.is_integer()))),
-    st.tuples(st.sampled_from(BOOLEAN_LEAVES), st.sampled_from(["false", 0, None]))))
-def test_config_reader_rejects_the_wrong_type(case):
-    # an integer key given a non-integral number or true, a boolean key given
-    # "false", 0 or null: exit 2 with one line naming the key, before any
-    # lattice is built
-    path, value = case
+def _rejected_with_one_line(path, value):
+    """cli.main on the reference config with the leaf at `path` set to
+    `value`: exit 2 with one line naming the key, before any lattice is built."""
     cfg = reference_config()
     node = cfg
     for key in path[:-1]:
@@ -317,18 +334,52 @@ def test_config_reader_rejects_the_wrong_type(case):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and "Traceback" not in err.getvalue()
     assert lines[0].startswith(f"config error: invalid {key}: ")
+    return lines[0]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.one_of(
+    st.tuples(st.sampled_from(INTEGER_LEAVES),
+              st.one_of(st.just(True), st.floats().filter(lambda x: not x.is_integer()))),
+    st.tuples(st.sampled_from(BOOLEAN_LEAVES), st.sampled_from(["false", 0, None]))))
+def test_config_reader_rejects_the_wrong_type(case):
+    # an integer key given a non-integral number or true, a boolean key given
+    # "false", 0 or null: exit 2 with one line naming the key, before any
+    # lattice is built
+    _rejected_with_one_line(*case)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(FLOAT_LEAVES), st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(), st.lists(st.floats(), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 10 ** 400])))
+@example(("forcing", "amplitude"), "0.01")
+@example(("grid", "box_length"), "64")
+@example(("grid", "box_length"), True)
+def test_float_config_reader_rejects_what_is_not_a_number(path, value):
+    # a float key given a string, a boolean, null (but the sigmas), a list or
+    # a value that is not finite: exit 2 with one line, before any lattice
+    if value is None and path[-1] == "sigma":
+        value = "null"
+    assert _rejected_with_one_line(path, value).endswith(" is not a number")
 
 
 def test_config_reader_leaves_are_the_documented_keys():
-    # every integer and boolean key of the reference config is drawn above
-    names = {".".join(str(p) for p in path if not isinstance(p, int))
-             for path in INTEGER_LEAVES + BOOLEAN_LEAVES}
-    assert names == {
+    # every integer, boolean and float key of the reference config is drawn above
+    def names(leaves):
+        return {".".join(str(p) for p in path if not isinstance(p, int)) for path in leaves}
+
+    assert names(INTEGER_LEAVES + BOOLEAN_LEAVES) == {
         "grid.dim", "grid.n_per_axis", "solve.m_t", "solve.max_iterations",
         "forcing.harmonic", "forcing.axis", "stability.record_stride", "stability.order",
         "stability.axis", "verify.m_t", "verify.samples", "verify.grid.dim",
         "verify.grid.n_per_axis", "seed", "sweep.m_t", "sweep.n",
         "solve.nonlinearity_enabled", "stability.linear_only", "output.save_fields"}
+    assert names(FLOAT_LEAVES) == {
+        "forcing.amplitude", "forcing.sigma", "grid.box_length", "grid.dealias_fraction",
+        "period", "solve.z_tolerance", "stability.amplitude", "stability.sigma",
+        "stability.t_max", "sweep.epsilon", "verify.grid.box_length",
+        "verify.solve_amplitude"}
 
 
 def _cli(argv):
@@ -468,10 +519,13 @@ def _set(man, path, value):
                                                 ("box_length", 32.0)])),
     st.tuples(st.just("period"), st.floats(min_value=0.1, max_value=10.0).filter(
         lambda period: period != PERIOD)),
+    st.tuples(st.just("period_text"), st.sampled_from(["1.0", None, True])),
     st.tuples(st.just("snapshots"), st.integers(min_value=0, max_value=1))))
+@example(("period_text", "1.0"))
 def test_damaged_manifest_of_a_saved_base(saved_base, case):
     # exit 2 for a manifest that is no object, a missing or wrongly hashed
-    # artifact (report.json or a snapshot), or another grid or period;
+    # artifact (report.json or a snapshot), another grid or period, or a
+    # period that is not a number (the string "1.0" was once taken);
     # exit 3 for fewer than two snapshots: one line each
     kind, value = case
     with _base_copy(saved_base) as (config, manifest, out):
@@ -485,7 +539,7 @@ def test_damaged_manifest_of_a_saved_base(saved_base, case):
             artifacts[value]["sha256"] = "0" * 64
         elif kind == "grid":
             _set(man, ("config", "grid", value[0]), value[1])
-        elif kind == "period":
+        elif kind in ("period", "period_text"):
             _set(man, ("config", "period"), value)
         else:
             man["artifacts"] = [a for a in artifacts if not a["path"].endswith(".glpf")]
@@ -496,5 +550,6 @@ def test_damaged_manifest_of_a_saved_base(saved_base, case):
                 "missing": "config error: base manifest failed verification: missing artifact",
                 "hash": "config error: base manifest failed verification: hash mismatch",
                 "grid": "config error: base grid ", "period": "config error: base period ",
+                "period_text": "config error: base manifest ",
                 "snapshots": f"error: base manifest indexes {value} field snapshots"}[kind]
     assert code == (3 if kind == "snapshots" else 2) and line.startswith(expected)

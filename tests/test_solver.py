@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from glperiod import (FieldSeries, GridConfig, NonFiniteField, ForcingSpec,
-                      OddnessViolation, periodic_solver, SolveOptions,
+                      OddnessViolation, periodic_solver, SolveOptions, SpectralField,
                       equation_residual, make_grid, make_operator,
                       realize_forcing, solve_periodic, spectral)
 from glperiod.norms import _node_l2
@@ -21,13 +21,13 @@ from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_dat
 from conftest import on_workers, random_odd_field, raw_odd_series, raw_random_series
 from oracles import (antiperiodicity_bound, cubic_rhs, duhamel_integral, odd_fft_every_plane,
                      odd_residual, periodic_initial_data, picard_step, split_equation_residual,
-                     split_series, whole_lattice_solve)
+                     split_series, whole_lattice_solve, whole_series)
 
 
 def _odd_part(g):
     """g's exact odd part (g - Rg)/2 as a frequency series: the forcing the
     solve takes for an odd g."""
-    data = g.data
+    data = g.frequency_rows(slice(None))
     return FieldSeries(g.grid, 0.5 * (data - g.grid.reflect(data)), g.period)
 
 
@@ -38,8 +38,8 @@ def _mode_series(grid, k_index, values, period):
 
 
 def linear_period_map(F, op):
-    """The period map of a FieldSeries, as an array."""
-    return _linear_period_map_data(F.data, op, F.dt)
+    """The period map of a series, as an array."""
+    return _linear_period_map_data(F.frequency_rows(slice(None)), op, F.dt)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +189,7 @@ class TestPicardStep:
 
     def test_zero_u_reduces_to_linear_response(self, grid3d, op3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
-        zero = FieldSeries(grid3d, np.zeros_like(g.data), 1.0)
+        zero = FieldSeries(grid3d, np.zeros((17,) + grid3d.shape, complex), 1.0)
         stepped = picard_step(zero, g, op3d)
         np.testing.assert_allclose(stepped.data, linear_period_map(g, op3d), atol=1e-15)
 
@@ -208,7 +208,7 @@ class TestSolvePeriodic:
         g = realize_forcing(ForcingSpec(amplitude=0.0, period=1.0), grid3d, 16)
         u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
         assert rep.converged and rep.iterations == 1
-        assert np.all(u.data == 0)
+        assert np.all(whole_series(u).data == 0)
         assert rep.c_estimate is None
 
     def test_time_nodes_are_not_an_option(self):
@@ -233,7 +233,7 @@ class TestSolvePeriodic:
             g = FieldSeries(grid3d, data, 1.0)
             u, rep = solve_periodic(g, op3d, cutoffs3d, opts)
             lam = (1 + 1j) * grid3d.xi_sq[idx]
-            err = np.abs(u.data[(slice(None),) + idx] - c / lam).max() / abs(c / lam)
+            err = np.abs(whole_series(u).data[(slice(None),) + idx] - c / lam).max() / abs(c / lam)
             assert rep.converged
             assert err <= 1e-10
 
@@ -251,7 +251,8 @@ class TestSolvePeriodic:
         u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
         assert rep.converged
         for m in (0, 5, 11, 16):
-            assert odd_residual(u.field(m)) <= 1e-10
+            node, = u.frequency_rows(slice(m, m + 1))
+            assert odd_residual(SpectralField(grid3d, node)) <= 1e-10
 
     def test_divergence_raises_or_reports(self, grid3d, op3d, cutoffs3d):
         g = realize_forcing(ForcingSpec(amplitude=40.0, period=1.0), grid3d, 16)
@@ -265,11 +266,12 @@ class TestSolvePeriodic:
     def test_split_consistency(self, grid3d, op3d, cutoffs3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
         u, rep = solve_periodic(g, op3d, cutoffs3d, SolveOptions())
+        full = equation_residual(u, g, op3d)
+        u, g = whole_series(u), whole_series(g)
         low, high = split_series(u, cutoffs3d)
         recombined = low.data + high.data
         err = np.abs(recombined - u.data).max() / np.abs(u.data).max()
         assert err <= 1e-14
-        full = equation_residual(u, g, op3d)
         res_low, res_high = split_equation_residual(u, g, op3d, cutoffs3d)
         # sub-system residuals at the same discretization order
         assert res_low <= 2.0 * full and res_high <= 2.0 * full
@@ -306,7 +308,7 @@ class TestEquationResidual:
         noise /= node_l2.max()
         grown = []
         for delta in (1e-3, 1e-2):  # noise-dominated, normalization-stable regime
-            u_noisy = FieldSeries(grid3d, u.data + delta * noise, 1.0)
+            u_noisy = FieldSeries(grid3d, whole_series(u).data + delta * noise, 1.0)
             resid = equation_residual(u_noisy, g, op3d)
             assert resid > 3.0 * base
             grown.append(resid)
@@ -435,8 +437,8 @@ class TestSeriesKernelsOnThePool:
 def _ref_equation_residual(u, g, op, include_nonlinearity=True):
     """The full-series equation residual: G, F, D_t u and R built for every
     node at once (the form the streamed equation_residual replaced)."""
-    U = u.data
-    G = g.data
+    U = u.frequency_rows(slice(None))
+    G = g.frequency_rows(slice(None))
     if U.shape != G.shape:
         raise ValueError("solution and forcing series are not aligned")
     grid = u.grid
@@ -516,9 +518,9 @@ class TestSolveKeepsCallerData:
         return realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
 
     def test_caller_forcing_is_unchanged(self, grid3d, op3d, cutoffs3d, forcing):
-        before = forcing.data.tobytes()
+        before = forcing.frequency_rows(slice(None)).tobytes()
         solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())
-        assert forcing.data.tobytes() == before
+        assert forcing.frequency_rows(slice(None)).tobytes() == before
 
     def test_max_iterations_ends_with_the_last_correction_added(self, grid3d, op3d,
                                                                  cutoffs3d, forcing):
@@ -526,7 +528,7 @@ class TestSolveKeepsCallerData:
         # The whole-lattice reference runs the oracle's transforms; the solve
         # takes g's odd part through the odd pair, so it meets the oracle on
         # that odd part to roundoff.
-        linear = _linear_period_map_data(forcing.data, op3d, forcing.dt)
+        linear = linear_period_map(forcing, op3d)
         stepped = picard_step(FieldSeries(grid3d, linear, 1.0), forcing, op3d)
         u, rep = whole_lattice_solve(forcing, op3d, cutoffs3d, SolveOptions(max_iterations=1))
         assert rep.iterations == 1 and not rep.converged
@@ -536,13 +538,14 @@ class TestSolveKeepsCallerData:
         stepped = picard_step(FieldSeries(grid3d, linear, 1.0), g_odd, op3d)
         u, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions(max_iterations=1))
         assert rep.iterations == 1 and not rep.converged
-        np.testing.assert_allclose(u.data, stepped.data, rtol=0,
+        np.testing.assert_allclose(whole_series(u).data, stepped.data, rtol=0,
                                    atol=1e-13 * np.abs(stepped.data).max())
 
 
 class TestStreamedEquationResidual:
     """equation_residual against the full-series form, ==, on uneven node
-    chunks (m_t 16 and 21: 15 and 20 interior nodes in chunks of 8)."""
+    chunks (m_t 16 and 21: 15 and 20 interior nodes in chunks of 6, read with
+    a halo node either side)."""
 
     @pytest.mark.parametrize("m_t", [16, 21])
     @pytest.mark.parametrize("nonlinear", [True, False])
@@ -561,12 +564,35 @@ class TestStreamedEquationResidual:
         assert (equation_residual(u, g, op3d, nonlinear)
                 == _ref_equation_residual(u, g, op3d, nonlinear))
 
-    def test_misaligned_series_rejected(self, grid3d, op3d):
+    def test_tasks_read_one_chunk_of_u(self, grid3d, op3d):
+        # a task's interior nodes and their two halo nodes are CHUNK_NODES rows
+        # of u, the chunk of every other kernel (ten rows faulted in fresh
+        # pages on every task at the reference scale)
+        reads = []
+
+        class Recording(FieldSeries):
+            def frequency_rows(self, rows):
+                reads.append(len(self.data[rows]))
+                return super().frequency_rows(rows)
+
+        rng = np.random.default_rng(3)
+        u = Recording(grid3d, raw_random_series(grid3d, 21, rng), 1.0)
+        equation_residual(u, FieldSeries(grid3d, raw_random_series(grid3d, 21, rng), 1.0), op3d)
+        assert max(reads) == spectral.CHUNK_NODES and sum(reads) == 20 + 2 * len(reads)
+
+    def test_misaligned_series_rejected(self, grid3d, op3d, cutoffs3d):
+        # series of different lengths or grids, whatever holds them
         rng = np.random.default_rng(1)
         u = FieldSeries(grid3d, raw_random_series(grid3d, 16, rng), 1.0)
-        g = FieldSeries(grid3d, raw_random_series(grid3d, 8, rng), 1.0)
-        with pytest.raises(ValueError, match="not aligned"):
-            equation_residual(u, g, op3d)
+        other = make_grid(GridConfig(dim=3, n_per_axis=16, box_length=16.0))
+        solved, _ = solve_periodic(realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0),
+                                                   grid3d, 16), op3d, cutoffs3d)
+        for a, b in ((u, FieldSeries(grid3d, raw_random_series(grid3d, 8, rng), 1.0)),
+                     (u, FieldSeries(other, raw_random_series(other, 16, rng), 1.0)),
+                     (solved, realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0),
+                                              grid3d, 8))):
+            with pytest.raises(ValueError, match="not aligned"):
+                equation_residual(a, b, op3d)
 
 
 class TestHalfLatticeZNorm:
@@ -582,7 +608,7 @@ class TestHalfLatticeZNorm:
         """g plus an even, mean-free, T-periodic series whose largest
         coefficient is `size` times g's (frequency data)."""
         grid = g.grid
-        g_data = g.data
+        g_data = g.frequency_rows(slice(None))
         bump = grid.x[0] * grid.x[1] * np.exp(-grid.x_abs ** 2 / 8.0)
         even = np.fft.fftn(bump)
         even.flat[0] = 0.0
@@ -608,10 +634,10 @@ class TestHalfLatticeZNorm:
         return u, rep, flags
 
     def test_oddness_is_measured_against_the_tolerance(self, grid3d, forcing):
-        assert grid3d.is_odd(forcing.data)
+        assert grid3d.is_odd(forcing)
         for size, odd in ((0.5 * ODDNESS_TOL, True), (2.0 * ODDNESS_TOL, False)):
             g = self.with_even_part(forcing, size)
-            assert grid3d.is_odd(g.data) is odd
+            assert grid3d.is_odd(g) is odd
 
     def test_odd_forcing_moves_norms_by_roundoff(self, monkeypatch, grid3d, op3d,
                                                  cutoffs3d, forcing):
@@ -621,14 +647,18 @@ class TestHalfLatticeZNorm:
         assert flags == [True] * (rep.iterations + 1)
         # the solve takes g's odd part: u within 1e-13 of its peak of the
         # whole-lattice solve of (g - Rg)/2
-        u_odd, _ = whole_lattice_solve(_odd_part(forcing), op3d, cutoffs3d)
-        np.testing.assert_allclose(u.data, u_odd.data, rtol=0,
+        u_odd, rep_odd = whole_lattice_solve(_odd_part(forcing), op3d, cutoffs3d)
+        np.testing.assert_allclose(whole_series(u).data, u_odd.data, rtol=0,
                                    atol=1e-13 * np.abs(u_odd.data).max())
         np.testing.assert_allclose(rep.residual_history, rep_full.residual_history,
                                    rtol=1e-13, atol=0)
         assert rep.z_norm == pytest.approx(rep_full.z_norm, rel=1e-13)
-        assert rep.c_estimate == pytest.approx(rep_full.c_estimate, rel=1e-13)
-        assert rep.g_bracket == rep_full.g_bracket
+        # [g] is read from g's odd part, its L1_w on half the lattice: the
+        # whole-lattice bracket of that part to roundoff, and g's own within
+        # g's even part (the dipole's seam rows)
+        assert rep.c_estimate == pytest.approx(rep_odd.c_estimate, rel=1e-13)
+        assert rep.g_bracket == pytest.approx(rep_odd.g_bracket, rel=1e-14)
+        assert rep.g_bracket == pytest.approx(rep_full.g_bracket, rel=1e-12)
 
 
 class TestOddnessPrecondition:
@@ -670,7 +700,7 @@ class TestOddnessPrecondition:
     def test_mean_carrying_forcing_is_rejected_before_writing(self, monkeypatch, grid3d,
                                                               op3d, cutoffs3d, forcing):
         # the mean mode is even: a forcing that carries one is not odd
-        data = forcing.data.copy()
+        data = forcing.frequency_rows(slice(None))
         data[:, 0, 0, 0] = 1e-3 * np.abs(data).max()
         assert self.rejected(monkeypatch, FieldSeries(grid3d, data, 1.0), op3d, cutoffs3d)
 
@@ -715,7 +745,8 @@ class TestHalfLatticeSolve:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(periodic_solver, name, recording)
         u, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())
-        assert u.data.shape[1:] == grid3d.shape
+        assert u.half.shape[1:] == grid3d.half_shape
+        assert u.frequency_rows(slice(0, 1)).shape[1:] == grid3d.shape
         assert set(planes) == {grid3d.n // 2 + 1}
 
     def test_odd_solve_holds_six_tenths_of_the_whole_lattice(self, monkeypatch, grid3d,
@@ -770,7 +801,7 @@ class TestHalfPeriodSolve:
         """g plus an odd series of period T/2 whose largest coefficient is
         `size` times g's: cos(4 pi t/T) times g's peak node, sin(2 pi t/T) = 1
         (frequency data)."""
-        data = g.data
+        data = g.frequency_rows(slice(None))
         a = np.cos(4.0 * np.pi * np.arange(len(g)) / g.n_steps)
         part = a[:, None, None, None] * data[g.n_steps // 4]
         assert np.abs(part).max() == np.abs(data).max()
@@ -798,8 +829,9 @@ class TestHalfPeriodSolve:
         for size, antiperiodic in ((0.0, True), (0.5 * ODDNESS_TOL, True),
                                    (2.0 * ODDNESS_TOL, False)):
             data = self.with_periodic_part(forcing, size).data
-            assert periodic_solver._is_antiperiodic(data) is antiperiodic
-            assert periodic_solver._is_antiperiodic(data[:, :planes]) is antiperiodic
+            for layout in (data, data[:, :planes]):
+                g = FieldSeries(grid3d, layout, 1.0)
+                assert periodic_solver._is_antiperiodic(g) is antiperiodic
 
     def test_antiperiodic_forcing_moves_norms_by_roundoff(self, monkeypatch, op3d,
                                                          cutoffs3d, forcing):
@@ -813,11 +845,11 @@ class TestHalfPeriodSolve:
         # the half-period map moves u within the full map's antiperiodicity
         # bound (measured: 0.10 of it), and u's second half is minus its first
         F = np.empty((len(forcing),) + forcing.grid.half_shape, complex)
-        assert forcing.grid.is_odd(forcing.data, keep=F)
-        assert np.abs(u.data - u_every.data).max() \
-            <= antiperiodicity_bound(F, op3d) * np.abs(u_every.data).max()
+        assert forcing.grid.is_odd(forcing, keep=F)
+        u, u_every = whole_series(u).data, whole_series(u_every).data
+        assert np.abs(u - u_every).max() <= antiperiodicity_bound(F, op3d) * np.abs(u_every).max()
         half = self.M_T // 2
-        assert u.data[half + 1:].tobytes() == (-u.data[1:half + 1]).tobytes()
+        assert u[half + 1:].tobytes() == (-u[1:half + 1]).tobytes()
         np.testing.assert_allclose(rep.residual_history, rep_every.residual_history,
                                    rtol=1e-13, atol=0)
         for key in ("z_norm", "c_estimate", "g_bracket"):
@@ -839,7 +871,7 @@ class TestHalfPeriodSolve:
         u_every, rep_every, _ = self.solve(monkeypatch, g, op3d, cutoffs3d, measured=False)
         assert rep.converged and not rep.antiperiodic
         assert flags == [False] * (rep.iterations + 2)
-        assert u.data.tobytes() == u_every.data.tobytes()
+        assert u.half.tobytes() == u_every.half.tobytes()
         assert rep.to_json() == rep_every.to_json()
 
 
@@ -878,6 +910,20 @@ class TestSolveMemory:
         monkeypatch.setattr(periodic_solver, "_is_antiperiodic", lambda data: False)
         every = on_workers(monkeypatch, 2, peak_of)
         assert half <= 0.8 * every
+
+    def test_no_whole_period_series_from_forcing_to_residual(self, grid3d, op3d, cutoffs3d):
+        # realization, solve and residual, as solve-periodic runs them: 1.97
+        # series on two workers (3.11 when g and the returned u were
+        # whole-period series)
+        spec, opts = ForcingSpec(amplitude=1e-2, period=1.0), SolveOptions()
+
+        def run():
+            g = realize_forcing(spec, grid3d, self.M_T)
+            u, _ = solve_periodic(g, op3d, cutoffs3d, opts)
+            equation_residual(u, g, op3d)
+
+        run()  # warm the per-grid caches
+        assert _traced_peak(run) <= 2.5 * _series_bytes(grid3d, self.M_T)
 
     def test_equation_residual_streams(self, grid3d, op3d, cutoffs3d, forcing):
         u, _ = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())

@@ -1,6 +1,8 @@
 """Grid construction, transforms, dealiasing, the cubic term, series
 containers and snapshot files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,24 @@ class TestFieldSeries:
 
 
 class TestSnapshots:
+    @pytest.mark.parametrize("given_grid", [True, False])
+    def test_padded_file_is_rejected_before_it_is_read(self, tmp_path, grid3d, rng,
+                                                       given_grid):
+        # a 16^3 snapshot padded by 8 MB is rejected on its size, with less
+        # traced allocation than one field (the whole file was once read first)
+        path = tmp_path / "padded.glpf"
+        write_snapshot(random_field(grid3d, rng), path)
+        with open(path, "ab") as fh:
+            fh.write(bytes(8 * 2 ** 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated or padded"):
+                read_snapshot(path, grid3d if given_grid else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * grid3d.n ** 3
+
     def test_round_trip_bit_exact(self, tmp_path, grid3d, rng):
         f = random_field(grid3d, rng)
         path = tmp_path / "field.glpf"

@@ -23,7 +23,8 @@ from glperiod.spectral import write_snapshot
 from glperiod.stability import _base_nodes, _rhs_data, _rhs_work, _Stepper
 
 from conftest import random_field, random_odd_field, random_physical_field, raw_random_series
-from oracles import WholeLatticeStepper, direct_step, exp_step, semigroup_apply
+from oracles import (WholeLatticeStepper, direct_step, exp_step, semigroup_apply,
+                     whole_lattice, whole_series)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ class _ReferenceMultistep(_ReferenceStepper):
 def _reference_run(cfg, op, cutoffs):
     """Node-locked reference integration with the per-norm recorder:
     (times, l2, grad, n1, n2)."""
-    v_hat = cfg.v_per.data
+    v_hat = cfg.v_per.frequency_rows(slice(None))
     grid = cfg.v_per.grid
     m_t = cfg.v_per.n_steps
     h = cfg.v_per.dt
@@ -204,7 +205,8 @@ class TestExpStep:
         grid, op, cut, g, v_per = small_setup
         w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         t_final = 0.25
-        v_nodes = [np.fft.ifftn(v_per.data[m]) for m in range(v_per.n_steps)]
+        v = whole_series(v_per).data
+        v_nodes = [np.fft.ifftn(v[m]) for m in range(v_per.n_steps)]
 
         def integrate(order, n_steps):
             h = t_final / n_steps
@@ -234,7 +236,7 @@ class TestExpStep:
         grid, op, cut, g, v_per = small_setup
         w = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         before = w.data.copy()
-        v_now, v_next = np.fft.ifftn(v_per.data[0]), np.fft.ifftn(v_per.data[1])
+        v_now, v_next = np.fft.ifftn(v_per.frequency_rows(slice(0, 2)), axes=(1, 2, 3))
         stepped = exp_step(w, v_now, v_per.dt, op, order=order, v_next=v_next,
                            include_rhs=include_rhs)
         assert np.array_equal(w.data, before)
@@ -270,7 +272,7 @@ class TestExpStep:
         # for bit exp_step(order=2); the second is multistep ETD2 and makes
         # one nonlinear evaluation
         grid, op, cut, g, v_per = small_setup
-        v_phys = [np.fft.ifftn(v_per.data[m]) for m in range(3)]
+        v_phys = list(np.fft.ifftn(v_per.frequency_rows(slice(0, 3)), axes=(1, 2, 3)))
         w = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         stepper = WholeLatticeStepper(grid, op, v_per.dt)
         w_hat = stepper.step(w.data.copy(), v_phys[0], v_phys[1], 2)
@@ -360,18 +362,15 @@ class TestRunStability:
     def test_base_nodes_transform_one_node_at_a_time(self, small_setup):
         # the batched odd inverse's bits, with no temporaries beyond the
         # nodes and one half-plane buffer (9/16 of a field against 16 nodes
-        # of 130/256 fields)
+        # of 130/256 fields), on the solve's own antiperiodic OddSeries
         grid, op, cut, g, v_per = small_setup
-        m_t = v_per.n_steps
-        batched = grid.odd_transform.ifft(v_per.data[:m_t, :grid.n // 2 + 1])
-        assert np.array_equal(_base_nodes(v_per), batched)
-        tracemalloc.start()
-        try:
-            nodes = _base_nodes(v_per)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * nodes.nbytes
+        assert v_per.antiperiodic
+        _check_base_nodes(v_per, whole_series(v_per))
+
+    def test_saved_base_nodes_transform_one_node_at_a_time(self, small_setup):
+        # the same on a saved base's one-node reads, here a FieldSeries
+        v_per = whole_series(small_setup[-1])
+        _check_base_nodes(v_per, v_per)
 
     def test_linear_single_mode_heat_decay(self, grid1d):
         # base solution zero and rhs off: each mode decays exactly like
@@ -463,11 +462,27 @@ class TestRunStability:
         assert len(rows) == decay.times.size + 1
 
 
+def _check_base_nodes(base, whole):
+    """_base_nodes(base) has the bits of the batched odd inverse of the
+    series `whole` (base's every node) and a traced peak of at most 1.1
+    times the nodes it returns."""
+    grid, m_t = whole.grid, whole.n_steps
+    batched = grid.odd_transform.ifft(whole.data[:m_t, :grid.n // 2 + 1])
+    assert np.array_equal(_base_nodes(base), batched)
+    tracemalloc.start()
+    try:
+        nodes = _base_nodes(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * nodes.nbytes
+
+
 def _with_even_part(v_per, size):
     """The base plus a time-constant even field whose largest coefficient is
     `size` times the base's (frequency data)."""
     grid = v_per.grid
-    data = v_per.data
+    data = v_per.frequency_rows(slice(None))
     even = np.fft.fftn(grid.x[0] * grid.x[-1] * np.exp(-grid.x_abs ** 2 / 8.0))
     even *= size * np.abs(data).max() / np.abs(even).max()
     return FieldSeries(grid, data + even, v_per.period)
@@ -578,7 +593,7 @@ class TestHalfLattice:
         assert nodes.shape == (m_t, grid3d.n, 130)
         half = data[:m_t, :grid3d.n // 2 + 1]
         assert np.array_equal(nodes, pair.ifft(half))
-        odd = _half_columns(grid3d, np.fft.ifftn(grid3d.whole_lattice(half), axes=(1, 2, 3)))
+        odd = _half_columns(grid3d, np.fft.ifftn(whole_lattice(grid3d, half), axes=(1, 2, 3)))
         np.testing.assert_allclose(nodes, odd, rtol=0, atol=1e-13 * np.abs(odd).max())
         assert peak <= 0.53 * full_bytes  # 130/256 + 9/(16 * 64) = 0.517
 
@@ -605,7 +620,7 @@ def _saved_base(series, directory):
     base of `stability --base`."""
     paths = [directory / f"field_{m:04d}.glpf" for m in range(len(series))]
     for m, path in enumerate(paths):
-        write_snapshot(series.field(m), path)
+        write_snapshot(SpectralField(series.grid, series.data[m]), path)
     return cli._SavedBase(series.grid, paths, series.period)
 
 

@@ -23,7 +23,7 @@ from glperiod.verification import (STACK_SAMPLES, _band_envelope, _band_stack,
                                    check_projection_completeness,
                                    reports_to_json, run_all_checks, sample_rngs)
 
-from oracles import cubic_rhs, random_band_field
+from oracles import cubic_rhs, random_band_field, whole_series
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +174,7 @@ class TestBatteries:
 
     def test_energy_inequality_on_solved_run(self, solved, op3d_module,
                                              cutoffs3d_module):
-        u, g = solved
+        u, g = map(whole_series, solved)
         rep = check_energy_inequality(u, g, op3d_module, cutoffs3d_module)
         assert rep.passed
         assert rep.extras["d"] > 0
@@ -194,7 +194,7 @@ class TestBatteries:
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0),
                             grid3d_module, 16)
         zero = FieldSeries(grid3d_module, np.zeros((17,) + grid3d_module.shape, complex), 1.0)
-        reports = check_nonlinear_bound(zero, g, op3d_module, cutoffs3d_module)
+        reports = check_nonlinear_bound(zero, whole_series(g), op3d_module, cutoffs3d_module)
         for rep in reports:
             assert rep.fitted_constant == pytest.approx(1.0, rel=1e-10)
 
@@ -216,7 +216,7 @@ class TestBatteries:
 
     def test_nonlinear_bound_on_solved_run(self, solved, op3d_module,
                                            cutoffs3d_module):
-        u, g = solved
+        u, g = map(whole_series, solved)
         for rep in check_nonlinear_bound(u, g, op3d_module, cutoffs3d_module):
             assert rep.passed and math.isfinite(rep.fitted_constant)
 
@@ -246,8 +246,9 @@ class TestRunAllChecks:
         # the same reports as the batteries computing their own, to roundoff
         u, g = solved
         op, cut = op3d_module, cutoffs3d_module
-        half = FieldSeries(u.grid, u.data[:, :u.grid.n // 2 + 1], u.period)
-        alone = [check_energy_inequality(u, g, op, cut), *check_nonlinear_bound(u, g, op, cut)]
+        whole = whole_series(u), whole_series(g)
+        half = FieldSeries(u.grid, whole[0].data[:, :u.grid.n // 2 + 1], u.period)
+        alone = [check_energy_inequality(*whole, op, cut), *check_nonlinear_bound(*whole, op, cut)]
         calls = []
         for name in ("_cubic_difference_data", "z_norm"):
             def counting(*args, _f=getattr(verification, name), _name=name, **kwargs):
@@ -445,7 +446,7 @@ class TestStackedBatteriesMatchPerSample:
     def test_nonlinear_bound(self, seed, solved, op3d_module, cutoffs3d_module):
         # the trajectory battery's weighted L1 node norms now come from the
         # shared L^p helper; this reference is the per-node formula
-        u, g = solved
+        u, g = map(whole_series, solved)
         grid, keep = u.grid, u.grid.keep_nyquist_free
         axes = (1, 2, 3)
         F = cubic_rhs(u.data, g.data, grid)
