@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import copy
 import csv
+import io
 import os
 import sys
 import time
@@ -312,13 +313,11 @@ def cmd_sweep(cfg: dict, axis: str, out_override: str | None = None) -> int:
     with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
         rows = list(pool.map(_sweep_row, solves, values))
 
-    csv_path = out / f"sweep_{axis}.csv"
-    tmp = csv_path.with_suffix(".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    os.replace(tmp, csv_path)
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
+    atomic_write_text(out / f"sweep_{axis}.csv", text.getvalue())
 
     print(f"{axis:>12}  {'c_estimate':>12}  {'contraction':>12}  "
           f"{'periodicity':>12}  {'runtime_s':>10}  error")

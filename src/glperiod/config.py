@@ -136,10 +136,6 @@ def build_forcing(cfg: dict) -> SeparableForcing:
     that cannot be realized (a bad value, a profile that does not decay at
     the seam or is not odd) is a config error."""
     f = cfg["forcing"]
-    if f["spatial_profile"] == "custom":
-        raise ConfigError("forcing.spatial_profile 'custom' needs a profile field, "
-                          "which only the Python API (ForcingSpec.custom_profile) "
-                          "can supply")
     m_t = integer(cfg["solve"]["m_t"], "solve.m_t")
     if m_t < 8:
         raise ConfigError(f"solve.m_t must be >= 8; got {m_t}")
@@ -149,7 +145,7 @@ def build_forcing(cfg: dict) -> SeparableForcing:
     try:
         spec = ForcingSpec(amplitude=amplitude, period=period,
                            temporal_profile=f["temporal_profile"], harmonic=harmonic,
-                           spatial_profile=f["spatial_profile"], axis=axis, sigma=sigma)
+                           axis=axis, sigma=sigma)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid forcing config: {exc}")
     try:
@@ -176,8 +172,7 @@ def build_perturbation_spec(cfg: dict) -> PerturbationSpec:
     amplitude = number(s["amplitude"], "stability.amplitude")
     sigma = None if s["sigma"] is None else number(s["sigma"], "stability.sigma")
     try:
-        return PerturbationSpec(amplitude=amplitude, profile=s["profile"], sigma=sigma,
-                                axis=axis)
+        return PerturbationSpec(amplitude=amplitude, sigma=sigma, axis=axis)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid stability config: {exc}")
 

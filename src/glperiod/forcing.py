@@ -32,22 +32,20 @@ from .spectral import Grid, Series, SpectralField
 SEAM_DECAY_TOL = 1e-8
 
 TEMPORAL_PROFILES = ("sin_fundamental", "cos_fundamental", "harmonic")
-SPATIAL_PROFILES = ("gauss_dipole", "custom")
-PERTURBATION_PROFILES = ("gauss_dipole",)
 
 
 @dataclass
 class ForcingSpec:
-    """Separable forcing eps * a(t) * G(x) with a(t+T) = a(t) and G odd."""
+    """Separable forcing eps * a(t) * G(x) with a(t+T) = a(t) and G odd: the
+    Gaussian dipole, or custom_profile when given."""
 
     amplitude: float
     period: float
     temporal_profile: str = "sin_fundamental"
     harmonic: int = 1
-    spatial_profile: str = "gauss_dipole"
     sigma: float | None = None  # defaults to L/16 at realization time
     axis: int = 0
-    custom_profile: SpectralField | None = None  # frequency data of G
+    custom_profile: SpectralField | None = None  # frequency data of G; None: the dipole
 
     def __post_init__(self):
         if not 0 <= self.amplitude < np.inf:
@@ -56,8 +54,6 @@ class ForcingSpec:
             raise ValueError("period must be positive")
         if self.temporal_profile not in TEMPORAL_PROFILES:
             raise ValueError(f"unknown temporal profile {self.temporal_profile!r}")
-        if self.spatial_profile not in SPATIAL_PROFILES:
-            raise ValueError(f"unknown spatial profile {self.spatial_profile!r}")
         if self.harmonic < 1:
             raise ValueError("harmonic index must be >= 1")
 
@@ -68,15 +64,12 @@ class PerturbationSpec:
     stability run steps odd perturbations only."""
 
     amplitude: float
-    profile: str = "gauss_dipole"
     sigma: float | None = None
     axis: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite; got {self.amplitude}")
-        if self.profile not in PERTURBATION_PROFILES:
-            raise ValueError(f"unknown perturbation profile {self.profile!r}")
 
 
 def gauss_dipole(grid: Grid, sigma: float, axis: int = 0) -> np.ndarray:
@@ -117,9 +110,7 @@ def temporal_values(spec: ForcingSpec, m_t: int) -> np.ndarray:
 def spatial_profile(spec: ForcingSpec, grid: Grid) -> np.ndarray:
     """The spatial factor as frequency data, normalized to unit peak modulus
     in physical space, verified odd and seam-decaying."""
-    if spec.spatial_profile == "custom":
-        if spec.custom_profile is None:
-            raise ValueError("custom spatial profile requires custom_profile")
+    if spec.custom_profile is not None:
         if spec.custom_profile.grid.shape != grid.shape:
             raise ValueError("custom profile grid does not match")
         profile_hat = spec.custom_profile.data
@@ -129,7 +120,7 @@ def spatial_profile(spec: ForcingSpec, grid: Grid) -> np.ndarray:
         profile = gauss_dipole(grid, sigma, spec.axis).astype(complex)
         profile_hat = np.fft.fftn(profile)
     check_seam_decay(profile, grid)
-    grid.require_odd(profile_hat[None], f"{spec.spatial_profile} forcing profile")
+    grid.require_odd(profile_hat[None], "forcing profile")
     peak = np.abs(profile).max()
     return profile_hat / peak if peak > 0 else profile_hat
 
@@ -188,5 +179,5 @@ def realize_perturbation(spec: PerturbationSpec, grid: Grid) -> SpectralField:
     if peak > 0:
         profile = profile / peak
     w0 = SpectralField(grid, np.fft.fftn(spec.amplitude * profile))
-    grid.require_odd(w0.data[None], f"{spec.profile} perturbation profile")
+    grid.require_odd(w0.data[None], "perturbation profile")
     return w0

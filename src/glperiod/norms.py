@@ -44,10 +44,10 @@ task gathers all n planes of them, plane j > n/2 as minus plane n - j on
 the mirror columns, and each pass is scattered into planes 0..n/2 with the
 sign -(-1)^a0 of d_0^a0 on the mirror columns.
 
-With antiperiodic=True (u(t + T/2) = -u(t), as the solve measures) the
-data hold nodes 0..m_t/2, a series of period T/2 (dt stays T/m_t). Every
-node sum is one of |.|^2, so nodes 0..m_t/2 - 1 are computed (node 0's left
-halo is minus node m_t/2 - 1) and node m takes the sums of node m mod m_t/2.
+An antiperiodic series (FieldSeries.antiperiodic: u(t + T/2) = -u(t), as
+the solve measures) holds nodes 0..m_t/2. Every node sum is one of |.|^2,
+so nodes 0..m_t/2 - 1 are computed (node 0's left halo is minus node
+m_t/2 - 1) and node m takes the sums of node m mod m_t/2.
 
 The weighted field norms (weighted_hk_node_sq, x_gradient_node_sq) run on
 the same tree over stacks of fields; single-field norms are stacks of one.
@@ -64,17 +64,8 @@ from .operators import CutoffSpec
 from .spectral import FieldSeries, Grid, SpectralField, map_chunks, node_chunks
 
 
-def _multi_indices(dim: int, k: int) -> list[tuple[int, ...]]:
-    out = []
-    for total in range(k + 1):
-        for alpha in itertools.product(range(total + 1), repeat=dim):
-            if sum(alpha) == total:
-                out.append(alpha)
-    return out
-
-
 class NormSuite:
-    """Per-grid cache of the weight, derivative symbols and Sobolev symbols."""
+    """Per-grid cache of the weight and the derivative symbols."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -86,7 +77,6 @@ class NormSuite:
         self.axis_symbols = [
             [((1j * grid.xi1d) ** a).reshape((-1,) + (1,) * (grid.dim - 1 - axis))
              for a in range(4)] for axis in range(grid.dim)]
-        self._sobolev_symbols: dict[int, np.ndarray] = {}
 
     @classmethod
     def for_grid(cls, grid: Grid) -> "NormSuite":
@@ -108,18 +98,6 @@ class NormSuite:
         if odd:
             w = w[:grid.n // 2 + 1] * grid.plane_weights()
         return np.repeat(w.ravel(), 2) * grid.quad_weight
-
-    def sobolev_symbol(self, k: int) -> np.ndarray:
-        """sum_{|alpha| <= k} |(i xi)^alpha|^2, Nyquist-zeroed for |alpha| >= 1,
-        for the unweighted fast path."""
-        sym = self._sobolev_symbols.get(k)
-        if sym is None:
-            grid = self.grid
-            sym = 1.0 + grid.keep_nyquist_free * sum(
-                math.prod(grid.xi[axis] ** (2 * p) for axis, p in enumerate(alpha))
-                for alpha in _multi_indices(grid.dim, k)[1:])
-            self._sobolev_symbols[k] = sym
-        return sym
 
 
 _LP_EXPONENTS = (1, 2, 3, 6)
@@ -169,17 +147,17 @@ def lp_norm(f: SpectralField, p, weighted: bool = False) -> float:
 
 
 def sobolev_norm(f: SpectralField, k: int, weighted: bool = False) -> float:
-    """H^k norm over all multi-indices |alpha| <= k; weighted applies (1+|x|)
-    in physical space after differentiation (one field of
-    weighted_hk_node_sq)."""
+    """H^k norm over all multi-indices |alpha| <= k, from the derivative tree
+    (Nyquist rule of _derivative_tree); weighted applies (1+|x|) in physical
+    space after differentiation."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"Sobolev order k must be 0..3; got {k}")
-    freq = f.data
-    if weighted:
-        return float(np.sqrt(weighted_hk_node_sq(freq[None], f.grid, k)[k, 0]))
-    abs_sq = freq.real ** 2 + freq.imag ** 2
-    return float(np.sqrt((NormSuite.for_grid(f.grid).sobolev_symbol(k) * abs_sq).sum()
-                         * f.grid.parseval_factor))
+    w = NormSuite.for_grid(f.grid).flat("weight_sq" if weighted else "quad")
+
+    def add(out, alpha, phys, diff):
+        out[0] += _weighted_sq(phys, w)
+
+    return float(np.sqrt(_node_sums(f.data[None], f.grid, k, None, 1, add)[0, 0]))
 
 
 def x_weighted_gradient_norm(f: SpectralField) -> float:
@@ -227,8 +205,8 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
     block overwrites) for every |alpha| <= k, or 1 <= |alpha| <= k with
     `skip_zero`, from task-owned frequency data `block` stacked along axis 0
     (overwritten), reduced to support[axis] where that is set. Nyquist modes
-    are zeroed for |alpha| >= 1 and kept for alpha = 0 (the rule of
-    sobolev_symbol); a block not known to be Nyquist-free takes its alpha = 0
+    are zeroed for |alpha| >= 1 and kept for alpha = 0 (the rule of every
+    Sobolev norm here); a block not known to be Nyquist-free takes its alpha = 0
     field from an unmasked transform. The first and last nodes are a halo,
     kept for |alpha| <= halo_order only (none with -1). With `columns` (the
     scatter of Grid.odd_columns, its sign over the real view and the
@@ -420,46 +398,45 @@ def _y_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float, **fo
                  + np.sqrt(np.trapezoid(hk[1] + h1_dt, dx=h)))
 
 
-def spacetime_norm(series: FieldSeries, kind: str, cutoffs: CutoffSpec | None = None,
-                   *, antiperiodic: bool = False) -> float:
+def spacetime_norm(series: FieldSeries, kind: str, cutoffs: CutoffSpec | None = None) -> float:
     """The X (low-frequency) or Y (high-frequency) space-time norm.
 
     When cutoffs are given the matching projection is applied first; pass
     None for a series that is already supported in the right band. A half
     series (planes 0..n/2 of odd data) is summed on half the lattice; an
-    `antiperiodic` one holds and is summed on half the period (see _node_sums).
+    antiperiodic one holds and is summed on half the period (see _node_sums).
     """
-    if len(series) < 3 - antiperiodic:
+    if len(series) < 3:
         raise ValueError("space-time norms need at least 3 time nodes")
     if kind not in ("X", "Y"):
         raise ValueError(f"kind must be 'X' or 'Y'; got {kind!r}")
     chi = None if cutoffs is None else (cutoffs.chi1 if kind == "X" else cutoffs.chi_inf)
     norm = _x_norm if kind == "X" else _y_norm
-    return norm(series.data, series.grid, chi, series.dt, antiperiodic=antiperiodic)
+    return norm(series.data, series.grid, chi, series.dt, antiperiodic=series.antiperiodic)
 
 
-def z_norm(series: FieldSeries, cutoffs: CutoffSpec, *, antiperiodic: bool = False) -> float:
+def z_norm(series: FieldSeries, cutoffs: CutoffSpec) -> float:
     """X(P_low u) + Y(P_high u): the norm in which the iteration contracts
     (on half the lattice or the period as in spacetime_norm)."""
-    return sum(spacetime_norm(series, kind, cutoffs, antiperiodic=antiperiodic) for kind in "XY")
+    return sum(spacetime_norm(series, kind, cutoffs) for kind in "XY")
 
 
-def forcing_bracket(g: FieldSeries, *, antiperiodic: bool = False) -> float:
+def forcing_bracket(g: FieldSeries) -> float:
     """[g] = ||g||_{L2(0,T;L1_w)} + ||g||_{L2(0,T;H1_w)}.
 
     g is frequency data, whole-lattice or planes 0..n/2 of an odd g (the
     solve passes its odd part, on half the lattice); L1_w is read by
-    l1w_node, the H1_w sums by the derivative tree. An `antiperiodic` g
-    holds nodes 0..m_t/2, and both sums run on them (see _node_sums).
+    l1w_node, the H1_w sums by the derivative tree. An antiperiodic g holds
+    nodes 0..m_t/2, and both sums run on them (see _node_sums).
     """
-    if len(g) < 3 - antiperiodic:
+    if len(g) < 3:
         raise ValueError("the forcing functional needs at least 3 time nodes")
     w2 = NormSuite.for_grid(g.grid).flat("weight_sq", g.grid.is_half(g.data))
 
     def add(out, alpha, d_alpha, diff):
         out[0] += _weighted_sq(d_alpha, w2)
 
-    l1w = l1w_node(g.data, g.grid, antiperiodic)
-    h1w_sq = _node_sums(g.data, g.grid, 1, None, 1, add, antiperiodic=antiperiodic)[0]
+    l1w = l1w_node(g.data, g.grid, g.antiperiodic)
+    h1w_sq = _node_sums(g.data, g.grid, 1, None, 1, add, antiperiodic=g.antiperiodic)[0]
     return float(np.sqrt(np.trapezoid(l1w ** 2, dx=g.dt))
                  + np.sqrt(np.trapezoid(h1w_sq, dx=g.dt)))

@@ -35,16 +35,16 @@ layout every kernel and Z-norm reads off the data (Grid.is_half); the cubic
 terms run through spectral.OddTransform. The period map runs in place (F[m]
 is carried per slab before its row is overwritten), and one fused map per
 iteration advances u by delta and overwrites delta with the next cubic
-difference. u leaves the solve as the data it held (spectral.OddSeries),
-whose frequency_rows expands the rows a reader asks for; equation_residual
+difference. u leaves the solve as the FieldSeries it held, whose
+frequency_rows expands the rows a reader asks for; equation_residual
 streams over them.
 
 The equation is unchanged by u -> -u and a time shift, so for a measured
 antiperiodic g (g(t + T/2) = -g(t), as eps sin(2 pi t/T) G(x)) u and every
 correction are antiperiodic. The solve then holds its series on nodes
-0..m_t/2: the period map closes with u(T/2) = -u(0), u(0) =
--(1 + e^{-T lambda/2})^{-1} I(T/2), and node m + m_t/2 of u is read as minus
-node m.
+0..m_t/2 (FieldSeries.antiperiodic): the period map closes with u(T/2) =
+-u(0), u(0) = -(1 + e^{-T lambda/2})^{-1} I(T/2), and node m + m_t/2 of u is
+read as minus node m.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .manifest import strict_json
 from .norms import _node_l2, forcing_bracket, z_norm
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
 from .phi import phi1, phi2
-from .spectral import ODDNESS_TOL, FieldSeries, OddSeries, Series, map_chunks, node_chunks
+from .spectral import ODDNESS_TOL, FieldSeries, Series, map_chunks, node_chunks
 
 
 @dataclass
@@ -240,12 +240,12 @@ def _is_antiperiodic(g: Series) -> bool:
 
 
 def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
-                   opts: SolveOptions | None = None) -> tuple[OddSeries, PeriodicSolveReport]:
+                   opts: SolveOptions | None = None) -> tuple[FieldSeries, PeriodicSolveReport]:
     """Iterate the period map from the linear response of g until the Z-norm
     of successive iterates drops below tolerance.
 
     g is read by rows (spectral.Series: the realized forcing, a
-    FieldSeries). Returns u as the OddSeries the solve held and a
+    FieldSeries). Returns u as the FieldSeries the solve held and a
     report; the report has converged=False on max-iterations or on three
     consecutive residual increases (fail-fast divergence policy). Non-finite
     iterates raise NonFiniteField.
@@ -260,11 +260,11 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     opts = opts or SolveOptions()
     grid = g.grid
     antiperiodic = _is_antiperiodic(g)
-    # nodes 0..m_t/2 of an antiperiodic g (a series of period T/2), else every node
-    nodes, period = ((len(g) + 1) // 2, g.period / 2) if antiperiodic else (len(g), g.period)
+    nodes = (len(g) + 1) // 2 if antiperiodic else len(g)  # nodes 0..m_t/2, else every node
     u = np.empty((nodes,) + grid.half_shape, complex)  # g's odd part, then the iterate
     grid.require_odd(g, "forcing", keep=u)
-    bracket = forcing_bracket(FieldSeries(grid, u, period), antiperiodic=antiperiodic)
+    u_series = FieldSeries(grid, u, g.period, antiperiodic)
+    bracket = forcing_bracket(u_series)
     # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
 
@@ -280,6 +280,7 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         _linear_period_map_data(delta, op, g.dt, out=delta, antiperiodic=antiperiodic)
     else:
         delta = np.zeros_like(u)
+    delta_series = FieldSeries(grid, delta, g.period, antiperiodic)
 
     history: list[float] = []
     converged = False
@@ -287,7 +288,7 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     reason = None
     iterations = 0
     while True:
-        res = z_norm(FieldSeries(grid, delta, period), delta_cutoffs, antiperiodic=antiperiodic)
+        res = z_norm(delta_series, delta_cutoffs)
         history.append(res)
         iterations += 1
         if not math.isfinite(res):
@@ -309,12 +310,11 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         if last:
             break
         _linear_period_map_data(delta, op, g.dt, out=delta, antiperiodic=antiperiodic)
-    del delta  # before the final z_norm's chunk temporaries
+    del delta, delta_series  # before the final z_norm's chunk temporaries
 
-    z_final = z_norm(FieldSeries(grid, u, period), cutoffs, antiperiodic=antiperiodic)
-    u = OddSeries(grid, u, g.period, antiperiodic)
-    scale = max(float(_node_l2_chunked(u).max()), np.finfo(float).tiny)
-    first, last = (u.frequency_rows(slice(m, m + 1))[0] for m in (0, len(u) - 1))
+    z_final = z_norm(u_series, cutoffs)
+    scale = max(float(_node_l2_chunked(u_series).max()), np.finfo(float).tiny)
+    first, last = (u_series.frequency_rows(slice(m, m + 1))[0] for m in (0, len(u_series) - 1))
     periodicity = float(np.sqrt(np.sum(np.abs(last - first) ** 2)
                                 * grid.parseval_factor) / scale)
     c_est = (z_final / bracket) if bracket > 0 else None
@@ -326,7 +326,7 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         c_estimate=c_est, contraction_factor=factor,
         diverged=diverged, divergence_reason=reason,
         contraction_factor_reason=factor_reason, antiperiodic=antiperiodic)
-    return u, report
+    return u_series, report
 
 
 def equation_residual(u: Series, g: Series, op: LinearOperatorSpec,
@@ -334,7 +334,7 @@ def equation_residual(u: Series, g: Series, op: LinearOperatorSpec,
     """Solver-independent certificate: max over interior time nodes of
     ||D_t u + A u - dealias(|u|^2 u) - g||_{L2} / (1 + sup_t ||u||_{L2})
     with D_t the centered difference, for series u and g read by
-    frequency_rows (an OddSeries u, the realized forcing, FieldSeries).
+    frequency_rows (the solve's u, the realized forcing, a FieldSeries).
 
     Streamed over chunks of interior nodes: each task reads its nodes of u
     with one halo node either side (nodes 0 and m_t are halos, so the sup

@@ -302,8 +302,8 @@ class SpectralField:
 class Series:
     """m_t + 1 fields at uniform times t_m = m*T/m_t, m = 0..m_t, of period T,
     read by frequency_rows(rows) (frequency data of nodes `rows`): the
-    protocol of FieldSeries, OddSeries, the realized forcing
-    (forcing.SeparableForcing) and a saved base."""
+    protocol of FieldSeries, the realized forcing (forcing.SeparableForcing)
+    and a saved base."""
 
     @property
     def n_steps(self) -> int:
@@ -321,12 +321,16 @@ class FieldSeries(Series):
     Frequency data stacked along axis 0 with shape (m_t + 1,) + grid.shape.
     For a periodic series the last field duplicates the first up to solver
     tolerance. An odd series may keep planes 0..n/2 only (grid.half_shape),
-    for z_norm.
+    and an `antiperiodic` one (u(t + T/2) = -u(t)) nodes 0..m_t/2 only: the
+    layouts the solve holds and the norms sum on. frequency_rows expands
+    only the nodes it is asked for, by exact negation: plane -j is minus
+    plane j reflected (Grid.whole_index), and node m + m_t/2 is minus node m.
     """
 
     grid: Grid
     data: np.ndarray
     period: float
+    antiperiodic: bool = False
 
     def __post_init__(self):
         if self.data.ndim != self.grid.dim + 1:
@@ -334,7 +338,7 @@ class FieldSeries(Series):
         if self.data.shape[1:] != self.grid.shape and not self.grid.is_half(self.data):
             raise ValueError(
                 f"series spatial shape {self.data.shape[1:]} does not match grid {self.grid.shape}")
-        if self.data.shape[0] < 2:
+        if len(self) < 2:
             raise ValueError("a series needs at least two time nodes")
         if not self.period > 0:
             raise ValueError("period must be positive")
@@ -342,45 +346,32 @@ class FieldSeries(Series):
             self.data = self.data.astype(np.complex128)
 
     def __len__(self) -> int:
-        return self.data.shape[0]
+        return 2 * len(self.data) - 1 if self.antiperiodic else len(self.data)
 
     @property
     def times(self) -> np.ndarray:
         return np.arange(len(self)) * self.dt
 
     def frequency_rows(self, rows: slice) -> np.ndarray:
-        return self.data[rows]
-
-
-@dataclass
-class OddSeries(Series):
-    """An odd series as the data a periodic solve holds: planes 0..n/2
-    (Grid.half_shape) of nodes 0..m_t, or of nodes 0..m_t/2 when
-    `antiperiodic` (u(t + T/2) = -u(t)). frequency_rows expands only the
-    nodes it is asked for, by exact negation: plane -j is minus plane j
-    reflected (Grid.whole_index), and node m + m_t/2 is minus node m."""
-
-    grid: Grid
-    half: np.ndarray
-    period: float
-    antiperiodic: bool = False
-
-    def __len__(self) -> int:
-        return 2 * len(self.half) - 1 if self.antiperiodic else len(self.half)
-
-    def frequency_rows(self, rows: slice) -> np.ndarray:
         """Whole-lattice frequency data of the consecutive nodes `rows` (of
-        0..m_t): np.take over views of the held planes, then negation."""
-        grid, held, planes = self.grid, len(self.half), self.grid.half_shape[0]
+        0..m_t): a view of whole-lattice data, else np.take over views of
+        the held planes and nodes, then negation."""
+        grid, held, half = self.grid, len(self.data), self.grid.is_half(self.data)
+        if not (half or self.antiperiodic):
+            return self.data[rows]
         nodes = range(len(self))[rows]
         if nodes.step != 1:
             raise ValueError("frequency_rows reads consecutive nodes")
         cut = min(max(nodes.start, held), nodes.stop) - nodes.start  # then minus node m - m_t/2
         out = np.empty((len(nodes), grid.whole_index.size), complex)
         for part, first in ((out[:cut], nodes.start), (out[cut:], nodes.start + cut - held + 1)):
-            block = self.half[first:first + len(part)].reshape(len(part), self.half[0].size)
-            np.take(block, grid.whole_index, axis=1, out=part, mode="clip")
+            block = self.data[first:first + len(part)].reshape(len(part), self.data[0].size)
+            if half:
+                np.take(block, grid.whole_index, axis=1, out=part, mode="clip")
+            else:
+                part[...] = block
         out = out.reshape((len(nodes),) + grid.shape)
+        planes = grid.half_shape[0] if half else grid.n  # whole data: no plane is negated
         np.negative(out[:cut, planes:], out=out[:cut, planes:])
         np.negative(out[cut:, :planes], out=out[cut:, :planes])
         return out

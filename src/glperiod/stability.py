@@ -39,24 +39,24 @@ built). Frequency data keep first-axis planes 0..n/2 and physical data all
 planes of the half columns (Grid.odd_columns), on which the first-axis pass
 runs (Grid.odd_transform, shared with the solve; its forward transform and
 the h phi updates skip the planes with no dealiased mode). Base nodes are
-transformed one at a time from the planes the solve's OddSeries holds, or
-from frequency_rows (a FieldSeries, or snapshot files): no frequency copy is
-held.
+transformed one at a time from the planes a FieldSeries holds (the solve's
+u), or from frequency_rows (snapshot files): no frequency copy is held.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .manifest import strict_json
+from .manifest import atomic_write_text, strict_json
 from .operators import CutoffSpec, LinearOperatorSpec
 from .phi import phi1, phi2
-from .spectral import Grid, OddSeries, Series, SpectralField
+from .spectral import FieldSeries, Grid, Series, SpectralField
 
 
 def _rhs_work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -163,7 +163,7 @@ class _Stepper:
 @dataclass
 class StabilityRunConfig:
     t_max: float
-    v_per: Series  # the solve's OddSeries, a saved base's snapshots, a FieldSeries
+    v_per: Series  # a FieldSeries (the solve's u), a saved base's snapshots
     w0: SpectralField
     record_stride: int = 4
     order: int = 2
@@ -222,12 +222,13 @@ class DecayReport:
         return strict_json(self.summary_dict())
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "l2_w", "h1_grad_w", "n1", "n2", "n"])
-            for row in zip(self.times, self.l2_w, self.h1_grad_w,
-                           self.n1_series, self.n2_series, self.n_series):
-                writer.writerow([f"{x:.12e}" for x in row])
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["t", "l2_w", "h1_grad_w", "n1", "n2", "n"])
+        for row in zip(self.times, self.l2_w, self.h1_grad_w,
+                       self.n1_series, self.n2_series, self.n_series):
+            writer.writerow([f"{x:.12e}" for x in row])
+        atomic_write_text(path, text.getvalue())
 
 
 def fit_decay_rate(times, values, window) -> tuple[float, float, float]:
@@ -264,19 +265,19 @@ def default_fit_window(grid: Grid) -> tuple[float, float]:
 def _base_nodes(v_per) -> np.ndarray:
     """Base nodes 0..m_t - 1 in physical space, transformed one at a time:
     the odd inverse (Grid.odd_transform) of their planes 0..n/2, in the
-    stepper's column layout. The solve's OddSeries hands over the planes it
-    holds (node m + m_t/2 of an antiperiodic base is minus node m); other
-    series are read by frequency_rows."""
+    stepper's column layout. A FieldSeries hands over the planes it holds
+    (node m + m_t/2 of an antiperiodic base is minus node m); other series
+    are read by frequency_rows."""
     grid, m_t = v_per.grid, v_per.n_steps
     pair = grid.odd_transform
     nodes = np.empty((m_t, grid.n, pair.columns.size), complex)
     scratch = np.empty((1,) + pair.half_shape, complex)
-    held = len(v_per.half) if isinstance(v_per, OddSeries) else 0
+    held = len(v_per.data) if isinstance(v_per, FieldSeries) else 0
     for m in range(m_t):
         if not held:
             node, = v_per.frequency_rows(slice(m, m + 1))
         elif m < held:
-            node = v_per.half[m]
+            node = v_per.data[m]
         else:
             np.negative(nodes[m - m_t // 2], out=nodes[m])
             continue

@@ -206,8 +206,7 @@ def _trajectory_rhs(u_series: FieldSeries, g_series: FieldSeries) -> np.ndarray:
 
 
 def check_energy_inequality(u_series: FieldSeries, g_series: FieldSeries,
-                            op: LinearOperatorSpec, cutoffs: CutoffSpec,
-                            rhs: np.ndarray | None = None) -> CheckReport:
+                            cutoffs: CutoffSpec, rhs: np.ndarray | None = None) -> CheckReport:
     """Dissipation inequality of the high-frequency part along a solved
     trajectory:
 
@@ -242,8 +241,7 @@ def check_energy_inequality(u_series: FieldSeries, g_series: FieldSeries,
 
 
 def check_nonlinear_bound(u_series: FieldSeries, g_series: FieldSeries,
-                          op: LinearOperatorSpec, cutoffs: CutoffSpec,
-                          rhs: np.ndarray | None = None,
+                          cutoffs: CutoffSpec, rhs: np.ndarray | None = None,
                           u_z_norm: float | None = None) -> list[CheckReport]:
     """Size of the projected right-hand side against the cubic power of the
     solution norm plus the matching projected forcing norm:
@@ -381,6 +379,6 @@ def run_all_checks(grid: Grid, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         u_series, g_series = (FieldSeries(grid, s.frequency_rows(slice(None)), s.period)
                               for s in (u_series, g_series))
         rhs = _trajectory_rhs(u_series, g_series)
-        reports.append(check_energy_inequality(u_series, g_series, op, cutoffs, rhs))
-        reports.extend(check_nonlinear_bound(u_series, g_series, op, cutoffs, rhs, u_z_norm))
+        reports.append(check_energy_inequality(u_series, g_series, cutoffs, rhs))
+        reports.extend(check_nonlinear_bound(u_series, g_series, cutoffs, rhs, u_z_norm))
     return reports

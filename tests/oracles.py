@@ -34,10 +34,13 @@ few lines.
   one (test_solver).
 * picard_step: one fixed-point update, against the solve's difference
   form and, in criterion 6, for oddness.
-* whole_series: a series read by frequency_rows (the solve's OddSeries,
-  the realized forcing) as a FieldSeries of every node.
+* whole_series: a series read by frequency_rows (the solve's u, the
+  realized forcing) as a FieldSeries of every node.
 * whole_lattice: the expansion of planes 0..n/2 (and of nodes 0..m_t/2) by
-  Grid.reflect one node at a time, against OddSeries.frequency_rows.
+  Grid.reflect one node at a time, against FieldSeries.frequency_rows.
+* multi_indices: the multi-indices |alpha| <= k, in order of |alpha|, over
+  which the per-multi-index references of test_norms sum one inverse
+  transform each.
 * split_series, split_equation_residual: the low and high sub-systems,
   against equation_residual.
 * WholeLatticeStepper: the run's stepper on all n planes, its nonlinear
@@ -63,6 +66,7 @@ few lines.
   0), which write_snapshot no longer writes, for read_snapshot's flag-0 path.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -180,15 +184,15 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
     """solve_periodic's iteration on the whole lattice, for any mean-free g:
     the series it holds (u, delta) and the order of its kernel calls are
     those of solve_periodic, on all n planes and on g itself rather than its
-    odd part. For an antiperiodic g the norms take nodes 0..m_t/2 (a series
-    of period T/2) with the flag, as the solve's do; the period maps run over
+    odd part. For an antiperiodic g the norms take nodes 0..m_t/2 (an
+    antiperiodic FieldSeries), as the solve's do; the period maps run over
     the whole period."""
     opts = opts or SolveOptions()
     grid = g.grid
     antiperiodic = _is_antiperiodic(g)
-    nodes, period = ((len(g) + 1) // 2, g.period / 2) if antiperiodic else (len(g), g.period)
+    nodes = (len(g) + 1) // 2 if antiperiodic else len(g)
     G = g.frequency_rows(slice(None))
-    bracket = forcing_bracket(FieldSeries(grid, G[:nodes], period), antiperiodic=antiperiodic)
+    bracket = forcing_bracket(FieldSeries(grid, G[:nodes], g.period, antiperiodic))
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
     u = _linear_period_map_data(G, op, g.dt)
     del G
@@ -199,8 +203,7 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
         delta = np.zeros_like(u)
     history, converged, diverged, reason = [], False, False, None
     while True:
-        res = z_norm(FieldSeries(grid, delta[:nodes], period), delta_cutoffs,
-                     antiperiodic=antiperiodic)
+        res = z_norm(FieldSeries(grid, delta[:nodes], g.period, antiperiodic), delta_cutoffs)
         history.append(res)
         if not math.isfinite(res):
             raise NonFiniteField(_NON_FINITE)
@@ -221,8 +224,7 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
             break
         _linear_period_map_data(delta, op, g.dt, out=delta)
     del delta
-    z_final = z_norm(FieldSeries(grid, u[:nodes], period), cutoffs,
-                     antiperiodic=antiperiodic)
+    z_final = z_norm(FieldSeries(grid, u[:nodes], g.period, antiperiodic), cutoffs)
     scale = max(float(_node_l2_chunked(FieldSeries(grid, u, g.period)).max()),
                 np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
@@ -251,22 +253,29 @@ def antiperiodicity_bound(F, op):
 
 def whole_series(series):
     """Every node of a series read by frequency_rows, as a FieldSeries: the
-    whole-lattice, whole-period data of the solve's OddSeries or of the
-    realized forcing, for tests that state identities on whole arrays."""
+    whole-lattice, whole-period data of the solve's u or of the realized
+    forcing, for tests that state identities on whole arrays."""
     return FieldSeries(series.grid, series.frequency_rows(slice(None)), series.period)
 
 
-def whole_lattice(grid, half, nodes=None):
-    """Odd frequency data from its planes 0..n/2, one node at a time with
-    Grid.reflect: plane -j is minus plane j reflected; with `nodes` =
-    2 len(half) - 1, node m + m_t/2 is minus node m. The reference expansion
-    that OddSeries.frequency_rows is held against, bit for bit."""
-    out, planes = np.empty((nodes or len(half),) + grid.shape, complex), grid.half_shape[0]
-    out[:len(half), :planes] = half
-    for node in out[:len(half)]:
-        node[planes:] = -grid.reflect(node)[planes:]
-    np.negative(out[1:len(out) - len(half) + 1], out=out[len(half):])
+def whole_lattice(grid, held, nodes=None):
+    """Frequency data of every node from the data a FieldSeries holds, one
+    node at a time with Grid.reflect: of odd data held as planes 0..n/2,
+    plane -j is minus plane j reflected; with `nodes` = 2 len(held) - 1,
+    node m + m_t/2 is minus node m. The reference expansion that
+    FieldSeries.frequency_rows is held against, bit for bit."""
+    out, planes = np.empty((nodes or len(held),) + grid.shape, complex), held.shape[1]
+    out[:len(held), :planes] = held
+    for node in out[:len(held)]:
+        node[planes:] = -grid.reflect(node)[planes:]  # nothing for whole-lattice data
+    np.negative(out[1:len(out) - len(held) + 1], out=out[len(held):])
     return out
+
+
+def multi_indices(dim, k):
+    """Every multi-index alpha of `dim` axes with |alpha| <= k, by |alpha|."""
+    return [alpha for total in range(k + 1)
+            for alpha in itertools.product(range(total + 1), repeat=dim) if sum(alpha) == total]
 
 
 def split_series(u, cutoffs):

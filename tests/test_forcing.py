@@ -67,8 +67,7 @@ class TestRealizeForcing:
 
     def test_even_custom_profile_rejected(self, grid3d):
         even = SpectralField(grid3d, np.fft.fftn(np.exp(-grid3d.x_abs ** 2 / 8.0)))
-        spec = ForcingSpec(amplitude=1e-2, period=1.0, spatial_profile="custom",
-                           custom_profile=even)
+        spec = ForcingSpec(amplitude=1e-2, period=1.0, custom_profile=even)
         with pytest.raises(OddnessViolation):
             realize_forcing(spec, grid3d, 8)
 
@@ -77,7 +76,7 @@ class TestRealizeForcing:
         # an odd dipole is the default profile; an even part of 1e-6 of it is not odd
         odd = gauss_dipole(grid3d, 2.0)
         profile = odd + even_part * np.abs(odd).max() * np.exp(-grid3d.x_abs ** 2 / 8.0)
-        spec = ForcingSpec(amplitude=1e-2, period=1.0, spatial_profile="custom",
+        spec = ForcingSpec(amplitude=1e-2, period=1.0,
                            custom_profile=SpectralField(grid3d, np.fft.fftn(profile)))
         if even_part:
             with pytest.raises(OddnessViolation):
@@ -161,15 +160,16 @@ class TestPerturbation:
         assert odd_residual(w0) <= 1e-12
 
     def test_even_profile_rejected(self):
-        # the stability run steps odd perturbations only
-        with pytest.raises(ValueError, match="unknown perturbation profile 'gauss'"):
+        # the stability run steps odd perturbations only: a spec names no
+        # profile, so none but the odd dipole can be asked for
+        with pytest.raises(TypeError, match="profile"):
             PerturbationSpec(amplitude=1e-2, profile="gauss", sigma=2.0)
 
     @pytest.mark.parametrize("divisor", [13, 14, 15])
     def test_dipole_that_is_not_odd_on_the_lattice_rejected(self, grid3d, divisor):
         # widths L/13 to L/15 pass the seam check but not Grid.is_odd
         spec = PerturbationSpec(amplitude=1e-2, sigma=grid3d.box_length / divisor)
-        with pytest.raises(OddnessViolation, match="^gauss_dipole perturbation profile "
+        with pytest.raises(OddnessViolation, match="^perturbation profile "
                                                    "is not odd on the lattice"):
             realize_perturbation(spec, grid3d)
 
@@ -177,7 +177,3 @@ class TestPerturbation:
     def test_non_finite_amplitude_rejected(self, amplitude):
         with pytest.raises(ValueError, match="finite"):
             PerturbationSpec(amplitude=amplitude)
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError, match="profile"):
-            PerturbationSpec(amplitude=1.0, profile="vortex")

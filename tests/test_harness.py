@@ -230,8 +230,8 @@ class TestStabilityCommand:
         assert csv_text.startswith("t,l2_w,h1_grad_w,n1,n2,n")
 
     def test_even_perturbation_rejected(self, tmp_path, monkeypatch, capsys):
-        # the even "gauss" profile is no perturbation profile: one line,
-        # before the inline base is solved
+        # a perturbation profile is no config key (the run steps the odd
+        # dipole only): one line, before the inline base is solved
         def no_solve(*args):
             raise AssertionError("the base was solved")
 
@@ -240,8 +240,7 @@ class TestStabilityCommand:
                                                       "profile": "gauss"})
         assert main(["stability", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err == ("config error: invalid stability config: unknown perturbation "
-                       "profile 'gauss'\n")
+        assert err == "config error: unknown config key 'stability.profile'\n"
 
     def test_perturbation_not_odd_rejected_before_the_base(self, tmp_path, monkeypatch,
                                                             capsys):
@@ -256,7 +255,7 @@ class TestStabilityCommand:
                                     "output": {"dir": str(tmp_path / "out")}}))
         assert main(["stability", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: invalid stability perturbation: gauss_dipole "
+        assert err.startswith("config error: invalid stability perturbation: "
                               "perturbation profile is not odd on the lattice")
         assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -607,7 +606,7 @@ class TestMalformedInput:
                                     "output": {"dir": str(tmp_path / "out")}}))
         assert main(["solve-periodic", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: invalid forcing config: gauss_dipole forcing "
+        assert err.startswith("config error: invalid forcing config: forcing "
                               "profile is not odd") and err.count("\n") == 1
         assert not (tmp_path / "out" / "report.json").exists()
 

@@ -13,13 +13,12 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig, NormSuite, SpectralF
                       auto_cutoffs, forcing_bracket, lp_norm, make_grid, norms,
                       realize_forcing, sobolev_norm, spacetime_norm, spectral,
                       x_weighted_gradient_norm, z_norm)
-from glperiod.norms import (_multi_indices, _weighted_sq,
-                            weighted_hk_node_sq, x_gradient_node_sq)
+from glperiod.norms import _weighted_sq, weighted_hk_node_sq, x_gradient_node_sq
 from glperiod.spectral import map_chunks, node_chunks
 
 from conftest import (antiperiodic_series, on_workers, random_field, random_physical_field,
                       raw_odd_series, raw_random_series)
-from oracles import physical_forcing_bracket, time_derivative, whole_series
+from oracles import multi_indices, physical_forcing_bracket, time_derivative, whole_series
 
 
 def _field(grid, values):
@@ -253,9 +252,9 @@ class TestForcingBracket:
         # an even part (6.9e-14 of the frequency peak here) that it drops
         g = whole_series(realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, m_t))
         odd = FieldSeries(grid3d, 0.5 * (g.data - grid3d.reflect(g.data)), g.period)
-        half = FieldSeries(grid3d, odd.data[:m_t // 2 + 1, :grid3d.n // 2 + 1], g.period / 2)
+        half = FieldSeries(grid3d, odd.data[:m_t // 2 + 1, :grid3d.n // 2 + 1], g.period, True)
         assert forcing_bracket(g) == pytest.approx(physical_forcing_bracket(g), rel=1e-14, abs=0)
-        assert forcing_bracket(half, antiperiodic=True) == pytest.approx(
+        assert forcing_bracket(half) == pytest.approx(
             physical_forcing_bracket(odd), rel=1e-14, abs=0)
 
 
@@ -289,7 +288,7 @@ def _ref_hk(data, grid, k_max):
     suite = NormSuite.for_grid(grid)
     axes = _ref_axes(grid)
     cums = {k: np.zeros(data.shape[0]) for k in range(k_max + 1)}
-    for alpha in _multi_indices(grid.dim, k_max):
+    for alpha in multi_indices(grid.dim, k_max):
         phys = np.fft.ifftn(data * _ref_alpha_symbol(grid, alpha), axes=axes)
         contrib = ((phys.real ** 2 + phys.imag ** 2) * suite.weight_sq).sum(axis=axes) \
             * grid.quad_weight
@@ -352,15 +351,16 @@ def _ref_forcing_bracket(g):
     return float(np.sqrt(np.trapezoid(l1w ** 2, dx=h)) + np.sqrt(np.trapezoid(h1w ** 2, dx=h)))
 
 
-def _ref_sobolev_norm(f, k):
-    """Weighted H^k norm of one field: one full inverse transform per
-    multi-index |alpha| <= k."""
-    grid, suite = f.grid, NormSuite.for_grid(f.grid)
+def _ref_sobolev_norm(f, k, weighted=True):
+    """Weighted (or plain) H^k norm of one field: one full inverse transform
+    per multi-index |alpha| <= k."""
+    grid = f.grid
+    w2 = NormSuite.for_grid(grid).weight_sq if weighted else 1.0
     freq = f.data
     total = 0.0
-    for alpha in _multi_indices(grid.dim, k):
+    for alpha in multi_indices(grid.dim, k):
         phys = np.fft.ifftn(freq * _ref_alpha_symbol(grid, alpha))
-        total += (suite.weight_sq * (phys.real ** 2 + phys.imag ** 2)).sum() * grid.quad_weight
+        total += (w2 * (phys.real ** 2 + phys.imag ** 2)).sum() * grid.quad_weight
     return float(np.sqrt(total))
 
 
@@ -500,6 +500,9 @@ class TestFieldNormOracle:
                                        rtol=1e-13, atol=0)
             np.testing.assert_allclose([sobolev_norm(f, k, weighted=True) for f in singles],
                                        ref, rtol=1e-13, atol=0)
+            np.testing.assert_allclose([sobolev_norm(f, k) for f in singles],
+                                       [_ref_sobolev_norm(f, k, False) for f in singles],
+                                       rtol=1e-13, atol=0)
         ref = [_ref_x_weighted_gradient_norm(f) for f in singles]
         np.testing.assert_allclose(np.sqrt(x_gradient_node_sq(data, grid)), ref,
                                    rtol=1e-13, atol=0)
@@ -730,13 +733,14 @@ class TestHalfLattice:
 
 
 def _half_period(s):
-    """Nodes 0..m_t/2 of an antiperiodic series, a series of period T/2."""
-    return FieldSeries(s.grid, s.data[:s.n_steps // 2 + 1], s.period / 2)
+    """Nodes 0..m_t/2 of an antiperiodic series, held as such."""
+    return FieldSeries(s.grid, s.data[:s.n_steps // 2 + 1], s.period, antiperiodic=True)
 
 
 class TestHalfPeriod:
     """Z-norms and [g] of an antiperiodic series held and summed on one half
-    period (antiperiodic=True) against every node, whole and half lattice."""
+    period (FieldSeries.antiperiodic) against every node, whole and half
+    lattice."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("odd", [False, True])
@@ -752,11 +756,10 @@ class TestHalfPeriod:
         s = FieldSeries(grid, data[:, :grid.n // 2 + 1], 1.3) if odd else whole
         for norm in (partial(z_norm, cutoffs=cutoffs), partial(spacetime_norm, kind="X"),
                      partial(spacetime_norm, kind="Y")):
-            assert norm(_half_period(s), antiperiodic=True) == pytest.approx(norm(s),
-                                                                             rel=1e-13)
+            assert norm(_half_period(s)) == pytest.approx(norm(s), rel=1e-13)
         for g in (whole, s):  # on half the lattice too, L1_w on the half columns
-            assert forcing_bracket(_half_period(g), antiperiodic=True) \
-                == pytest.approx(forcing_bracket(whole), rel=1e-13)
+            assert forcing_bracket(_half_period(g)) == pytest.approx(forcing_bracket(whole),
+                                                                     rel=1e-13)
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_fold_runs_half_the_tasks(self, monkeypatch, grid3d, cutoffs3d, odd):
@@ -768,7 +771,7 @@ class TestHalfPeriod:
                         1.0)
         map_chunks = norms.map_chunks
 
-        def tasks(series=s, **kwargs):
+        def tasks(series=s):
             items = []
 
             def recording(task, chunks):
@@ -777,10 +780,10 @@ class TestHalfPeriod:
 
             with monkeypatch.context() as m:
                 m.setattr(norms, "map_chunks", recording)
-                z_norm(series, cutoffs3d, **kwargs)
+                z_norm(series, cutoffs3d)
             return items
 
-        every, folded = tasks(), tasks(_half_period(s), antiperiodic=True)
+        every, folded = tasks(), tasks(_half_period(s))
         assert len(every) == 2 * (len(node_chunks(m_t)) + 1) == 10
         assert folded == 2 * node_chunks(m_t // 2) and len(folded) == 4
         assert max(c.stop for c in folded) == m_t // 2

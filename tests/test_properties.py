@@ -34,7 +34,6 @@ from glperiod.config import build_forcing, reference_config
 from glperiod.manifest import load_manifest, sha256_of
 from glperiod.operators import make_cutoffs
 from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_data
-from glperiod.spectral import OddSeries
 from glperiod.stability import _Stepper, _rhs_data, _rhs_work
 
 from conftest import antiperiodic_series, raw_odd_series
@@ -65,19 +64,20 @@ def odd_series(draw):
 
 
 @PROPERTY
-@given(odd_series(), st.booleans())
-def test_odd_series_rows_are_the_reference_expansion(case, antiperiodic):
-    # every row range [a, b) of the held planes 0..n/2 (and nodes 0..m_t/2
-    # when antiperiodic) is the one-node-at-a-time expansion, bit for bit
+@given(odd_series(), st.booleans(), st.booleans())
+def test_odd_series_rows_are_the_reference_expansion(case, half_planes, antiperiodic):
+    # every row range [a, b) of a FieldSeries in each of its four layouts
+    # (all planes or planes 0..n/2, every node or nodes 0..m_t/2) is the
+    # one-node-at-a-time expansion, bit for bit
     dim, data = case
     grid = setup(dim)[0]
-    half = data[:, :grid.n // 2 + 1]
+    held = data[:, :grid.n // 2 + 1] if half_planes else data
     if antiperiodic:
-        half = half[:len(half) // 2 + 1]
-    nodes = 2 * len(half) - 1 if antiperiodic else len(half)
-    u = OddSeries(grid, half, PERIOD, antiperiodic)
-    expected = whole_lattice(grid, half, nodes)
-    assert len(u) == nodes and u.n_steps == nodes - 1
+        held = held[:len(held) // 2 + 1]
+    nodes = 2 * len(held) - 1 if antiperiodic else len(held)
+    u = FieldSeries(grid, held, PERIOD, antiperiodic)
+    expected = whole_lattice(grid, held, nodes)
+    assert len(u) == nodes and u.n_steps == nodes - 1 and u.dt == PERIOD / (nodes - 1)
     for a in range(nodes + 1):
         for b in range(a, nodes + 1):
             assert u.frequency_rows(slice(a, b)).tobytes() == expected[a:b].tobytes()

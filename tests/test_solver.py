@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from glperiod import (FieldSeries, GridConfig, NonFiniteField, ForcingSpec,
-                      OddnessViolation, periodic_solver, SolveOptions, SpectralField,
-                      equation_residual, make_grid, make_operator,
-                      realize_forcing, solve_periodic, spectral)
+                      OddnessViolation, PerturbationSpec, periodic_solver, SolveOptions,
+                      SpectralField, StabilityRunConfig, equation_residual, make_grid,
+                      make_operator, realize_forcing, realize_perturbation, run_stability,
+                      solve_periodic, spectral)
 from glperiod.norms import _node_l2
 from glperiod.spectral import ODDNESS_TOL
 from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_data,
@@ -21,7 +22,7 @@ from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_dat
 from conftest import on_workers, random_odd_field, raw_odd_series, raw_random_series
 from oracles import (antiperiodicity_bound, cubic_rhs, duhamel_integral, odd_fft_every_plane,
                      odd_residual, periodic_initial_data, picard_step, split_equation_residual,
-                     split_series, whole_lattice_solve, whole_series)
+                     split_series, whole_lattice, whole_lattice_solve, whole_series)
 
 
 def _odd_part(g):
@@ -745,7 +746,7 @@ class TestHalfLatticeSolve:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(periodic_solver, name, recording)
         u, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())
-        assert u.half.shape[1:] == grid3d.half_shape
+        assert u.data.shape[1:] == grid3d.half_shape
         assert u.frequency_rows(slice(0, 1)).shape[1:] == grid3d.shape
         assert set(planes) == {grid3d.n // 2 + 1}
 
@@ -809,14 +810,14 @@ class TestHalfPeriodSolve:
 
     @staticmethod
     def solve(monkeypatch, g, op, cutoffs, measured=True):
-        """solve_periodic with the antiperiodic keyword of every Z-norm and
-        forcing bracket recorded; with measured=False the forcing is taken
-        as not antiperiodic."""
+        """solve_periodic with the antiperiodic flag of the series of every
+        Z-norm and forcing bracket recorded; with measured=False the forcing
+        is taken as not antiperiodic."""
         flags = []
         with monkeypatch.context() as m:
             for name in ("z_norm", "forcing_bracket"):
                 def recording(*args, _f=getattr(periodic_solver, name), **kwargs):
-                    flags.append(kwargs["antiperiodic"])
+                    flags.append(args[0].antiperiodic)
                     return _f(*args, **kwargs)
                 m.setattr(periodic_solver, name, recording)
             if not measured:
@@ -871,8 +872,54 @@ class TestHalfPeriodSolve:
         u_every, rep_every, _ = self.solve(monkeypatch, g, op3d, cutoffs3d, measured=False)
         assert rep.converged and not rep.antiperiodic
         assert flags == [False] * (rep.iterations + 2)
-        assert u.half.tobytes() == u_every.half.tobytes()
+        assert u.data.tobytes() == u_every.data.tobytes()
         assert rep.to_json() == rep_every.to_json()
+
+
+class TestHalfLayoutSeries:
+    """A FieldSeries holding planes 0..n/2 of odd data, and nodes 0..m_t/2
+    when antiperiodic, is a Series like any other: its rows, the equation
+    residual, the oddness test, the solve (as g) and the stability run (as
+    base) give the bits of the whole-lattice, whole-period series it stands
+    for."""
+
+    M_T = 16
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["periodic", "antiperiodic"])
+    def layouts(self, request, grid3d):
+        # the forcing's exact odd part, held as planes 0..n/2 (of nodes
+        # 0..m_t/2), and its expansion one node at a time
+        g = _odd_part(realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d,
+                                      self.M_T))
+        antiperiodic = request.param
+        held = g.data[:self.M_T // 2 + 1 if antiperiodic else None, :grid3d.n // 2 + 1]
+        half = FieldSeries(grid3d, held, g.period, antiperiodic)
+        whole = FieldSeries(grid3d, whole_lattice(grid3d, held, self.M_T + 1), g.period)
+        return half, whole
+
+    def test_rows_and_oddness(self, grid3d, layouts):
+        half, whole = layouts
+        assert len(half) == len(whole) and half.dt == whole.dt
+        assert half.frequency_rows(slice(None)).tobytes() == whole.data.tobytes()
+        keeps = [np.empty((len(whole),) + grid3d.half_shape, complex) for _ in range(2)]
+        assert grid3d.is_odd(half, keeps[0]) and grid3d.is_odd(whole, keeps[1])
+        assert keeps[0].tobytes() == keeps[1].tobytes()
+
+    def test_solve_residual_and_stability(self, grid3d, op3d, cutoffs3d, layouts):
+        half, whole = layouts
+        assert equation_residual(half, half, op3d) == equation_residual(whole, whole, op3d)
+        (u_half, rep_half), (u_whole, rep_whole) = (
+            solve_periodic(g, op3d, cutoffs3d, SolveOptions()) for g in (half, whole))
+        assert rep_half.converged and rep_half.to_json() == rep_whole.to_json()
+        assert u_half.data.tobytes() == u_whole.data.tobytes()
+        assert (equation_residual(u_half, half, op3d)
+                == equation_residual(u_whole, whole, op3d))
+        w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid3d)
+        half_run, whole_run = (
+            run_stability(StabilityRunConfig(t_max=10.0, v_per=base, w0=w0, record_stride=8),
+                          op3d, cutoffs3d) for base in (half, whole))
+        assert half_run.to_json() == whole_run.to_json()
+        assert np.array_equal(half_run.n_series, whole_run.n_series)
 
 
 class TestSolveMemory:

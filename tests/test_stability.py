@@ -6,6 +6,7 @@ rejected before a base node is built."""
 import collections
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig, OddnessViolation,
 from glperiod import cli, stability
 from glperiod.forcing import gauss_dipole
 from glperiod.phi import phi1, phi2
-from glperiod.spectral import write_snapshot
+from glperiod.spectral import Series, write_snapshot
 from glperiod.stability import _base_nodes, _rhs_data, _rhs_work, _Stepper
 
 from conftest import random_field, random_odd_field, random_physical_field, raw_random_series
@@ -362,15 +363,15 @@ class TestRunStability:
     def test_base_nodes_transform_one_node_at_a_time(self, small_setup):
         # the batched odd inverse's bits, with no temporaries beyond the
         # nodes and one half-plane buffer (9/16 of a field against 16 nodes
-        # of 130/256 fields), on the solve's own antiperiodic OddSeries
+        # of 130/256 fields), on the solve's own antiperiodic FieldSeries
         grid, op, cut, g, v_per = small_setup
         assert v_per.antiperiodic
         _check_base_nodes(v_per, whole_series(v_per))
 
     def test_saved_base_nodes_transform_one_node_at_a_time(self, small_setup):
-        # the same on a saved base's one-node reads, here a FieldSeries
+        # the same on a saved base's one-node reads, here views of a FieldSeries
         v_per = whole_series(small_setup[-1])
-        _check_base_nodes(v_per, v_per)
+        _check_base_nodes(_RowsOnly(v_per), v_per)
 
     def test_linear_single_mode_heat_decay(self, grid1d):
         # base solution zero and rhs off: each mode decays exactly like
@@ -450,7 +451,7 @@ class TestRunStability:
         assert all(len(r) == 1 for r in read[1:])
         np.testing.assert_array_equal(decay.times, np.arange(41) * 4 * (1.0 / m_t))
 
-    def test_csv_roundtrip(self, small_setup, tmp_path):
+    def test_csv_roundtrip(self, small_setup, tmp_path, monkeypatch):
         grid, op, cut, g, v_per = small_setup
         w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
         cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=8)
@@ -460,6 +461,33 @@ class TestRunStability:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "t,l2_w,h1_grad_w,n1,n2,n"
         assert len(rows) == decay.times.size + 1
+        # csv's \r\n line ends, and no temporary file left beside it
+        assert path.read_bytes().count(b"\r\n") == len(rows)
+        assert [p.name for p in tmp_path.iterdir()] == ["decay.csv"]
+        # written atomically: a write that fails before its rename leaves
+        # the previous file whole
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", _failing_replace)
+            with pytest.raises(OSError, match="rename refused"):
+                decay.write_csv(path)
+        assert len(path.read_text().strip().splitlines()) == len(rows)
+
+
+def _failing_replace(src, dst):
+    raise OSError("rename refused")
+
+
+class _RowsOnly(Series):
+    """A series read by frequency_rows only, as a saved base is."""
+
+    def __init__(self, series):
+        self.grid, self.period, self.series = series.grid, series.period, series
+
+    def __len__(self):
+        return len(self.series)
+
+    def frequency_rows(self, rows):
+        return self.series.frequency_rows(rows)
 
 
 def _check_base_nodes(base, whole):
@@ -555,11 +583,11 @@ class TestHalfLattice:
     @pytest.mark.parametrize("case", ["gauss_perturbation", "base_with_even_part",
                                       "perturbation_with_even_part"])
     def test_other_inputs_are_rejected(self, small_setup, monkeypatch, case):
-        # an even profile is no perturbation profile; an even part of 1e-6
-        # in the base or in w0 raises before any base node is built
+        # a perturbation names no profile (none but the odd dipole); an even
+        # part of 1e-6 in the base or in w0 raises before any base node is built
         grid, op, cut, g, v_per = small_setup
         if case == "gauss_perturbation":
-            with pytest.raises(ValueError, match="unknown perturbation profile 'gauss'"):
+            with pytest.raises(TypeError, match="profile"):
                 PerturbationSpec(amplitude=5e-2, profile="gauss")
             return
         w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)

@@ -172,39 +172,35 @@ class TestBatteries:
                                                 samples=50, seed=8)
         assert rep.passed
 
-    def test_energy_inequality_on_solved_run(self, solved, op3d_module,
-                                             cutoffs3d_module):
+    def test_energy_inequality_on_solved_run(self, solved, cutoffs3d_module):
         u, g = map(whole_series, solved)
-        rep = check_energy_inequality(u, g, op3d_module, cutoffs3d_module)
+        rep = check_energy_inequality(u, g, cutoffs3d_module)
         assert rep.passed
         assert rep.extras["d"] > 0
 
     def test_energy_inequality_rejects_zero_trajectory(self, grid3d_module,
-                                                       op3d_module,
                                                        cutoffs3d_module):
         from glperiod import FieldSeries
         zero = FieldSeries(grid3d_module, np.zeros((17,) + grid3d_module.shape, complex), 1.0)
         with pytest.raises(ValueError, match="degenerate"):
-            check_energy_inequality(zero, zero, op3d_module, cutoffs3d_module)
+            check_energy_inequality(zero, zero, cutoffs3d_module)
 
     def test_nonlinear_bound_unit_constant_at_zero_solution(self, grid3d_module,
-                                                            op3d_module,
                                                             cutoffs3d_module):
         from glperiod import FieldSeries
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0),
                             grid3d_module, 16)
         zero = FieldSeries(grid3d_module, np.zeros((17,) + grid3d_module.shape, complex), 1.0)
-        reports = check_nonlinear_bound(zero, whole_series(g), op3d_module, cutoffs3d_module)
+        reports = check_nonlinear_bound(zero, whole_series(g), cutoffs3d_module)
         for rep in reports:
             assert rep.fitted_constant == pytest.approx(1.0, rel=1e-10)
 
-    def test_infinite_constant_is_written_as_strict_json(self, grid3d_module, op3d_module,
-                                                         cutoffs3d_module):
+    def test_infinite_constant_is_written_as_strict_json(self, grid3d_module, cutoffs3d_module):
         # zero u and g: the right side is 0, so the constant is inf, which
         # checks.json holds as null beside its reason
         from glperiod import FieldSeries
         zero = FieldSeries(grid3d_module, np.zeros((17,) + grid3d_module.shape, complex), 1.0)
-        reports = check_nonlinear_bound(zero, zero, op3d_module, cutoffs3d_module)
+        reports = check_nonlinear_bound(zero, zero, cutoffs3d_module)
         assert reports[0].fitted_constant == math.inf and not reports[0].passed
 
         def reject(constant):
@@ -214,10 +210,9 @@ class TestBatteries:
         assert written[0]["fitted_constant"] is None
         assert written[0]["fitted_constant_reason"] == "not finite: inf"
 
-    def test_nonlinear_bound_on_solved_run(self, solved, op3d_module,
-                                           cutoffs3d_module):
+    def test_nonlinear_bound_on_solved_run(self, solved, cutoffs3d_module):
         u, g = map(whole_series, solved)
-        for rep in check_nonlinear_bound(u, g, op3d_module, cutoffs3d_module):
+        for rep in check_nonlinear_bound(u, g, cutoffs3d_module):
             assert rep.passed and math.isfinite(rep.fitted_constant)
 
     def test_zero_sample_battery_rejected(self, op3d_module, cutoffs3d_module):
@@ -248,7 +243,7 @@ class TestRunAllChecks:
         op, cut = op3d_module, cutoffs3d_module
         whole = whole_series(u), whole_series(g)
         half = FieldSeries(u.grid, whole[0].data[:, :u.grid.n // 2 + 1], u.period)
-        alone = [check_energy_inequality(*whole, op, cut), *check_nonlinear_bound(*whole, op, cut)]
+        alone = [check_energy_inequality(*whole, cut), *check_nonlinear_bound(*whole, cut)]
         calls = []
         for name in ("_cubic_difference_data", "z_norm"):
             def counting(*args, _f=getattr(verification, name), _name=name, **kwargs):
@@ -453,7 +448,7 @@ class TestStackedBatteriesMatchPerSample:
         phys = np.fft.ifftn(F * (cutoffs3d_module.chi1 * keep), axes=axes)
         node = (np.abs(phys) * NormSuite.for_grid(grid).weight).sum(axis=axes) \
             * grid.quad_weight
-        low = check_nonlinear_bound(u, g, op3d_module, cutoffs3d_module)[0]
+        low = check_nonlinear_bound(u, g, cutoffs3d_module)[0]
         assert low.extras["lhs"] == pytest.approx(
             float(np.sqrt(np.trapezoid(node ** 2, dx=u.dt))), rel=1e-12)
 
