@@ -81,30 +81,27 @@ def gauss_dipole(grid: Grid, sigma: float, axis: int = 0) -> np.ndarray:
     return grid.x[axis] * np.exp(-grid.x_abs ** 2 / (2.0 * sigma ** 2))
 
 
-def check_seam_decay(profile: np.ndarray, grid: Grid,
-                     tol: float = SEAM_DECAY_TOL) -> float:
+def check_seam_decay(profile: np.ndarray, grid: Grid) -> float:
     """Max profile modulus on the box boundary relative to the global max."""
     peak = np.abs(profile).max()
     if peak == 0.0:
         return 0.0
     seam = max(np.abs(np.take(profile, 0, axis=axis)).max() for axis in range(grid.dim))
     ratio = float(seam / peak)
-    if ratio > tol:
+    if ratio > SEAM_DECAY_TOL:
         raise SeamDecayViolation(
             f"profile modulus at the box boundary is {ratio:.3e} of its max "
-            f"(tolerance {tol:.0e}); the profile does not decay at the seam")
+            f"(tolerance {SEAM_DECAY_TOL:.0e}); the profile does not decay at the seam")
     return ratio
 
 
 def temporal_values(spec: ForcingSpec, m_t: int) -> np.ndarray:
-    """a(t_m) at the m_t + 1 uniform nodes; exactly periodic by evaluating
-    the phase at m mod m_t."""
-    m = np.arange(m_t + 1) % m_t
-    if spec.temporal_profile == "sin_fundamental":
-        return np.sin(2.0 * np.pi * m / m_t)
-    if spec.temporal_profile == "cos_fundamental":
-        return np.cos(2.0 * np.pi * m / m_t)
-    return np.sin(2.0 * np.pi * spec.harmonic * m / m_t)
+    """a(t_m) at the m_t + 1 uniform nodes, sin or cos of the phase
+    2 pi k m / m_t (k = harmonic for "harmonic", else 1); exactly periodic by
+    evaluating the phase at m mod m_t."""
+    k = spec.harmonic if spec.temporal_profile == "harmonic" else 1
+    phase = 2.0 * np.pi * k * (np.arange(m_t + 1) % m_t) / m_t
+    return np.cos(phase) if spec.temporal_profile == "cos_fundamental" else np.sin(phase)
 
 
 def spatial_profile(spec: ForcingSpec, grid: Grid) -> np.ndarray:
@@ -129,24 +126,22 @@ def spatial_profile(spec: ForcingSpec, grid: Grid) -> np.ndarray:
 class SeparableForcing(Series):
     """A realized forcing as its factors: g(t_m) = amplitude * values[m] *
     profile on the m_t + 1 nodes of one period, with profile the frequency
-    data of G (None for amplitude 0). It holds one field and m_t + 1
-    numbers; frequency_rows builds the requested nodes."""
+    data of G, built and checked at every amplitude. It holds one field and
+    m_t + 1 numbers; frequency_rows builds the requested nodes."""
 
     grid: Grid
     period: float
     values: np.ndarray
     amplitude: float
-    profile: np.ndarray | None
+    profile: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
 
     def frequency_rows(self, rows: slice) -> np.ndarray:
-        """amplitude * a(t_m) * G_hat for the nodes m of `rows` (zeros for
+        """amplitude * a(t_m) * G_hat for the nodes m of `rows` (signed zeros for
         amplitude 0), in the order of operations the whole series had."""
         a = self.values[rows]
-        if self.profile is None:
-            return np.zeros((len(a),) + self.grid.shape, dtype=complex)
         return self.amplitude * a[(slice(None),) + (None,) * self.grid.dim] * self.profile
 
 
@@ -154,13 +149,13 @@ def realize_forcing(spec: ForcingSpec, grid: Grid, m_t: int) -> SeparableForcing
     """Sample the forcing on the (m_t + 1)-node period grid.
 
     The result is frequency data, exactly periodic in time, and odd at every
-    node (spatial_profile checks G; OddnessViolation otherwise).
+    node. spatial_profile builds and checks G at every amplitude, 0 included
+    (ValueError, SeamDecayViolation or OddnessViolation otherwise).
     """
     if m_t < 2:
         raise ValueError("m_t must be at least 2")
-    profile = None if spec.amplitude == 0.0 else spatial_profile(spec, grid)
     return SeparableForcing(grid, spec.period, temporal_values(spec, m_t), spec.amplitude,
-                            profile)
+                            spatial_profile(spec, grid))
 
 
 def realize_perturbation(spec: PerturbationSpec, grid: Grid) -> SpectralField:

@@ -13,13 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import WORKERS
 
-
-def atomic_write_text(path, text: str) -> None:
+def atomic_write(path, data: str | bytes) -> None:
+    """Write text (UTF-8) or bytes to a temporary file beside path, then rename
+    it over path: every artifact a run writes is whole or absent."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
     os.replace(tmp, path)
 
 
@@ -63,6 +63,7 @@ class RunManifest:
     def __post_init__(self):
         if not self.versions:
             from . import __version__
+            from .spectral import WORKERS  # spectral imports atomic_write from here
             self.versions = {"glperiod": __version__, "numpy": np.__version__,
                              "python": platform.python_version(),
                              "fft_backend": "numpy.fft", "workers": WORKERS}
@@ -79,7 +80,7 @@ class RunManifest:
         self.finished = _now()
 
     def write(self, path) -> None:
-        atomic_write_text(path, strict_json(asdict(self)))
+        atomic_write(path, strict_json(asdict(self)))
 
 
 def load_manifest(path) -> dict:

@@ -49,8 +49,9 @@ the solve measures) holds nodes 0..m_t/2. Every node sum is one of |.|^2,
 so nodes 0..m_t/2 - 1 are computed (node 0's left halo is minus node
 m_t/2 - 1) and node m takes the sums of node m mod m_t/2.
 
-The weighted field norms (weighted_hk_node_sq, x_gradient_node_sq) run on
-the same tree over stacks of fields; single-field norms are stacks of one.
+Every weighted H^k_w sum (the field norms, x_gradient_node_sq and the
+H1_w part of forcing_bracket) is weighted_hk_node_sq on the same tree over
+stacks of fields; single-field norms are stacks of one.
 """
 
 from __future__ import annotations
@@ -152,12 +153,8 @@ def sobolev_norm(f: SpectralField, k: int, weighted: bool = False) -> float:
     space after differentiation."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"Sobolev order k must be 0..3; got {k}")
-    w = NormSuite.for_grid(f.grid).flat("weight_sq" if weighted else "quad")
-
-    def add(out, alpha, phys, diff):
-        out[0] += _weighted_sq(phys, w)
-
-    return float(np.sqrt(_node_sums(f.data[None], f.grid, k, None, 1, add)[0, 0]))
+    weight = "weight_sq" if weighted else "quad"
+    return float(np.sqrt(weighted_hk_node_sq(f.data[None], f.grid, k, weight=weight)[k, 0]))
 
 
 def x_weighted_gradient_norm(f: SpectralField) -> float:
@@ -345,27 +342,27 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
     return np.concatenate(map_chunks(task, chunks), axis=1)
 
 
-def weighted_hk_node_sq(data: np.ndarray, grid: Grid, k: int,
-                        chi: np.ndarray | None = None) -> np.ndarray:
+def weighted_hk_node_sq(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None = None,
+                        weight: str = "weight_sq", skip_zero: bool = False,
+                        antiperiodic: bool = False) -> np.ndarray:
     """Squared weighted H^j norms, j = 0..k (row j), of every field of
     frequency-stacked data, projected by chi when given (without chi the
-    Nyquist rule of _derivative_tree applies)."""
-    w2 = NormSuite.for_grid(grid).flat("weight_sq")
+    Nyquist rule of _derivative_tree applies): the sums over |alpha| <= j of
+    NormSuite.flat(weight)-weighted |d^alpha f|^2, on half data (Grid.is_half)
+    with the weight folded for the half lattice. `skip_zero` leaves alpha = 0
+    out, and `antiperiodic` data get their nodes as in _node_sums."""
+    w = NormSuite.for_grid(grid).flat(weight, grid.is_half(data))
 
     def add(out, alpha, phys, diff):
-        out[sum(alpha)] += _weighted_sq(phys, w2)
+        out[sum(alpha)] += _weighted_sq(phys, w)
 
-    return np.cumsum(_node_sums(data, grid, k, chi, k + 1, add), axis=0)
+    return np.cumsum(_node_sums(data, grid, k, chi, k + 1, add, skip_zero=skip_zero,
+                                antiperiodic=antiperiodic), axis=0)
 
 
 def x_gradient_node_sq(data: np.ndarray, grid: Grid) -> np.ndarray:
     """|| |x| |grad f| ||_{L2}^2 of every field f of frequency-stacked data."""
-    x2 = NormSuite.for_grid(grid).flat("x_abs_sq")
-
-    def add(out, alpha, phys, diff):
-        out[0] += _weighted_sq(phys, x2)
-
-    return _node_sums(data, grid, 1, None, 1, add, skip_zero=True)[0]
+    return weighted_hk_node_sq(data, grid, 1, weight="x_abs_sq", skip_zero=True)[1]
 
 
 def _x_norm(data: np.ndarray, grid: Grid, chi: np.ndarray | None, h: float, **fold) -> float:
@@ -426,17 +423,12 @@ def forcing_bracket(g: FieldSeries) -> float:
 
     g is frequency data, whole-lattice or planes 0..n/2 of an odd g (the
     solve passes its odd part, on half the lattice); L1_w is read by
-    l1w_node, the H1_w sums by the derivative tree. An antiperiodic g holds
-    nodes 0..m_t/2, and both sums run on them (see _node_sums).
+    l1w_node, H1_w by weighted_hk_node_sq. An antiperiodic g holds nodes
+    0..m_t/2, and both sums run on them (see _node_sums).
     """
     if len(g) < 3:
         raise ValueError("the forcing functional needs at least 3 time nodes")
-    w2 = NormSuite.for_grid(g.grid).flat("weight_sq", g.grid.is_half(g.data))
-
-    def add(out, alpha, d_alpha, diff):
-        out[0] += _weighted_sq(d_alpha, w2)
-
     l1w = l1w_node(g.data, g.grid, g.antiperiodic)
-    h1w_sq = _node_sums(g.data, g.grid, 1, None, 1, add, antiperiodic=g.antiperiodic)[0]
+    h1w_sq = weighted_hk_node_sq(g.data, g.grid, 1, antiperiodic=g.antiperiodic)[1]
     return float(np.sqrt(np.trapezoid(l1w ** 2, dx=g.dt))
                  + np.sqrt(np.trapezoid(h1w_sq, dx=g.dt)))

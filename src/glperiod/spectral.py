@@ -36,6 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import OddnessViolation
+from .manifest import atomic_write
 
 SNAPSHOT_MAGIC = b"GLPF"
 SNAPSHOT_VERSION = 1
@@ -348,10 +349,6 @@ class FieldSeries(Series):
     def __len__(self) -> int:
         return 2 * len(self.data) - 1 if self.antiperiodic else len(self.data)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self)) * self.dt
-
     def frequency_rows(self, rows: slice) -> np.ndarray:
         """Whole-lattice frequency data of the consecutive nodes `rows` (of
         0..m_t): a view of whole-lattice data, else np.take over views of
@@ -390,15 +387,11 @@ _HEADER = struct.Struct("<4sIIIdI")
 
 
 def write_snapshot(field: SpectralField, path) -> None:
+    """Write field's frequency data (flag 1) through manifest.atomic_write."""
     cfg = field.grid.config
     header = _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, cfg.dim,
                           cfg.n_per_axis, cfg.box_length, 1)
-    payload = np.ascontiguousarray(field.data, dtype="<c16").tobytes()
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
+    atomic_write(path, header + np.ascontiguousarray(field.data, dtype="<c16").tobytes())
 
 
 def read_snapshot(path, grid: Grid | None = None) -> SpectralField:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifest import atomic_write_text, strict_json
+from .manifest import atomic_write, strict_json
 from .operators import CutoffSpec, LinearOperatorSpec
 from .phi import phi1, phi2
 from .spectral import FieldSeries, Grid, Series, SpectralField
@@ -228,7 +228,7 @@ class DecayReport:
         for row in zip(self.times, self.l2_w, self.h1_grad_w,
                        self.n1_series, self.n2_series, self.n_series):
             writer.writerow([f"{x:.12e}" for x in row])
-        atomic_write_text(path, text.getvalue())
+        atomic_write(path, text.getvalue())
 
 
 def fit_decay_rate(times, values, window) -> tuple[float, float, float]:

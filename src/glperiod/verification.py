@@ -98,9 +98,8 @@ def _band_stack(grid: Grid, batch, envelope: np.ndarray) -> np.ndarray:
 
 
 def check_projection_completeness(grid: Grid, cutoffs: CutoffSpec,
-                                  samples: int = 50, seed: int = 0,
-                                  tol: float = COMPLETENESS_TOL) -> CheckReport:
-    """P_low f + P_high f must reproduce f (relative L2, threshold battery)."""
+                                  samples: int = 50, seed: int = 0) -> CheckReport:
+    """P_low f + P_high f must reproduce f (relative L2, to COMPLETENESS_TOL)."""
     symbol_defect = float(np.abs(cutoffs.chi1 + cutoffs.chi_inf - 1.0).max())
     worst = symbol_defect
     envelope = _band_envelope(grid, "full", cutoffs)
@@ -109,32 +108,30 @@ def check_projection_completeness(grid: Grid, cutoffs: CutoffSpec,
         recombined = cutoffs.chi1 * f + cutoffs.chi_inf * f
         worst = max(worst, float(_node_l2(recombined - f, grid).max()))
     return CheckReport(check_name="projection_completeness", samples=samples,
-                       worst_ratio=worst / tol, fitted_constant=worst,
-                       passed=worst <= tol,
-                       extras={"tolerance": tol, "symbol_defect": symbol_defect})
+                       worst_ratio=worst / COMPLETENESS_TOL, fitted_constant=worst,
+                       passed=worst <= COMPLETENESS_TOL,
+                       extras={"tolerance": COMPLETENESS_TOL, "symbol_defect": symbol_defect})
 
 
 def check_low_freq_smoothing(op: LinearOperatorSpec, cutoffs: CutoffSpec,
-                             samples: int = 200, seed: int = 0,
-                             t_max: float | None = None) -> CheckReport:
+                             samples: int = 200, seed: int = 0) -> CheckReport:
     """(||e^{-tA} u|| + ||d/dt e^{-tA} u||) <= C ||u|| on low-frequency fields,
-    t drawn from [0, t_max]; d/dt realized as multiplication by -lambda. The
+    t drawn from [0, T]; d/dt realized as multiplication by -lambda. The
     bound_hint is the multiplier's sup over the support of chi1,
     sup |e^{-t lambda}| + |lambda e^{-t lambda}| = 1 + max |lambda| (since
     Re lambda >= 0), which a band-edge mode reaches at t = 0."""
     grid = op.grid
-    horizon = t_max if t_max is not None else op.period
     ratios = []
     envelope = _band_envelope(grid, "low", cutoffs)
     for batch in _batches(seed, samples):
         u = _band_stack(grid, batch, envelope)
-        t = np.array([rng.uniform(0.0, horizon) for rng in batch])
+        t = np.array([rng.uniform(0.0, op.period) for rng in batch])
         evolved = np.exp(-t.reshape((-1,) + (1,) * grid.dim) * op.symbol) * u
         num = _node_l2(evolved, grid) + _node_l2(-op.symbol * evolved, grid)
         ratios.extend(num / _node_l2(u, grid))
     bound = 1.0 + float(np.abs(op.symbol[cutoffs.chi1 > 0]).max())
     return _fitted_battery_report("low_freq_smoothing", ratios,
-                                  {"t_max": horizon, "bound_hint": bound})
+                                  {"t_max": op.period, "bound_hint": bound})
 
 
 def check_period_inverse_bound(op: LinearOperatorSpec, cutoffs: CutoffSpec,
@@ -184,17 +181,16 @@ def _high_freq_decay_norms(op: LinearOperatorSpec, cutoffs: CutoffSpec,
 
 
 def check_high_freq_decay(op: LinearOperatorSpec, cutoffs: CutoffSpec,
-                          samples: int = 200, seed: int = 0,
-                          n_times: int = 16) -> CheckReport:
+                          samples: int = 200, seed: int = 0) -> CheckReport:
     """sup_t e^{a t} ||e^{-tA} u||_{H2_w} / ||u||_{H2_w} <= C with a = r1^2/2
-    on high-frequency fields, t on a grid over [0, T]."""
+    on high-frequency fields, t on 17 uniform times over [0, T]."""
     a = cutoffs.r1 ** 2 / 2.0
-    t_grid = np.linspace(0.0, op.period, n_times + 1)
+    t_grid = np.linspace(0.0, op.period, 17)
     growth = np.exp(a * t_grid)
     ratios = [float((growth * norms / norms[0]).max())  # norms[0]: t = 0, u itself
               for norms in _high_freq_decay_norms(op, cutoffs, t_grid, samples, seed)]
     return _fitted_battery_report(
-        "high_freq_decay", ratios, {"decay_rate_a": a, "time_samples": n_times + 1})
+        "high_freq_decay", ratios, {"decay_rate_a": a, "time_samples": t_grid.size})
 
 
 def _trajectory_rhs(u_series: FieldSeries, g_series: FieldSeries) -> np.ndarray:

@@ -15,8 +15,11 @@ from oracles import odd_residual, whole_series
 
 class TestRealizeForcing:
     def test_zero_amplitude_gives_zero_series(self, grid3d):
-        g = realize_forcing(ForcingSpec(amplitude=0.0, period=1.0), grid3d, 8)
-        assert g.profile is None and np.all(g.frequency_rows(slice(None)) == 0)
+        # the profile is built and checked at amplitude 0 too; the rows are zero by value
+        spec = ForcingSpec(amplitude=0.0, period=1.0)
+        g = realize_forcing(spec, grid3d, 8)
+        np.testing.assert_array_equal(g.profile, spatial_profile(spec, grid3d))
+        assert np.all(g.frequency_rows(slice(None)) == 0)
 
     def test_dipole_vanishes_at_origin(self, grid3d):
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 8)
@@ -139,14 +142,12 @@ class TestRealizeForcing:
     @pytest.mark.parametrize("amplitude", [0.0, 3e-2])
     def test_rows_are_the_product_of_the_factors(self, grid3d, amplitude):
         # the forcing holds a(t_m) and G_hat only; any row range is
-        # amplitude * a * G_hat bit for bit (zeros for amplitude 0)
+        # amplitude * a * G_hat bit for bit, at amplitude 0 zero by value
         spec = ForcingSpec(amplitude=amplitude, period=1.0)
         g = realize_forcing(spec, grid3d, 16)
         a = temporal_values(spec, 16)
-        if amplitude:
-            expected = amplitude * a[:, None, None, None] * spatial_profile(spec, grid3d)
-        else:
-            expected = np.zeros((17,) + grid3d.shape, complex)
+        expected = amplitude * a[:, None, None, None] * spatial_profile(spec, grid3d)
+        assert np.any(expected != 0) == (amplitude != 0)
         for rows in (slice(None), slice(3, 11), slice(16, 17), slice(5, 5)):
             assert g.frequency_rows(rows).tobytes() == expected[rows].tobytes()
         held = [v.nbytes for v in vars(g).values() if isinstance(v, np.ndarray)]

@@ -519,11 +519,15 @@ class TestMalformedInput:
         (["sweep", "--axis", "epsilon"], {"sweep": {"epsilon": [None]}}, None),
         (["solve-periodic"], {"forcing": {"spatial_profile": "custom"}}, None),
         (["verify"], {"verify": {"solve_amplitude": 0}}, None),
+        (["verify"], {"verify": {"samples": 0}}, None),
+        (["verify"], {"verify": {"samples": -3}}, None),
+        (["verify"], {"verify": {"m_t": 4}}, None),
     ], ids=["grid-dim-null", "verify-grid-dim-null", "period-null", "m_t-null", "m_t-4",
             "threads-abc", "threads-negative", "t_max-below-10-periods",
             "t_max-null", "record_stride-0", "order-3", "perturbation-axis-5",
             "perturbation-sigma-negative", "verify-grid-null",
-            "sweep-epsilon-null", "forcing-custom-profile", "verify-zero-amplitude"])
+            "sweep-epsilon-null", "forcing-custom-profile", "verify-zero-amplitude",
+            "verify-samples-0", "verify-samples-negative", "verify-m_t-4"])
     def test_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys,
                                   command, overrides, threads):
         if threads is not None:
@@ -532,14 +536,24 @@ class TestMalformedInput:
         assert main(command + ["--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        for key in overrides.get("verify", {}):  # a bad verify key is named as one
+            assert f"verify.{key}" in err
 
-    @pytest.mark.parametrize("command", ["solve-periodic", "stability", "verify", "sweep"])
+    @pytest.mark.parametrize("command, zero", [
+        ("solve-periodic", {}), ("stability", {}), ("verify", {}), ("sweep", {}),
+        ("solve-periodic", {"forcing": {"amplitude": 0}}),
+        ("stability", {"forcing": {"amplitude": 0}}),
+        ("sweep", {"sweep": {"epsilon": [0.0]}}),
+    ], ids=["solve-periodic", "stability", "verify", "sweep",
+            "solve-periodic-eps-0", "stability-eps-0", "sweep-eps-0"])
     @pytest.mark.parametrize("forcing", [{"axis": 5}, {"sigma": -1.0}, {"sigma": 8.0}],
                              ids=["axis-5", "sigma-negative", "sigma-wide"])
-    def test_forcing_that_cannot_be_realized(self, tmp_path, capsys, command, forcing):
+    def test_forcing_that_cannot_be_realized(self, tmp_path, capsys, command, zero, forcing):
         # stability solves its base inline; sigma 8 = L/4 does not decay at the seam;
-        # a sweep's rows share the forcing, so the sweep ends on the first row's error
-        cfg_path = _small_config(tmp_path, forcing=forcing)
+        # a sweep's rows share the forcing, so the sweep ends on the first row's error;
+        # at amplitude 0 (eps-0) the profile is realized and checked all the same
+        cfg_path = _small_config(tmp_path, forcing={**forcing, **zero.get("forcing", {})},
+                                 sweep=zero.get("sweep", {}))
         axis = ["--axis", "epsilon"] if command == "sweep" else []
         assert main([command, "--config", str(cfg_path)] + axis) == 2
         err = capsys.readouterr().err

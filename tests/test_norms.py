@@ -605,9 +605,8 @@ class TestBufferedTree:
                                                    halo=False), axis=0)
                for k in range(4)},
         }
-        if mask is None:  # the bracket's H1_w sums, unmasked, in one row
-            ref["bracket"] = _ref_node_sums(data, grid, 1, None, 1, halo=False, add=lambda
-                                            out, alpha, phys: hk_add(out, (0,), phys))
+        if mask is None:  # the bracket's H1_w sums, unmasked, a row per order
+            ref["bracket"] = _ref_node_sums(data, grid, 1, None, 2, hk_add, halo=False)
         node_sums = norms._node_sums
 
         def buffered():
