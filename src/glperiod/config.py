@@ -20,6 +20,8 @@ from .operators import CutoffSpec, LinearOperatorSpec, auto_cutoffs, make_cutoff
 from .periodic_solver import SolveOptions
 from .spectral import Grid, GridConfig, make_grid
 
+M_T_MIN = 8  # time nodes per period of any solve
+
 
 def reference_config() -> dict:
     """The pinned desk-scale experiment (dim 3, n=32, L=64, T=1, eps=1e-2)."""
@@ -54,11 +56,13 @@ def load_config(path) -> dict:
     return _merge(reference_config(), raw)
 
 
-def integer(value, key: str) -> int:
-    """A JSON integer (or an integral float) as an int; ConfigError naming
-    `key` for anything else, a boolean included."""
+def integer(value, key: str, low: int | None = None) -> int:
+    """A JSON integer (or an integral float) as an int, at least `low` if
+    given; ConfigError naming `key` for anything else, a boolean included."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
         raise ConfigError(f"invalid {key}: {json.dumps(value)} is not an integer")
+    if low is not None and value < low:
+        raise ConfigError(f"{key} must be >= {low}; got {int(value)}")
     return int(value)
 
 
@@ -81,16 +85,18 @@ def boolean(value, key: str) -> bool:
     return value
 
 
-def grid_config(cfg: dict) -> GridConfig:
-    g = cfg["grid"]
-    dim, n = integer(g["dim"], "grid.dim"), integer(g["n_per_axis"], "grid.n_per_axis")
-    box_length = number(g["box_length"], "grid.box_length")
-    dealias_fraction = number(g["dealias_fraction"], "grid.dealias_fraction")
+def grid_config(cfg: dict, keys: dict | None = None) -> GridConfig:
+    """The grid block; a bad value names grid.<field>, or keys[field] if copied there."""
+    g, key = cfg["grid"], lambda field: (keys or {}).get(field, f"grid.{field}")
+    dim, n = integer(g["dim"], key("dim")), integer(g["n_per_axis"], key("n_per_axis"))
+    box_length = number(g["box_length"], key("box_length"))
+    dealias_fraction = number(g["dealias_fraction"], key("dealias_fraction"))
     try:
         return GridConfig(dim=dim, n_per_axis=n, box_length=box_length,
                           dealias_fraction=dealias_fraction)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid config: {exc}")
+        field, rule = str(exc).split(" ", 1)  # GridConfig names the field first
+        raise ConfigError(f"invalid grid config: {key(field)} {rule}")
 
 
 def build_grid(cfg: dict) -> Grid:
@@ -136,9 +142,7 @@ def build_forcing(cfg: dict) -> SeparableForcing:
     that cannot be realized (a bad value, a profile that does not decay at
     the seam or is not odd) is a config error."""
     f = cfg["forcing"]
-    m_t = integer(cfg["solve"]["m_t"], "solve.m_t")
-    if m_t < 8:
-        raise ConfigError(f"solve.m_t must be >= 8; got {m_t}")
+    m_t = integer(cfg["solve"]["m_t"], "solve.m_t", M_T_MIN)
     harmonic, axis = integer(f["harmonic"], "forcing.harmonic"), integer(f["axis"], "forcing.axis")
     amplitude, period = number(f["amplitude"], "forcing.amplitude"), number(cfg["period"], "period")
     sigma = None if f["sigma"] is None else number(f["sigma"], "forcing.sigma")
@@ -181,7 +185,7 @@ def build_stability_settings(cfg: dict) -> dict:
     """t_max, record_stride, order and linear_only of the stability block,
     checked against the config period before any base is solved or loaded."""
     s = cfg["stability"]
-    settings = {"record_stride": integer(s["record_stride"], "stability.record_stride"),
+    settings = {"record_stride": integer(s["record_stride"], "stability.record_stride", 1),
                 "order": integer(s["order"], "stability.order"),
                 "linear_only": boolean(s["linear_only"], "stability.linear_only"),
                 "t_max": number(s["t_max"], "stability.t_max")}
@@ -189,9 +193,6 @@ def build_stability_settings(cfg: dict) -> dict:
     if not min_t <= settings["t_max"] < math.inf:
         raise ConfigError(f"stability.t_max must be finite and cover at least 10 "
                           f"periods ({min_t:g}); got {settings['t_max']:g}")
-    if settings["record_stride"] < 1:
-        raise ConfigError(f"stability.record_stride must be >= 1; "
-                          f"got {settings['record_stride']}")
     if settings["order"] not in (1, 2):
         raise ConfigError(f"stability.order must be 1 or 2; got {settings['order']}")
     return settings

@@ -16,6 +16,10 @@ class SeamDecayViolation(GLPeriodError):
 class OddnessViolation(GLPeriodError):
     """A field required to satisfy f(-x) = -f(x) fails the lattice check."""
 
+    def __init__(self, what: str, tol: float):
+        super().__init__(f"{what} is not odd on the lattice: its even part exceeds "
+                         f"{tol:.0e} of its largest coefficient")
+
 
 class NonFiniteField(GLPeriodError):
     """A field acquired non-finite values (iteration or time-stepping

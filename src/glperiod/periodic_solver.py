@@ -224,15 +224,15 @@ def _all_finite(data: np.ndarray) -> bool:
 
 def _is_antiperiodic(g: Series) -> bool:
     """Whether a series (its frequency_rows, any layout) has an even m_t and a
-    periodic part (g[m] + g[m + m_t/2])/2 of at most ODDNESS_TOL of the peak,
-    one chunk of node pairs at a time (cf. Grid.is_odd's even part)."""
+    periodic part (g[m] + g[m + m_t/2])/2 of at most ODDNESS_TOL of the peak
+    (Grid.periodic_part), one chunk of node pairs at a time on the pool."""
     if len(g) % 2 == 0:
         return False
     half = (len(g) - 1) // 2
 
     def task(rows):  # (periodic part, peak) over the pairs (m, m + m_t/2)
         later = g.frequency_rows(slice(rows.start + half, rows.stop + half))
-        return np.max([(np.abs(a + b).max() / 2, max(np.abs(a).max(), np.abs(b).max()))
+        return np.max([g.grid.periodic_part(a, b)
                        for a, b in zip(g.frequency_rows(rows), later)], axis=0)
 
     periodic, peak = np.max(map_chunks(task, node_chunks(half + 1)), axis=0)

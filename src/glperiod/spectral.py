@@ -218,18 +218,25 @@ class Grid:
             if keep is not None:
                 for m, f in zip(range(rows.start, min(rows.stop, len(keep))), block):
                     keep[m] = 0.5 * (f - self.reflect(f))[:keep.shape[1]]
-            pairs = [(np.abs(f + self.reflect(f)).max(), np.abs(f).max()) for f in block]
-            return float(max(p[0] for p in pairs)) / 2, float(max(p[1] for p in pairs))
+            return np.max([self.even_part(f) for f in block], axis=0)
 
         even, peak = np.max(map_chunks(task, node_chunks(len(data))), axis=0)
         return bool(even <= ODDNESS_TOL * peak)
 
+    def even_part(self, f: np.ndarray) -> tuple[float, float]:
+        """(largest |f + Rf|/2, largest |f|): the even part is_odd bounds, and the peak."""
+        return float(np.abs(f + self.reflect(f)).max()) / 2, float(np.abs(f).max())
+
+    @staticmethod
+    def periodic_part(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+        """(largest |a + b|/2, largest |a| or |b|) of nodes m, m + m_t/2 of a series:
+        their periodic part, at most ODDNESS_TOL of the peak for antiperiodic data."""
+        return float(np.abs(a + b).max()) / 2, float(max(np.abs(a).max(), np.abs(b).max()))
+
     def require_odd(self, data, what: str, keep: np.ndarray | None = None) -> None:
         """is_odd(data, keep), or OddnessViolation naming `what`."""
         if not self.is_odd(data, keep):
-            raise OddnessViolation(
-                f"{what} is not odd on the lattice: its even part exceeds "
-                f"{ODDNESS_TOL:.0e} of its largest coefficient")
+            raise OddnessViolation(what, ODDNESS_TOL)
 
     @cached_property
     def whole_index(self) -> np.ndarray:

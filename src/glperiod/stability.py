@@ -40,7 +40,8 @@ planes of the half columns (Grid.odd_columns), on which the first-axis pass
 runs (Grid.odd_transform, shared with the solve; its forward transform and
 the h phi updates skip the planes with no dealiased mode). Base nodes are
 transformed one at a time from the planes a FieldSeries holds (the solve's
-u), or from frequency_rows (snapshot files): no frequency copy is held.
+u), or from frequency_rows (snapshot files): no frequency copy is held. An
+antiperiodic base (v(t + T/2) = -v(t)) holds nodes 0..m_t/2 - 1, negated after.
 """
 
 from __future__ import annotations
@@ -49,14 +50,15 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import OddnessViolation
 from .manifest import atomic_write, strict_json
 from .operators import CutoffSpec, LinearOperatorSpec
 from .phi import phi1, phi2
-from .spectral import FieldSeries, Grid, Series, SpectralField
+from .spectral import ODDNESS_TOL, FieldSeries, Grid, Series, SpectralField
 
 
 def _rhs_work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -199,10 +201,11 @@ class DecayReport:
     steps: int = 0                 # steps taken (fewer than planned on escape)
     rhs_evals: int = 0             # nonlinear evaluations made
     step_s: float = 0.0            # seconds in the step loop, records included
+    base: dict = field(default_factory=dict)  # antiperiodic (None if linear), nodes_held
 
     def summary_dict(self) -> dict:
         """Strict-JSON summary: NaN fit values become null beside fit_reason.
-        It holds no timing (step_s), so a rerun writes the same bytes."""
+        It holds no timing (step_s) or base layout, as decay.json does not."""
         fits = {key: getattr(self, key) for key in (
             "fitted_slope_l0", "fitted_slope_l1", "fit_intercept_l0",
             "fit_intercept_l1", "fit_r2_l0", "fit_r2_l1")}
@@ -262,25 +265,33 @@ def default_fit_window(grid: Grid) -> tuple[float, float]:
     return 1.0, 0.25 * (grid.box_length / (2.0 * np.pi)) ** 2
 
 
-def _base_nodes(v_per) -> np.ndarray:
-    """Base nodes 0..m_t - 1 in physical space, transformed one at a time:
-    the odd inverse (Grid.odd_transform) of their planes 0..n/2, in the
-    stepper's column layout. A FieldSeries hands over the planes it holds
-    (node m + m_t/2 of an antiperiodic base is minus node m); other series
-    are read by frequency_rows."""
+def _base_symmetry(v_per: Series) -> bool:
+    """Whether an odd base is antiperiodic: one pass over its node pairs (m, m + m_t/2),
+    in the calling thread (pool threads' arenas would keep its temporaries), bounds each
+    node's even part (Grid.even_part; OddnessViolation) and each pair's periodic part."""
+    grid, m_t = v_per.grid, v_per.n_steps
+    half, even, periodic = m_t // 2, [], []
+    for m in range(m_t - half + 1):  # every node 0..m_t, as a or as b
+        (a,), (b,) = (v_per.frequency_rows(slice(k, k + 1)) for k in (m, m + half))
+        even += [grid.even_part(a), grid.even_part(b)]
+        periodic.append(grid.periodic_part(a, b))
+    (even, peak), (periodic, _) = np.max(even, axis=0), np.max(periodic, axis=0)
+    if not even <= ODDNESS_TOL * peak:
+        raise OddnessViolation("base", ODDNESS_TOL)
+    return m_t % 2 == 0 and bool(periodic <= ODDNESS_TOL * peak)
+
+
+def _base_nodes(v_per: Series, antiperiodic: bool, scratch: np.ndarray) -> np.ndarray:
+    """Base nodes 0..m_t/2 - 1 if antiperiodic, else 0..m_t - 1, in the stepper's
+    physical layout, one at a time: the odd inverse (Grid.odd_transform) of their
+    planes 0..n/2, later passes in `scratch`. A FieldSeries hands over the planes
+    it holds; other series are read by frequency_rows."""
     grid, m_t = v_per.grid, v_per.n_steps
     pair = grid.odd_transform
-    nodes = np.empty((m_t, grid.n, pair.columns.size), complex)
-    scratch = np.empty((1,) + pair.half_shape, complex)
-    held = len(v_per.data) if isinstance(v_per, FieldSeries) else 0
-    for m in range(m_t):
-        if not held:
-            node, = v_per.frequency_rows(slice(m, m + 1))
-        elif m < held:
-            node = v_per.data[m]
-        else:
-            np.negative(nodes[m - m_t // 2], out=nodes[m])
-            continue
+    nodes = np.empty((m_t // 2 if antiperiodic else m_t, grid.n, pair.columns.size), complex)
+    for m in range(len(nodes)):
+        node, = (v_per.data[m:m + 1] if isinstance(v_per, FieldSeries)
+                 else v_per.frequency_rows(slice(m, m + 1)))
         pair.ifft(node[None, :pair.half_shape[0]], nodes[m:m + 1], scratch)
     return nodes
 
@@ -294,12 +305,17 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     grid, m_t = cfg.v_per.grid, cfg.v_per.n_steps
     h = cfg.v_per.period / m_t
     grid.require_odd(cfg.w0.data[None], "perturbation")
-    if not cfg.linear_only:
-        grid.require_odd(cfg.v_per, "base")
+    antiperiodic = None if cfg.linear_only else _base_symmetry(cfg.v_per)
     stepper = _Stepper(grid, op, h)
     planes = len(stepper.decay)
     w_hat = cfg.w0.data[:planes].copy()
-    v_nodes = None if cfg.linear_only else _base_nodes(cfg.v_per)
+    v_nodes = [] if cfg.linear_only else _base_nodes(cfg.v_per, antiperiodic, stepper.spare[None])
+    held = len(v_nodes)
+    negated = np.empty(v_nodes.shape[1:], complex) if antiperiodic else None
+
+    def node(k: int) -> np.ndarray:  # node k mod m_t: held, or minus one in the one buffer
+        k %= m_t
+        return v_nodes[k] if k < held else np.negative(v_nodes[k - held], out=negated)
 
     pf = grid.parseval_factor
     xi_sq = grid.xi_sq
@@ -338,10 +354,9 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         if cfg.linear_only:
             w_hat = stepper.step(w_hat, None, None, cfg.order, include_rhs=False)
         else:
-            # only the ETD2RK first step reads the base at the step's end
-            v_nxt = (v_nodes[(step + 1) % m_t] if cfg.order == 2 and not stepper.has_prev
-                     else None)
-            w_hat = stepper.step(w_hat, v_nodes[step % m_t], v_nxt, cfg.order)
+            # only the ETD2RK first step reads the base at the step's end (node 1, held)
+            v_nxt = node(step + 1) if cfg.order == 2 and not stepper.has_prev else None
+            w_hat = stepper.step(w_hat, node(step), v_nxt, cfg.order)
         steps = step + 1
         t = steps * h
         # NaN and inf fail the comparison, so they count as escape too
@@ -352,7 +367,7 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         if (step + 1) % cfg.record_stride == 0 or step + 1 == n_steps:
             record(w_hat, t)
     step_s = time.perf_counter() - started
-    v_nodes = None  # freed: the fit's LAPACK start-up need not add to their peak
+    v_nodes = negated = None  # freed: the fit's LAPACK start-up need not add to their peak
 
     times, l2_w, grad_w, n1_series, n2_series, n_series = np.array(rows).T
     window = default_fit_window(grid)
@@ -371,4 +386,5 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         fit_intercept_l0=icpt0, fit_intercept_l1=icpt1,
         fit_r2_l0=r20, fit_r2_l1=r21, fit_window=window,
         escaped=escaped, escape_time=escape_time, fit_reason=fit_reason,
-        steps=steps, rhs_evals=stepper.rhs_evals, step_s=step_s)
+        steps=steps, rhs_evals=stepper.rhs_evals, step_s=step_s,
+        base={"antiperiodic": antiperiodic, "nodes_held": held})

@@ -45,6 +45,13 @@ def _small_config(tmp_path, **overrides):
     return path
 
 
+def _leaf_keys(tree: dict, prefix: str = "") -> list[str]:
+    """Dotted keys of the leaves (lists and scalars) of a config tree."""
+    return [leaf for key, value in tree.items()
+            for leaf in (_leaf_keys(value, f"{prefix}{key}.") if isinstance(value, dict)
+                         else [prefix + key])]
+
+
 # The single-field API that only tests called, and the physical-space oddness
 # rule that Grid.is_odd replaced; their reference forms live in tests/oracles.py.
 REMOVED_NAMES = (
@@ -469,6 +476,22 @@ class TestStabilityCommand:
         assert "step_loop" not in decay
         assert headline["step_loop"]["runtime_s"] > 0
 
+    @pytest.mark.parametrize("overrides, layout", [
+        ({}, {"antiperiodic": True, "nodes_held": 8}),
+        ({"forcing": {"temporal_profile": "harmonic", "harmonic": 2}},
+         {"antiperiodic": False, "nodes_held": 16}),
+        ({"stability": {"t_max": 10.0, "record_stride": 2, "linear_only": True}},
+         {"antiperiodic": None, "nodes_held": 0}),
+    ], ids=["antiperiodic", "harmonic-2", "linear"])
+    def test_base_layout_in_headline_not_in_artifact(self, tmp_path, overrides, layout):
+        # the base the run held (m_t = 16): half its nodes when antiperiodic,
+        # every node when not, none in a linear run; decay.json names none
+        cfg_path = _small_config(tmp_path, **overrides)
+        assert main(["stability", "--config", str(cfg_path)]) == 0
+        headline = load_manifest(tmp_path / "out" / "manifest.json")["headline"]
+        assert headline["base"] == layout
+        assert "base" not in json.loads((tmp_path / "out" / "decay.json").read_text())
+
     def test_escape_is_finding_not_failure(self, tmp_path):
         cfg_path = _small_config(tmp_path, stability={"t_max": 10.0,
                                                       "amplitude": 10.0,
@@ -522,12 +545,17 @@ class TestMalformedInput:
         (["verify"], {"verify": {"samples": 0}}, None),
         (["verify"], {"verify": {"samples": -3}}, None),
         (["verify"], {"verify": {"m_t": 4}}, None),
+        (["verify"], {"verify": {"grid": {"n_per_axis": 6}}}, None),
+        (["verify"], {"verify": {"solve_amplitude": -1}}, None),
+        (["sweep", "--axis", "m_t"], {"sweep": {"m_t": [4]}}, None),
+        (["sweep", "--axis", "n"], {"sweep": {"n": [6]}}, None),
     ], ids=["grid-dim-null", "verify-grid-dim-null", "period-null", "m_t-null", "m_t-4",
             "threads-abc", "threads-negative", "t_max-below-10-periods",
             "t_max-null", "record_stride-0", "order-3", "perturbation-axis-5",
             "perturbation-sigma-negative", "verify-grid-null",
             "sweep-epsilon-null", "forcing-custom-profile", "verify-zero-amplitude",
-            "verify-samples-0", "verify-samples-negative", "verify-m_t-4"])
+            "verify-samples-0", "verify-samples-negative", "verify-m_t-4",
+            "verify-grid-n-6", "verify-amplitude-negative", "sweep-m_t-4", "sweep-n-6"])
     def test_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys,
                                   command, overrides, threads):
         if threads is not None:
@@ -536,8 +564,10 @@ class TestMalformedInput:
         assert main(command + ["--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        for key in overrides.get("verify", {}):  # a bad verify key is named as one
-            assert f"verify.{key}" in err
+        # a bad verify or sweep value is named by the key the user wrote,
+        # not by the solve key it is copied into
+        for key in _leaf_keys({k: overrides[k] for k in ("verify", "sweep") if k in overrides}):
+            assert key in err
 
     @pytest.mark.parametrize("command, zero", [
         ("solve-periodic", {}), ("stability", {}), ("verify", {}), ("sweep", {}),

@@ -20,7 +20,7 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig, OddnessViolation,
 from glperiod import cli, stability
 from glperiod.forcing import gauss_dipole
 from glperiod.phi import phi1, phi2
-from glperiod.spectral import Series, write_snapshot
+from glperiod.spectral import ODDNESS_TOL, Series, write_snapshot
 from glperiod.stability import _base_nodes, _rhs_data, _rhs_work, _Stepper
 
 from conftest import random_field, random_odd_field, random_physical_field, raw_random_series
@@ -251,7 +251,7 @@ class TestExpStep:
         grid, op, cut, g, v_per = small_setup
         stepper = _Stepper(grid, op, v_per.dt)
         fresh = _Stepper(grid, op, v_per.dt)
-        v_phys = _base_nodes(v_per)
+        v_phys = _base_nodes(v_per, True, stepper.spare[None])
         planes = len(stepper.decay)
         assert planes == grid.n // 2 + 1
         w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
@@ -361,9 +361,10 @@ class TestRunStability:
         assert (summary["steps"], summary["rhs_evals"]) == (decay.steps, expected)
 
     def test_base_nodes_transform_one_node_at_a_time(self, small_setup):
-        # the batched odd inverse's bits, with no temporaries beyond the
-        # nodes and one half-plane buffer (9/16 of a field against 16 nodes
-        # of 130/256 fields), on the solve's own antiperiodic FieldSeries
+        # the batched odd inverse's bits, m_t/2 = 8 nodes of 130/256 fields
+        # with no temporaries beyond them, on the solve's own antiperiodic
+        # FieldSeries (the half-plane scratch is the caller's, as the run
+        # lends its stepper's)
         grid, op, cut, g, v_per = small_setup
         assert v_per.antiperiodic
         _check_base_nodes(v_per, whole_series(v_per))
@@ -431,24 +432,21 @@ class TestRunStability:
     @pytest.mark.parametrize("order", [1, 2])
     def test_steps_once_per_base_node(self, small_setup, monkeypatch, order):
         # step s reads node s mod m_t, and the ETD2RK first step node 1 at
-        # its end; records fall on multiples of stride * T/m_t
+        # its end; records fall on multiples of stride * T/m_t. The base is
+        # antiperiodic: nodes 0..m_t/2 - 1 are held, and node m + m_t/2 is
+        # minus node m, written into one buffer
         grid, op, cut, g, v_per = small_setup
         w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
-        nodes, m_t, read = _base_nodes(v_per), v_per.n_steps, []
-        step = _Stepper.step
-
-        def spy(self, w_hat, v_now, v_next, order, include_rhs=True):
-            read.append([next(m for m in range(m_t) if np.array_equal(v, nodes[m]))
-                         for v in (v_now, v_next) if v is not None])
-            return step(self, w_hat, v_now, v_next, order, include_rhs)
-
-        monkeypatch.setattr(_Stepper, "step", spy)
+        m_t = v_per.n_steps
+        built, read, negated = _spy_base_reads(monkeypatch)
         cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=4, order=order)
         decay = run_stability(cfg, op, cut)
+        assert len(built) == 1 and len(built[0]) == m_t // 2 == decay.base["nodes_held"]
         assert decay.steps == len(read) == 10 * m_t
         assert read[0] == ([0, 1] if order == 2 else [0])
         assert [r[0] for r in read] == [s % m_t for s in range(10 * m_t)]
         assert all(len(r) == 1 for r in read[1:])
+        assert len(negated) == 1  # one run-owned buffer
         np.testing.assert_array_equal(decay.times, np.arange(41) * 4 * (1.0 / m_t))
 
     def test_csv_roundtrip(self, small_setup, tmp_path, monkeypatch):
@@ -491,19 +489,49 @@ class _RowsOnly(Series):
 
 
 def _check_base_nodes(base, whole):
-    """_base_nodes(base) has the bits of the batched odd inverse of the
-    series `whole` (base's every node) and a traced peak of at most 1.1
-    times the nodes it returns."""
+    """_base_nodes of the antiperiodic base is its m_t/2 first nodes, with
+    the bits of the batched odd inverse of those nodes of the series `whole`
+    (base's every node), and a traced peak of at most 1.1 times the nodes it
+    returns when the caller lends the half-plane scratch, as the run does."""
     grid, m_t = whole.grid, whole.n_steps
-    batched = grid.odd_transform.ifft(whole.data[:m_t, :grid.n // 2 + 1])
-    assert np.array_equal(_base_nodes(base), batched)
+    batched = grid.odd_transform.ifft(whole.data[:m_t // 2, :grid.n // 2 + 1])
+    scratch = np.empty((1,) + grid.half_shape, complex)
+    assert np.array_equal(_base_nodes(base, True, scratch), batched)
     tracemalloc.start()
     try:
-        nodes = _base_nodes(base)
+        nodes = _base_nodes(base, True, scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(nodes) == m_t // 2 and np.array_equal(nodes, batched)
     assert peak <= 1.1 * nodes.nbytes
+
+
+def _spy_base_reads(monkeypatch):
+    """Spy on a run: the nodes arrays _base_nodes built, per step the base
+    nodes the step read (k for held node k, held + k for a buffer with
+    minus held node k, bit for bit), and the addresses of those buffers."""
+    built, read, negated = [], [], set()
+    base_nodes, step = stability._base_nodes, _Stepper.step
+
+    def nodes_spy(*args):
+        built.append(base_nodes(*args))
+        return built[-1]
+
+    def which(v):
+        nodes = built[-1]
+        if np.shares_memory(v, nodes):
+            return (v.ctypes.data - nodes.ctypes.data) // nodes[0].nbytes
+        negated.add(v.ctypes.data)
+        return len(nodes) + next(k for k in range(len(nodes)) if np.array_equal(v, -nodes[k]))
+
+    def step_spy(self, w_hat, v_now, v_next, order, include_rhs=True):
+        read.append([which(v) for v in (v_now, v_next) if v is not None])
+        return step(self, w_hat, v_now, v_next, order, include_rhs)
+
+    monkeypatch.setattr(stability, "_base_nodes", nodes_spy)
+    monkeypatch.setattr(_Stepper, "step", step_spy)
+    return built, read, negated
 
 
 def _with_even_part(v_per, size):
@@ -603,27 +631,29 @@ class TestHalfLattice:
             run_stability(cfg, op, cut)
 
     def test_odd_base_nodes_keep_half_the_planes(self, grid3d, rng):
-        # m_t = 64 nodes of all 16 planes of 130 of 256 columns (the half
-        # columns), plus one half-plane buffer: the shared odd inverse of each
-        # node's planes 0..n/2, which is the whole transform's columns of their
-        # odd extension to roundoff
+        # m_t = 64 nodes (32 when taken as antiperiodic) of all 16 planes of
+        # 130 of 256 columns (the half columns), plus one half-plane buffer:
+        # the shared odd inverse of each node's planes 0..n/2, which is the
+        # whole transform's columns of their odd extension to roundoff
         m_t, pair = 64, grid3d.odd_transform
         data = np.fft.fftn(raw_random_series(grid3d, m_t, rng), axes=(1, 2, 3))
         series = FieldSeries(grid3d, data, 1.0)
-        full_bytes = m_t * np.empty(grid3d.shape, complex).nbytes
-        _base_nodes(series)  # warm the FFT caches
-        tracemalloc.start()
-        try:
-            nodes = _base_nodes(series)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert nodes.shape == (m_t, grid3d.n, 130)
-        half = data[:m_t, :grid3d.n // 2 + 1]
-        assert np.array_equal(nodes, pair.ifft(half))
-        odd = _half_columns(grid3d, np.fft.ifftn(whole_lattice(grid3d, half), axes=(1, 2, 3)))
-        np.testing.assert_allclose(nodes, odd, rtol=0, atol=1e-13 * np.abs(odd).max())
-        assert peak <= 0.53 * full_bytes  # 130/256 + 9/(16 * 64) = 0.517
+        _base_nodes(series, False, np.empty((1,) + grid3d.half_shape, complex))  # warm the FFTs
+        for antiperiodic, held in ((False, m_t), (True, m_t // 2)):
+            full_bytes = held * np.empty(grid3d.shape, complex).nbytes
+            tracemalloc.start()
+            try:
+                scratch = np.empty((1,) + grid3d.half_shape, complex)
+                nodes = _base_nodes(series, antiperiodic, scratch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert nodes.shape == (held, grid3d.n, 130)
+            half = data[:held, :grid3d.n // 2 + 1]
+            assert np.array_equal(nodes, pair.ifft(half))
+            odd = _half_columns(grid3d, np.fft.ifftn(whole_lattice(grid3d, half), axes=(1, 2, 3)))
+            np.testing.assert_allclose(nodes, odd, rtol=0, atol=1e-13 * np.abs(odd).max())
+            assert peak <= 0.53 * full_bytes  # 130/256 + 9/(16 * held) = 0.517, 0.525
 
     def test_linear_run_reads_no_base(self, small_setup, monkeypatch):
         # the base is neither tested nor transformed, so one that is not odd
@@ -657,10 +687,12 @@ class TestSavedBase:
     in-memory series, one snapshot at a time."""
 
     def test_run_holds_the_nodes_not_the_series(self, monkeypatch, tmp_path):
-        # an odd run at 16^3, m_t = 64: the half-column nodes (32.5 fields)
-        # plus the stepper's buffers and set-up temporaries (13 fields,
-        # whatever m_t), well below the 65 fields of the frequency series;
-        # each snapshot is read at most twice (oddness test, node build)
+        # an odd run at 16^3, m_t = 64, about a base that is not
+        # antiperiodic: the half-column nodes (32.5 fields) plus the
+        # stepper's buffers and set-up temporaries (13 fields, whatever m_t),
+        # well below the 65 fields of the frequency series; the symmetry
+        # pass reads each snapshot once (node m_t/2 twice, in pairs 0 and
+        # m_t/2) and the node build nodes 0..m_t - 1 once more
         grid = make_grid(GridConfig(dim=3, n_per_axis=16, box_length=32.0))
         op, cut, m_t = make_operator(grid, 1.0), auto_cutoffs(grid, 1.0), 64
         rng = np.random.default_rng(11)
@@ -674,8 +706,9 @@ class TestSavedBase:
         monkeypatch.setattr(cli, "read_snapshot",
                             lambda path, grid: reads.update([path]) or read(path, grid))
         saved = run_stability(cfg, op, cut)  # also warms the FFT caches
-        assert sorted(set(reads.values())) == [1, 2]
-        assert len(reads) == m_t + 1 and sum(reads.values()) == 2 * m_t + 1
+        assert sorted(set(reads.values())) == [1, 2, 3]
+        assert len(reads) == m_t + 1 and sum(reads.values()) == 2 * m_t + 2
+        assert reads[cfg.v_per.paths[m_t // 2]] == 3 and not saved.base["antiperiodic"]
         _assert_same_run(saved, run_stability(
             StabilityRunConfig(t_max=10.0, v_per=series, w0=w0, record_stride=4), op, cut))
         tracemalloc.start()
@@ -700,6 +733,105 @@ class TestSavedBase:
             with pytest.raises(OddnessViolation, match="^base is not odd on the lattice"):
                 run_stability(StabilityRunConfig(t_max=10.0, v_per=base, w0=w0,
                                                  record_stride=4), op, cut)
+
+
+class TestHalfPeriodBase:
+    """An antiperiodic base, v(t + T/2) = -v(t), is held on nodes
+    0..m_t/2 - 1: one pass over the node pairs (m, m + m_t/2) tests its
+    oddness and measures its antiperiodicity before any node is built, and
+    the run's bits are those of the run that holds every node."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_half_period_run_is_the_whole_period_run(self, small_setup, monkeypatch, order):
+        # the oracle: the same base as a whole-period series (all m_t + 1
+        # nodes, expanded by frequency_rows), not taken as antiperiodic
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+        whole = FieldSeries(grid, v_per.frequency_rows(slice(None)), v_per.period)
+        assert not whole.antiperiodic and len(whole.data) == v_per.n_steps + 1
+
+        def run(base):
+            return run_stability(StabilityRunConfig(t_max=10.0, v_per=base, w0=w0,
+                                                    record_stride=4, order=order), op, cut)
+
+        half = run(v_per)
+        symmetry = stability._base_symmetry
+        monkeypatch.setattr(stability, "_base_symmetry", lambda base: symmetry(base) and False)
+        every = run(whole)
+        assert half.base == {"antiperiodic": True, "nodes_held": v_per.n_steps // 2}
+        assert every.base == {"antiperiodic": False, "nodes_held": v_per.n_steps}
+        assert not half.escaped
+        _assert_same_run(half, every)
+
+    def test_base_that_is_not_antiperiodic_holds_every_node(self, small_setup, monkeypatch):
+        # forced by eps sin(4 pi t/T) G the solution is odd and T/2-periodic:
+        # all m_t nodes are held and step s reads node s mod m_t itself
+        grid, op, cut, _, _ = small_setup
+        g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0,
+                                        temporal_profile="harmonic", harmonic=2), grid, 16)
+        v_per, rep = solve_periodic(g, op, cut, SolveOptions())
+        assert rep.converged and not rep.antiperiodic
+        w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
+        built, read, negated = _spy_base_reads(monkeypatch)
+        decay = run_stability(StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0,
+                                                 record_stride=4), op, cut)
+        m_t = v_per.n_steps
+        assert len(built[0]) == m_t == decay.base["nodes_held"] and not decay.base["antiperiodic"]
+        assert [r[0] for r in read] == [s % m_t for s in range(10 * m_t)]
+        assert read[0] == [0, 1] and not negated
+
+    @pytest.mark.parametrize("size, antiperiodic", [(0.0, True), (0.5, True), (4.0, False)])
+    def test_antiperiodicity_is_measured_against_the_tolerance(self, small_setup, tmp_path,
+                                                               size, antiperiodic):
+        # nodes m_t/2..m_t of the saved base off by an odd field of `size`
+        # ODDNESS_TOL of the peak: a periodic part of size/2 of it per pair
+        grid, op, cut, g, v_per = small_setup
+        data = v_per.frequency_rows(slice(None))
+        odd = random_odd_field(grid, np.random.default_rng(5)).data
+        data[v_per.n_steps // 2:] += size * ODDNESS_TOL * np.abs(data).max() * (
+            odd / np.abs(odd).max())
+        base = _saved_base(FieldSeries(grid, data, v_per.period), tmp_path)
+        w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
+        decay = run_stability(StabilityRunConfig(t_max=10.0, v_per=base, w0=w0,
+                                                 record_stride=4), op, cut)
+        assert decay.base["antiperiodic"] is antiperiodic
+        assert decay.base["nodes_held"] == (8 if antiperiodic else 16)
+
+    def test_even_part_in_the_second_half_is_rejected(self, small_setup, monkeypatch,
+                                                      tmp_path):
+        # nodes m_t/2..m_t carry the only even part (1e-6 of the peak), in
+        # memory and saved: OddnessViolation before any base node is built
+        grid, op, cut, g, v_per = small_setup
+        data = v_per.frequency_rows(slice(None))
+        m_t = v_per.n_steps
+        even = _with_even_part(v_per, 1e-6).data - data
+        data[m_t // 2:] += even[m_t // 2:]
+        memory = FieldSeries(grid, data, v_per.period)
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+        monkeypatch.setattr(stability, "_base_nodes", None)  # a call would raise TypeError
+        for base in (memory, _saved_base(memory, tmp_path)):
+            with pytest.raises(OddnessViolation, match="^base is not odd on the lattice"):
+                run_stability(StabilityRunConfig(t_max=10.0, v_per=base, w0=w0,
+                                                 record_stride=4), op, cut)
+
+    def test_saved_base_is_read_once_and_a_half(self, small_setup, monkeypatch, tmp_path):
+        # the pass reads m_t/2 + 1 pairs (node m_t/2 in two), the node build
+        # nodes 0..m_t/2 - 1: 3 m_t/2 + 2 snapshot reads, and the run is the
+        # in-memory run's
+        grid, op, cut, g, v_per = small_setup
+        m_t = v_per.n_steps
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+        reads = collections.Counter()
+        read = cli.read_snapshot
+        monkeypatch.setattr(cli, "read_snapshot",
+                            lambda path, grid: reads.update([path]) or read(path, grid))
+        saved = run_stability(StabilityRunConfig(
+            t_max=10.0, v_per=_saved_base(whole_series(v_per), tmp_path), w0=w0,
+            record_stride=4), op, cut)
+        assert sum(reads.values()) <= 3 * m_t // 2 + 2 and len(reads) == m_t + 1
+        assert saved.base["nodes_held"] == m_t // 2
+        _assert_same_run(saved, run_stability(StabilityRunConfig(
+            t_max=10.0, v_per=v_per, w0=w0, record_stride=4), op, cut))
 
 
 class TestFitDecayRate:
