@@ -101,10 +101,12 @@ def cmd_solve_periodic(cfg: dict, out_override: str | None = None) -> int:
         "contraction_factor": report.contraction_factor,
         "contraction_factor_reason": report.contraction_factor_reason,
     }
+    manifest.headline["layout"] = report.layout  # recorded, not printed
     manifest.finish()
     manifest.write(out / "manifest.json")
 
-    _print_headline("periodic solve", manifest.headline)
+    _print_headline("periodic solve", {k: v for k, v in manifest.headline.items()
+                                       if k != "layout"})
     if not report.converged:
         print("solver did not converge"
               + (f": {report.divergence_reason}" if report.divergence_reason else ""),
@@ -263,7 +265,8 @@ def cmd_verify(cfg: dict, seed: int | None = None,
 def _sweep_value_config(cfg: dict, axis: str, value) -> dict:
     row, key = copy.deepcopy(cfg), f"sweep.{axis}"
     if axis == "epsilon":
-        row["forcing"]["amplitude"] = cfgmod.number(value, key)
+        row["forcing"]["amplitude"] = value
+        cfgmod.forcing_spec(row, {"amplitude": key})
     elif axis == "m_t":
         row["solve"]["m_t"] = cfgmod.integer(value, key, cfgmod.M_T_MIN)
     elif axis == "n":

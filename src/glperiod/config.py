@@ -136,22 +136,30 @@ def build_cutoffs(grid: Grid, cfg: dict) -> CutoffSpec:
     return cutoffs
 
 
+def forcing_spec(cfg: dict, keys: dict | None = None) -> ForcingSpec:
+    """The forcing block; a bad value names forcing.<field>, or keys[field] if
+    copied there (ForcingSpec names the field first)."""
+    f, key = cfg["forcing"], lambda field: (keys or {}).get(field, f"forcing.{field}")
+    harmonic, axis = integer(f["harmonic"], key("harmonic")), integer(f["axis"], key("axis"))
+    amplitude, period = number(f["amplitude"], key("amplitude")), number(cfg["period"], "period")
+    sigma = None if f["sigma"] is None else number(f["sigma"], key("sigma"))
+    try:
+        return ForcingSpec(amplitude=amplitude, period=period,
+                           temporal_profile=f["temporal_profile"], harmonic=harmonic,
+                           axis=axis, sigma=sigma)
+    except (TypeError, ValueError) as exc:
+        field, rule = str(exc).split(" ", 1)
+        raise ConfigError(f"invalid forcing config: {keys[field]} {rule}" if field in (keys or {})
+                          else f"invalid forcing config: {exc}")
+
+
 def build_forcing(cfg: dict) -> SeparableForcing:
     """The forcing on solve.m_t + 1 nodes of one period, the solve's time
     grid, on the config's grid, built after every key is read. A forcing
     that cannot be realized (a bad value, a profile that does not decay at
     the seam or is not odd) is a config error."""
-    f = cfg["forcing"]
     m_t = integer(cfg["solve"]["m_t"], "solve.m_t", M_T_MIN)
-    harmonic, axis = integer(f["harmonic"], "forcing.harmonic"), integer(f["axis"], "forcing.axis")
-    amplitude, period = number(f["amplitude"], "forcing.amplitude"), number(cfg["period"], "period")
-    sigma = None if f["sigma"] is None else number(f["sigma"], "forcing.sigma")
-    try:
-        spec = ForcingSpec(amplitude=amplitude, period=period,
-                           temporal_profile=f["temporal_profile"], harmonic=harmonic,
-                           axis=axis, sigma=sigma)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid forcing config: {exc}")
+    spec = forcing_spec(cfg)
     try:
         return realize_forcing(spec, build_grid(cfg), m_t)
     except (ValueError, SeamDecayViolation, OddnessViolation) as exc:

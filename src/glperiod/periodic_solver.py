@@ -27,30 +27,34 @@ so a kernel's temporaries do not grow with the pool.
 
 A solve holds two series, the iterate u and the correction delta, and
 reads the caller's g by rows (frequency_rows: the realized forcing builds
-eps a(t_m) G_hat per row and is never a series). g must be odd
-(Grid.is_odd, the rule realize_forcing applies to its profile); that test
-writes g's odd part (g - Rg)/2, whose mean mode is exactly 0, into u's
-buffer, and [g] is read from it. u and delta hold planes 0..n/2 only, the
-layout every kernel and Z-norm reads off the data (Grid.is_half); the cubic
-terms run through spectral.OddTransform. The period map runs in place (F[m]
-is carried per slab before its row is overwritten), and one fused map per
-iteration advances u by delta and overwrites delta with the next cubic
-difference. u leaves the solve as the FieldSeries it held, whose
-frequency_rows expands the rows a reader asks for; equation_residual
-streams over them.
+eps a(t_m) G_hat per row and is never a series). g must be odd. Every map
+of the iteration commutes with the lattice reflections, so u and delta keep
+every symmetry g has, and one pass over g (Grid.symmetry_of) measures them
+and writes g's held planes into u's buffer: planes 0..n/2 of every axis if
+g has a parity per axis (the octant), else a second pass (Grid.is_odd)
+writes planes 0..n/2 of the first axis of g's odd part (g - Rg)/2 (the half
+lattice), whose mean mode is exactly 0. [g] is read from those planes. Every
+kernel and Z-norm runs on the layout the series record
+(FieldSeries.symmetry): the period map on the held modes of op.symbol, the
+cubic terms through the layout's transform pair (Grid.transform). The
+period map runs in place (F[m] is carried per slab before its row is
+overwritten), and one fused map per iteration advances u by delta and
+overwrites delta with the next cubic difference. u leaves the solve as the
+FieldSeries it held, whose frequency_rows expands the rows a reader asks
+for; equation_residual streams over them.
 
 The equation is unchanged by u -> -u and a time shift, so for a measured
 antiperiodic g (g(t + T/2) = -g(t), as eps sin(2 pi t/T) G(x)) u and every
 correction are antiperiodic. The solve then holds its series on nodes
 0..m_t/2 (FieldSeries.antiperiodic): the period map closes with u(T/2) =
 -u(0), u(0) = -(1 + e^{-T lambda/2})^{-1} I(T/2), and node m + m_t/2 of u is
-read as minus node m.
+read as minus node m. report.layout records what the solve held.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -60,7 +64,7 @@ from .manifest import strict_json
 from .norms import _node_l2, forcing_bracket, z_norm
 from .operators import CutoffSpec, LinearOperatorSpec, period_inverse_symbol
 from .phi import phi1, phi2
-from .spectral import ODDNESS_TOL, FieldSeries, Series, map_chunks, node_chunks
+from .spectral import WHOLE, FieldSeries, Series, Symmetry, map_chunks, node_chunks
 
 
 @dataclass
@@ -89,15 +93,16 @@ class PeriodicSolveReport:
     diverged: bool = False
     divergence_reason: str | None = None
     contraction_factor_reason: str | None = None  # why contraction_factor is None
-    antiperiodic: bool = False  # the solve held nodes 0..m_t/2 only
+    layout: dict = field(default_factory=dict)  # what the solve held (Symmetry, sizes)
 
     def to_json(self) -> str:
         return strict_json(asdict(self))
 
 
-def _step_coefficients(op: LinearOperatorSpec, h: float):
-    """Per-mode decay factor and phi-quadrature weights for step size h."""
-    z = -h * op.symbol
+def _step_coefficients(op: LinearOperatorSpec, h: float, held: tuple = ()):
+    """Per-mode decay factor and phi-quadrature weights for step size h, on the
+    modes op.symbol[held]."""
+    z = -h * op.symbol[held]
     decay = np.exp(z)
     p1 = phi1(z)
     p2 = phi2(z)
@@ -123,13 +128,15 @@ _NON_FINITE = ("iteration produced non-finite modes; the forcing is too large "
                "for the contraction regime")
 
 
-def _decay_table(op: LinearOperatorSpec, h: float, m_t: int):
-    """e^{-m h lambda}, m = 0..m_t, as (values, index) with values[m][index]
-    the table at node m: only the symbol's distinct values (827 of 32^3 on
-    the reference grid) are exponentiated, each as np.exp does it."""
-    distinct, index = np.unique(op.symbol, return_inverse=True)
+def _decay_table(op: LinearOperatorSpec, h: float, m_t: int, held: tuple = ()):
+    """e^{-m h lambda}, m = 0..m_t, on the modes op.symbol[held], as (values,
+    index) with values[m][index] the table at node m: only the symbol's
+    distinct values (827 of 32^3 on the reference grid, the same on every
+    layout's held planes) are exponentiated, each as np.exp does it."""
+    symbol = op.symbol[held]
+    distinct, index = np.unique(symbol, return_inverse=True)
     values = np.exp(-(np.arange(m_t + 1) * h)[:, None] * distinct)
-    return values, index.reshape(op.symbol.shape)
+    return values, index.reshape(symbol.shape)
 
 
 def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
@@ -138,14 +145,17 @@ def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
     """Periodic response of frequency-stacked, mean-free F, written to `out`
     (a new array by default; `out` may be F). Modes are independent, so one
     task per slab of the first spatial axis runs the recurrence over the
-    time nodes in place in the output. F may hold planes 0..n/2 of odd data,
-    or nodes 0..m_t/2 of `antiperiodic` data, whose closing symbol
-    -1/(1 + e^{-T lambda/2}) is never singular (-1/2 at the mean mode)."""
-    m_t, planes = F.shape[0] - 1, F.shape[1]
-    coefficients = _step_coefficients(op, h)
-    decay, index = _decay_table(op, h, m_t)
-    inverse = (-1.0 / (1.0 + decay[m_t]))[index] if antiperiodic else period_inverse_symbol(op)
-    keep = op.grid.keep_nyquist_free
+    time nodes in place in the output. F may hold the leading planes of each
+    axis that a layout keeps (Symmetry.held: the half lattice, the octant),
+    on whose modes every per-mode table is built, or nodes 0..m_t/2 of
+    `antiperiodic` data, whose closing symbol -1/(1 + e^{-T lambda/2}) is
+    never singular (-1/2 at the mean mode)."""
+    m_t, held = F.shape[0] - 1, tuple(map(slice, F.shape[1:]))
+    coefficients = _step_coefficients(op, h, held)
+    decay, index = _decay_table(op, h, m_t, held)
+    inverse = ((-1.0 / (1.0 + decay[m_t]))[index] if antiperiodic
+               else period_inverse_symbol(op)[held])
+    keep = op.grid.keep_nyquist_free[held]
     if out is None:
         out = np.empty_like(F)
 
@@ -156,40 +166,43 @@ def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
         for m in range(m_t + 1):
             I[m] = (decay[m][nodes] * u0 + I[m]) * keep[slab]
 
-    map_chunks(task, [slice(i, min(i + _SLAB_PLANES, planes))
-                      for i in range(0, planes, _SLAB_PLANES)])
+    map_chunks(task, [slice(i, min(i + _SLAB_PLANES, F.shape[1]))
+                      for i in range(0, F.shape[1], _SLAB_PLANES)])
     return out
 
 
-def _cubic_rows(v: np.ndarray | None, w: np.ndarray, grid) -> np.ndarray:
+def _cubic_rows(v: np.ndarray | None, w: np.ndarray, grid,
+                symmetry: Symmetry = WHOLE) -> np.ndarray:
     """dealias(|v+w|^2 (v+w) - |v|^2 v) on a block of nodes, evaluated in the
     expanded form 2|v|^2 w + v^2 conj(w) + 2|w|^2 v + w^2 conj(v) + |w|^2 w;
-    frequency data in and out (or planes 0..n/2 of odd data).
+    frequency data in and out, held as `symmetry` says, through its
+    transform pair (Grid.transform): |u|^2 is even, so each term keeps every
+    parity of u.
 
     The expansion is an exact pointwise identity; evaluating it directly keeps
     every term accurate relative to its own size, so successive-iterate
     residuals stay meaningful far below the cancellation floor of the naive
     subtraction. v = None stands for v = 0: the result is dealias(|w|^2 w).
     """
-    axes, odd = grid.series_axes, grid.is_half(w)
-    inverse = grid.odd_transform.ifft if odd else lambda x: np.fft.ifftn(x, axes=axes)
-    wp = inverse(w)
+    pair = grid.transform(symmetry)
+    wp = pair.ifft(w)
     w_sq = wp.real * wp.real + wp.imag * wp.imag
     if v is None:
         diff = w_sq * wp
     else:
-        vp = inverse(v)
+        vp = pair.ifft(v)
         v_sq = vp.real * vp.real + vp.imag * vp.imag
         diff = (2.0 * v_sq * wp + vp * vp * np.conj(wp)
                 + 2.0 * w_sq * vp + wp * wp * np.conj(vp) + w_sq * wp)
-    chunk = grid.odd_transform.fft(diff, np.empty_like(w)) if odd else np.fft.fftn(diff, axes=axes)
-    chunk *= grid.dealias[:w.shape[1]]
+    chunk = pair.fft(diff, np.empty_like(w))
+    chunk *= pair.dealias
     return chunk
 
 
 def _cubic_difference_data(v: np.ndarray | None, w: np.ndarray, grid,
-                           advance: bool = False) -> np.ndarray:
-    """_cubic_rows over a series, one task per chunk of time nodes.
+                           advance: bool = False, symmetry: Symmetry = WHOLE) -> np.ndarray:
+    """_cubic_rows over a series held as `symmetry` says, one task per chunk
+    of time nodes.
 
     The difference goes to a new array, or with `advance` into w, after the
     task has advanced v[rows] += w[rows]: the solve's step from the iterate
@@ -199,7 +212,7 @@ def _cubic_difference_data(v: np.ndarray | None, w: np.ndarray, grid,
     out = w if advance else np.empty_like(w)
 
     def task(rows):
-        chunk = _cubic_rows(None if v is None else v[rows], w[rows], grid)
+        chunk = _cubic_rows(None if v is None else v[rows], w[rows], grid, symmetry)
         if advance:
             v[rows] += w[rows]
         out[rows] = chunk
@@ -222,23 +235,6 @@ def _all_finite(data: np.ndarray) -> bool:
                           node_chunks(data.shape[0])))
 
 
-def _is_antiperiodic(g: Series) -> bool:
-    """Whether a series (its frequency_rows, any layout) has an even m_t and a
-    periodic part (g[m] + g[m + m_t/2])/2 of at most ODDNESS_TOL of the peak
-    (Grid.periodic_part), one chunk of node pairs at a time on the pool."""
-    if len(g) % 2 == 0:
-        return False
-    half = (len(g) - 1) // 2
-
-    def task(rows):  # (periodic part, peak) over the pairs (m, m + m_t/2)
-        later = g.frequency_rows(slice(rows.start + half, rows.stop + half))
-        return np.max([g.grid.periodic_part(a, b)
-                       for a, b in zip(g.frequency_rows(rows), later)], axis=0)
-
-    periodic, peak = np.max(map_chunks(task, node_chunks(half + 1)), axis=0)
-    return bool(periodic <= ODDNESS_TOL * peak)
-
-
 def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
                    opts: SolveOptions | None = None) -> tuple[FieldSeries, PeriodicSolveReport]:
     """Iterate the period map from the linear response of g until the Z-norm
@@ -250,20 +246,28 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     consecutive residual increases (fail-fast divergence policy). Non-finite
     iterates raise NonFiniteField.
 
-    g must be odd (Grid.is_odd; OddnessViolation otherwise), as the paper's
-    forcings are. Every map of the iteration commutes with the lattice
-    reflection, so u and every correction are odd: the solve takes g's odd
-    part (its even part is at most ODDNESS_TOL of its peak), holds the series
-    on planes 0..n/2, and runs each Z-norm and [g] on half the lattice; for
-    an antiperiodic g (_is_antiperiodic) on nodes 0..m_t/2 too.
+    g must be odd (OddnessViolation otherwise), as the paper's forcings
+    are. Every map of the iteration commutes with the lattice reflections
+    and with u -> -u at a half-period shift, so u and every correction keep
+    each symmetry g has. One pass over g (Grid.symmetry_of) measures them
+    and writes g's held part into u's buffer: planes 0..n/2 of every axis
+    when g has a parity per axis (the octant), else planes 0..n/2 of the
+    first axis of its odd part (the half lattice, a second pass, Grid.is_odd);
+    nodes 0..m_t/2 only for an antiperiodic g. Every kernel, Z-norm and [g]
+    runs on that layout (FieldSeries.symmetry); report.layout records it.
     """
     opts = opts or SolveOptions()
     grid = g.grid
-    antiperiodic = _is_antiperiodic(g)
-    nodes = (len(g) + 1) // 2 if antiperiodic else len(g)  # nodes 0..m_t/2, else every node
-    u = np.empty((nodes,) + grid.half_shape, complex)  # g's odd part, then the iterate
-    grid.require_odd(g, "forcing", keep=u)
-    u_series = FieldSeries(grid, u, g.period, antiperiodic)
+    octant = np.empty((len(g),) + (grid.n // 2 + 1,) * grid.dim, complex)
+    sym = grid.symmetry_of(g, octant, "forcing")
+    nodes = (len(g) + 1) // 2 if sym.antiperiodic else len(g)  # nodes 0..m_t/2, else every node
+    if sym.parity is not None:
+        u = octant[:nodes]  # g's held part, then the iterate
+    else:
+        del octant
+        u = np.empty((nodes,) + grid.half_shape, complex)  # g's odd part, then the iterate
+        grid.require_odd(g, "forcing", keep=u)
+    u_series = FieldSeries(grid, u, g.period, sym)
     bracket = forcing_bracket(u_series)
     # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
@@ -274,13 +278,14 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     # the correction is propagated through the expanded cubic
     # difference so residuals stay accurate at any magnitude. Both series
     # are updated in place, u in the buffer of g's odd part.
+    antiperiodic = sym.antiperiodic
     _linear_period_map_data(u, op, g.dt, out=u, antiperiodic=antiperiodic)
     if opts.nonlinearity_enabled:
-        delta = _cubic_difference_data(None, u, grid)
+        delta = _cubic_difference_data(None, u, grid, symmetry=sym)
         _linear_period_map_data(delta, op, g.dt, out=delta, antiperiodic=antiperiodic)
     else:
         delta = np.zeros_like(u)
-    delta_series = FieldSeries(grid, delta, g.period, antiperiodic)
+    delta_series = FieldSeries(grid, delta, g.period, sym)
 
     history: list[float] = []
     converged = False
@@ -304,7 +309,7 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         if last:
             u += delta
         else:
-            _cubic_difference_data(u, delta, grid, advance=True)
+            _cubic_difference_data(u, delta, grid, advance=True, symmetry=sym)
         if not _all_finite(u):
             raise NonFiniteField(_NON_FINITE)
         if last:
@@ -325,7 +330,8 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         periodicity_residual=periodicity, z_norm=z_final, g_bracket=bracket,
         c_estimate=c_est, contraction_factor=factor,
         diverged=diverged, divergence_reason=reason,
-        contraction_factor_reason=factor_reason, antiperiodic=antiperiodic)
+        contraction_factor_reason=factor_reason,
+        layout={**asdict(sym), "nodes_held": len(u), "modes_per_node": u[0].size})
     return u_series, report
 
 
@@ -358,9 +364,11 @@ def equation_residual(u: Series, g: Series, op: LinearOperatorSpec,
         dt = (U[2:] - U[:-2]) / (2.0 * h)
         return _node_l2(dt + op.symbol * U[1:-1] - G, grid).max(), _node_l2(U, grid).max()
 
-    # a task's rows of u with their halos are one chunk: freshly expanded rows
-    # beyond the other kernels' working set were faulted in anew by every task
-    size = max(spectral.CHUNK_NODES - 2, 1)
+    # a task's rows of u with their halos (CHUNK_NODES - 2 of them) are the largest
+    # working set of the solve path; one that outgrows what the other kernels' tasks
+    # left in the pool threads' arenas is faulted in anew by every task (reference
+    # config: 27.7k minor faults per residual with 8 rows a task, 0.8k with 6)
+    size = max(spectral.CHUNK_NODES - 4, 1)
     interior = [slice(start, min(start + size, m_t)) for start in range(1, m_t, size)]
     res, sup = np.max(map_chunks(task, interior), axis=0)
     return float(res) / (1.0 + float(sup))

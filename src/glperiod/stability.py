@@ -40,8 +40,9 @@ planes of the half columns (Grid.odd_columns), on which the first-axis pass
 runs (Grid.odd_transform, shared with the solve; its forward transform and
 the h phi updates skip the planes with no dealiased mode). Base nodes are
 transformed one at a time from the planes a FieldSeries holds (the solve's
-u), or from frequency_rows (snapshot files): no frequency copy is held. An
-antiperiodic base (v(t + T/2) = -v(t)) holds nodes 0..m_t/2 - 1, negated after.
+u; an octant one expanded to those planes node by node), or from
+frequency_rows (snapshot files): no frequency copy is held. An antiperiodic
+base (v(t + T/2) = -v(t)) holds nodes 0..m_t/2 - 1, negated after.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def _base_symmetry(v_per: Series) -> bool:
         (a,), (b,) = (v_per.frequency_rows(slice(k, k + 1)) for k in (m, m + half))
         even += [grid.even_part(a), grid.even_part(b)]
         periodic.append(grid.periodic_part(a, b))
-    (even, peak), (periodic, _) = np.max(even, axis=0), np.max(periodic, axis=0)
+    (even, peak), periodic = np.max(even, axis=0), max(periodic)
     if not even <= ODDNESS_TOL * peak:
         raise OddnessViolation("base", ODDNESS_TOL)
     return m_t % 2 == 0 and bool(periodic <= ODDNESS_TOL * peak)
@@ -284,15 +285,19 @@ def _base_symmetry(v_per: Series) -> bool:
 def _base_nodes(v_per: Series, antiperiodic: bool, scratch: np.ndarray) -> np.ndarray:
     """Base nodes 0..m_t/2 - 1 if antiperiodic, else 0..m_t - 1, in the stepper's
     physical layout, one at a time: the odd inverse (Grid.odd_transform) of their
-    planes 0..n/2, later passes in `scratch`. A FieldSeries hands over the planes
-    it holds; other series are read by frequency_rows."""
+    planes 0..n/2, later passes in `scratch`. A FieldSeries hands over those planes
+    of the nodes it holds (FieldSeries.first_planes); other series are read by
+    frequency_rows."""
     grid, m_t = v_per.grid, v_per.n_steps
     pair = grid.odd_transform
     nodes = np.empty((m_t // 2 if antiperiodic else m_t, grid.n, pair.columns.size), complex)
-    for m in range(len(nodes)):
-        node, = (v_per.data[m:m + 1] if isinstance(v_per, FieldSeries)
-                 else v_per.frequency_rows(slice(m, m + 1)))
-        pair.ifft(node[None, :pair.half_shape[0]], nodes[m:m + 1], scratch)
+    for m in range(len(nodes)):  # the octant's planes go to scratch itself: no overlap copy
+        if isinstance(v_per, FieldSeries):
+            node = v_per.first_planes(m, scratch)
+        else:
+            node, = v_per.frequency_rows(slice(m, m + 1))
+            node = node[None, :pair.half_shape[0]]
+        pair.ifft(node, nodes[m:m + 1], scratch)
     return nodes
 
 

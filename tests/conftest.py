@@ -1,3 +1,4 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,6 +8,7 @@ from glperiod import (GridConfig, auto_cutoffs, make_grid, make_operator,
                       SpectralField, spectral)
 
 PERIOD = 1.0
+HALF = spectral.Symmetry(odd=True)  # the half-lattice layout of point-odd data
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +34,22 @@ def cutoffs3d(grid3d):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def point_odd_forcing(grid, m_t, amplitude=1e-2):
+    """A forcing odd under the point reflection but with no parity on any one
+    axis, (x_0 + x_1/2 - x_0 x_1 x_2/L^2) exp(-|x|^2/(2 (L/16)^2)) times
+    sin(2 pi t/T): the solve holds it on the half lattice, not the octant."""
+    from glperiod import ForcingSpec, realize_forcing
+    x, L = grid.x, grid.box_length
+    bump = np.exp(-grid.x_abs ** 2 / (2 * (L / 16) ** 2))
+    if grid.dim == 1:
+        values = x[0] * bump
+    else:
+        values = (x[0] + 0.5 * x[1] - math.prod(x) / L ** 2 * (grid.dim == 3)) * bump
+    profile = SpectralField(grid, np.fft.fftn(values))
+    return realize_forcing(ForcingSpec(amplitude=amplitude, period=PERIOD,
+                                       custom_profile=profile), grid, m_t)
 
 
 def random_physical_field(grid, rng, dealiased=True):

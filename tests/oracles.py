@@ -23,8 +23,10 @@ few lines.
   forms, oversampled quadrature and the fixed-point identity.
 * whole_lattice_solve: the solve's difference-form loop on all n planes,
   run from the product kernels on any mean-free g, odd or not. The solve
-  (odd g only, half the lattice) is held against it: u and the norms to
-  roundoff, the memory peak by ratio, in test_solver and test_properties.
+  (odd g only, on the octant or the half lattice) is held against it: u
+  and the norms to roundoff, the memory peak by ratio, in test_solver and
+  test_properties. is_antiperiodic is its antiperiodicity rule, the one
+  Grid.symmetry_of applies, on whole arrays.
 * cubic_rhs: dealias(|u|^2 u) + g over a whole series at once, against the
   solve's chunked cubic kernel (bit for bit) and inside
   split_equation_residual and the residual references.
@@ -68,7 +70,7 @@ few lines.
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -78,10 +80,10 @@ from glperiod.norms import _node_l2, forcing_bracket, z_norm
 from glperiod.operators import period_inverse_symbol
 from glperiod.periodic_solver import (_NON_FINITE, _all_finite, _contraction_factor,
                                       _cubic_difference_data, _integrate_into,
-                                      _is_antiperiodic, _linear_period_map_data,
-                                      _node_l2_chunked, _step_coefficients)
+                                      _linear_period_map_data, _node_l2_chunked,
+                                      _step_coefficients)
 from glperiod.phi import phi1, phi2
-from glperiod.spectral import write_snapshot
+from glperiod.spectral import ODDNESS_TOL, Symmetry, write_snapshot
 from glperiod.stability import _rhs_data, _rhs_work, _Stepper
 from glperiod.verification import _band_data, _band_envelope
 
@@ -189,10 +191,10 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
     the whole period."""
     opts = opts or SolveOptions()
     grid = g.grid
-    antiperiodic = _is_antiperiodic(g)
-    nodes = (len(g) + 1) // 2 if antiperiodic else len(g)
     G = g.frequency_rows(slice(None))
-    bracket = forcing_bracket(FieldSeries(grid, G[:nodes], g.period, antiperiodic))
+    sym = Symmetry(antiperiodic=is_antiperiodic(G, grid))
+    nodes = (len(g) + 1) // 2 if sym.antiperiodic else len(g)
+    bracket = forcing_bracket(FieldSeries(grid, G[:nodes], g.period, sym))
     delta_cutoffs = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
     u = _linear_period_map_data(G, op, g.dt)
     del G
@@ -203,7 +205,7 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
         delta = np.zeros_like(u)
     history, converged, diverged, reason = [], False, False, None
     while True:
-        res = z_norm(FieldSeries(grid, delta[:nodes], g.period, antiperiodic), delta_cutoffs)
+        res = z_norm(FieldSeries(grid, delta[:nodes], g.period, sym), delta_cutoffs)
         history.append(res)
         if not math.isfinite(res):
             raise NonFiniteField(_NON_FINITE)
@@ -224,7 +226,7 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
             break
         _linear_period_map_data(delta, op, g.dt, out=delta)
     del delta
-    z_final = z_norm(FieldSeries(grid, u[:nodes], g.period, antiperiodic), cutoffs)
+    z_final = z_norm(FieldSeries(grid, u[:nodes], g.period, sym), cutoffs)
     scale = max(float(_node_l2_chunked(FieldSeries(grid, u, g.period)).max()),
                 np.finfo(float).tiny)
     periodicity = float(np.sqrt(np.sum(np.abs(u[-1] - u[0]) ** 2)
@@ -235,8 +237,18 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
         periodicity_residual=periodicity, z_norm=z_final, g_bracket=bracket,
         c_estimate=(z_final / bracket) if bracket > 0 else None,
         contraction_factor=factor, diverged=diverged, divergence_reason=reason,
-        contraction_factor_reason=factor_reason, antiperiodic=antiperiodic)
+        contraction_factor_reason=factor_reason,
+        layout={**asdict(sym), "nodes_held": nodes, "modes_per_node": u[0].size})
     return FieldSeries(grid, u, g.period), report
+
+
+def is_antiperiodic(G, grid):
+    """The solve's antiperiodicity rule on whole frequency data G of every node:
+    an even m_t and a periodic part (G[m] + G[m + m_t/2])/2 of at most
+    ODDNESS_TOL of the peak (Grid.periodic_part)."""
+    half = (len(G) - 1) // 2
+    return len(G) % 2 == 1 and max(grid.periodic_part(a, b) for a, b in zip(
+        G[:half + 1], G[half:])) <= ODDNESS_TOL * float(np.abs(G).max())
 
 
 def antiperiodicity_bound(F, op):

@@ -549,13 +549,15 @@ class TestMalformedInput:
         (["verify"], {"verify": {"solve_amplitude": -1}}, None),
         (["sweep", "--axis", "m_t"], {"sweep": {"m_t": [4]}}, None),
         (["sweep", "--axis", "n"], {"sweep": {"n": [6]}}, None),
+        (["sweep", "--axis", "epsilon"], {"sweep": {"epsilon": [-1]}}, None),
     ], ids=["grid-dim-null", "verify-grid-dim-null", "period-null", "m_t-null", "m_t-4",
             "threads-abc", "threads-negative", "t_max-below-10-periods",
             "t_max-null", "record_stride-0", "order-3", "perturbation-axis-5",
             "perturbation-sigma-negative", "verify-grid-null",
             "sweep-epsilon-null", "forcing-custom-profile", "verify-zero-amplitude",
             "verify-samples-0", "verify-samples-negative", "verify-m_t-4",
-            "verify-grid-n-6", "verify-amplitude-negative", "sweep-m_t-4", "sweep-n-6"])
+            "verify-grid-n-6", "verify-amplitude-negative", "sweep-m_t-4", "sweep-n-6",
+            "sweep-epsilon-negative"])
     def test_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys,
                                   command, overrides, threads):
         if threads is not None:

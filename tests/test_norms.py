@@ -16,8 +16,8 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig, NormSuite, SpectralF
 from glperiod.norms import _weighted_sq, weighted_hk_node_sq, x_gradient_node_sq
 from glperiod.spectral import map_chunks, node_chunks
 
-from conftest import (antiperiodic_series, on_workers, random_field, random_physical_field,
-                      raw_odd_series, raw_random_series)
+from conftest import (HALF, antiperiodic_series, on_workers, random_field,
+                      random_physical_field, raw_odd_series, raw_random_series)
 from oracles import multi_indices, physical_forcing_bracket, time_derivative, whole_series
 
 
@@ -252,7 +252,8 @@ class TestForcingBracket:
         # an even part (6.9e-14 of the frequency peak here) that it drops
         g = whole_series(realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, m_t))
         odd = FieldSeries(grid3d, 0.5 * (g.data - grid3d.reflect(g.data)), g.period)
-        half = FieldSeries(grid3d, odd.data[:m_t // 2 + 1, :grid3d.n // 2 + 1], g.period, True)
+        half = FieldSeries(grid3d, odd.data[:m_t // 2 + 1, :grid3d.n // 2 + 1], g.period,
+                           replace(HALF, antiperiodic=True))
         assert forcing_bracket(g) == pytest.approx(physical_forcing_bracket(g), rel=1e-14, abs=0)
         assert forcing_bracket(half) == pytest.approx(
             physical_forcing_bracket(odd), rel=1e-14, abs=0)
@@ -458,12 +459,12 @@ def _ref_adds(grid, h):
 
 
 def _ref_node_sums_for(data, grid, k, chi, n_sums, add, dt_order=-1, skip_zero=False,
-                       antiperiodic=False):
+                       symmetry=spectral.WHOLE):
     """norms._node_sums computed by the reference tree, for a buffered-style
     add(out, alpha, node, diff): the reference's allocations, same results
     (full lattice only; an antiperiodic series' nodes take the sums of
     nodes 0..m_t/2 - 1, as the fold does)."""
-    assert not grid.is_half(data)
+    assert not symmetry.held(grid)
     halo = dt_order >= 0
 
     def block_add(out, alpha, phys):
@@ -474,7 +475,7 @@ def _ref_node_sums_for(data, grid, k, chi, n_sums, add, dt_order=-1, skip_zero=F
 
     sums = _ref_node_sums(data, grid, k, chi, n_sums, block_add, halo, skip_zero)
     m_t = len(data) - 1
-    return sums[:, np.arange(m_t + 1) % (m_t // 2)] if antiperiodic else sums
+    return sums[:, np.arange(m_t + 1) % (m_t // 2)] if symmetry.antiperiodic else sums
 
 
 _ORACLE_GRIDS = {1: 32, 2: 16, 3: 16}
@@ -680,19 +681,19 @@ class TestHalfLattice:
             got = []
 
             def recording(*args, **kwargs):
-                assert grid.is_half(args[0])
+                assert kwargs["symmetry"] == HALF
                 got.append(node_sums(*args, **kwargs))
                 return got[-1]
 
             monkeypatch.setattr(norms, "_node_sums", recording)
-            norm(planes, grid, chi, h)
+            norm(planes, grid, chi, h, HALF)
             monkeypatch.setattr(norms, "_node_sums", node_sums)
             return got[0]
 
         s = FieldSeries(grid, data, period)
         if mask in (None, "chi1" if kind == "X" else "chi_inf"):  # spacetime_norm's pairing
             band = None if mask is None else cutoffs
-            assert spacetime_norm(FieldSeries(grid, planes, period), kind,
+            assert spacetime_norm(FieldSeries(grid, planes, period, HALF), kind,
                                   band) == pytest.approx(spacetime_norm(s, kind, band),
                                                          rel=1e-13)
         for chunk_nodes in (1, 3, 8):
@@ -712,14 +713,14 @@ class TestHalfLattice:
         data = raw_random_series(grid, 8, np.random.default_rng(dim))
         odd_data = 0.5 * (data - grid.reflect(data))
         odd = FieldSeries(grid, odd_data, 1.3)
-        half = FieldSeries(grid, odd_data[:, :grid.n // 2 + 1].copy(), 1.3)
-        assert grid.is_half(half.data) and not grid.is_half(odd.data)
+        half = FieldSeries(grid, odd_data[:, :grid.n // 2 + 1].copy(), 1.3, HALF)
+        assert half.data.shape[1:] == grid.half_shape and odd.data.shape[1:] == grid.shape
         assert z_norm(half, cutoffs) == pytest.approx(z_norm(odd, cutoffs), rel=1e-13)
         for kind in "XY":
             assert spacetime_norm(half, kind) == pytest.approx(
                 spacetime_norm(odd, kind), rel=1e-13)
         odd_data[:, grid.n // 2 + 1:] = data[:, grid.n // 2 + 1:]
-        view = FieldSeries(grid, odd_data[:, :grid.n // 2 + 1], 1.3)
+        view = FieldSeries(grid, odd_data[:, :grid.n // 2 + 1], 1.3, HALF)
         assert z_norm(view, cutoffs) == z_norm(half, cutoffs)
 
     def test_mask_must_be_even(self, grid3d, cutoffs3d):
@@ -728,12 +729,13 @@ class TestHalfLattice:
         chi = cutoffs3d.chi1.copy()
         chi[1, 0, 0] = 0.5
         with pytest.raises(ValueError, match="even"):
-            norms._x_norm(s.data[:, :grid3d.n // 2 + 1], grid3d, chi, s.dt)
+            norms._x_norm(s.data[:, :grid3d.n // 2 + 1], grid3d, chi, s.dt, HALF)
 
 
 def _half_period(s):
     """Nodes 0..m_t/2 of an antiperiodic series, held as such."""
-    return FieldSeries(s.grid, s.data[:s.n_steps // 2 + 1], s.period, antiperiodic=True)
+    return FieldSeries(s.grid, s.data[:s.n_steps // 2 + 1], s.period,
+                       replace(s.symmetry, antiperiodic=True))
 
 
 class TestHalfPeriod:
@@ -752,7 +754,7 @@ class TestHalfPeriod:
         data = antiperiodic_series((raw_odd_series if odd else raw_random_series)(
             grid, m_t, rng))
         whole = FieldSeries(grid, data, 1.3)
-        s = FieldSeries(grid, data[:, :grid.n // 2 + 1], 1.3) if odd else whole
+        s = FieldSeries(grid, data[:, :grid.n // 2 + 1], 1.3, HALF) if odd else whole
         for norm in (partial(z_norm, cutoffs=cutoffs), partial(spacetime_norm, kind="X"),
                      partial(spacetime_norm, kind="Y")):
             assert norm(_half_period(s)) == pytest.approx(norm(s), rel=1e-13)
@@ -766,8 +768,8 @@ class TestHalfPeriod:
         # node, 2 chunks folded, and the fold computes nodes 0..15 only
         m_t = 32
         data = antiperiodic_series(raw_odd_series(grid3d, m_t, np.random.default_rng(3)))
-        s = FieldSeries(grid3d, data[:, :grid3d.n // 2 + 1] if odd else data,
-                        1.0)
+        s = (FieldSeries(grid3d, data[:, :grid3d.n // 2 + 1], 1.0, HALF) if odd
+             else FieldSeries(grid3d, data, 1.0))
         map_chunks = norms.map_chunks
 
         def tasks(series=s):
@@ -798,7 +800,8 @@ def test_dealiased_series_take_the_dealias_support(dim, odd):
     series = (raw_odd_series if odd else raw_random_series)(grid, 10,
                                                              np.random.default_rng(dim))
     data = series * grid.dealias
-    s = FieldSeries(grid, data[:, :grid.n // 2 + 1] if odd else data, 1.3)
+    s = (FieldSeries(grid, data[:, :grid.n // 2 + 1], 1.3, HALF) if odd
+         else FieldSeries(grid, data, 1.3))
     dealiased = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
     support = norms._axis_support(dealiased.chi_inf * grid.keep_nyquist_free, grid)
     assert all(len(lines) == 11 for lines, _ in support[1:])
@@ -850,7 +853,7 @@ def test_odd_z_norm_transforms_half_the_planes_after_the_first_axis(monkeypatch,
     x_points = sum(r * (2 * n * hx + 3 * p * n * s + 4 * p * n * n) for r in rows)
     y_points = sum(n * hy * (2 * r + 2 * (r - 2)) + p * n * n * (7 * r + 23 * (r - 2))
                    for r in rows)
-    series = FieldSeries(grid3d, raw_odd_series(grid3d, m_t, rng)[:, :p], 1.0)
+    series = FieldSeries(grid3d, raw_odd_series(grid3d, m_t, rng)[:, :p], 1.0, HALF)
     points = []
     ifftn = np.fft.ifftn
 

@@ -14,7 +14,9 @@ line."""
 import contextlib
 import functools
 import io
+import itertools
 import json
+import math
 import os
 import shutil
 import struct
@@ -33,10 +35,12 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig, OddnessViolation,
 from glperiod.config import build_forcing, reference_config
 from glperiod.manifest import load_manifest, sha256_of
 from glperiod.operators import make_cutoffs
+from glperiod.norms import forcing_bracket, l1w_node
 from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_data
+from glperiod.spectral import Symmetry
 from glperiod.stability import _Stepper, _rhs_data, _rhs_work
 
-from conftest import antiperiodic_series, raw_odd_series
+from conftest import HALF, antiperiodic_series, raw_odd_series
 from oracles import (WholeLatticeStepper, antiperiodicity_bound, odd_fft_every_plane,
                      whole_lattice, whole_lattice_solve, whole_series)
 
@@ -75,7 +79,7 @@ def test_odd_series_rows_are_the_reference_expansion(case, half_planes, antiperi
     if antiperiodic:
         held = held[:len(held) // 2 + 1]
     nodes = 2 * len(held) - 1 if antiperiodic else len(held)
-    u = FieldSeries(grid, held, PERIOD, antiperiodic)
+    u = FieldSeries(grid, held, PERIOD, Symmetry(odd=half_planes, antiperiodic=antiperiodic))
     expected = whole_lattice(grid, held, nodes)
     assert len(u) == nodes and u.n_steps == nodes - 1 and u.dt == PERIOD / (nodes - 1)
     for a in range(nodes + 1):
@@ -204,13 +208,67 @@ def test_dipole_forcing_is_rejected_or_solved_on_half_the_lattice(dim, divisor, 
     assert rep.iterations >= 1  # the solve's own oddness test took g
 
 
+@st.composite
+def parity_series(draw):
+    """(dim, parity, antiperiodic, m_t + 1 frequency fields): raw odd data
+    projected on one per-axis parity signature of an odd field, (f + p R_a f)/2
+    axis by axis, so its mirror planes hold it exactly; continued
+    antiperiodically when drawn so."""
+    dim = draw(st.sampled_from([2, 3]))
+    parity = draw(st.sampled_from([p for p in itertools.product((1, -1), repeat=dim)
+                                   if math.prod(p) == -1]))
+    m_t = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    grid = setup(dim)[0]
+    data = raw_odd_series(grid, m_t, rng)
+    for axis, p in enumerate(parity):
+        data = 0.5 * (data + p * np.take(data, -np.arange(grid.n) % grid.n, axis=axis + 1))
+    antiperiodic = draw(st.booleans())
+    return dim, parity, antiperiodic, antiperiodic_series(data) if antiperiodic else data
+
+
+@PROPERTY
+@given(parity_series())
+def test_octant_layout_matches_half_and_whole(case):
+    # the octant (planes 0..n/2 of every axis) against the half lattice and
+    # the whole lattice of the same data, every node or nodes 0..m_t/2:
+    # frequency_rows and the period map bit for bit; z_norm, [g] and l1w_node
+    # to rtol 1e-13, the cubic rows to 1e-14 of their peak (over 60 draws of
+    # every signature: at most 3.9e-16, 2.4e-16, 4.0e-16 and 4.4e-16)
+    dim, parity, antiperiodic, data = case
+    grid, op, cutoffs = setup(dim)
+    nodes = len(data) // 2 + 1 if antiperiodic else len(data)
+    layouts = [Symmetry(antiperiodic=antiperiodic), Symmetry(odd=True, antiperiodic=antiperiodic),
+               Symmetry(parity=parity, antiperiodic=antiperiodic)]
+    whole, half, octant = (
+        FieldSeries(grid, data[(slice(nodes),) + sym.held(grid)], PERIOD, sym)
+        for sym in layouts)
+    assert np.array_equal(octant.frequency_rows(slice(None)), data)
+    for norm in (functools.partial(z_norm, cutoffs=cutoffs), forcing_bracket):
+        assert norm(half) == pytest.approx(norm(whole), rel=1e-13)
+        assert norm(octant) == pytest.approx(norm(whole), rel=1e-13)
+    np.testing.assert_allclose(l1w_node(octant.data, grid, octant.symmetry),
+                               l1w_node(whole.data, grid, whole.symmetry), rtol=1e-13, atol=0)
+    corner = (slice(None),) + octant.symmetry.held(grid)
+    mapped = _linear_period_map_data(whole.data, op, whole.dt, antiperiodic=antiperiodic)
+    assert np.array_equal(_linear_period_map_data(octant.data, op, octant.dt,
+                                                  antiperiodic=antiperiodic), mapped[corner])
+    for base in (data[::-1].copy(), None):  # the nodes reversed: v of the same signature
+        ref = _cubic_difference_data(base, data, grid)
+        for sym in layouts[1:]:
+            cut = (slice(None),) + sym.held(grid)
+            got = _cubic_difference_data(None if base is None else base[cut], data[cut], grid,
+                                         symmetry=sym)
+            assert np.abs(got - ref[cut]).max() <= 1e-14 * np.abs(ref).max()
+
+
 @PROPERTY
 @given(odd_series())
 def test_half_lattice_z_norm_equals_full(case):
     dim, data = case
     grid, _, cutoffs = setup(dim)
-    s, half = (FieldSeries(grid, d, PERIOD)
-               for d in (data, data[:, :grid.n // 2 + 1]))
+    s, half = (FieldSeries(grid, data, PERIOD),
+               FieldSeries(grid, data[:, :grid.n // 2 + 1], PERIOD, HALF))
     assert z_norm(half, cutoffs) == pytest.approx(z_norm(s, cutoffs), rel=1e-13)
 
 

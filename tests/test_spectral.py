@@ -276,7 +276,8 @@ class TestFieldSeries:
             monkeypatch.setattr(spectral, "CHUNK_NODES", chunk_nodes)
             assert np.array_equal(on_workers(monkeypatch, workers, l1w_node, data, grid),
                                   batched)
-            folded = on_workers(monkeypatch, workers, l1w_node, data[:11], grid, True)
+            folded = on_workers(monkeypatch, workers, l1w_node, data[:11], grid,
+                                spectral.Symmetry(antiperiodic=True))
             assert np.array_equal(folded, batched[np.arange(21) % 10])
 
 

@@ -770,7 +770,7 @@ class TestHalfPeriodBase:
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0,
                                         temporal_profile="harmonic", harmonic=2), grid, 16)
         v_per, rep = solve_periodic(g, op, cut, SolveOptions())
-        assert rep.converged and not rep.antiperiodic
+        assert rep.converged and not rep.layout["antiperiodic"]
         w0 = realize_perturbation(PerturbationSpec(amplitude=1e-2), grid)
         built, read, negated = _spy_base_reads(monkeypatch)
         decay = run_stability(StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0,

@@ -12,6 +12,7 @@ from test_norms import (_ref_alpha_symbol, _ref_sobolev_norm,
 from glperiod import (CutoffSpec, FieldSeries, ForcingSpec, NormSuite, SolveOptions,
                       SpectralField, lp_norm, realize_forcing, solve_periodic,
                       verification, z_norm)
+from glperiod.spectral import Symmetry
 from glperiod.verification import (STACK_SAMPLES, _band_envelope, _band_stack,
                                    _high_freq_decay_norms,
                                    check_bernstein, check_energy_inequality,
@@ -242,7 +243,8 @@ class TestRunAllChecks:
         u, g = solved
         op, cut = op3d_module, cutoffs3d_module
         whole = whole_series(u), whole_series(g)
-        half = FieldSeries(u.grid, whole[0].data[:, :u.grid.n // 2 + 1], u.period)
+        half = FieldSeries(u.grid, whole[0].data[:, :u.grid.n // 2 + 1], u.period,
+                           Symmetry(odd=True))
         alone = [check_energy_inequality(*whole, cut), *check_nonlinear_bound(*whole, cut)]
         calls = []
         for name in ("_cubic_difference_data", "z_norm"):
