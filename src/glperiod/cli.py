@@ -147,7 +147,7 @@ def _load_base_series(manifest_path: str, grid: Grid, period: float) -> _SavedBa
         problems = verify_manifest(base)
         base_grid = cfgmod.grid_config(man["config"])
         base_period = cfgmod.number(man["config"]["period"], "period")
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"base manifest {manifest_path} is unreadable: {exc}")
     if problems:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""

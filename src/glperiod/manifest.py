@@ -89,15 +89,17 @@ def load_manifest(path) -> dict:
 
 def verify_manifest(path) -> list[str]:
     """Re-hash every indexed artifact; returns a list of problems (empty when
-    the manifest is intact)."""
+    the manifest is intact). An artifact that is missing or not a regular
+    file is a problem; an OSError while hashing one is raised."""
     path = Path(path)
     manifest = load_manifest(path)
     base = path.parent
     problems = []
     for entry in manifest.get("artifacts", []):
         target = base / entry["path"]
-        if not target.exists():
-            problems.append(f"missing artifact: {entry['path']}")
+        if not target.is_file():
+            what = "artifact is not a file" if target.exists() else "missing artifact"
+            problems.append(f"{what}: {entry['path']}")
             continue
         if sha256_of(target) != entry["sha256"]:
             problems.append(f"hash mismatch: {entry['path']}")

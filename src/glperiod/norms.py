@@ -31,23 +31,16 @@ nodes and orders (cumsum, trapezoid, max) run after the map. Node sums are
 row-by-row einsum reductions, not BLAS products, so no result depends on
 the number of workers, the chunk size or the BLAS thread count.
 
-Folded series (spectral's layouts, read off FieldSeries.symmetry) are
-summed on the planes they hold. The lattice reflections leave every weight
-and radial mask even, and every |d^alpha u|^2 of data with a parity even, so
-each held physical point is weighted by the points it stands for (1, 2, ...,
-2, 1 along every folded axis). Half data (planes 0..n/2 of point-odd data):
-the reflection maps first-axis plane j to plane -j mod n and every pass
-after the first-axis one stays within a plane, so after that pass the tree
-keeps planes 0..n/2. The first-axis pass needs only half the columns
-(Grid.odd_columns): each task gathers all n planes of them, plane j > n/2
-as minus plane n - j on the mirror columns, and each pass is scattered into
-planes 0..n/2 with the sign -(-1)^a0 of d_0^a0 on the mirror columns.
-Octant data (planes 0..n/2 of every axis, a parity per axis): every pass
-folds its own axis, fold_extend writing the n-point extension of the held
-planes by the data's parity there into a task-owned buffer, the symbol
-multiplying all n planes, one inverse pass, planes 0..n/2 kept; the levels
-run from the last axis to the first, and the support of chi prunes every
-axis not yet transformed to its leading planes.
+Octant series (spectral's layouts, read off FieldSeries.symmetry: planes
+0..n/2 of every axis, a parity per axis) are summed on the planes they hold.
+The axis reflections leave every weight and radial mask even, and every
+|d^alpha u|^2 of data with a parity even, so each held physical point is
+weighted by the points it stands for (1, 2, ..., 2, 1 along every axis).
+Every pass folds its own axis, fold_extend writing the n-point extension of
+the held planes by the data's parity there into a task-owned buffer, the
+symbol multiplying all n planes, one inverse pass, planes 0..n/2 kept; the
+levels run from the last axis to the first, and the support of chi prunes
+every axis not yet transformed to its leading planes.
 
 An antiperiodic series (FieldSeries.antiperiodic: u(t + T/2) = -u(t), as
 the solve measures) holds nodes 0..m_t/2. Every node sum is one of |.|^2,
@@ -198,8 +191,7 @@ def _axis_support(mask: np.ndarray | None, grid: Grid) -> list:
 
 
 def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
-                     skip_zero: bool, support: list, halo_order: int, columns=None,
-                     parity=None):
+                     skip_zero: bool, support: list, halo_order: int, parity=None):
     """Yield (alpha, d^alpha block in physical space, in a buffer the next
     block overwrites) for every |alpha| <= k, or 1 <= |alpha| <= k with
     `skip_zero`, from task-owned frequency data `block` stacked along axis 0
@@ -207,30 +199,24 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
     are zeroed for |alpha| >= 1 and kept for alpha = 0 (the rule of every
     Sobolev norm here); a block not known to be Nyquist-free takes its alpha = 0
     field from an unmasked transform. The first and last nodes are a halo,
-    kept for |alpha| <= halo_order only (none with -1). With `columns` (the
-    scatter of Grid.odd_columns, its sign over the real view and the
-    Nyquist-free mask) block holds all planes of the half columns of odd
-    data, and the later passes run on planes 0..n/2 (module docstring). With
-    `parity` (the octant) block holds planes 0..support[axis] - 1 of every
-    axis, and every pass folds its own axis: fold_extend of the planes the
-    level above kept, by the data's parity there, the symbol on all n planes,
-    one inverse pass, planes 0..n/2 kept. Its levels run from the last axis
-    to the first, so each field is planes 0..n/2 of a buffer's first axis,
+    kept for |alpha| <= halo_order only (none with -1). With `parity` (the
+    octant) block holds planes 0..support[axis] - 1 of every axis, and every
+    pass folds its own axis: fold_extend of the planes the level above kept,
+    by the data's parity there, the symbol on all n planes, one inverse
+    pass, planes 0..n/2 kept. Its levels run from the last axis to the
+    first, so each field is planes 0..n/2 of a buffer's first axis,
     contiguous node by node.
     """
     dim, n, rows = grid.dim, grid.n, block.shape[0]
     symbols = NormSuite.for_grid(grid).axis_symbols
-    planes = n if columns is None and parity is None else n // 2 + 1
+    planes = n if parity is None else n // 2 + 1
     if parity is None:
         levels = range(dim)
         widths = [n if s is None else len(s[0]) for s in support]
-        # Level buffers, the scattered first level, then zero-padded ones, in one allocation:
-        # separate ones freed together let glibc trim the thread's arena; the next task refaulted.
-        shapes = [(rows, n if axis == 0 else planes) + (n,) * axis + tuple(widths[axis + 1:])
-                  for axis in range(dim)]
-        shapes += [(0,) if columns is None else (rows, planes) + tuple(widths[1:])] + [
-            shape if s else (0,) for shape, s in zip(shapes, support)]
-        shapes[0] = block.shape  # on odd data, the half columns
+        # Level buffers, then zero-padded ones, in one allocation: separate ones
+        # freed together let glibc trim the thread's arena; the next task refaulted.
+        shapes = [(rows,) + (n,) * (axis + 1) + tuple(widths[axis + 1:]) for axis in range(dim)]
+        shapes += [shape if s else (0,) for shape, s in zip(shapes, support)]
     else:  # each level's extended input, then its output
         levels = range(dim - 1, -1, -1)
         shapes = [(rows,) + tuple(planes if ax > axis else n if ax == axis else support[ax]
@@ -239,7 +225,7 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     work = np.empty(ends[-1], complex)
     if parity is None:
-        work[ends[dim]:] = 0  # fold_extend writes every plane of the octant's buffers
+        work[ends[dim - 1]:] = 0  # fold_extend writes every plane of the octant's buffers
     level = [w.reshape(shape) for w, shape in zip(np.split(work, ends[:-1]), shapes)]
     pads, level = (None, level) if parity is None else (level[:dim], level[dim:])
 
@@ -258,9 +244,8 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
                 axis, order, a = levels[i], sum(alpha[:i]), alpha[i]
                 src = inputs[i][1:-1] if order <= halo_order < order + a else inputs[i]
                 out = level[i][:len(src)]
-                if a:  # on a column block the first-axis symbol spans one axis
-                    sym = symbols[axis][a].reshape((-1,) + (1,) * (out.ndim - axis - 2))
-                    np.multiply(src, sym, out=out)
+                if a:
+                    np.multiply(src, symbols[axis][a], out=out)
                 np.fft.ifftn(out if a else src, axes=(axis + 1,), out=out)
                 if parity is not None:
                     out = out[(slice(None),) * (axis + 1) + (slice(planes),)]
@@ -269,16 +254,9 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
                         inputs[i + 1] = fold_extend(out, nxt + 1, parity[nxt],
                                                     pads[i + 1][:len(out)])
                     continue
-                if axis == 0 and columns is not None:
-                    flat, out = out.reshape(len(out), -1), level[dim][:len(out)]
-                    scattered = out.reshape(len(out), planes, -1)
-                    np.take(flat, columns[0], axis=1, out=scattered, mode="clip")
-                    if a % 2 == 0:
-                        real = scattered.view(float)
-                        real *= columns[1]
                 if axis + 1 < dim:
                     if support[axis + 1]:
-                        nxt, lead = level[dim + axis + 2][:len(out)], (slice(None),) * (axis + 2)
+                        nxt, lead = level[dim + axis + 1][:len(out)], (slice(None),) * (axis + 2)
                         for whole, part in support[axis + 1][1]:
                             nxt[lead + (whole,)] = out[lead + (part,)]
                         out = nxt
@@ -286,26 +264,14 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
             yield alpha if parity is None else alpha[::-1], out
 
     if not nyquist_free:
-        if not skip_zero and columns is None and parity is None:
+        if not skip_zero and parity is None:
             yield (0,) * dim, np.fft.ifftn(block, axes=grid.series_axes, out=level[dim - 1])
         elif not skip_zero:
             yield from walk([(0,) * dim])
-        if parity is not None:
-            block *= grid.keep_nyquist_free[(slice(planes),) * dim]
-        else:
-            block *= grid.keep_nyquist_free if columns is None else columns[2]
+        block *= grid.keep_nyquist_free[(slice(planes),) * dim]
         skip_zero = True
     yield from walk(alpha for alpha in itertools.product(range(k + 1), repeat=dim)
                     if sum(alpha) <= k and not (skip_zero and not any(alpha)))
-
-
-def _folds_evenly(mask: np.ndarray, grid: Grid, symmetry: Symmetry) -> bool:
-    """Whether a mask is even under every reflection the layout folds by: the
-    point reflection (half lattice) or each axis's (octant)."""
-    if symmetry.parity is None:
-        return not symmetry.odd or np.array_equal(grid.reflect(mask), mask)
-    return all(np.array_equal(np.take(mask, (-np.arange(grid.n)) % grid.n, axis=axis), mask)
-               for axis in range(grid.dim))
 
 
 def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_sums: int,
@@ -324,25 +290,24 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
 
     data are held as `symmetry` says. Antiperiodic data hold nodes 0..m_t/2
     and get the sums of nodes 0..m_t from those of nodes 0..m_t/2 - 1 (module
-    docstring). Half data (planes 0..n/2 of odd data) are gathered on the
-    half columns, octant data on the planes of every axis where chi is
-    nonzero; the fields cover the held planes, to be summed with
-    NormSuite.flat(name, symmetry) (the folded paths of the module
-    docstring); chi must then be even under the layout's reflections.
+    docstring). Octant data are gathered on the planes of every axis where
+    chi is nonzero; the fields cover the held planes, to be summed with
+    NormSuite.flat(name, symmetry) (the octant path of the module
+    docstring); chi must then be even under every axis reflection.
     """
     NormSuite.for_grid(grid)  # fill the per-grid cache before workers read it
     m_t, n = data.shape[0] - 1, grid.n  # m_t/2 if antiperiodic
     antiperiodic, parity = symmetry.antiperiodic, symmetry.parity
-    odd = symmetry.odd and parity is None
     halo = dt_order >= 0
     mask = None if chi is None else chi * grid.keep_nyquist_free
-    if mask is not None and not _folds_evenly(mask, grid, symmetry):
-        raise ValueError("folded node sums need a mask that is even under the layout's "
-                         "reflections")
-    held, phys = symmetry.held(grid), symmetry.shape(grid)  # phys: a node's held planes
-    columns = None
+    phys = symmetry.shape(grid)  # a node's held planes
     if parity is not None:
-        mask = None if mask is None else mask[held]
+        if mask is not None and not all(
+                np.array_equal(np.take(mask, (-np.arange(n)) % n, axis=axis), mask)
+                for axis in range(grid.dim)):
+            raise ValueError("octant node sums need a mask that is even under every "
+                             "axis reflection")
+        mask = None if mask is None else mask[symmetry.held(grid)]
         support = [n // 2 + 1 if mask is None else  # planes 0..w-1 hold the mask
                    int(np.max(np.flatnonzero(np.moveaxis(mask != 0, axis, 0).reshape(
                        mask.shape[axis], -1).any(1)), initial=-1)) + 1 for axis in range(grid.dim)]
@@ -353,28 +318,11 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
             return np.take(data, nodes, axis=0)
     else:
         support = _axis_support(mask, grid)
-        lines = [np.arange(n) if s is None else s[0] for s in support]
-        cols = any(support) and lines
+        cols = any(support) and [np.arange(n) if s is None else s[0] for s in support]
         mask = mask[np.ix_(*cols)] if cols else mask
-        if odd:
-            planes = n // 2 + 1
-            half, _, (scatter, sign) = grid.odd_columns(lines[1:])
-            flat = np.arange(n ** (grid.dim - 1)).reshape(grid.shape[1:])  # sources of c, mirror(c)
-            sources = [flat[np.ix_(*c)].ravel()[half]
-                       for c in (lines[1:], [-c % n for c in lines[1:]])]
-            keep = (grid.keep_nyquist_free if mask is None else mask).reshape(n, -1)[:, half]
-            mask = None if mask is None else keep
-            columns = scatter, np.repeat(sign, 2, axis=1), keep
-            j = np.arange(n)[:, None]  # plane j > n/2: minus plane n - j on the mirror columns
-            index = np.where(j < planes, j * flat.size + sources[0],
-                             (n - j) * flat.size + sources[1])
 
         def gather(nodes):
-            if not odd:
-                return data[np.ix_(nodes, *cols)] if cols else data[nodes]
-            block = data.reshape(len(data), -1)[nodes[:, None, None], index]
-            block[:, planes:] *= -1
-            return block
+            return data[np.ix_(nodes, *cols)] if cols else data[nodes]
 
     def task(rows):
         # an antiperiodic series' last row (node m_t/2) is a right halo, not wrapped
@@ -388,7 +336,7 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
         out = np.zeros((n_sums, rows.stop - rows.start))
         diff = np.empty((out.shape[1],) + phys, complex) if halo else None
         for alpha, field in _derivative_tree(block, grid, k, mask is not None, skip_zero,
-                                             support, dt_order, columns, parity):
+                                             support, dt_order, parity):
             if sum(alpha) <= dt_order:
                 add(out, alpha, field[1:-1], np.subtract(field[2:], field[:-2], out=diff))
             else:

@@ -30,11 +30,11 @@ reads the caller's g by rows (frequency_rows: the realized forcing builds
 eps a(t_m) G_hat per row and is never a series). g must be odd. Every map
 of the iteration commutes with the lattice reflections, so u and delta keep
 every symmetry g has, and one pass over g (Grid.symmetry_of) measures them
-and writes g's held planes into u's buffer: planes 0..n/2 of every axis if
-g has a parity per axis (the octant), else a second pass (Grid.is_odd)
-writes planes 0..n/2 of the first axis of g's odd part (g - Rg)/2 (the half
-lattice), whose mean mode is exactly 0. [g] is read from those planes. Every
-kernel and Z-norm runs on the layout the series record
+and writes planes 0..n/2 of every axis of g into u's buffer. The solve holds
+those planes if g has a parity per axis (the octant, every 1D forcing among
+them), else every plane (the whole lattice), g's rows copied into u. [g] is
+read from the held data. Every kernel and Z-norm runs on the layout the
+series record
 (FieldSeries.symmetry): the period map on the held modes of op.symbol, the
 cubic terms through the layout's transform pair (Grid.transform). The
 period map runs in place (F[m] is carried per slab before its row is
@@ -146,7 +146,7 @@ def _linear_period_map_data(F: np.ndarray, op: LinearOperatorSpec, h: float,
     (a new array by default; `out` may be F). Modes are independent, so one
     task per slab of the first spatial axis runs the recurrence over the
     time nodes in place in the output. F may hold the leading planes of each
-    axis that a layout keeps (Symmetry.held: the half lattice, the octant),
+    axis that a layout keeps (Symmetry.held: the octant),
     on whose modes every per-mode table is built, or nodes 0..m_t/2 of
     `antiperiodic` data, whose closing symbol -1/(1 + e^{-T lambda/2}) is
     never singular (-1/2 at the mean mode)."""
@@ -251,10 +251,10 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     and with u -> -u at a half-period shift, so u and every correction keep
     each symmetry g has. One pass over g (Grid.symmetry_of) measures them
     and writes g's held part into u's buffer: planes 0..n/2 of every axis
-    when g has a parity per axis (the octant), else planes 0..n/2 of the
-    first axis of its odd part (the half lattice, a second pass, Grid.is_odd);
-    nodes 0..m_t/2 only for an antiperiodic g. Every kernel, Z-norm and [g]
-    runs on that layout (FieldSeries.symmetry); report.layout records it.
+    when g has a parity per axis (the octant), else g's rows on every plane
+    (the whole lattice); nodes 0..m_t/2 only for an antiperiodic g. Every
+    kernel, Z-norm and [g] runs on that layout (FieldSeries.symmetry);
+    report.layout records it.
     """
     opts = opts or SolveOptions()
     grid = g.grid
@@ -265,8 +265,12 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         u = octant[:nodes]  # g's held part, then the iterate
     else:
         del octant
-        u = np.empty((nodes,) + grid.half_shape, complex)  # g's odd part, then the iterate
-        grid.require_odd(g, "forcing", keep=u)
+        u = np.empty((nodes,) + grid.shape, complex)  # g's rows, then the iterate
+
+        def copy(rows):
+            u[rows] = g.frequency_rows(rows)
+
+        map_chunks(copy, node_chunks(nodes))
     u_series = FieldSeries(grid, u, g.period, sym)
     bracket = forcing_bracket(u_series)
     # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines
@@ -277,7 +281,7 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     # those of repeated Picard steps u <- period_map(dealias(|u|^2 u) + g);
     # the correction is propagated through the expanded cubic
     # difference so residuals stay accurate at any magnitude. Both series
-    # are updated in place, u in the buffer of g's odd part.
+    # are updated in place, u in the buffer of g's held part.
     antiperiodic = sym.antiperiodic
     _linear_period_map_data(u, op, g.dt, out=u, antiperiodic=antiperiodic)
     if opts.nonlinearity_enabled:
@@ -331,7 +335,8 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
         c_estimate=c_est, contraction_factor=factor,
         diverged=diverged, divergence_reason=reason,
         contraction_factor_reason=factor_reason,
-        layout={**asdict(sym), "nodes_held": len(u), "modes_per_node": u[0].size})
+        layout={**asdict(sym), "odd": sym.odd, "nodes_held": len(u),
+                "modes_per_node": u[0].size})
     return u_series, report
 
 

@@ -26,22 +26,24 @@ Layouts. A series is held as one Symmetry record says, and every kernel
 reads that record, never the shape of the data:
 
 * the whole lattice: every plane;
-* the half lattice, for data odd under the point reflection R: j -> -j mod n
-  on every axis: first-axis planes 0..n/2, plane -j being minus plane j
-  point-reflected on the later axes (OddTransform, Grid.odd_columns);
 * the octant, for data with a parity p_a on each axis a (f = p_a R_a f, R_a
-  the reflection of that axis alone): planes 0..n/2 of every axis, plane -j
-  of an axis being p_a times plane j (OctantTransform, fold_extend);
-* with `antiperiodic` (f(t + T/2) = -f(t)), nodes 0..m_t/2 of any of these.
+  the reflection j -> -j mod n of that axis alone): planes 0..n/2 of every
+  axis, plane -j of an axis being p_a times plane j (OctantTransform,
+  fold_extend);
+* with `antiperiodic` (f(t + T/2) = -f(t)), nodes 0..m_t/2 of either.
 
 The reflections act alike on frequency and physical data, so a held point
 stands for its orbit: sums over held planes weight them 1, 2, ..., 2, 1
-along every folded axis (Grid.fold_weights), and FieldSeries.frequency_rows
-expands any layout to the whole lattice by exact negation (Grid.expansion).
+along every axis (Grid.fold_weights), and FieldSeries.frequency_rows
+expands the octant to the whole lattice by exact negation (Grid.expansion).
 The solve measures its forcing once (Grid.symmetry_of) and takes the octant
 when every axis has a parity (the reference dipole, odd in x_0 and even in
-x_1, x_2: 17^3 of 32^3 modes per node), the half lattice when only the point
-oddness holds, and in 1D, where the two are one.
+x_1, x_2: 17^3 of 32^3 modes per node; in 1D the one axis's parity is the
+point parity), else the whole lattice. The half lattice of point-odd data
+(first-axis planes 0..n/2, plane -j being minus plane j point-reflected on
+the later axes: OddTransform, Grid.odd_columns) is the stepper's layout
+only, since a perturbation of another axis than the base's is point-odd
+alone.
 """
 
 from __future__ import annotations
@@ -115,34 +117,32 @@ def node_chunks(n_nodes: int) -> list[slice]:
 class Symmetry:
     """How a series is held, the one layout record every kernel reads:
 
-    * nothing set: every plane of the whole lattice;
-    * `odd` (f(-x) = -f(x)) alone: first-axis planes 0..n/2, the half
-      lattice, whose plane -j is minus plane j under the point reflection of
-      the later axes;
+    * no `parity`: every plane of the whole lattice;
     * `parity`, one per axis (+1 even, -1 odd under that axis's reflection
       j -> -j mod n): planes 0..n/2 of every axis, the octant, each axis
-      folding onto itself; `odd` is then their product;
+      folding onto itself;
     * `antiperiodic` (f(t + T/2) = -f(t)): nodes 0..m_t/2 only.
     """
 
-    odd: bool = False
     parity: tuple[int, ...] | None = None
     antiperiodic: bool = False
 
     def __post_init__(self):
         if self.parity is not None:
             object.__setattr__(self, "parity", tuple(int(p) for p in self.parity))
-            object.__setattr__(self, "odd", math.prod(self.parity) == -1)
+
+    @property
+    def odd(self) -> bool:
+        """Whether the held data are odd, f(-x) = -f(x): the parities' product is -1."""
+        return self.parity is not None and math.prod(self.parity) == -1
 
     def held(self, grid: "Grid") -> tuple:
         """The slices of a whole-lattice node (frequency or physical) this layout keeps."""
-        folded = grid.dim if self.parity is not None else int(self.odd)
-        return (slice(grid.n // 2 + 1),) * folded
+        return (slice(grid.n // 2 + 1),) * (grid.dim if self.parity is not None else 0)
 
     def shape(self, grid: "Grid") -> tuple:
         """The shape of a held node."""
-        folded = len(self.held(grid))
-        return (grid.n // 2 + 1,) * folded + grid.shape[folded:]
+        return (grid.n // 2 + 1,) * grid.dim if self.parity is not None else grid.shape
 
 
 WHOLE = Symmetry()
@@ -254,18 +254,18 @@ class Grid:
         idx = [self._reflect_1d] * self.dim
         return data[(Ellipsis,) + np.ix_(*idx)]
 
-    def odd_columns(self, lines=None) -> tuple:
-        """Pair the flat columns of the later axes (kept on `lines`, default all,
-        each symmetric) for odd data, whose column -c of plane -j is minus column
-        c of plane j: (half, gather, (scatter, sign)). half holds the columns
-        c <= mirror(c); gather fills all n planes of them, an (n, len(half))
-        block, from planes 0..n/2, rows n/2+1.. from mirror columns (to be
-        negated); scatter fills planes 0..n/2 of every column from such a
-        block, and sign is -1 where a mirror column takes its entry."""
+    def odd_columns(self) -> tuple:
+        """Pair the flat columns of the later axes for odd data, whose column -c
+        of plane -j is minus column c of plane j: (half, gather, (scatter,
+        sign)). half holds the columns c <= mirror(c); gather fills all n
+        planes of them, an (n, len(half)) block, from planes 0..n/2, rows
+        n/2+1.. from mirror columns (to be negated); scatter fills planes
+        0..n/2 of every column from such a block, and sign is -1 where a
+        mirror column takes its entry."""
         n, planes = self.n, self.n // 2 + 1
         mirror = np.zeros(1, int)
-        for c in [np.arange(n)] * (self.dim - 1) if lines is None else lines:
-            mirror = np.add.outer(mirror * len(c), np.searchsorted(c, -c % n)).ravel()
+        for _ in range(self.dim - 1):
+            mirror = np.add.outer(mirror * n, self._reflect_1d).ravel()
         cols = np.arange(mirror.size)
         half = np.flatnonzero(cols <= mirror)
         j, k = np.arange(n)[:, None], np.arange(planes)[:, None]
@@ -294,30 +294,26 @@ class Grid:
         return weights
 
     def transform(self, symmetry: Symmetry):
-        """The transform pair of a layout: WholeTransform, OddTransform (the half
-        lattice) or OctantTransform (one per parity signature)."""
-        if symmetry.parity is not None:
-            cache = self.__dict__.setdefault("_octant_transforms", {})
-            if symmetry.parity not in cache:
-                cache[symmetry.parity] = OctantTransform(self, symmetry.parity)
-            return cache[symmetry.parity]
-        return self.odd_transform if symmetry.odd else self.whole_transform
+        """The transform pair of a layout: WholeTransform, or OctantTransform
+        (one per parity signature)."""
+        if symmetry.parity is None:
+            return self.whole_transform
+        cache = self.__dict__.setdefault("_octant_transforms", {})
+        if symmetry.parity not in cache:
+            cache[symmetry.parity] = OctantTransform(self, symmetry.parity)
+        return cache[symmetry.parity]
 
     @cached_property
     def whole_transform(self) -> "WholeTransform":
         return WholeTransform(self)
 
-    def is_odd(self, data, keep: np.ndarray | None = None) -> bool:
+    def is_odd(self, data) -> bool:
         """Whether frequency data stacked along axis 0, or a series' (by chunks
-        of nodes from its frequency_rows, an array or one node at a time), has
-        an even part (f + Rf)/2 of at most ODDNESS_TOL of its peak, one field at
-        a time (pool tasks' chunk temporaries stay resident); `keep` gets planes
-        0..n/2 of the odd part (f - Rf)/2 of its first nodes."""
+        of nodes from its frequency_rows), has an even part (f + Rf)/2 of at
+        most ODDNESS_TOL of its peak, one field at a time (pool tasks' chunk
+        temporaries stay resident)."""
         def task(rows):
             block = data[rows] if isinstance(data, np.ndarray) else data.frequency_rows(rows)
-            if keep is not None:
-                for m, f in zip(range(rows.start, min(rows.stop, len(keep))), block):
-                    keep[m] = 0.5 * (f - self.reflect(f))[:keep.shape[1]]
             return np.max([self.even_part(f) for f in block], axis=0)
 
         even, peak = np.max(map_chunks(task, node_chunks(len(data))), axis=0)
@@ -368,17 +364,17 @@ class Grid:
         even and every pair's periodic_part is small, and has parity p on an
         axis if its part of the other parity there (axis_parts) is, at every
         node, all against ODDNESS_TOL of the peak; the last axis takes the
-        parity that makes the product odd. Per-axis parities are kept in 2D
-        and 3D only (in 1D they are the point parity). octant gets planes 0..n/2
-        of every axis of every node, with planes 0 and n/2 of an odd axis
-        zeroed: the held data of an octant layout."""
+        parity that makes the product odd (in 1D the one axis is odd: the
+        point parity). octant gets planes 0..n/2 of every axis of every node,
+        with planes 0 and n/2 of an odd axis zeroed: the held data of an
+        octant layout."""
         pairs, dim = len(g) % 2 == 1, self.dim
         half = len(g) // 2 if pairs else len(g)
 
         def node(m):  # (even part, peak, axis parts) of node m, octant written
             f, = g.frequency_rows(slice(m, m + 1))
             octant[m] = f[(slice(self.n // 2 + 1),) * dim]
-            return f, [*self.even_part(f), *(self.axis_parts(f) if dim > 1 else [])]
+            return f, [*self.even_part(f), *self.axis_parts(f)]
 
         def task(rows):
             worst = []
@@ -397,42 +393,37 @@ class Grid:
         small = axis_parts <= ODDNESS_TOL * peak
         parity = [1 if odd_part else -1 if even_part else 0
                   for odd_part, even_part in zip(small[::2], small[1::2])]
-        parity = tuple(parity + [-math.prod(parity)]) if dim > 1 and all(parity) else None
+        parity = tuple(parity + [-math.prod(parity)]) if all(parity) else None
         if parity is not None:
             for axis in np.flatnonzero(np.array(parity) < 0):
                 octant[(slice(None),) * (axis + 1) + (slice(0, None, self.n // 2),)] = 0
-        return Symmetry(odd=True, parity=parity,
+        return Symmetry(parity=parity,
                         antiperiodic=pairs and bool(worst[-1] <= ODDNESS_TOL * peak))
 
-    def require_odd(self, data, what: str, keep: np.ndarray | None = None) -> None:
-        """is_odd(data, keep), or OddnessViolation naming `what`."""
-        if not self.is_odd(data, keep):
+    def require_odd(self, data, what: str) -> None:
+        """is_odd(data), or OddnessViolation naming `what`."""
+        if not self.is_odd(data):
             raise OddnessViolation(what, ODDNESS_TOL)
 
     def expansion(self, symmetry: Symmetry) -> tuple:
         """(index, negate) of a layout, flat over a node's whole lattice: the
         flat index into the held planes each entry reads, and whether it reads
-        it negated. On the half lattice plane -j reads plane j point-reflected,
-        minus; in the octant plane -j of each axis reads plane j, times that
-        axis's parity. On the whole lattice index is None and nothing is negated."""
+        it negated. In the octant plane -j of each axis reads plane j, times
+        that axis's parity. On the whole lattice index is None and nothing is
+        negated."""
         cache = self.__dict__.setdefault("_expansions", {})
-        key = (symmetry.odd, symmetry.parity)
-        if key not in cache:
+        if symmetry.parity not in cache:
             n, h = self.n, self.n // 2 + 1
-            held = symmetry.shape(self)
-            index, sign = np.arange(math.prod(held)).reshape(held), np.ones(self.shape)
+            index, sign = None, np.ones(self.shape)
             if symmetry.parity is not None:
                 fold = np.where(np.arange(n) < h, np.arange(n), n - np.arange(n))
-                index = index[np.ix_(*[fold] * self.dim)]
+                index = np.arange(h ** self.dim).reshape((h,) * self.dim)
+                index = index[np.ix_(*[fold] * self.dim)].ravel()
                 for axis, p in enumerate(symmetry.parity):
                     sign *= np.where(np.arange(n) < h, 1, p).reshape(
                         (n,) + (1,) * (self.dim - 1 - axis))
-            elif symmetry.odd:  # planes n - j, j = n/2 - 1..1, reflected on the later axes
-                later = np.ix_(*[self._reflect_1d] * (self.dim - 1))
-                index = np.concatenate([index, index[h - 2:0:-1][(slice(None),) + later]])
-                sign[h:] = -1
-            cache[key] = (index.ravel() if symmetry.held(self) else None, (sign < 0).ravel())
-        return cache[key]
+            cache[symmetry.parity] = (index, (sign < 0).ravel())
+        return cache[symmetry.parity]
 
 
 class OddTransform:
@@ -449,17 +440,6 @@ class OddTransform:
         self.columns, self.gather, (scatter, sign) = grid.odd_columns()
         self.scatter, self.sign = scatter[:k], np.repeat(sign[:k], 2, axis=1)  # no iterator buffer
         self.later = tuple(range(grid.dim, 1, -1))
-        self.dealias = grid.dealias[:grid.n // 2 + 1]
-        self._grid = grid
-
-    @cached_property
-    def l1_weight(self) -> np.ndarray:
-        """1 + |x| on the half columns, each counted once per column it stands for
-        (|f| on a mirror column is |f| on its half column); built on first use,
-        so the stepper, which never reads it, holds none."""
-        grid = self._grid
-        return ((1.0 + grid.x_abs).reshape(grid.n, -1)[:, self.columns]
-                * np.bincount(self.scatter[0]))
 
     def ifft(self, half: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """half (not written) to physical (rows, n, columns) in out, later passes in scratch."""

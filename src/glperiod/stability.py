@@ -35,13 +35,16 @@ The run steps the paper's case only, one step per base node (h = T/m_t): its
 forcings are odd, g(-x, t) = -g(x, t), so is its periodic solution, and about
 an odd base an odd w stays odd. w0, and the base unless the run is linear,
 must pass Grid.is_odd (OddnessViolation otherwise, before any base node is
-built). Frequency data keep first-axis planes 0..n/2 and physical data all
-planes of the half columns (Grid.odd_columns), on which the first-axis pass
-runs (Grid.odd_transform, shared with the solve; its forward transform and
-the h phi updates skip the planes with no dealiased mode). Base nodes are
-transformed one at a time from the planes a FieldSeries holds (the solve's
-u; an octant one expanded to those planes node by node), or from
-frequency_rows (snapshot files): no frequency copy is held. An antiperiodic
+built). The run holds the half lattice, the stepper's own layout (the
+solve holds the octant or the whole lattice, but a perturbation of another
+axis than the base's has no parity per axis, only the point oddness):
+frequency data keep first-axis planes 0..n/2 and physical data all planes of
+the half columns (Grid.odd_columns), on which the first-axis pass runs
+(Grid.odd_transform; its forward transform and the h phi updates skip the
+planes with no dealiased mode). Base nodes are transformed one at a time
+from the planes a FieldSeries holds (the solve's u: a view of a
+whole-lattice one, an octant one expanded to those planes node by node), or
+from frequency_rows (snapshot files): no frequency copy is held. An antiperiodic
 base (v(t + T/2) = -v(t)) holds nodes 0..m_t/2 - 1, negated after.
 """
 

@@ -4,11 +4,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from glperiod import (GridConfig, auto_cutoffs, make_grid, make_operator,
+from glperiod import (FieldSeries, GridConfig, auto_cutoffs, make_grid, make_operator,
                       SpectralField, spectral)
 
 PERIOD = 1.0
-HALF = spectral.Symmetry(odd=True)  # the half-lattice layout of point-odd data
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +38,8 @@ def rng():
 def point_odd_forcing(grid, m_t, amplitude=1e-2):
     """A forcing odd under the point reflection but with no parity on any one
     axis, (x_0 + x_1/2 - x_0 x_1 x_2/L^2) exp(-|x|^2/(2 (L/16)^2)) times
-    sin(2 pi t/T): the solve holds it on the half lattice, not the octant."""
+    sin(2 pi t/T): the solve holds it on the whole lattice, not the octant
+    (in 1D, where the one axis's parity is the point parity, on the octant)."""
     from glperiod import ForcingSpec, realize_forcing
     x, L = grid.x, grid.box_length
     bump = np.exp(-grid.x_abs ** 2 / (2 * (L / 16) ** 2))
@@ -100,6 +100,27 @@ def raw_odd_series(grid, m_t, rng):
     lattice bit for bit, Nyquist modes populated."""
     data = raw_random_series(grid, m_t, rng)
     return 0.5 * (data - grid.reflect(data))
+
+
+def dipole_symmetry(grid, antiperiodic=False):
+    """The octant layout of data odd in x_0 and even in the later axes, the
+    reference dipole's parities."""
+    return spectral.Symmetry(parity=(-1,) + (1,) * (grid.dim - 1), antiperiodic=antiperiodic)
+
+
+def parity_part(grid, data, parity):
+    """Stacked data projected on one parity per axis, (f + p R_a f)/2 axis by
+    axis: each axis's mirror planes then hold it bit for bit."""
+    for axis, p in enumerate(parity):
+        data = 0.5 * (data + p * np.take(data, -np.arange(grid.n) % grid.n, axis=axis + 1))
+    return data
+
+
+def held_series(grid, data, period, symmetry):
+    """The FieldSeries of stacked data held as `symmetry` says: its planes
+    0..n/2 of every axis on the octant, and nodes 0..m_t/2 if antiperiodic."""
+    nodes = len(data) // 2 + 1 if symmetry.antiperiodic else len(data)
+    return FieldSeries(grid, data[(slice(nodes),) + symmetry.held(grid)], period, symmetry)
 
 
 def antiperiodic_series(data):

@@ -16,14 +16,15 @@ few lines.
 * time_derivative: the periodic centered difference of the reference
   Z-norm in test_norms, against the streamed Z-norm.
 * check_zero_mode: the mean-mode guard of period_inverse_apply and
-  periodic_initial_data (ValueError); the solve needs none, since the odd
-  part of its odd forcing has no mean mode.
+  periodic_initial_data (ValueError); the solve needs none, since its
+  forcing is odd: no mean mode on the octant, none beyond roundoff on the
+  whole lattice, where period_inverse_symbol zeroes it.
 * duhamel_integral, periodic_initial_data: the period map's prefix
   recurrence and inverse multiplier, one node at a time, against closed
   forms, oversampled quadrature and the fixed-point identity.
 * whole_lattice_solve: the solve's difference-form loop on all n planes,
   run from the product kernels on any mean-free g, odd or not. The solve
-  (odd g only, on the octant or the half lattice) is held against it: u
+  (odd g only, on the octant or the whole lattice) is held against it: u
   and the norms to roundoff, the memory peak by ratio, in test_solver and
   test_properties. is_antiperiodic is its antiperiodicity rule, the one
   Grid.symmetry_of applies, on whole arrays.
@@ -38,8 +39,10 @@ few lines.
   form and, in criterion 6, for oddness.
 * whole_series: a series read by frequency_rows (the solve's u, the
   realized forcing) as a FieldSeries of every node.
-* whole_lattice: the expansion of planes 0..n/2 (and of nodes 0..m_t/2) by
-  Grid.reflect one node at a time, against FieldSeries.frequency_rows.
+* whole_lattice: the expansion of the octant's planes 0..n/2 of every axis,
+  or of the stepper's first-axis planes 0..n/2 by Grid.reflect (and of
+  nodes 0..m_t/2), one node at a time, against FieldSeries.frequency_rows
+  and the stepper's base nodes.
 * multi_indices: the multi-indices |alpha| <= k, in order of |alpha|, over
   which the per-multi-index references of test_norms sum one inverse
   transform each.
@@ -62,8 +65,8 @@ few lines.
   of the solve and, in criterion 6, its iterates and the stepper.
 * physical_forcing_bracket: [g] read from g's physical values and
   whole-lattice derivatives, against forcing_bracket, which reads L1_w
-  through chunked inverse transforms (the odd inverse on the half columns
-  for half data) and the H1_w sums on half the lattice.
+  through chunked inverse transforms (OctantTransform's inverse for octant
+  data) and the H1_w sums on the held planes.
 * write_physical_snapshot: a snapshot file holding physical values (flag
   0), which write_snapshot no longer writes, for read_snapshot's flag-0 path.
 """
@@ -185,8 +188,8 @@ def picard_step(u, g, op, nonlinearity=True):
 def whole_lattice_solve(g, op, cutoffs, opts=None):
     """solve_periodic's iteration on the whole lattice, for any mean-free g:
     the series it holds (u, delta) and the order of its kernel calls are
-    those of solve_periodic, on all n planes and on g itself rather than its
-    odd part. For an antiperiodic g the norms take nodes 0..m_t/2 (an
+    those of solve_periodic, on all n planes of g whatever its parities.
+    For an antiperiodic g the norms take nodes 0..m_t/2 (an
     antiperiodic FieldSeries), as the solve's do; the period maps run over
     the whole period."""
     opts = opts or SolveOptions()
@@ -259,7 +262,8 @@ def antiperiodicity_bound(F, op):
     low modes'). Measured: at most 0.26 of this bound on 660 random series
     (dims 1-3, m_t 2-12), 0.21 at the reference config."""
     m_t = len(F) - 1
-    kappa = np.abs(period_inverse_symbol(op)[:F.shape[1]])[np.abs(F).max(axis=0) > 0].max()
+    held = tuple(map(slice, F.shape[1:]))  # the leading planes F holds (Symmetry.held)
+    kappa = np.abs(period_inverse_symbol(op)[held])[np.abs(F).max(axis=0) > 0].max()
     return 2 * (m_t + 4) * np.finfo(float).eps * kappa
 
 
@@ -270,16 +274,24 @@ def whole_series(series):
     return FieldSeries(series.grid, series.frequency_rows(slice(None)), series.period)
 
 
-def whole_lattice(grid, held, nodes=None):
-    """Frequency data of every node from the data a FieldSeries holds, one
-    node at a time with Grid.reflect: of odd data held as planes 0..n/2,
-    plane -j is minus plane j reflected; with `nodes` = 2 len(held) - 1,
-    node m + m_t/2 is minus node m. The reference expansion that
-    FieldSeries.frequency_rows is held against, bit for bit."""
-    out, planes = np.empty((nodes or len(held),) + grid.shape, complex), held.shape[1]
-    out[:len(held), :planes] = held
+def whole_lattice(grid, held, nodes=None, parity=None):
+    """Frequency data of every node from the data a FieldSeries (or the
+    stepper) holds, one node at a time: of odd data held as first-axis
+    planes 0..n/2 (the stepper's half lattice), plane -j is minus plane j
+    reflected with Grid.reflect; in the octant (`parity` set), planes
+    n/2+1..n-1 of each axis are that axis's parity times planes n/2-1..1;
+    with `nodes` = 2 len(held) - 1, node m + m_t/2 is minus node m. The
+    reference expansion that FieldSeries.frequency_rows is held against, bit
+    for bit."""
+    out, h = np.empty((nodes or len(held),) + grid.shape, complex), grid.n // 2 + 1
+    out[(slice(len(held)),) + tuple(map(slice, held.shape[1:]))] = held
     for node in out[:len(held)]:
-        node[planes:] = -grid.reflect(node)[planes:]  # nothing for whole-lattice data
+        if parity is None:
+            node[held.shape[1]:] = -grid.reflect(node)[held.shape[1]:]  # none if whole
+        for axis, p in enumerate(parity or ()):
+            lead = (slice(None),) * axis
+            mirror = node[lead + (slice(h - 2, 0, -1),)]
+            node[lead + (slice(h, None),)] = mirror if p > 0 else -mirror
     np.negative(out[1:len(out) - len(held) + 1], out=out[len(held):])
     return out
 

@@ -104,9 +104,9 @@ class TestRealizeForcing:
         calls = []
         is_odd = spectral.Grid.is_odd
 
-        def counting(grid, data, keep=None):
+        def counting(grid, data):
             calls.append(len(data))
-            return is_odd(grid, data, keep)
+            return is_odd(grid, data)
 
         monkeypatch.setattr(spectral.Grid, "is_odd", counting)
         realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)

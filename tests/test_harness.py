@@ -293,6 +293,22 @@ class TestStabilityCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: base manifest") and err.count("\n") == 1
 
+    def test_artifact_that_cannot_be_read_exit(self, tmp_path, monkeypatch, capsys):
+        # an OSError while an artifact is hashed is a config error, as a
+        # directory named as an artifact is (test_exit_2_with_one_line)
+        cfg_path, manifest = self._saved_base(tmp_path)
+        capsys.readouterr()
+
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(glperiod.manifest, "sha256_of", unreadable)
+        assert main(["stability", "--config", str(cfg_path), "--base", str(manifest),
+                     "--out", str(tmp_path / "stab")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: base manifest") and err.count("\n") == 1
+        assert "Permission denied" in err
+
     @staticmethod
     def _rehash(manifest, snap):
         """Write snap's new hash and size into the manifest, so the file
@@ -550,6 +566,7 @@ class TestMalformedInput:
         (["sweep", "--axis", "m_t"], {"sweep": {"m_t": [4]}}, None),
         (["sweep", "--axis", "n"], {"sweep": {"n": [6]}}, None),
         (["sweep", "--axis", "epsilon"], {"sweep": {"epsilon": [-1]}}, None),
+        (["stability", "--base", "."], {}, None),
     ], ids=["grid-dim-null", "verify-grid-dim-null", "period-null", "m_t-null", "m_t-4",
             "threads-abc", "threads-negative", "t_max-below-10-periods",
             "t_max-null", "record_stride-0", "order-3", "perturbation-axis-5",
@@ -557,12 +574,19 @@ class TestMalformedInput:
             "sweep-epsilon-null", "forcing-custom-profile", "verify-zero-amplitude",
             "verify-samples-0", "verify-samples-negative", "verify-m_t-4",
             "verify-grid-n-6", "verify-amplitude-negative", "sweep-m_t-4", "sweep-n-6",
-            "sweep-epsilon-negative"])
+            "sweep-epsilon-negative", "base-artifact-is-a-directory"])
     def test_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys,
                                   command, overrides, threads):
         if threads is not None:
             monkeypatch.setenv("GLPERIOD_THREADS", threads)
         cfg_path = _small_config(tmp_path, **overrides)
+        if "--base" in command:  # a converged base whose artifact index names a directory
+            manifest = tmp_path / "base" / "manifest.json"
+            manifest.parent.mkdir()
+            manifest.write_text(json.dumps({
+                "config": load_config(cfg_path), "headline": {"converged": True},
+                "artifacts": [{"path": command[-1], "sha256": "0" * 64, "bytes": 0}]}))
+            command = command[:-1] + [str(manifest)]
         assert main(command + ["--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1

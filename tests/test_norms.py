@@ -16,8 +16,9 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig, NormSuite, SpectralF
 from glperiod.norms import _weighted_sq, weighted_hk_node_sq, x_gradient_node_sq
 from glperiod.spectral import map_chunks, node_chunks
 
-from conftest import (HALF, antiperiodic_series, on_workers, random_field,
-                      random_physical_field, raw_odd_series, raw_random_series)
+from conftest import (antiperiodic_series, dipole_symmetry, held_series, on_workers,
+                      parity_part, random_field, random_physical_field, raw_odd_series,
+                      raw_random_series)
 from oracles import multi_indices, physical_forcing_bracket, time_derivative, whole_series
 
 
@@ -245,18 +246,18 @@ class TestForcingBracket:
     @pytest.mark.parametrize("m_t", [16, 64])
     def test_matches_the_physical_space_reference(self, grid3d, m_t):
         # [g] of the forcing, with L1_w read through chunked inverse
-        # transforms, and [g] as the solve reads it, from g's odd part on half
-        # the lattice (L1_w on the half columns) and half the period: each the
-        # physical-space formula of its series to roundoff. The odd part moves
-        # [g] by -1.86e-13 relative on this grid: the dipole's seam rows leave
-        # an even part (6.9e-14 of the frequency peak here) that it drops
+        # transforms, and [g] as the solve reads it, from the octant that
+        # Grid.symmetry_of writes (planes 0..n/2 of every axis, planes 0 and
+        # n/2 of the odd axis zeroed) on half the period: each the
+        # physical-space formula of its series to roundoff
         g = whole_series(realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, m_t))
-        odd = FieldSeries(grid3d, 0.5 * (g.data - grid3d.reflect(g.data)), g.period)
-        half = FieldSeries(grid3d, odd.data[:m_t // 2 + 1, :grid3d.n // 2 + 1], g.period,
-                           replace(HALF, antiperiodic=True))
+        held = np.empty((m_t + 1,) + (grid3d.n // 2 + 1,) * 3, complex)
+        sym = grid3d.symmetry_of(g, held, "forcing")
+        assert sym == dipole_symmetry(grid3d, antiperiodic=True)
+        octant = FieldSeries(grid3d, held[:m_t // 2 + 1], g.period, sym)
         assert forcing_bracket(g) == pytest.approx(physical_forcing_bracket(g), rel=1e-14, abs=0)
-        assert forcing_bracket(half) == pytest.approx(
-            physical_forcing_bracket(odd), rel=1e-14, abs=0)
+        assert forcing_bracket(octant) == pytest.approx(
+            physical_forcing_bracket(whole_series(octant)), rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +645,10 @@ class TestBufferedTree:
 
 
 class TestHalfLattice:
-    """The half-lattice path of X and Y (half series) against the allocating
-    full-lattice reference on odd series, to rtol 1e-13 per node sum, for
-    chunk sizes 1, 3 and 8 and 1 or 2 workers; X with chi1 prunes lines,
+    """The folded path of X and Y on octant series (planes 0..n/2, half of
+    every axis, of data odd in x_0 and even in the later axes) against the
+    allocating full-lattice reference, to rtol 1e-13 per node sum, for
+    chunk sizes 1, 3 and 8 and 1 or 2 workers; X with chi1 prunes planes,
     Y with chi_inf does not."""
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -669,67 +671,70 @@ class TestHalfLattice:
         h = period / m_t
         cutoffs = auto_cutoffs(grid, period)
         chi = None if mask is None else getattr(cutoffs, mask)
-        data = raw_odd_series(grid, m_t, np.random.default_rng(17 * dim + len(kind)))
+        sym = dipole_symmetry(grid)
+        data = parity_part(grid, raw_odd_series(grid, m_t, np.random.default_rng(
+            17 * dim + len(kind))), sym.parity)
         x_add, y_add, _, _ = _ref_adds(grid, h)
         k, n_sums, ref_add = (1, 3, x_add) if kind == "X" else (3, 5, y_add)
         ref = _ref_node_sums(data, grid, k, chi, n_sums, ref_add)
         norm = norms._x_norm if kind == "X" else norms._y_norm
         node_sums = norms._node_sums
-        planes = data[:, :grid.n // 2 + 1]
+        octant = held_series(grid, data, period, sym)
 
-        def half():
+        def folded():
             got = []
 
             def recording(*args, **kwargs):
-                assert kwargs["symmetry"] == HALF
+                assert kwargs["symmetry"] == sym
                 got.append(node_sums(*args, **kwargs))
                 return got[-1]
 
             monkeypatch.setattr(norms, "_node_sums", recording)
-            norm(planes, grid, chi, h, HALF)
+            norm(octant.data, grid, chi, h, sym)
             monkeypatch.setattr(norms, "_node_sums", node_sums)
             return got[0]
 
         s = FieldSeries(grid, data, period)
         if mask in (None, "chi1" if kind == "X" else "chi_inf"):  # spacetime_norm's pairing
             band = None if mask is None else cutoffs
-            assert spacetime_norm(FieldSeries(grid, planes, period, HALF), kind,
-                                  band) == pytest.approx(spacetime_norm(s, kind, band),
-                                                         rel=1e-13)
+            assert spacetime_norm(octant, kind, band) == pytest.approx(
+                spacetime_norm(s, kind, band), rel=1e-13)
         for chunk_nodes in (1, 3, 8):
             monkeypatch.setattr(spectral, "CHUNK_NODES", chunk_nodes)
             for workers in (1, 2):
-                np.testing.assert_allclose(on_workers(monkeypatch, workers, half), ref,
+                np.testing.assert_allclose(on_workers(monkeypatch, workers, folded), ref,
                                            rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_norms_are_those_of_the_odd_part(self, dim):
-        # data that is not odd: a half series of planes 0..n/2 of its odd part
-        # has the odd part's norms, and a half view of an array holding those
-        # planes and others reads those planes only
+        # data with no parity: an octant series of planes 0..n/2 of its part
+        # of the dipole's parities has that part's norms, and an octant view
+        # of an array holding those planes and others reads those planes only
         grid = make_grid(GridConfig(dim=dim, n_per_axis=_ORACLE_GRIDS[dim],
                                     box_length=32.0))
         cutoffs = auto_cutoffs(grid, 1.3)
+        sym = dipole_symmetry(grid)
         data = raw_random_series(grid, 8, np.random.default_rng(dim))
-        odd_data = 0.5 * (data - grid.reflect(data))
-        odd = FieldSeries(grid, odd_data, 1.3)
-        half = FieldSeries(grid, odd_data[:, :grid.n // 2 + 1].copy(), 1.3, HALF)
-        assert half.data.shape[1:] == grid.half_shape and odd.data.shape[1:] == grid.shape
-        assert z_norm(half, cutoffs) == pytest.approx(z_norm(odd, cutoffs), rel=1e-13)
+        part_data = parity_part(grid, data, sym.parity)
+        part = FieldSeries(grid, part_data, 1.3)
+        octant = FieldSeries(grid, part_data[(slice(None),) + sym.held(grid)].copy(), 1.3, sym)
+        assert octant.data.shape[1:] == (grid.n // 2 + 1,) * dim
+        assert z_norm(octant, cutoffs) == pytest.approx(z_norm(part, cutoffs), rel=1e-13)
         for kind in "XY":
-            assert spacetime_norm(half, kind) == pytest.approx(
-                spacetime_norm(odd, kind), rel=1e-13)
-        odd_data[:, grid.n // 2 + 1:] = data[:, grid.n // 2 + 1:]
-        view = FieldSeries(grid, odd_data[:, :grid.n // 2 + 1], 1.3, HALF)
-        assert z_norm(view, cutoffs) == z_norm(half, cutoffs)
+            assert spacetime_norm(octant, kind) == pytest.approx(
+                spacetime_norm(part, kind), rel=1e-13)
+        data[(slice(None),) + sym.held(grid)] = octant.data  # other planes: no parity
+        view = FieldSeries(grid, data[(slice(None),) + sym.held(grid)], 1.3, sym)
+        assert z_norm(view, cutoffs) == z_norm(octant, cutoffs)
 
     def test_mask_must_be_even(self, grid3d, cutoffs3d):
-        s = FieldSeries(grid3d, raw_odd_series(grid3d, 4, np.random.default_rng(0)),
-                        1.0)
+        sym = dipole_symmetry(grid3d)
+        s = held_series(grid3d, parity_part(grid3d, raw_odd_series(
+            grid3d, 4, np.random.default_rng(0)), sym.parity), 1.0, sym)
         chi = cutoffs3d.chi1.copy()
         chi[1, 0, 0] = 0.5
         with pytest.raises(ValueError, match="even"):
-            norms._x_norm(s.data[:, :grid3d.n // 2 + 1], grid3d, chi, s.dt, HALF)
+            norms._x_norm(s.data, grid3d, chi, s.dt, sym)
 
 
 def _half_period(s):
@@ -740,8 +745,8 @@ def _half_period(s):
 
 class TestHalfPeriod:
     """Z-norms and [g] of an antiperiodic series held and summed on one half
-    period (FieldSeries.antiperiodic) against every node, whole and half
-    lattice."""
+    period (FieldSeries.antiperiodic) against every node, on the whole
+    lattice and on the octant."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("odd", [False, True])
@@ -751,14 +756,15 @@ class TestHalfPeriod:
                                     box_length=32.0))
         cutoffs = auto_cutoffs(grid, 1.3)
         rng = np.random.default_rng(7 * dim + m_t + odd)
-        data = antiperiodic_series((raw_odd_series if odd else raw_random_series)(
-            grid, m_t, rng))
+        sym = dipole_symmetry(grid)
+        data = antiperiodic_series(parity_part(grid, raw_odd_series(grid, m_t, rng), sym.parity)
+                                   if odd else raw_random_series(grid, m_t, rng))
         whole = FieldSeries(grid, data, 1.3)
-        s = FieldSeries(grid, data[:, :grid.n // 2 + 1], 1.3, HALF) if odd else whole
+        s = held_series(grid, data, 1.3, sym) if odd else whole
         for norm in (partial(z_norm, cutoffs=cutoffs), partial(spacetime_norm, kind="X"),
                      partial(spacetime_norm, kind="Y")):
             assert norm(_half_period(s)) == pytest.approx(norm(s), rel=1e-13)
-        for g in (whole, s):  # on half the lattice too, L1_w on the half columns
+        for g in (whole, s):  # on the octant too, L1_w on its planes
             assert forcing_bracket(_half_period(g)) == pytest.approx(forcing_bracket(whole),
                                                                      rel=1e-13)
 
@@ -767,9 +773,10 @@ class TestHalfPeriod:
         # m_t 32: X and Y each run 4 halo chunks of 8 nodes + node m_t every
         # node, 2 chunks folded, and the fold computes nodes 0..15 only
         m_t = 32
-        data = antiperiodic_series(raw_odd_series(grid3d, m_t, np.random.default_rng(3)))
-        s = (FieldSeries(grid3d, data[:, :grid3d.n // 2 + 1], 1.0, HALF) if odd
-             else FieldSeries(grid3d, data, 1.0))
+        sym = dipole_symmetry(grid3d)
+        data = antiperiodic_series(parity_part(grid3d, raw_odd_series(
+            grid3d, m_t, np.random.default_rng(3)), sym.parity))
+        s = held_series(grid3d, data, 1.0, sym) if odd else FieldSeries(grid3d, data, 1.0)
         map_chunks = norms.map_chunks
 
         def tasks(series=s):
@@ -799,9 +806,9 @@ def test_dealiased_series_take_the_dealias_support(dim, odd):
     cutoffs = auto_cutoffs(grid, 1.3)
     series = (raw_odd_series if odd else raw_random_series)(grid, 10,
                                                              np.random.default_rng(dim))
-    data = series * grid.dealias
-    s = (FieldSeries(grid, data[:, :grid.n // 2 + 1], 1.3, HALF) if odd
-         else FieldSeries(grid, data, 1.3))
+    sym = dipole_symmetry(grid)
+    data = (parity_part(grid, series, sym.parity) if odd else series) * grid.dealias
+    s = held_series(grid, data, 1.3, sym) if odd else FieldSeries(grid, data, 1.3)
     dealiased = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
     support = norms._axis_support(dealiased.chi_inf * grid.keep_nyquist_free, grid)
     assert all(len(lines) == 11 for lines, _ in support[1:])
@@ -839,21 +846,24 @@ def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cuto
 
 def test_odd_z_norm_transforms_half_the_planes_after_the_first_axis(monkeypatch, grid3d,
                                                                    cutoffs3d, rng):
-    # As above on a half series of odd data: every first-axis pass runs on the
-    # half columns of Grid.odd_columns, (s*s + 1)/2 of X's s*s gathered ones
-    # and (n*n + 4)/2 of Y's n*n (self-mirror columns: 1 and 4), and every
-    # pass after it on planes 0..n/2 (p = 9 of 16). X: 2 first-axis passes,
-    # 3 second-level passes over p*s and 4 last ones over p*n. Y: 4 first-axis
-    # passes (2 with the halo), then 30 passes over p*n*n (3 + 4 with the
-    # halo). Same number of calls as the full lattice.
+    # As above on an octant series (planes 0..n/2 of every axis, p = 9 of 16):
+    # the levels run from the last axis to the first, each pass on all n
+    # planes of its own axis, on planes 0..n/2 of the axes already passed and
+    # on the mask's leading planes of the others: chi1's s_x = (s + 1)/2 = 4,
+    # chi_inf's s_y = n/2 (plane n/2 is Nyquist). X: 2 last-axis passes over
+    # s_x*s_x, 3 over s_x*p and 4 over p*p. Y: 4 over s_y*s_y (2 with the
+    # halo), 10 over s_y*p (3) and 20 over p*p (4). Same number of calls as
+    # the full lattice.
     n, m_t, p = grid3d.n, 16, grid3d.n // 2 + 1
     s = int(np.count_nonzero(np.abs(grid3d.xi1d) < cutoffs3d.r_inf))
-    hx, hy = (s * s + 1) // 2, (n * n + 4) // 2
+    sx, sy = (s + 1) // 2, n // 2
     rows = [c.stop - c.start + 2 for c in node_chunks(m_t)] + [3]
-    x_points = sum(r * (2 * n * hx + 3 * p * n * s + 4 * p * n * n) for r in rows)
-    y_points = sum(n * hy * (2 * r + 2 * (r - 2)) + p * n * n * (7 * r + 23 * (r - 2))
-                   for r in rows)
-    series = FieldSeries(grid3d, raw_odd_series(grid3d, m_t, rng)[:, :p], 1.0, HALF)
+    x_points = sum(r * n * (2 * sx * sx + 3 * sx * p + 4 * p * p) for r in rows)
+    y_points = sum(n * (sy * sy * (2 * r + 2 * (r - 2)) + sy * p * (3 * r + 7 * (r - 2))
+                        + p * p * (4 * r + 16 * (r - 2))) for r in rows)
+    sym = dipole_symmetry(grid3d)
+    series = held_series(grid3d, parity_part(grid3d, raw_odd_series(grid3d, m_t, rng),
+                                               sym.parity), 1.0, sym)
     points = []
     ifftn = np.fft.ifftn
 
@@ -867,7 +877,7 @@ def test_odd_z_norm_transforms_half_the_planes_after_the_first_axis(monkeypatch,
     assert sum(points) == x_points + y_points
     full_lattice = sum(r * (2 * n * s * s + 3 * n * n * s + 4 * n ** 3)
                        + n ** 3 * (9 * r + 25 * (r - 2)) for r in rows)
-    assert sum(points) < 0.56 * full_lattice  # 0.556
+    assert sum(points) < 0.31 * full_lattice  # 0.301
 
 
 def test_z_norm_memory_not_above_allocating_tree(monkeypatch, grid3d, cutoffs3d, rng):

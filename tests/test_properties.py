@@ -1,6 +1,7 @@
 """Property tests (hypothesis) on random odd series: the maps of the solve
-preserve lattice oddness, and the half-lattice solve, Z-norm and
-perturbation step equal the full ones. A dipole forcing passes realization
+preserve lattice oddness, the solve and the octant layout's rows, norms,
+period map and cubic rows equal the whole lattice's, and the half-lattice
+perturbation step equals the full one. A dipole forcing passes realization
 only if the solve takes it as odd. The period map's output is periodic, and
 antiperiodic for an antiperiodic forcing, to stated roundoff bounds; its
 half-period form matches it within the same bound. The cutoffs are a
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from glperiod import cli, spectral
+from glperiod import config as config_module
 from glperiod import (FieldSeries, ForcingSpec, GridConfig, OddnessViolation,
                       SeamDecayViolation, SolveOptions, auto_cutoffs, make_grid,
                       make_operator, realize_forcing, solve_periodic, z_norm)
@@ -40,7 +42,7 @@ from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_
 from glperiod.spectral import Symmetry
 from glperiod.stability import _Stepper, _rhs_data, _rhs_work
 
-from conftest import HALF, antiperiodic_series, raw_odd_series
+from conftest import antiperiodic_series, held_series, parity_part, raw_odd_series
 from oracles import (WholeLatticeStepper, antiperiodicity_bound, odd_fft_every_plane,
                      whole_lattice, whole_lattice_solve, whole_series)
 
@@ -67,20 +69,35 @@ def odd_series(draw):
     return dim, size * data / np.abs(data).max()
 
 
-@PROPERTY
-@given(odd_series(), st.booleans(), st.booleans())
-def test_odd_series_rows_are_the_reference_expansion(case, half_planes, antiperiodic):
-    # every row range [a, b) of a FieldSeries in each of its four layouts
-    # (all planes or planes 0..n/2, every node or nodes 0..m_t/2) is the
-    # one-node-at-a-time expansion, bit for bit
-    dim, data = case
+@st.composite
+def parity_series(draw):
+    """(dim, parity, antiperiodic, m_t + 1 frequency fields): raw odd data
+    projected on one per-axis parity signature of an odd field, (f + p R_a f)/2
+    axis by axis, so its mirror planes hold it exactly; continued
+    antiperiodically when drawn so."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    parity = draw(st.sampled_from([p for p in itertools.product((1, -1), repeat=dim)
+                                   if math.prod(p) == -1]))
+    m_t = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     grid = setup(dim)[0]
-    held = data[:, :grid.n // 2 + 1] if half_planes else data
-    if antiperiodic:
-        held = held[:len(held) // 2 + 1]
-    nodes = 2 * len(held) - 1 if antiperiodic else len(held)
-    u = FieldSeries(grid, held, PERIOD, Symmetry(odd=half_planes, antiperiodic=antiperiodic))
-    expected = whole_lattice(grid, held, nodes)
+    data = parity_part(grid, raw_odd_series(grid, m_t, rng), parity)
+    antiperiodic = draw(st.booleans())
+    return dim, parity, antiperiodic, antiperiodic_series(data) if antiperiodic else data
+
+
+@PROPERTY
+@given(parity_series(), st.booleans())
+def test_odd_series_rows_are_the_reference_expansion(case, octant):
+    # every row range [a, b) of a FieldSeries in each of its four layouts
+    # (all planes or the octant's planes 0..n/2 of every axis, every node or
+    # nodes 0..m_t/2) is the one-node-at-a-time expansion, bit for bit
+    dim, parity, antiperiodic, data = case
+    grid = setup(dim)[0]
+    u = held_series(grid, data, PERIOD, Symmetry(parity=parity if octant else None,
+                                                   antiperiodic=antiperiodic))
+    nodes = len(data)
+    expected = whole_lattice(grid, u.data, nodes, u.symmetry.parity)
     assert len(u) == nodes and u.n_steps == nodes - 1 and u.dt == PERIOD / (nodes - 1)
     for a in range(nodes + 1):
         for b in range(a, nodes + 1):
@@ -140,13 +157,13 @@ def test_half_period_map_equals_full(case):
 
 
 def test_reference_period_map_keeps_antiperiodicity():
-    # the reference forcing (32^3, m_t 64, kappa 73.7) on half the lattice:
-    # 4.7e-13 of the peak against a bound of 2.2e-12
+    # the reference forcing (32^3, m_t 64, kappa 73.7) on the octant, as the
+    # solve holds it: 4.3e-13 of the peak against a bound of 2.2e-12
     cfg = reference_config()
     g = build_forcing(cfg)
     grid = g.grid
-    F = np.empty((len(g),) + grid.half_shape, complex)
-    assert grid.is_odd(g, keep=F)
+    F = np.empty((len(g),) + (grid.n // 2 + 1,) * grid.dim, complex)
+    assert grid.symmetry_of(g, F, "forcing").parity == (-1, 1, 1)
     op = make_operator(grid, g.period)
     out = _linear_period_map_data(F, op, g.dt)
     assert antiperiodicity_defect(out) <= antiperiodicity_bound(F, op)
@@ -176,7 +193,9 @@ def test_solve_iteration_preserves_oddness(case):
 @PROPERTY
 @given(odd_series())
 def test_half_lattice_solve_equals_full(case):
-    # two iterations on planes 0..n/2 against the same iteration on all planes
+    # two iterations on the layout the solve takes (the octant, planes 0..n/2
+    # of every axis, in 1D; the whole lattice for point-odd data in 2D and
+    # 3D) against the same iteration on all planes
     dim, data = case
     grid, op, cutoffs = setup(dim)
     g = FieldSeries(grid, 1e-2 * data, PERIOD)
@@ -206,46 +225,23 @@ def test_dipole_forcing_is_rejected_or_solved_on_half_the_lattice(dim, divisor, 
         return
     _, rep = solve_periodic(g, op, cutoffs, SolveOptions(max_iterations=2))
     assert rep.iterations >= 1  # the solve's own oddness test took g
-
-
-@st.composite
-def parity_series(draw):
-    """(dim, parity, antiperiodic, m_t + 1 frequency fields): raw odd data
-    projected on one per-axis parity signature of an odd field, (f + p R_a f)/2
-    axis by axis, so its mirror planes hold it exactly; continued
-    antiperiodically when drawn so."""
-    dim = draw(st.sampled_from([2, 3]))
-    parity = draw(st.sampled_from([p for p in itertools.product((1, -1), repeat=dim)
-                                   if math.prod(p) == -1]))
-    m_t = draw(st.integers(min_value=2, max_value=12))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-    grid = setup(dim)[0]
-    data = raw_odd_series(grid, m_t, rng)
-    for axis, p in enumerate(parity):
-        data = 0.5 * (data + p * np.take(data, -np.arange(grid.n) % grid.n, axis=axis + 1))
-    antiperiodic = draw(st.booleans())
-    return dim, parity, antiperiodic, antiperiodic_series(data) if antiperiodic else data
+    assert rep.layout["parity"] == tuple(-1 if a == spec.axis else 1 for a in range(dim))
 
 
 @PROPERTY
 @given(parity_series())
-def test_octant_layout_matches_half_and_whole(case):
-    # the octant (planes 0..n/2 of every axis) against the half lattice and
-    # the whole lattice of the same data, every node or nodes 0..m_t/2:
-    # frequency_rows and the period map bit for bit; z_norm, [g] and l1w_node
-    # to rtol 1e-13, the cubic rows to 1e-14 of their peak (over 60 draws of
-    # every signature: at most 3.9e-16, 2.4e-16, 4.0e-16 and 4.4e-16)
+def test_octant_layout_matches_whole(case):
+    # the octant (planes 0..n/2 of every axis) against the whole lattice of
+    # the same data, every node or nodes 0..m_t/2: frequency_rows and the
+    # period map bit for bit; z_norm, [g] and l1w_node to rtol 1e-13, the
+    # cubic rows to 1e-14 of their peak (over 60 draws of every signature:
+    # at most 3.9e-16, 2.4e-16, 4.0e-16 and 4.4e-16)
     dim, parity, antiperiodic, data = case
     grid, op, cutoffs = setup(dim)
-    nodes = len(data) // 2 + 1 if antiperiodic else len(data)
-    layouts = [Symmetry(antiperiodic=antiperiodic), Symmetry(odd=True, antiperiodic=antiperiodic),
-               Symmetry(parity=parity, antiperiodic=antiperiodic)]
-    whole, half, octant = (
-        FieldSeries(grid, data[(slice(nodes),) + sym.held(grid)], PERIOD, sym)
-        for sym in layouts)
+    whole, octant = (held_series(grid, data, PERIOD, Symmetry(parity=p, antiperiodic=antiperiodic))
+                     for p in (None, parity))
     assert np.array_equal(octant.frequency_rows(slice(None)), data)
     for norm in (functools.partial(z_norm, cutoffs=cutoffs), forcing_bracket):
-        assert norm(half) == pytest.approx(norm(whole), rel=1e-13)
         assert norm(octant) == pytest.approx(norm(whole), rel=1e-13)
     np.testing.assert_allclose(l1w_node(octant.data, grid, octant.symmetry),
                                l1w_node(whole.data, grid, whole.symmetry), rtol=1e-13, atol=0)
@@ -255,21 +251,10 @@ def test_octant_layout_matches_half_and_whole(case):
                                                   antiperiodic=antiperiodic), mapped[corner])
     for base in (data[::-1].copy(), None):  # the nodes reversed: v of the same signature
         ref = _cubic_difference_data(base, data, grid)
-        for sym in layouts[1:]:
-            cut = (slice(None),) + sym.held(grid)
-            got = _cubic_difference_data(None if base is None else base[cut], data[cut], grid,
-                                         symmetry=sym)
-            assert np.abs(got - ref[cut]).max() <= 1e-14 * np.abs(ref).max()
-
-
-@PROPERTY
-@given(odd_series())
-def test_half_lattice_z_norm_equals_full(case):
-    dim, data = case
-    grid, _, cutoffs = setup(dim)
-    s, half = (FieldSeries(grid, data, PERIOD),
-               FieldSeries(grid, data[:, :grid.n // 2 + 1], PERIOD, HALF))
-    assert z_norm(half, cutoffs) == pytest.approx(z_norm(s, cutoffs), rel=1e-13)
+        cut = (slice(None),) + octant.symmetry.held(grid)
+        got = _cubic_difference_data(None if base is None else base[cut], data[cut], grid,
+                                     symmetry=octant.symmetry)
+        assert np.abs(got - ref[cut]).max() <= 1e-14 * np.abs(ref).max()
 
 
 @PROPERTY
@@ -293,10 +278,9 @@ def test_half_lattice_step_equals_full(case, order):
 @PROPERTY
 @given(odd_series())
 def test_paired_transforms_invert(case):
-    # odd half-plane data through the shared odd inverse transform (later
-    # passes, gather, first-axis pass) and forward one (first-axis pass,
-    # scatter, later passes on the dealias planes), which the stepper and the
-    # solve both run
+    # odd half-plane data through the odd inverse transform (later passes,
+    # gather, first-axis pass) and forward one (first-axis pass, scatter,
+    # later passes on the dealias planes), which the stepper runs
     dim, data = case
     grid = setup(dim)[0]
     pair = grid.odd_transform
@@ -438,6 +422,70 @@ def test_config_reader_leaves_are_the_documented_keys():
         "period", "solve.z_tolerance", "stability.amplitude", "stability.sigma",
         "stability.t_max", "sweep.epsilon", "verify.grid.box_length",
         "verify.solve_amplitude"}
+
+
+def _small_reference():
+    """The reference config on a dim-2, n = 8 grid with m_t = 8, t_max = 10
+    periods and 10 verify samples: the defaults a removed key takes in
+    test_removed_keys_take_the_reference_values."""
+    cfg = reference_config()
+    small = {"dim": 2, "n_per_axis": 8, "box_length": 16.0}
+    cfg["grid"].update(small)
+    cfg["solve"]["m_t"] = 8
+    cfg["stability"].update(t_max=10.0, record_stride=4)
+    cfg["verify"].update(samples=10, m_t=8, grid=small)
+    return cfg
+
+
+def _key_paths(node, path=()):
+    """The path of every key of a config tree, objects and leaves alike."""
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + (key,))
+
+
+REMOVABLE = list(_key_paths(reference_config()))
+
+
+@functools.lru_cache(maxsize=None)
+def _run_outputs(command, config_text):
+    """The files cli.main writes for a config (given as its JSON text), run
+    in process over the small reference: every file's bytes but the
+    manifest's, and the manifest's config echo (verify writes none)."""
+    reference = _small_reference()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            config_module, "reference_config", lambda: json.loads(json.dumps(reference))):
+        path = os.path.join(tmp, "config.json")
+        Path(path).write_text(config_text)
+        code, lines, _ = _cli([command, "--config", path, "--out", os.path.join(tmp, "out")])
+        assert code == 0, lines
+        out = Path(tmp, "out")
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        assert files
+        echo = (load_manifest(out / "manifest.json")["config"]
+                if (out / "manifest.json").exists() else None)
+        return files, echo
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(["solve-periodic", "stability", "verify"]),
+       st.sets(st.sampled_from(REMOVABLE), max_size=6))
+@example("solve-periodic", {("grid",), ("solve", "m_t"), ("forcing",), ("period",)})
+@example("stability", {("stability", "t_max"), ("verify",)})
+@example("verify", {("verify", "samples"), ("seed",)})
+def test_removed_keys_take_the_reference_values(command, removed):
+    # a config is merged over reference.json (a small one here), so a config
+    # with any set of keys removed runs as the whole config does: the same
+    # exit code, output bytes and config echo
+    full = _small_reference()
+    cut = json.loads(json.dumps(full))
+    for path in sorted(removed, key=len):
+        node = cut
+        for key in path[:-1]:
+            node = node.get(key, {})
+        node.pop(path[-1], None)
+    assert _run_outputs(command, json.dumps(cut)) == _run_outputs(command, json.dumps(full))
 
 
 def _cli(argv):

@@ -23,10 +23,10 @@ from glperiod.spectral import ODDNESS_TOL, Grid, Symmetry
 from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_data,
                                       _cubic_rows, _decay_table, _linear_period_map_data)
 
-from conftest import (HALF, on_workers, point_odd_forcing, random_odd_field, raw_odd_series,
-                      raw_random_series)
-from oracles import (antiperiodicity_bound, cubic_rhs, duhamel_integral, odd_fft_every_plane,
-                     odd_residual, periodic_initial_data, picard_step, split_equation_residual,
+from conftest import (dipole_symmetry, held_series, on_workers, parity_part,
+                      point_odd_forcing, random_odd_field, raw_odd_series, raw_random_series)
+from oracles import (antiperiodicity_bound, cubic_rhs, duhamel_integral, odd_residual,
+                     periodic_initial_data, picard_step, split_equation_residual,
                      split_series, whole_lattice, whole_lattice_solve, whole_series)
 
 
@@ -539,8 +539,8 @@ class TestSolveKeepsCallerData:
                                                                  cutoffs3d, forcing):
         # one iteration adds delta^(0) to the linear response: picard_step of 0.
         # The whole-lattice reference runs the oracle's transforms; the solve
-        # takes g's odd part through the odd pair, so it meets the oracle on
-        # that odd part to roundoff.
+        # holds g's octant, which drops g's even part, so it meets the oracle
+        # on g's odd part to roundoff.
         linear = linear_period_map(forcing, op3d)
         stepped = picard_step(FieldSeries(grid3d, linear, 1.0), forcing, op3d)
         u, rep = whole_lattice_solve(forcing, op3d, cutoffs3d, SolveOptions(max_iterations=1))
@@ -609,8 +609,9 @@ class TestStreamedEquationResidual:
 
 
 class TestHalfLatticeZNorm:
-    """The solve runs every Z-norm on half the lattice, which moves the norms
-    by roundoff only against the whole-lattice reference solve."""
+    """The solve runs every Z-norm on the octant (planes 0..n/2, half of
+    every axis), which moves the norms by roundoff only against the
+    whole-lattice reference solve."""
 
     @pytest.fixture(scope="class")
     def forcing(self, grid3d):
@@ -666,8 +667,8 @@ class TestHalfLatticeZNorm:
         np.testing.assert_allclose(rep.residual_history, rep_full.residual_history,
                                    rtol=1e-13, atol=0)
         assert rep.z_norm == pytest.approx(rep_full.z_norm, rel=1e-13)
-        # [g] is read from g's odd part, its L1_w on half the lattice: the
-        # whole-lattice bracket of that part to roundoff, and g's own within
+        # [g] is read from g's octant, its L1_w on the octant: the
+        # whole-lattice bracket of g's odd part to roundoff, and g's own within
         # g's even part (the dipole's seam rows)
         assert rep.c_estimate == pytest.approx(rep_odd.c_estimate, rel=1e-13)
         assert rep.g_bracket == pytest.approx(rep_odd.g_bracket, rel=1e-14)
@@ -720,7 +721,8 @@ class TestOddnessPrecondition:
 
 class TestHalfLatticeSolve:
     """An odd forcing's solve holds g's frequency data, u and delta on planes
-    0..n/2."""
+    0..n/2 of every axis (the octant) if g has a parity per axis, else on the
+    whole lattice."""
 
     M_T = 64
 
@@ -730,29 +732,32 @@ class TestHalfLatticeSolve:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_odd_cubic_rows_keep_the_every_plane_bits(self, monkeypatch, dim):
-        # the forward transform pruned to the dealias planes changes no kept
-        # value: the every-plane form's bits there, and zeros where that form's
-        # masked products are +-0
+        # the octant's forward transform pruned to the dealias planes changes no
+        # kept value: the every-plane form's bits there, and zeros where that
+        # form's masked products are +-0
         grid = make_grid(GridConfig(dim=dim, n_per_axis={1: 32, 2: 16, 3: 16}[dim],
                                     box_length=16.0))
-        rng, planes = np.random.default_rng(dim), grid.n // 2 + 1
-        v, w = (raw_odd_series(grid, 3, rng)[:, :planes] for _ in range(2))
+        rng, sym = np.random.default_rng(dim), dipole_symmetry(grid)
+        v, w = (held_series(grid, parity_part(grid, raw_odd_series(grid, 3, rng), sym.parity),
+                              1.0, sym).data for _ in range(2))
+        pair = grid.transform(sym)
+        kept = (slice(None),) + (slice(pair.dealias_planes),) * dim
         for base in (v, None):
-            pruned = _cubic_rows(base, w, grid, HALF)
+            pruned = _cubic_rows(base, w, grid, sym)
             with monkeypatch.context() as m:
-                m.setattr(spectral.OddTransform, "fft",
-                          lambda pair, phys, out: odd_fft_every_plane(grid, phys))
-                every = _cubic_rows(base, w, grid, HALF)
-            kept = grid.odd_transform.dealias_planes
-            assert pruned[:, :kept].tobytes() == every[:, :kept].tobytes()
-            assert np.array_equal(pruned, every) and not pruned[:, kept:].any()
-            assert np.abs(every[:, :kept]).max() > 0
+                m.setattr(pair, "dealias_planes", grid.n // 2 + 1)
+                every = _cubic_rows(base, w, grid, sym)
+            assert pruned[kept].tobytes() == every[kept].tobytes()
+            assert np.array_equal(pruned, every) and np.abs(every[kept]).max() > 0
+            pruned[kept] = 0
+            assert not pruned.any()
 
-    def test_series_are_held_on_half_the_planes(self, monkeypatch, grid3d, op3d, cutoffs3d):
-        # every series the period map and the cubic terms see has planes 0..n/2
+    def test_point_odd_series_are_held_on_the_whole_lattice(self, monkeypatch, grid3d, op3d,
+                                                           cutoffs3d):
+        # every series the period map and the cubic terms see has every plane
         # of a forcing with no parity on any one axis
         self.check_held(monkeypatch, point_odd_forcing(grid3d, self.M_T), op3d, cutoffs3d,
-                        grid3d.half_shape, None)
+                        grid3d.shape, None)
 
     def test_dipole_series_are_held_on_the_octant(self, monkeypatch, grid3d, op3d, cutoffs3d,
                                                   forcing):
@@ -761,11 +766,12 @@ class TestHalfLatticeSolve:
                         (-1, 1, 1))
 
     def test_dim_1_keeps_the_half_lattice(self, grid1, op1):
-        # in 1D the axis parity is the point parity: planes 0..n/2, no octant
+        # in 1D the axis parity is the point parity: the octant is the planes
+        # 0..n/2 that the half lattice held
         g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0, sigma=0.4), grid1, 16)
         u, rep = solve_periodic(g, op1, auto_cutoffs(grid1, 1.0), SolveOptions())
-        assert rep.converged and rep.layout["parity"] is None
-        assert u.data.shape[1:] == grid1.half_shape
+        assert rep.converged and rep.layout["parity"] == (-1,) and rep.layout["odd"]
+        assert u.data.shape[1:] == grid1.half_shape == (grid1.n // 2 + 1,)
 
     def check_held(self, monkeypatch, g, op, cutoffs, held, parity):
         shapes = []
@@ -777,7 +783,7 @@ class TestHalfLatticeSolve:
         u, rep = solve_periodic(g, op, cutoffs, SolveOptions())
         assert u.data.shape[1:] == held and set(shapes) == {held}
         assert u.frequency_rows(slice(0, 1)).shape[1:] == g.grid.shape
-        assert rep.layout == {"odd": True, "parity": parity, "antiperiodic": True,
+        assert rep.layout == {"odd": parity is not None, "parity": parity, "antiperiodic": True,
                               "nodes_held": self.M_T // 2 + 1, "modes_per_node": math.prod(held)}
 
     def test_odd_solve_holds_six_tenths_of_the_whole_lattice(self, monkeypatch, grid3d,
@@ -862,7 +868,7 @@ class TestHalfPeriodSolve:
                                    (2.0 * ODDNESS_TOL, False)):
             data = self.with_periodic_part(forcing, size).data
             for g in (FieldSeries(grid3d, data, 1.0),
-                      FieldSeries(grid3d, data[:, :planes], 1.0, HALF)):
+                      held_series(grid3d, data, 1.0, dipole_symmetry(grid3d))):
                 assert grid3d.symmetry_of(g, octant, "forcing").antiperiodic is antiperiodic
 
     def test_antiperiodic_forcing_moves_norms_by_roundoff(self, monkeypatch, op3d,
@@ -876,8 +882,8 @@ class TestHalfPeriodSolve:
         assert flags_every == [False] * (rep.iterations + 2)
         # the half-period map moves u within the full map's antiperiodicity
         # bound (measured: 0.10 of it), and u's second half is minus its first
-        F = np.empty((len(forcing),) + forcing.grid.half_shape, complex)
-        assert forcing.grid.is_odd(forcing, keep=F)
+        F = np.empty((len(forcing),) + (forcing.grid.n // 2 + 1,) * 3, complex)
+        assert forcing.grid.symmetry_of(forcing, F, "forcing").parity == (-1, 1, 1)
         u, u_every = whole_series(u).data, whole_series(u_every).data
         assert np.abs(u - u_every).max() <= antiperiodicity_bound(F, op3d) * np.abs(u_every).max()
         half = self.M_T // 2
@@ -947,32 +953,34 @@ class TestPeriodMapOrder:
 
 
 class TestHalfLayoutSeries:
-    """A FieldSeries holding planes 0..n/2 of odd data, and nodes 0..m_t/2
-    when antiperiodic, is a Series like any other: its rows, the equation
-    residual, the oddness test, the solve (as g) and the stability run (as
-    base) give the bits of the whole-lattice, whole-period series it stands
-    for."""
+    """A FieldSeries holding planes 0..n/2 of every axis of data with a
+    parity per axis (the octant), and nodes 0..m_t/2 when antiperiodic, is a
+    Series like any other: its rows, the equation residual, the symmetry
+    pass, the solve (as g) and the stability run (as base) give the bits of
+    the whole-lattice, whole-period series it stands for."""
 
     M_T = 16
 
     @pytest.fixture(scope="class", params=[False, True], ids=["periodic", "antiperiodic"])
     def layouts(self, request, grid3d):
-        # the forcing's exact odd part, held as planes 0..n/2 (of nodes
-        # 0..m_t/2), and its expansion one node at a time
-        g = _odd_part(realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d,
-                                      self.M_T))
-        antiperiodic = request.param
-        held = g.data[:self.M_T // 2 + 1 if antiperiodic else None, :grid3d.n // 2 + 1]
-        half = FieldSeries(grid3d, held, g.period, Symmetry(odd=True, antiperiodic=antiperiodic))
-        whole = FieldSeries(grid3d, whole_lattice(grid3d, held, self.M_T + 1), g.period)
+        # the forcing's part of exactly the dipole's parities, held as its
+        # octant (of nodes 0..m_t/2), and its expansion one node at a time
+        g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, self.M_T)
+        sym = dipole_symmetry(grid3d, antiperiodic=request.param)
+        half = held_series(grid3d, parity_part(grid3d, g.frequency_rows(slice(None)),
+                                                 sym.parity), g.period, sym)
+        whole = FieldSeries(grid3d, whole_lattice(grid3d, half.data, self.M_T + 1, sym.parity),
+                            g.period)
         return half, whole
 
     def test_rows_and_oddness(self, grid3d, layouts):
         half, whole = layouts
         assert len(half) == len(whole) and half.dt == whole.dt
         assert half.frequency_rows(slice(None)).tobytes() == whole.data.tobytes()
-        keeps = [np.empty((len(whole),) + grid3d.half_shape, complex) for _ in range(2)]
-        assert grid3d.is_odd(half, keeps[0]) and grid3d.is_odd(whole, keeps[1])
+        keeps = [np.empty((len(whole),) + (grid3d.n // 2 + 1,) * 3, complex) for _ in range(2)]
+        assert (grid3d.symmetry_of(half, keeps[0], "forcing")
+                == grid3d.symmetry_of(whole, keeps[1], "forcing") == replace(
+                    half.symmetry, antiperiodic=True))
         assert keeps[0].tobytes() == keeps[1].tobytes()
 
     def test_solve_residual_and_stability(self, grid3d, op3d, cutoffs3d, layouts):
@@ -1014,11 +1022,11 @@ class TestSolveMemory:
     def test_antiperiodic_solve_holds_half_the_period(self, monkeypatch, op3d, cutoffs3d,
                                                       forcing):
         # warmed tracemalloc peaks on a pool of two workers (pinned as in
-        # test_odd_solve_holds_six_tenths_of_the_whole_lattice): 1.59-1.62
-        # series for nodes 0..m_t/2 against 2.17 for every node, 0.73-0.74
-        # (0.80 on one worker); the bound leaves 0.06 of margin
-        # (on the half lattice: in the octant the series are small beside the
-        # Z-norm's task buffers, test_octant_solve_holds_less_than_the_half_lattice)
+        # test_odd_solve_holds_six_tenths_of_the_whole_lattice): 2.69 series
+        # for nodes 0..m_t/2 against 3.67 for every node, 0.73; the bound
+        # leaves 0.07 of margin (on the whole lattice of a point-odd forcing: in
+        # the octant the series are small beside the Z-norm's task buffers,
+        # test_octant_solve_holds_less_than_the_whole_lattice)
         opts, forcing = SolveOptions(), point_odd_forcing(forcing.grid, self.M_T)
 
         def peak_of():
@@ -1030,10 +1038,11 @@ class TestSolveMemory:
         every = on_workers(monkeypatch, 2, peak_of)
         assert half <= 0.8 * every
 
-    def test_octant_solve_holds_less_than_the_half_lattice(self, monkeypatch, grid3d, op3d,
-                                                           cutoffs3d, forcing):
+    def test_octant_solve_holds_less_than_the_whole_lattice(self, monkeypatch, grid3d, op3d,
+                                                            cutoffs3d, forcing):
         # warmed tracemalloc peaks on a pool of two workers: the dipole's
-        # octant solve against a point-odd forcing's half-lattice one, 0.56
+        # octant solve against a point-odd forcing's whole-lattice one, 0.33
+        # (0.90 against 2.69 series)
         opts, point_odd = SolveOptions(), point_odd_forcing(grid3d, self.M_T)
 
         def peak_of(g):
@@ -1041,8 +1050,8 @@ class TestSolveMemory:
             return _traced_peak(solve_periodic, g, op3d, cutoffs3d, opts)
 
         octant = on_workers(monkeypatch, 2, peak_of, forcing)
-        half = on_workers(monkeypatch, 2, peak_of, point_odd)
-        assert octant <= 0.65 * half
+        whole = on_workers(monkeypatch, 2, peak_of, point_odd)
+        assert octant <= 0.4 * whole
 
     def test_no_whole_period_series_from_forcing_to_residual(self, grid3d, op3d, cutoffs3d):
         # realization, solve and residual, as solve-periodic runs them: 1.97

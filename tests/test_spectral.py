@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glperiod import (FieldSeries, GridConfig, SpectralField, auto_cutoffs, make_grid, read_snapshot, spectral, write_snapshot)
+from glperiod import (FieldSeries, GridConfig, SpectralField, make_grid, read_snapshot, spectral, write_snapshot)
 from glperiod.norms import _lp_node, l1w_node
 from glperiod.stability import _rhs_data, _rhs_work
 
@@ -69,69 +69,39 @@ class TestGrid:
         assert np.all(reflected[1:] == -x[1:])
 
 
-def _support_lines(mask, grid):
-    """Per later axis, the lines on which `mask` is nonzero somewhere."""
-    return [np.flatnonzero(np.moveaxis(mask != 0, axis, 0).reshape(grid.n, -1).any(1))
-            for axis in range(1, grid.dim)]
-
-
 class TestOddColumns:
     """Grid.odd_columns against a mirror built from coordinates, and its
     gather and scatter against the lattice reflection of odd fields."""
 
-    @staticmethod
-    def mirror(grid, lines):
-        """Mirror of every gathered column: its lines' coordinates reflected."""
-        shape = tuple(len(c) for c in lines)
-        coords = np.unravel_index(np.arange(int(np.prod(shape))), shape) if lines else ()
-        mirror = np.zeros(int(np.prod(shape)), int)
-        for c, i in zip(lines, coords):
-            mirror = mirror * len(c) + np.searchsorted(c, -c[i] % grid.n)
-        return mirror
-
-    def check(self, grid, lines, rng):
-        half, gather, (scatter, sign) = grid.odd_columns(lines)
-        mirror = self.mirror(grid, lines)
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_whole_later_axes(self, dim, n):
+        grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=32.0))
+        rng = np.random.default_rng(n + dim)
+        half, gather, (scatter, sign) = grid.odd_columns()
+        # the mirror of every column: its later coordinates reflected
+        coords = np.unravel_index(np.arange(n ** (dim - 1)), (n,) * (dim - 1)) if dim > 1 else ()
+        mirror = np.zeros(n ** (dim - 1), int)
+        for c in coords:
+            mirror = mirror * n + -c % n
         columns = mirror.size
         own = np.flatnonzero(mirror == np.arange(columns))
         # H and its mirror cover every column once; self-mirror columns once
         assert np.array_equal(np.sort(np.r_[half, np.setdiff1d(mirror[half], own)]),
                               np.arange(columns))
         assert np.isin(own, half).all() and half.size == (columns + own.size) // 2
-        n, planes = grid.n, grid.n // 2 + 1
+        # self-mirror columns: every later index 0 or n/2
+        assert half.size == (n ** (dim - 1) + 2 ** (dim - 1)) // 2
+        planes = n // 2 + 1
         assert np.array_equal(sign, np.tile(np.where(np.isin(np.arange(columns), half),
                                                      1.0, -1.0), (planes, 1)))
-        # an odd field on the gathered lines: block from planes 0..n/2, and back
+        # an odd field: block from planes 0..n/2, and back
         odd = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-        odd = 0.5 * (odd - grid.reflect(odd))
-        odd = odd[np.ix_(np.arange(n), *lines)].reshape(n, columns)
+        odd = 0.5 * (odd - grid.reflect(odd)).reshape(n, columns)
         block = np.take(odd[:planes].ravel(), gather)
         block[planes:] *= -1
         assert np.array_equal(block, odd[:, half])
         assert np.array_equal(np.take(block.ravel(), scatter) * sign, odd[:planes])
-
-    @pytest.mark.parametrize("n", [8, 16, 32])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_whole_later_axes(self, dim, n):
-        grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=32.0))
-        self.check(grid, [np.arange(n)] * (dim - 1), np.random.default_rng(n + dim))
-        half = grid.odd_columns()[0]
-        # self-mirror columns: every later index 0 or n/2
-        assert half.size == (n ** (dim - 1) + 2 ** (dim - 1)) // 2
-        whole = grid.odd_columns([np.arange(n)] * (dim - 1))[1]
-        assert np.array_equal(grid.odd_columns()[1], whole)
-
-    @pytest.mark.parametrize("n", [16, 32])
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("chi", ["chi1", "chi_inf"])
-    def test_gathered_support_lines(self, dim, n, chi):
-        grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=2.0 * n))
-        mask = getattr(auto_cutoffs(grid, 1.0), chi) * grid.keep_nyquist_free
-        lines = _support_lines(mask, grid)
-        assert all(len(c) < n for c in lines)
-        self.check(grid, lines, np.random.default_rng(n * dim))
-        if (dim, n, chi) == (3, 32, "chi1"):
-            assert grid.odd_columns(lines)[0].size == 113  # of 15 x 15
 
 
 class TestOddTransform:

@@ -834,6 +834,61 @@ class TestHalfPeriodBase:
             t_max=10.0, v_per=v_per, w0=w0, record_stride=4), op, cut))
 
 
+class TestStepOrder:
+    """The run is second order in h = T/m_t at t_max with ETD2 and first with
+    exponential Euler: on a dim-2, n-16 grid the base is solved at m_t = 32,
+    64 and 128 and each run steps at its node spacing to t_max = 10. The
+    observed order of ||w|| and ||grad w|| at t_max (decay.csv's last row),
+    log2 of the ratio of successive differences, lies in [1.8, 2.2] for ETD2
+    (measured: 2.02 for both) and near 1 for exponential Euler (0.84 for
+    both; it reads 0.59 at m_t 16..64 and 0.93 at 64..256, a first-order
+    error with a large second-order part). Without the h phi2 (N_n - N_{n-1})
+    term ETD2 is exponential Euler, and its band check fails."""
+
+    BAND = (1.8, 2.2)
+
+    @pytest.fixture(scope="class")
+    def bases(self):
+        grid = make_grid(GridConfig(dim=2, n_per_axis=16, box_length=16.0))
+        op, cut = make_operator(grid, 1.0), auto_cutoffs(grid, 1.0)
+        bases = []
+        for m_t in (32, 64, 128):
+            g = realize_forcing(ForcingSpec(amplitude=0.5, period=1.0), grid, m_t)
+            u, rep = solve_periodic(g, op, cut, SolveOptions())
+            assert rep.converged and rep.layout["parity"] == (-1, 1)
+            bases.append(u)
+        return bases, realize_perturbation(PerturbationSpec(amplitude=1e-2), grid), op, cut
+
+    @staticmethod
+    def orders(bases, order):
+        bases, w0, op, cut = bases
+        last = np.array([
+            (run.l2_w[-1], run.h1_grad_w[-1]) for run in (
+                run_stability(StabilityRunConfig(t_max=10.0, v_per=u, w0=w0, order=order,
+                                                 record_stride=u.n_steps), op, cut)
+                for u in bases)])
+        return np.log2(np.abs(last[0] - last[1]) / np.abs(last[1] - last[2]))
+
+    def in_band(self, bases):
+        return all(self.BAND[0] <= p <= self.BAND[1] for p in self.orders(bases, 2))
+
+    def test_etd2_is_second_order(self, bases):
+        assert self.in_band(bases)
+
+    def test_exponential_euler_is_first_order(self, bases):
+        assert all(0.7 <= p <= 1.3 for p in self.orders(bases, 1))
+
+    def test_etd2_without_the_phi2_term_fails(self, monkeypatch, bases):
+        init = _Stepper.__init__
+
+        def no_phi2(stepper, *args):
+            init(stepper, *args)
+            stepper.h_phi2[...] = 0.0
+
+        monkeypatch.setattr(_Stepper, "__init__", no_phi2)
+        assert not self.in_band(bases)
+
+
 class TestFitDecayRate:
     def test_exact_power_three_quarters(self):
         t = np.linspace(0.0, 30.0, 400)
