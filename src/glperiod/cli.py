@@ -12,6 +12,7 @@ import concurrent.futures
 import copy
 import csv
 import io
+import math
 import os
 import sys
 import time
@@ -231,6 +232,7 @@ def cmd_verify(cfg: dict, seed: int | None = None,
     if root_seed < 0:
         raise ConfigError(f"invalid seed: {root_seed} is negative")
     out = _out_dir(cfg, out_override)
+    manifest = RunManifest(config=cfg)
     v = cfg["verify"]
 
     # Reduced-size config for the batteries, each value checked under its verify key.
@@ -248,12 +250,20 @@ def cmd_verify(cfg: dict, seed: int | None = None,
         print("verification base solve did not converge", file=sys.stderr)
         return EXIT_DIVERGED
 
+    started = time.perf_counter()
     reports = run_all_checks(grid, op, cutoffs, samples=samples, seed=root_seed,
                              u_series=u, g_series=g, u_z_norm=report.z_norm)
+    checks_s = time.perf_counter() - started
     checks_path = out / "checks.json"
     atomic_write(checks_path, reports_to_json(reports))
+    manifest.add_artifact(checks_path, out)
 
     all_passed = all(r.passed for r in reports)
+    # the timing goes under runtime_s only, which bench/run.py skips when it compares runs
+    manifest.headline = {"all_passed": all_passed, "batteries": len(reports),
+                         "run_all_checks": {"runtime_s": checks_s}}
+    manifest.finish()
+    manifest.write(out / "manifest.json")
     for r in reports:
         verdict = "pass" if r.passed else "FAIL"
         print(f"  [{verdict}] {r.check_name}: fitted constant {r.fitted_constant:.6g} "
@@ -295,6 +305,21 @@ def _sweep_row(solve_args: tuple, value) -> dict:
     return row
 
 
+def _with_observed_order(rows: list[dict]) -> list[dict]:
+    """The m_t sweep's rows with observed_order after c_estimate: log2 of the
+    ratio of successive c_estimate differences (Richardson), empty in the
+    first two rows and where an estimate or a nonzero difference is missing."""
+    c = [row["c_estimate"] for row in rows]
+    for i, row in enumerate(rows):
+        order = ""
+        if i >= 2 and all(isinstance(x, float) for x in c[i - 2:i + 1]):
+            coarse, fine = abs(c[i - 1] - c[i - 2]), abs(c[i] - c[i - 1])
+            order = math.log2(coarse / fine) if coarse > 0 and fine > 0 else ""
+        items = list(row.items())
+        rows[i] = dict(items[:2] + [("observed_order", order)] + items[2:])
+    return rows
+
+
 def cmd_sweep(cfg: dict, axis: str, out_override: str | None = None) -> int:
     values = cfg["sweep"].get(axis)
     if not isinstance(values, list) or not values:
@@ -310,6 +335,8 @@ def cmd_sweep(cfg: dict, axis: str, out_override: str | None = None) -> int:
     max_workers = int(threads) or min(4, len(values))
     with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
         rows = list(pool.map(_sweep_row, solves, values))
+    if axis == "m_t":
+        rows = _with_observed_order(rows)
 
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=list(rows[0].keys()))
@@ -317,11 +344,13 @@ def cmd_sweep(cfg: dict, axis: str, out_override: str | None = None) -> int:
     writer.writerows(rows)
     atomic_write(out / f"sweep_{axis}.csv", text.getvalue())
 
-    def line(cells):  # value and four figures right-aligned, then the error
-        widths = (12, 12, 12, 12, 10)
-        return "  ".join(f"{c:>{w}}" for c, w in zip(cells, widths)) + f"  {cells[5]}"
+    def line(cells):  # value and the figures right-aligned, then the error
+        widths = (12,) * (len(cells) - 2) + (10,)
+        return "  ".join(f"{c:>{w}}" for c, w in zip(cells, widths)) + f"  {cells[-1]}"
 
-    print(line((axis, "c_estimate", "contraction", "periodicity", "runtime_s", "error")))
+    order = ("order",) if axis == "m_t" else ()
+    print(line((axis, "c_estimate", *order, "contraction", "periodicity", "runtime_s",
+                "error")))
     for row in rows:
         print(line([f"{x:.4g}" if isinstance(x, float) else str(x) for x in row.values()]))
     return EXIT_OK if any(not r["error"] for r in rows) else EXIT_DIVERGED

@@ -39,11 +39,11 @@ expands the octant to the whole lattice by exact negation (Grid.expansion).
 The solve measures its forcing once (Grid.symmetry_of) and takes the octant
 when every axis has a parity (the reference dipole, odd in x_0 and even in
 x_1, x_2: 17^3 of 32^3 modes per node; in 1D the one axis's parity is the
-point parity), else the whole lattice. The half lattice of point-odd data
-(first-axis planes 0..n/2, plane -j being minus plane j point-reflected on
-the later axes: OddTransform, Grid.odd_columns) is the stepper's layout
-only, since a perturbation of another axis than the base's is point-odd
-alone.
+point parity), else the whole lattice. The stability run measures its
+perturbation and base by the same rule (Grid.parity) and steps the octant
+when the two share a parity signature, else the whole lattice: a
+perturbation of another axis than the base's, or a base with the point
+oddness only, has no parity per axis that the step keeps.
 """
 
 from __future__ import annotations
@@ -163,11 +163,10 @@ def fold_extend(src: np.ndarray, axis: int, parity: int, out: np.ndarray) -> np.
     out[at(low)] = src[at(low)]
     out[at(slice(low.stop, n - m + 1))] = 0
     out[at(slice(0, low.start))] = 0
-    mirrored = src[at(slice(m - 1, 0, -1))]
-    if parity > 0:
-        out[at(slice(n - m + 1, n))] = mirrored
-    else:
-        np.negative(mirrored, out=out[at(slice(n - m + 1, n))])
+    high = out[at(slice(n - m + 1, n))]
+    high[...] = src[at(slice(m - 1, 0, -1))]
+    if parity < 0:  # copied, then negated in place: numpy buffers a reversed operand
+        np.negative(high, out=high)
     return out
 
 
@@ -232,7 +231,6 @@ class Grid:
         threshold = config.dealias_fraction * (n / 2.0)
         self.dealias = np.logical_and.reduce([np.abs(km) <= threshold for km in k_mesh])
         self.series_axes = tuple(range(1, dim + 1))  # spatial axes of stacked data
-        self.half_shape = (n // 2 + 1,) + self.shape[1:]  # planes 0..n/2 of odd data
 
         self._reflect_1d = (-j) % n
 
@@ -253,31 +251,6 @@ class Grid:
         dim axes (stacked fields one by one); also on frequency data (k -> -k)."""
         idx = [self._reflect_1d] * self.dim
         return data[(Ellipsis,) + np.ix_(*idx)]
-
-    def odd_columns(self) -> tuple:
-        """Pair the flat columns of the later axes for odd data, whose column -c
-        of plane -j is minus column c of plane j: (half, gather, (scatter,
-        sign)). half holds the columns c <= mirror(c); gather fills all n
-        planes of them, an (n, len(half)) block, from planes 0..n/2, rows
-        n/2+1.. from mirror columns (to be negated); scatter fills planes
-        0..n/2 of every column from such a block, and sign is -1 where a
-        mirror column takes its entry."""
-        n, planes = self.n, self.n // 2 + 1
-        mirror = np.zeros(1, int)
-        for _ in range(self.dim - 1):
-            mirror = np.add.outer(mirror * n, self._reflect_1d).ravel()
-        cols = np.arange(mirror.size)
-        half = np.flatnonzero(cols <= mirror)
-        j, k = np.arange(n)[:, None], np.arange(planes)[:, None]
-        gather = np.where(j < planes, j * cols.size + half, (n - j) * cols.size + mirror[half])
-        slot = np.searchsorted(half, np.minimum(cols, mirror))  # block column of c or mirror(c)
-        scatter = np.where(cols <= mirror, k, -k % n) * half.size + slot
-        return half, gather, (scatter, np.broadcast_to(np.where(cols <= mirror, 1.0, -1.0),
-                                                       scatter.shape))
-
-    @cached_property
-    def odd_transform(self) -> "OddTransform":
-        return OddTransform(self)
 
     def plane_weights(self) -> np.ndarray:
         """Weights 1, 2, ..., 2, 1 folding planes -j into planes j <= n/2."""
@@ -356,25 +329,49 @@ class Grid:
         part, at most ODDNESS_TOL of the peak for antiperiodic data."""
         return float(np.abs(a + b).max()) / 2
 
-    def symmetry_of(self, g, octant: np.ndarray, what: str) -> Symmetry:
+    def node_stats(self, f: np.ndarray) -> list[float]:
+        """[even part, peak, *axis parts] of one node, which parity reads."""
+        return [*self.even_part(f), *self.axis_parts(f)]
+
+    def parity(self, stats, what: str) -> tuple[int, ...] | None:
+        """The per-axis parity of data of largest node_stats `stats`: p on an
+        axis whose part of the other parity is at most ODDNESS_TOL of the
+        peak, the last axis's making the product odd (in 1D the point
+        parity); None if some axis has neither. The data must be odd
+        (OddnessViolation naming `what` otherwise)."""
+        even, peak = stats[0], stats[1]
+        if not even <= ODDNESS_TOL * peak:
+            raise OddnessViolation(what, ODDNESS_TOL)
+        small = np.asarray(stats[2:2 * self.dim]) <= ODDNESS_TOL * peak
+        parity = [1 if odd_part else -1 if even_part else 0
+                  for odd_part, even_part in zip(small[::2], small[1::2])]
+        return tuple(parity + [-math.prod(parity)]) if all(parity) else None
+
+    def clear_odd_planes(self, held: np.ndarray, parity: tuple[int, ...]) -> np.ndarray:
+        """Zero planes 0 and n/2 of every odd axis of octant data stacked along
+        axis 0 (their own mirrors, they hold nothing of data odd there);
+        returns held."""
+        for axis in np.flatnonzero(np.array(parity) < 0):
+            held[(slice(None),) * (axis + 1) + (slice(0, None, self.n // 2),)] = 0
+        return held
+
+    def symmetry_of(self, g, octant: np.ndarray | None, what: str,
+                    pooled: bool = True) -> Symmetry:
         """The Symmetry a series (read by frequency_rows) is held by, from one
-        chunked pass over its nodes on the pool, in pairs (m, m + m_t/2) for an
-        even m_t, one node at a time within a task. It must be odd (even_part;
-        OddnessViolation naming `what` otherwise); it is antiperiodic if m_t is
-        even and every pair's periodic_part is small, and has parity p on an
-        axis if its part of the other parity there (axis_parts) is, at every
-        node, all against ODDNESS_TOL of the peak; the last axis takes the
-        parity that makes the product odd (in 1D the one axis is odd: the
-        point parity). octant gets planes 0..n/2 of every axis of every node,
-        with planes 0 and n/2 of an odd axis zeroed: the held data of an
-        octant layout."""
-        pairs, dim = len(g) % 2 == 1, self.dim
+        pass over its nodes, in pairs (m, m + m_t/2) for an even m_t: its
+        parity (OddnessViolation naming `what` if it is not odd), and
+        antiperiodic if every pair's periodic_part is at most ODDNESS_TOL of
+        the peak. The pass runs in chunks on the pool, or in the calling
+        thread (pooled=False; pool threads' arenas keep temporaries). An
+        octant array, if given, gets the held data of an octant layout."""
+        pairs = len(g) % 2 == 1
         half = len(g) // 2 if pairs else len(g)
 
-        def node(m):  # (even part, peak, axis parts) of node m, octant written
+        def node(m):  # node m and its stats, octant written
             f, = g.frequency_rows(slice(m, m + 1))
-            octant[m] = f[(slice(self.n // 2 + 1),) * dim]
-            return f, [*self.even_part(f), *self.axis_parts(f)]
+            if octant is not None:
+                octant[m] = f[(slice(self.n // 2 + 1),) * self.dim]
+            return f, self.node_stats(f)
 
         def task(rows):
             worst = []
@@ -386,19 +383,14 @@ class Grid:
                 worst.append(stats)
             return np.max(worst, axis=0)
 
-        worst = np.max(map_chunks(task, node_chunks(half + pairs)), axis=0)
-        even, peak, axis_parts = worst[0], worst[1], worst[2:2 * dim]
-        if not even <= ODDNESS_TOL * peak:
-            raise OddnessViolation(what, ODDNESS_TOL)
-        small = axis_parts <= ODDNESS_TOL * peak
-        parity = [1 if odd_part else -1 if even_part else 0
-                  for odd_part, even_part in zip(small[::2], small[1::2])]
-        parity = tuple(parity + [-math.prod(parity)]) if all(parity) else None
-        if parity is not None:
-            for axis in np.flatnonzero(np.array(parity) < 0):
-                octant[(slice(None),) * (axis + 1) + (slice(0, None, self.n // 2),)] = 0
+        nodes = slice(0, half + pairs)
+        worst = np.max(map_chunks(task, node_chunks(nodes.stop)) if pooled else [task(nodes)],
+                       axis=0)
+        parity = self.parity(worst, what)
+        if parity is not None and octant is not None:
+            self.clear_odd_planes(octant, parity)
         return Symmetry(parity=parity,
-                        antiperiodic=pairs and bool(worst[-1] <= ODDNESS_TOL * peak))
+                        antiperiodic=pairs and bool(worst[-1] <= ODDNESS_TOL * worst[1]))
 
     def require_odd(self, data, what: str) -> None:
         """is_odd(data), or OddnessViolation naming `what`."""
@@ -426,43 +418,6 @@ class Grid:
         return cache[symmetry.parity]
 
 
-class OddTransform:
-    """The transform pair of odd data (Swarztrauber, "Symmetric FFTs", Math.
-    Comp. 47, 1986): planes 0..n/2 of frequency data stacked along axis 0 to
-    all n planes of Grid.odd_columns' half columns in physical space, and
-    back, each pass one np.fft call on one axis, in fftn's order. The forward
-    one is pruned to the planes with a dealiased mode, which every caller
-    masks to (Markel, IEEE Trans. Audio Electroacoust. 19, 1971)."""
-
-    def __init__(self, grid: Grid):
-        self.half_shape = grid.half_shape
-        k = self.dealias_planes = _dealias_planes(grid)
-        self.columns, self.gather, (scatter, sign) = grid.odd_columns()
-        self.scatter, self.sign = scatter[:k], np.repeat(sign[:k], 2, axis=1)  # no iterator buffer
-        self.later = tuple(range(grid.dim, 1, -1))
-
-    def ifft(self, half: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        """half (not written) to physical (rows, n, columns) in out, later passes in scratch."""
-        for axis in self.later:
-            half = scratch = np.fft.ifftn(half, axes=(axis,), out=scratch)
-        out = np.take(half.reshape(len(half), -1), self.gather, axis=1, out=out, mode="clip")
-        out[:, self.half_shape[0]:] *= -1  # rows read from mirror columns
-        return np.fft.ifftn(out, axes=(1,), out=out)
-
-    def fft(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """phys (overwritten) in frequency space on the half planes, in out:
-        planes 0..dealias_planes - 1 transformed, the others zero."""
-        np.fft.fftn(phys, axes=(1,), out=phys)
-        low = out[:, :self.dealias_planes]
-        flat = out.reshape(len(out), self.half_shape[0], -1)[:, :self.dealias_planes]
-        np.take(phys.reshape(len(phys), -1), self.scatter, axis=1, out=flat, mode="clip")
-        np.multiply(flat.view(float), self.sign, out=flat.view(float))
-        out[:, self.dealias_planes:] = 0.0
-        for axis in self.later:
-            np.fft.fftn(low, axes=(axis,), out=low)
-        return out
-
-
 def _dealias_planes(grid: Grid) -> int:
     """The planes 0..k-1 of an axis that hold a dealiased mode (plane j holds |k| = j)."""
     return int(grid.dealias.any(axis=tuple(range(1, grid.dim)))[:grid.n // 2 + 1].sum())
@@ -472,15 +427,22 @@ class WholeTransform:
     """The transform pair of whole-lattice data: one ifftn or fftn over every
     spatial axis of data stacked along axis 0."""
 
+    kept = ()  # the forward transform's output block: every plane
+
     def __init__(self, grid: Grid):
-        self.axes = grid.series_axes
+        self.axes, self.shape = grid.series_axes, grid.shape
         self.dealias = grid.dealias
         self.l1_weight = 1.0 + grid.x_abs
 
-    def ifft(self, data: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(data, axes=self.axes)
+    def buffers(self, rows: int) -> tuple[tuple, tuple]:
+        """Owned buffers of ifft and fft on `rows` stacked nodes: ifft's output."""
+        return (np.empty((rows,) + self.shape, complex),), ()
 
-    def fft(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def ifft(self, data: np.ndarray, work: tuple | None = None) -> np.ndarray:
+        """data (not written) to physical data, in work[0] if work is given."""
+        return np.fft.ifftn(data, axes=self.axes, out=work[0] if work else None)
+
+    def fft(self, phys: np.ndarray, out: np.ndarray, work: tuple | None = None) -> np.ndarray:
         return np.fft.fftn(phys, axes=self.axes, out=out)
 
 
@@ -489,40 +451,57 @@ class OctantTransform:
     planes 0..n/2 of every axis of frequency data stacked along axis 0 to
     those of physical data, and back. Each pass folds one axis: fold_extend
     writes the n-point even or odd extension of the held planes into a
-    buffer the call owns, one np.fft call runs on that axis in place, and
-    planes 0..n/2 are kept. Parities hold in physical space too. The inverse
-    ends on the first axis, so its output is contiguous node by node; the
-    forward one keeps the planes with a dealiased mode only, as
-    OddTransform's does (its caller masks to them)."""
+    buffer (the call's own, or one of `work` from buffers()), one np.fft
+    call runs on that axis in place, and planes 0..n/2 are kept. Parities
+    hold in physical space too. The inverse ends on the first axis, so its
+    output is contiguous node by node; the forward one keeps the planes with
+    a dealiased mode only, the block `kept` (its callers mask to them:
+    Markel, IEEE Trans. Audio Electroacoust. 19, 1971)."""
 
     def __init__(self, grid: Grid, parity: tuple[int, ...]):
         self.parity, self.n, self.dim = parity, grid.n, grid.dim
         octant = (slice(grid.n // 2 + 1),) * grid.dim
         self.dealias_planes = _dealias_planes(grid)
-        self.dealias = grid.dealias[octant].copy()
-        for axis in np.flatnonzero(np.array(parity) < 0):  # planes 0 and n/2 are 0 there
-            self.dealias[(slice(None),) * axis + (slice(0, None, grid.n // 2),)] = False
+        self.dealias = grid.clear_odd_planes(grid.dealias[octant][None].copy(), parity)[0]
         self.l1_weight = (1.0 + grid.x_abs)[octant] * grid.fold_weights(Symmetry(parity=parity))
 
-    def _pass(self, x: np.ndarray, axis: int, planes: int, transform) -> np.ndarray:
-        out = np.empty(x.shape[:axis] + (self.n,) + x.shape[axis + 1:], complex)
+    @property
+    def kept(self) -> tuple:
+        """The block the forward transform writes: planes 0..dealias_planes - 1 of every axis."""
+        return (slice(self.dealias_planes),) * self.dim
+
+    def buffers(self, rows: int) -> tuple[tuple, tuple]:
+        """Owned pass buffers of ifft and fft on `rows` stacked nodes, so that
+        neither allocates: each pass's n-plane extension (the forward's first
+        pass shares the inverse's last buffer)."""
+        h, k, n, dim = self.n // 2 + 1, self.dealias_planes, self.n, self.dim
+        inverse = tuple(np.empty((rows,) + (h,) * (axis - 1) + (n,) + (h,) * (dim - axis),
+                                 complex) for axis in range(dim, 0, -1))
+        forward = inverse[-1:] + tuple(
+            np.empty((rows,) + (k,) * (axis - 1) + (n,) + (h,) * (dim - axis), complex)
+            for axis in range(2, dim + 1))
+        return inverse, forward
+
+    def _pass(self, x: np.ndarray, axis: int, planes: int, transform, out=None) -> np.ndarray:
+        if out is None:
+            out = np.empty(x.shape[:axis] + (self.n,) + x.shape[axis + 1:], complex)
         fold_extend(x, axis, self.parity[axis - 1], out)
         transform(out, axes=(axis,), out=out)
         return out[(slice(None),) * axis + (slice(planes),)]
 
-    def ifft(self, held: np.ndarray) -> np.ndarray:
+    def ifft(self, held: np.ndarray, work: tuple | None = None) -> np.ndarray:
         """held (not written) to physical planes 0..n/2 of every axis (a view)."""
-        for axis in range(self.dim, 0, -1):
-            held = self._pass(held, axis, self.n // 2 + 1, np.fft.ifftn)
+        for axis, out in zip(range(self.dim, 0, -1), work or (None,) * self.dim):
+            held = self._pass(held, axis, self.n // 2 + 1, np.fft.ifftn, out)
         return held
 
-    def fft(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def fft(self, phys: np.ndarray, out: np.ndarray, work: tuple | None = None) -> np.ndarray:
         """phys (not written) in frequency space on planes 0..n/2 of every axis,
-        in out: planes 0..dealias_planes - 1 of each axis transformed, the others zero."""
-        for axis in range(1, self.dim + 1):
-            phys = self._pass(phys, axis, self.dealias_planes, np.fft.fftn)
+        in out: the block `kept` transformed, the others zero."""
+        for axis, buffer in zip(range(1, self.dim + 1), work or (None,) * self.dim):
+            phys = self._pass(phys, axis, self.dealias_planes, np.fft.fftn, buffer)
         out[...] = 0
-        out[(slice(None),) + (slice(self.dealias_planes),) * self.dim] = phys
+        out[(slice(None),) + self.kept] = phys
         return out
 
 
@@ -600,19 +579,6 @@ class FieldSeries(Series):
 
     def __len__(self) -> int:
         return 2 * len(self.data) - 1 if self.antiperiodic else len(self.data)
-
-    def first_planes(self, m: int, out: np.ndarray) -> np.ndarray:
-        """Planes 0..n/2 of the first axis of held node m, every plane of the
-        other axes (the stepper's layout of odd data), stacked along a
-        leading axis of one: a view, or on the octant the leading entries of
-        its expansion (Grid.expansion) written into out, which is returned."""
-        grid, node = self.grid, self.data[m:m + 1]
-        if self.symmetry.parity is None:
-            return node[:, :grid.n // 2 + 1]
-        index, negate = grid.expansion(self.symmetry)
-        size = out.size
-        np.take(node.reshape(-1), index[:size], out=out.reshape(-1), mode="clip")
-        return np.negative(out, out=out, where=negate[:size].reshape(out.shape))
 
     def frequency_rows(self, rows: slice) -> np.ndarray:
         """Whole-lattice frequency data of the consecutive nodes `rows` (of

@@ -25,27 +25,26 @@ slopes are null and fit_reason says why.
 
 A perturbation step allocates no full-size array. The right-hand side is
 grouped as v (p + 2|w|^2) + w (2|v|^2 + conj(p) + |w|^2) with p = v conj(w)
-and written into caller buffers; the stepper owns its work buffers and
-transforms into them with numpy.fft's out= (numpy >= 2.0); the dealias mask
-is folded into h phi1 and h phi2 once; the previous step's N lives in the
-stepper's second transform buffer; and the step advances the frequency data
-in place (the run steps a copy of w0).
+and written into caller buffers; the stepper owns its work and transform
+pass buffers (numpy.fft's out=, numpy >= 2.0); the dealias mask is folded
+into h phi1 and h phi2 once; and the step advances w in place.
 
 The run steps the paper's case only, one step per base node (h = T/m_t): its
 forcings are odd, g(-x, t) = -g(x, t), so is its periodic solution, and about
 an odd base an odd w stays odd. w0, and the base unless the run is linear,
-must pass Grid.is_odd (OddnessViolation otherwise, before any base node is
-built). The run holds the half lattice, the stepper's own layout (the
-solve holds the octant or the whole lattice, but a perturbation of another
-axis than the base's has no parity per axis, only the point oddness):
-frequency data keep first-axis planes 0..n/2 and physical data all planes of
-the half columns (Grid.odd_columns), on which the first-axis pass runs
-(Grid.odd_transform; its forward transform and the h phi updates skip the
-planes with no dealiased mode). Base nodes are transformed one at a time
-from the planes a FieldSeries holds (the solve's u: a view of a
-whole-lattice one, an octant one expanded to those planes node by node), or
-from frequency_rows (snapshot files): no frequency copy is held. An antiperiodic
-base (v(t + T/2) = -v(t)) holds nodes 0..m_t/2 - 1, negated after.
+must be odd (OddnessViolation otherwise, before any base node is built).
+Their per-axis parities are measured by the solve's rule (Grid.parity; the
+base's in one pass with its antiperiodicity, Grid.symmetry_of). The run
+steps the octant (OctantTransform) when the two share a parity signature,
+as the reference's dipoles do (17^3 of 32^3 modes per node), else the whole
+lattice: a perturbation of another axis than the base's (2|w|^2 v and
+w^2 conj(v) take v's parities) or a base with the point oddness only has no
+parity per axis that the step keeps. At 32^3 a whole-lattice step takes
+3.5-5.6 times an octant one (medians of 200 steps, 2-vCPU VM, numpy 2.4).
+A linear run steps w0's layout. Base nodes are physical data on it, built
+one at a time from the planes an octant FieldSeries of the same parity
+holds (the solve's u), else from frequency_rows; an antiperiodic base
+(v(t + T/2) = -v(t)) holds nodes 0..m_t/2 - 1, negated after.
 """
 
 from __future__ import annotations
@@ -58,11 +57,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OddnessViolation
 from .manifest import atomic_write, strict_json
 from .operators import CutoffSpec, LinearOperatorSpec
 from .phi import phi1, phi2
-from .spectral import ODDNESS_TOL, FieldSeries, Grid, Series, SpectralField
+from .spectral import WHOLE, FieldSeries, Grid, Series, SpectralField, Symmetry
 
 
 def _rhs_work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -98,7 +96,8 @@ def _rhs_data(w: np.ndarray, v: np.ndarray, out: np.ndarray,
 
 
 class _Stepper:
-    """ETD coefficients and work buffers of the perturbation step.
+    """ETD coefficients and work buffers of the perturbation step on the
+    layout `symmetry` names (the octant or the whole lattice).
 
     The dealias mask is folded into h phi1 and h phi2, which is bitwise the
     same as masking the nonlinear term first; all buffers are allocated here,
@@ -106,35 +105,40 @@ class _Stepper:
     the right-hand side is one ETD2RK step and every later one is multistep
     ETD2: f_prev keeps N_{n-1} (the two transform buffers swap after each
     step). rhs_evals counts the nonlinear evaluations made.
-    The frequency data keep first-axis planes 0..n/2 of odd data and the
-    physical data all n planes of the half columns of Grid.odd_columns.
     """
 
-    def __init__(self, grid: Grid, op: LinearOperatorSpec, h: float):
-        planes = grid.half_shape[0]
-        self.pair = grid.odd_transform
-        self.kept = slice(self.pair.dealias_planes)  # h phi are 0 past it
+    def __init__(self, grid: Grid, op: LinearOperatorSpec, h: float,
+                 symmetry: Symmetry = WHOLE):
+        held = symmetry.held(grid)
+        self.pair = grid.transform(symmetry)
+        # h phi are 0 past the forward transform's first-axis planes; cut there
+        # only, the updates' operands stay contiguous (numpy buffers strided ones)
+        self.kept = self.pair.kept[:1]
         # e^{-hA}, h phi1(-hA) and h phi2(-hA) per mode, Nyquist rows zeroed
         # as in the period map, so stepped and mapped series agree
-        z = -h * op.symbol[:planes]
-        keep = grid.keep_nyquist_free[:planes]
+        z = -h * op.symbol[held]
+        keep = grid.keep_nyquist_free[held]
         self.decay = np.exp(z) * keep
-        self.h_phi1 = (h * phi1(z) * keep * grid.dealias[:planes])[self.kept]
-        self.h_phi2 = (h * phi2(z) * keep * grid.dealias[:planes])[self.kept]
-        phys = (grid.n, self.pair.columns.size)
-        self.w_phys, self.rhs = (np.empty(phys, complex) for _ in range(2))
-        self.f_now, self.f_prev = (np.empty(grid.half_shape, complex) for _ in range(2))
-        self.spare = np.empty(grid.half_shape, complex)  # frequency scratch
-        self.work = _rhs_work(phys)
+        self.h_phi1 = (h * phi1(z) * keep * self.pair.dealias)[self.kept]
+        self.h_phi2 = (h * phi2(z) * keep * self.pair.dealias)[self.kept]
+        shape = symmetry.shape(grid)
+        self.inverse_work, self.forward_work = self.pair.buffers(1)
+        self.rhs = np.empty(shape, complex)
+        self.f_now, self.f_prev = (np.empty(shape, complex) for _ in range(2))
+        self.spare = np.empty(shape, complex)  # frequency scratch
+        self.work = _rhs_work(shape)
         self.has_prev = False
         self.rhs_evals = 0
+
+    def physical(self, w_hat: np.ndarray) -> np.ndarray:
+        """Physical data of frequency data (not written), in the pass buffers."""
+        return self.pair.ifft(w_hat[None], self.inverse_work)[0]
 
     def _nonlinear_hat(self, w_hat: np.ndarray, v_phys: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
         self.rhs_evals += 1
-        self.pair.ifft(w_hat[None], self.w_phys[None], self.spare[None])
-        return self.pair.fft(_rhs_data(self.w_phys, v_phys, self.rhs, self.work)[None],
-                             out[None])[0]
+        rhs = _rhs_data(self.physical(w_hat), v_phys, self.rhs, self.work)
+        return self.pair.fft(rhs[None], out[None], self.forward_work)[0]
 
     def step(self, w_hat: np.ndarray, v_now: np.ndarray, v_next: np.ndarray | None,
              order: int, include_rhs: bool = True) -> np.ndarray:
@@ -205,7 +209,8 @@ class DecayReport:
     steps: int = 0                 # steps taken (fewer than planned on escape)
     rhs_evals: int = 0             # nonlinear evaluations made
     step_s: float = 0.0            # seconds in the step loop, records included
-    base: dict = field(default_factory=dict)  # antiperiodic (None if linear), nodes_held
+    # the stepped layout: antiperiodic (None if linear), nodes_held, parity, modes_per_node
+    base: dict = field(default_factory=dict)
 
     def summary_dict(self) -> dict:
         """Strict-JSON summary: NaN fit values become null beside fit_reason.
@@ -269,38 +274,24 @@ def default_fit_window(grid: Grid) -> tuple[float, float]:
     return 1.0, 0.25 * (grid.box_length / (2.0 * np.pi)) ** 2
 
 
-def _base_symmetry(v_per: Series) -> bool:
-    """Whether an odd base is antiperiodic: one pass over its node pairs (m, m + m_t/2),
-    in the calling thread (pool threads' arenas would keep its temporaries), bounds each
-    node's even part (Grid.even_part; OddnessViolation) and each pair's periodic part."""
-    grid, m_t = v_per.grid, v_per.n_steps
-    half, even, periodic = m_t // 2, [], []
-    for m in range(m_t - half + 1):  # every node 0..m_t, as a or as b
-        (a,), (b,) = (v_per.frequency_rows(slice(k, k + 1)) for k in (m, m + half))
-        even += [grid.even_part(a), grid.even_part(b)]
-        periodic.append(grid.periodic_part(a, b))
-    (even, peak), periodic = np.max(even, axis=0), max(periodic)
-    if not even <= ODDNESS_TOL * peak:
-        raise OddnessViolation("base", ODDNESS_TOL)
-    return m_t % 2 == 0 and bool(periodic <= ODDNESS_TOL * peak)
-
-
-def _base_nodes(v_per: Series, antiperiodic: bool, scratch: np.ndarray) -> np.ndarray:
-    """Base nodes 0..m_t/2 - 1 if antiperiodic, else 0..m_t - 1, in the stepper's
-    physical layout, one at a time: the odd inverse (Grid.odd_transform) of their
-    planes 0..n/2, later passes in `scratch`. A FieldSeries hands over those planes
-    of the nodes it holds (FieldSeries.first_planes); other series are read by
+def _base_nodes(v_per: Series, symmetry: Symmetry, stepper: _Stepper) -> np.ndarray:
+    """Base nodes 0..m_t/2 - 1 if symmetry.antiperiodic, else 0..m_t - 1, as
+    physical data on the stepper's layout, one at a time: the inverse of
+    their held planes in the stepper's pass buffers. A FieldSeries held on
+    the same octant hands over its planes; other series are read by
     frequency_rows."""
     grid, m_t = v_per.grid, v_per.n_steps
-    pair = grid.odd_transform
-    nodes = np.empty((m_t // 2 if antiperiodic else m_t, grid.n, pair.columns.size), complex)
-    for m in range(len(nodes)):  # the octant's planes go to scratch itself: no overlap copy
-        if isinstance(v_per, FieldSeries):
-            node = v_per.first_planes(m, scratch)
+    held = symmetry.held(grid)
+    own = (isinstance(v_per, FieldSeries) and symmetry.parity is not None
+           and v_per.symmetry.parity == symmetry.parity)
+    nodes = np.empty((m_t // 2 if symmetry.antiperiodic else m_t,) + symmetry.shape(grid),
+                     complex)
+    for m in range(len(nodes)):
+        if own:
+            node = v_per.data[m]
         else:
             node, = v_per.frequency_rows(slice(m, m + 1))
-            node = node[None, :pair.half_shape[0]]
-        pair.ifft(node, nodes[m:m + 1], scratch)
+        nodes[m] = stepper.physical(node[held])
     return nodes
 
 
@@ -312,18 +303,24 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     (OddnessViolation otherwise). A linear run reads no base."""
     grid, m_t = cfg.v_per.grid, cfg.v_per.n_steps
     h = cfg.v_per.period / m_t
-    grid.require_odd(cfg.w0.data[None], "perturbation")
-    antiperiodic = None if cfg.linear_only else _base_symmetry(cfg.v_per)
-    stepper = _Stepper(grid, op, h)
-    planes = len(stepper.decay)
-    w_hat = cfg.w0.data[:planes].copy()
-    v_nodes = [] if cfg.linear_only else _base_nodes(cfg.v_per, antiperiodic, stepper.spare[None])
-    held = len(v_nodes)
-    negated = np.empty(v_nodes.shape[1:], complex) if antiperiodic else None
+    parity = grid.parity(grid.node_stats(cfg.w0.data), "perturbation")
+    base = None if cfg.linear_only else grid.symmetry_of(cfg.v_per, None, "base", pooled=False)
+    if base is not None and base.parity != parity:
+        parity = None  # no parity per axis that both keep: the whole lattice
+    symmetry = Symmetry(parity=parity, antiperiodic=base is not None and base.antiperiodic)
+    stepper = _Stepper(grid, op, h, symmetry)
+    held = symmetry.held(grid)
+    w_hat = cfg.w0.data[held].copy()
+    if parity is not None:
+        grid.clear_odd_planes(w_hat[None], parity)
+    v_nodes = [] if cfg.linear_only else _base_nodes(cfg.v_per, symmetry, stepper)
+    nodes_held = len(v_nodes)
+    negated = np.empty(v_nodes.shape[1:], complex) if symmetry.antiperiodic else None
 
     def node(k: int) -> np.ndarray:  # node k mod m_t: held, or minus one in the one buffer
         k %= m_t
-        return v_nodes[k] if k < held else np.negative(v_nodes[k - held], out=negated)
+        return v_nodes[k] if k < nodes_held else np.negative(v_nodes[k - nodes_held],
+                                                             out=negated)
 
     pf = grid.parseval_factor
     xi_sq = grid.xi_sq
@@ -332,8 +329,8 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     # rows give ||w||^2, ||grad w||^2, ||P_low w||^2, ||grad P_low w||^2 and
     # ||P_high w||_{H1}^2 as sums against |w_hat|^2 (all even under R)
     weights = (np.stack([np.ones(grid.shape), xi_sq, chi1_sq, chi1_sq * xi_sq,
-                         chi_inf_sq * (1.0 + xi_sq)])[:, :planes]
-               * grid.plane_weights()).reshape(5, -1)
+                         chi_inf_sq * (1.0 + xi_sq)])[(slice(None),) + held]
+               * grid.fold_weights(symmetry)).reshape(5, -1)
     abs_sq = np.empty(w_hat.shape)
     imag_sq = np.empty(w_hat.shape)
 
@@ -395,4 +392,6 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
         fit_r2_l0=r20, fit_r2_l1=r21, fit_window=window,
         escaped=escaped, escape_time=escape_time, fit_reason=fit_reason,
         steps=steps, rhs_evals=stepper.rhs_evals, step_s=step_s,
-        base={"antiperiodic": antiperiodic, "nodes_held": held})
+        base={"antiperiodic": None if base is None else symmetry.antiperiodic,
+              "nodes_held": nodes_held, "parity": parity,
+              "modes_per_node": math.prod(symmetry.shape(grid))})

@@ -39,10 +39,10 @@ few lines.
   form and, in criterion 6, for oddness.
 * whole_series: a series read by frequency_rows (the solve's u, the
   realized forcing) as a FieldSeries of every node.
-* whole_lattice: the expansion of the octant's planes 0..n/2 of every axis,
-  or of the stepper's first-axis planes 0..n/2 by Grid.reflect (and of
-  nodes 0..m_t/2), one node at a time, against FieldSeries.frequency_rows
-  and the stepper's base nodes.
+* whole_lattice: the expansion of the octant's planes 0..n/2 of every axis
+  (and of nodes 0..m_t/2), one node at a time, against
+  FieldSeries.frequency_rows and, on physical data, the stepper's base
+  nodes.
 * multi_indices: the multi-indices |alpha| <= k, in order of |alpha|, over
   which the per-multi-index references of test_norms sum one inverse
   transform each.
@@ -50,16 +50,18 @@ few lines.
   against equation_residual.
 * WholeLatticeStepper: the run's stepper on all n planes, its nonlinear
   term as one ifftn and one fftn over all axes, any data, odd or not; the
-  step itself is _Stepper.step, shared. The run's half-lattice stepper is
-  held against it to roundoff (test_stability, test_properties).
+  step itself is _Stepper.step, shared. The run's octant stepper is held
+  against it to roundoff, and its whole-lattice one bit for bit
+  (test_stability, test_properties).
 * exp_step: one step of WholeLatticeStepper from a fresh start on a copy of
   the field, in criterion 6 for oddness and, in criterion 8, beside
   direct_step, one allocating step of the full forced flow.
 * random_band_field: one battery draw as a field, against the battery
   stacks and the per-sample battery references.
-* odd_fft_every_plane: the odd forward transform on every plane 0..n/2,
-  against OddTransform.fft, which transforms the dealias planes only (bit
-  for bit there), and against the odd inverse.
+* octant_fft_every_plane: the forward transform of octant physical data on
+  every plane 0..n/2 of every axis, through its whole-lattice expansion,
+  against OctantTransform.fft, which transforms the dealias planes only,
+  and against the octant inverse.
 * odd_residual: oddness measured in physical space off the seam, a rule
   independent of Grid.is_odd, for the forcing, the perturbation, the maps
   of the solve and, in criterion 6, its iterates and the stepper.
@@ -275,19 +277,14 @@ def whole_series(series):
 
 
 def whole_lattice(grid, held, nodes=None, parity=None):
-    """Frequency data of every node from the data a FieldSeries (or the
-    stepper) holds, one node at a time: of odd data held as first-axis
-    planes 0..n/2 (the stepper's half lattice), plane -j is minus plane j
-    reflected with Grid.reflect; in the octant (`parity` set), planes
-    n/2+1..n-1 of each axis are that axis's parity times planes n/2-1..1;
-    with `nodes` = 2 len(held) - 1, node m + m_t/2 is minus node m. The
-    reference expansion that FieldSeries.frequency_rows is held against, bit
-    for bit."""
+    """Frequency data of every node from the data a FieldSeries holds, one
+    node at a time: in the octant (`parity` set), planes n/2+1..n-1 of each
+    axis are that axis's parity times planes n/2-1..1; with `nodes` =
+    2 len(held) - 1, node m + m_t/2 is minus node m. The reference expansion
+    that FieldSeries.frequency_rows is held against, bit for bit."""
     out, h = np.empty((nodes or len(held),) + grid.shape, complex), grid.n // 2 + 1
     out[(slice(len(held)),) + tuple(map(slice, held.shape[1:]))] = held
     for node in out[:len(held)]:
-        if parity is None:
-            node[held.shape[1]:] = -grid.reflect(node)[held.shape[1]:]  # none if whole
         for axis, p in enumerate(parity or ()):
             lead = (slice(None),) * axis
             mirror = node[lead + (slice(h - 2, 0, -1),)]
@@ -396,20 +393,13 @@ def random_band_field(grid, rng, band, cutoffs, odd=False):
                                               * grid.parseval_factor))
 
 
-def odd_fft_every_plane(grid, phys):
-    """Planes 0..n/2 of the frequency data of odd physical data in the odd
-    column layout (stacked along axis 0), with the passes of OddTransform.fft
-    (first-axis pass, signed scatter of Grid.odd_columns, later passes) run
-    on every plane; phys is not written."""
-    _, _, (scatter, sign) = grid.odd_columns()
-    first = np.fft.fftn(phys, axes=(1,))
-    out = np.empty((len(phys),) + grid.half_shape, complex)
-    flat = out.reshape(len(out), grid.half_shape[0], -1)
-    np.take(first.reshape(len(phys), -1), scatter, axis=1, out=flat, mode="clip")
-    np.multiply(flat.view(float), np.repeat(sign, 2, axis=1), out=flat.view(float))
-    for axis in range(grid.dim, 1, -1):
-        np.fft.fftn(out, axes=(axis,), out=out)
-    return out
+def octant_fft_every_plane(grid, phys, parity):
+    """Planes 0..n/2 of every axis of the frequency data of physical data held
+    on the octant of `parity` (stacked along axis 0): its whole-lattice
+    expansion (whole_lattice; the reflections act alike on physical data),
+    one fftn over every spatial axis, then the octant's planes."""
+    whole = np.fft.fftn(whole_lattice(grid, phys, parity=parity), axes=grid.series_axes)
+    return whole[(slice(None),) + (slice(grid.n // 2 + 1),) * grid.dim]
 
 
 def odd_residual(f):

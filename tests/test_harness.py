@@ -1,10 +1,12 @@
 """The public surface, configuration, manifests and the command line
 interface."""
 
+import csv
 import dataclasses
 import importlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -498,15 +500,24 @@ class TestStabilityCommand:
          {"antiperiodic": False, "nodes_held": 16}),
         ({"stability": {"t_max": 10.0, "record_stride": 2, "linear_only": True}},
          {"antiperiodic": None, "nodes_held": 0}),
-    ], ids=["antiperiodic", "harmonic-2", "linear"])
-    def test_base_layout_in_headline_not_in_artifact(self, tmp_path, overrides, layout):
+        ({"stability": {"axis": 1}},
+         {"antiperiodic": True, "nodes_held": 8, "parity": None, "modes_per_node": 256}),
+    ], ids=["antiperiodic", "harmonic-2", "linear", "mixed-axis"])
+    def test_base_layout_in_headline_not_in_artifact(self, tmp_path, overrides, layout,
+                                                     capsys):
         # the base the run held (m_t = 16): half its nodes when antiperiodic,
-        # every node when not, none in a linear run; decay.json names none
+        # every node when not, none in a linear run; and the layout stepped:
+        # the quadrant (planes 0..8 of both axes) when w0 and the base are
+        # both odd in x_0 and even in x_1, else the whole lattice (w0 odd in
+        # x_1). The headline records it without printing it; decay.json
+        # names none of it
         cfg_path = _small_config(tmp_path, **overrides)
         assert main(["stability", "--config", str(cfg_path)]) == 0
         headline = load_manifest(tmp_path / "out" / "manifest.json")["headline"]
-        assert headline["base"] == layout
+        assert headline["base"] == {"parity": [-1, 1], "modes_per_node": 81, **layout}
         assert "base" not in json.loads((tmp_path / "out" / "decay.json").read_text())
+        assert not {"parity", "modes_per_node", "nodes_held"} & set(
+            capsys.readouterr().out.split())
 
     def test_escape_is_finding_not_failure(self, tmp_path):
         cfg_path = _small_config(tmp_path, stability={"t_max": 10.0,
@@ -518,6 +529,25 @@ class TestStabilityCommand:
 
 
 class TestVerifyCommand:
+    def test_manifest_indexes_the_checks(self, tmp_path):
+        # the config echo, versions, the hash of checks.json and a headline
+        # with the verdict and the battery count; the one timing sits under
+        # runtime_s, which bench/run.py strips when it compares runs
+        cfg_path = _small_config(tmp_path)
+        assert main(["verify", "--config", str(cfg_path)]) == 0
+        path = tmp_path / "out" / "manifest.json"
+        assert verify_manifest(path) == []
+        man = load_manifest(path)
+        checks = json.loads((tmp_path / "out" / "checks.json").read_text())
+        assert [a["path"] for a in man["artifacts"]] == ["checks.json"]
+        assert man["config"]["seed"] == 7 and man["config"]["verify"]["samples"] == 20
+        assert man["versions"]["fft_backend"] == "numpy.fft"
+        assert man["headline"]["all_passed"] is True
+        assert man["headline"]["batteries"] == len(checks)
+        assert man["headline"]["run_all_checks"]["runtime_s"] > 0
+        (tmp_path / "out" / "checks.json").write_text("[]")
+        assert verify_manifest(path) == ["hash mismatch: checks.json"]
+
     def test_default_seed_passes(self, tmp_path):
         cfg_path = _small_config(tmp_path)
         assert main(["verify", "--config", str(cfg_path)]) == 0
@@ -689,6 +719,30 @@ class TestSweepCommand:
         lines = csv_text.strip().splitlines()
         assert len(lines) == 3  # header + 2 rows
         assert lines[0].startswith("value,c_estimate,contraction_factor")
+
+    def test_m_t_axis_reports_the_observed_order(self, tmp_path, capsys, monkeypatch):
+        # log2 of the ratio of successive c_estimate differences, empty for
+        # the first two rows: the reference's 0.0273780, 0.0275690 and
+        # 0.0276172 read 1.99
+        estimates = iter([0.0273780, 0.0275690, 0.0276172])
+        monkeypatch.setattr(cli, "_sweep_row", lambda solve_args, value: {
+            "value": value, "c_estimate": next(estimates), "contraction_factor": 0.5,
+            "periodicity_residual": 1e-16, "runtime_s": 0.1, "error": ""})
+        monkeypatch.setenv("GLPERIOD_THREADS", "1")
+        cfg_path = _small_config(tmp_path, sweep={"m_t": [32, 64, 128]})
+        assert main(["sweep", "--config", str(cfg_path), "--axis", "m_t"]) == 0
+        with open(tmp_path / "out" / "sweep_m_t.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["value", "c_estimate", "observed_order", "contraction_factor",
+                                 "periodicity_residual", "runtime_s", "error"]
+        assert [r["observed_order"] for r in rows[:2]] == ["", ""]
+        order = float(rows[2]["observed_order"])
+        assert order == math.log2((0.0275690 - 0.0273780) / (0.0276172 - 0.0275690))
+        assert round(order, 2) == 1.99
+        header, *table = capsys.readouterr().out.splitlines()
+        assert header.split() == ["m_t", "c_estimate", "order", "contraction", "periodicity",
+                                  "runtime_s", "error"]
+        assert table[2].split()[2] == "1.986"
 
     def test_epsilon_rows_hold_one_profile_each(self, tmp_path, monkeypatch):
         # every row's forcing is a(t_m) and one G_hat, not a series of m_t + 1 fields

@@ -1,6 +1,8 @@
 """Grid construction, transforms, dealiasing, the cubic term, series
 containers and snapshot files."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,11 +10,13 @@ import pytest
 
 from glperiod import (FieldSeries, GridConfig, SpectralField, make_grid, read_snapshot, spectral, write_snapshot)
 from glperiod.norms import _lp_node, l1w_node
+from glperiod.spectral import Symmetry, fold_extend
 from glperiod.stability import _rhs_data, _rhs_work
 
-from conftest import (on_workers, random_field, random_physical_field, random_odd_field,
-                      raw_odd_series, raw_random_series)
-from oracles import odd_fft_every_plane, odd_residual, time_derivative, write_physical_snapshot
+from conftest import (on_workers, parity_part, random_field, random_physical_field,
+                      random_odd_field, raw_odd_series, raw_random_series)
+from oracles import (octant_fft_every_plane, odd_residual, time_derivative,
+                     write_physical_snapshot)
 
 
 def _cubic(w):
@@ -70,43 +74,42 @@ class TestGrid:
 
 
 class TestOddColumns:
-    """Grid.odd_columns against a mirror built from coordinates, and its
-    gather and scatter against the lattice reflection of odd fields."""
+    """The octant's mirror planes, which replaced the half lattice's odd
+    column pairing: Grid.expansion and fold_extend against a mirror built
+    from coordinates, for every parity signature of an odd field."""
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_whole_later_axes(self, dim, n):
         grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=32.0))
-        rng = np.random.default_rng(n + dim)
-        half, gather, (scatter, sign) = grid.odd_columns()
-        # the mirror of every column: its later coordinates reflected
-        coords = np.unravel_index(np.arange(n ** (dim - 1)), (n,) * (dim - 1)) if dim > 1 else ()
-        mirror = np.zeros(n ** (dim - 1), int)
-        for c in coords:
-            mirror = mirror * n + -c % n
-        columns = mirror.size
-        own = np.flatnonzero(mirror == np.arange(columns))
-        # H and its mirror cover every column once; self-mirror columns once
-        assert np.array_equal(np.sort(np.r_[half, np.setdiff1d(mirror[half], own)]),
-                              np.arange(columns))
-        assert np.isin(own, half).all() and half.size == (columns + own.size) // 2
-        # self-mirror columns: every later index 0 or n/2
-        assert half.size == (n ** (dim - 1) + 2 ** (dim - 1)) // 2
-        planes = n // 2 + 1
-        assert np.array_equal(sign, np.tile(np.where(np.isin(np.arange(columns), half),
-                                                     1.0, -1.0), (planes, 1)))
-        # an odd field: block from planes 0..n/2, and back
-        odd = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-        odd = 0.5 * (odd - grid.reflect(odd)).reshape(n, columns)
-        block = np.take(odd[:planes].ravel(), gather)
-        block[planes:] *= -1
-        assert np.array_equal(block, odd[:, half])
-        assert np.array_equal(np.take(block.ravel(), scatter) * sign, odd[:planes])
+        rng, h, L = np.random.default_rng(n + dim), n // 2 + 1, grid.box_length
+        # the mirror of every index: the node at -x, identified modulo L
+        gap = np.abs((grid.x1d[:, None] + grid.x1d[None, :] + L / 2) % L - L / 2)
+        mirror = np.argmin(gap, axis=1)
+        assert np.array_equal(mirror, -np.arange(n) % n)
+        for parity in itertools.product((1, -1), repeat=dim):
+            if math.prod(parity) != -1:
+                continue
+            f = rng.standard_normal((2,) + grid.shape) + 1j * rng.standard_normal((2,) + grid.shape)
+            for axis, p in enumerate(parity):
+                f = 0.5 * (f + p * np.take(f, mirror, axis=axis + 1))
+            held = f[(slice(None),) + (slice(h),) * dim]
+            index, negate = grid.expansion(Symmetry(parity=parity))
+            for node, whole in zip(held, f):
+                expanded = np.take(node.ravel(), index)
+                expanded[negate] *= -1
+                assert np.array_equal(expanded.reshape(grid.shape), whole)
+            for axis, p in enumerate(parity):  # one axis extended, the others whole
+                cut = (slice(None),) * (axis + 1) + (slice(h),)
+                out = np.full(f.shape, np.nan, complex)
+                assert np.array_equal(fold_extend(f[cut], axis + 1, p, out), f)
 
 
 class TestOddTransform:
-    """The forward transform of Grid.odd_transform, pruned to the planes that
-    hold a dealiased mode, against the same passes on every plane 0..n/2."""
+    """The forward transform of the octant (OctantTransform.fft), pruned to
+    the planes that hold a dealiased mode, against the whole-lattice
+    transform of its expansion on every plane 0..n/2 of every axis; with
+    owned pass buffers (buffers()) it writes the same bits."""
 
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -114,19 +117,31 @@ class TestOddTransform:
         n = {1: 32, 2: 16, 3: 16}[dim]
         grid = make_grid(GridConfig(dim=dim, n_per_axis=n, box_length=16.0,
                                     dealias_fraction=fraction))
-        pair, planes = grid.odd_transform, n // 2 + 1
+        parity = (-1,) + (1,) * (dim - 1)
+        pair, h = grid.transform(Symmetry(parity=parity)), n // 2 + 1
         kept = pair.dealias_planes
         # plane j of 0..n/2 holds |k| = j on the first axis
         assert kept == int(fraction * n / 2) + 1
-        assert grid.dealias[kept - 1].any() and not grid.dealias[kept:planes].any()
-        phys = pair.ifft(raw_odd_series(grid, 2, np.random.default_rng(dim))[:, :planes])
-        every = odd_fft_every_plane(grid, phys)
-        assert np.abs(every[:, kept:]).max() > 0  # the pruned planes hold data
+        assert grid.dealias[kept - 1].any() and not grid.dealias[kept:h].any()
+        data = parity_part(grid, raw_odd_series(grid, 2, np.random.default_rng(dim)), parity)
+        phys = pair.ifft(data[(slice(None),) + (slice(h),) * dim])
+        every = octant_fft_every_plane(grid, phys, parity)
+        block = (slice(None),) + pair.kept
+        pruned = every.copy()
+        pruned[block] = 0
+        assert np.abs(pruned).max() > 0  # the pruned planes hold data
         for rows in (slice(0, 1), slice(0, 3)):
-            out = np.full((rows.stop,) + grid.half_shape, np.nan, complex)
-            assert pair.fft(phys[rows].copy(), out) is out
-            assert out[:, :kept].tobytes() == every[rows, :kept].tobytes()
-            assert not out[:, kept:].any()
+            before = phys[rows].copy()
+            out = np.full((rows.stop,) + (h,) * dim, np.nan, complex)
+            assert pair.fft(phys[rows], out) is out
+            np.testing.assert_allclose(out[block], every[rows][block], rtol=0,
+                                       atol=1e-13 * np.abs(every).max())
+            out[block] = 0
+            assert not out.any()
+            owned = np.full_like(out, np.nan)
+            pair.fft(phys[rows], owned, pair.buffers(rows.stop)[1])
+            assert owned.tobytes() == pair.fft(phys[rows], out).tobytes()
+            assert np.array_equal(phys[rows], before)
 
 
 class TestTransform:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from glperiod import (FieldSeries, ForcingSpec, GridConfig, OddnessViolation,
 from glperiod import cli, stability
 from glperiod.forcing import gauss_dipole
 from glperiod.phi import phi1, phi2
-from glperiod.spectral import ODDNESS_TOL, Series, write_snapshot
+from glperiod.spectral import ODDNESS_TOL, WHOLE, Grid, Series, Symmetry, write_snapshot
 from glperiod.stability import _base_nodes, _rhs_data, _rhs_work, _Stepper
 
-from conftest import random_field, random_odd_field, random_physical_field, raw_random_series
+from conftest import (dipole_symmetry, parity_part, random_field, random_odd_field,
+                      random_physical_field, raw_odd_series, raw_random_series)
 from oracles import (WholeLatticeStepper, direct_step, exp_step, semigroup_apply,
                      whole_lattice, whole_series)
 
@@ -246,27 +248,29 @@ class TestExpStep:
     @pytest.mark.parametrize("order", [1, 2])
     def test_step_allocates_no_field(self, small_setup, order):
         # a stepper's first step (ETD2RK at order 2) and a later one
-        # (multistep ETD2 at order 2) are both measured, through the odd
-        # stepper's gathers, scatters and signs; the bound is the half field
+        # (multistep ETD2 at order 2) are both measured on each layout: the
+        # octant, through fold_extend and the one-axis passes in the
+        # stepper's pass buffers, and the whole lattice; the bound is the
+        # held field
         grid, op, cut, g, v_per = small_setup
-        stepper = _Stepper(grid, op, v_per.dt)
-        fresh = _Stepper(grid, op, v_per.dt)
-        v_phys = _base_nodes(v_per, True, stepper.spare[None])
-        planes = len(stepper.decay)
-        assert planes == grid.n // 2 + 1
-        w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
-                                     grid).data[:planes].copy()
-        stepper.step(w_hat, v_phys[0], v_phys[1], order)  # warm the FFT caches
-        for measured in (fresh, stepper):
-            tracemalloc.start()
-            try:
-                measured.step(w_hat, v_phys[1], v_phys[2], order)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < w_hat.nbytes
-        assert stepper.has_prev == fresh.has_prev == (order == 2)
-        assert (fresh.rhs_evals, stepper.rhs_evals) == (order, order + 1)
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid).data
+        for symmetry in (dipole_symmetry(grid, antiperiodic=True), WHOLE):
+            stepper = _Stepper(grid, op, v_per.dt, symmetry)
+            fresh = _Stepper(grid, op, v_per.dt, symmetry)
+            v_phys = _base_nodes(v_per, symmetry, stepper)
+            w_hat = w0[symmetry.held(grid)].copy()
+            assert w_hat.shape == symmetry.shape(grid) == stepper.decay.shape
+            stepper.step(w_hat, v_phys[0], v_phys[1], order)  # warm the FFT caches
+            for measured in (fresh, stepper):
+                tracemalloc.start()
+                try:
+                    measured.step(w_hat, v_phys[1], v_phys[2], order)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < w_hat.nbytes
+            assert stepper.has_prev == fresh.has_prev == (order == 2)
+            assert (fresh.rhs_evals, stepper.rhs_evals) == (order, order + 1)
 
     def test_first_order2_step_is_one_exp_step(self, small_setup):
         # the shared step (on the whole lattice): a run's first step is bit
@@ -361,18 +365,18 @@ class TestRunStability:
         assert (summary["steps"], summary["rhs_evals"]) == (decay.steps, expected)
 
     def test_base_nodes_transform_one_node_at_a_time(self, small_setup):
-        # the batched odd inverse's bits, m_t/2 = 8 nodes of 130/256 fields
-        # with no temporaries beyond them, on the solve's own antiperiodic
-        # FieldSeries (the half-plane scratch is the caller's, as the run
-        # lends its stepper's)
+        # the batched octant inverse's bits, m_t/2 = 8 nodes of 729/4096
+        # fields with no temporaries beyond them, on the solve's own
+        # antiperiodic octant FieldSeries, whose held planes are read in
+        # place (the pass buffers are the run's stepper's)
         grid, op, cut, g, v_per = small_setup
-        assert v_per.antiperiodic
-        _check_base_nodes(v_per, whole_series(v_per))
+        assert v_per.antiperiodic and v_per.symmetry.parity == (-1, 1, 1)
+        _check_base_nodes(v_per, whole_series(v_per), op)
 
     def test_saved_base_nodes_transform_one_node_at_a_time(self, small_setup):
         # the same on a saved base's one-node reads, here views of a FieldSeries
         v_per = whole_series(small_setup[-1])
-        _check_base_nodes(_RowsOnly(v_per), v_per)
+        _check_base_nodes(_RowsOnly(v_per), v_per, small_setup[1])
 
     def test_linear_single_mode_heat_decay(self, grid1d):
         # base solution zero and rhs off: each mode decays exactly like
@@ -488,18 +492,20 @@ class _RowsOnly(Series):
         return self.series.frequency_rows(rows)
 
 
-def _check_base_nodes(base, whole):
-    """_base_nodes of the antiperiodic base is its m_t/2 first nodes, with
-    the bits of the batched odd inverse of those nodes of the series `whole`
-    (base's every node), and a traced peak of at most 1.1 times the nodes it
-    returns when the caller lends the half-plane scratch, as the run does."""
+def _check_base_nodes(base, whole, op):
+    """_base_nodes of the antiperiodic dipole base is its m_t/2 first nodes on
+    the octant, with the bits of the batched octant inverse of those nodes of
+    the series `whole` (base's every node), and a traced peak of at most 1.1
+    times the nodes it returns with the run's stepper's pass buffers."""
     grid, m_t = whole.grid, whole.n_steps
-    batched = grid.odd_transform.ifft(whole.data[:m_t // 2, :grid.n // 2 + 1])
-    scratch = np.empty((1,) + grid.half_shape, complex)
-    assert np.array_equal(_base_nodes(base, True, scratch), batched)
+    symmetry = dipole_symmetry(grid, antiperiodic=True)
+    octant = (slice(m_t // 2),) + symmetry.held(grid)
+    batched = grid.transform(symmetry).ifft(whole.data[octant])
+    stepper = _Stepper(grid, op, whole.dt, symmetry)
+    assert np.array_equal(_base_nodes(base, symmetry, stepper), batched)
     tracemalloc.start()
     try:
-        nodes = _base_nodes(base, True, scratch)
+        nodes = _base_nodes(base, symmetry, stepper)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -544,11 +550,10 @@ def _with_even_part(v_per, size):
     return FieldSeries(grid, data + even, v_per.period)
 
 
-def _half_columns(grid, phys):
-    """Physical fields (stacked or one) in the odd stepper's layout: all n
-    first-axis planes of the half columns of Grid.odd_columns."""
-    half = grid.odd_columns()[0]
-    return phys.reshape(phys.shape[:-grid.dim] + (grid.n, -1))[..., half]
+def _octant(grid, data):
+    """Planes 0..n/2 of every axis of data (stacked or one field): the held
+    part of octant data, frequency or physical."""
+    return data[(Ellipsis,) + (slice(grid.n // 2 + 1),) * grid.dim]
 
 
 def _assert_same_run(a, b):
@@ -558,17 +563,21 @@ def _assert_same_run(a, b):
 
 
 class TestHalfLattice:
-    """Odd base and odd perturbation: the stepper keeps first-axis planes
-    0..n/2 and agrees with the whole-lattice stepper of tests/oracles.py to
-    roundoff; any other input is rejected before a base node is built."""
+    """The stepper's layout, the octant since it replaced the half lattice:
+    a perturbation and a base that share a parity per axis are stepped on
+    planes 0..n/2 of every axis and agree with the whole-lattice stepper of
+    tests/oracles.py to roundoff; other odd inputs step the whole lattice
+    (TestLayout), and inputs that are not odd are rejected before a base
+    node is built."""
 
     @staticmethod
     def odd_case(dim, rng):
         grid = make_grid(GridConfig(dim=dim, n_per_axis={1: 32, 2: 16, 3: 8}[dim],
                                     box_length=16.0))
-        w_hat = random_odd_field(grid, rng).data
+        parity = dipole_symmetry(grid).parity
+        w_hat, *v = parity_part(grid, raw_odd_series(grid, 4, rng), parity)
         w_hat *= 0.3 / np.abs(np.fft.ifftn(w_hat)).max()
-        v = [np.fft.ifftn(random_odd_field(grid, rng).data) for _ in range(4)]
+        v = [np.fft.ifftn(x) for x in v]
         return grid, make_operator(grid, 1.0), w_hat, [x / np.abs(x).max() for x in v]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -577,22 +586,22 @@ class TestHalfLattice:
         # three steps: at order 2 the first is ETD2RK and the later ones
         # multistep ETD2
         grid, op, w_hat, v = self.odd_case(dim, rng)
-        planes = grid.n // 2 + 1
-        full, half = WholeLatticeStepper(grid, op, 0.05), _Stepper(grid, op, 0.05)
-        w_full, w_half = w_hat.copy(), w_hat[:planes].copy()
+        full = WholeLatticeStepper(grid, op, 0.05)
+        held = _Stepper(grid, op, 0.05, dipole_symmetry(grid))
+        w_full, w_held = w_hat.copy(), _octant(grid, w_hat).copy()
         for step in range(3):
             full.step(w_full, v[step], v[step + 1], order, include_rhs)
-            half.step(w_half, _half_columns(grid, v[step]), _half_columns(grid, v[step + 1]),
+            held.step(w_held, _octant(grid, v[step]), _octant(grid, v[step + 1]),
                       order, include_rhs)
-            np.testing.assert_allclose(w_half, w_full[:planes], rtol=1e-12,
+            np.testing.assert_allclose(w_held, _octant(grid, w_full), rtol=1e-12,
                                        atol=1e-12 * np.abs(w_full).max())
-        assert half.rhs_evals == full.rhs_evals
-        assert not np.allclose(w_half, w_hat[:planes], rtol=1e-3)
+        assert held.rhs_evals == full.rhs_evals
+        assert not np.allclose(w_held, _octant(grid, w_hat), rtol=1e-3)
 
     def test_odd_run_steps_half_the_lattice(self, small_setup, monkeypatch):
-        # every step advances planes 0..n/2 only; the run matches the
-        # whole-lattice reference run (test_matches_reference_stepper) and
-        # its summary names no lattice
+        # every step advances planes 0..n/2 of every axis only; the run
+        # matches the whole-lattice reference run
+        # (test_matches_reference_stepper) and its summary names no lattice
         grid, op, cut, g, v_per = small_setup
         w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=4)
@@ -605,8 +614,10 @@ class TestHalfLattice:
 
         monkeypatch.setattr(_Stepper, "step", spy)
         decay = run_stability(cfg, op, cut)
-        assert shapes == {grid.half_shape} and not decay.escaped
-        assert {"half_lattice", "interpolated_vper"}.isdisjoint(json.loads(decay.to_json()))
+        assert shapes == {(grid.n // 2 + 1,) * 3} and not decay.escaped
+        assert decay.base["parity"] == (-1, 1, 1) and decay.base["modes_per_node"] == 9 ** 3
+        assert {"half_lattice", "interpolated_vper", "base",
+                "parity"}.isdisjoint(json.loads(decay.to_json()))
 
     @pytest.mark.parametrize("case", ["gauss_perturbation", "base_with_even_part",
                                       "perturbation_with_even_part"])
@@ -630,30 +641,31 @@ class TestHalfLattice:
                                                    "its even part exceeds 1e-12"):
             run_stability(cfg, op, cut)
 
-    def test_odd_base_nodes_keep_half_the_planes(self, grid3d, rng):
-        # m_t = 64 nodes (32 when taken as antiperiodic) of all 16 planes of
-        # 130 of 256 columns (the half columns), plus one half-plane buffer:
-        # the shared odd inverse of each node's planes 0..n/2, which is the
-        # whole transform's columns of their odd extension to roundoff
-        m_t, pair = 64, grid3d.odd_transform
-        data = np.fft.fftn(raw_random_series(grid3d, m_t, rng), axes=(1, 2, 3))
+    def test_odd_base_nodes_keep_half_the_planes(self, grid3d, op3d, rng):
+        # m_t = 64 nodes (32 when taken as antiperiodic) of planes 0..8 of
+        # every axis (729 of 4096 modes) read from a whole-lattice series of
+        # the dipole's parities: the octant inverse of each node's held
+        # planes, which is the whole transform's octant to roundoff
+        m_t, symmetry = 64, dipole_symmetry(grid3d)
+        data = parity_part(grid3d, raw_odd_series(grid3d, m_t, rng), symmetry.parity)
         series = FieldSeries(grid3d, data, 1.0)
-        _base_nodes(series, False, np.empty((1,) + grid3d.half_shape, complex))  # warm the FFTs
         for antiperiodic, held in ((False, m_t), (True, m_t // 2)):
+            layout = Symmetry(parity=symmetry.parity, antiperiodic=antiperiodic)
+            stepper = _Stepper(grid3d, op3d, 1.0 / m_t, layout)
+            _base_nodes(series, layout, stepper)  # warm the FFTs
             full_bytes = held * np.empty(grid3d.shape, complex).nbytes
             tracemalloc.start()
             try:
-                scratch = np.empty((1,) + grid3d.half_shape, complex)
-                nodes = _base_nodes(series, antiperiodic, scratch)
+                nodes = _base_nodes(series, layout, stepper)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert nodes.shape == (held, grid3d.n, 130)
-            half = data[:held, :grid3d.n // 2 + 1]
-            assert np.array_equal(nodes, pair.ifft(half))
-            odd = _half_columns(grid3d, np.fft.ifftn(whole_lattice(grid3d, half), axes=(1, 2, 3)))
-            np.testing.assert_allclose(nodes, odd, rtol=0, atol=1e-13 * np.abs(odd).max())
-            assert peak <= 0.53 * full_bytes  # 130/256 + 9/(16 * held) = 0.517, 0.525
+            assert nodes.shape == (held,) + (grid3d.n // 2 + 1,) * 3
+            octant = _octant(grid3d, data[:held])
+            assert np.array_equal(nodes, grid3d.transform(layout).ifft(octant))
+            whole = _octant(grid3d, np.fft.ifftn(data[:held], axes=(1, 2, 3)))
+            np.testing.assert_allclose(nodes, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
+            assert peak <= 0.19 * full_bytes  # 729/4096 = 0.178
 
     def test_linear_run_reads_no_base(self, small_setup, monkeypatch):
         # the base is neither tested nor transformed, so one that is not odd
@@ -673,6 +685,95 @@ class TestHalfLattice:
             t_max=10.0, v_per=v_per, w0=w0, record_stride=4, linear_only=True), op, cut))
 
 
+class TestLayout:
+    """The run measures the per-axis parities of w0 and of the base by the
+    solve's rule (Grid.parity against ODDNESS_TOL) and steps the octant only
+    when the two share a signature; else the whole lattice, which matches
+    the whole-lattice oracles too."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_mixed_axis_run_takes_the_whole_lattice(self, small_setup, order):
+        # w0 odd in x_1 about the base odd in x_0: 2|w|^2 v and w^2 conj(v)
+        # take v's parities, so no axis keeps one; the run is the allocating
+        # whole-lattice reference run's
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2, axis=1), grid)
+        cfg = StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0, record_stride=4, order=order)
+        decay = run_stability(cfg, op, cut)
+        assert decay.base == {"antiperiodic": True, "nodes_held": v_per.n_steps // 2,
+                              "parity": None, "modes_per_node": grid.n ** 3}
+        times, l2, grad, n1, n2 = _reference_run(cfg, op, cut)
+        np.testing.assert_array_equal(decay.times, times)
+        for got, want in ((decay.l2_w, l2), (decay.h1_grad_w, grad),
+                          (decay.n1_series, n1), (decay.n2_series, n2)):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @staticmethod
+    def axis_part(grid, peak, size):
+        """An odd field of parities (1, -1, 1) whose largest coefficient is
+        `size` ODDNESS_TOL of `peak`: added to data of the dipole's parities
+        and that peak, an even part on axis 0 and an odd part on axis 1 of
+        that size, the sum still odd."""
+        part = parity_part(grid, raw_odd_series(grid, 0, np.random.default_rng(3)), (1, -1, 1))[0]
+        return part * (size * ODDNESS_TOL * peak / np.abs(part).max())
+
+    @pytest.mark.parametrize("where", ["w0", "base"])
+    @pytest.mark.parametrize("size, octant", [(0.5, True), (4.0, False)])
+    def test_axis_part_is_measured_against_the_tolerance(self, small_setup, where, size,
+                                                         octant):
+        # the base's part rides on its time profile, so it stays antiperiodic
+        grid, op, cut, g, v_per = small_setup
+        w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
+        if where == "w0":
+            w0 = SpectralField(grid, w0.data + self.axis_part(grid, np.abs(w0.data).max(), size))
+        else:
+            data = v_per.frequency_rows(slice(None))
+            profile = np.sin(2.0 * np.pi * np.arange(len(data)) / v_per.n_steps)
+            part = self.axis_part(grid, np.abs(data).max(), size)
+            v_per = FieldSeries(grid, data + profile[:, None, None, None] * part, v_per.period)
+        decay = run_stability(StabilityRunConfig(t_max=10.0, v_per=v_per, w0=w0,
+                                                 record_stride=4), op, cut)
+        assert decay.base["antiperiodic"] and not decay.escaped
+        assert decay.base["parity"] == ((-1, 1, 1) if octant else None)
+
+
+class TestTransformCalls:
+    """bench/tracer.py counts numpy.fft.fftn and ifftn calls only, so its
+    traced FFT work covers the step loop only if every transform of a step
+    goes through them: one call per pass (dim per transform on the octant,
+    one on the whole lattice), none through numpy.fft's other functions or
+    scipy.fft."""
+
+    @pytest.mark.parametrize("layout", ["octant", "whole"])
+    def test_step_transforms_through_fftn_and_ifftn(self, small_setup, monkeypatch, layout):
+        grid, op, cut, g, v_per = small_setup
+        symmetry = dipole_symmetry(grid, antiperiodic=True) if layout == "octant" else WHOLE
+        stepper = _Stepper(grid, op, v_per.dt, symmetry)
+        v_phys = _base_nodes(v_per, symmetry, stepper)
+        w_hat = realize_perturbation(PerturbationSpec(amplitude=5e-2),
+                                     grid).data[symmetry.held(grid)].copy()
+        calls = collections.Counter()
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), _n=name,
+                                **k: calls.update([_n]) or _f(*a, **k))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a transform outside numpy.fft.fftn and ifftn")
+
+        import scipy.fft
+        for module, names in ((np.fft, ("fft", "ifft", "fft2", "ifft2", "rfft", "irfft",
+                                        "rfftn", "irfftn", "hfft", "ihfft")),
+                              (scipy.fft, ("fft", "ifft", "fftn", "ifftn", "dct", "idct",
+                                           "dst", "idst", "dctn", "idctn", "dstn", "idstn"))):
+            for name in names:
+                monkeypatch.setattr(module, name, refused)
+        for step in range(3):
+            stepper.step(w_hat, v_phys[step], v_phys[step + 1], 2)
+        passes = grid.dim if layout == "octant" else 1
+        assert stepper.rhs_evals == 4
+        assert calls == {"ifftn": 4 * passes, "fftn": 4 * passes}
+
+
 def _saved_base(series, directory):
     """series written as one snapshot file per node and read back as the
     base of `stability --base`."""
@@ -687,16 +788,17 @@ class TestSavedBase:
     in-memory series, one snapshot at a time."""
 
     def test_run_holds_the_nodes_not_the_series(self, monkeypatch, tmp_path):
-        # an odd run at 16^3, m_t = 64, about a base that is not
-        # antiperiodic: the half-column nodes (32.5 fields) plus the
-        # stepper's buffers and set-up temporaries (13 fields, whatever m_t),
-        # well below the 65 fields of the frequency series; the symmetry
-        # pass reads each snapshot once (node m_t/2 twice, in pairs 0 and
-        # m_t/2) and the node build nodes 0..m_t - 1 once more
+        # an odd run at 16^3, m_t = 64, about a base of the dipole's parities
+        # that is not antiperiodic: the octant nodes (11.4 fields) plus the
+        # stepper's buffers and set-up temporaries (at most 16 fields,
+        # whatever m_t), well below the 65 fields of the frequency series;
+        # the symmetry pass reads each snapshot once (node m_t/2 twice, in
+        # pairs 0 and m_t/2) and the node build nodes 0..m_t - 1 once more
         grid = make_grid(GridConfig(dim=3, n_per_axis=16, box_length=32.0))
         op, cut, m_t = make_operator(grid, 1.0), auto_cutoffs(grid, 1.0), 64
         rng = np.random.default_rng(11)
         data = np.stack([random_odd_field(grid, rng).data for _ in range(m_t + 1)])
+        data = parity_part(grid, data, dipole_symmetry(grid).parity)
         series = FieldSeries(grid, 0.1 * data / np.abs(data).max(), 1.0)
         w0 = realize_perturbation(PerturbationSpec(amplitude=5e-2), grid)
         cfg = StabilityRunConfig(t_max=10.0, v_per=_saved_base(series, tmp_path), w0=w0,
@@ -718,7 +820,8 @@ class TestSavedBase:
         finally:
             tracemalloc.stop()
         field = np.empty(grid.shape, complex).nbytes
-        nodes = np.empty((m_t, grid.n, grid.odd_columns()[0].size), complex).nbytes
+        nodes = np.empty((m_t,) + (grid.n // 2 + 1,) * 3, complex).nbytes
+        assert saved.base["parity"] == (-1, 1, 1)
         assert peak <= nodes + 16 * field < series.data.nbytes
 
     def test_base_that_is_not_odd_is_rejected(self, small_setup, monkeypatch, tmp_path):
@@ -755,11 +858,16 @@ class TestHalfPeriodBase:
                                                     record_stride=4, order=order), op, cut)
 
         half = run(v_per)
-        symmetry = stability._base_symmetry
-        monkeypatch.setattr(stability, "_base_symmetry", lambda base: symmetry(base) and False)
+        symmetry_of = Grid.symmetry_of
+
+        def periodic(grid, g, octant, what, pooled=True):  # the base's pass finds no half period
+            return replace(symmetry_of(grid, g, octant, what, pooled), antiperiodic=False)
+
+        monkeypatch.setattr(Grid, "symmetry_of", periodic)
         every = run(whole)
-        assert half.base == {"antiperiodic": True, "nodes_held": v_per.n_steps // 2}
-        assert every.base == {"antiperiodic": False, "nodes_held": v_per.n_steps}
+        layout = {"parity": (-1, 1, 1), "modes_per_node": 9 ** 3}
+        assert half.base == {"antiperiodic": True, "nodes_held": v_per.n_steps // 2, **layout}
+        assert every.base == {"antiperiodic": False, "nodes_held": v_per.n_steps, **layout}
         assert not half.escaped
         _assert_same_run(half, every)
 
