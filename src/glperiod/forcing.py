@@ -10,14 +10,15 @@ normalized to unit peak modulus so the amplitude knob is the peak field
 value and the forcing size functional scales linearly in eps.
 
 Realization checks G once: it must decay at the seam (check_seam_decay) and
-be odd by the rule the solve applies, Grid.is_odd on its transform G_hat.
+be odd by the rule the solve applies, Grid.parity on the Grid.node_stats of
+its transform G_hat.
 The forcing is held as its factors (SeparableForcing: a(t_m), eps and
 G_hat, never a series); its frequency_rows builds eps * a(t_m) * G_hat for
 the nodes a reader asks for, frequency data odd at every node.
 A perturbation's dipole is checked the same way. On the lattice a dipole is
 odd only as far as it vanishes at the seam: on the reference and test grids
 the default widths L/16 and L/19 pass, while L/13 to L/15 pass the seam
-check but not Grid.is_odd.
+check but not the oddness test.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def spatial_profile(spec: ForcingSpec, grid: Grid) -> np.ndarray:
         profile = gauss_dipole(grid, sigma, spec.axis).astype(complex)
         profile_hat = np.fft.fftn(profile)
     check_seam_decay(profile, grid)
-    grid.require_odd(profile_hat[None], "forcing profile")
+    grid.parity(grid.node_stats(profile_hat), "forcing profile")
     peak = np.abs(profile).max()
     return profile_hat / peak if peak > 0 else profile_hat
 
@@ -174,5 +175,5 @@ def realize_perturbation(spec: PerturbationSpec, grid: Grid) -> SpectralField:
     if peak > 0:
         profile = profile / peak
     w0 = SpectralField(grid, np.fft.fftn(spec.amplitude * profile))
-    grid.require_odd(w0.data[None], "perturbation profile")
+    grid.parity(grid.node_stats(w0.data), "perturbation profile")
     return w0

@@ -24,8 +24,7 @@ does not grow with the number of nodes. In a chunk every d^alpha u comes
 from a per-axis tree of one-axis inverse transforms (one pass on the first
 axis per power a_0, on the second per (a_0, a_1), on the last per alpha)
 into buffers the chunk's task owns; a pass keeps the halo only if a time
-difference is read below it, and skips lines where the projection's mask
-is identically zero. Each chunk is one task on the shared thread pool
+difference is read below it. Each chunk is one task on the shared thread pool
 (spectral.map_chunks) and returns per-node sums only; reductions over
 nodes and orders (cumsum, trapezoid, max) run after the map. Node sums are
 row-by-row einsum reductions, not BLAS products, so no result depends on
@@ -177,66 +176,49 @@ def _weighted_sq(phys: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij,j->i", flat, flat, w)
 
 
-def _axis_support(mask: np.ndarray | None, grid: Grid) -> list:
-    """Per spatial axis after the first, the indices where `mask` is nonzero and
-    their runs as (whole, gathered) slices; None if it drops only Nyquist or all."""
-    support = [None] * grid.dim
-    for axis in range(1, grid.dim if mask is not None else 1):
-        cols = np.flatnonzero(np.moveaxis(mask != 0, axis, 0).reshape(grid.n, -1).any(1))
-        cuts = [0, *(np.flatnonzero(np.diff(cols) != 1) + 1), len(cols)]
-        if 0 < len(cols) < grid.n - 1:
-            support[axis] = cols, [(slice(cols[a], cols[b - 1] + 1), slice(a, b))
-                                   for a, b in zip(cuts, cuts[1:])]
-    return support
-
-
 def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
                      skip_zero: bool, support: list, halo_order: int, parity=None):
     """Yield (alpha, d^alpha block in physical space, in a buffer the next
     block overwrites) for every |alpha| <= k, or 1 <= |alpha| <= k with
     `skip_zero`, from task-owned frequency data `block` stacked along axis 0
-    (overwritten), reduced to support[axis] where that is set. Nyquist modes
-    are zeroed for |alpha| >= 1 and kept for alpha = 0 (the rule of every
-    Sobolev norm here); a block not known to be Nyquist-free takes its alpha = 0
-    field from an unmasked transform. The first and last nodes are a halo,
-    kept for |alpha| <= halo_order only (none with -1). With `parity` (the
-    octant) block holds planes 0..support[axis] - 1 of every axis, and every
-    pass folds its own axis: fold_extend of the planes the level above kept,
-    by the data's parity there, the symbol on all n planes, one inverse
-    pass, planes 0..n/2 kept. Its levels run from the last axis to the
-    first, so each field is planes 0..n/2 of a buffer's first axis,
-    contiguous node by node.
+    (overwritten) that holds planes 0..support[axis] - 1 of every axis.
+    Nyquist modes are zeroed for |alpha| >= 1 and kept for alpha = 0 (the
+    rule of every Sobolev norm here); a block not known to be Nyquist-free
+    takes its alpha = 0 field from an unmasked transform. The first and last
+    nodes are a halo, kept for |alpha| <= halo_order only (none with -1).
+    One level per axis: its pass multiplies by the symbol and transforms its
+    axis on all n planes, the axes already passed holding `planes` (n, or
+    0..n/2 on the octant) and the others their support; its output, cut to
+    `planes`, is the next level's input. The whole lattice runs its levels
+    from the first axis to the last. With `parity` (the octant) they run
+    from the last axis to the first, so each field is planes 0..n/2 of a
+    buffer's first axis, contiguous node by node, and every level's input
+    is fold_extend of the planes the level above kept, by the data's parity
+    there.
     """
     dim, n, rows = grid.dim, grid.n, block.shape[0]
     symbols = NormSuite.for_grid(grid).axis_symbols
     planes = n if parity is None else n // 2 + 1
-    if parity is None:
-        levels = range(dim)
-        widths = [n if s is None else len(s[0]) for s in support]
-        # Level buffers, then zero-padded ones, in one allocation: separate ones
-        # freed together let glibc trim the thread's arena; the next task refaulted.
-        shapes = [(rows,) + (n,) * (axis + 1) + tuple(widths[axis + 1:]) for axis in range(dim)]
-        shapes += [shape if s else (0,) for shape, s in zip(shapes, support)]
-    else:  # each level's extended input, then its output
-        levels = range(dim - 1, -1, -1)
-        shapes = [(rows,) + tuple(planes if ax > axis else n if ax == axis else support[ax]
-                                  for ax in range(dim)) for axis in levels]
-        shapes += shapes
+    levels = range(dim) if parity is None else range(dim - 1, -1, -1)
+    shapes = [(rows,) + tuple(planes if ax in levels[:i] else n if ax == axis else support[ax]
+                              for ax in range(dim)) for i, axis in enumerate(levels)]
+    if parity is not None:
+        shapes += shapes  # each level's extended input, then its output
+    # One allocation: separate buffers freed together let glibc trim the
+    # thread's arena, and the next task refaulted them.
     ends = np.cumsum([math.prod(shape) for shape in shapes])
-    work = np.empty(ends[-1], complex)
-    if parity is None:
-        work[ends[dim - 1]:] = 0  # fold_extend writes every plane of the octant's buffers
-    level = [w.reshape(shape) for w, shape in zip(np.split(work, ends[:-1]), shapes)]
-    pads, level = (None, level) if parity is None else (level[:dim], level[dim:])
+    level = [w.reshape(shape) for w, shape in zip(np.split(np.empty(ends[-1], complex),
+                                                           ends[:-1]), shapes)]
+    pads, level = level[:-dim], level[-dim:]
 
-    def first():
+    def extend(i, src):
         if parity is None:
-            return block
-        return fold_extend(block, levels[0] + 1, parity[levels[0]], pads[0])
+            return src
+        return fold_extend(src, levels[i] + 1, parity[levels[i]], pads[i][:len(src)])
 
     def walk(alphas):
         # Depth first: a level's pass reruns when alpha's prefix up to it changes.
-        inputs, prev = [first()] + [None] * (dim - 1), None
+        inputs, prev = [extend(0, block)] + [None] * (dim - 1), None
         for alpha in alphas:
             start = 0 if prev is None else next(i for i in range(dim) if alpha[i] != prev[i])
             prev = alpha
@@ -247,20 +229,9 @@ def _derivative_tree(block: np.ndarray, grid: Grid, k: int, nyquist_free: bool,
                 if a:
                     np.multiply(src, symbols[axis][a], out=out)
                 np.fft.ifftn(out if a else src, axes=(axis + 1,), out=out)
-                if parity is not None:
-                    out = out[(slice(None),) * (axis + 1) + (slice(planes),)]
-                    if i + 1 < dim:
-                        nxt = levels[i + 1]
-                        inputs[i + 1] = fold_extend(out, nxt + 1, parity[nxt],
-                                                    pads[i + 1][:len(out)])
-                    continue
-                if axis + 1 < dim:
-                    if support[axis + 1]:
-                        nxt, lead = level[dim + axis + 1][:len(out)], (slice(None),) * (axis + 2)
-                        for whole, part in support[axis + 1][1]:
-                            nxt[lead + (whole,)] = out[lead + (part,)]
-                        out = nxt
-                    inputs[axis + 1] = out
+                out = out[(slice(None),) * (axis + 1) + (slice(planes),)]
+                if i + 1 < dim:
+                    inputs[i + 1] = extend(i + 1, out)
             yield alpha if parity is None else alpha[::-1], out
 
     if not nyquist_free:
@@ -301,6 +272,7 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
     halo = dt_order >= 0
     mask = None if chi is None else chi * grid.keep_nyquist_free
     phys = symmetry.shape(grid)  # a node's held planes
+    support = [n] * grid.dim
     if parity is not None:
         if mask is not None and not all(
                 np.array_equal(np.take(mask, (-np.arange(n)) % n, axis=axis), mask)
@@ -314,21 +286,11 @@ def _node_sums(data: np.ndarray, grid: Grid, k: int, chi: np.ndarray | None, n_s
         cut = tuple(map(slice, support))
         mask, data = (None if mask is None else mask[cut]), data[(slice(None),) + cut]
 
-        def gather(nodes):
-            return np.take(data, nodes, axis=0)
-    else:
-        support = _axis_support(mask, grid)
-        cols = any(support) and [np.arange(n) if s is None else s[0] for s in support]
-        mask = mask[np.ix_(*cols)] if cols else mask
-
-        def gather(nodes):
-            return data[np.ix_(nodes, *cols)] if cols else data[nodes]
-
     def task(rows):
         # an antiperiodic series' last row (node m_t/2) is a right halo, not wrapped
         nodes = (np.r_[(rows.start - 1) % m_t, rows, rows.stop % (m_t + antiperiodic)]
                  if halo else np.r_[rows])
-        block = gather(nodes)
+        block = np.take(data, nodes, axis=0)
         if halo and antiperiodic and rows.start == 0:
             block[0] *= -1  # node -1 is minus node m_t/2 - 1
         if mask is not None:

@@ -280,20 +280,8 @@ class Grid:
     def whole_transform(self) -> "WholeTransform":
         return WholeTransform(self)
 
-    def is_odd(self, data) -> bool:
-        """Whether frequency data stacked along axis 0, or a series' (by chunks
-        of nodes from its frequency_rows), has an even part (f + Rf)/2 of at
-        most ODDNESS_TOL of its peak, one field at a time (pool tasks' chunk
-        temporaries stay resident)."""
-        def task(rows):
-            block = data[rows] if isinstance(data, np.ndarray) else data.frequency_rows(rows)
-            return np.max([self.even_part(f) for f in block], axis=0)
-
-        even, peak = np.max(map_chunks(task, node_chunks(len(data))), axis=0)
-        return bool(even <= ODDNESS_TOL * peak)
-
     def even_part(self, f: np.ndarray) -> tuple[float, float]:
-        """(largest |f + Rf|/2, largest |f|) of one node: the even part is_odd
+        """(largest |f + Rf|/2, largest |f|) of one node: the even part parity
         bounds, and the peak. Rf is read on views: entry j of a block of
         indices >= 1 on some axes (0 on the others) mirrors entry n - j.
         |f + Rf| takes the same value at j and -j, so first-axis planes
@@ -391,11 +379,6 @@ class Grid:
             self.clear_odd_planes(octant, parity)
         return Symmetry(parity=parity,
                         antiperiodic=pairs and bool(worst[-1] <= ODDNESS_TOL * worst[1]))
-
-    def require_odd(self, data, what: str) -> None:
-        """is_odd(data), or OddnessViolation naming `what`."""
-        if not self.is_odd(data):
-            raise OddnessViolation(what, ODDNESS_TOL)
 
     def expansion(self, symmetry: Symmetry) -> tuple:
         """(index, negate) of a layout, flat over a node's whole lattice: the

@@ -63,8 +63,9 @@ few lines.
   against OctantTransform.fft, which transforms the dealias planes only,
   and against the octant inverse.
 * odd_residual: oddness measured in physical space off the seam, a rule
-  independent of Grid.is_odd, for the forcing, the perturbation, the maps
-  of the solve and, in criterion 6, its iterates and the stepper.
+  independent of Grid.parity's even-part test, for the forcing, the
+  perturbation, the maps of the solve and, in criterion 6, its iterates
+  and the stepper.
 * physical_forcing_bracket: [g] read from g's physical values and
   whole-lattice derivatives, against forcing_bracket, which reads L1_w
   through chunked inverse transforms (OctantTransform's inverse for octant

@@ -100,17 +100,18 @@ class TestRealizeForcing:
             realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0, sigma=sigma), grid3d, 8)
 
     def test_profile_checked_once(self, monkeypatch, grid3d):
-        # eps * a(t) * G is odd exactly when G is: one test, not one per node
+        # eps * a(t) * G is odd exactly when G is: one test, on G's one
+        # field, not one per node
         calls = []
-        is_odd = spectral.Grid.is_odd
+        node_stats = spectral.Grid.node_stats
 
-        def counting(grid, data):
-            calls.append(len(data))
-            return is_odd(grid, data)
+        def counting(grid, f):
+            calls.append(f.shape)
+            return node_stats(grid, f)
 
-        monkeypatch.setattr(spectral.Grid, "is_odd", counting)
+        monkeypatch.setattr(spectral.Grid, "node_stats", counting)
         realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
-        assert calls == [1]
+        assert calls == [grid3d.shape]
 
     @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -1e-2])
     def test_amplitude_must_be_finite_and_nonnegative(self, amplitude):
@@ -168,7 +169,8 @@ class TestPerturbation:
 
     @pytest.mark.parametrize("divisor", [13, 14, 15])
     def test_dipole_that_is_not_odd_on_the_lattice_rejected(self, grid3d, divisor):
-        # widths L/13 to L/15 pass the seam check but not Grid.is_odd
+        # widths L/13 to L/15 pass the seam check but not the even-part test
+        # (Grid.parity on Grid.node_stats)
         spec = PerturbationSpec(amplitude=1e-2, sigma=grid3d.box_length / divisor)
         with pytest.raises(OddnessViolation, match="^perturbation profile "
                                                    "is not odd on the lattice"):

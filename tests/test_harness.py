@@ -55,7 +55,8 @@ def _leaf_keys(tree: dict, prefix: str = "") -> list[str]:
 
 
 # The single-field API that only tests called, and the physical-space oddness
-# rule that Grid.is_odd replaced; their reference forms live in tests/oracles.py.
+# rule that the frequency-space even-part test (Grid.node_stats and
+# Grid.parity) replaced; their reference forms live in tests/oracles.py.
 REMOVED_NAMES = (
     "transform", "dealias", "cubic_nonlinearity", "time_derivative",
     "project", "semigroup_apply", "period_inverse_apply", "verify_multiplier_bound",
@@ -63,6 +64,20 @@ REMOVED_NAMES = (
     "split_series", "split_equation_residual", "contraction_estimate",
     "exp_step", "direct_step", "perturbation_rhs", "BoundReport", "check_oddness",
 )
+
+
+# Lines of src/glperiod/*.py (wc -l). Lower it when lines go; a change that
+# raises it says why in CHANGES.md.
+SRC_LINE_BUDGET = 3323
+
+
+def test_src_within_line_budget():
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in Path(glperiod.__file__).parent.glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET, (
+        f"src/glperiod is {lines} lines, above its budget of {SRC_LINE_BUDGET}. "
+        "Lower the budget whenever lines go, so deletions stick; a change that "
+        "raises it states why in CHANGES.md")
 
 
 class TestPublicSurface:

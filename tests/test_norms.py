@@ -578,12 +578,12 @@ class TestWorkerCount:
 
 class TestBufferedTree:
     """The buffered tree (task-owned buffers, halo trimmed above the orders
-    whose time differences are read, lines off the mask's support skipped)
-    against the allocating reference: every per-node sum bit for bit, on raw
-    fields with Nyquist modes, for chunk sizes 1, 3 and 8 and 1 or 2
-    workers. With chi1 (support 15 of 32 lines) the X and Y trees prune. A
-    mask set only on Nyquist lines (chi_inf when r1 exceeds every other
-    |xi|) is zero once projected, and must give zero sums, not empty runs."""
+    whose time differences are read) against the allocating reference:
+    every per-node sum bit for bit, on raw fields with Nyquist modes, for
+    chunk sizes 1, 3 and 8 and 1 or 2 workers, with every whole-lattice pass
+    over all lines whatever the mask. A mask set only on Nyquist lines
+    (chi_inf when r1 exceeds every other |xi|) is zero once projected, and
+    must give zero sums."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("mask", ["chi1", "chi_inf", "nyquist_only", None])
@@ -799,9 +799,11 @@ class TestHalfPeriod:
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("odd", [False, True])
-def test_dealiased_series_take_the_dealias_support(dim, odd):
-    # chi_inf on the dealias support prunes Y's lines (11 of 16 at n = 16);
-    # on dealiased data the Z-norm is the same bits
+def test_dealiased_series_take_the_dealias_support(monkeypatch, dim, odd):
+    # chi_inf on the dealias support (11 of 16 lines per axis at n = 16)
+    # prunes Y's tree in the octant to leading planes 0..5 of every axis,
+    # from 0..7 (plane 8 is Nyquist); the whole lattice runs on all lines.
+    # On dealiased data the Z-norm is the same bits
     grid = make_grid(GridConfig(dim=dim, n_per_axis=16, box_length=32.0))
     cutoffs = auto_cutoffs(grid, 1.3)
     series = (raw_odd_series if odd else raw_random_series)(grid, 10,
@@ -810,24 +812,38 @@ def test_dealiased_series_take_the_dealias_support(dim, odd):
     data = (parity_part(grid, series, sym.parity) if odd else series) * grid.dealias
     s = held_series(grid, data, 1.3, sym) if odd else FieldSeries(grid, data, 1.3)
     dealiased = replace(cutoffs, chi_inf=cutoffs.chi_inf * grid.dealias)
-    support = norms._axis_support(dealiased.chi_inf * grid.keep_nyquist_free, grid)
-    assert all(len(lines) == 11 for lines, _ in support[1:])
-    assert norms._axis_support(cutoffs.chi_inf * grid.keep_nyquist_free, grid)[1] is None
-    assert z_norm(s, dealiased) == z_norm(s, cutoffs)
+    tree = norms._derivative_tree
+
+    def z_norm_and_y_support(c):
+        supports = []
+
+        def recording(block, grid, k, nyquist_free, skip_zero, support, *rest):
+            if k == 3:  # Y's tree
+                supports.append(tuple(support))
+            return tree(block, grid, k, nyquist_free, skip_zero, support, *rest)
+
+        with monkeypatch.context() as m:
+            m.setattr(norms, "_derivative_tree", recording)
+            value = z_norm(s, c)
+        assert len(set(supports)) == 1
+        return value, supports[0]
+
+    pruned, support = z_norm_and_y_support(dealiased)
+    full, undealiased = z_norm_and_y_support(cutoffs)
+    assert support == ((6,) if odd else (16,)) * dim
+    assert undealiased == ((8,) if odd else (16,)) * dim
+    assert pruned == full
 
 
-def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cutoffs3d, rng):
+def test_z_norm_transforms_only_needed_nodes(monkeypatch, grid3d, cutoffs3d, rng):
     # Points handed to np.fft.ifftn by one z_norm (dim 3, n 16, m_t 16: halo
-    # chunks of 8, 8 and 1 nodes, so 10, 10 and 3 rows). X (chi1, supported
-    # on s = 7 of 16 lines per axis) runs 2 first-level passes over s*s
-    # columns, 3 second-level passes over s columns and 4 whole passes, all
-    # with the halo. Y (chi_inf, not pruned) runs 34 whole passes, of which
-    # 2 + 3 + 4 keep the halo. The reference runs 43 whole halo passes.
+    # chunks of 8, 8 and 1 nodes, so 10, 10 and 3 rows). Every whole-lattice
+    # pass runs over all lines. X runs 2 + 3 + 4 whole passes, all with the
+    # halo. Y runs 34 whole passes, of which 2 + 3 + 4 keep the halo. The
+    # reference runs 43 whole halo passes.
     n, m_t = grid3d.n, 16
-    s = int(np.count_nonzero(np.abs(grid3d.xi1d) < cutoffs3d.r_inf))
-    assert s == 7
     rows = [c.stop - c.start + 2 for c in node_chunks(m_t)] + [3]
-    x_points = sum(r * (2 * n * s * s + 3 * n * n * s + 4 * n ** 3) for r in rows)
+    x_points = sum(9 * r * n ** 3 for r in rows)
     y_points = sum(n ** 3 * (9 * r + 25 * (r - 2)) for r in rows)
     series = FieldSeries(grid3d, raw_random_series(grid3d, m_t, rng), 1.0)
     points = []
@@ -841,7 +857,7 @@ def test_z_norm_transforms_only_needed_nodes_and_lines(monkeypatch, grid3d, cuto
     z_norm(series, cutoffs3d)
     assert len(points) == 9 * len(rows) + 34 * len(rows)
     assert sum(points) == x_points + y_points
-    assert sum(points) < 0.8 * 43 * n ** 3 * sum(rows)  # 0.77 of the reference
+    assert sum(points) < 0.85 * 43 * n ** 3 * sum(rows)  # 0.848 of the reference
 
 
 def test_odd_z_norm_transforms_half_the_planes_after_the_first_axis(monkeypatch, grid3d,

@@ -39,10 +39,11 @@ from glperiod.manifest import load_manifest, sha256_of
 from glperiod.operators import make_cutoffs
 from glperiod.norms import forcing_bracket, l1w_node
 from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_data
-from glperiod.spectral import Symmetry
+from glperiod.spectral import ODDNESS_TOL, Symmetry
 from glperiod.stability import _Stepper, _rhs_data, _rhs_work
 
-from conftest import antiperiodic_series, held_series, parity_part, raw_odd_series
+from conftest import (antiperiodic_series, held_series, parity_part, raw_odd_series,
+                      raw_random_series)
 from oracles import (WholeLatticeStepper, antiperiodicity_bound, octant_fft_every_plane,
                      whole_lattice, whole_lattice_solve, whole_series)
 
@@ -107,6 +108,47 @@ def test_odd_series_rows_are_the_reference_expansion(case, octant):
 def even_part(data, grid):
     """max |f + Rf| / 2 relative to max |f|."""
     return np.abs(data + grid.reflect(data)).max() / 2 / np.abs(data).max()
+
+
+@st.composite
+def oddness_case(draw, dim, point_only, size):
+    """(parity, one frequency field): a random odd field projected on one
+    parity signature of an odd field, or left with the point oddness only
+    (parity None), plus an even field whose peak is `size` ODDNESS_TOL of
+    its peak."""
+    signatures = [p for p in itertools.product((1, -1), repeat=dim) if math.prod(p) == -1]
+    parity = None if point_only else draw(st.sampled_from(signatures))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    grid = setup(dim)[0]
+    odd = raw_odd_series(grid, 0, rng)
+    odd = (odd if parity is None else parity_part(grid, odd, parity))[0]
+    even = raw_random_series(grid, 0, rng)[0]
+    even = even + grid.reflect(even)
+    return parity, odd + even * (size * ODDNESS_TOL * np.abs(odd).max() / np.abs(even).max())
+
+
+# in 1D the point parity is the axis's, so point oddness only is dims 2-3
+@pytest.mark.parametrize("dim,point_only", [(1, False), (2, False), (2, True),
+                                            (3, False), (3, True)])
+@pytest.mark.parametrize("size", [0.0, 0.5, 2.0])
+@PROPERTY
+@given(data=st.data())
+def test_parity_rejects_exactly_the_even_part_above_the_tolerance(dim, point_only, size,
+                                                                   data):
+    # the one oddness rule of the forcing, the perturbation, the solve and
+    # the stepper (Grid.parity on Grid.node_stats) against the oracle's
+    # even part (f + Rf)/2 through Grid.reflect: OddnessViolation exactly
+    # when that exceeds ODDNESS_TOL of the peak, else the field's parity
+    # signature, None for the point oddness only
+    parity, f = data.draw(oddness_case(dim, point_only, size))
+    grid = setup(dim)[0]
+    above = even_part(f, grid) > ODDNESS_TOL
+    assert above == (size > 1)
+    if above:
+        with pytest.raises(OddnessViolation, match="^field is not odd on the lattice"):
+            grid.parity(grid.node_stats(f), "field")
+    else:
+        assert grid.parity(grid.node_stats(f), "field") == parity
 
 
 @PROPERTY
@@ -569,7 +611,7 @@ def _write_config(directory, **stability):
 @given(st.floats(min_value=8.0, max_value=32.0), st.integers(min_value=0, max_value=1))
 @example(14.0, 0)
 def test_dipole_perturbation_is_rejected_or_run(divisor, axis):
-    # sigma = L/divisor: a width that fails the seam check or Grid.is_odd
+    # sigma = L/divisor: a width that fails the seam check or the even-part test
     # ends in one config-error line (exit 2), any other in a run
     with tempfile.TemporaryDirectory() as tmp:
         config = _write_config(tmp, sigma=16.0 / divisor, axis=axis)

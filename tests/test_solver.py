@@ -648,10 +648,14 @@ class TestHalfLatticeZNorm:
         return u, rep, flags
 
     def test_oddness_is_measured_against_the_tolerance(self, grid3d, forcing):
-        assert grid3d.is_odd(forcing)
-        for size, odd in ((0.5 * ODDNESS_TOL, True), (2.0 * ODDNESS_TOL, False)):
-            g = self.with_even_part(forcing, size)
-            assert grid3d.is_odd(g) is odd
+        # the solve's one pass over g: an even part of 0.5 ODDNESS_TOL of the
+        # peak passes, one of 2 ODDNESS_TOL raises
+        assert grid3d.symmetry_of(forcing, None, "forcing").parity == (-1, 1, 1)
+        g = self.with_even_part(forcing, 0.5 * ODDNESS_TOL)
+        assert grid3d.symmetry_of(g, None, "forcing").parity == (-1, 1, 1)
+        g = self.with_even_part(forcing, 2.0 * ODDNESS_TOL)
+        with pytest.raises(OddnessViolation, match="^forcing is not odd on the lattice"):
+            grid3d.symmetry_of(g, None, "forcing")
 
     def test_odd_forcing_moves_norms_by_roundoff(self, monkeypatch, grid3d, op3d,
                                                  cutoffs3d, forcing):
@@ -676,9 +680,9 @@ class TestHalfLatticeZNorm:
 
 
 class TestOddnessPrecondition:
-    """The solve takes odd forcings only: one that Grid.is_odd rejects raises
-    OddnessViolation before any series is solved or the caller's data
-    written."""
+    """The solve takes odd forcings only: one whose even part Grid.parity
+    rejects raises OddnessViolation before any series is solved or the
+    caller's data written."""
 
     @pytest.fixture(scope="class")
     def forcing(self, grid3d):
