@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -160,13 +161,30 @@ def _load_base_series(manifest_path: str, grid: Grid, period: float) -> _SavedBa
                           f"period {period:g}")
     if not man.get("headline", {}).get("converged", False):
         raise GLPeriodError("base run did not converge; refusing to run stability about it")
-    snaps = sorted(e["path"] for e in man.get("artifacts", [])
-                   if e["path"].endswith(".glpf"))
+    snaps = [e["path"] for e in man.get("artifacts", []) if e["path"].endswith(".glpf")]
     if len(snaps) < 2:
         raise GLPeriodError(
             f"base manifest indexes {len(snaps)} field snapshots, fewer than two (run "
             "solve-periodic with output.save_fields = true)")
-    return _SavedBase(grid, [base.parent / name for name in snaps], period)
+    return _SavedBase(grid, [base.parent / name for name in _in_node_order(snaps)], period)
+
+
+def _in_node_order(names: list[str]) -> list[str]:
+    """Snapshot names field_<m>.glpf sorted by the integer m, which must run
+    over 0..N-1 once each (a gap would shorten the series and change its dt)."""
+    def node(name: str) -> int:
+        match = re.fullmatch(r"field_(\d+)\.glpf", name)
+        if match is None:
+            raise ConfigError(f"base snapshot {name} is not named field_<m>.glpf")
+        return int(match[1])
+
+    names = sorted(names, key=node)
+    for m, name in enumerate(names):
+        if node(name) != m:
+            problem = f"{m} is missing" if node(name) > m else f"{m - 1} is repeated"
+            raise ConfigError(f"base snapshots are not nodes 0..{len(names) - 1} once each: "
+                              f"node {problem}")
+    return names
 
 
 def cmd_stability(cfg: dict, base: str | None = None,

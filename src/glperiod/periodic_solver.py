@@ -29,12 +29,11 @@ A solve holds two series, the iterate u and the correction delta, and
 reads the caller's g by rows (frequency_rows: the realized forcing builds
 eps a(t_m) G_hat per row and is never a series). g must be odd. Every map
 of the iteration commutes with the lattice reflections, so u and delta keep
-every symmetry g has, and one pass over g (Grid.symmetry_of) measures them
-and writes planes 0..n/2 of every axis of g into u's buffer. The solve holds
-those planes if g has a parity per axis (the octant, every 1D forcing among
-them), else every plane (the whole lattice), g's rows copied into u. [g] is
-read from the held data. Every kernel and Z-norm runs on the layout the
-series record
+every symmetry g has, and one pass over g (Grid.symmetry_of) measures them.
+The solve then reads g again, one node at a time, into u's buffer: planes
+0..n/2 of every axis if g has a parity per axis (the octant, every 1D
+forcing among them), else every plane (the whole lattice). [g] is read from
+the held data. Every kernel and Z-norm runs on the layout the series record
 (FieldSeries.symmetry): the period map on the held modes of op.symbol, the
 cubic terms through the layout's transform pair (Grid.transform). The
 period map runs in place (F[m] is carried per slab before its row is
@@ -249,28 +248,18 @@ def solve_periodic(g: Series, op: LinearOperatorSpec, cutoffs: CutoffSpec,
     g must be odd (OddnessViolation otherwise), as the paper's forcings
     are. Every map of the iteration commutes with the lattice reflections
     and with u -> -u at a half-period shift, so u and every correction keep
-    each symmetry g has. One pass over g (Grid.symmetry_of) measures them
-    and writes g's held part into u's buffer: planes 0..n/2 of every axis
-    when g has a parity per axis (the octant), else g's rows on every plane
-    (the whole lattice); nodes 0..m_t/2 only for an antiperiodic g. Every
-    kernel, Z-norm and [g] runs on that layout (FieldSeries.symmetry);
-    report.layout records it.
+    each symmetry g has: the solve holds g's layout (Grid.symmetry_of, then
+    g's held part read node by node into u's buffer), and report.layout
+    records it.
     """
     opts = opts or SolveOptions()
     grid = g.grid
-    octant = np.empty((len(g),) + (grid.n // 2 + 1,) * grid.dim, complex)
-    sym = grid.symmetry_of(g, octant, "forcing")
-    nodes = (len(g) + 1) // 2 if sym.antiperiodic else len(g)  # nodes 0..m_t/2, else every node
-    if sym.parity is not None:
-        u = octant[:nodes]  # g's held part, then the iterate
-    else:
-        del octant
-        u = np.empty((nodes,) + grid.shape, complex)  # g's rows, then the iterate
-
-        def copy(rows):
-            u[rows] = g.frequency_rows(rows)
-
-        map_chunks(copy, node_chunks(nodes))
+    sym = grid.symmetry_of(g, "forcing")
+    u = np.empty(((len(g) + 1) // 2 if sym.antiperiodic else len(g),) + sym.shape(grid), complex)
+    for m in range(len(u)):  # g's held part, then the iterate
+        node, = g.frequency_rows(slice(m, m + 1))
+        u[m] = node[sym.held(grid)]
+    grid.clear_odd_planes(u, sym.parity)
     u_series = FieldSeries(grid, u, g.period, sym)
     bracket = forcing_bracket(u_series)
     # delta is dealiased: its Y-norm is the same on the dealias support's fewer lines

@@ -34,16 +34,14 @@ reads that record, never the shape of the data:
 
 The reflections act alike on frequency and physical data, so a held point
 stands for its orbit: sums over held planes weight them 1, 2, ..., 2, 1
-along every axis (Grid.fold_weights), and FieldSeries.frequency_rows
-expands the octant to the whole lattice by exact negation (Grid.expansion).
-The solve measures its forcing once (Grid.symmetry_of) and takes the octant
+along every axis (Grid.fold_weights). There is one way into the octant and
+one way out: Grid.symmetry_of only measures a series (the solve's forcing,
+the stability base), its reader takes the held planes and zeroes the odd
+axes' planes 0 and n/2 (Grid.clear_odd_planes), and FieldSeries.frequency_rows
+extends them as every transform does, by fold_extend. The octant is held
 when every axis has a parity (the reference dipole, odd in x_0 and even in
 x_1, x_2: 17^3 of 32^3 modes per node; in 1D the one axis's parity is the
-point parity), else the whole lattice. The stability run measures its
-perturbation and base by the same rule (Grid.parity) and steps the octant
-when the two share a parity signature, else the whole lattice: a
-perturbation of another axis than the base's, or a base with the point
-oddness only, has no parity per axis that the step keeps.
+point parity), else the whole lattice.
 """
 
 from __future__ import annotations
@@ -311,12 +309,6 @@ class Grid:
             parts += [float(np.abs(lo - hi).max()) / 2, own]
         return parts
 
-    @staticmethod
-    def periodic_part(a: np.ndarray, b: np.ndarray) -> float:
-        """Largest |a + b|/2 of nodes m, m + m_t/2 of a series: their periodic
-        part, at most ODDNESS_TOL of the peak for antiperiodic data."""
-        return float(np.abs(a + b).max()) / 2
-
     def node_stats(self, f: np.ndarray) -> list[float]:
         """[even part, peak, *axis parts] of one node, which parity reads."""
         return [*self.even_part(f), *self.axis_parts(f)]
@@ -335,70 +327,33 @@ class Grid:
                   for odd_part, even_part in zip(small[::2], small[1::2])]
         return tuple(parity + [-math.prod(parity)]) if all(parity) else None
 
-    def clear_odd_planes(self, held: np.ndarray, parity: tuple[int, ...]) -> np.ndarray:
+    def clear_odd_planes(self, held: np.ndarray, parity: tuple[int, ...] | None) -> np.ndarray:
         """Zero planes 0 and n/2 of every odd axis of octant data stacked along
-        axis 0 (their own mirrors, they hold nothing of data odd there);
-        returns held."""
-        for axis in np.flatnonzero(np.array(parity) < 0):
+        axis 0 (their own mirrors, they hold nothing of data odd there); a
+        no-op on the whole lattice (no parity). Returns held."""
+        for axis in np.flatnonzero(np.array(parity or ()) < 0):
             held[(slice(None),) * (axis + 1) + (slice(0, None, self.n // 2),)] = 0
         return held
 
-    def symmetry_of(self, g, octant: np.ndarray | None, what: str,
-                    pooled: bool = True) -> Symmetry:
+    def symmetry_of(self, g, what: str) -> Symmetry:
         """The Symmetry a series (read by frequency_rows) is held by, from one
-        pass over its nodes, in pairs (m, m + m_t/2) for an even m_t: its
-        parity (OddnessViolation naming `what` if it is not odd), and
-        antiperiodic if every pair's periodic_part is at most ODDNESS_TOL of
-        the peak. The pass runs in chunks on the pool, or in the calling
-        thread (pooled=False; pool threads' arenas keep temporaries). An
-        octant array, if given, gets the held data of an octant layout."""
+        pass over its nodes in the calling thread, in pairs (m, m + m_t/2)
+        for an even m_t: its parity (OddnessViolation naming `what` if it is
+        not odd), and antiperiodic if every pair's periodic part, the largest
+        |a + b|/2, is at most ODDNESS_TOL of the peak. It only measures."""
         pairs = len(g) % 2 == 1
         half = len(g) // 2 if pairs else len(g)
-
-        def node(m):  # node m and its stats, octant written
-            f, = g.frequency_rows(slice(m, m + 1))
-            if octant is not None:
-                octant[m] = f[(slice(self.n // 2 + 1),) * self.dim]
-            return f, self.node_stats(f)
-
-        def task(rows):
-            worst = []
-            for m in range(rows.start, rows.stop):
-                a, stats = node(m)
-                if pairs:
-                    b, more = node(m + half)
-                    stats = [*np.maximum(stats, more), self.periodic_part(a, b)]
-                worst.append(stats)
-            return np.max(worst, axis=0)
-
-        nodes = slice(0, half + pairs)
-        worst = np.max(map_chunks(task, node_chunks(nodes.stop)) if pooled else [task(nodes)],
-                       axis=0)
-        parity = self.parity(worst, what)
-        if parity is not None and octant is not None:
-            self.clear_odd_planes(octant, parity)
-        return Symmetry(parity=parity,
+        worst = []
+        for m in range(half + pairs):
+            a, = g.frequency_rows(slice(m, m + 1))
+            stats = self.node_stats(a)
+            if pairs:
+                b, = g.frequency_rows(slice(m + half, m + half + 1))
+                stats = [*np.maximum(stats, self.node_stats(b)), float(np.abs(a + b).max()) / 2]
+            worst.append(stats)
+        worst = np.max(worst, axis=0)
+        return Symmetry(parity=self.parity(worst, what),
                         antiperiodic=pairs and bool(worst[-1] <= ODDNESS_TOL * worst[1]))
-
-    def expansion(self, symmetry: Symmetry) -> tuple:
-        """(index, negate) of a layout, flat over a node's whole lattice: the
-        flat index into the held planes each entry reads, and whether it reads
-        it negated. In the octant plane -j of each axis reads plane j, times
-        that axis's parity. On the whole lattice index is None and nothing is
-        negated."""
-        cache = self.__dict__.setdefault("_expansions", {})
-        if symmetry.parity not in cache:
-            n, h = self.n, self.n // 2 + 1
-            index, sign = None, np.ones(self.shape)
-            if symmetry.parity is not None:
-                fold = np.where(np.arange(n) < h, np.arange(n), n - np.arange(n))
-                index = np.arange(h ** self.dim).reshape((h,) * self.dim)
-                index = index[np.ix_(*[fold] * self.dim)].ravel()
-                for axis, p in enumerate(symmetry.parity):
-                    sign *= np.where(np.arange(n) < h, 1, p).reshape(
-                        (n,) + (1,) * (self.dim - 1 - axis))
-            cache[symmetry.parity] = (index, (sign < 0).ravel())
-        return cache[symmetry.parity]
 
 
 def _dealias_planes(grid: Grid) -> int:
@@ -533,7 +488,7 @@ class FieldSeries(Series):
     nodes a Symmetry keeps, the layouts the solve holds and the norms sum
     on. For a periodic series the last field duplicates the first up to
     solver tolerance. frequency_rows expands only the nodes it is asked for,
-    by exact negation (Grid.expansion; node m + m_t/2 is minus node m).
+    one at a time by fold_extend (node m + m_t/2 is minus node m).
     """
 
     grid: Grid
@@ -564,28 +519,26 @@ class FieldSeries(Series):
         return 2 * len(self.data) - 1 if self.antiperiodic else len(self.data)
 
     def frequency_rows(self, rows: slice) -> np.ndarray:
-        """Whole-lattice frequency data of the consecutive nodes `rows` (of
-        0..m_t): a view of whole-lattice data, else np.take over views of
-        the held planes and nodes, then negation."""
-        grid, held, sym = self.grid, len(self.data), self.symmetry
-        folded = bool(sym.held(grid))
-        if not (folded or sym.antiperiodic):
+        """Whole-lattice frequency data of nodes `rows` (of 0..m_t): a view of
+        whole-lattice data, else each node extended by fold_extend axis by axis
+        (planes 0 and n/2 of an odd axis read as 0, as in every transform) into
+        the output through owned pass buffers, node m + m_t/2 then negated."""
+        grid, held, parity = self.grid, len(self.data), self.symmetry.parity or ()
+        if not (parity or self.antiperiodic):
             return self.data[rows]
         nodes = range(len(self))[rows]
-        if nodes.step != 1:
-            raise ValueError("frequency_rows reads consecutive nodes")
-        cut = min(max(nodes.start, held), nodes.stop) - nodes.start  # then minus node m - m_t/2
-        index, negate = grid.expansion(sym)
-        out = np.empty((len(nodes), negate.size), complex)
-        for part, first in ((out[:cut], nodes.start), (out[cut:], nodes.start + cut - held + 1)):
-            block = self.data[first:first + len(part)].reshape(len(part), self.data[0].size)
-            if folded:
-                np.take(block, index, axis=1, out=part, mode="clip")
-            else:
-                part[...] = block
-        np.negative(out[:cut], out=out[:cut], where=negate)
-        np.negative(out[cut:], out=out[cut:], where=~negate)
-        return out.reshape((len(nodes),) + grid.shape)
+        out = np.empty((len(nodes),) + grid.shape, complex)
+        passes = [np.empty((grid.n,) * axis + (grid.n // 2 + 1,) * (grid.dim - axis), complex)
+                  for axis in range(1, len(parity))] + [None]
+        for node, m in zip(out, nodes):
+            f = self.data[m if m < held else m - held + 1]
+            for axis, p in enumerate(parity):
+                f = fold_extend(f, axis, p, node if passes[axis] is None else passes[axis])
+            if m >= held:
+                np.negative(f, out=node)
+            elif not parity:
+                node[...] = f
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -30,21 +30,22 @@ pass buffers (numpy.fft's out=, numpy >= 2.0); the dealias mask is folded
 into h phi1 and h phi2 once; and the step advances w in place.
 
 The run steps the paper's case only, one step per base node (h = T/m_t): its
-forcings are odd, g(-x, t) = -g(x, t), so is its periodic solution, and about
-an odd base an odd w stays odd. w0, and the base unless the run is linear,
-must be odd (OddnessViolation otherwise, before any base node is built).
-Their per-axis parities are measured by the solve's rule (Grid.parity; the
-base's in one pass with its antiperiodicity, Grid.symmetry_of). The run
-steps the octant (OctantTransform) when the two share a parity signature,
-as the reference's dipoles do (17^3 of 32^3 modes per node), else the whole
-lattice: a perturbation of another axis than the base's (2|w|^2 v and
-w^2 conj(v) take v's parities) or a base with the point oddness only has no
-parity per axis that the step keeps. At 32^3 a whole-lattice step takes
-3.5-5.6 times an octant one (medians of 200 steps, 2-vCPU VM, numpy 2.4).
-A linear run steps w0's layout. Base nodes are physical data on it, built
-one at a time from the planes an octant FieldSeries of the same parity
-holds (the solve's u), else from frequency_rows; an antiperiodic base
-(v(t + T/2) = -v(t)) holds nodes 0..m_t/2 - 1, negated after.
+forcings are odd, g(-x, t) = -g(x, t), so is its periodic solution, and
+about an odd base an odd w stays odd. w0, and the base unless the run is
+linear, must be odd (OddnessViolation otherwise, before any base node is
+built). Their per-axis parities are measured by the solve's rule
+(Grid.parity; the base's with its antiperiodicity by Grid.symmetry_of, one
+pass that only measures, in the calling thread). The run steps the octant
+(OctantTransform) when the two share a parity signature, as the reference's
+dipoles do (17^3 of 32^3 modes per node), else the whole lattice: a
+perturbation of another axis than the base's (2|w|^2 v and w^2 conj(v) take
+v's parities) or a base with the point oddness only has no parity per axis
+that the step keeps. At 32^3 a whole-lattice step takes 3.5-5.6 times an
+octant one (medians of 200 steps, 2-vCPU VM, numpy 2.4). A linear run steps
+w0's layout. Base nodes are physical data on it, built one at a time from
+the planes an octant FieldSeries of the same parity holds (the solve's u),
+else from frequency_rows; an antiperiodic base (v(t + T/2) = -v(t)) holds
+nodes 0..m_t/2 - 1, negated after.
 """
 
 from __future__ import annotations
@@ -304,15 +305,13 @@ def run_stability(cfg: StabilityRunConfig, op: LinearOperatorSpec,
     grid, m_t = cfg.v_per.grid, cfg.v_per.n_steps
     h = cfg.v_per.period / m_t
     parity = grid.parity(grid.node_stats(cfg.w0.data), "perturbation")
-    base = None if cfg.linear_only else grid.symmetry_of(cfg.v_per, None, "base", pooled=False)
+    base = None if cfg.linear_only else grid.symmetry_of(cfg.v_per, "base")
     if base is not None and base.parity != parity:
         parity = None  # no parity per axis that both keep: the whole lattice
     symmetry = Symmetry(parity=parity, antiperiodic=base is not None and base.antiperiodic)
     stepper = _Stepper(grid, op, h, symmetry)
     held = symmetry.held(grid)
-    w_hat = cfg.w0.data[held].copy()
-    if parity is not None:
-        grid.clear_odd_planes(w_hat[None], parity)
+    w_hat = grid.clear_odd_planes(cfg.w0.data[held][None].copy(), parity)[0]
     v_nodes = [] if cfg.linear_only else _base_nodes(cfg.v_per, symmetry, stepper)
     nodes_held = len(v_nodes)
     negated = np.empty(v_nodes.shape[1:], complex) if symmetry.antiperiodic else None

@@ -128,3 +128,14 @@ def antiperiodic_series(data):
     antiperiodically: node m + m_t/2 is minus node m, node m_t is node 0."""
     half = data[:(len(data) - 1) // 2]
     return np.concatenate([half, -half, half[:1]])
+
+
+def octant_of(g):
+    """Every node of a series measured with the dipole's parities, on planes
+    0..n/2 of every axis with planes 0 and n/2 of the odd axis zeroed: the
+    solve's held part of g, over the whole period."""
+    grid = g.grid
+    sym = grid.symmetry_of(g, "forcing")
+    assert sym.parity == dipole_symmetry(grid).parity
+    held = g.frequency_rows(slice(None))[(slice(None),) + sym.held(grid)].copy()
+    return grid.clear_odd_planes(held, sym.parity)

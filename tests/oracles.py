@@ -251,10 +251,11 @@ def whole_lattice_solve(g, op, cutoffs, opts=None):
 def is_antiperiodic(G, grid):
     """The solve's antiperiodicity rule on whole frequency data G of every node:
     an even m_t and a periodic part (G[m] + G[m + m_t/2])/2 of at most
-    ODDNESS_TOL of the peak (Grid.periodic_part)."""
+    ODDNESS_TOL of the peak (the test Grid.symmetry_of makes node pair by
+    node pair), on whole arrays."""
     half = (len(G) - 1) // 2
-    return len(G) % 2 == 1 and max(grid.periodic_part(a, b) for a, b in zip(
-        G[:half + 1], G[half:])) <= ODDNESS_TOL * float(np.abs(G).max())
+    return len(G) % 2 == 1 and (float(np.abs(G[:half + 1] + G[half:]).max()) / 2
+                                <= ODDNESS_TOL * float(np.abs(G).max()))
 
 
 def antiperiodicity_bound(F, op):
@@ -279,10 +280,11 @@ def whole_series(series):
 
 def whole_lattice(grid, held, nodes=None, parity=None):
     """Frequency data of every node from the data a FieldSeries holds, one
-    node at a time: in the octant (`parity` set), planes n/2+1..n-1 of each
-    axis are that axis's parity times planes n/2-1..1; with `nodes` =
-    2 len(held) - 1, node m + m_t/2 is minus node m. The reference expansion
-    that FieldSeries.frequency_rows is held against, bit for bit."""
+    node at a time: in the octant (`parity` set), axis after axis, planes
+    n/2+1..n-1 of an axis are its parity times planes n/2-1..1, and planes 0
+    and n/2 of an odd axis are 0 (they hold nothing of data odd there); with
+    `nodes` = 2 len(held) - 1, node m + m_t/2 is minus node m. The reference
+    expansion that FieldSeries.frequency_rows is held against, bit for bit."""
     out, h = np.empty((nodes or len(held),) + grid.shape, complex), grid.n // 2 + 1
     out[(slice(len(held)),) + tuple(map(slice, held.shape[1:]))] = held
     for node in out[:len(held)]:
@@ -290,6 +292,8 @@ def whole_lattice(grid, held, nodes=None, parity=None):
             lead = (slice(None),) * axis
             mirror = node[lead + (slice(h - 2, 0, -1),)]
             node[lead + (slice(h, None),)] = mirror if p > 0 else -mirror
+            if p < 0:
+                node[lead + (slice(0, h, h - 1),)] = 0
     np.negative(out[1:len(out) - len(held) + 1], out=out[len(held):])
     return out
 

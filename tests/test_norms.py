@@ -246,15 +246,15 @@ class TestForcingBracket:
     @pytest.mark.parametrize("m_t", [16, 64])
     def test_matches_the_physical_space_reference(self, grid3d, m_t):
         # [g] of the forcing, with L1_w read through chunked inverse
-        # transforms, and [g] as the solve reads it, from the octant that
-        # Grid.symmetry_of writes (planes 0..n/2 of every axis, planes 0 and
-        # n/2 of the odd axis zeroed) on half the period: each the
+        # transforms, and [g] as the solve reads it, from the octant that it
+        # takes after Grid.symmetry_of (planes 0..n/2 of every axis, planes 0
+        # and n/2 of the odd axis zeroed) on half the period: each the
         # physical-space formula of its series to roundoff
         g = whole_series(realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, m_t))
-        held = np.empty((m_t + 1,) + (grid3d.n // 2 + 1,) * 3, complex)
-        sym = grid3d.symmetry_of(g, held, "forcing")
+        sym = grid3d.symmetry_of(g, "forcing")
         assert sym == dipole_symmetry(grid3d, antiperiodic=True)
-        octant = FieldSeries(grid3d, held[:m_t // 2 + 1], g.period, sym)
+        held = g.data[(slice(m_t // 2 + 1),) + sym.held(grid3d)].copy()
+        octant = FieldSeries(grid3d, grid3d.clear_odd_planes(held, sym.parity), g.period, sym)
         assert forcing_bracket(g) == pytest.approx(physical_forcing_bracket(g), rel=1e-14, abs=0)
         assert forcing_bracket(octant) == pytest.approx(
             physical_forcing_bracket(whole_series(octant)), rel=1e-14, abs=0)

@@ -42,8 +42,8 @@ from glperiod.periodic_solver import _cubic_difference_data, _linear_period_map_
 from glperiod.spectral import ODDNESS_TOL, Symmetry
 from glperiod.stability import _Stepper, _rhs_data, _rhs_work
 
-from conftest import (antiperiodic_series, held_series, parity_part, raw_odd_series,
-                      raw_random_series)
+from conftest import (antiperiodic_series, held_series, octant_of, parity_part,
+                      raw_odd_series, raw_random_series)
 from oracles import (WholeLatticeStepper, antiperiodicity_bound, octant_fft_every_plane,
                      whole_lattice, whole_lattice_solve, whole_series)
 
@@ -204,8 +204,7 @@ def test_reference_period_map_keeps_antiperiodicity():
     cfg = reference_config()
     g = build_forcing(cfg)
     grid = g.grid
-    F = np.empty((len(g),) + (grid.n // 2 + 1,) * grid.dim, complex)
-    assert grid.symmetry_of(g, F, "forcing").parity == (-1, 1, 1)
+    F = octant_of(g)
     op = make_operator(grid, g.period)
     out = _linear_period_map_data(F, op, g.dt)
     assert antiperiodicity_defect(out) <= antiperiodicity_bound(F, op)

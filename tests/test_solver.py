@@ -23,7 +23,7 @@ from glperiod.spectral import ODDNESS_TOL, Grid, Symmetry
 from glperiod.periodic_solver import (_contraction_factor, _cubic_difference_data,
                                       _cubic_rows, _decay_table, _linear_period_map_data)
 
-from conftest import (dipole_symmetry, held_series, on_workers, parity_part,
+from conftest import (dipole_symmetry, held_series, octant_of, on_workers, parity_part,
                       point_odd_forcing, random_odd_field, raw_odd_series, raw_random_series)
 from oracles import (antiperiodicity_bound, cubic_rhs, duhamel_integral, odd_residual,
                      periodic_initial_data, picard_step, split_equation_residual,
@@ -40,8 +40,8 @@ def _odd_part(g):
 def _not_antiperiodic(monkeypatch):
     """Have the solve take its forcing as not antiperiodic (every node held)."""
     measure = Grid.symmetry_of
-    monkeypatch.setattr(Grid, "symmetry_of", lambda grid, g, octant, what: replace(
-        measure(grid, g, octant, what), antiperiodic=False))
+    monkeypatch.setattr(Grid, "symmetry_of", lambda grid, g, what: replace(
+        measure(grid, g, what), antiperiodic=False))
 
 
 def _mode_series(grid, k_index, values, period):
@@ -650,12 +650,12 @@ class TestHalfLatticeZNorm:
     def test_oddness_is_measured_against_the_tolerance(self, grid3d, forcing):
         # the solve's one pass over g: an even part of 0.5 ODDNESS_TOL of the
         # peak passes, one of 2 ODDNESS_TOL raises
-        assert grid3d.symmetry_of(forcing, None, "forcing").parity == (-1, 1, 1)
+        assert grid3d.symmetry_of(forcing, "forcing").parity == (-1, 1, 1)
         g = self.with_even_part(forcing, 0.5 * ODDNESS_TOL)
-        assert grid3d.symmetry_of(g, None, "forcing").parity == (-1, 1, 1)
+        assert grid3d.symmetry_of(g, "forcing").parity == (-1, 1, 1)
         g = self.with_even_part(forcing, 2.0 * ODDNESS_TOL)
         with pytest.raises(OddnessViolation, match="^forcing is not odd on the lattice"):
-            grid3d.symmetry_of(g, None, "forcing")
+            grid3d.symmetry_of(g, "forcing")
 
     def test_odd_forcing_moves_norms_by_roundoff(self, monkeypatch, grid3d, op3d,
                                                  cutoffs3d, forcing):
@@ -866,14 +866,12 @@ class TestHalfPeriodSolve:
         return u, rep, flags
 
     def test_antiperiodicity_is_measured_against_the_tolerance(self, grid3d, forcing):
-        planes = grid3d.n // 2 + 1
-        octant = np.empty((self.M_T + 1,) + (planes,) * 3, complex)
         for size, antiperiodic in ((0.0, True), (0.5 * ODDNESS_TOL, True),
                                    (2.0 * ODDNESS_TOL, False)):
             data = self.with_periodic_part(forcing, size).data
             for g in (FieldSeries(grid3d, data, 1.0),
                       held_series(grid3d, data, 1.0, dipole_symmetry(grid3d))):
-                assert grid3d.symmetry_of(g, octant, "forcing").antiperiodic is antiperiodic
+                assert grid3d.symmetry_of(g, "forcing").antiperiodic is antiperiodic
 
     def test_antiperiodic_forcing_moves_norms_by_roundoff(self, monkeypatch, op3d,
                                                          cutoffs3d, forcing):
@@ -886,8 +884,7 @@ class TestHalfPeriodSolve:
         assert flags_every == [False] * (rep.iterations + 2)
         # the half-period map moves u within the full map's antiperiodicity
         # bound (measured: 0.10 of it), and u's second half is minus its first
-        F = np.empty((len(forcing),) + (forcing.grid.n // 2 + 1,) * 3, complex)
-        assert forcing.grid.symmetry_of(forcing, F, "forcing").parity == (-1, 1, 1)
+        F = octant_of(forcing)
         u, u_every = whole_series(u).data, whole_series(u_every).data
         assert np.abs(u - u_every).max() <= antiperiodicity_bound(F, op3d) * np.abs(u_every).max()
         half = self.M_T // 2
@@ -981,11 +978,9 @@ class TestHalfLayoutSeries:
         half, whole = layouts
         assert len(half) == len(whole) and half.dt == whole.dt
         assert half.frequency_rows(slice(None)).tobytes() == whole.data.tobytes()
-        keeps = [np.empty((len(whole),) + (grid3d.n // 2 + 1,) * 3, complex) for _ in range(2)]
-        assert (grid3d.symmetry_of(half, keeps[0], "forcing")
-                == grid3d.symmetry_of(whole, keeps[1], "forcing") == replace(
-                    half.symmetry, antiperiodic=True))
-        assert keeps[0].tobytes() == keeps[1].tobytes()
+        assert (grid3d.symmetry_of(half, "forcing") == grid3d.symmetry_of(whole, "forcing")
+                == replace(half.symmetry, antiperiodic=True))
+        assert octant_of(half).tobytes() == octant_of(whole).tobytes()
 
     def test_solve_residual_and_stability(self, grid3d, op3d, cutoffs3d, layouts):
         half, whole = layouts
@@ -1041,6 +1036,13 @@ class TestSolveMemory:
         _not_antiperiodic(monkeypatch)
         every = on_workers(monkeypatch, 2, peak_of)
         assert half <= 0.8 * every
+
+    def test_u_owns_exactly_its_held_nodes(self, op3d, cutoffs3d, forcing):
+        # the antiperiodic dipole's u is nodes 0..m_t/2 of the octant in an
+        # array of its own: no buffer of every node stays behind it
+        u, rep = solve_periodic(forcing, op3d, cutoffs3d, SolveOptions())
+        assert rep.layout["antiperiodic"] and u.data.shape == (self.M_T // 2 + 1,) + (9,) * 3
+        assert u.data.base is None or u.data.base.nbytes <= u.data.nbytes
 
     def test_octant_solve_holds_less_than_the_whole_lattice(self, monkeypatch, grid3d, op3d,
                                                             cutoffs3d, forcing):

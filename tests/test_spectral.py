@@ -8,12 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glperiod import (FieldSeries, GridConfig, SpectralField, make_grid, read_snapshot, spectral, write_snapshot)
+from glperiod import (FieldSeries, ForcingSpec, GridConfig, SpectralField, make_grid,
+                      read_snapshot, realize_forcing, spectral, write_snapshot)
 from glperiod.norms import _lp_node, l1w_node
 from glperiod.spectral import Symmetry, fold_extend
 from glperiod.stability import _rhs_data, _rhs_work
 
-from conftest import (on_workers, parity_part, random_field, random_physical_field,
+from conftest import (dipole_symmetry, on_workers, parity_part, random_field, random_physical_field,
                       random_odd_field, raw_odd_series, raw_random_series)
 from oracles import (octant_fft_every_plane, odd_residual, time_derivative,
                      write_physical_snapshot)
@@ -75,8 +76,9 @@ class TestGrid:
 
 class TestOddColumns:
     """The octant's mirror planes, which replaced the half lattice's odd
-    column pairing: Grid.expansion and fold_extend against a mirror built
-    from coordinates, for every parity signature of an odd field."""
+    column pairing: FieldSeries.frequency_rows and fold_extend against a
+    mirror built from coordinates, for every parity signature of an odd
+    field."""
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -94,15 +96,53 @@ class TestOddColumns:
             for axis, p in enumerate(parity):
                 f = 0.5 * (f + p * np.take(f, mirror, axis=axis + 1))
             held = f[(slice(None),) + (slice(h),) * dim]
-            index, negate = grid.expansion(Symmetry(parity=parity))
-            for node, whole in zip(held, f):
-                expanded = np.take(node.ravel(), index)
-                expanded[negate] *= -1
-                assert np.array_equal(expanded.reshape(grid.shape), whole)
+            series = FieldSeries(grid, held, 1.0, Symmetry(parity=parity))
+            assert np.array_equal(series.frequency_rows(slice(None)), f)
             for axis, p in enumerate(parity):  # one axis extended, the others whole
                 cut = (slice(None),) * (axis + 1) + (slice(h),)
                 out = np.full(f.shape, np.nan, complex)
                 assert np.array_equal(fold_extend(f[cut], axis + 1, p, out), f)
+
+
+class TestOneWayInAndOut:
+    """The symmetry pass only measures, in the calling thread, and
+    FieldSeries.frequency_rows extends one held node at a time into its
+    output."""
+
+    def test_symmetry_pass_uses_no_pool(self, monkeypatch, grid3d):
+        g = realize_forcing(ForcingSpec(amplitude=1e-2, period=1.0), grid3d, 16)
+
+        def no_pool(task, items):
+            raise AssertionError("the symmetry pass ran on the pool")
+
+        monkeypatch.setattr(spectral, "map_chunks", no_pool)
+        assert grid3d.symmetry_of(g, "forcing") == dipole_symmetry(grid3d, antiperiodic=True)
+
+    @pytest.mark.parametrize("parity", [None, (-1, 1), (-1, 1, 1)])
+    def test_rows_hold_the_output_and_one_node(self, parity):
+        # the traced peak of rows 2..m_t-2 of the dipole's octant (every
+        # node, or nodes 0..m_t/2) and of the antiperiodic whole lattice is
+        # the output plus at most one whole-lattice node: the octant's pass
+        # buffers are 3600 of the 4096 entries of a 16^3 node, 544 of the
+        # 1024 of a 32^2 one. (An odd later axis adds numpy's ufunc buffers
+        # for the negation of its non-contiguous mirror planes.)
+        dim = len(parity or (0, 0, 0))
+        grid = make_grid(GridConfig(dim=dim, n_per_axis={2: 32, 3: 16}[dim], box_length=16.0))
+        rng, node = np.random.default_rng(dim), grid.n ** dim * np.dtype(complex).itemsize
+        for antiperiodic in (True,) if parity is None else (False, True):
+            sym = Symmetry(parity=parity, antiperiodic=antiperiodic)
+            shape = (9,) + sym.shape(grid)
+            series = FieldSeries(grid, rng.standard_normal(shape) + 0j, 1.0, sym)
+            rows = slice(2, len(series) - 2)
+            series.frequency_rows(rows)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = series.frequency_rows(rows)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert out.nbytes <= peak <= out.nbytes + node
 
 
 class TestOddTransform:

@@ -860,8 +860,8 @@ class TestHalfPeriodBase:
         half = run(v_per)
         symmetry_of = Grid.symmetry_of
 
-        def periodic(grid, g, octant, what, pooled=True):  # the base's pass finds no half period
-            return replace(symmetry_of(grid, g, octant, what, pooled), antiperiodic=False)
+        def periodic(grid, g, what):  # the base's pass finds no half period
+            return replace(symmetry_of(grid, g, what), antiperiodic=False)
 
         monkeypatch.setattr(Grid, "symmetry_of", periodic)
         every = run(whole)
